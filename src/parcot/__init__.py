@@ -4,7 +4,7 @@ A desk-scale implementation of native parallel thinking: P reasoning
 paths decoded in lockstep behind path-isolating attention masks and
 shared positions, distinguished by per-path thought embeddings folded
 into every cached key/value, then a summarization stage that reuses the
-reasoning-phase KV blocks directly to produce one answer.
+reasoning-phase KV storage directly to produce one answer.
 """
 
 from .engine import (

@@ -10,13 +10,19 @@ completed path is closed and frozen immediately (it stops writing cache
 entries) while the others continue, so frozen paths may be shorter; the
 reasoning length used for answer positions is the maximum written length.
 
-The summarization stage reuses the reasoning-phase KV blocks directly
+Each reasoning step (the openers, every body step and each round of
+closers) decodes all the paths it feeds in one batched forward pass over
+the cache's path slab.  Every stage checks before it writes anything that
+its last position fits the model, and a token joins a path only after its
+forward pass succeeds, so a failed call leaves tokens and cache in step.
+
+The summarization stage reuses the reasoning-phase KV storage directly
 (no re-prefill): the engine inserts SUMMARY_OPEN and decodes the answer
 against the prompt, every path, and the answer prefix.
 
 Sampling draws are seeded per (session seed, stream, step), where the
 stream is the path's think label (or 0 for the answer), so any single
-path replays identically in isolation.
+path replays identically in isolation.  Greedy decoding draws nothing.
 """
 
 import json
@@ -27,7 +33,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LifecycleError, SamplingError
+from .errors import (
+    ConfigError,
+    DataError,
+    LifecycleError,
+    PositionOverflowError,
+    SamplingError,
+)
 from .kvcache import PagedKVCache, SlotAddress, SummaryContextView, assemble_summary_view
 from .masking import SUMMARIZATION as LAYOUT_SUMMARIZATION
 from .masking import LayoutPlan
@@ -36,6 +48,7 @@ from .model import (
     SUMMARIZATION,
     DecodeLayout,
     ModelWeights,
+    forward_paths,
     forward_step,
     prefill,
 )
@@ -119,8 +132,6 @@ class GenerationSession:
         think_labels: list[int] | None = None,
         seed: int = 0,
         record_logits: bool = False,
-        block_slots: int = 16,
-        max_blocks: int = 4096,
     ):
         cfg = weights.config
         if num_paths < 1:
@@ -137,6 +148,7 @@ class GenerationSession:
             )
         if not prompt_tokens:
             raise DataError("prompt must contain at least one token")
+        _check_position(len(prompt_tokens), cfg.max_position, "prompt")
         if think_labels is None:
             think_labels = list(range(1, num_paths + 1))
         if len(think_labels) != num_paths:
@@ -166,9 +178,8 @@ class GenerationSession:
         self.strategy: Termination | None = None
         self.summary_view: SummaryContextView | None = None
 
-        self.cache = PagedKVCache(
-            cfg.n_layers, cfg.n_heads, cfg.d_k, block_slots=block_slots, max_blocks=max_blocks
-        )
+        self.cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        self.cache.reserve(PROMPT, len(self.prompt_tokens))
         prompt_layout = DecodeLayout(
             stage=REASONING,
             assignment=PositionAssignment(SHARED, l_x=len(self.prompt_tokens), l_max=0),
@@ -224,6 +235,13 @@ class GenerationSession:
         )
 
 
+def _check_position(last: int, max_position: int, stage: str) -> None:
+    if last > max_position:
+        raise PositionOverflowError(
+            f"{stage} would reach position {last}, beyond max_position {max_position}"
+        )
+
+
 def draw_rng(seed: int, stream: int, step: int) -> np.random.Generator:
     """Per-draw generator; the stream is a think label or ANSWER_STREAM."""
     return np.random.default_rng((seed, stream, step))
@@ -234,13 +252,16 @@ def sample_token(
 ) -> int:
     """Temperature softmax with nucleus truncation; greedy mode is argmax.
 
-    Greedy ties break toward the lowest token id.  The nucleus keeps the
+    Greedy ties break toward the lowest token id; greedy mode never
+    touches ``rng``, which may then be None.  The nucleus keeps the
     smallest probability-sorted prefix whose mass reaches top_p.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.size == 0 or np.all(np.isneginf(logits)):
+    if logits.size == 0:
         raise SamplingError("all tokens are masked out")
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
+        if np.isneginf(logits).all():
+            raise SamplingError("all tokens are masked out")
         raise SamplingError("logits contain non-finite values")
     if sampler.greedy:
         return int(np.argmax(logits))
@@ -256,21 +277,30 @@ def sample_token(
     return int(rng.choice(support, p=kept))
 
 
-def _feed_path(session: GenerationSession, layout: DecodeLayout, path: PathState, token: int):
-    slot = SlotAddress(path_key(path.index), len(path.tokens))
-    path.tokens.append(int(token))
-    logits = forward_step(
-        session.weights, session.table, session.cache, layout, int(token), slot
+def _draw(session: GenerationSession, sampler: SamplerConfig, logits, stream: int, step: int):
+    rng = None if sampler.greedy else draw_rng(session.seed, stream, step)
+    return sample_token(logits, sampler, rng)
+
+
+def _feed_paths(session: GenerationSession, layout: DecodeLayout, paths, tokens) -> np.ndarray:
+    """One batched forward pass feeding tokens[r] to paths[r]; [n, vocab] logits."""
+    slots = [SlotAddress(path_key(p.index), len(p.tokens)) for p in paths]
+    logits = forward_paths(
+        session.weights, session.table, session.cache, layout, tokens, slots
     )
-    if session.record_logits:
-        path.step_logits.append(logits)
+    for path, token, row in zip(paths, tokens, logits):
+        path.tokens.append(int(token))
+        if session.record_logits:
+            path.step_logits.append(row)
     return logits
 
 
-def _close_path(session, layout, path: PathState, cause: str) -> None:
-    _feed_path(session, layout, path, session.vocab.think_close(path.think_label))
-    path.finished = True
-    path.finish_cause = cause
+def _close_paths(session, layout, paths: list[PathState], causes: list[str]) -> None:
+    closers = [session.vocab.think_close(p.think_label) for p in paths]
+    _feed_paths(session, layout, paths, closers)
+    for path, cause in zip(paths, causes):
+        path.finished = True
+        path.finish_cause = cause
 
 
 def run_reasoning(
@@ -289,54 +319,56 @@ def run_reasoning(
     if session.stage != REASONING or any(p.tokens for p in session.paths):
         raise LifecycleError("reasoning stage already consumed")
     strategy = Termination(strategy)
-    session.budget = budget
-    session.strategy = strategy
     forced = forced or {}
     layout = session.reasoning_layout(budget)
+    last_slot = SlotAddress(path_key(0), budget.max_path_tokens + 1)
+    _check_position(layout.position(last_slot), session.weights.config.max_position, "reasoning")
+    session.budget = budget
+    session.strategy = strategy
+    session.cache.reserve_paths(session.num_paths, budget.max_path_tokens + 2)
     eos = session.vocab.eos
     threshold = strategy.threshold(session.num_paths)
 
-    logits: dict[int, np.ndarray] = {}
-    for path in session.paths:
-        opener = session.vocab.think_open(path.think_label)
-        logits[path.index] = _feed_path(session, layout, path, opener)
-
-    active = [p for p in session.paths]
+    active = list(session.paths)
+    openers = [session.vocab.think_open(p.think_label) for p in active]
+    logits = _feed_paths(session, layout, active, openers)  # row r belongs to active[r]
     completed = 0
     stop_cause = None
     step = 0
     while stop_cause is None:
         step += 1
-        chosen: dict[int, int] = {}
-        for path in active:
+        chosen = []
+        for path, row in zip(active, logits):
             script = forced.get(path.index)
             if script is not None and step <= len(script):
-                chosen[path.index] = int(script[step - 1])
+                chosen.append(int(script[step - 1]))
             else:
-                rng = draw_rng(session.seed, path.think_label, step)
-                chosen[path.index] = sample_token(logits[path.index], sampler, rng)
-        for path in active:
-            logits[path.index] = _feed_path(session, layout, path, chosen[path.index])
-        finished_now = [p for p in active if chosen[p.index] == eos]
+                chosen.append(_draw(session, sampler, row, path.think_label, step))
+        logits = _feed_paths(session, layout, active, chosen)
+        finished_now = [p for p, token in zip(active, chosen) if token == eos]
         completed += len(finished_now)
-        if strategy is not Termination.FIRST_FINISH:
+        if strategy is not Termination.FIRST_FINISH and finished_now:
             # freeze naturally finished paths; the rest keep decoding
-            for path in finished_now:
-                _close_path(session, layout, path, "eos")
-                active.remove(path)
+            _close_paths(session, layout, finished_now, ["eos"] * len(finished_now))
+            keep = [r for r, token in enumerate(chosen) if token != eos]
+            active = [active[r] for r in keep]
+            logits = logits[keep]
+            chosen = [chosen[r] for r in keep]
         if completed >= threshold:
             stop_cause = "strategy"
         elif step >= budget.max_path_tokens:
             stop_cause = "budget"
 
-    for path in active:
-        if strategy is Termination.FIRST_FINISH and chosen.get(path.index) == eos:
-            cause = "eos"
+    causes = []
+    for token in chosen:
+        if strategy is Termination.FIRST_FINISH and token == eos:
+            causes.append("eos")
         elif stop_cause == "budget":
-            cause = "budget"
+            causes.append("budget")
         else:
-            cause = "strategy_stop"
-        _close_path(session, layout, path, cause)
+            causes.append("strategy_stop")
+    if active:
+        _close_paths(session, layout, active, causes)
 
     session.reasoning_len = max(len(p.tokens) for p in session.paths)
     if strategy is Termination.FIRST_FINISH:
@@ -361,15 +393,20 @@ def run_summarization(
         raise LifecycleError("summarization requires a finished reasoning stage")
     if session.answer_done:
         raise LifecycleError("summarization already ran for this session")
+    if max_answer_tokens < 0:
+        raise ConfigError("answer budget must be non-negative")
     vocab = session.vocab
     layout = session.summary_layout()
+    last_slot = SlotAddress(ANSWER, max_answer_tokens)  # SUMMARY_OPEN comes first
+    _check_position(layout.position(last_slot), session.weights.config.max_position, "answer")
+    session.cache.reserve(ANSWER, max_answer_tokens + 1)
 
     def feed(token: int) -> np.ndarray:
         slot = SlotAddress(ANSWER, len(session.answer_tokens))
-        session.answer_tokens.append(int(token))
         logits = forward_step(
             session.weights, session.table, session.cache, layout, int(token), slot
         )
+        session.answer_tokens.append(int(token))
         if session.record_logits:
             session.answer_logits.append(logits)
         return logits
@@ -377,8 +414,7 @@ def run_summarization(
     logits = feed(vocab.summary_open)
     sampled: list[int] = []
     for step in range(1, max_answer_tokens + 1):
-        rng = draw_rng(session.seed, ANSWER_STREAM, step)
-        token = sample_token(logits, sampler, rng)
+        token = _draw(session, sampler, logits, ANSWER_STREAM, step)
         sampled.append(token)
         logits = feed(token)
         if token in (vocab.summary_close, vocab.eos):

@@ -21,10 +21,6 @@ class CacheConsistencyError(EngineError):
     """KV cache contents do not match what the decode layout expects."""
 
 
-class CapacityError(EngineError):
-    """KV cache block allocation limit exceeded."""
-
-
 class LifecycleError(EngineError):
     """Operation called in the wrong session stage."""
 

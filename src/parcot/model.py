@@ -1,4 +1,4 @@
-"""Minimal decoder-only transformer driven one slot at a time.
+"""Minimal decoder-only transformer decoding one slot per row per pass.
 
 Pre-norm blocks, no biases, SiLU feed-forward, RMS normalization, full
 multi-head attention.  The forward pass takes an externally supplied
@@ -8,8 +8,11 @@ computed only over those segments, scaled by 1/sqrt(d_k).
 
 All parameters, cache entries, and activations are 32-bit floats.
 Attention for a slot is reduced in a fixed order: visible segments in
-layout order, stored slots in write order, the slot itself last.  Batched
-and per-path decodes therefore reproduce each other exactly.
+layout order, stored slots in write order, the slot itself last.  A
+reasoning step decodes every active path in one batched pass, and rows
+never mix.  A one-row pass runs as two identical rows so that it uses the
+same BLAS kernels as a batch; with OpenBLAS a path's logits are then
+bit-identical to its single-path replay (the tested bound is 1e-5).
 
 Weight file format ("PTW1", little-endian):
   magic (4 bytes), then the config as eight uint32 values in order
@@ -260,37 +263,53 @@ def load_weights(path: str) -> ModelWeights:
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(np.square(x)) + NORM_EPS)
-    return (x * scale * gain).astype(np.float32)
+    """Normalize over the last axis, so a [n, d] block is n independent rows."""
+    mean_square = np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1]
+    return (x * (1.0 / np.sqrt(mean_square + NORM_EPS)) * gain).astype(np.float32, copy=False)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    # numerically stable: exp of a non-positive argument on both branches
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = x[pos] / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = x[~pos] * ex / (1.0 + ex)
-    return out
+    # x * sigmoid(x) with sigmoid(x) = (1 + tanh(x / 2)) / 2: stable for any x
+    return 0.5 * x * (1.0 + np.tanh(0.5 * x))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - np.max(scores)
-    e = np.exp(shifted)
-    return e / np.sum(e)
+    """Softmax over the last axis."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray, d_k: int) -> np.ndarray:
-    """Per-head attention over a visible set.
+def attend(q: np.ndarray, keys, values, d_k: int) -> np.ndarray:
+    """Per-head attention of query rows over a visible set given in parts.
 
-    q: [n_heads, d_k]; keys/values: [n_vis, n_heads, d_k].
-    Returns [n_heads, d_k].  A single-entry visible set reduces to that
-    entry's value row exactly (softmax over one element is 1).
+    q: [n, n_heads, d_k].  ``keys`` and ``values`` list the parts of the
+    visible set in order.  A part of shape [m, n_heads, d_k] is seen by
+    every row and scored for all rows in one product; a part of shape
+    [n, m, n_heads, d_k] gives row r its own [m] entries (a leading axis
+    of 1 is shared by every row).  One softmax runs over all parts'
+    scores and the values are summed part by part, so no part is copied
+    or concatenated.  Returns [n, n_heads, d_k].  A single-entry visible
+    set reduces to that entry's value row exactly (softmax over one
+    element is 1).
     """
-    scores = np.einsum("nhd,hd->hn", keys, q) / np.sqrt(np.float32(d_k))
-    out = np.empty_like(q)
-    for h in range(q.shape[0]):
-        out[h] = softmax(scores[h]) @ values[:, h, :]
+    q_heads = q.transpose(1, 0, 2)  # [H, n, d_k]
+    scores = []
+    for k in keys:
+        if k.ndim == 3:  # [H, n, d_k] @ [H, d_k, m] -> [n, H, m]
+            scores.append((q_heads @ k.transpose(1, 2, 0)).transpose(1, 0, 2))
+        else:  # [n, H, m, d_k] @ [n, H, d_k, 1] -> [n, H, m]
+            scores.append((k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0])
+    weights = softmax(np.concatenate(scores, axis=-1) / np.sqrt(np.float32(d_k)))
+    out = np.zeros_like(q)
+    start = 0
+    for v in values:
+        m = v.shape[-3]
+        w = weights[..., start : start + m]  # [n, H, m]
+        if v.ndim == 3:  # [H, n, m] @ [H, m, d_k] -> [n, H, d_k]
+            out += (w.transpose(1, 0, 2) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
+        else:  # [n, H, 1, m] @ [n, H, m, d_k] -> [n, H, d_k]
+            out += (w[:, :, None, :] @ v.transpose(0, 2, 1, 3))[:, :, 0]
+        start += m
     return out
 
 
@@ -342,6 +361,118 @@ class DecodeLayout:
         raise LifecycleError(f"unknown stage {self.stage!r}")
 
 
+def forward_paths(
+    weights: ModelWeights,
+    table: ThoughtEmbeddingTable,
+    cache: PagedKVCache,
+    layout: DecodeLayout,
+    tokens,
+    slots,
+) -> np.ndarray:
+    """Decode one token at each of ``n`` slots in one pass: [n, vocab] logits.
+
+    The rows go through every projection, the feed-forward block and the
+    head as one [n, d_model] block, so each weight matrix is read once per
+    call.  The rows must share one position and one visible set apart from
+    their own segment; the active paths of a reasoning step under the
+    shared position scheme do.  Each row attends over the shared segments
+    (one product for all rows), then its own segment (one product over
+    the rows of the cache's path slab), then its own new slot.  Nothing is
+    written until every row's logits are computed, so a call that raises
+    leaves the cache as it was.
+    """
+    cfg = weights.config
+    n = len(slots)
+    if n < 1 or len(tokens) != n:
+        raise DataError(f"need one token per slot, got {len(tokens)} for {n} slots")
+    for token in tokens:
+        if not 0 <= token < cfg.vocab_size:
+            raise DataError(f"token id {token} outside vocab of size {cfg.vocab_size}")
+    owns = [slot.segment for slot in slots]
+    if len(set(owns)) != n:
+        raise CacheConsistencyError(f"one slot per segment per step, got {owns}")
+    index = slots[0].index
+    for slot in slots:
+        if slot.index != cache.length(slot.segment):
+            raise CacheConsistencyError(
+                f"slot {slot} does not extend segment (filled={cache.length(slot.segment)})"
+            )
+    position = layout.position(slots[0])
+    shared = [seg for seg in layout.visible_segments(owns[0]) if seg != owns[0]]
+    for slot in slots[1:]:
+        if slot.index != index or layout.position(slot) != position:
+            raise CacheConsistencyError("batched slots must share one position")
+        mine = [seg for seg in layout.visible_segments(slot.segment) if seg != slot.segment]
+        if mine != shared:
+            raise CacheConsistencyError("batched slots must share their visible segments")
+    if position > cfg.max_position:
+        raise PositionOverflowError(
+            f"position {position} exceeds max_position {cfg.max_position}"
+        )
+    for seg in shared:
+        want = layout.expected_lengths.get(seg)
+        if want is not None and cache.length(seg) != want:
+            raise CacheConsistencyError(
+                f"visible segment {seg!r} holds {cache.length(seg)} slots, expected {want}"
+            )
+    shared = [seg for seg in shared if cache.length(seg)]
+    js = [layout.thought_index(seg) for seg in owns]
+    rope = cfg.rope()
+    heads, d_k = cfg.n_heads, cfg.d_k
+    # BLAS sends a one-row product to a matrix-vector kernel that rounds
+    # differently from the matrix-matrix kernel a block of rows uses, so a
+    # single row runs as two identical rows.  With OpenBLAS that kernel
+    # gives each row the same bits at any block height, so a path's logits
+    # equal its single-path replay's and a greedy replay cannot flip.
+    width = max(n, 2)
+    rows = list(tokens) * (width // n)
+    js_rows = js * (width // n)
+
+    x = weights.embedding[rows]
+    k_new = np.empty((cfg.n_layers, n, heads, d_k), dtype=np.float32)
+    v_new = np.empty_like(k_new)
+    for li, lw in enumerate(weights.layers):
+        u = rms_norm(x, lw.attn_norm)
+        q = (u @ lw.w_q).reshape(width, heads, d_k)
+        k = (u @ lw.w_k).reshape(width, heads, d_k)
+        v = (u @ lw.w_v).reshape(width, heads, d_k)
+        thought = table.vectors[js_rows, li]
+        rotated = rope.rotate(np.concatenate([q, k + thought]), position)
+        q_rot, k_aug = rotated[:width], rotated[width:]
+        v_aug = v + thought
+        k_new[li] = k_aug[:n]
+        v_new[li] = v_aug[:n]
+
+        keys, values = [], []
+        for seg in shared:
+            seg_k, seg_v, _ = cache.gather([seg], li)
+            keys.append(seg_k)
+            values.append(seg_v)
+        if index:  # the rows' own segments, scored row by row at any width
+            if n == 1:
+                own_k, own_v, _ = cache.gather(owns, li)
+                own_k, own_v = own_k[None], own_v[None]
+            else:
+                own_k, own_v = cache.gather_paths(owns, li, index)
+            keys.append(own_k)
+            values.append(own_v)
+        keys.append(k_aug[:, None])
+        values.append(v_aug[:, None])
+        attn = attend(q_rot, keys, values, d_k)
+        x = x + attn.reshape(width, cfg.d_model) @ lw.w_o
+        u2 = rms_norm(x, lw.ffn_norm)
+        x = x + silu(u2 @ lw.w_ff1) @ lw.w_ff2
+
+    logits = (rms_norm(x, weights.final_norm) @ weights.head)[:n]
+    if not np.isfinite(logits).all():
+        raise DataError("non-finite logits produced")
+    if n == 1:
+        cache.append(owns[0], k_new[:, 0], v_new[:, 0], position, js[0])
+    else:
+        cache.append_paths(owns, k_new, v_new, position, js)
+    return logits.astype(np.float32, copy=False)
+
+
 def forward_step(
     weights: ModelWeights,
     table: ThoughtEmbeddingTable,
@@ -352,63 +483,11 @@ def forward_step(
 ) -> np.ndarray:
     """Decode one token at ``slot``: returns next-token logits.
 
-    Appends the slot's augmented k/v stacks to its segment table, then
-    attends over the layout's visible segments (stored slots first, this
-    slot last).
+    The one-row case of ``forward_paths``: attends over the layout's
+    visible segments (stored slots first, this slot last), then appends
+    the slot's augmented k/v stacks to its segment.
     """
-    cfg = weights.config
-    if not 0 <= token < cfg.vocab_size:
-        raise DataError(f"token id {token} outside vocab of size {cfg.vocab_size}")
-    if slot.index != cache.length(slot.segment):
-        raise CacheConsistencyError(
-            f"slot {slot} does not extend segment (filled={cache.length(slot.segment)})"
-        )
-    position = layout.position(slot)
-    if position > cfg.max_position:
-        raise PositionOverflowError(
-            f"position {position} exceeds max_position {cfg.max_position}"
-        )
-    visible = layout.visible_segments(slot.segment)
-    for seg in visible:
-        if seg == slot.segment:
-            continue
-        want = layout.expected_lengths.get(seg)
-        if want is not None and cache.length(seg) != want:
-            raise CacheConsistencyError(
-                f"visible segment {seg!r} holds {cache.length(seg)} slots, expected {want}"
-            )
-    j = layout.thought_index(slot.segment)
-    rope = cfg.rope()
-
-    x = weights.embedding[token].copy()
-    k_stack = np.empty((cfg.n_layers, cfg.n_heads, cfg.d_k), dtype=np.float32)
-    v_stack = np.empty_like(k_stack)
-    prior = [seg for seg in visible if seg != slot.segment] + [slot.segment]
-    for li, lw in enumerate(weights.layers):
-        u = rms_norm(x, lw.attn_norm)
-        q = (u @ lw.w_q).reshape(cfg.n_heads, cfg.d_k)
-        k = (u @ lw.w_k).reshape(cfg.n_heads, cfg.d_k)
-        v = (u @ lw.w_v).reshape(cfg.n_heads, cfg.d_k)
-        thought = table.layer_row(j, li)
-        k_aug = rope.rotate(k + thought, position)
-        v_aug = v + thought
-        k_stack[li] = k_aug
-        v_stack[li] = v_aug
-        q_rot = rope.rotate(q, position)
-
-        keys, values, _ = cache.gather(prior, li)
-        keys = np.concatenate([keys, k_aug[None]], axis=0)
-        values = np.concatenate([values, v_aug[None]], axis=0)
-        attn = attend(q_rot, keys, values, cfg.d_k)
-        x = x + attn.reshape(cfg.d_model) @ lw.w_o
-        u2 = rms_norm(x, lw.ffn_norm)
-        x = x + silu(u2 @ lw.w_ff1) @ lw.w_ff2
-
-    cache.append(slot.segment, k_stack, v_stack, position, j)
-    logits = rms_norm(x, weights.final_norm) @ weights.head
-    if not np.all(np.isfinite(logits)):
-        raise DataError("non-finite logits produced")
-    return logits.astype(np.float32)
+    return forward_paths(weights, table, cache, layout, [token], [slot])[0]
 
 
 def prefill(

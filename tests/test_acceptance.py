@@ -40,6 +40,7 @@ from parcot.model import ModelConfig, forward_step, init_weights, prefill
 from parcot.positional import (
     ANSWER,
     FLATTENED,
+    PROMPT,
     SHARED,
     PositionAssignment,
     Rope,
@@ -98,7 +99,7 @@ def test_criterion_01_path_isolation(vocab):
 
 
 def test_criterion_02_zero_reprefill_equivalence(small_weights, small_table, vocab):
-    with criterion(2, "zero-re-prefill: view logits == recompute within 1e-5, blocks reused"):
+    with criterion(2, "zero-re-prefill: view logits == recompute within 1e-5, storage reused"):
         cfg = small_weights.config
         rng = np.random.default_rng(200)
         for trial in range(20):
@@ -112,20 +113,29 @@ def test_criterion_02_zero_reprefill_equivalence(small_weights, small_table, voc
             )
             budget = GenerationBudget(body_budget, 4)
             run_reasoning(session, sampler, budget, Termination.FIRST_FINISH)
-            reasoning_ids = session.cache.written_block_ids()
+            reasoning_storage = {PROMPT: session.cache.tables[PROMPT].slab}
+            context = [PROMPT] + [path_key(i) for i in range(num_paths)]
+            for seg in context[1:]:
+                reasoning_storage[seg] = session.cache.paths
+            hashes = {seg: session.cache.tables[seg].content_hash() for seg in context}
             path_fill = {
                 path_key(i): session.cache.length(path_key(i))
                 for i in range(num_paths)
             }
             run_summarization(session, sampler, 4)
 
-            # zero-copy: the view's prompt/path blocks are reasoning blocks
-            # and no path entries were added during summarization
-            view_context_ids = set()
-            for seg, tab in session.summary_view.entries:
-                if seg != ANSWER:
-                    view_context_ids.update(tab.block_ids())
-            assert view_context_ids <= reasoning_ids
+            # zero-copy: the view's prompt/path entries are the reasoning
+            # storage itself, and nothing in it changed during summarization
+            assert session.summary_view.segments() == context + [ANSWER]
+            for seg, entry in session.summary_view.entries:
+                if seg == ANSWER:
+                    continue
+                storage = reasoning_storage[seg]
+                assert entry is session.cache.tables[seg] and entry.slab is storage
+                for layer in range(cfg.n_layers):
+                    assert np.shares_memory(entry.keys(layer), storage.k)
+                    assert np.shares_memory(entry.values(layer), storage.v)
+                assert entry.content_hash() == hashes[seg]
             for seg, want in path_fill.items():
                 assert session.cache.length(seg) == want
 

@@ -16,8 +16,16 @@ from parcot.engine import (
     sample_token,
     session_record,
 )
-from parcot.errors import ConfigError, DataError, LifecycleError, SamplingError
-from parcot.positional import path_key
+from parcot import engine
+from parcot.errors import (
+    ConfigError,
+    DataError,
+    LifecycleError,
+    PositionOverflowError,
+    SamplingError,
+)
+from parcot.model import ModelConfig, init_weights
+from parcot.positional import ANSWER, PROMPT, init_thought_table, path_key
 from parcot.tokenizer import encode
 
 from oracles import (
@@ -281,6 +289,64 @@ class TestCacheDiscipline:
                 assert np.max(np.abs(k_got - k_all[:, slot])) <= 1e-5
                 assert np.max(np.abs(v_got - v_all[:, slot])) <= 1e-5
                 slot += 1
+
+
+class TestFailureAtomicity:
+    @pytest.fixture(scope="class")
+    def short_model(self, vocab):
+        cfg = ModelConfig(
+            n_layers=1, d_model=32, n_heads=2, d_k=16, d_ff=64, vocab_size=292,
+            max_position=40,
+        )
+        table = init_thought_table(vocab.p_max, 1, 2, 16, seed=6)
+        return init_weights(cfg, seed=5), table
+
+    @staticmethod
+    def assert_in_step(session):
+        assert session.cache.length(PROMPT) == session.l_x
+        for path in session.paths:
+            assert session.cache.length(path_key(path.index)) == len(path.tokens)
+        assert session.cache.length(ANSWER) == len(session.answer_tokens)
+
+    def test_reasoning_overflow_raises_before_any_write(self, short_model, vocab):
+        weights, table = short_model
+        session = GenerationSession(weights, table, vocab, list(range(65, 73)), 2)
+        with pytest.raises(PositionOverflowError):  # 8 + 64 + 2 > 40
+            run_reasoning(session, GREEDY, GenerationBudget(64))
+        self.assert_in_step(session)
+        assert all(not p.tokens for p in session.paths)
+        run_reasoning(session, GREEDY, GenerationBudget(8))  # a budget that fits
+        self.assert_in_step(session)
+
+    def test_answer_overflow_raises_before_any_write(self, short_model, vocab):
+        weights, table = short_model
+        session = GenerationSession(weights, table, vocab, list(range(65, 73)), 2)
+        forced = forced_schedule(vocab, [None, None], horizon=8)
+        run_reasoning(session, GREEDY, GenerationBudget(8), forced=forced)
+        with pytest.raises(PositionOverflowError):  # 8 + 10 + 1 + 30 > 40
+            run_summarization(session, GREEDY, 30)
+        self.assert_in_step(session)
+        assert session.answer_tokens == []
+        run_summarization(session, GREEDY, 4)
+        self.assert_in_step(session)
+
+    def test_failed_step_appends_no_token(self, small_weights, small_table, vocab):
+        session = make_session(small_weights, small_table, vocab, num_paths=3)
+        forced = {i: [70, 71, small_weights.config.vocab_size] for i in range(3)}
+        with pytest.raises(DataError):
+            run_reasoning(session, GREEDY, GenerationBudget(5), forced=forced)
+        self.assert_in_step(session)
+        assert [len(p.tokens) for p in session.paths] == [3, 3, 3]  # opener + 2 body
+
+    def test_greedy_decoding_draws_no_generator(self, small_weights, small_table, vocab, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("greedy decoding built a generator")
+
+        monkeypatch.setattr(engine, "draw_rng", refuse)
+        run_session(
+            small_weights, small_table, vocab, encode("hi", vocab, markup=False), 3,
+            GREEDY, GenerationBudget(4, 3), strategy=Termination.HALF_FINISH,
+        )
 
 
 class TestSummarization:

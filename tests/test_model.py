@@ -86,8 +86,8 @@ class TestAttend:
         q = rng.standard_normal((2, 4)).astype(np.float32)
         keys = rng.standard_normal((1, 2, 4)).astype(np.float32)
         values = rng.standard_normal((1, 2, 4)).astype(np.float32)
-        out = attend(q, keys, values, d_k=4)
-        assert np.array_equal(out, values[0])
+        out = attend(q[None], [keys], [values], d_k=4)
+        assert np.array_equal(out[0], values[0])
 
 
 class TestForwardStep:
@@ -139,7 +139,7 @@ class TestForwardStep:
         base = forward_step(
             small_weights, small_table, cache, layout, 42, SlotAddress(path_key(0), 0)
         )
-        probe.tables[PROMPT].blocks[0].k[0, 1] += 0.25
+        probe.tables[PROMPT].slab.k[0, 0, 1] += 0.25
         changed = forward_step(
             small_weights, small_table, probe, layout, 42, SlotAddress(path_key(0), 0)
         )
@@ -159,8 +159,8 @@ class TestForwardStep:
         base = forward_step(
             small_weights, small_table, cache, layout, 42, SlotAddress(path_key(0), 0)
         )
-        probe.tables[path_key(1)].blocks[0].k[:, :3] += 5.0
-        probe.tables[path_key(1)].blocks[0].v[:, :3] += 5.0
+        probe.tables[path_key(1)].slab.k[:, 0, :3] += 5.0
+        probe.tables[path_key(1)].slab.v[:, 0, :3] += 5.0
         unchanged = forward_step(
             small_weights, small_table, probe, layout, 42, SlotAddress(path_key(0), 0)
         )
