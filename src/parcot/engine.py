@@ -253,10 +253,12 @@ def sample_token(
     """Temperature softmax with nucleus truncation; greedy mode is argmax.
 
     Greedy ties break toward the lowest token id; greedy mode never
-    touches ``rng``, which may then be None.  The nucleus keeps the
-    smallest probability-sorted prefix whose mass reaches top_p.
+    touches ``rng``, which may then be None, and takes the argmax of the
+    logits as given (widening float32 to float64 is exact, so it would
+    pick the same id).  The nucleus keeps the smallest probability-sorted
+    prefix whose mass reaches top_p, in float64.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.asarray(logits)
     if logits.size == 0:
         raise SamplingError("all tokens are masked out")
     if not np.isfinite(logits).all():
@@ -265,7 +267,7 @@ def sample_token(
         raise SamplingError("logits contain non-finite values")
     if sampler.greedy:
         return int(np.argmax(logits))
-    scaled = logits / sampler.temperature
+    scaled = logits.astype(np.float64) / sampler.temperature
     scaled -= np.max(scaled)
     probs = np.exp(scaled)
     probs /= probs.sum()

@@ -47,6 +47,7 @@ from .model import (
     SUMMARIZATION,
     DecodeLayout,
     ModelConfig,
+    forward_causal,
     forward_step,
     init_weights,
     load_weights,
@@ -334,14 +335,20 @@ def run_termination_comparison(
 # re-prefill baseline
 # ---------------------------------------------------------------------------
 
-def _flat_feed(weights, table, cache, layout, tokens, start_index):
-    logits = None
-    for offset, token in enumerate(tokens):
-        logits = forward_step(
-            weights, table, cache, layout, int(token),
-            SlotAddress(FLAT_SEGMENT, start_index + offset),
-        )
-    return logits
+def _flat_feed(weights, table, layout, tokens, keep=1):
+    """Feed ``tokens`` to a fresh flattened cache in causal chunks.
+
+    One ``forward_causal`` pass over the single FLAT segment, reserved for
+    every position the layout lists.  Returns the cache and the last
+    ``keep`` rows' logits.
+    """
+    cfg = weights.config
+    cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+    cache.reserve(FLAT_SEGMENT, len(layout.flat_positions))
+    logits = forward_causal(
+        weights, table, cache, layout, tokens, SlotAddress(FLAT_SEGMENT, 0), keep
+    )
+    return cache, logits
 
 
 def run_reprefill_baseline(
@@ -390,39 +397,30 @@ def run_reprefill_baseline(
 
     zero = bundle.with_zero_table().table
 
-    # teacher-forced pass: same answer tokens, compare per-step logits
+    # teacher-forced pass: the answer tokens are known, so they run in the
+    # same causal pass as the context; compare per-step logits
     if session.record_logits and session.answer_logits:
-        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
         layout = DecodeLayout(
             stage=FLAT, flat_positions=tuple(flat_positions + answer_positions)
         )
-        _flat_feed(bundle.weights, zero, cache, layout, flat_tokens, 0)
-        divergence = 0.0
-        base = len(flat_tokens)
-        for k, token in enumerate(session.answer_tokens):
-            logits = forward_step(
-                bundle.weights, zero, cache, layout, int(token),
-                SlotAddress(FLAT_SEGMENT, base + k),
-            )
-            divergence = max(
-                divergence, float(np.max(np.abs(logits - session.answer_logits[k])))
-            )
-        record["logit_divergence"] = divergence
+        answer = session.answer_tokens
+        _, logits = _flat_feed(
+            bundle.weights, zero, layout, flat_tokens + answer, keep=len(answer)
+        )
+        record["logit_divergence"] = float(
+            np.max(np.abs(logits - np.stack(session.answer_logits)))
+        )
 
     # independent answer decode over a fresh flattened prefill
-    cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
     budget = session.budget
     own_positions = list(flat_positions) + [
-        answer_base + t0 + 1 for t0 in range(budget.max_answer_tokens + 2)
+        answer_base + t0 + 1 for t0 in range(budget.max_answer_tokens + 1)
     ]
     layout = DecodeLayout(stage=FLAT, flat_positions=tuple(own_positions))
-    _flat_feed(bundle.weights, zero, cache, layout, flat_tokens, 0)
     vocab = bundle.vocab
     answer = [vocab.summary_open]
-    logits = forward_step(
-        bundle.weights, zero, cache, layout, vocab.summary_open,
-        SlotAddress(FLAT_SEGMENT, len(flat_tokens)),
-    )
+    cache, logits = _flat_feed(bundle.weights, zero, layout, flat_tokens + answer)
+    logits = logits[0]
     for step in range(1, budget.max_answer_tokens + 1):
         rng = draw_rng(session.seed, ANSWER_STREAM, step)
         token = sample_token(logits, sampler, rng)

@@ -61,12 +61,39 @@ class Segment:
         self.growable = growable
         self.filled = 0
 
-    def keys(self, layer: int) -> np.ndarray:
-        """Written keys at one layer, [filled, n_heads, d_k]; a view."""
-        return self.slab.k[layer, self.row, : self.filled]
+    def keys(self, layer: int, end: int | None = None) -> np.ndarray:
+        """Keys of slots [0, end) at one layer, [end, n_heads, d_k]; a view.
 
-    def values(self, layer: int) -> np.ndarray:
-        return self.slab.v[layer, self.row, : self.filled]
+        ``end`` defaults to the written slots; a causal block reads its
+        staged slots too.
+        """
+        return self.slab.k[layer, self.row, : self.filled if end is None else end]
+
+    def values(self, layer: int, end: int | None = None) -> np.ndarray:
+        return self.slab.v[layer, self.row, : self.filled if end is None else end]
+
+    def stage(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store one layer's k/v [m, n_heads, d_k] at slots start.. past the
+        written ones.  Readers see them only after ``commit``.
+        """
+        if start < self.filled or start + len(k) > self.slab.capacity:
+            raise CacheConsistencyError(
+                f"segment {self.owner!r} cannot stage slots {start}..{start + len(k)}"
+                f" (filled={self.filled}, capacity={self.slab.capacity})"
+            )
+        self.slab.k[layer, self.row, start : start + len(k)] = k
+        self.slab.v[layer, self.row, start : start + len(v)] = v
+
+    def commit(self, positions, thought: int) -> None:
+        """The next len(positions) staged slots become written slots."""
+        start, end = self.filled, self.filled + len(positions)
+        if end > self.slab.capacity:
+            raise CacheConsistencyError(
+                f"segment {self.owner!r} has room for {self.slab.capacity - start} slots"
+            )
+        self.slab.positions[self.row, start:end] = positions
+        self.slab.thoughts[self.row, start:end] = thought
+        self.filled = end
 
     def read(self, index: int) -> tuple[np.ndarray, np.ndarray, int, int]:
         if not 0 <= index < self.filled:
@@ -145,19 +172,29 @@ class PagedKVCache:
         seg = self.tables.get(segment)
         return seg.filled if seg is not None else 0
 
-    def _room(self, seg: Segment) -> None:
-        if seg.filled < seg.slab.capacity:
+    def _room(self, seg: Segment, extra: int = 1) -> None:
+        if seg.filled + extra <= seg.slab.capacity:
             return
         if not seg.growable:
             raise CacheConsistencyError(
                 f"segment {seg.owner!r} is full at its reserved {seg.slab.capacity} slots"
             )
         old, n = seg.slab, seg.filled
-        seg.slab = self._slab(1, max(GROWTH_SLOTS, 2 * n))
+        seg.slab = self._slab(1, max(GROWTH_SLOTS, 2 * n, n + extra))
         seg.slab.k[:, 0, :n] = old.k[:, 0, :n]
         seg.slab.v[:, 0, :n] = old.v[:, 0, :n]
         seg.slab.positions[0, :n] = old.positions[0, :n]
         seg.slab.thoughts[0, :n] = old.thoughts[0, :n]
+
+    def make_room(self, segment: str, n: int) -> Segment:
+        """The segment, with storage for ``n`` slots past its written ones.
+
+        A reserved segment without that room raises; the caller stages the
+        slots' k/v in it and commits them (``Segment.stage``/``commit``).
+        """
+        seg = self.table(segment)
+        self._room(seg, n)
+        return seg
 
     def append(
         self, segment: str, k: np.ndarray, v: np.ndarray, position: int, j: int

@@ -1,18 +1,27 @@
-"""Minimal decoder-only transformer decoding one slot per row per pass.
+"""Minimal decoder-only transformer: batched decode steps, chunked prefill.
 
 Pre-norm blocks, no biases, SiLU feed-forward, RMS normalization, full
 multi-head attention.  The forward pass takes an externally supplied
-decode layout that fixes the slot's absolute position, thought index, and
-the ordered set of cache segments it may attend over; attention is
+decode layout that fixes each slot's absolute position, thought index,
+and the ordered set of cache segments it may attend over; attention is
 computed only over those segments, scaled by 1/sqrt(d_k).
 
 All parameters, cache entries, and activations are 32-bit floats.
 Attention for a slot is reduced in a fixed order: visible segments in
-layout order, stored slots in write order, the slot itself last.  A
-reasoning step decodes every active path in one batched pass, and rows
-never mix.  A one-row pass runs as two identical rows so that it uses the
-same BLAS kernels as a batch; with OpenBLAS a path's logits are then
-bit-identical to its single-path replay (the tested bound is 1e-5).
+layout order, then its own segment's slots in write order up to and
+including itself.  Two passes run their rows through the layers as one
+block (``_decode_rows``), so each weight matrix is read once per block:
+
+* ``forward_paths`` decodes one new slot for each active path of a
+  reasoning step, and rows never mix.  A one-row pass (``forward_step``)
+  runs as two identical rows so that it uses the same BLAS kernels as a
+  batch; with OpenBLAS a path's logits are then bit-identical to its
+  single-path replay (the tested bound is 1e-5).
+* ``forward_causal`` feeds tokens known in advance (the prompt, the
+  re-prefill baseline's flattened sequence) to consecutive slots of one
+  segment in causal blocks of ``CAUSAL_CHUNK`` rows with per-row
+  positions; its logits match one ``forward_step`` per slot within
+  float32 rounding.
 
 Weight file format ("PTW1", little-endian):
   magic (4 bytes), then the config as eight uint32 values in order
@@ -53,6 +62,11 @@ from .positional import (
 WEIGHT_MAGIC = b"PTW1"
 
 NORM_EPS = 1e-6
+
+# Rows per block of a causal pass (prefill, the re-prefill baseline): large
+# enough that each weight read serves many rows, small enough that the
+# scores stay at [CAUSAL_CHUNK, n_heads, length] however long the sequence is.
+CAUSAL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -275,20 +289,24 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 def softmax(scores: np.ndarray) -> np.ndarray:
     """Softmax over the last axis."""
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def attend(q: np.ndarray, keys, values, d_k: int) -> np.ndarray:
+def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.ndarray:
     """Per-head attention of query rows over a visible set given in parts.
 
     q: [n, n_heads, d_k].  ``keys`` and ``values`` list the parts of the
     visible set in order.  A part of shape [m, n_heads, d_k] is seen by
     every row and scored for all rows in one product; a part of shape
     [n, m, n_heads, d_k] gives row r its own [m] entries (a leading axis
-    of 1 is shared by every row).  One softmax runs over all parts'
-    scores and the values are summed part by part, so no part is copied
-    or concatenated.  Returns [n, n_heads, d_k].  A single-entry visible
+    of 1 is shared by every row).  With ``causal`` the last part ends
+    with the rows' own slots in row order, and row r does not see the
+    n-1-r slots after its own.  One softmax runs over all parts' scores
+    and the values are summed part by part, so no part is copied or
+    concatenated.  Returns [n, n_heads, d_k].  A single-entry visible
     set reduces to that entry's value row exactly (softmax over one
     element is 1).
     """
@@ -299,7 +317,13 @@ def attend(q: np.ndarray, keys, values, d_k: int) -> np.ndarray:
             scores.append((q_heads @ k.transpose(1, 2, 0)).transpose(1, 0, 2))
         else:  # [n, H, m, d_k] @ [n, H, d_k, 1] -> [n, H, m]
             scores.append((k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0])
-    weights = softmax(np.concatenate(scores, axis=-1) / np.sqrt(np.float32(d_k)))
+    scores = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=-1)
+    scores /= np.sqrt(np.float32(d_k))  # a new array either way
+    if causal:
+        n = q.shape[0]
+        later = np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :]
+        np.copyto(scores[..., scores.shape[-1] - n :], -np.inf, where=later)
+    weights = softmax(scores)
     out = np.zeros_like(q)
     start = 0
     for v in values:
@@ -361,6 +385,74 @@ class DecodeLayout:
         raise LifecycleError(f"unknown stage {self.stage!r}")
 
 
+def _decode_rows(
+    weights: ModelWeights, table: ThoughtEmbeddingTable, tokens, thoughts, positions, attention
+):
+    """Run a block of rows through every layer; returns the hidden rows [n, d_model].
+
+    ``tokens`` holds each row's token id; ``thoughts`` and ``positions``
+    hold one thought index and one position for every row or one per
+    row.  Each row goes through the projections and the feed-forward
+    block as part of one [n, d_model] block, so each weight matrix is read
+    once per call.  At layer ``li``, ``attention(li, q, k, v)`` receives
+    the rows' rotated queries and augmented keys and values (thought
+    embedding folded in), each [n, n_heads, d_k], and returns the rows'
+    attention output of the same shape.
+    """
+    cfg = weights.config
+    n = len(tokens)
+    heads, d_k = cfg.n_heads, cfg.d_k
+    rope = cfg.rope()
+    # q and k rotate in one call, so per-row positions are given twice
+    both = positions if np.ndim(positions) == 0 else np.concatenate([positions, positions])
+    x = weights.embedding[tokens]
+    for li, lw in enumerate(weights.layers):
+        u = rms_norm(x, lw.attn_norm)
+        q = (u @ lw.w_q).reshape(n, heads, d_k)
+        k = (u @ lw.w_k).reshape(n, heads, d_k)
+        v = (u @ lw.w_v).reshape(n, heads, d_k)
+        thought = table.vectors[thoughts, li]
+        rotated = rope.rotate(np.concatenate([q, k + thought]), both)
+        attn = attention(li, rotated[:n], rotated[n:], v + thought)
+        x = x + attn.reshape(n, cfg.d_model) @ lw.w_o
+        u2 = rms_norm(x, lw.ffn_norm)
+        x = x + silu(u2 @ lw.w_ff1) @ lw.w_ff2
+    return x
+
+
+def _head(weights: ModelWeights, x: np.ndarray) -> np.ndarray:
+    """Next-token logits [n, vocab] of hidden rows [n, d_model]."""
+    logits = rms_norm(x, weights.final_norm) @ weights.head
+    if not np.isfinite(logits).all():
+        raise DataError("non-finite logits produced")
+    return logits.astype(np.float32, copy=False)
+
+
+def _check_tokens(cfg: ModelConfig, tokens) -> None:
+    for token in tokens:
+        if not 0 <= token < cfg.vocab_size:
+            raise DataError(f"token id {token} outside vocab of size {cfg.vocab_size}")
+
+
+def _visible_others(layout: DecodeLayout, cache: PagedKVCache, others) -> list[str]:
+    """The non-empty segments of ``others``, each checked against the
+    layout's expected length."""
+    for seg in others:
+        want = layout.expected_lengths.get(seg)
+        if want is not None and cache.length(seg) != want:
+            raise CacheConsistencyError(
+                f"visible segment {seg!r} holds {cache.length(seg)} slots, expected {want}"
+            )
+    return [seg for seg in others if cache.length(seg)]
+
+
+def _check_position(cfg: ModelConfig, position: int) -> None:
+    if position > cfg.max_position:
+        raise PositionOverflowError(
+            f"position {position} exceeds max_position {cfg.max_position}"
+        )
+
+
 def forward_paths(
     weights: ModelWeights,
     table: ThoughtEmbeddingTable,
@@ -371,13 +463,12 @@ def forward_paths(
 ) -> np.ndarray:
     """Decode one token at each of ``n`` slots in one pass: [n, vocab] logits.
 
-    The rows go through every projection, the feed-forward block and the
-    head as one [n, d_model] block, so each weight matrix is read once per
-    call.  The rows must share one position and one visible set apart from
-    their own segment; the active paths of a reasoning step under the
-    shared position scheme do.  Each row attends over the shared segments
-    (one product for all rows), then its own segment (one product over
-    the rows of the cache's path slab), then its own new slot.  Nothing is
+    The rows go through the layers as one block (``_decode_rows``).  The
+    rows must share one position and one visible set apart from their own
+    segment; the active paths of a reasoning step under the shared
+    position scheme do.  Each row attends over the shared segments (one
+    product for all rows), then its own segment (one product over the
+    rows of the cache's path slab), then its own new slot.  Nothing is
     written until every row's logits are computed, so a call that raises
     leaves the cache as it was.
     """
@@ -385,9 +476,7 @@ def forward_paths(
     n = len(slots)
     if n < 1 or len(tokens) != n:
         raise DataError(f"need one token per slot, got {len(tokens)} for {n} slots")
-    for token in tokens:
-        if not 0 <= token < cfg.vocab_size:
-            raise DataError(f"token id {token} outside vocab of size {cfg.vocab_size}")
+    _check_tokens(cfg, tokens)
     owns = [slot.segment for slot in slots]
     if len(set(owns)) != n:
         raise CacheConsistencyError(f"one slot per segment per step, got {owns}")
@@ -405,44 +494,21 @@ def forward_paths(
         mine = [seg for seg in layout.visible_segments(slot.segment) if seg != slot.segment]
         if mine != shared:
             raise CacheConsistencyError("batched slots must share their visible segments")
-    if position > cfg.max_position:
-        raise PositionOverflowError(
-            f"position {position} exceeds max_position {cfg.max_position}"
-        )
-    for seg in shared:
-        want = layout.expected_lengths.get(seg)
-        if want is not None and cache.length(seg) != want:
-            raise CacheConsistencyError(
-                f"visible segment {seg!r} holds {cache.length(seg)} slots, expected {want}"
-            )
-    shared = [seg for seg in shared if cache.length(seg)]
+    _check_position(cfg, position)
+    shared = _visible_others(layout, cache, shared)
     js = [layout.thought_index(seg) for seg in owns]
-    rope = cfg.rope()
-    heads, d_k = cfg.n_heads, cfg.d_k
     # BLAS sends a one-row product to a matrix-vector kernel that rounds
     # differently from the matrix-matrix kernel a block of rows uses, so a
     # single row runs as two identical rows.  With OpenBLAS that kernel
     # gives each row the same bits at any block height, so a path's logits
     # equal its single-path replay's and a greedy replay cannot flip.
     width = max(n, 2)
-    rows = list(tokens) * (width // n)
-    js_rows = js * (width // n)
-
-    x = weights.embedding[rows]
-    k_new = np.empty((cfg.n_layers, n, heads, d_k), dtype=np.float32)
+    k_new = np.empty((cfg.n_layers, n, cfg.n_heads, cfg.d_k), dtype=np.float32)
     v_new = np.empty_like(k_new)
-    for li, lw in enumerate(weights.layers):
-        u = rms_norm(x, lw.attn_norm)
-        q = (u @ lw.w_q).reshape(width, heads, d_k)
-        k = (u @ lw.w_k).reshape(width, heads, d_k)
-        v = (u @ lw.w_v).reshape(width, heads, d_k)
-        thought = table.vectors[js_rows, li]
-        rotated = rope.rotate(np.concatenate([q, k + thought]), position)
-        q_rot, k_aug = rotated[:width], rotated[width:]
-        v_aug = v + thought
-        k_new[li] = k_aug[:n]
-        v_new[li] = v_aug[:n]
 
+    def attention(li, q, k, v):
+        k_new[li] = k[:n]
+        v_new[li] = v[:n]
         keys, values = [], []
         for seg in shared:
             seg_k, seg_v, _ = cache.gather([seg], li)
@@ -456,21 +522,18 @@ def forward_paths(
                 own_k, own_v = cache.gather_paths(owns, li, index)
             keys.append(own_k)
             values.append(own_v)
-        keys.append(k_aug[:, None])
-        values.append(v_aug[:, None])
-        attn = attend(q_rot, keys, values, d_k)
-        x = x + attn.reshape(width, cfg.d_model) @ lw.w_o
-        u2 = rms_norm(x, lw.ffn_norm)
-        x = x + silu(u2 @ lw.w_ff1) @ lw.w_ff2
+        keys.append(k[:, None])
+        values.append(v[:, None])
+        return attend(q, keys, values, cfg.d_k)
 
-    logits = (rms_norm(x, weights.final_norm) @ weights.head)[:n]
-    if not np.isfinite(logits).all():
-        raise DataError("non-finite logits produced")
+    rows = list(tokens) * (width // n)
+    x = _decode_rows(weights, table, rows, js * (width // n), position, attention)
+    logits = _head(weights, x)[:n]
     if n == 1:
         cache.append(owns[0], k_new[:, 0], v_new[:, 0], position, js[0])
     else:
         cache.append_paths(owns, k_new, v_new, position, js)
-    return logits.astype(np.float32, copy=False)
+    return logits
 
 
 def forward_step(
@@ -490,6 +553,68 @@ def forward_step(
     return forward_paths(weights, table, cache, layout, [token], [slot])[0]
 
 
+def forward_causal(
+    weights: ModelWeights,
+    table: ThoughtEmbeddingTable,
+    cache: PagedKVCache,
+    layout: DecodeLayout,
+    tokens,
+    start: SlotAddress,
+    keep: int = 1,
+) -> np.ndarray:
+    """Feed tokens known in advance to the new slots from ``start`` on, in
+    one segment; returns the last ``keep`` rows' logits, [keep, vocab].
+
+    The rows run in causal blocks of ``CAUSAL_CHUNK``.  A block's k/v are
+    staged in the segment's storage, and its rows attend over the other
+    visible segments and over their own segment up to and including
+    themselves, in one masked product against a view of that storage, so
+    the scores never exceed [CAUSAL_CHUNK, n_heads, length].  Every token
+    id, position and visible length is checked before anything is
+    staged, and the slots count as written only after the last block, so
+    a call that raises leaves the segment at the length it had.
+    """
+    cfg = weights.config
+    n = len(tokens)
+    if n < 1:
+        raise DataError("a causal block of no tokens yields no logits")
+    if not 1 <= keep <= n:
+        raise DataError(f"cannot keep {keep} rows of {n}")
+    _check_tokens(cfg, tokens)
+    owner, index = start.segment, start.index
+    if index != cache.length(owner):
+        raise CacheConsistencyError(
+            f"slot {start} does not extend segment (filled={cache.length(owner)})"
+        )
+    positions = np.array([layout.position(SlotAddress(owner, index + r)) for r in range(n)])
+    _check_position(cfg, int(positions.max()))
+    others = [seg for seg in layout.visible_segments(owner) if seg != owner]
+    others = _visible_others(layout, cache, others)
+    j = layout.thought_index(owner)
+    seg = cache.make_room(owner, n)
+
+    def attention(li, q, k, v):
+        seg.stage(li, index + lo, k, v)
+        keys, values = [], []
+        for other in others:
+            other_k, other_v, _ = cache.gather([other], li)
+            keys.append(other_k)
+            values.append(other_v)
+        keys.append(seg.keys(li, index + hi))
+        values.append(seg.values(li, index + hi))
+        return attend(q, keys, values, cfg.d_k, causal=True)
+
+    first_kept = n - keep
+    kept = []
+    for lo in range(0, n, CAUSAL_CHUNK):
+        hi = min(lo + CAUSAL_CHUNK, n)
+        x = _decode_rows(weights, table, tokens[lo:hi], j, positions[lo:hi], attention)
+        if hi > first_kept:
+            kept.append(_head(weights, x[max(first_kept - lo, 0) :]))
+    seg.commit(positions, j)
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
+
+
 def prefill(
     weights: ModelWeights,
     table: ThoughtEmbeddingTable,
@@ -497,14 +622,12 @@ def prefill(
     layout: DecodeLayout,
     tokens,
 ) -> np.ndarray:
-    """Feed the prompt tokens in order; returns the last slot's logits."""
+    """Feed the prompt tokens in causal chunks; returns the last slot's logits.
+
+    One ``forward_causal`` call over the prompt segment: the prompt runs
+    in blocks of ``CAUSAL_CHUNK`` rows, not one forward pass per token,
+    and a prefill that raises writes no prompt slot.
+    """
     tokens = list(tokens)
-    if not tokens:
-        raise DataError("prefill of an empty sequence yields no logits")
-    start = cache.length(PROMPT)
-    logits = None
-    for offset, token in enumerate(tokens):
-        logits = forward_step(
-            weights, table, cache, layout, token, SlotAddress(PROMPT, start + offset)
-        )
-    return logits
+    start = SlotAddress(PROMPT, cache.length(PROMPT))
+    return forward_causal(weights, table, cache, layout, tokens, start)[0]

@@ -64,14 +64,29 @@ class Rope:
             self._trig[t] = cached
         return cached
 
-    def rotate(self, v: np.ndarray, t: int) -> np.ndarray:
-        """Apply R_t to the last axis of ``v`` (shape [..., d_k])."""
+    def rotate(self, v: np.ndarray, t) -> np.ndarray:
+        """Apply R_t to the last axis of ``v`` (shape [..., d_k]).
+
+        ``t`` is one position for every vector, or an [n] array giving
+        row i of ``v`` (shape [n, ..., d_k]) its own position; row i then
+        gets the same bits as ``rotate(v[i], t[i])``.
+        """
         v = np.asarray(v)
         if v.shape[-1] != self.d_k:
             raise ConfigError(
                 f"vector dim {v.shape[-1]} does not match rope dim {self.d_k}"
             )
-        cos, sin = self._cos_sin(int(t))
+        if np.ndim(t) == 0:
+            cos, sin = self._cos_sin(int(t))
+        else:
+            t = np.asarray(t)
+            if t.ndim != 1 or v.ndim < 2 or len(t) != v.shape[0]:
+                raise ConfigError(
+                    f"{t.shape} positions do not give one per row of {v.shape}"
+                )
+            shape = (len(t),) + (1,) * (v.ndim - 2) + (self.d_k // 2,)
+            angles = (t[:, None] * self._inv_freq).reshape(shape)
+            cos, sin = np.cos(angles), np.sin(angles)
         even = v[..., 0::2]
         odd = v[..., 1::2]
         out = np.empty_like(v, dtype=v.dtype)

@@ -116,6 +116,15 @@ class TestSampleToken:
         logits[2] = logits[4] = 3.0
         assert sample_token(logits, GREEDY, np.random.default_rng(0)) == 2
 
+    def test_greedy_float32_matches_float64_argmax(self):
+        rng = np.random.default_rng(9)
+        rows = rng.standard_normal((200, 292)).astype(np.float32)
+        rows[::2, 17] = rows[::2, 250] = rows[::2].max(axis=1) + 1  # ties
+        for row in rows:
+            want = int(np.argmax(row.astype(np.float64)))
+            assert sample_token(row, GREEDY, None) == want
+        assert sample_token(rows[0], GREEDY, None) == 17
+
     def test_nucleus_support(self):
         probs = np.array([0.4, 0.3, 0.2, 0.1])
         logits = np.log(probs)

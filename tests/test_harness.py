@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
 from parcot.engine import (
+    ANSWER_STREAM,
     GenerationBudget,
     SamplerConfig,
     Termination,
+    draw_rng,
     run_session,
+    sample_token,
     session_record,
 )
 from parcot.errors import DataError
@@ -19,7 +23,8 @@ from parcot.harness import (
     verify_experiment_dir,
     write_experiment,
 )
-from parcot.model import ModelConfig, init_weights
+from parcot.kvcache import PagedKVCache, SlotAddress
+from parcot.model import FLAT, DecodeLayout, ModelConfig, forward_step, init_weights
 from parcot.positional import zero_thought_table
 from parcot.tokenizer import encode
 
@@ -207,7 +212,62 @@ class TestTerminationComparison:
                 assert rec["total_path_tokens"] == 4 * rec["L_r"]
 
 
+def per_token_reprefill(bundle, session, sampler):
+    """The re-prefill baseline fed one forward_step per slot: the
+    teacher-forced logit divergence and the baseline's own answer."""
+    cfg = bundle.weights.config
+    zero = bundle.with_zero_table().table
+    l_max = session.budget.max_path_tokens + 2
+    tokens = list(session.prompt_tokens)
+    positions = list(range(1, session.l_x + 1))
+    for i, path in enumerate(session.paths):
+        tokens += path.tokens
+        positions += [session.l_x + i * l_max + t for t in range(1, len(path.tokens) + 1)]
+    base = session.l_x + (session.num_paths - 1) * l_max + session.reasoning_len
+    answer_positions = [base + t for t in range(1, session.budget.max_answer_tokens + 2)]
+    layout = DecodeLayout(stage=FLAT, flat_positions=tuple(positions + answer_positions))
+
+    def feed(fed):
+        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        logits = [
+            forward_step(bundle.weights, zero, cache, layout, token, SlotAddress("seq", t))
+            for t, token in enumerate(fed)
+        ]
+        return cache, logits
+
+    _, logits = feed(tokens + session.answer_tokens)
+    divergence = max(
+        float(np.max(np.abs(a - b)))
+        for a, b in zip(logits[len(tokens):], session.answer_logits)
+    )
+    vocab = bundle.vocab
+    answer = [vocab.summary_open]
+    cache, logits = feed(tokens + answer)
+    logits = logits[-1]
+    for step in range(1, session.budget.max_answer_tokens + 1):
+        token = sample_token(logits, sampler, draw_rng(session.seed, ANSWER_STREAM, step))
+        answer.append(token)
+        logits = forward_step(
+            bundle.weights, zero, cache, layout, token,
+            SlotAddress("seq", len(tokens) + step),
+        )
+        if token in (vocab.summary_close, vocab.eos):
+            break
+    return divergence, answer
+
+
 class TestReprefillBaseline:
+    @pytest.mark.parametrize("paths, budget, seed", [(3, 5, 6), (4, 12, 11), (2, 30, 17)])
+    def test_matches_per_token_feed(self, bundle, prompt, paths, budget, seed):
+        session = run_session(
+            bundle.weights, bundle.table, bundle.vocab, prompt, paths, SAMPLER,
+            GenerationBudget(budget, 6), seed=seed, record_logits=True,
+        )
+        record = run_reprefill_baseline(bundle, session, SAMPLER)
+        divergence, answer = per_token_reprefill(bundle, session, SAMPLER)
+        assert abs(record["logit_divergence"] - divergence) <= 1e-5
+        assert record["own_answer"] == answer
+
     def test_single_path_degeneracy_without_thought_embeddings(
         self, small_weights, vocab, prompt
     ):

@@ -1,7 +1,11 @@
 import copy
+import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parcot.errors import (
     CacheConsistencyError,
@@ -11,10 +15,13 @@ from parcot.errors import (
 )
 from parcot.kvcache import PagedKVCache, SlotAddress
 from parcot.model import (
+    CAUSAL_CHUNK,
+    FLAT,
     REASONING,
     DecodeLayout,
     ModelConfig,
     attend,
+    forward_causal,
     forward_step,
     init_weights,
     load_weights,
@@ -25,6 +32,7 @@ from parcot.positional import (
     PROMPT,
     SHARED,
     PositionAssignment,
+    init_thought_table,
     path_key,
     zero_thought_table,
 )
@@ -176,8 +184,8 @@ class TestForwardStep:
         layout = reasoning_layout(l_x=3, labels=(1,))
         with pytest.raises(PositionOverflowError):
             prefill(weights, small_table, cache, layout, [1, 2, 3])
-        # the failing slot wrote nothing
-        assert cache.length(PROMPT) == 2
+        # every position is checked before the first slot is written
+        assert cache.length(PROMPT) == 0
 
     def test_slot_must_extend_segment(self, small_weights, small_table):
         cfg = small_weights.config
@@ -233,6 +241,114 @@ class TestPrefill:
         )
         assert np.max(np.abs(last_a - last_b)) <= 1e-5
         assert np.max(np.abs(next_a - next_b)) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "length",
+        [1, CAUSAL_CHUNK - 1, CAUSAL_CHUNK, CAUSAL_CHUNK + 1, 3 * CAUSAL_CHUNK + 5, 768],
+    )
+    @pytest.mark.parametrize("kind", ["prompt", "flat", "path"])
+    @settings(max_examples=2, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_causal_blocks_match_iterated_steps(
+        self, small_weights, small_table, kind, length, seed
+    ):
+        """Blocked prefill (prompt, thought row 0), a flattened sequence
+        with gapped positions, and a path block that also sees the prompt
+        all match one forward_step per slot, then decode the next slot
+        alike."""
+        cfg = small_weights.config
+        rng = np.random.default_rng(seed)
+        tokens = [int(t) for t in rng.integers(0, 256, size=length)]
+        before = []  # slots both caches hold first, fed one step at a time
+        if kind == "prompt":
+            segment = PROMPT
+            layout = reasoning_layout(l_x=length, labels=(1,))
+            next_slot = SlotAddress(path_key(0), 0)
+        elif kind == "flat":
+            segment = "seq"
+            gaps = rng.integers(1, 4, size=length + 1)
+            layout = DecodeLayout(stage=FLAT, flat_positions=tuple(np.cumsum(gaps).tolist()))
+            next_slot = SlotAddress(segment, length)
+        else:
+            segment = path_key(0)
+            layout = reasoning_layout(l_x=5, labels=(1,), l_max=length + 1)
+            before = [(PROMPT, int(t)) for t in rng.integers(0, 256, size=5)]
+            next_slot = SlotAddress(segment, length)
+
+        caches = [fresh_cache(cfg), fresh_cache(cfg)]
+        for cache in caches:
+            for t, (seg, token) in enumerate(before):
+                forward_step(
+                    small_weights, small_table, cache, layout, token, SlotAddress(seg, t)
+                )
+        blocked, stepped = caches
+        if kind == "prompt":
+            got = prefill(small_weights, small_table, blocked, layout, tokens)[None]
+        else:
+            got = forward_causal(
+                small_weights, small_table, blocked, layout, tokens,
+                SlotAddress(segment, 0), keep=length,
+            )
+        want = np.stack([
+            forward_step(
+                small_weights, small_table, stepped, layout, token, SlotAddress(segment, t)
+            )
+            for t, token in enumerate(tokens)
+        ])[-len(got):]
+        assert np.max(np.abs(got - want)) <= 1e-5
+        assert blocked.length(segment) == stepped.length(segment) == length
+        assert np.array_equal(
+            blocked.tables[segment].positions(), stepped.tables[segment].positions()
+        )
+        after = [
+            forward_step(small_weights, small_table, cache, layout, 42, next_slot)
+            for cache in caches
+        ]
+        assert np.max(np.abs(after[0] - after[1])) <= 1e-5
+
+    @pytest.mark.parametrize("fault", ["token", "position"])
+    def test_fault_in_a_later_chunk_writes_nothing(self, small_weights, small_table, fault):
+        cfg = small_weights.config
+        n = 2 * CAUSAL_CHUNK + 3
+        bad = CAUSAL_CHUNK + 5  # row of the second chunk
+        tokens = [7] * n
+        weights = small_weights
+        if fault == "token":
+            tokens[bad] = cfg.vocab_size
+            error = DataError
+        else:  # prompt slot 3 + bad sits at position 4 + bad
+            weights = init_weights(dataclasses.replace(cfg, max_position=3 + bad), seed=3)
+            error = PositionOverflowError
+        cache = fresh_cache(cfg)
+        cache.reserve(PROMPT, 3 + n)
+        layout = reasoning_layout(l_x=3 + n, labels=(1,))
+        prefill(weights, small_table, cache, layout, [1, 2, 3])
+        held = cache.tables[PROMPT].content_hash()
+        with pytest.raises(error):
+            prefill(weights, small_table, cache, layout, tokens)
+        assert cache.length(PROMPT) == 3
+        assert cache.tables[PROMPT].content_hash() == held
+
+    def test_prefill_memory_is_bounded_by_chunk_rows(self, toy_config, vocab):
+        cfg = toy_config
+        weights = init_weights(cfg, seed=1)
+        table = init_thought_table(vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k, seed=2)
+        l_x = 768
+        tokens = [int(t) for t in np.random.default_rng(3).integers(0, 256, size=l_x)]
+        layout = reasoning_layout(l_x=l_x, labels=(1,))
+        prefill(weights, table, fresh_cache(cfg), layout, tokens[:CAUSAL_CHUNK])
+        cache = fresh_cache(cfg)
+        cache.reserve(PROMPT, l_x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prefill(weights, table, cache, layout, tokens)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # a few float32 [n_heads, CAUSAL_CHUNK, l_x] score blocks at most;
+        # one [n_heads, l_x, l_x] score matrix would be 9.4 MB
+        assert peak <= 3 * cfg.n_heads * CAUSAL_CHUNK * l_x * 4, peak
 
     def test_empty_prefill_errors_without_cache_change(self, small_weights, small_table):
         cfg = small_weights.config

@@ -56,6 +56,16 @@ class TestRope:
             rhs = rope.matrix(int(m) - int(n))
             assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
+    def test_per_row_positions_match_scalar_rotations(self, rope):
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal((40, 3, 16)).astype(np.float32)
+        t = rng.integers(0, 4096, size=40)
+        rotated = rope.rotate(v, t)
+        for i in range(40):
+            assert np.array_equal(rotated[i], rope.rotate(v[i], int(t[i])))
+        with pytest.raises(ConfigError):
+            rope.rotate(v, t[:39])
+
     def test_odd_dimension_rejected(self):
         with pytest.raises(ConfigError):
             Rope(d_k=15, base=10000.0)
