@@ -22,14 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FormatError, LayoutError
-from .masking import (
-    REASONING,
-    SUMMARIZATION,
-    AttentionMask,
-    LayoutPlan,
-    build_reasoning_mask,
-    build_summary_mask,
-)
+from .masking import REASONING, AttentionMask, LayoutPlan
+# perfbench/instrument.py wraps these two by name in this module's namespace
+from .masking import build_reasoning_mask, build_summary_mask  # noqa: F401
 from .positional import ANSWER, PROMPT, SHARED, PositionAssignment, assign_position, path_key
 from .tokenizer import Vocab, encode, sample_think_tokens
 
@@ -207,13 +202,15 @@ class TrainingLayout:
 def training_layout(
     sample: SFTSample, vocab: Vocab, max_context: int = MAX_CONTEXT_TOKENS
 ) -> TrainingLayout:
-    """Serialized training sequence with masks, positions, and loss mask.
+    """Serialized training sequence with its mask, positions, and loss mask.
 
     Path segments are padded with PAD to the longest segment so slots line
-    up with synchronized decoding; pads carry no loss.  Path rows use that
-    path's reasoning mask, answer rows the summarization mask, and
-    positions follow the shared scheme (the t-th token of every path gets
-    the same position).
+    up with synchronized decoding; pads carry no loss.  Each row follows
+    its own segment's visibility rule: path rows that path's reasoning
+    mask, answer rows the summarization mask, so answer rows see the PAD
+    slots of shorter paths and path rows never see another path's slots
+    or pads.  Positions follow the shared scheme (the t-th token of every
+    path gets the same position).
     """
     parsed = parse_sample(sample.tokens, vocab)
     prompt_ids = encode(sample.query, vocab, markup=False)
@@ -268,17 +265,6 @@ def training_layout(
     for off, t in enumerate(plan.answer_slots()):
         positions[t] = assign_position(assignment, ANSWER, off + 1)
 
-    visible = np.zeros((len(tokens), len(tokens)), dtype=bool)
-    path_masks = [build_reasoning_mask(plan, i) for i in range(num_paths)]
-    summary_mask = build_summary_mask(plan.with_stage(SUMMARIZATION))
-    for t in plan.prompt_slots():
-        visible[t] = path_masks[0].visible[t]  # causal prompt, same for every path
-    for i in range(num_paths):
-        for t in plan.path_slots(i):
-            visible[t] = path_masks[i].visible[t]
-    for t in plan.answer_slots():
-        visible[t] = summary_mask.visible[t]
-
     return TrainingLayout(
         tokens=np.asarray(tokens, dtype=np.int64),
         positions=positions,
@@ -286,7 +272,7 @@ def training_layout(
         loss_mask=np.asarray(loss, dtype=np.int64),
         segments=tuple(segments),
         layout=plan,
-        mask=AttentionMask(visible),
+        mask=AttentionMask(plan, plan.segment_codes()),
     )
 
 

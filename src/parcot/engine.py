@@ -41,11 +41,8 @@ from .errors import (
     SamplingError,
 )
 from .kvcache import PagedKVCache, SlotAddress, SummaryContextView, assemble_summary_view
-from .masking import SUMMARIZATION as LAYOUT_SUMMARIZATION
-from .masking import LayoutPlan
+from .masking import REASONING, SUMMARIZATION, LayoutPlan
 from .model import (
-    REASONING,
-    SUMMARIZATION,
     DecodeLayout,
     ModelWeights,
     forward_paths,
@@ -231,7 +228,7 @@ class GenerationSession:
             l_x=self.l_x,
             path_lengths=tuple(len(p.tokens) for p in self.paths),
             answer_length=len(self.answer_tokens),
-            stage=LAYOUT_SUMMARIZATION,
+            stage=SUMMARIZATION,
         )
 
 

@@ -53,9 +53,15 @@ from .model import (
     load_weights,
 )
 from .positional import (
+    ANSWER,
+    FLATTENED,
+    PROMPT,
+    PositionAssignment,
     ThoughtEmbeddingTable,
+    assign_position,
     init_thought_table,
     load_thought_table,
+    path_key,
     zero_thought_table,
 )
 from .tokenizer import Vocab
@@ -369,17 +375,20 @@ def run_reprefill_baseline(
     l_x = session.l_x
     l_max = session.budget.max_path_tokens + 2
     num_paths = session.num_paths
+    flattened = PositionAssignment(
+        FLATTENED, l_x=l_x, l_max=l_max, num_paths=num_paths, reasoning_len=session.reasoning_len
+    )
+
+    def positions(segment, count):
+        return [assign_position(flattened, segment, t) for t in range(1, count + 1)]
 
     flat_tokens: list[int] = list(session.prompt_tokens)
-    flat_positions: list[int] = [t + 1 for t in range(l_x)]
+    flat_positions = positions(PROMPT, l_x)
     for i, path in enumerate(session.paths):
-        for t0, token in enumerate(path.tokens):
-            flat_tokens.append(token)
-            flat_positions.append(l_x + i * l_max + t0 + 1)
-    answer_base = l_x + (num_paths - 1) * l_max + session.reasoning_len
-    answer_positions = [
-        answer_base + t0 + 1 for t0 in range(len(session.answer_tokens))
-    ]
+        flat_tokens.extend(path.tokens)
+        flat_positions.extend(positions(path_key(i), len(path.tokens)))
+    answer_positions = positions(ANSWER, len(session.answer_tokens))
+    # read off the positions: a frozen last path can be shorter than the others
     max_path_pos = max(flat_positions)
     max_pos_used = max([max_path_pos] + answer_positions)
 
@@ -413,9 +422,7 @@ def run_reprefill_baseline(
 
     # independent answer decode over a fresh flattened prefill
     budget = session.budget
-    own_positions = list(flat_positions) + [
-        answer_base + t0 + 1 for t0 in range(budget.max_answer_tokens + 1)
-    ]
+    own_positions = flat_positions + positions(ANSWER, budget.max_answer_tokens + 1)
     layout = DecodeLayout(stage=FLAT, flat_positions=tuple(own_positions))
     vocab = bundle.vocab
     answer = [vocab.summary_open]

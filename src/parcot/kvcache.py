@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheConsistencyError, LifecycleError
-from .masking import SUMMARIZATION, LayoutPlan
+from .masking import SUMMARIZATION, LayoutPlan, visible_segments
 from .positional import ANSWER, PROMPT, path_key
 
 GROWTH_SLOTS = 16  # first capacity of a segment that was never reserved
@@ -321,21 +321,13 @@ class SummaryContextView:
 
 
 def assemble_summary_view(cache: PagedKVCache, layout: LayoutPlan) -> SummaryContextView:
-    """Zero-copy summarization context: prompt, every path, then answer."""
+    """Zero-copy summarization context: the segments an answer slot sees
+    (``masking.visible_segments``): prompt, every path, then answer."""
     if layout.stage != SUMMARIZATION:
         raise LifecycleError("summary view requires a summarization-stage layout")
-    entries: list[tuple[str, Segment]] = []
-    if cache.length(PROMPT) != layout.l_x:
-        raise CacheConsistencyError(
-            f"prompt table holds {cache.length(PROMPT)} slots, layout says {layout.l_x}"
-        )
-    entries.append((PROMPT, cache.table(PROMPT)))
-    for i, expected in enumerate(layout.path_lengths):
-        seg = path_key(i)
+    segments = visible_segments(SUMMARIZATION, ANSWER, layout.num_paths)
+    for seg, expected in zip(segments, (layout.l_x, *layout.path_lengths)):
         if cache.length(seg) != expected:
-            raise LifecycleError(
-                f"path {i} holds {cache.length(seg)} slots, layout says {expected}"
-            )
-        entries.append((seg, cache.table(seg)))
-    entries.append((ANSWER, cache.table(ANSWER)))
-    return SummaryContextView(entries)
+            error = CacheConsistencyError if seg == PROMPT else LifecycleError
+            raise error(f"{seg} holds {cache.length(seg)} slots, layout says {expected}")
+    return SummaryContextView([(seg, cache.table(seg)) for seg in segments])

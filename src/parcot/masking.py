@@ -1,25 +1,48 @@
-"""Two-phase attention masks over a serialized slot layout.
+"""Two-phase attention visibility: one rule over serialized slot layouts.
 
-Slots are numbered 0..total-1 in serialized order: prompt, then each
-reasoning path in index order, then the answer.  Causality (j <= t) is
-over this generation-order index; rotary positions play no role here.
+``visible_segments`` is the rule.  Reasoning: a prompt slot sees the
+prompt, a path slot the prompt and its own path.  Summarization: an
+answer slot sees the prompt, every path and the answer prefix.  Flat (the
+re-prefill baseline): a slot sees its one segment.  The decoder asks it
+per segment (``model.DecodeLayout``).
 
-Reasoning mask for path i: a query at slot t may see slot j iff
-j <= t and j is a prompt slot or one of path i's own slots.
-
-Summarization mask: a query at slot t may see slot j iff j <= t and j is
-a prompt, path, or answer slot (with this layout, every live slot).
-Both conventions are self-inclusive (j = t is visible).
+A serialized layout numbers slots 0..total-1: prompt, each path in index
+order, then the answer.  Query t sees slot j iff j <= t (generation
+order, self-inclusive; rotary positions play no role) and the rule lets
+t's owner segment see j's segment.  ``AttentionMask`` holds this in O(N)
+memory (slot segment codes, row owner codes, the rule as a (P+2)x(P+2)
+table) and builds the dense N x N matrix only on request.  Path i owns
+every row of its reasoning mask, the answer every row of the summary
+mask, and each row of a training layout is owned by its own segment.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LayoutError
+from .errors import LayoutError, LifecycleError
+from .positional import ANSWER, PROMPT, is_path, path_key
 
 REASONING = "reasoning"
 SUMMARIZATION = "summarization"
+FLAT = "flat"
+
+
+def visible_segments(stage: str, segment: str, num_paths: int) -> tuple[str, ...]:
+    """Segments a slot of ``segment`` attends over in ``stage``, in layout order."""
+    if stage == FLAT:
+        return (segment,)
+    if stage == REASONING:
+        if segment == PROMPT:
+            return (PROMPT,)
+        if is_path(segment):
+            return (PROMPT, segment)
+        raise LifecycleError("answer slots cannot be decoded during reasoning")
+    if stage == SUMMARIZATION:
+        if segment == ANSWER:
+            return (PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER)
+        raise LifecycleError("only answer slots are decoded during summarization")
+    raise LifecycleError(f"unknown stage {stage!r}")
 
 
 @dataclass(frozen=True)
@@ -66,22 +89,45 @@ class LayoutPlan:
         start = self.l_x + sum(self.path_lengths)
         return range(start, start + self.answer_length)
 
+    def segment_codes(self) -> np.ndarray:
+        """Each slot's segment code: 0 prompt, 1 + i path i, P + 1 answer."""
+        lengths = (self.l_x, *self.path_lengths, self.answer_length)
+        return np.repeat(np.arange(len(lengths)), lengths)
+
     def with_stage(self, stage: str) -> "LayoutPlan":
         return replace(self, stage=stage)
 
 
 class AttentionMask:
-    """Dense visibility matrix; rows are queries, columns are keys."""
+    """Visibility of a serialized layout; rows are queries, columns keys.
 
-    def __init__(self, visible: np.ndarray):
-        visible = np.asarray(visible, dtype=bool)
-        if visible.ndim != 2 or visible.shape[0] != visible.shape[1]:
-            raise LayoutError("mask must be square")
-        self.visible = visible
+    Row t sees slot j iff j <= t and ``allowed[owner[t], segment[j]]``,
+    with ``segment`` the layout's slot codes and ``owner`` one code for
+    every row or one per row.
+    """
+
+    def __init__(self, layout: LayoutPlan, owner):
+        self.segment = layout.segment_codes()
+        self.owner = np.broadcast_to(owner, self.segment.shape)
+        # allowed[a, b]: code a sees code b.  The prompt and paths follow the
+        # reasoning rule; the answer's summarization list is every segment.
+        p = layout.num_paths
+        keys = visible_segments(SUMMARIZATION, ANSWER, p)
+        stages = [REASONING] * (p + 1) + [SUMMARIZATION]
+        self.allowed = np.array(
+            [[seen in visible_segments(st, k, p) for seen in keys] for st, k in zip(stages, keys)]
+        )
 
     @property
     def size(self) -> int:
-        return self.visible.shape[0]
+        return len(self.segment)
+
+    @property
+    def visible(self) -> np.ndarray:
+        """Dense [N, N] boolean matrix, built on request."""
+        out = self.allowed[self.owner[:, None], self.segment[None, :]]
+        out &= np.tri(self.size, dtype=bool)
+        return out
 
     def dense(self) -> np.ndarray:
         """0 where visible, -inf where masked (additive form)."""
@@ -91,7 +137,8 @@ class AttentionMask:
     def visible_set(self, t: int) -> list[int]:
         if not 0 <= t < self.size:
             raise IndexError(f"slot {t} out of range [0, {self.size})")
-        return [int(j) for j in np.flatnonzero(self.visible[t])]
+        row = self.allowed[self.owner[t], self.segment[: t + 1]]
+        return [int(j) for j in np.flatnonzero(row)]
 
     def grid(self) -> str:
         """Text rendering, '.' visible / 'x' masked, one row per query."""
@@ -105,22 +152,13 @@ class AttentionMask:
         )
 
 
-def _causal(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    return idx[None, :] <= idx[:, None]
-
-
 def build_reasoning_mask(layout: LayoutPlan, path: int) -> AttentionMask:
     """Mask decoded against during path ``path``'s reasoning phase."""
     if layout.stage != REASONING:
         raise LayoutError("reasoning mask requires a reasoning-stage layout")
     if not 0 <= path < layout.num_paths:
         raise IndexError(f"path {path} out of range [0, {layout.num_paths})")
-    n = layout.total_slots
-    allowed = np.zeros(n, dtype=bool)
-    allowed[list(layout.prompt_slots())] = True
-    allowed[list(layout.path_slots(path))] = True
-    return AttentionMask(_causal(n) & allowed[None, :])
+    return AttentionMask(layout, 1 + path)
 
 
 def build_summary_mask(layout: LayoutPlan) -> AttentionMask:
@@ -129,13 +167,7 @@ def build_summary_mask(layout: LayoutPlan) -> AttentionMask:
         raise LayoutError("summary mask requires a summarization-stage layout")
     if layout.answer_length < 1:
         raise LayoutError("summary mask requires a non-empty answer range")
-    n = layout.total_slots
-    allowed = np.zeros(n, dtype=bool)
-    allowed[list(layout.prompt_slots())] = True
-    for i in range(layout.num_paths):
-        allowed[list(layout.path_slots(i))] = True
-    allowed[list(layout.answer_slots())] = True
-    return AttentionMask(_causal(n) & allowed[None, :])
+    return AttentionMask(layout, layout.num_paths + 1)
 
 
 def visible_set(mask: AttentionMask, t: int) -> list[int]:

@@ -3,7 +3,8 @@
 Pre-norm blocks, no biases, SiLU feed-forward, RMS normalization, full
 multi-head attention.  The forward pass takes an externally supplied
 decode layout that fixes each slot's absolute position, thought index,
-and the ordered set of cache segments it may attend over; attention is
+and the ordered set of cache segments it may attend over, which the one
+visibility rule ``masking.visible_segments`` gives; attention is
 computed only over those segments, scaled by 1/sqrt(d_k).
 
 All parameters, cache entries, and activations are 32-bit floats.
@@ -42,10 +43,11 @@ from .errors import (
     CacheConsistencyError,
     ConfigError,
     DataError,
-    LifecycleError,
     PositionOverflowError,
 )
 from .kvcache import PagedKVCache, SlotAddress
+# stage strings and the visibility rule live in masking; stages re-exported
+from .masking import FLAT, REASONING, SUMMARIZATION, visible_segments  # noqa: F401
 from .positional import (
     ANSWER,
     PROMPT,
@@ -53,9 +55,7 @@ from .positional import (
     Rope,
     ThoughtEmbeddingTable,
     assign_position,
-    is_path,
     path_index,
-    path_key,
     rope_for,
 )
 
@@ -337,19 +337,13 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.nd
     return out
 
 
-REASONING = "reasoning"
-SUMMARIZATION = "summarization"
-FLAT = "flat"
-
-
 @dataclass
 class DecodeLayout:
     """Resolves a slot to its position, thought index, and visible segments.
 
-    stage "reasoning": path slots see the prompt plus their own path;
-    stage "summarization": answer slots see the prompt, every path, and the
-    answer prefix; stage "flat" is a single causal segment with explicit
-    per-slot positions (used by the re-prefill baseline).
+    The visible segments are ``masking.visible_segments`` for ``stage``;
+    stage "flat" is a single causal segment with explicit per-slot
+    positions (used by the re-prefill baseline).
     """
 
     stage: str
@@ -369,20 +363,7 @@ class DecodeLayout:
         return self.thought_labels[path_index(segment)]
 
     def visible_segments(self, segment: str) -> tuple[str, ...]:
-        if self.stage == FLAT:
-            return (segment,)
-        if self.stage == REASONING:
-            if segment == PROMPT:
-                return (PROMPT,)
-            if is_path(segment):
-                return (PROMPT, segment)
-            raise LifecycleError("answer slots cannot be decoded during reasoning")
-        if self.stage == SUMMARIZATION:
-            if segment == ANSWER:
-                paths = tuple(path_key(i) for i in range(len(self.thought_labels)))
-                return (PROMPT,) + paths + (ANSWER,)
-            raise LifecycleError("only answer slots are decoded during summarization")
-        raise LifecycleError(f"unknown stage {self.stage!r}")
+        return visible_segments(self.stage, segment, len(self.thought_labels))
 
 
 def _decode_rows(

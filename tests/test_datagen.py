@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,43 @@ class TestTrainingLayout:
         answer = list(plan.answer_slots())
         assert tl.loss_mask[answer[0]] == 0  # engine inserts the summary opener
         assert tl.loss_mask[answer[-1]] == 1  # the closer is predicted
+
+    def test_pad_visibility(self, vocab):
+        # answer rows see the PAD slots of shorter paths, as the summary
+        # mask does; path rows never see another path's slots or pads
+        uneven = RawProblem(query="q", answer="a", paths=("short", "a much longer path"))
+        tl = training_layout(build_sample(uneven, vocab, p_hat=2, seed=4), vocab)
+        plan = tl.layout
+        pads = {t for t in range(len(tl.tokens)) if tl.tokens[t] == vocab.pad}
+        all_paths = set(range(plan.l_x, plan.answer_slots().start))
+        assert pads and pads <= all_paths
+        for t in plan.answer_slots():
+            assert pads <= set(tl.mask.visible_set(t))
+        visible = tl.mask.visible
+        for i in range(plan.num_paths):
+            others = all_paths - set(plan.path_slots(i))
+            for t in plan.path_slots(i):
+                assert not others & set(tl.mask.visible_set(t))
+                assert not visible[t, sorted(others)].any()
+
+    def test_layout_at_the_context_cap_is_bounded(self, vocab):
+        # 10 prompt + 2 * (14323 + 2) + (10 + 2) = 28,672 slots: the cap, with
+        # the shorter path padded.  A dense N x N boolean mask alone would be
+        # 822 MB here.
+        prob = RawProblem(query="q" * 10, answer="a" * 10, paths=("x" * 14323, "y" * 9))
+        sample = build_sample(prob, vocab, p_hat=2, seed=0, template=None)
+        tracemalloc.start()
+        try:
+            tl = training_layout(sample, vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tl.tokens) == tl.mask.size == MAX_CONTEXT_TOKENS
+        assert peak <= 32 * 2**20, peak
+        last = MAX_CONTEXT_TOKENS - 1
+        assert tl.mask.visible_set(last) == list(range(MAX_CONTEXT_TOKENS))
+        first_path = list(tl.layout.path_slots(0))
+        assert tl.mask.visible_set(first_path[-1]) == list(range(first_path[-1] + 1))
 
     def test_thought_indices_track_labels(self, vocab):
         sample = build_sample(problem(4), vocab, p_hat=2, seed=9)

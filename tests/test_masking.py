@@ -10,6 +10,8 @@ from parcot.masking import (
     build_summary_mask,
     visible_set,
 )
+from parcot.model import DecodeLayout
+from parcot.positional import ANSWER, PROMPT, path_key
 
 from oracles import brute_reasoning_mask, brute_summary_mask
 
@@ -148,6 +150,28 @@ class TestOracleAgreement:
                         continue
                     for t in plan.path_slots(i):
                         assert not mask[t, list(plan.path_slots(other))].any()
+
+
+class TestOneRule:
+    def test_mask_rows_see_the_decoder_segments(self):
+        # a dense mask row sees exactly the segments the decoder attends over
+        plan = reasoning_plan(2, (3, 3, 3), 2)
+        keys = [PROMPT, path_key(0), path_key(1), path_key(2), ANSWER]
+        codes = plan.segment_codes()
+
+        def seen(mask, t):
+            return tuple(keys[c] for c in sorted({codes[j] for j in mask.visible_set(t)}))
+
+        labels = (4, 5, 6)
+        for i in range(plan.num_paths):
+            layout = DecodeLayout(stage=REASONING, thought_labels=labels)
+            last = plan.path_slots(i)[-1]
+            assert seen(build_reasoning_mask(plan, i), last) == layout.visible_segments(
+                path_key(i)
+            )
+        layout = DecodeLayout(stage=SUMMARIZATION, thought_labels=labels)
+        summary = build_summary_mask(plan.with_stage(SUMMARIZATION))
+        assert seen(summary, plan.answer_slots()[0]) == layout.visible_segments(ANSWER)
 
 
 class TestVisibleSet:

@@ -4,7 +4,9 @@ Each example decodes P paths in lockstep under a random termination
 strategy, with per-path scripts that force EOS at chosen steps (frozen
 paths under half/last finish) and sampled tokens after the script runs
 out.  Every path must replay on its own, token for token and logit for
-logit, and the cache must hold exactly the written tokens.
+logit, and the cache must hold exactly the written tokens.  First-finish
+paths end equally long, and a rerun with the same seed gives the same
+transcript bytes.
 """
 
 import numpy as np
@@ -16,8 +18,10 @@ from parcot.engine import (
     GenerationSession,
     SamplerConfig,
     Termination,
+    canonical_json,
     run_reasoning,
     run_summarization,
+    session_record,
 )
 from parcot.positional import ANSWER, PROMPT, path_key
 
@@ -54,6 +58,17 @@ def cache_matches_tokens(session):
     assert cache.length(ANSWER) == len(session.answer_tokens)
 
 
+def reasoned(weights, table, vocab, case, sampler, forced):
+    session = GenerationSession(
+        weights, table, vocab, PROMPT_TOKENS, case["num_paths"],
+        seed=case["seed"], record_logits=True,
+    )
+    run_reasoning(
+        session, sampler, GenerationBudget(case["budget"]), case["strategy"], forced
+    )
+    return session
+
+
 @given(sessions())
 @settings(max_examples=25, deadline=None)
 def test_lockstep_paths_replay_alone(small_weights, small_table, vocab, case):
@@ -61,14 +76,10 @@ def test_lockstep_paths_replay_alone(small_weights, small_table, vocab, case):
     forced = {
         i: [vocab.eos if t == EOS else t for t in body] for i, body in case["forced"].items()
     }
-    session = GenerationSession(
-        small_weights, small_table, vocab, PROMPT_TOKENS, case["num_paths"],
-        seed=case["seed"], record_logits=True,
-    )
-    run_reasoning(
-        session, sampler, GenerationBudget(case["budget"]), case["strategy"], forced
-    )
+    session = reasoned(small_weights, small_table, vocab, case, sampler, forced)
     cache_matches_tokens(session)
+    if case["strategy"] is Termination.FIRST_FINISH:
+        assert len({len(path.tokens) for path in session.paths}) == 1
 
     for path in session.paths:
         solo = GenerationSession(
@@ -91,3 +102,10 @@ def test_lockstep_paths_replay_alone(small_weights, small_table, vocab, case):
     cache_matches_tokens(session)
     for seg, digest in hashes.items():
         assert session.cache.tables[seg].content_hash() == digest
+
+    # same seed, same bytes
+    again = reasoned(small_weights, small_table, vocab, case, sampler, forced)
+    run_summarization(again, sampler, 3)
+    assert canonical_json(session_record(again)).encode() == canonical_json(
+        session_record(session)
+    ).encode()
