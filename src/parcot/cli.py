@@ -101,32 +101,6 @@ def _run_and_write(name: str, config: dict, out_dir: str) -> None:
     print(f"{name}: wrote {len(records)} records to {out_dir}")
 
 
-def _measure_toy_engine(paths_list):
-    """Wall-clock toy-engine decode times; desk-scale hardware only, never
-    evidence for the analytic model and never written to records."""
-    import time
-
-    from .engine import GenerationBudget, SamplerConfig, run_session
-    from .harness import bundle_from_config
-
-    bundle = bundle_from_config(
-        {"model": TOY_MODEL, "model_seed": 1, "table_seed": 2,
-         "vocab": {"base_size": 256, "p_max": 16}}
-    )
-    prompt = encode("timing probe", bundle.vocab, markup=False)
-    results = []
-    for paths in paths_list:
-        if paths > bundle.vocab.p_max:
-            continue
-        started = time.perf_counter()
-        run_session(
-            bundle.weights, bundle.table, bundle.vocab, prompt, paths,
-            SamplerConfig(greedy=True), GenerationBudget(32, 0), seed=0,
-        )
-        results.append((paths, time.perf_counter() - started))
-    return results
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="parcot")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -144,8 +118,6 @@ def main(argv=None) -> int:
         choices=["total-budget-split", "per-path-budget"],
         default="total-budget-split",
     )
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="independent sessions in flight")
     p_sweep.add_argument("--prompt", action="append", dest="prompts", required=True)
 
     p_prefix = sub.add_parser("prefix", help="continue decoding from trace prefixes")
@@ -170,8 +142,6 @@ def main(argv=None) -> int:
     p_cost.add_argument("--profile", default=None, help="profile JSON (default packaged)")
     p_cost.add_argument("--paths-list", type=int, nargs="+", default=[1, 2, 4, 8, 16])
     p_cost.add_argument("--lengths", type=int, nargs="+", default=[1024, 4096, 16384])
-    p_cost.add_argument("--measure", action="store_true",
-                        help="also time the toy engine (non-normative, not recorded)")
     p_cost.add_argument("--out", metavar="DIR", default="out")
 
     p_data = sub.add_parser("datagen", help="build SFT training records")
@@ -211,12 +181,6 @@ def _dispatch(args) -> int:
                 f"step={rec['step_time_s'] * 1e3:8.3f} ms "
                 f"ratio_vs_P1={rec['step_ratio_vs_p1']:5.2f}"
             )
-        if args.measure:
-            for paths, seconds in _measure_toy_engine(args.paths_list):
-                print(
-                    f"measured toy engine (non-normative): P={paths:>3} "
-                    f"decode={seconds * 1e3:8.1f} ms"
-                )
         return 0
 
     if args.command == "datagen":
@@ -278,7 +242,6 @@ def _dispatch(args) -> int:
                 "allocation": args.allocation,
                 "strategy": TERMINATION_ALIASES[args.termination],
                 "max_answer_tokens": args.max_answer,
-                "workers": args.workers,
             }
         )
         _run_and_write("sweep", config, args.out)

@@ -4,10 +4,8 @@ termination comparisons, the re-prefill baseline, and the cost model.
 Every experiment is a pure function of (config, seed): per-session seeds
 are derived by hashing the experiment key, records carry the config hash,
 and ``verify_experiment_dir`` re-runs an experiment from its stored
-config and byte-compares the regenerated outputs.
-
-Sessions are independent; ``run_indexed`` may fan them out over a thread
-pool and merges results back in task order.
+config and byte-compares the regenerated outputs.  Each experiment
+checks its whole grid before its first session runs.
 """
 
 import csv
@@ -15,7 +13,6 @@ import hashlib
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +37,7 @@ from .engine import (
     sample_token,
     session_record,
 )
-from .errors import DataError, LifecycleError
+from .errors import ConfigError, DataError, LifecycleError
 from .kvcache import PagedKVCache, SlotAddress
 from .model import (
     FLAT,
@@ -96,14 +93,6 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
-def run_indexed(tasks, workers: int = 1) -> list:
-    """Run zero-argument callables; results come back in task order."""
-    if workers <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: t(), tasks))
-
-
 # ---------------------------------------------------------------------------
 # budget sweep
 # ---------------------------------------------------------------------------
@@ -126,13 +115,26 @@ def run_budget_sweep(
     each of its P independent samples B // P body tokens, so its total
     spend stays within the shared budget B; "per-path-budget" gives every
     sample the full B.
+
+    Sessions run one after another: a thread pool made sweeps slower,
+    because decoding is Python dispatch that holds the GIL.  ``workers``
+    stays as a keyword for callers that pass 1, the only value accepted.
     """
+    if workers != 1:
+        raise ConfigError(f"sweeps run serially; workers must be 1, got {workers}")
     if allocation not in ("total-budget-split", "per-path-budget"):
         raise DataError(f"unknown allocation policy {allocation!r}")
+    if allocation == "total-budget-split":
+        for budget_tokens in budgets:
+            for num_paths in paths_list:
+                if budget_tokens < num_paths:
+                    raise DataError(
+                        f"budget {budget_tokens} cannot be split across {num_paths} samples"
+                    )
+    records: list[dict] = []
+    transcripts: list[dict] = []
 
     def one_cell(budget_tokens: int, num_paths: int, pi: int, prompt: list[int]):
-        records: list[dict] = []
-        transcripts: list[dict] = []
         sess_seed = derive_seed(seed, "sweep", budget_tokens, num_paths, pi)
         session = run_session(
             bundle.weights,
@@ -152,10 +154,6 @@ def run_budget_sweep(
         )
 
         if allocation == "total-budget-split":
-            if budget_tokens < num_paths:
-                raise DataError(
-                    f"budget {budget_tokens} cannot be split across {num_paths} samples"
-                )
             per_sample = budget_tokens // num_paths
         else:
             per_sample = budget_tokens
@@ -186,19 +184,11 @@ def run_budget_sweep(
                 {"key": ["sweep", "majority", budget_tokens, num_paths, pi, s],
                  "record": session_record(ms)}
             )
-        return records, transcripts
 
-    tasks = [
-        (lambda b=b, p=p, pi=pi, pr=pr: one_cell(b, p, pi, pr))
-        for b in budgets
-        for p in paths_list
-        for pi, pr in enumerate(prompts)
-    ]
-    records: list[dict] = []
-    transcripts: list[dict] = []
-    for cell_records, cell_transcripts in run_indexed(tasks, workers=workers):
-        records.extend(cell_records)
-        transcripts.extend(cell_transcripts)
+    for budget_tokens in budgets:
+        for num_paths in paths_list:
+            for pi, prompt in enumerate(prompts):
+                one_cell(budget_tokens, num_paths, pi, prompt)
     return records, transcripts
 
 
@@ -240,20 +230,22 @@ def run_prefix_recovery(
     a sample "recovers" when ``target_token`` shows up among the freshly
     sampled tokens.
     """
+    for ti, trace in enumerate(traces):
+        for n in prefix_lengths:
+            if n > len(trace["body"]):
+                raise DataError(
+                    f"trace {ti} has {len(trace['body'])} tokens, cannot take prefix {n}"
+                )
+            if n >= budget.max_path_tokens:
+                raise DataError(
+                    f"prefix {n} leaves no budget (B={budget.max_path_tokens})"
+                )
     records: list[dict] = []
     transcripts: list[dict] = []
     for ti, trace in enumerate(traces):
         prompt = trace["prompt"]
         body = trace["body"]
         for n in prefix_lengths:
-            if n > len(body):
-                raise DataError(
-                    f"trace {ti} has {len(body)} tokens, cannot take prefix {n}"
-                )
-            if n >= budget.max_path_tokens:
-                raise DataError(
-                    f"prefix {n} leaves no budget (B={budget.max_path_tokens})"
-                )
             successes = 0
             for s in range(samples):
                 sess_seed = derive_seed(seed, "prefix", ti, n, s)
@@ -513,7 +505,6 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
             allocation=config.get("allocation", "total-budget-split"),
             max_answer_tokens=config.get("max_answer_tokens", 8),
             seed=seed,
-            workers=config.get("workers", 1),
         )
     if name == "prefix":
         return run_prefix_recovery(

@@ -6,11 +6,13 @@ position and thought index.  Every segment's final size is known when its
 stage starts, so a session reserves each segment's storage once: the
 prompt when the session is created, the ``P`` reasoning paths as the rows
 of one ``[L, P, B+2, H, d_k]`` slab when reasoning starts, and the answer
-when summarization starts.  A segment that was never reserved (single-slot
-decoding outside a session) grows by doubling.
+when summarization starts; writing an unreserved segment raises.
 
-Entries are append-only: a written slot is never mutated, which is what
-makes reusing reasoning-phase storage as the summarization context exact.
+Every write goes through one protocol (``PagedKVCache.rows``): a forward
+pass stages its new slots past the committed ones and commits them after
+its logits.  Entries are append-only: a written slot is never mutated,
+which is what makes reusing reasoning-phase storage as the summarization
+context exact.
 """
 
 import hashlib
@@ -22,9 +24,6 @@ import numpy as np
 from .errors import CacheConsistencyError, LifecycleError
 from .masking import SUMMARIZATION, LayoutPlan, visible_segments
 from .positional import ANSWER, PROMPT, path_key
-
-GROWTH_SLOTS = 16  # first capacity of a segment that was never reserved
-
 
 @dataclass(frozen=True)
 class SlotAddress:
@@ -54,46 +53,18 @@ class Slab:
 class Segment:
     """One segment's slots: row ``row`` of a slab, written in order."""
 
-    def __init__(self, owner: str, slab: Slab, row: int = 0, growable: bool = False):
+    def __init__(self, owner: str, slab: Slab, row: int = 0):
         self.owner = owner
         self.slab = slab
         self.row = row
-        self.growable = growable
         self.filled = 0
 
-    def keys(self, layer: int, end: int | None = None) -> np.ndarray:
-        """Keys of slots [0, end) at one layer, [end, n_heads, d_k]; a view.
+    def keys(self, layer: int) -> np.ndarray:
+        """Keys of the written slots at one layer, [filled, n_heads, d_k]; a view."""
+        return self.slab.k[layer, self.row, : self.filled]
 
-        ``end`` defaults to the written slots; a causal block reads its
-        staged slots too.
-        """
-        return self.slab.k[layer, self.row, : self.filled if end is None else end]
-
-    def values(self, layer: int, end: int | None = None) -> np.ndarray:
-        return self.slab.v[layer, self.row, : self.filled if end is None else end]
-
-    def stage(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store one layer's k/v [m, n_heads, d_k] at slots start.. past the
-        written ones.  Readers see them only after ``commit``.
-        """
-        if start < self.filled or start + len(k) > self.slab.capacity:
-            raise CacheConsistencyError(
-                f"segment {self.owner!r} cannot stage slots {start}..{start + len(k)}"
-                f" (filled={self.filled}, capacity={self.slab.capacity})"
-            )
-        self.slab.k[layer, self.row, start : start + len(k)] = k
-        self.slab.v[layer, self.row, start : start + len(v)] = v
-
-    def commit(self, positions, thought: int) -> None:
-        """The next len(positions) staged slots become written slots."""
-        start, end = self.filled, self.filled + len(positions)
-        if end > self.slab.capacity:
-            raise CacheConsistencyError(
-                f"segment {self.owner!r} has room for {self.slab.capacity - start} slots"
-            )
-        self.slab.positions[self.row, start:end] = positions
-        self.slab.thoughts[self.row, start:end] = thought
-        self.filled = end
+    def values(self, layer: int) -> np.ndarray:
+        return self.slab.v[layer, self.row, : self.filled]
 
     def read(self, index: int) -> tuple[np.ndarray, np.ndarray, int, int]:
         if not 0 <= index < self.filled:
@@ -119,6 +90,66 @@ class Segment:
         return h.hexdigest()
 
 
+class Rows:
+    """``n`` new slots of each of several equally long segments of one slab.
+
+    A forward pass stages each layer's k/v past the committed slots, reads
+    them back while it computes, and commits them once its logits exist;
+    until then no reader (``length``, ``gather``, a summary view) sees
+    them, so a pass that raises leaves every segment as it was.
+    """
+
+    def __init__(self, slab: Slab, rows, segments: list[Segment], n: int):
+        self.slab = slab
+        self.rows = rows  # a slice when the rows are consecutive, else a list
+        self.segments = segments
+        self.start = segments[0].filled  # committed slots of every segment
+        self.n = n
+
+    def stage(self, layer: int, offset: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store one layer's k/v [rows, m, n_heads, d_k] at the new slots
+        offset..offset+m."""
+        if not 0 <= offset <= offset + k.shape[1] <= self.n:
+            raise CacheConsistencyError(
+                f"cannot stage slots {offset}..{offset + k.shape[1]} of {self.n} new ones"
+            )
+        at = slice(self.start + offset, self.start + offset + k.shape[1])
+        self.slab.k[layer, self.rows, at] = k
+        self.slab.v[layer, self.rows, at] = v
+
+    def keys(self, layer: int, end: int) -> np.ndarray:
+        """Keys of slots [0, end) at one layer, staged ones included,
+        [rows, end, n_heads, d_k]: a view when the rows are consecutive
+        (every row of the slab in order, or one row), else a copy."""
+        return self.slab.k[layer, self.rows, :end]
+
+    def values(self, layer: int, end: int) -> np.ndarray:
+        return self.slab.v[layer, self.rows, :end]
+
+    def commit(self, positions, thoughts) -> None:
+        """The staged slots become written slots.
+
+        ``positions`` holds one position for every new slot or one per
+        slot (shared by the rows); ``thoughts`` one thought index for every
+        row or one per row (shared by the slots).
+        """
+        positions, thoughts = np.asarray(positions), np.asarray(thoughts)
+        if positions.shape not in ((), (self.n,)) or thoughts.shape not in (
+            (), (len(self.segments),)
+        ):
+            raise CacheConsistencyError(
+                f"commit of {self.n} slots x {len(self.segments)} rows got positions"
+                f" {positions.shape} and thoughts {thoughts.shape}"
+            )
+        if any(seg.filled != self.start for seg in self.segments):
+            raise CacheConsistencyError("segments were written since their rows were taken")
+        at = slice(self.start, self.start + self.n)
+        self.slab.positions[self.rows, at] = positions
+        self.slab.thoughts[self.rows, at] = thoughts.reshape(-1, 1)
+        for seg in self.segments:
+            seg.filled += self.n
+
+
 class PagedKVCache:
     """Per-segment contiguous storage; the reasoning paths share one slab.
 
@@ -137,9 +168,10 @@ class PagedKVCache:
         return Slab(self.n_layers, rows, capacity, self.n_heads, self.d_k)
 
     def table(self, segment: str) -> Segment:
+        """The segment; one that was never reserved has no storage."""
         seg = self.tables.get(segment)
         if seg is None:
-            seg = Segment(segment, self._slab(1, 0), growable=True)
+            seg = Segment(segment, self._slab(1, 0))
             self.tables[segment] = seg
         return seg
 
@@ -152,7 +184,7 @@ class PagedKVCache:
         seg = self.table(segment)
         if seg.filled:
             raise LifecycleError(f"segment {segment!r} already holds {seg.filled} slots")
-        seg.slab, seg.row, seg.growable = self._slab(1, capacity), 0, False
+        seg.slab, seg.row = self._slab(1, capacity), 0
         return seg
 
     def reserve_paths(self, num_paths: int, capacity: int) -> Slab:
@@ -164,7 +196,7 @@ class PagedKVCache:
         slab = self._slab(num_paths, capacity)
         for i in range(num_paths):
             seg = self.table(path_key(i))
-            seg.slab, seg.row, seg.growable = slab, i, False
+            seg.slab, seg.row = slab, i
         self.paths = slab
         return slab
 
@@ -172,29 +204,33 @@ class PagedKVCache:
         seg = self.tables.get(segment)
         return seg.filled if seg is not None else 0
 
-    def _room(self, seg: Segment, extra: int = 1) -> None:
-        if seg.filled + extra <= seg.slab.capacity:
-            return
-        if not seg.growable:
-            raise CacheConsistencyError(
-                f"segment {seg.owner!r} is full at its reserved {seg.slab.capacity} slots"
-            )
-        old, n = seg.slab, seg.filled
-        seg.slab = self._slab(1, max(GROWTH_SLOTS, 2 * n, n + extra))
-        seg.slab.k[:, 0, :n] = old.k[:, 0, :n]
-        seg.slab.v[:, 0, :n] = old.v[:, 0, :n]
-        seg.slab.positions[0, :n] = old.positions[0, :n]
-        seg.slab.thoughts[0, :n] = old.thoughts[0, :n]
+    def rows(self, segments, n: int) -> Rows:
+        """Write handle for ``n`` new slots of each of ``segments``.
 
-    def make_room(self, segment: str, n: int) -> Segment:
-        """The segment, with storage for ``n`` slots past its written ones.
-
-        A reserved segment without that room raises; the caller stages the
-        slots' k/v in it and commits them (``Segment.stage``/``commit``).
+        Checks everything before anything is written: the segments are
+        distinct, share one slab, hold equally many slots, and have room
+        for ``n`` more in their reserved storage.
         """
-        seg = self.table(segment)
-        self._room(seg, n)
-        return seg
+        segs = [self.tables.get(name) for name in segments]
+        if not segs or n < 1 or len(set(segments)) != len(segs):
+            raise CacheConsistencyError(f"cannot write {n} slots to segments {segments}")
+        for name, seg in zip(segments, segs):
+            if seg is None or seg.slab.capacity == 0:
+                raise CacheConsistencyError(f"segment {name!r} was never reserved")
+        slab, start = segs[0].slab, segs[0].filled
+        if any(seg.slab is not slab for seg in segs):
+            raise CacheConsistencyError("batched segments must share one slab")
+        if any(seg.filled != start for seg in segs):
+            raise CacheConsistencyError("batched segments differ in length")
+        if start + n > slab.capacity:
+            raise CacheConsistencyError(
+                f"segments {segments} are full at their reserved {slab.capacity} slots"
+                f" ({start} written, {n} more asked for)"
+            )
+        rows = [seg.row for seg in segs]
+        if rows == list(range(rows[0], rows[0] + len(rows))):
+            rows = slice(rows[0], rows[0] + len(rows))
+        return Rows(slab, rows, segs, n)
 
     def append(
         self, segment: str, k: np.ndarray, v: np.ndarray, position: int, j: int
@@ -205,89 +241,16 @@ class PagedKVCache:
             raise CacheConsistencyError(
                 f"entry shape {k.shape} does not match cache dims {expected}"
             )
-        seg = self.table(segment)
-        self._room(seg)
-        s, r, index = seg.slab, seg.row, seg.filled
-        s.k[:, r, index] = k
-        s.v[:, r, index] = v
-        s.positions[r, index] = position
-        s.thoughts[r, index] = j
-        seg.filled += 1
-        return SlotAddress(segment, index)
+        rows = self.rows([segment], 1)
+        for layer in range(self.n_layers):
+            rows.stage(layer, 0, k[layer][None, None], v[layer][None, None])
+        rows.commit(position, j)
+        return SlotAddress(segment, rows.start)
 
-    def _path_rows(self, segments) -> list[int] | slice:
-        """Slab rows of ``segments``: all rows as a slice, else a row list."""
-        slab = self.paths
-        segs = [self.tables.get(name) for name in segments]
-        if slab is None or any(seg is None or seg.slab is not slab for seg in segs):
-            raise CacheConsistencyError("batched rows must be reserved path segments")
-        rows = [seg.row for seg in segs]
-        if rows == list(range(slab.k.shape[1])):
-            return slice(None)
-        return rows
-
-    def append_paths(
-        self, segments, k: np.ndarray, v: np.ndarray, position: int, thoughts
-    ) -> None:
-        """Write one slot to each of several path segments of equal length.
-
-        k and v are [n_layers, n, n_heads, d_k], row r going to segments[r].
-        """
-        expected = (self.n_layers, len(segments), self.n_heads, self.d_k)
-        if k.shape != expected or v.shape != expected:
-            raise CacheConsistencyError(
-                f"entry shape {k.shape} does not match cache dims {expected}"
-            )
-        rows = self._path_rows(segments)
-        index = self.length(segments[0])
-        if any(self.length(name) != index for name in segments):
-            raise CacheConsistencyError("batched path segments differ in length")
-        if index >= self.paths.capacity:
-            raise CacheConsistencyError(
-                f"path segments are full at their reserved {index} slots"
-            )
-        s = self.paths
-        s.k[:, rows, index] = k
-        s.v[:, rows, index] = v
-        s.positions[rows, index] = position
-        s.thoughts[rows, index] = thoughts
-        for name in segments:
-            self.tables[name].filled += 1
-
-    def gather(self, segments: list[str] | tuple[str, ...], layer: int):
-        """(K, V, positions) over segments, in segment order.
-
-        A single segment comes back as views of its storage; several are
-        concatenated into new arrays.
-        """
-        parts = [self.tables[s] for s in segments if self.length(s)]
-        if len(parts) == 1:
-            seg = parts[0]
-            return seg.keys(layer), seg.values(layer), seg.positions()
-        if not parts:
-            shape = (0, self.n_heads, self.d_k)
-            return (
-                np.zeros(shape, dtype=np.float32),
-                np.zeros(shape, dtype=np.float32),
-                np.zeros(0, dtype=np.int64),
-            )
-        return (
-            np.concatenate([seg.keys(layer) for seg in parts]),
-            np.concatenate([seg.values(layer) for seg in parts]),
-            np.concatenate([seg.positions() for seg in parts]),
-        )
-
-    def gather_paths(self, segments, layer: int, length: int):
-        """(K, V) of several path segments, each [n, length, n_heads, d_k].
-
-        Every path row of the slab in order comes back as a view; a subset
-        of rows is copied out.
-        """
-        rows = self._path_rows(segments)
-        if any(self.length(name) < length for name in segments):
-            raise CacheConsistencyError(f"path segments hold fewer than {length} slots")
-        s = self.paths
-        return s.k[layer, rows, :length], s.v[layer, rows, :length]
+    def gather(self, segment: str, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """(K, V) of one segment's written slots at one layer; views."""
+        seg = self.tables[segment]
+        return seg.keys(layer), seg.values(layer)
 
     def debug_tables(self) -> str:
         """JSON dump of the segment structure, for lifecycle tests."""

@@ -24,6 +24,13 @@ block (``_decode_rows``), so each weight matrix is read once per block:
   positions; its logits match one ``forward_step`` per slot within
   float32 rounding.
 
+Both passes write the cache the same way: they take one write handle
+(``PagedKVCache.rows``) for their new slots before the first layer, stage
+each layer's new k/v straight into the reserved storage past the
+committed slots, and commit the slots only after the logits are
+computed.  Staged slots are invisible to every other reader, so a pass
+that raises leaves the cache at the length it had.
+
 Weight file format ("PTW1", little-endian):
   magic (4 bytes), then the config as eight uint32 values in order
   (n_layers, d_model, n_heads, d_k, d_ff, vocab_size, rope_base,
@@ -448,10 +455,10 @@ def forward_paths(
     rows must share one position and one visible set apart from their own
     segment; the active paths of a reasoning step under the shared
     position scheme do.  Each row attends over the shared segments (one
-    product for all rows), then its own segment (one product over the
-    rows of the cache's path slab), then its own new slot.  Nothing is
-    written until every row's logits are computed, so a call that raises
-    leaves the cache as it was.
+    product for all rows), then its own segment's committed slots (one
+    product over the rows of the cache's path slab), then its own new
+    slot.  The new slots are staged layer by layer and committed after
+    the logits, so a call that raises leaves the cache as it was.
     """
     cfg = weights.config
     n = len(slots)
@@ -459,18 +466,14 @@ def forward_paths(
         raise DataError(f"need one token per slot, got {len(tokens)} for {n} slots")
     _check_tokens(cfg, tokens)
     owns = [slot.segment for slot in slots]
-    if len(set(owns)) != n:
-        raise CacheConsistencyError(f"one slot per segment per step, got {owns}")
-    index = slots[0].index
-    for slot in slots:
-        if slot.index != cache.length(slot.segment):
-            raise CacheConsistencyError(
-                f"slot {slot} does not extend segment (filled={cache.length(slot.segment)})"
-            )
-    position = layout.position(slots[0])
+    rows = cache.rows(owns, 1)  # distinct segments of one slab, equally long
+    index = rows.start
+    position = layout.position(SlotAddress(owns[0], index))
     shared = [seg for seg in layout.visible_segments(owns[0]) if seg != owns[0]]
-    for slot in slots[1:]:
-        if slot.index != index or layout.position(slot) != position:
+    for slot in slots:
+        if slot.index != index:
+            raise CacheConsistencyError(f"slot {slot} does not extend segment (filled={index})")
+        if layout.position(slot) != position:
             raise CacheConsistencyError("batched slots must share one position")
         mine = [seg for seg in layout.visible_segments(slot.segment) if seg != slot.segment]
         if mine != shared:
@@ -484,36 +487,25 @@ def forward_paths(
     # gives each row the same bits at any block height, so a path's logits
     # equal its single-path replay's and a greedy replay cannot flip.
     width = max(n, 2)
-    k_new = np.empty((cfg.n_layers, n, cfg.n_heads, cfg.d_k), dtype=np.float32)
-    v_new = np.empty_like(k_new)
 
     def attention(li, q, k, v):
-        k_new[li] = k[:n]
-        v_new[li] = v[:n]
+        rows.stage(li, 0, k[:n, None], v[:n, None])
         keys, values = [], []
         for seg in shared:
-            seg_k, seg_v, _ = cache.gather([seg], li)
+            seg_k, seg_v = cache.gather(seg, li)
             keys.append(seg_k)
             values.append(seg_v)
         if index:  # the rows' own segments, scored row by row at any width
-            if n == 1:
-                own_k, own_v, _ = cache.gather(owns, li)
-                own_k, own_v = own_k[None], own_v[None]
-            else:
-                own_k, own_v = cache.gather_paths(owns, li, index)
-            keys.append(own_k)
-            values.append(own_v)
+            keys.append(rows.keys(li, index))
+            values.append(rows.values(li, index))
         keys.append(k[:, None])
         values.append(v[:, None])
         return attend(q, keys, values, cfg.d_k)
 
-    rows = list(tokens) * (width // n)
-    x = _decode_rows(weights, table, rows, js * (width // n), position, attention)
+    tokens = list(tokens) * (width // n)
+    x = _decode_rows(weights, table, tokens, js * (width // n), position, attention)
     logits = _head(weights, x)[:n]
-    if n == 1:
-        cache.append(owns[0], k_new[:, 0], v_new[:, 0], position, js[0])
-    else:
-        cache.append_paths(owns, k_new, v_new, position, js)
+    rows.commit(position, js)
     return logits
 
 
@@ -528,8 +520,9 @@ def forward_step(
     """Decode one token at ``slot``: returns next-token logits.
 
     The one-row case of ``forward_paths``: attends over the layout's
-    visible segments (stored slots first, this slot last), then appends
-    the slot's augmented k/v stacks to its segment.
+    visible segments (stored slots first, this slot last), staging the
+    slot's augmented k/v stacks in its segment and committing them after
+    the logits.
     """
     return forward_paths(weights, table, cache, layout, [token], [slot])[0]
 
@@ -547,13 +540,14 @@ def forward_causal(
     one segment; returns the last ``keep`` rows' logits, [keep, vocab].
 
     The rows run in causal blocks of ``CAUSAL_CHUNK``.  A block's k/v are
-    staged in the segment's storage, and its rows attend over the other
-    visible segments and over their own segment up to and including
-    themselves, in one masked product against a view of that storage, so
-    the scores never exceed [CAUSAL_CHUNK, n_heads, length].  Every token
-    id, position and visible length is checked before anything is
-    staged, and the slots count as written only after the last block, so
-    a call that raises leaves the segment at the length it had.
+    staged in the segment's reserved storage, and its rows attend over
+    the other visible segments and over their own segment up to and
+    including themselves, in one masked product against a view of that
+    storage, so the scores never exceed [CAUSAL_CHUNK, n_heads, length].
+    Every token id, position, visible length and the segment's room are
+    checked before anything is staged, and the slots are committed only
+    after the last block, so a call that raises leaves the segment at the
+    length it had.
     """
     cfg = weights.config
     n = len(tokens)
@@ -572,17 +566,17 @@ def forward_causal(
     others = [seg for seg in layout.visible_segments(owner) if seg != owner]
     others = _visible_others(layout, cache, others)
     j = layout.thought_index(owner)
-    seg = cache.make_room(owner, n)
+    rows = cache.rows([owner], n)
 
     def attention(li, q, k, v):
-        seg.stage(li, index + lo, k, v)
+        rows.stage(li, lo, k[None], v[None])
         keys, values = [], []
         for other in others:
-            other_k, other_v, _ = cache.gather([other], li)
+            other_k, other_v = cache.gather(other, li)
             keys.append(other_k)
             values.append(other_v)
-        keys.append(seg.keys(li, index + hi))
-        values.append(seg.values(li, index + hi))
+        keys.append(rows.keys(li, index + hi)[0])  # the segment's own row
+        values.append(rows.values(li, index + hi)[0])
         return attend(q, keys, values, cfg.d_k, causal=True)
 
     first_kept = n - keep
@@ -592,7 +586,7 @@ def forward_causal(
         x = _decode_rows(weights, table, tokens[lo:hi], j, positions[lo:hi], attention)
         if hi > first_kept:
             kept.append(_head(weights, x[max(first_kept - lo, 0) :]))
-    seg.commit(positions, j)
+    rows.commit(positions, j)
     return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 

@@ -141,6 +141,9 @@ def test_criterion_02_zero_reprefill_equivalence(small_weights, small_table, voc
 
             # full recompute: fresh cache, same tokens/positions/thought rows
             cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+            cache.reserve(PROMPT, len(prompt))
+            cache.reserve_paths(num_paths, budget.max_path_tokens + 2)
+            cache.reserve(ANSWER, len(session.answer_tokens))
             replay = session.reasoning_layout(budget)
             prefill(small_weights, small_table, cache, replay, prompt)
             for path in session.paths:

@@ -111,19 +111,6 @@ class TestCostModel:
         assert "ratio_vs_P1" in printed
         assert os.path.exists(os.path.join(out, "records.csv"))
 
-    def test_measure_prints_but_never_records(self, tmp_path, capsys):
-        out = str(tmp_path / "cost")
-        code = run_cli(
-            [
-                "costmodel", "--paths-list", "1", "--lengths", "1024",
-                "--measure", "--out", out,
-            ]
-        )
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "non-normative" in printed
-        assert "non-normative" not in open(os.path.join(out, "records.csv")).read()
-
 
 class TestTerminationAliases:
     def test_short_forms_accepted(self, tmp_path):

@@ -11,7 +11,8 @@ from parcot.engine import (
     sample_token,
     session_record,
 )
-from parcot.errors import DataError
+from parcot import harness
+from parcot.errors import ConfigError, DataError
 from parcot.harness import (
     DEFAULT_PREFIX_GRID,
     ModelBundle,
@@ -40,6 +41,19 @@ def prompt(vocab):
 
 
 SAMPLER = SamplerConfig(temperature=0.9, seed=5)
+
+
+def count_calls(monkeypatch, name):
+    """Record each call of ``harness.<name>``; returns the list of calls."""
+    calls = []
+    original = getattr(harness, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, counted)
+    return calls
 
 
 class TestSeeds:
@@ -85,19 +99,29 @@ class TestBudgetSweep:
         )
         assert stored["record"] == session_record(direct)
 
-    def test_worker_pool_merges_deterministically(self, bundle, prompt):
-        kwargs = dict(
-            prompts=[prompt], budgets=[4, 6], paths_list=[1, 2], sampler=SAMPLER, seed=2
-        )
-        serial = run_budget_sweep(bundle, **kwargs, workers=1)
-        threaded = run_budget_sweep(bundle, **kwargs, workers=3)
-        assert serial == threaded
-
     def test_split_needs_enough_budget(self, bundle, prompt):
         with pytest.raises(DataError):
             run_budget_sweep(
                 bundle, [prompt], budgets=[2], paths_list=[4], sampler=SAMPLER
             )
+
+    def test_whole_grid_checked_before_the_first_session(
+        self, bundle, prompt, monkeypatch
+    ):
+        sessions = count_calls(monkeypatch, "run_session")
+        with pytest.raises(DataError):  # the second budget cannot be split
+            run_budget_sweep(
+                bundle, [prompt], budgets=[8, 2], paths_list=[4], sampler=SAMPLER
+            )
+        assert sessions == []
+
+    def test_only_one_worker(self, bundle, prompt, monkeypatch):
+        sessions = count_calls(monkeypatch, "run_session")
+        with pytest.raises(ConfigError):
+            run_budget_sweep(
+                bundle, [prompt], budgets=[4], paths_list=[1], sampler=SAMPLER, workers=2
+            )
+        assert sessions == []
 
 
 class TestPrefixRecovery:
@@ -168,6 +192,22 @@ class TestPrefixRecovery:
                 prefix_lengths=(3,), samples=1,
             )
 
+    @pytest.mark.parametrize("bodies, budget", [
+        ([[70, 71, 72], [70]], 8),  # the second trace is too short for prefix 2
+        ([[70, 71, 72, 73, 74]], 4),  # prefix 4 leaves no budget
+    ])
+    def test_whole_grid_checked_before_the_first_session(
+        self, bundle, prompt, monkeypatch, bodies, budget
+    ):
+        sessions = count_calls(monkeypatch, "GenerationSession")
+        traces = [{"prompt": prompt, "body": body} for body in bodies]
+        with pytest.raises(DataError):
+            run_prefix_recovery(
+                bundle, traces, GenerationBudget(budget, 2), SAMPLER, target_token=1,
+                prefix_lengths=(0, 2, 4) if budget == 4 else (0, 2), samples=1,
+            )
+        assert sessions == []
+
 
 class TestTerminationComparison:
     def test_stop_step_ordering_under_shared_seeds(self, bundle, prompt):
@@ -229,6 +269,7 @@ def per_token_reprefill(bundle, session, sampler):
 
     def feed(fed):
         cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        cache.reserve("seq", len(layout.flat_positions))
         logits = [
             forward_step(bundle.weights, zero, cache, layout, token, SlotAddress("seq", t))
             for t, token in enumerate(fed)

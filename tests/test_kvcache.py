@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parcot.errors import CacheConsistencyError, LifecycleError
-from parcot.kvcache import GROWTH_SLOTS, PagedKVCache, assemble_summary_view
+from parcot.kvcache import PagedKVCache, assemble_summary_view
 from parcot.masking import REASONING, SUMMARIZATION, LayoutPlan
 from parcot.positional import ANSWER, PROMPT, path_key
 
@@ -28,25 +28,25 @@ def entry():
 class TestAppendRead:
     def test_round_trip(self):
         cache = make_cache()
+        cache.reserve(PROMPT, 1)
         k, v = entry()
         addr = cache.append(PROMPT, k, v, position=7, j=3)
         got_k, got_v, pos, j = cache.tables[PROMPT].read(addr.index)
         assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
         assert (pos, j) == (7, 3)
 
-    def test_seventeen_appends_grow_an_unreserved_segment(self):
+    def test_write_to_an_unreserved_segment_raises(self):
         cache = make_cache()
-        ks = []
-        for t in range(GROWTH_SLOTS + 1):
-            k, v = entry()
-            cache.append(PROMPT, k, v, position=t + 1, j=0)
-            ks.append(k)
-        table = cache.tables[PROMPT]
-        assert table.slab.capacity == 2 * GROWTH_SLOTS
-        assert cache.length(PROMPT) == GROWTH_SLOTS + 1
-        for t, k in enumerate(ks):  # growing kept every earlier slot
-            assert np.array_equal(table.read(t)[0], k)
-        assert table.positions().tolist() == list(range(1, GROWTH_SLOTS + 2))
+        k, v = entry()
+        with pytest.raises(CacheConsistencyError):
+            cache.append(PROMPT, k, v, position=1, j=0)
+        with pytest.raises(CacheConsistencyError):
+            cache.rows([path_key(0)], 1)
+        assert cache.length(PROMPT) == 0
+        cache.table(ANSWER)  # known to a summary view, still without storage
+        with pytest.raises(CacheConsistencyError):
+            cache.append(ANSWER, k, v, position=1, j=0)
+        assert cache.length(ANSWER) == 0
 
     def test_interleaved_appends_stay_per_path(self):
         cache = make_cache()
@@ -86,6 +86,7 @@ class TestAppendRead:
 
     def test_reserve_rejects_a_written_segment(self):
         cache = make_cache()
+        cache.reserve(PROMPT, 1)
         k, v = entry()
         cache.append(PROMPT, k, v, 1, 0)
         with pytest.raises(LifecycleError):
@@ -96,6 +97,7 @@ class TestAppendRead:
 
     def test_read_past_fill_rejected(self):
         cache = make_cache()
+        cache.reserve(PROMPT, 1)
         k, v = entry()
         cache.append(PROMPT, k, v, 1, 0)
         with pytest.raises(CacheConsistencyError):
@@ -103,40 +105,63 @@ class TestAppendRead:
 
 
 class TestGather:
-    def test_order_across_segments_and_growth(self):
-        cache = make_cache()
-        ks = []
-        for t in range(GROWTH_SLOTS + 1):
-            k, v = entry()
-            cache.append(PROMPT, k, v, t + 1, 0)
-            ks.append(k)
-        for t in range(3):
-            k, v = entry()
-            cache.append(path_key(0), k, v, GROWTH_SLOTS + 2 + t, 1)
-            ks.append(k)
-        gathered_k, _, positions = cache.gather([PROMPT, path_key(0)], layer=1)
-        want = np.stack([k[1] for k in ks])
-        assert np.array_equal(gathered_k, want)
-        assert positions.tolist() == list(range(1, GROWTH_SLOTS + 5))
-
     def test_single_segment_comes_back_as_views(self):
         cache = make_cache()
         cache.reserve(PROMPT, 4)
         for t in range(3):
             k, v = entry()
             cache.append(PROMPT, k, v, t + 1, 0)
-        keys, values, _ = cache.gather([PROMPT], layer=0)
+        keys, values = cache.gather(PROMPT, layer=0)
         storage = cache.tables[PROMPT].slab
         assert keys.shape == (3, DIMS["n_heads"], DIMS["d_k"])
         assert keys.base is storage.k and values.base is storage.v
 
 
-    def test_empty_segments_skipped(self):
+def block(rows, m):
+    """k (or v) for ``m`` new slots of ``rows`` segments at one layer."""
+    return RNG.standard_normal((rows, m, DIMS["n_heads"], DIMS["d_k"])).astype(np.float32)
+
+
+class TestRows:
+    def test_staged_slots_are_invisible_until_commit(self):
         cache = make_cache()
+        cache.reserve(PROMPT, 5)
         k, v = entry()
         cache.append(PROMPT, k, v, 1, 0)
-        gathered_k, _, positions = cache.gather([PROMPT, path_key(0)], layer=0)
-        assert gathered_k.shape[0] == 1 and positions.tolist() == [1]
+        held = cache.tables[PROMPT].content_hash()
+        rows = cache.rows([PROMPT], 3)
+        staged = [(block(1, 3), block(1, 3)) for _ in range(DIMS["n_layers"])]
+        for layer, (k3, v3) in enumerate(staged):
+            rows.stage(layer, 0, k3[:, :2], v3[:, :2])
+            rows.stage(layer, 2, k3[:, 2:], v3[:, 2:])
+        assert cache.length(PROMPT) == 1
+        assert cache.gather(PROMPT, 0)[0].shape[0] == 1
+        assert cache.tables[PROMPT].content_hash() == held
+        # the writing pass reads its own staged slots back
+        assert np.array_equal(rows.keys(1, 4)[0, 1:], staged[1][0][0])
+        assert np.array_equal(rows.values(0, 4)[0, 1:], staged[0][1][0])
+        rows.commit([2, 3, 4], 0)
+        assert cache.length(PROMPT) == 4
+        keys, values = cache.gather(PROMPT, 1)
+        assert np.array_equal(keys[1:], staged[1][0][0])
+        assert np.array_equal(values[1:], staged[1][1][0])
+        assert cache.tables[PROMPT].positions().tolist() == [1, 2, 3, 4]
+
+    def test_mismatched_commit_raises(self):
+        cache = make_cache()
+        cache.reserve_paths(2, 4)
+        rows = cache.rows([path_key(0), path_key(1)], 2)
+        with pytest.raises(CacheConsistencyError):  # three positions for two slots
+            rows.commit([5, 6, 7], [1, 2])
+        with pytest.raises(CacheConsistencyError):  # one thought index short
+            rows.commit([5, 6], [1])
+        with pytest.raises(CacheConsistencyError):  # past the new slots
+            rows.stage(0, 1, block(2, 2), block(2, 2))
+        assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
+        rows.commit([5, 6], [1, 2])
+        with pytest.raises(CacheConsistencyError):  # committed once already
+            rows.commit([5, 6], [1, 2])
+        assert [cache.length(path_key(i)) for i in range(2)] == [2, 2]
 
 
 class TestPathSlab:
@@ -144,43 +169,62 @@ class TestPathSlab:
         cache = make_cache()
         slab = cache.reserve_paths(3, 4)
         segments = [path_key(i) for i in range(3)]
-        shape = (DIMS["n_layers"], 3, DIMS["n_heads"], DIMS["d_k"])
         written = []
         for t in range(2):
-            k = RNG.standard_normal(shape).astype(np.float32)
-            cache.append_paths(segments, k, k + 1, position=10 + t, thoughts=[1, 2, 3])
+            rows = cache.rows(segments, 1)
+            k = [block(3, 1) for _ in range(DIMS["n_layers"])]
+            for layer in range(DIMS["n_layers"]):
+                rows.stage(layer, 0, k[layer], k[layer] + 1)
+            rows.commit(10 + t, [1, 2, 3])
             written.append(k)
         for i in range(3):
             got_k, got_v, pos, j = cache.tables[path_key(i)].read(1)
-            assert np.array_equal(got_k, written[1][:, i])
-            assert np.array_equal(got_v, written[1][:, i] + 1)
+            for layer in range(DIMS["n_layers"]):
+                assert np.array_equal(got_k[layer], written[1][layer][i, 0])
+                assert np.array_equal(got_v[layer], written[1][layer][i, 0] + 1)
             assert (pos, j) == (11, i + 1)
-        # every row in order: views of the slab; a subset: copied rows
-        keys, values = cache.gather_paths(segments, layer=1, length=2)
+        # every row in order, or one row: views of the slab; a subset: copied
+        rows = cache.rows(segments, 1)
+        keys, values = rows.keys(1, 2), rows.values(1, 2)
         assert keys.shape == (3, 2, DIMS["n_heads"], DIMS["d_k"])
         assert keys.base is slab.k and values.base is slab.v
-        sub_k, _ = cache.gather_paths([path_key(2), path_key(0)], layer=1, length=2)
+        one = cache.rows([path_key(1)], 1).keys(1, 2)
+        assert one.base is slab.k and np.array_equal(one[0], keys[1])
+        subset = cache.rows([path_key(2), path_key(0)], 1)
+        sub_k = subset.keys(1, 2)
         assert np.array_equal(sub_k, keys[[2, 0]])
         assert not np.shares_memory(sub_k, slab.k)
+        # a subset of rows writes only its own rows
+        subset.stage(0, 0, block(2, 1), block(2, 1))
+        subset.commit(12, [3, 1])
+        assert [cache.length(path_key(i)) for i in range(3)] == [3, 2, 3]
+        assert cache.tables[path_key(2)].read(2)[3] == 3
 
     def test_rows_must_be_reserved_and_in_step(self):
         cache = make_cache()
-        shape = (DIMS["n_layers"], 2, DIMS["n_heads"], DIMS["d_k"])
-        k = np.zeros(shape, dtype=np.float32)
-        with pytest.raises(CacheConsistencyError):
-            cache.append_paths([path_key(0), path_key(1)], k, k, 5, [1, 2])
+        one = np.zeros((DIMS["n_layers"], DIMS["n_heads"], DIMS["d_k"]), dtype=np.float32)
+        pair = [path_key(0), path_key(1)]
+        with pytest.raises(CacheConsistencyError):  # never reserved
+            cache.rows(pair, 1)
+        cache.reserve(PROMPT, 4)
         cache.reserve_paths(2, 1)
-        one = np.zeros(shape[:1] + shape[2:], dtype=np.float32)
+        with pytest.raises(CacheConsistencyError):  # two slabs
+            cache.rows([PROMPT, path_key(0)], 1)
+        with pytest.raises(CacheConsistencyError):  # one segment twice
+            cache.rows([path_key(0), path_key(0)], 1)
         cache.append(path_key(0), one, one, 5, 1)
         with pytest.raises(CacheConsistencyError):  # unequal lengths
-            cache.append_paths([path_key(0), path_key(1)], k, k, 6, [1, 2])
+            cache.rows(pair, 1)
         cache.append(path_key(1), one, one, 5, 2)
         with pytest.raises(CacheConsistencyError):  # full
-            cache.append_paths([path_key(0), path_key(1)], k, k, 6, [1, 2])
+            cache.rows(pair, 1)
         assert [cache.length(path_key(i)) for i in range(2)] == [1, 1]
 
 
-def fill_session_like(cache, l_x=3, path_lengths=(4, 4), answer=0):
+def fill_session_like(cache, l_x=3, path_lengths=(4, 4)):
+    cache.reserve(PROMPT, l_x)
+    if cache.paths is None:
+        cache.reserve_paths(len(path_lengths), max(path_lengths))
     for t in range(l_x):
         k, v = entry()
         cache.append(PROMPT, k, v, t + 1, 0)
@@ -188,9 +232,6 @@ def fill_session_like(cache, l_x=3, path_lengths=(4, 4), answer=0):
         for t in range(length):
             k, v = entry()
             cache.append(path_key(i), k, v, l_x + t + 1, i + 1)
-    for t in range(answer):
-        k, v = entry()
-        cache.append(ANSWER, k, v, l_x + max(path_lengths) + t + 1, 0)
 
 
 class TestSummaryView:
@@ -212,9 +253,8 @@ class TestSummaryView:
 
     def test_zero_copy_storage_identity(self):
         cache = make_cache()
-        cache.reserve(PROMPT, 3)
-        slab = cache.reserve_paths(2, 4)
         fill_session_like(cache, l_x=3, path_lengths=(4, 4))
+        slab = cache.paths
         prompt_storage = cache.tables[PROMPT].slab
         layout = LayoutPlan(3, (4, 4), 0, SUMMARIZATION)
         view = assemble_summary_view(cache, layout)
@@ -254,5 +294,5 @@ class TestDebugDump:
         cache.reserve_paths(1, 4)
         fill_session_like(cache, l_x=3, path_lengths=(2,))
         dump = json.loads(cache.debug_tables())
-        assert dump["tables"][PROMPT] == {"capacity": GROWTH_SLOTS, "filled": 3, "path_row": None}
+        assert dump["tables"][PROMPT] == {"capacity": 3, "filled": 3, "path_row": None}
         assert dump["tables"][path_key(0)] == {"capacity": 4, "filled": 2, "path_row": 0}

@@ -51,8 +51,12 @@ def reasoning_layout(l_x, labels, l_max=16):
     )
 
 
-def fresh_cache(cfg):
-    return PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+def fresh_cache(cfg, slots=1024):
+    """A cache with storage reserved for every segment these tests write."""
+    cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+    for segment in (PROMPT, path_key(0), path_key(1), "seq"):
+        cache.reserve(segment, slots)
+    return cache
 
 
 class TestConfig:
