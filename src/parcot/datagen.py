@@ -25,7 +25,7 @@ from .errors import DataError, FormatError, LayoutError
 from .masking import REASONING, AttentionMask, LayoutPlan
 # perfbench/instrument.py wraps these two by name in this module's namespace
 from .masking import build_reasoning_mask, build_summary_mask  # noqa: F401
-from .positional import ANSWER, PROMPT, SHARED, PositionAssignment, assign_position, path_key
+from .positional import ANSWER, PROMPT, SHARED, PositionAssignment, path_key
 from .tokenizer import Vocab, encode, sample_think_tokens
 
 SCHEMA_FORMAT = "ptsft-1"
@@ -134,16 +134,10 @@ def parse_sample(tokens, vocab: Vocab) -> ParsedSample:
     paths: list[tuple[int, tuple[int, ...]]] = []
     seen_labels: set[int] = set()
 
-    def control_kind(token: int) -> str | None:
-        if vocab.think_open_label(token) is not None:
-            return "think_open"
-        if vocab.think_close_label(token) is not None:
-            return "think_close"
-        if token == vocab.summary_open:
-            return "summary_open"
-        if token == vocab.summary_close:
-            return "summary_close"
-        return None
+    # THINK_OPEN, THINK_CLOSE, SUMMARY_OPEN and SUMMARY_CLOSE are the ids
+    # [base_size, eos); a body may hold EOS and PAD (an engine path that
+    # stops on EOS serializes as ... EOS THINK_CLOSE)
+    control_lo, control_hi = vocab.base_size, vocab.eos
 
     while pos < n:
         label = vocab.think_open_label(tokens[pos])
@@ -156,7 +150,7 @@ def parse_sample(tokens, vocab: Vocab) -> ParsedSample:
         pos += 1
         body: list[int] = []
         while pos < n and tokens[pos] != close_id:
-            if control_kind(tokens[pos]) is not None:
+            if control_lo <= tokens[pos] < control_hi:
                 raise FormatError(
                     f"unexpected control token inside path {label}", offset=pos
                 )
@@ -174,7 +168,7 @@ def parse_sample(tokens, vocab: Vocab) -> ParsedSample:
     pos += 1
     answer: list[int] = []
     while pos < n and tokens[pos] != vocab.summary_close:
-        if control_kind(tokens[pos]) is not None:
+        if control_lo <= tokens[pos] < control_hi:
             raise FormatError("unexpected control token inside the summary", offset=pos)
         answer.append(tokens[pos])
         pos += 1
@@ -210,36 +204,29 @@ def training_layout(
     mask, answer rows the summarization mask, so answer rows see the PAD
     slots of shorter paths and path rows never see another path's slots
     or pads.  Positions follow the shared scheme (the t-th token of every
-    path gets the same position).
+    path gets the same position); like the thought indices, they are
+    built one segment range at a time (``PositionAssignment.positions``).
     """
     parsed = parse_sample(sample.tokens, vocab)
     prompt_ids = encode(sample.query, vocab, markup=False)
     l_x = len(prompt_ids)
-    seg_lens = [len(body) + 2 for _, body in parsed.paths]
-    l_seg = max(seg_lens)
+    l_seg = max(len(body) + 2 for _, body in parsed.paths)
 
     tokens: list[int] = list(prompt_ids)
     loss: list[int] = [0] * l_x
-    thought: list[int] = [0] * l_x
     segments: list[dict] = [{"kind": "prompt", "start": 0, "length": l_x}]
     for label, body in parsed.paths:
-        start = len(tokens)
-        seg = [vocab.think_open(label), *body, vocab.think_close(label)]
-        pad_count = l_seg - len(seg)
-        tokens.extend(seg + [vocab.pad] * pad_count)
-        loss.extend([0] + [1] * len(body) + [1] + [0] * pad_count)
-        thought.extend([label] * l_seg)
         segments.append(
-            {"kind": "path", "label": label, "start": start, "length": l_seg}
+            {"kind": "path", "label": label, "start": len(tokens), "length": l_seg}
         )
-    answer_start = len(tokens)
-    answer_seg = [vocab.summary_open, *parsed.answer, vocab.summary_close]
-    tokens.extend(answer_seg)
+        pad_count = l_seg - len(body) - 2
+        tokens.extend([vocab.think_open(label), *body, vocab.think_close(label)])
+        tokens.extend([vocab.pad] * pad_count)
+        loss.extend([0] + [1] * len(body) + [1] + [0] * pad_count)
+    answer_len = len(parsed.answer) + 2
+    segments.append({"kind": "answer", "start": len(tokens), "length": answer_len})
+    tokens.extend([vocab.summary_open, *parsed.answer, vocab.summary_close])
     loss.extend([0] + [1] * len(parsed.answer) + [1])
-    thought.extend([0] * len(answer_seg))
-    segments.append(
-        {"kind": "answer", "start": answer_start, "length": len(answer_seg)}
-    )
 
     if len(tokens) > max_context:
         raise LayoutError(
@@ -250,25 +237,22 @@ def training_layout(
     plan = LayoutPlan(
         l_x=l_x,
         path_lengths=(l_seg,) * num_paths,
-        answer_length=len(answer_seg),
+        answer_length=answer_len,
         stage=REASONING,
     )
     assignment = PositionAssignment(
         SHARED, l_x=l_x, l_max=l_seg, num_paths=num_paths, reasoning_len=l_seg
     )
-    positions = np.empty(len(tokens), dtype=np.int64)
-    for t in range(l_x):
-        positions[t] = assign_position(assignment, PROMPT, t + 1)
-    for i in range(num_paths):
-        for off, t in enumerate(plan.path_slots(i)):
-            positions[t] = assign_position(assignment, path_key(i), off + 1)
-    for off, t in enumerate(plan.answer_slots()):
-        positions[t] = assign_position(assignment, ANSWER, off + 1)
+    keys = (PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER)
+    lengths = (l_x, *plan.path_lengths, answer_len)
+    thoughts = [0, *(label for label, _ in parsed.paths), 0]  # one per segment
 
     return TrainingLayout(
         tokens=np.asarray(tokens, dtype=np.int64),
-        positions=positions,
-        thought_indices=np.asarray(thought, dtype=np.int64),
+        positions=np.concatenate(
+            [assignment.positions(seg, 0, n) for seg, n in zip(keys, lengths)]
+        ),
+        thought_indices=np.repeat(np.array(thoughts, dtype=np.int64), lengths),
         loss_mask=np.asarray(loss, dtype=np.int64),
         segments=tuple(segments),
         layout=plan,

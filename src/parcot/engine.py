@@ -320,8 +320,8 @@ def run_reasoning(
     strategy = Termination(strategy)
     forced = forced or {}
     layout = session.reasoning_layout(budget)
-    last_slot = SlotAddress(path_key(0), budget.max_path_tokens + 1)
-    _check_position(layout.position(last_slot), session.weights.config.max_position, "reasoning")
+    last = layout.positions(path_key(0), 0, budget.max_path_tokens + 2)[-1]
+    _check_position(last, session.weights.config.max_position, "reasoning")
     session.budget = budget
     session.strategy = strategy
     session.cache.reserve_paths(session.num_paths, budget.max_path_tokens + 2)
@@ -396,8 +396,8 @@ def run_summarization(
         raise ConfigError("answer budget must be non-negative")
     vocab = session.vocab
     layout = session.summary_layout()
-    last_slot = SlotAddress(ANSWER, max_answer_tokens)  # SUMMARY_OPEN comes first
-    _check_position(layout.position(last_slot), session.weights.config.max_position, "answer")
+    last = layout.positions(ANSWER, 0, max_answer_tokens + 1)[-1]  # SUMMARY_OPEN first
+    _check_position(last, session.weights.config.max_position, "answer")
     session.cache.reserve(ANSWER, max_answer_tokens + 1)
 
     def feed(token: int) -> np.ndarray:

@@ -55,7 +55,6 @@ from .positional import (
     PROMPT,
     PositionAssignment,
     ThoughtEmbeddingTable,
-    assign_position,
     init_thought_table,
     load_thought_table,
     path_key,
@@ -359,7 +358,9 @@ def run_reprefill_baseline(
     back through a vanilla model.  Records the positions it needs, the
     prefill size the cached-KV pathway avoids, the per-step logit
     divergence against the session's answer, and its own answer.
-    Position overflow is recorded as an outcome, not raised.
+    Position overflow is recorded as an outcome, not raised: it is decided
+    before either pass runs, over every position either would feed (the
+    own-answer decode may fill its whole answer budget).
     """
     if session.stage != SUMMARIZATION or not session.answer_done:
         raise LifecycleError("re-prefill baseline needs a completed session")
@@ -370,26 +371,25 @@ def run_reprefill_baseline(
     flattened = PositionAssignment(
         FLATTENED, l_x=l_x, l_max=l_max, num_paths=num_paths, reasoning_len=session.reasoning_len
     )
-
-    def positions(segment, count):
-        return [assign_position(flattened, segment, t) for t in range(1, count + 1)]
-
-    flat_tokens: list[int] = list(session.prompt_tokens)
-    flat_positions = positions(PROMPT, l_x)
-    for i, path in enumerate(session.paths):
-        flat_tokens.extend(path.tokens)
-        flat_positions.extend(positions(path_key(i), len(path.tokens)))
-    answer_positions = positions(ANSWER, len(session.answer_tokens))
-    # read off the positions: a frozen last path can be shorter than the others
-    max_path_pos = max(flat_positions)
-    max_pos_used = max([max_path_pos] + answer_positions)
-
+    flat_tokens = session.prompt_tokens + [t for path in session.paths for t in path.tokens]
+    context = np.concatenate(
+        [flattened.positions(PROMPT, 0, l_x)]
+        + [flattened.positions(path_key(i), 0, len(p.tokens)) for i, p in enumerate(session.paths)]
+    )
+    teacher = np.concatenate(
+        [context, flattened.positions(ANSWER, 0, len(session.answer_tokens))]
+    )
+    own = np.concatenate(
+        [context, flattened.positions(ANSWER, 0, session.budget.max_answer_tokens + 1)]
+    )
+    max_pos_used = int(teacher.max())
     record = {
         "paths": num_paths,
         "prefill_tokens": len(flat_tokens),
-        "max_path_position": max_path_pos,
+        # read off the positions: a frozen last path can be shorter than the others
+        "max_path_position": int(context.max()),
         "max_position_used": max_pos_used,
-        "overflow": max_pos_used > cfg.max_position,
+        "overflow": max(max_pos_used, int(own.max())) > cfg.max_position,
         "logit_divergence": None,
         "own_answer": None,
     }
@@ -401,9 +401,7 @@ def run_reprefill_baseline(
     # teacher-forced pass: the answer tokens are known, so they run in the
     # same causal pass as the context; compare per-step logits
     if session.record_logits and session.answer_logits:
-        layout = DecodeLayout(
-            stage=FLAT, flat_positions=tuple(flat_positions + answer_positions)
-        )
+        layout = DecodeLayout(stage=FLAT, flat_positions=teacher)
         answer = session.answer_tokens
         _, logits = _flat_feed(
             bundle.weights, zero, layout, flat_tokens + answer, keep=len(answer)
@@ -414,8 +412,7 @@ def run_reprefill_baseline(
 
     # independent answer decode over a fresh flattened prefill
     budget = session.budget
-    own_positions = flat_positions + positions(ANSWER, budget.max_answer_tokens + 1)
-    layout = DecodeLayout(stage=FLAT, flat_positions=tuple(own_positions))
+    layout = DecodeLayout(stage=FLAT, flat_positions=own)
     vocab = bundle.vocab
     answer = [vocab.summary_open]
     cache, logits = _flat_feed(bundle.weights, zero, layout, flat_tokens + answer)

@@ -135,6 +135,7 @@ class AttentionMask:
         return out.astype(np.float32)
 
     def visible_set(self, t: int) -> list[int]:
+        """Slots visible to the query at slot t."""
         if not 0 <= t < self.size:
             raise IndexError(f"slot {t} out of range [0, {self.size})")
         row = self.allowed[self.owner[t], self.segment[: t + 1]]
@@ -169,7 +170,3 @@ def build_summary_mask(layout: LayoutPlan) -> AttentionMask:
         raise LayoutError("summary mask requires a non-empty answer range")
     return AttentionMask(layout, layout.num_paths + 1)
 
-
-def visible_set(mask: AttentionMask, t: int) -> list[int]:
-    """Slots visible to the query at slot t."""
-    return mask.visible_set(t)

@@ -50,6 +50,7 @@ from .errors import (
     CacheConsistencyError,
     ConfigError,
     DataError,
+    LayoutError,
     PositionOverflowError,
 )
 from .kvcache import PagedKVCache, SlotAddress
@@ -61,8 +62,7 @@ from .positional import (
     PositionAssignment,
     Rope,
     ThoughtEmbeddingTable,
-    assign_position,
-    path_index,
+    path_key,
     rope_for,
 )
 
@@ -344,30 +344,46 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.nd
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class DecodeLayout:
-    """Resolves a slot to its position, thought index, and visible segments.
+    """Resolves a segment's slots to positions, thought index and visible segments.
 
-    The visible segments are ``masking.visible_segments`` for ``stage``;
-    stage "flat" is a single causal segment with explicit per-slot
-    positions (used by the re-prefill baseline).
+    Positions come from ``assignment`` (``PositionAssignment.positions``),
+    one segment range at a time.  Stage "flat" (the re-prefill baseline)
+    is one causal segment whose positions are listed per slot in
+    ``flat_positions`` (any int sequence, held as an int64 array).  The
+    visible segments are ``masking.visible_segments`` for ``stage``.
     """
 
     stage: str
     assignment: PositionAssignment | None = None
     thought_labels: tuple[int, ...] = ()
     expected_lengths: dict[str, int] = field(default_factory=dict)
-    flat_positions: tuple[int, ...] = ()
+    flat_positions: np.ndarray = ()
 
-    def position(self, slot: SlotAddress) -> int:
-        if self.stage == FLAT:
-            return self.flat_positions[slot.index]
-        return assign_position(self.assignment, slot.segment, slot.index + 1)
+    def __post_init__(self):
+        self.flat_positions = np.asarray(self.flat_positions, dtype=np.int64)
+        self._thoughts = {PROMPT: 0, ANSWER: 0}  # built once, read on every pass
+        self._thoughts.update((path_key(i), j) for i, j in enumerate(self.thought_labels))
+
+    def base(self, segment: str) -> int | None:
+        """The segment's position offset; None for stage "flat", whose
+        positions are listed per slot."""
+        return None if self.stage == FLAT else self.assignment.base(segment)
+
+    def positions(self, segment: str, start: int, n: int) -> np.ndarray:
+        """Positions of the segment's slots start..start+n-1, [n] int64."""
+        if self.stage != FLAT:
+            return self.assignment.positions(segment, start, n)
+        if not 0 <= start <= start + n <= len(self.flat_positions):
+            raise LayoutError(
+                f"flat layout lists {len(self.flat_positions)} positions,"
+                f" slots {start}..{start + n - 1} asked for"
+            )
+        return self.flat_positions[start : start + n]
 
     def thought_index(self, segment: str) -> int:
-        if self.stage == FLAT or segment in (PROMPT, ANSWER):
-            return 0
-        return self.thought_labels[path_index(segment)]
+        return 0 if self.stage == FLAT else self._thoughts[segment]
 
     def visible_segments(self, segment: str) -> tuple[str, ...]:
         return visible_segments(self.stage, segment, len(self.thought_labels))
@@ -468,12 +484,13 @@ def forward_paths(
     owns = [slot.segment for slot in slots]
     rows = cache.rows(owns, 1)  # distinct segments of one slab, equally long
     index = rows.start
-    position = layout.position(SlotAddress(owns[0], index))
+    position = int(layout.positions(owns[0], index, 1)[0])
+    base = layout.base(owns[0])
     shared = [seg for seg in layout.visible_segments(owns[0]) if seg != owns[0]]
     for slot in slots:
         if slot.index != index:
             raise CacheConsistencyError(f"slot {slot} does not extend segment (filled={index})")
-        if layout.position(slot) != position:
+        if layout.base(slot.segment) != base:
             raise CacheConsistencyError("batched slots must share one position")
         mine = [seg for seg in layout.visible_segments(slot.segment) if seg != slot.segment]
         if mine != shared:
@@ -561,7 +578,7 @@ def forward_causal(
         raise CacheConsistencyError(
             f"slot {start} does not extend segment (filled={cache.length(owner)})"
         )
-    positions = np.array([layout.position(SlotAddress(owner, index + r)) for r in range(n)])
+    positions = layout.positions(owner, index, n)
     _check_position(cfg, int(positions.max()))
     others = [seg for seg in layout.visible_segments(owner) if seg != owner]
     others = _visible_others(layout, cache, others)

@@ -5,8 +5,12 @@ rotation (k_aug = R_t(k + T[j])) and values with it added directly
 (v_aug = v + T[j]), so cached entries are valid for both the reasoning
 and the summarization phase without reprocessing.
 
-Local indices ``t`` are 1-based within a segment; the first prompt token
-sits at absolute position 1.
+Positions follow one affine rule: position = segment base + t, with
+local indices ``t`` 1-based within a segment, so the first prompt token
+sits at absolute position 1.  ``PositionAssignment.base`` is a segment's
+offset under the shared or flattened scheme and ``positions`` gives a
+whole range of a segment's slots as one array; every caller asks for
+ranges, and ``assign_position`` is the one-slot case.
 """
 
 import struct
@@ -109,11 +113,6 @@ class Rope:
 @lru_cache(maxsize=8)
 def rope_for(d_k: int, base: float) -> Rope:
     return Rope(d_k, base)
-
-
-def apply_rope(v: np.ndarray, t: int, rope: Rope) -> np.ndarray:
-    """R_t v; norm-preserving rotation of a head vector."""
-    return rope.rotate(v, t)
 
 
 THOUGHT_MAGIC = b"PTT1"
@@ -236,7 +235,7 @@ def decompose_score(
 
 @dataclass(frozen=True)
 class PositionAssignment:
-    """Maps (segment, 1-based local index t) to an absolute position.
+    """Maps (segment, 1-based local index t) to an absolute position base + t.
 
     shared scheme:
         prompt t -> t
@@ -263,33 +262,36 @@ class PositionAssignment:
         if self.l_x < 0 or self.l_max < 0 or self.num_paths < 1:
             raise LayoutError("position assignment dimensions must be non-negative")
 
+    def base(self, segment: str) -> int:
+        """The segment's offset: its t-th slot sits at position base + t."""
+        if segment == PROMPT:
+            return 0
+        if segment == ANSWER:
+            if self.reasoning_len is None:
+                raise LayoutError("answer positions need the reasoning length")
+            paths_before = self.num_paths - 1 if self.scheme == FLATTENED else 0
+            return self.l_x + paths_before * self.l_max + self.reasoning_len
+        i = path_index(segment)
+        return self.l_x + (i * self.l_max if self.scheme == FLATTENED else 0)
+
+    def positions(self, segment: str, start: int, n: int) -> np.ndarray:
+        """Positions of the segment's slots start..start+n-1 (local indices
+        start+1..start+n), int64; the whole range is checked at once."""
+        if start < 0:
+            raise LayoutError(f"local index must be >= 1, got {start + 1}")
+        base, last = self.base(segment), start + n
+        if segment == PROMPT and last > self.l_x:
+            raise LayoutError(f"prompt index {last} exceeds prompt length {self.l_x}")
+        if segment not in (PROMPT, ANSWER) and last > self.l_max:
+            raise LayoutError(f"path index {last} exceeds per-path cap {self.l_max}")
+        return np.arange(base + start + 1, base + last + 1, dtype=np.int64)
+
 
 def assign_position(assignment: PositionAssignment, segment: str, t: int) -> int:
     """Absolute position of the t-th token (1-based) of a segment."""
-    if t < 1:
-        raise LayoutError(f"local index must be >= 1, got {t}")
-    if segment == PROMPT:
-        if t > assignment.l_x:
-            raise LayoutError(f"prompt index {t} exceeds prompt length {assignment.l_x}")
-        return t
-    if segment == ANSWER:
-        if assignment.reasoning_len is None:
-            raise LayoutError("answer positions need the reasoning length")
-        base = assignment.l_x + assignment.reasoning_len
-        if assignment.scheme == FLATTENED:
-            base += (assignment.num_paths - 1) * assignment.l_max
-        return base + t
-    i = path_index(segment)
-    if t > assignment.l_max:
-        raise LayoutError(f"path index {t} exceeds per-path cap {assignment.l_max}")
-    if assignment.scheme == SHARED:
-        return assignment.l_x + t
-    return assignment.l_x + i * assignment.l_max + t
+    return int(assignment.positions(segment, t - 1, 1)[0])
 
 
 def max_path_position(assignment: PositionAssignment, written_len: int) -> int:
     """Largest absolute position used by path tokens of length ``written_len``."""
-    last_path = assignment.num_paths - 1
-    if assignment.scheme == SHARED:
-        return assignment.l_x + written_len
-    return assignment.l_x + last_path * assignment.l_max + written_len
+    return assignment.base(path_key(assignment.num_paths - 1)) + written_len

@@ -120,6 +120,31 @@ class TestParseSample:
         with pytest.raises(FormatError):
             parse_sample(tokens, vocab)
 
+    def test_bodies_hold_eos_and_pad_but_no_other_control(self, vocab):
+        eos, pad = vocab.eos, vocab.pad
+        tokens = [
+            vocab.think_open(1), 70, eos, pad, vocab.think_close(1),
+            vocab.summary_open, 72, eos, pad, vocab.summary_close,
+        ]
+        parsed = parse_sample(tokens, vocab)
+        assert parsed.paths == ((1, (70, eos, pad)),)
+        assert parsed.answer == (72, eos, pad)
+        # the lowest and highest ids of each forbidden kind, at offset 2 of
+        # the path body and offset 7 of the summary (whose closer ends it)
+        kinds = [
+            vocab.think_open(1), vocab.think_open(vocab.p_max),
+            vocab.think_close(2), vocab.think_close(vocab.p_max),
+            vocab.summary_open, vocab.summary_close,
+        ]
+        for offset, where in ((2, "inside path 1"), (7, "inside the summary")):
+            for token in kinds:
+                if offset == 7 and token == vocab.summary_close:
+                    continue
+                bad = tokens[:offset] + [token] + tokens[offset + 1 :]
+                with pytest.raises(FormatError, match=where) as err:
+                    parse_sample(bad, vocab)
+                assert err.value.offset == offset
+
     def test_empty_summary_flagged(self, vocab):
         tokens = []
         for i in range(1, 7):

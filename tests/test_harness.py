@@ -26,8 +26,8 @@ from parcot.harness import (
 )
 from parcot.kvcache import PagedKVCache, SlotAddress
 from parcot.model import FLAT, DecodeLayout, ModelConfig, forward_step, init_weights
-from parcot.positional import zero_thought_table
-from parcot.tokenizer import encode
+from parcot.positional import init_thought_table, zero_thought_table
+from parcot.tokenizer import Vocab, encode
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +350,27 @@ class TestReprefillBaseline:
             weights, table, vocab, prompt, 3, SAMPLER, GenerationBudget(8, 2), seed=1
         )
         record = run_reprefill_baseline(bundle, session, SAMPLER)
+        assert record["overflow"] is True
+        assert record["own_answer"] is None
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_own_answer_budget_overflow_recorded_not_raised(self, seed):
+        # the session's answer stops early, so its own positions fit, but the
+        # baseline's own-answer decode may fill the whole 40-token budget
+        vocab = Vocab(256, 4)
+        cfg = ModelConfig(
+            n_layers=1, d_model=16, n_heads=2, d_k=8, d_ff=16, vocab_size=vocab.size,
+            max_position=60,
+        )
+        weights = init_weights(cfg, seed=1)
+        table = init_thought_table(vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k, seed=2)
+        sampler = SamplerConfig(temperature=3.0, seed=3)
+        session = run_session(
+            weights, table, vocab, [1, 2, 3], 2, sampler, GenerationBudget(8, 40), seed=seed
+        )
+        assert len(session.answer_tokens) < 41
+        record = run_reprefill_baseline(ModelBundle(weights, table, vocab), session, sampler)
+        assert record["max_position_used"] <= cfg.max_position
         assert record["overflow"] is True
         assert record["own_answer"] is None
 

@@ -8,7 +8,6 @@ from parcot.masking import (
     LayoutPlan,
     build_reasoning_mask,
     build_summary_mask,
-    visible_set,
 )
 from parcot.model import DecodeLayout
 from parcot.positional import ANSWER, PROMPT, path_key
@@ -179,14 +178,14 @@ class TestVisibleSet:
         plan = reasoning_plan(3, (2, 2))
         mask = build_reasoning_mask(plan, 1)
         for t in range(3):
-            assert visible_set(mask, t) == list(range(t + 1))
+            assert mask.visible_set(t) == list(range(t + 1))
 
     def test_matches_dense_row(self):
         rng = np.random.default_rng(17)
         plan = LayoutPlan(2, (3, 3, 3), 2, SUMMARIZATION)
         mask = build_summary_mask(plan)
         for t in rng.integers(0, plan.total_slots, size=10):
-            assert visible_set(mask, int(t)) == [
+            assert mask.visible_set(int(t)) == [
                 j for j in range(plan.total_slots) if mask.visible[t, j]
             ]
 
@@ -194,7 +193,7 @@ class TestVisibleSet:
         plan = reasoning_plan(2, (2,))
         mask = build_reasoning_mask(plan, 0)
         with pytest.raises(IndexError):
-            visible_set(mask, plan.total_slots)
+            mask.visible_set(plan.total_slots)
 
 
 class TestDebugGrid:

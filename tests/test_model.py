@@ -11,6 +11,7 @@ from parcot.errors import (
     CacheConsistencyError,
     ConfigError,
     DataError,
+    LayoutError,
     PositionOverflowError,
 )
 from parcot.kvcache import PagedKVCache, SlotAddress
@@ -353,6 +354,19 @@ class TestPrefill:
         # a few float32 [n_heads, CAUSAL_CHUNK, l_x] score blocks at most;
         # one [n_heads, l_x, l_x] score matrix would be 9.4 MB
         assert peak <= 3 * cfg.n_heads * CAUSAL_CHUNK * l_x * 4, peak
+
+    def test_short_flat_layout_raises_before_staging(self, small_weights, small_table):
+        cfg = small_weights.config
+        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        cache.reserve("seq", 5)
+        layout = DecodeLayout(stage=FLAT, flat_positions=(1, 2, 3))
+        with pytest.raises(LayoutError, match="flat layout lists 3 positions"):
+            forward_causal(
+                small_weights, small_table, cache, layout, [5, 6, 7, 8], SlotAddress("seq", 0)
+            )
+        assert cache.length("seq") == 0
+        assert not cache.tables["seq"].slab.k.any()
+        assert layout.positions("seq", 1, 2).tolist() == [2, 3]
 
     def test_empty_prefill_errors_without_cache_change(self, small_weights, small_table):
         cfg = small_weights.config

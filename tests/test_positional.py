@@ -10,7 +10,6 @@ from parcot.positional import (
     PositionAssignment,
     Rope,
     ThoughtEmbeddingTable,
-    apply_rope,
     assign_position,
     augment_kv,
     decompose_score,
@@ -33,11 +32,11 @@ def rope():
 class TestRope:
     def test_position_zero_is_identity(self, rope):
         v = RNG.standard_normal(16)
-        assert np.allclose(apply_rope(v, 0, rope), v, atol=0)
+        assert np.allclose(rope.rotate(v, 0), v, atol=0)
 
     def test_rotation_preserves_norm(self, rope):
         v = RNG.standard_normal(16)
-        rotated = apply_rope(v, 17, rope)
+        rotated = rope.rotate(v, 17)
         assert abs(np.linalg.norm(rotated) - np.linalg.norm(v)) <= 1e-6
 
     def test_transpose_rotation_matches_relative_rotation(self, rope):
@@ -45,7 +44,7 @@ class TestRope:
         v = RNG.standard_normal(16)
         for m, n in [(9, 4), (3, 11), (25, 25)]:
             back = rope.matrix(n).T @ (rope.matrix(m) @ v)
-            direct = apply_rope(v, m - n, rope)
+            direct = rope.rotate(v, m - n)
             assert np.max(np.abs(back - direct)) <= 1e-6
 
     def test_additivity_over_random_pairs(self, rope):
@@ -84,7 +83,7 @@ class TestAugmentKV:
         k = RNG.standard_normal(16).astype(np.float32)
         v = RNG.standard_normal(16).astype(np.float32)
         k_aug, v_aug = augment_kv(k, v, j=2, t=5, table=table, rope=rope)
-        assert np.allclose(k_aug, apply_rope(k, 5, rope), atol=1e-7)
+        assert np.allclose(k_aug, rope.rotate(k, 5), atol=1e-7)
         assert np.array_equal(v_aug, v)
 
     def test_position_zero_skips_rotation(self, rope):
@@ -176,6 +175,45 @@ class TestAssignPosition:
             top = 3 if seg == PROMPT else 6
             ms = [assign_position(a, seg, t) for t in range(1, top + 1)]
             assert ms == sorted(ms) and len(set(ms)) == len(ms)
+
+    @pytest.mark.parametrize("scheme", [SHARED, FLATTENED])
+    def test_ranges_match_the_slot_by_slot_formula(self, scheme):
+        l_x, l_max, num_paths, reasoning_len = 5, 9, 3, 7
+        a = PositionAssignment(scheme, l_x, l_max, num_paths, reasoning_len)
+        flat = scheme == FLATTENED
+
+        def literal(seg, t):  # the case split of the class docstring
+            if seg == PROMPT:
+                return t
+            if seg == ANSWER:
+                return l_x + flat * (num_paths - 1) * l_max + reasoning_len + t
+            return l_x + flat * int(seg.split(":")[1]) * l_max + t
+
+        for seg, cap in [(PROMPT, 5), (path_key(0), 9), (path_key(2), 9), (ANSWER, 12)]:
+            for start in range(cap):
+                for n in range(cap - start + 1):
+                    got = a.positions(seg, start, n)
+                    want = [literal(seg, t) for t in range(start + 1, start + n + 1)]
+                    assert got.dtype == np.int64 and got.tolist() == want
+                    if n:
+                        assert assign_position(a, seg, start + 1) == want[0]
+            assert a.base(seg) == literal(seg, 0)
+
+    @pytest.mark.parametrize(
+        "segment, start, n, message",
+        [
+            (PROMPT, -1, 2, "local index must be >= 1, got 0"),
+            (PROMPT, 2, 3, "prompt index 5 exceeds prompt length 4"),
+            (path_key(1), 6, 3, "path index 9 exceeds per-path cap 8"),
+            ("seq", 0, 1, "not a path segment"),
+        ],
+    )
+    def test_range_errors_name_the_first_bad_index(self, segment, start, n, message):
+        a = PositionAssignment(SHARED, l_x=4, l_max=8, num_paths=2)
+        with pytest.raises(LayoutError, match=message):
+            a.positions(segment, start, n)
+        with pytest.raises(LayoutError, match="answer positions need the reasoning length"):
+            a.positions(ANSWER, 0, 1)
 
     def test_growth_contrast(self):
         # flattened max grows linearly in P; shared max ignores P
