@@ -18,7 +18,8 @@ forward pass succeeds, so a failed call leaves tokens and cache in step.
 
 The summarization stage reuses the reasoning-phase KV storage directly
 (no re-prefill): the engine inserts SUMMARY_OPEN and decodes the answer
-against the prompt, every path, and the answer prefix.
+against the prompt, every path, and the answer prefix, one token per
+one-row causal pass (``model.forward_causal``).
 
 Sampling draws are seeded per (session seed, stream, step), where the
 stream is the path's think label (or 0 for the answer), so any single
@@ -45,8 +46,9 @@ from .masking import REASONING, SUMMARIZATION, LayoutPlan
 from .model import (
     DecodeLayout,
     ModelWeights,
+    forward_causal,
     forward_paths,
-    forward_step,
+    forward_step,  # noqa: F401  perfbench/instrument.py wraps it by this name
     prefill,
 )
 from .positional import (
@@ -402,9 +404,9 @@ def run_summarization(
 
     def feed(token: int) -> np.ndarray:
         slot = SlotAddress(ANSWER, len(session.answer_tokens))
-        logits = forward_step(
-            session.weights, session.table, session.cache, layout, int(token), slot
-        )
+        logits = forward_causal(
+            session.weights, session.table, session.cache, layout, [int(token)], slot
+        )[0]
         session.answer_tokens.append(int(token))
         if session.record_logits:
             session.answer_logits.append(logits)

@@ -360,7 +360,8 @@ def run_reprefill_baseline(
     divergence against the session's answer, and its own answer.
     Position overflow is recorded as an outcome, not raised: it is decided
     before either pass runs, over every position either would feed (the
-    own-answer decode may fill its whole answer budget).
+    own-answer decode may fill its whole answer budget), and
+    ``max_position_used`` is the largest of those positions.
     """
     if session.stage != SUMMARIZATION or not session.answer_done:
         raise LifecycleError("re-prefill baseline needs a completed session")
@@ -382,14 +383,14 @@ def run_reprefill_baseline(
     own = np.concatenate(
         [context, flattened.positions(ANSWER, 0, session.budget.max_answer_tokens + 1)]
     )
-    max_pos_used = int(teacher.max())
+    max_pos_used = max(int(teacher.max()), int(own.max()))
     record = {
         "paths": num_paths,
         "prefill_tokens": len(flat_tokens),
         # read off the positions: a frozen last path can be shorter than the others
         "max_path_position": int(context.max()),
         "max_position_used": max_pos_used,
-        "overflow": max(max_pos_used, int(own.max())) > cfg.max_position,
+        "overflow": max_pos_used > cfg.max_position,
         "logit_divergence": None,
         "own_answer": None,
     }

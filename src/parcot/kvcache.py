@@ -13,6 +13,16 @@ pass stages its new slots past the committed ones and commits them after
 its logits.  Entries are append-only: a written slot is never mutated,
 which is what makes reusing reasoning-phase storage as the summarization
 context exact.
+
+Every read for attention goes through one call too
+(``PagedKVCache.parts``): it turns a pass's visible segments into
+attention parts.  A segment is one part, a view of its written slots.
+When the visible segments hold every row of the path slab, as an answer
+slot's do, the rows are one part instead: the layer's slab reshaped to
+``[P·(B+2), H, d_k]``, a view, with a hidden mask over the slots at or
+past each row's ``filled`` that attention scores as -inf.  An answer
+token then scores three parts per layer (prompt, slab, answer) whatever
+``P`` is.
 """
 
 import hashlib
@@ -48,6 +58,12 @@ class Slab:
     @property
     def capacity(self) -> int:
         return self.k.shape[2]
+
+    def flat(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """(K, V) of every row's every slot at one layer, [rows·capacity,
+        n_heads, d_k]; views, since a layer's rows are contiguous."""
+        k, v = self.k[layer], self.v[layer]
+        return k.reshape(-1, *k.shape[2:]), v.reshape(-1, *v.shape[2:])
 
 
 class Segment:
@@ -252,6 +268,30 @@ class PagedKVCache:
         seg = self.tables[segment]
         return seg.keys(layer), seg.values(layer)
 
+    def parts(self, segments) -> "Parts":
+        """The attention parts of ``segments``' written slots, in order.
+
+        Each segment is one part, except that the rows of the path slab
+        become a single slab part when ``segments`` lists every one of
+        them consecutively in row order; its slots past each row's
+        ``filled`` are then hidden.
+        """
+        segments, slab = list(segments), self.paths
+        if slab is None or path_key(0) not in segments:
+            return Parts(self, segments, None)
+        rows = [path_key(i) for i in range(slab.k.shape[1])]
+        at = segments.index(rows[0])
+        if segments[at : at + len(rows)] != rows:
+            return Parts(self, segments, None)
+        filled = np.array([self.tables[seg].filled for seg in rows])
+        before = sum(self.tables[seg].filled for seg in segments[:at])
+        sources = segments[:at] + [slab] + segments[at + len(rows) :]
+        hidden = None
+        if (filled < slab.capacity).any():
+            past = np.arange(slab.capacity) >= filled[:, None]  # [rows, capacity]
+            hidden = np.concatenate([np.zeros(before, dtype=bool), past.reshape(-1)])
+        return Parts(self, sources, hidden)
+
     def debug_tables(self) -> str:
         """JSON dump of the segment structure, for lifecycle tests."""
         payload = {
@@ -263,6 +303,34 @@ class PagedKVCache:
             for seg, t in sorted(self.tables.items())
         }
         return json.dumps({"tables": payload}, sort_keys=True)
+
+
+class Parts:
+    """Attention parts over a pass's visible segments, read layer by layer.
+
+    ``sources`` lists segment names (read with ``PagedKVCache.gather``)
+    and at most one path ``Slab`` (read whole with ``Slab.flat``).
+    ``hidden`` is None, or a bool mask over the leading slots of the parts'
+    concatenated key axis, True where a slot is not seen (a slab slot past
+    its row's ``filled``); the slots after it are all seen.
+    """
+
+    def __init__(self, cache: PagedKVCache, sources: list, hidden: np.ndarray | None):
+        self.cache = cache
+        self.sources = sources
+        self.hidden = hidden
+
+    def at(self, layer: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The parts' keys and values at one layer, in order; views."""
+        keys, values = [], []
+        for source in self.sources:
+            if isinstance(source, Slab):
+                k, v = source.flat(layer)
+            else:
+                k, v = self.cache.gather(source, layer)
+            keys.append(k)
+            values.append(v)
+        return keys, values
 
 
 class SummaryContextView:

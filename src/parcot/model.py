@@ -17,12 +17,18 @@ block (``_decode_rows``), so each weight matrix is read once per block:
   reasoning step, and rows never mix.  A one-row pass (``forward_step``)
   runs as two identical rows so that it uses the same BLAS kernels as a
   batch; with OpenBLAS a path's logits are then bit-identical to its
-  single-path replay (the tested bound is 1e-5).
-* ``forward_causal`` feeds tokens known in advance (the prompt, the
-  re-prefill baseline's flattened sequence) to consecutive slots of one
-  segment in causal blocks of ``CAUSAL_CHUNK`` rows with per-row
-  positions; its logits match one ``forward_step`` per slot within
-  float32 rounding.
+  single-path replay (the tested bound is 1e-5).  Only reasoning needs
+  that duplicated row; the engine decodes nothing else through it.
+* ``forward_causal`` feeds tokens to consecutive slots of one segment in
+  causal blocks of ``CAUSAL_CHUNK`` rows with per-row positions: tokens
+  known in advance (the prompt, the re-prefill baseline's flattened
+  sequence), and each answer token as a one-row block.  Its logits match
+  one ``forward_step`` per slot within float32 rounding.
+
+Both passes take the other visible segments as attention parts from
+``PagedKVCache.parts``.  An answer slot sees every path, so its parts are
+three per layer: the prompt, the whole path slab as one view (slots past
+each path's end hidden) and the answer itself.
 
 Both passes write the cache the same way: they take one write handle
 (``PagedKVCache.rows``) for their new slots before the first layer, stage
@@ -302,20 +308,24 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e
 
 
-def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.ndarray:
+def attend(
+    q: np.ndarray, keys, values, d_k: int, causal: bool = False, hidden=None
+) -> np.ndarray:
     """Per-head attention of query rows over a visible set given in parts.
 
     q: [n, n_heads, d_k].  ``keys`` and ``values`` list the parts of the
     visible set in order.  A part of shape [m, n_heads, d_k] is seen by
     every row and scored for all rows in one product; a part of shape
     [n, m, n_heads, d_k] gives row r its own [m] entries (a leading axis
-    of 1 is shared by every row).  With ``causal`` the last part ends
-    with the rows' own slots in row order, and row r does not see the
-    n-1-r slots after its own.  One softmax runs over all parts' scores
-    and the values are summed part by part, so no part is copied or
-    concatenated.  Returns [n, n_heads, d_k].  A single-entry visible
-    set reduces to that entry's value row exactly (softmax over one
-    element is 1).
+    of 1 is shared by every row).  ``hidden``, a bool mask over the
+    leading slots of the parts' concatenated slots, takes the slots where
+    it is True out of every row's visible set (their scores become -inf
+    before the softmax).  With ``causal`` the last part ends with the
+    rows' own slots in row order, and row r does not see the n-1-r slots
+    after its own.  One softmax runs over all parts' scores and the
+    values are summed part by part, so no part is copied or concatenated.
+    Returns [n, n_heads, d_k].  A single-entry visible set reduces to
+    that entry's value row exactly (softmax over one element is 1).
     """
     q_heads = q.transpose(1, 0, 2)  # [H, n, d_k]
     scores = []
@@ -326,8 +336,10 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.nd
             scores.append((k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0])
     scores = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=-1)
     scores /= np.sqrt(np.float32(d_k))  # a new array either way
-    if causal:
-        n = q.shape[0]
+    if hidden is not None:
+        np.copyto(scores[..., : len(hidden)], -np.inf, where=hidden)
+    n = q.shape[0]
+    if causal and n > 1:  # one row sees its whole part: no triangle to build
         later = np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :]
         np.copyto(scores[..., scores.shape[-1] - n :], -np.inf, where=later)
     weights = softmax(scores)
@@ -496,7 +508,7 @@ def forward_paths(
         if mine != shared:
             raise CacheConsistencyError("batched slots must share their visible segments")
     _check_position(cfg, position)
-    shared = _visible_others(layout, cache, shared)
+    parts = cache.parts(_visible_others(layout, cache, shared))
     js = [layout.thought_index(seg) for seg in owns]
     # BLAS sends a one-row product to a matrix-vector kernel that rounds
     # differently from the matrix-matrix kernel a block of rows uses, so a
@@ -507,17 +519,13 @@ def forward_paths(
 
     def attention(li, q, k, v):
         rows.stage(li, 0, k[:n, None], v[:n, None])
-        keys, values = [], []
-        for seg in shared:
-            seg_k, seg_v = cache.gather(seg, li)
-            keys.append(seg_k)
-            values.append(seg_v)
+        keys, values = parts.at(li)
         if index:  # the rows' own segments, scored row by row at any width
             keys.append(rows.keys(li, index))
             values.append(rows.values(li, index))
         keys.append(k[:, None])
         values.append(v[:, None])
-        return attend(q, keys, values, cfg.d_k)
+        return attend(q, keys, values, cfg.d_k, hidden=parts.hidden)
 
     tokens = list(tokens) * (width // n)
     x = _decode_rows(weights, table, tokens, js * (width // n), position, attention)
@@ -581,20 +589,16 @@ def forward_causal(
     positions = layout.positions(owner, index, n)
     _check_position(cfg, int(positions.max()))
     others = [seg for seg in layout.visible_segments(owner) if seg != owner]
-    others = _visible_others(layout, cache, others)
+    parts = cache.parts(_visible_others(layout, cache, others))
     j = layout.thought_index(owner)
     rows = cache.rows([owner], n)
 
     def attention(li, q, k, v):
         rows.stage(li, lo, k[None], v[None])
-        keys, values = [], []
-        for other in others:
-            other_k, other_v = cache.gather(other, li)
-            keys.append(other_k)
-            values.append(other_v)
+        keys, values = parts.at(li)
         keys.append(rows.keys(li, index + hi)[0])  # the segment's own row
         values.append(rows.values(li, index + hi)[0])
-        return attend(q, keys, values, cfg.d_k, causal=True)
+        return attend(q, keys, values, cfg.d_k, causal=True, hidden=parts.hidden)
 
     first_kept = n - keep
     kept = []

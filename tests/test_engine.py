@@ -16,7 +16,7 @@ from parcot.engine import (
     sample_token,
     session_record,
 )
-from parcot import engine
+from parcot import engine, model
 from parcot.errors import (
     ConfigError,
     DataError,
@@ -439,6 +439,88 @@ class TestSummarization:
         assert session.stage == "reasoning"
         run_reasoning(session, GREEDY, GenerationBudget(3))
         assert session.stage == "summarization"
+
+
+def spy_attend(monkeypatch):
+    """Records (query rows, key parts, value parts) of every attend call."""
+    calls = []
+    attend = model.attend
+
+    def spy(q, keys, values, *args, **kwargs):
+        calls.append((q.shape[0], list(keys), list(values)))
+        return attend(q, keys, values, *args, **kwargs)
+
+    monkeypatch.setattr(model, "attend", spy)
+    return calls
+
+
+class TestAnswerPass:
+    """Each answer token is one one-row causal pass over three parts per
+    layer: the prompt, the whole path slab (past-the-end slots hidden) and
+    the answer, read in place from the reasoning storage."""
+
+    def reasoned(self, weights, table, vocab, strategy, finish_steps):
+        session = make_session(weights, table, vocab, num_paths=len(finish_steps),
+                               seed=3, record_logits=True)
+        forced = forced_schedule(vocab, finish_steps, horizon=12)
+        run_reasoning(session, GREEDY, GenerationBudget(12), strategy, forced)
+        return session
+
+    @pytest.mark.parametrize("strategy, finish_steps", [
+        (Termination.HALF_FINISH, [3, 9, 6, None]),
+        (Termination.LAST_FINISH, [4, 9, 6]),
+    ])
+    def test_answer_reads_the_slab_and_nothing_past_it(
+        self, small_weights, small_table, vocab, monkeypatch, strategy, finish_steps
+    ):
+        session = self.reasoned(small_weights, small_table, vocab, strategy, finish_steps)
+        lengths = [len(p.tokens) for p in session.paths]
+        assert len(set(lengths)) > 1  # some rows end before others
+
+        calls = spy_attend(monkeypatch)
+        run_summarization(session, GREEDY, 6)
+        slab = session.cache.paths
+        assert calls
+        for _, keys, values in calls:
+            assert np.shares_memory(keys[1], slab.k) and np.shares_memory(values[1], slab.v)
+            assert len(keys[1]) == slab.k.shape[1] * slab.capacity
+
+        # slab slots past each row's fill hold large finite values: not read
+        poisoned = self.reasoned(small_weights, small_table, vocab, strategy, finish_steps)
+        for row, length in enumerate(lengths):
+            poisoned.cache.paths.k[:, row, length:] = 1e4
+            poisoned.cache.paths.v[:, row, length:] = -1e4
+        run_summarization(poisoned, GREEDY, 6)
+        assert poisoned.answer_tokens == session.answer_tokens
+        for got, want in zip(poisoned.answer_logits, session.answer_logits):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("num_paths", [1, 4, 16])
+    def test_pass_structure(self, small_weights, small_table, vocab, monkeypatch, num_paths):
+        calls = spy_attend(monkeypatch)
+        active = []
+        forward_paths = engine.forward_paths
+
+        def counting(weights, table, cache, layout, tokens, slots):
+            active.append(len(slots))
+            return forward_paths(weights, table, cache, layout, tokens, slots)
+
+        monkeypatch.setattr(engine, "forward_paths", counting)
+        session = make_session(small_weights, small_table, vocab, num_paths=num_paths, seed=7)
+        prefill_calls = len(calls)
+        finish = [3 + (i % 5) for i in range(num_paths)]
+        forced = forced_schedule(vocab, finish, horizon=8)
+        run_reasoning(session, GREEDY, GenerationBudget(8), Termination.LAST_FINISH, forced)
+        layers = small_weights.config.n_layers
+        reasoning = calls[prefill_calls:]
+        assert len(reasoning) == layers * len(active)
+        for call, (rows, _, _) in enumerate(reasoning):
+            assert rows == max(active[call // layers], 2)
+
+        del calls[:]
+        run_summarization(session, GREEDY, 5)
+        assert len(calls) == layers * len(session.answer_tokens)
+        assert all(rows == 1 and len(keys) == 3 for rows, keys, _ in calls)
 
 
 class TestDistinctTokenDivergence:
