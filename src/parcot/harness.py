@@ -45,7 +45,6 @@ from .model import (
     DecodeLayout,
     ModelConfig,
     forward_causal,
-    forward_step,
     init_weights,
     load_weights,
 )
@@ -422,10 +421,10 @@ def run_reprefill_baseline(
         rng = draw_rng(session.seed, ANSWER_STREAM, step)
         token = sample_token(logits, sampler, rng)
         answer.append(token)
-        logits = forward_step(
-            bundle.weights, zero, cache, layout, token,
+        logits = forward_causal(
+            bundle.weights, zero, cache, layout, [token],
             SlotAddress(FLAT_SEGMENT, len(flat_tokens) + step),
-        )
+        )[0]
         if token in (vocab.summary_close, vocab.eos):
             break
     record["own_answer"] = answer

@@ -18,11 +18,14 @@ Every read for attention goes through one call too
 (``PagedKVCache.parts``): it turns a pass's visible segments into
 attention parts.  A segment is one part, a view of its written slots.
 When the visible segments hold every row of the path slab, as an answer
-slot's do, the rows are one part instead: the layer's slab reshaped to
-``[P·(B+2), H, d_k]``, a view, with a hidden mask over the slots at or
-past each row's ``filled`` that attention scores as -inf.  An answer
-token then scores three parts per layer (prompt, slab, answer) whatever
-``P`` is.
+slot's do, and the rows are equally long (always so under first finish),
+the rows are one part instead: slots ``[0, filled)`` of every row of the
+layer's slab, read in place.  That is one ``[P·(B+2), H, d_k]`` reshape
+when the rows are full, else the ``[P, filled, H, d_k]`` strided view,
+scored as ``P`` groups of one part.  An answer token then scores three
+parts per layer (prompt, slab, answer) whatever ``P`` is, and no slot
+past a row's end is scored.  Rows of unequal length (half or last
+finish) stay one part each.
 """
 
 import hashlib
@@ -59,11 +62,15 @@ class Slab:
     def capacity(self) -> int:
         return self.k.shape[2]
 
-    def flat(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """(K, V) of every row's every slot at one layer, [rows·capacity,
-        n_heads, d_k]; views, since a layer's rows are contiguous."""
-        k, v = self.k[layer], self.v[layer]
-        return k.reshape(-1, *k.shape[2:]), v.reshape(-1, *v.shape[2:])
+    def prefix(self, layer: int, end: int) -> tuple[np.ndarray, np.ndarray]:
+        """(K, V) of slots [0, end) of every row at one layer, in row
+        order; views.  [rows·end, n_heads, d_k] when that is a view (``end``
+        is the capacity, or there is one row), else [1, rows, end, n_heads,
+        d_k], the rows as groups of one part (``model.attend``)."""
+        k, v = self.k[layer, :, :end], self.v[layer, :, :end]
+        if end == self.capacity or len(k) == 1:
+            return k.reshape(-1, *k.shape[2:]), v.reshape(-1, *v.shape[2:])
+        return k[None], v[None]
 
 
 class Segment:
@@ -273,24 +280,20 @@ class PagedKVCache:
 
         Each segment is one part, except that the rows of the path slab
         become a single slab part when ``segments`` lists every one of
-        them consecutively in row order; its slots past each row's
-        ``filled`` are then hidden.
+        them consecutively in row order and every row holds equally many
+        slots (as under first finish): slots [0, filled) of every row,
+        read in place.  Rows of unequal length stay one part each, so no
+        slot past a row's ``filled`` is ever scored.
         """
         segments, slab = list(segments), self.paths
         if slab is None or path_key(0) not in segments:
-            return Parts(self, segments, None)
+            return Parts(self, segments)
         rows = [path_key(i) for i in range(slab.k.shape[1])]
         at = segments.index(rows[0])
-        if segments[at : at + len(rows)] != rows:
-            return Parts(self, segments, None)
-        filled = np.array([self.tables[seg].filled for seg in rows])
-        before = sum(self.tables[seg].filled for seg in segments[:at])
-        sources = segments[:at] + [slab] + segments[at + len(rows) :]
-        hidden = None
-        if (filled < slab.capacity).any():
-            past = np.arange(slab.capacity) >= filled[:, None]  # [rows, capacity]
-            hidden = np.concatenate([np.zeros(before, dtype=bool), past.reshape(-1)])
-        return Parts(self, sources, hidden)
+        filled = {self.tables[seg].filled for seg in rows}
+        if segments[at : at + len(rows)] != rows or len(filled) != 1:
+            return Parts(self, segments)
+        return Parts(self, segments[:at] + [slab] + segments[at + len(rows) :], filled.pop())
 
     def debug_tables(self) -> str:
         """JSON dump of the segment structure, for lifecycle tests."""
@@ -309,23 +312,21 @@ class Parts:
     """Attention parts over a pass's visible segments, read layer by layer.
 
     ``sources`` lists segment names (read with ``PagedKVCache.gather``)
-    and at most one path ``Slab`` (read whole with ``Slab.flat``).
-    ``hidden`` is None, or a bool mask over the leading slots of the parts'
-    concatenated key axis, True where a slot is not seen (a slab slot past
-    its row's ``filled``); the slots after it are all seen.
+    and at most one path ``Slab``, read as slots [0, ``end``) of every row
+    (``Slab.prefix``).
     """
 
-    def __init__(self, cache: PagedKVCache, sources: list, hidden: np.ndarray | None):
+    def __init__(self, cache: PagedKVCache, sources: list, end: int = 0):
         self.cache = cache
         self.sources = sources
-        self.hidden = hidden
+        self.end = end
 
     def at(self, layer: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The parts' keys and values at one layer, in order; views."""
         keys, values = [], []
         for source in self.sources:
             if isinstance(source, Slab):
-                k, v = source.flat(layer)
+                k, v = source.prefix(layer, self.end)
             else:
                 k, v = self.cache.gather(source, layer)
             keys.append(k)

@@ -18,17 +18,18 @@ block (``_decode_rows``), so each weight matrix is read once per block:
   runs as two identical rows so that it uses the same BLAS kernels as a
   batch; with OpenBLAS a path's logits are then bit-identical to its
   single-path replay (the tested bound is 1e-5).  Only reasoning needs
-  that duplicated row; the engine decodes nothing else through it.
+  that duplicated row; nothing else decodes through it.
 * ``forward_causal`` feeds tokens to consecutive slots of one segment in
   causal blocks of ``CAUSAL_CHUNK`` rows with per-row positions: tokens
   known in advance (the prompt, the re-prefill baseline's flattened
-  sequence), and each answer token as a one-row block.  Its logits match
-  one ``forward_step`` per slot within float32 rounding.
+  sequence), and each answer token (the engine's, and the re-prefill
+  baseline's own) as a one-row block.  Its logits match one
+  ``forward_step`` per slot within float32 rounding.
 
 Both passes take the other visible segments as attention parts from
-``PagedKVCache.parts``.  An answer slot sees every path, so its parts are
-three per layer: the prompt, the whole path slab as one view (slots past
-each path's end hidden) and the answer itself.
+``PagedKVCache.parts``.  An answer slot sees every path; when the paths
+are equally long its parts are three per layer: the prompt, the written
+part of the path slab as one view, and the answer itself.
 
 Both passes write the cache the same way: they take one write handle
 (``PagedKVCache.rows``) for their new slots before the first layer, stage
@@ -308,36 +309,35 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e
 
 
-def attend(
-    q: np.ndarray, keys, values, d_k: int, causal: bool = False, hidden=None
-) -> np.ndarray:
+def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.ndarray:
     """Per-head attention of query rows over a visible set given in parts.
 
     q: [n, n_heads, d_k].  ``keys`` and ``values`` list the parts of the
     visible set in order.  A part of shape [m, n_heads, d_k] is seen by
     every row and scored for all rows in one product; a part of shape
-    [n, m, n_heads, d_k] gives row r its own [m] entries (a leading axis
-    of 1 is shared by every row).  ``hidden``, a bool mask over the
-    leading slots of the parts' concatenated slots, takes the slots where
-    it is True out of every row's visible set (their scores become -inf
-    before the softmax).  With ``causal`` the last part ends with the
-    rows' own slots in row order, and row r does not see the n-1-r slots
-    after its own.  One softmax runs over all parts' scores and the
-    values are summed part by part, so no part is copied or concatenated.
-    Returns [n, n_heads, d_k].  A single-entry visible set reduces to
-    that entry's value row exactly (softmax over one element is 1).
+    [n, m, n_heads, d_k] gives row r its own [m] entries, and one of
+    shape [n, g, m, n_heads, d_k] its own g groups of [m] entries, group
+    by group (a leading axis of 1 is shared by every row; the path slab,
+    read in place, is such a part).  With ``causal`` the last part ends
+    with the rows' own slots in row order, and row r does not see the
+    n-1-r slots after its own.  One softmax runs over all parts' scores
+    and the values are summed part by part, so no part is copied or
+    concatenated.  Returns [n, n_heads, d_k].  A single-entry visible set
+    reduces to that entry's value row exactly (softmax over one element
+    is 1).
     """
     q_heads = q.transpose(1, 0, 2)  # [H, n, d_k]
     scores = []
     for k in keys:
         if k.ndim == 3:  # [H, n, d_k] @ [H, d_k, m] -> [n, H, m]
             scores.append((q_heads @ k.transpose(1, 2, 0)).transpose(1, 0, 2))
-        else:  # [n, H, m, d_k] @ [n, H, d_k, 1] -> [n, H, m]
+        elif k.ndim == 4:  # [n, H, m, d_k] @ [n, H, d_k, 1] -> [n, H, m]
             scores.append((k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0])
+        else:  # [n, g, H, m, d_k] @ [n, 1, H, d_k, 1] -> [n, H, g·m]
+            grouped = (k.transpose(0, 1, 3, 2, 4) @ q[:, None, ..., None])[..., 0]
+            scores.append(grouped.transpose(0, 2, 1, 3).reshape(q.shape[0], q.shape[1], -1))
     scores = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=-1)
     scores /= np.sqrt(np.float32(d_k))  # a new array either way
-    if hidden is not None:
-        np.copyto(scores[..., : len(hidden)], -np.inf, where=hidden)
     n = q.shape[0]
     if causal and n > 1:  # one row sees its whole part: no triangle to build
         later = np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :]
@@ -346,12 +346,15 @@ def attend(
     out = np.zeros_like(q)
     start = 0
     for v in values:
-        m = v.shape[-3]
+        m = v.shape[-3] * (v.shape[1] if v.ndim == 5 else 1)
         w = weights[..., start : start + m]  # [n, H, m]
         if v.ndim == 3:  # [H, n, m] @ [H, m, d_k] -> [n, H, d_k]
             out += (w.transpose(1, 0, 2) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
-        else:  # [n, H, 1, m] @ [n, H, m, d_k] -> [n, H, d_k]
+        elif v.ndim == 4:  # [n, H, 1, m] @ [n, H, m, d_k] -> [n, H, d_k]
             out += (w[:, :, None, :] @ v.transpose(0, 2, 1, 3))[:, :, 0]
+        else:  # [n, g, H, 1, m] @ [n, g, H, m, d_k] -> [n, H, d_k], summed over g
+            w = w.reshape(*w.shape[:2], v.shape[1], -1).transpose(0, 2, 1, 3)
+            out += (w[..., None, :] @ v.transpose(0, 1, 3, 2, 4))[..., 0, :].sum(axis=1)
         start += m
     return out
 
@@ -525,7 +528,7 @@ def forward_paths(
             values.append(rows.values(li, index))
         keys.append(k[:, None])
         values.append(v[:, None])
-        return attend(q, keys, values, cfg.d_k, hidden=parts.hidden)
+        return attend(q, keys, values, cfg.d_k)
 
     tokens = list(tokens) * (width // n)
     x = _decode_rows(weights, table, tokens, js * (width // n), position, attention)
@@ -598,7 +601,7 @@ def forward_causal(
         keys, values = parts.at(li)
         keys.append(rows.keys(li, index + hi)[0])  # the segment's own row
         values.append(rows.values(li, index + hi)[0])
-        return attend(q, keys, values, cfg.d_k, causal=True, hidden=parts.hidden)
+        return attend(q, keys, values, cfg.d_k, causal=True)
 
     first_kept = n - keep
     kept = []

@@ -454,10 +454,16 @@ def spy_attend(monkeypatch):
     return calls
 
 
+def key_slots(part):
+    """Key slots in an attention part, [m, H, d_k] or [1, g, m, H, d_k]."""
+    return int(np.prod(part.shape[:-2]))
+
+
 class TestAnswerPass:
-    """Each answer token is one one-row causal pass over three parts per
-    layer: the prompt, the whole path slab (past-the-end slots hidden) and
-    the answer, read in place from the reasoning storage."""
+    """Each answer token is one one-row causal pass.  It reads the path
+    slab in place and only up to each row's fill: equally long rows as
+    one part (three parts per layer: prompt, slab, answer), rows of
+    unequal length as one part each."""
 
     def reasoned(self, weights, table, vocab, strategy, finish_steps):
         session = make_session(weights, table, vocab, num_paths=len(finish_steps),
@@ -467,6 +473,8 @@ class TestAnswerPass:
         return session
 
     @pytest.mark.parametrize("strategy, finish_steps", [
+        (Termination.FIRST_FINISH, [5, None, None, None]),  # equal rows, short of capacity
+        (Termination.FIRST_FINISH, [None, None, None]),  # full rows
         (Termination.HALF_FINISH, [3, 9, 6, None]),
         (Termination.LAST_FINISH, [4, 9, 6]),
     ])
@@ -475,15 +483,19 @@ class TestAnswerPass:
     ):
         session = self.reasoned(small_weights, small_table, vocab, strategy, finish_steps)
         lengths = [len(p.tokens) for p in session.paths]
-        assert len(set(lengths)) > 1  # some rows end before others
+        equal = len(set(lengths)) == 1
+        assert equal == (strategy is Termination.FIRST_FINISH)
 
         calls = spy_attend(monkeypatch)
         run_summarization(session, GREEDY, 6)
         slab = session.cache.paths
         assert calls
         for _, keys, values in calls:
-            assert np.shares_memory(keys[1], slab.k) and np.shares_memory(values[1], slab.v)
-            assert len(keys[1]) == slab.k.shape[1] * slab.capacity
+            path_keys, path_values = keys[1:-1], values[1:-1]  # between prompt and answer
+            assert len(path_keys) == (1 if equal else len(lengths))
+            for k, v in zip(path_keys, path_values):
+                assert np.shares_memory(k, slab.k) and np.shares_memory(v, slab.v)
+            assert sum(key_slots(k) for k in path_keys) == sum(lengths)
 
         # slab slots past each row's fill hold large finite values: not read
         poisoned = self.reasoned(small_weights, small_table, vocab, strategy, finish_steps)
@@ -495,8 +507,11 @@ class TestAnswerPass:
         for got, want in zip(poisoned.answer_logits, session.answer_logits):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("strategy", [Termination.FIRST_FINISH, Termination.LAST_FINISH])
     @pytest.mark.parametrize("num_paths", [1, 4, 16])
-    def test_pass_structure(self, small_weights, small_table, vocab, monkeypatch, num_paths):
+    def test_pass_structure(
+        self, small_weights, small_table, vocab, monkeypatch, num_paths, strategy
+    ):
         calls = spy_attend(monkeypatch)
         active = []
         forward_paths = engine.forward_paths
@@ -510,7 +525,7 @@ class TestAnswerPass:
         prefill_calls = len(calls)
         finish = [3 + (i % 5) for i in range(num_paths)]
         forced = forced_schedule(vocab, finish, horizon=8)
-        run_reasoning(session, GREEDY, GenerationBudget(8), Termination.LAST_FINISH, forced)
+        run_reasoning(session, GREEDY, GenerationBudget(8), strategy, forced)
         layers = small_weights.config.n_layers
         reasoning = calls[prefill_calls:]
         assert len(reasoning) == layers * len(active)
@@ -520,7 +535,10 @@ class TestAnswerPass:
         del calls[:]
         run_summarization(session, GREEDY, 5)
         assert len(calls) == layers * len(session.answer_tokens)
-        assert all(rows == 1 and len(keys) == 3 for rows, keys, _ in calls)
+        equal = len({len(p.tokens) for p in session.paths}) == 1
+        assert equal == (strategy is Termination.FIRST_FINISH or num_paths == 1)
+        parts = 3 if equal else num_paths + 2
+        assert all(rows == 1 and len(keys) == parts for rows, keys, _ in calls)
 
 
 class TestDistinctTokenDivergence:

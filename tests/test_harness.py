@@ -370,6 +370,11 @@ class TestReprefillBaseline:
         )
         assert len(session.answer_tokens) < 41
         record = run_reprefill_baseline(ModelBundle(weights, table, vocab), session, sampler)
+        # the own-answer decode's last slot: SUMMARY_OPEN plus 40 samples
+        # after the prompt, one full path stride and the last path
+        path_stride = session.budget.max_path_tokens + 2
+        own_last = len(session.prompt_tokens) + path_stride + session.reasoning_len + 41
+        assert record["max_position_used"] == own_last > cfg.max_position
         assert record["overflow"] is True
         assert record["overflow"] == (record["max_position_used"] > cfg.max_position)
         assert record["own_answer"] is None

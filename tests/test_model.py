@@ -102,40 +102,25 @@ class TestAttend:
         out = attend(q[None], [keys], [values], d_k=4)
         assert np.array_equal(out[0], values[0])
 
-    @staticmethod
-    def slab_case(rows):
-        """Query rows, a 7-slot shared part, a 3x5 slab filled [5, 2, 0] and
-        the rows' own slots, with the hidden mask over the slab's empty slots."""
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_grouped_part_equals_its_groups(self, rows):
+        """Slab rows read in place as one [1, g, m, H, d_k] part attend like
+        the same rows given as one part each."""
         rng = np.random.default_rng(11)
         heads, d_k = 4, 8
         q = rng.standard_normal((rows, heads, d_k)).astype(np.float32)
         shared = rng.standard_normal((2, 7, heads, d_k)).astype(np.float32)
         slab = rng.standard_normal((2, 3, 5, heads, d_k)).astype(np.float32)
         own = rng.standard_normal((2, rows, heads, d_k)).astype(np.float32)
-        filled = np.array([5, 2, 0])
-        past = np.arange(5) >= filled[:, None]
-        hidden = np.concatenate([np.zeros(7, dtype=bool), past.reshape(-1)])
-        return q, shared, slab, own, filled, hidden
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_hidden_slots_equal_leaving_them_out(self, rows):
-        q, shared, slab, own, filled, hidden = self.slab_case(rows)
-        whole = [part.reshape(-1, *part.shape[-2:]) for part in slab]  # k, v
+        grouped = slab[:, None, :, :4]  # 4 of each row's 5 slots: a strided view
+        assert np.shares_memory(grouped, slab)
         got = attend(
-            q, [shared[0], whole[0], own[0]], [shared[1], whole[1], own[1]], 8,
-            causal=True, hidden=hidden,
+            q, [shared[0], grouped[0], own[0]], [shared[1], grouped[1], own[1]], d_k,
+            causal=True,
         )
-        kept = [[shared[i]] + [slab[i, r, :f] for r, f in enumerate(filled) if f] + [own[i]]
-                for i in range(2)]
-        want = attend(q, kept[0], kept[1], 8, causal=True)
+        split = [[shared[i], *slab[i, :, :4], own[i]] for i in range(2)]
+        want = attend(q, split[0], split[1], d_k, causal=True)
         assert np.max(np.abs(got - want)) <= 1e-6
-
-    def test_all_false_mask_is_no_mask(self):
-        q, shared, slab, own, _, hidden = self.slab_case(2)
-        whole = [part.reshape(-1, *part.shape[-2:]) for part in slab]
-        keys, values = [shared[0], whole[0], own[0]], [shared[1], whole[1], own[1]]
-        got = attend(q, keys, values, 8, causal=True, hidden=np.zeros_like(hidden))
-        assert np.array_equal(got, attend(q, keys, values, 8, causal=True))
 
 
 class TestForwardStep:
