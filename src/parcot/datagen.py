@@ -11,6 +11,11 @@ generalize beyond the path counts seen in any one sample.  Path and
 answer text is byte-encoded (never markup-parsed), so body text cannot
 inject control tokens.
 
+A serialized sample is read as one int64 array: the parser finds its
+control tokens with one array comparison and walks only their positions,
+and a training layout copies the path and answer spans of that array
+into place rather than serializing them again.
+
 Input records are JSONL lines {"format": "ptsft-1", "query", "answer",
 "paths": [...]}; emitted training records are JSONL lines
 {"format": "ptsft-1", "tokens", "loss_mask", "segments", "P", "seed"}.
@@ -120,65 +125,110 @@ def build_sample(
         p_hat=p_hat,
         seed=seed,
     )
-    parsed = parse_sample(sample.tokens, vocab)  # grammar self-check
-    if len(parsed.paths) != p_hat:
+    if len(_spans(sample.tokens, vocab).labels) != p_hat:  # grammar self-check
         raise FormatError("serialized sample does not round-trip")
     return sample
 
 
-def parse_sample(tokens, vocab: Vocab) -> ParsedSample:
-    """Inverse of the serialization; rejects malformed nesting."""
-    tokens = [int(t) for t in tokens]
-    pos = 0
-    n = len(tokens)
-    paths: list[tuple[int, tuple[int, ...]]] = []
-    seen_labels: set[int] = set()
+@dataclass(frozen=True)
+class _Spans:
+    """Where the parts of a serialized sample sit in its ids.
 
-    # THINK_OPEN, THINK_CLOSE, SUMMARY_OPEN and SUMMARY_CLOSE are the ids
-    # [base_size, eos); a body may hold EOS and PAD (an engine path that
-    # stops on EOS serializes as ... EOS THINK_CLOSE)
-    control_lo, control_hi = vocab.base_size, vocab.eos
+    ``bodies[k]`` is the ``(start, end)`` of path k's body, so its opener
+    is at ``start - 1`` and its closer at ``end``; ``answer`` likewise
+    brackets the summary body.
+    """
+
+    ids: np.ndarray  # int64, every id in [0, vocab.size)
+    labels: tuple[int, ...]
+    bodies: tuple[tuple[int, int], ...]
+    answer: tuple[int, int]
+
+
+def _vocab_ids(tokens, vocab: Vocab) -> np.ndarray:
+    """``tokens`` as one int64 array; an id outside the vocabulary is an error."""
+    try:
+        ids = np.fromiter(tokens, dtype=np.int64)
+    except OverflowError:  # an id past int64, compared below as Python ints
+        ids = np.array([int(t) for t in tokens], dtype=object)
+    outside = (ids < 0) | (ids >= vocab.size)
+    if outside.any():
+        pos = int(np.argmax(outside))
+        raise FormatError(
+            f"token id {ids[pos]} outside the vocabulary [0, {vocab.size})", offset=pos
+        )
+    return ids
+
+
+def _spans(tokens, vocab: Vocab) -> _Spans:
+    """Checks the sample grammar and finds its spans.
+
+    THINK_OPEN, THINK_CLOSE, SUMMARY_OPEN and SUMMARY_CLOSE are the ids
+    [base_size, eos); a body may hold any other id, EOS and PAD included
+    (an engine path that stops on EOS serializes as ... EOS THINK_CLOSE).
+    So one array comparison finds every control token, and the walk visits
+    only those: O(P̂) steps in Python, however long the bodies are.
+    """
+    ids = _vocab_ids(tokens, vocab)
+    n = len(ids)
+    control = np.flatnonzero((ids >= vocab.base_size) & (ids < vocab.eos)).tolist()
+    values = ids[control].tolist()
+    # k indexes the first control token at or after pos; the one after a
+    # path's opener must be its closer, and the one after the summary
+    # opener the summary closer
+    k = 0
+    pos = 0
+    labels: list[int] = []
+    bodies: list[tuple[int, int]] = []
 
     while pos < n:
-        label = vocab.think_open_label(tokens[pos])
+        label = vocab.think_open_label(int(ids[pos]))
         if label is None:
             break
-        if label in seen_labels:
+        if label in labels:
             raise FormatError(f"think label {label} used twice", offset=pos)
-        seen_labels.add(label)
-        close_id = vocab.think_close(label)
-        pos += 1
-        body: list[int] = []
-        while pos < n and tokens[pos] != close_id:
-            if control_lo <= tokens[pos] < control_hi:
-                raise FormatError(
-                    f"unexpected control token inside path {label}", offset=pos
-                )
-            body.append(tokens[pos])
-            pos += 1
-        if pos >= n:
+        k += 1
+        if k == len(control):
             raise FormatError(f"path {label} is never closed", offset=n)
-        pos += 1  # consume the closer
-        paths.append((label, tuple(body)))
+        if values[k] != vocab.think_close(label):
+            raise FormatError(
+                f"unexpected control token inside path {label}", offset=control[k]
+            )
+        labels.append(label)
+        bodies.append((pos + 1, control[k]))
+        pos = control[k] + 1
+        k += 1
 
-    if not paths:
+    if not labels:
         raise FormatError("sample contains no reasoning paths", offset=pos)
-    if pos >= n or tokens[pos] != vocab.summary_open:
+    if pos >= n or ids[pos] != vocab.summary_open:
         raise FormatError("expected summary opener after the paths", offset=pos)
-    pos += 1
-    answer: list[int] = []
-    while pos < n and tokens[pos] != vocab.summary_close:
-        if control_lo <= tokens[pos] < control_hi:
-            raise FormatError("unexpected control token inside the summary", offset=pos)
-        answer.append(tokens[pos])
-        pos += 1
-    if pos >= n:
+    k += 1
+    if k == len(control):
         raise FormatError("summary is never closed", offset=n)
-    pos += 1
+    if values[k] != vocab.summary_close:
+        raise FormatError("unexpected control token inside the summary", offset=control[k])
+    answer = (pos + 1, control[k])
+    pos = control[k] + 1
     if pos != n:
         raise FormatError("trailing tokens after the summary closer", offset=pos)
+    return _Spans(ids, tuple(labels), tuple(bodies), answer)
+
+
+def parse_sample(tokens, vocab: Vocab) -> ParsedSample:
+    """Inverse of the serialization; rejects malformed nesting and ids
+    outside the vocabulary."""
+    spans = _spans(tokens, vocab)
+    ids = spans.ids
+    start, end = spans.answer
+    answer = tuple(ids[start:end].tolist())
     return ParsedSample(
-        paths=tuple(paths), answer=tuple(answer), empty_answer=not answer
+        paths=tuple(
+            (label, tuple(ids[start:end].tolist()))
+            for label, (start, end) in zip(spans.labels, spans.bodies)
+        ),
+        answer=answer,
+        empty_answer=not answer,
     )
 
 
@@ -199,41 +249,46 @@ def training_layout(
     """Serialized training sequence with its mask, positions, and loss mask.
 
     Path segments are padded with PAD to the longest segment so slots line
-    up with synchronized decoding; pads carry no loss.  Each row follows
-    its own segment's visibility rule: path rows that path's reasoning
-    mask, answer rows the summarization mask, so answer rows see the PAD
-    slots of shorter paths and path rows never see another path's slots
-    or pads.  Positions follow the shared scheme (the t-th token of every
-    path gets the same position); like the thought indices, they are
-    built one segment range at a time (``PositionAssignment.positions``).
+    up with synchronized decoding; pads carry no loss.  Each path segment
+    and the answer segment is its ``[opener ... closer]`` span of the
+    sample's serialized ids, copied into a PAD-filled array; the loss mask
+    is set span by span.  Each row follows its own segment's visibility
+    rule: path rows that path's reasoning mask, answer rows the
+    summarization mask, so answer rows see the PAD slots of shorter paths
+    and path rows never see another path's slots or pads.  Positions
+    follow the shared scheme (the t-th token of every path gets the same
+    position); like the thought indices, they are built one segment range
+    at a time (``PositionAssignment.positions``).
     """
-    parsed = parse_sample(sample.tokens, vocab)
+    spans = _spans(sample.tokens, vocab)
     prompt_ids = encode(sample.query, vocab, markup=False)
     l_x = len(prompt_ids)
-    l_seg = max(len(body) + 2 for _, body in parsed.paths)
-
-    tokens: list[int] = list(prompt_ids)
-    loss: list[int] = [0] * l_x
-    segments: list[dict] = [{"kind": "prompt", "start": 0, "length": l_x}]
-    for label, body in parsed.paths:
-        segments.append(
-            {"kind": "path", "label": label, "start": len(tokens), "length": l_seg}
-        )
-        pad_count = l_seg - len(body) - 2
-        tokens.extend([vocab.think_open(label), *body, vocab.think_close(label)])
-        tokens.extend([vocab.pad] * pad_count)
-        loss.extend([0] + [1] * len(body) + [1] + [0] * pad_count)
-    answer_len = len(parsed.answer) + 2
-    segments.append({"kind": "answer", "start": len(tokens), "length": answer_len})
-    tokens.extend([vocab.summary_open, *parsed.answer, vocab.summary_close])
-    loss.extend([0] + [1] * len(parsed.answer) + [1])
-
-    if len(tokens) > max_context:
+    num_paths = len(spans.labels)
+    l_seg = max(end - start for start, end in spans.bodies) + 2
+    answer_len = spans.answer[1] - spans.answer[0] + 2
+    total = l_x + num_paths * l_seg + answer_len
+    if total > max_context:
         raise LayoutError(
-            f"serialized length {len(tokens)} exceeds context limit {max_context}"
+            f"serialized length {total} exceeds context limit {max_context}"
         )
 
-    num_paths = len(parsed.paths)
+    # a span [start - 1, end] holds the opener, the body and the closer;
+    # the opener carries no loss, the body and the closer do
+    tokens = np.full(total, vocab.pad, dtype=np.int64)
+    loss = np.zeros(total, dtype=np.int64)
+    tokens[:l_x] = prompt_ids
+    segments: list[dict] = [{"kind": "prompt", "start": 0, "length": l_x}]
+    at = l_x
+    for label, (start, end) in zip(spans.labels, spans.bodies):
+        segments.append({"kind": "path", "label": label, "start": at, "length": l_seg})
+        tokens[at : at + end - start + 2] = spans.ids[start - 1 : end + 1]
+        loss[at + 1 : at + end - start + 2] = 1
+        at += l_seg
+    segments.append({"kind": "answer", "start": at, "length": answer_len})
+    start, end = spans.answer
+    tokens[at:] = spans.ids[start - 1 : end + 1]
+    loss[at + 1 :] = 1
+
     plan = LayoutPlan(
         l_x=l_x,
         path_lengths=(l_seg,) * num_paths,
@@ -245,15 +300,15 @@ def training_layout(
     )
     keys = (PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER)
     lengths = (l_x, *plan.path_lengths, answer_len)
-    thoughts = [0, *(label for label, _ in parsed.paths), 0]  # one per segment
+    thoughts = [0, *spans.labels, 0]  # one per segment
 
     return TrainingLayout(
-        tokens=np.asarray(tokens, dtype=np.int64),
+        tokens=tokens,
         positions=np.concatenate(
             [assignment.positions(seg, 0, n) for seg, n in zip(keys, lengths)]
         ),
         thought_indices=np.repeat(np.array(thoughts, dtype=np.int64), lengths),
-        loss_mask=np.asarray(loss, dtype=np.int64),
+        loss_mask=loss,
         segments=tuple(segments),
         layout=plan,
         mask=AttentionMask(plan, plan.segment_codes()),
@@ -293,8 +348,8 @@ def read_problems(path: str) -> list[RawProblem]:
 def training_record(sample: SFTSample, layout: TrainingLayout) -> dict:
     return {
         "format": SCHEMA_FORMAT,
-        "tokens": [int(t) for t in layout.tokens],
-        "loss_mask": [int(b) for b in layout.loss_mask],
+        "tokens": layout.tokens.tolist(),
+        "loss_mask": layout.loss_mask.tolist(),
         "segments": list(layout.segments),
         "P": sample.p_hat,
         "seed": sample.seed,

@@ -3,12 +3,18 @@
 The dense decoder recomputes every slot's logits with full-sequence
 float64 matrix math under an explicit dense mask; the mask oracles spell
 out the visibility case-splits with plain Python loops.  Neither shares
-code with the engine's per-slot decode loop.
+code with the engine's per-slot decode loop.  The sample parser and the
+training layout are datagen's token-by-token versions, kept to check
+the array-based ones.
 """
 
 import numpy as np
 
-from parcot.positional import Rope
+from parcot.datagen import ParsedSample, TrainingLayout
+from parcot.errors import FormatError, LayoutError
+from parcot.masking import REASONING, AttentionMask, LayoutPlan
+from parcot.positional import ANSWER, PROMPT, SHARED, PositionAssignment, Rope, path_key
+from parcot.tokenizer import encode
 
 
 def _rms(x, gain):
@@ -139,3 +145,99 @@ def greedy_dense_decode(weights, table, vocab, prompt, think_label, body_budget)
     full = dense_logits(weights, table, tokens, positions, thoughts, causal_mask(n))
     step_logits.append(full[-1])
     return tokens[l_x:], step_logits, (tokens, positions, thoughts)
+
+
+def reference_parse_sample(tokens, vocab) -> ParsedSample:
+    """datagen.parse_sample as a walk over every token."""
+    tokens = [int(t) for t in tokens]
+    pos = 0
+    n = len(tokens)
+    paths = []
+    seen_labels = set()
+    control_lo, control_hi = vocab.base_size, vocab.eos
+
+    while pos < n:
+        label = vocab.think_open_label(tokens[pos])
+        if label is None:
+            break
+        if label in seen_labels:
+            raise FormatError(f"think label {label} used twice", offset=pos)
+        seen_labels.add(label)
+        close_id = vocab.think_close(label)
+        pos += 1
+        body = []
+        while pos < n and tokens[pos] != close_id:
+            if control_lo <= tokens[pos] < control_hi:
+                raise FormatError(
+                    f"unexpected control token inside path {label}", offset=pos
+                )
+            body.append(tokens[pos])
+            pos += 1
+        if pos >= n:
+            raise FormatError(f"path {label} is never closed", offset=n)
+        pos += 1
+        paths.append((label, tuple(body)))
+
+    if not paths:
+        raise FormatError("sample contains no reasoning paths", offset=pos)
+    if pos >= n or tokens[pos] != vocab.summary_open:
+        raise FormatError("expected summary opener after the paths", offset=pos)
+    pos += 1
+    answer = []
+    while pos < n and tokens[pos] != vocab.summary_close:
+        if control_lo <= tokens[pos] < control_hi:
+            raise FormatError("unexpected control token inside the summary", offset=pos)
+        answer.append(tokens[pos])
+        pos += 1
+    if pos >= n:
+        raise FormatError("summary is never closed", offset=n)
+    pos += 1
+    if pos != n:
+        raise FormatError("trailing tokens after the summary closer", offset=pos)
+    return ParsedSample(paths=tuple(paths), answer=tuple(answer), empty_answer=not answer)
+
+
+def reference_training_layout(sample, vocab, max_context) -> TrainingLayout:
+    """datagen.training_layout with tokens and loss built token by token."""
+    parsed = reference_parse_sample(sample.tokens, vocab)
+    prompt_ids = encode(sample.query, vocab, markup=False)
+    l_x = len(prompt_ids)
+    l_seg = max(len(body) + 2 for _, body in parsed.paths)
+
+    tokens = list(prompt_ids)
+    loss = [0] * l_x
+    segments = [{"kind": "prompt", "start": 0, "length": l_x}]
+    for label, body in parsed.paths:
+        segments.append({"kind": "path", "label": label, "start": len(tokens), "length": l_seg})
+        pad_count = l_seg - len(body) - 2
+        tokens.extend([vocab.think_open(label), *body, vocab.think_close(label)])
+        tokens.extend([vocab.pad] * pad_count)
+        loss.extend([0] + [1] * len(body) + [1] + [0] * pad_count)
+    answer_len = len(parsed.answer) + 2
+    segments.append({"kind": "answer", "start": len(tokens), "length": answer_len})
+    tokens.extend([vocab.summary_open, *parsed.answer, vocab.summary_close])
+    loss.extend([0] + [1] * len(parsed.answer) + [1])
+    if len(tokens) > max_context:
+        raise LayoutError(f"serialized length {len(tokens)} exceeds context limit {max_context}")
+
+    num_paths = len(parsed.paths)
+    plan = LayoutPlan(
+        l_x=l_x, path_lengths=(l_seg,) * num_paths, answer_length=answer_len, stage=REASONING
+    )
+    assignment = PositionAssignment(
+        SHARED, l_x=l_x, l_max=l_seg, num_paths=num_paths, reasoning_len=l_seg
+    )
+    keys = (PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER)
+    lengths = (l_x, *plan.path_lengths, answer_len)
+    thoughts = [0, *(label for label, _ in parsed.paths), 0]
+    return TrainingLayout(
+        tokens=np.asarray(tokens, dtype=np.int64),
+        positions=np.concatenate(
+            [assignment.positions(seg, 0, n) for seg, n in zip(keys, lengths)]
+        ),
+        thought_indices=np.repeat(np.array(thoughts, dtype=np.int64), lengths),
+        loss_mask=np.asarray(loss, dtype=np.int64),
+        segments=tuple(segments),
+        layout=plan,
+        mask=AttentionMask(plan, plan.segment_codes()),
+    )

@@ -3,11 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_parse_sample, reference_training_layout
 from parcot.datagen import (
     DEFAULT_ANSWER_TEMPLATE,
     MAX_CONTEXT_TOKENS,
     RawProblem,
+    SFTSample,
     build_sample,
     parse_sample,
     problem_from_record,
@@ -153,6 +157,200 @@ class TestParseSample:
         parsed = parse_sample(tokens, vocab)
         assert parsed.empty_answer and parsed.answer == ()
         assert len(parsed.paths) == 6
+
+
+def outcome(parse, tokens, vocab):
+    """What a parser makes of ``tokens``: its result, or its error."""
+    try:
+        return parse(tokens, vocab)
+    except FormatError as err:
+        return (str(err), err.offset)
+
+
+def serialize(vocab, paths, answer):
+    tokens = []
+    for label, body in paths:
+        tokens += [vocab.think_open(label), *body, vocab.think_close(label)]
+    return tokens + [vocab.summary_open, *answer, vocab.summary_close]
+
+
+@st.composite
+def well_formed(draw, vocab=Vocab()):
+    """(paths, answer) of a valid sample: P̂ 1-16, bodies and answer may be
+    empty and may hold EOS and PAD."""
+    body_ids = st.one_of(st.integers(0, vocab.base_size - 1), st.sampled_from([vocab.eos, vocab.pad]))
+    labels = draw(st.permutations(range(1, vocab.p_max + 1)))[: draw(st.integers(1, vocab.p_max))]
+    paths = [(label, draw(st.lists(body_ids, max_size=8))) for label in labels]
+    return paths, draw(st.lists(body_ids, max_size=8))
+
+
+@st.composite
+def mutated(draw, vocab=Vocab()):
+    """A well-formed sample after up to three edits: replace, insert or
+    delete one id, truncate, or append; edited ids lean to control ids."""
+    paths, answer = draw(well_formed())
+    tokens = serialize(vocab, paths, answer)
+    any_id = st.one_of(
+        st.integers(0, vocab.size - 1),
+        st.integers(vocab.base_size, vocab.size - 1),
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "truncate", "append"]))
+        at = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        if edit == "replace" and tokens:
+            tokens[at] = draw(any_id)
+        elif edit == "insert":
+            tokens.insert(at, draw(any_id))
+        elif edit == "delete" and tokens:
+            del tokens[at]
+        elif edit == "truncate":
+            tokens = tokens[:at]
+        elif edit == "append":
+            tokens.append(draw(any_id))
+    return tokens
+
+
+class TestParserOracle:
+    """The array parser against the token-by-token one (tests/oracles.py)."""
+
+    @given(well_formed())
+    @settings(max_examples=150, deadline=None)
+    def test_well_formed_samples_parse_alike(self, vocab, sample):
+        paths, answer = sample
+        tokens = serialize(vocab, paths, answer)
+        parsed = parse_sample(tokens, vocab)
+        assert parsed == reference_parse_sample(tokens, vocab)
+        assert parsed.paths == tuple((label, tuple(body)) for label, body in paths)
+        assert parsed.answer == tuple(answer) and parsed.empty_answer == (not answer)
+
+    @given(mutated())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_samples_parse_or_fail_alike(self, vocab, tokens):
+        # equal paths and answer, or the same FormatError message and offset
+        assert outcome(parse_sample, tokens, vocab) == outcome(
+            reference_parse_sample, tokens, vocab
+        )
+
+    def test_numpy_input_parses_like_a_tuple(self, vocab):
+        sample = build_sample(problem(), vocab, p_hat=4, seed=5)
+        assert parse_sample(np.array(sample.tokens), vocab) == parse_sample(sample.tokens, vocab)
+
+
+class TestIdsOutsideTheVocabulary:
+    def sample(self, vocab):
+        return serialize(vocab, [(1, [70, 71]), (2, [72])], [73])
+
+    @pytest.mark.parametrize("bad", [-1, -(2**40), "size", "size+7", 2**64, -(2**64)])
+    def test_rejected_at_the_first_offset(self, vocab, bad):
+        bad = {"size": vocab.size, "size+7": vocab.size + 7}.get(bad, bad)
+        for offset in (0, 2, 4, 8):
+            tokens = self.sample(vocab)
+            tokens[offset] = bad
+            tokens[offset + 1] = -3  # a second bad id, later
+            with pytest.raises(FormatError, match="outside the vocabulary") as err:
+                parse_sample(tokens, vocab)
+            assert err.value.offset == offset
+
+    def test_checked_before_the_grammar(self, vocab):
+        # a stray control at offset 1 comes first, but the range check runs first
+        tokens = self.sample(vocab)
+        tokens[1] = vocab.summary_open
+        tokens[5] = vocab.size
+        with pytest.raises(FormatError, match="outside the vocabulary") as err:
+            parse_sample(tokens, vocab)
+        assert err.value.offset == 5
+
+    def test_never_reach_a_training_layout(self, vocab):
+        sample = build_sample(problem(2), vocab, p_hat=2, seed=0)
+        tokens = list(sample.tokens)
+        tokens[1] = vocab.size
+        bad = SFTSample(**{**sample.__dict__, "tokens": tuple(tokens)})
+        with pytest.raises(FormatError):
+            training_layout(bad, vocab)
+
+    def test_the_last_ids_of_the_vocabulary_are_body_ids(self, vocab):
+        tokens = self.sample(vocab)
+        tokens[1] = vocab.size - 1  # PAD
+        assert parse_sample(tokens, vocab).paths[0] == (1, (vocab.pad, 71))
+
+
+def cap_sample(vocab, p_hat, seed):
+    """A sample of P̂ uneven paths whose layout fills the context cap exactly."""
+    rng = np.random.default_rng(seed)
+    answer_len = 10
+    l_x = 10 + (MAX_CONTEXT_TOKENS - 10 - (answer_len + 2)) % p_hat
+    l_seg = (MAX_CONTEXT_TOKENS - l_x - (answer_len + 2)) // p_hat
+    lengths = [l_seg - 2] + [int(rng.integers(0, l_seg - 1)) for _ in range(p_hat - 1)]
+    prob = RawProblem(
+        query="q" * l_x, answer="a" * answer_len, paths=tuple("x" * n for n in lengths)
+    )
+    return build_sample(prob, vocab, p_hat=p_hat, seed=seed, template=None)
+
+
+class TestLayoutOracle:
+    """The span-copying layout against the token-by-token one."""
+
+    def assert_same_layout(self, sample, vocab, max_context=MAX_CONTEXT_TOKENS):
+        got = training_layout(sample, vocab, max_context)
+        want = reference_training_layout(sample, vocab, max_context)
+        for name in ("tokens", "positions", "thought_indices", "loss_mask"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype == np.int64, name
+            assert np.array_equal(a, b), name
+        assert got.segments == want.segments
+        assert got.layout == want.layout
+        for name in ("segment", "owner", "allowed"):
+            assert np.array_equal(getattr(got.mask, name), getattr(want.mask, name)), name
+        return got
+
+    def test_random_samples(self, vocab):
+        rng = np.random.default_rng(8)
+        for case in range(60):
+            p_hat = int(rng.integers(1, vocab.p_max + 1))
+            prob = RawProblem(
+                query="q" * int(rng.integers(1, 20)),
+                answer="a" * int(rng.integers(1, 20)),
+                paths=tuple("p" * int(rng.integers(0, 40)) for _ in range(p_hat + 2)),
+            )
+            sample = build_sample(prob, vocab, p_hat=p_hat, seed=case, template=None)
+            self.assert_same_layout(sample, vocab)
+
+    def test_empty_bodies_eos_and_pad(self, vocab):
+        tokens = serialize(
+            vocab, [(3, []), (1, [70, vocab.eos]), (9, [vocab.pad] * 3)], []
+        )
+        sample = SFTSample("q", ("", "", ""), (3, 1, 9), "", tuple(tokens), 3, 0)
+        self.assert_same_layout(sample, vocab)
+
+    @pytest.mark.parametrize("p_hat", [1, 2, 7, 16])
+    def test_at_the_context_cap(self, vocab, p_hat):
+        got = self.assert_same_layout(cap_sample(vocab, p_hat, seed=p_hat), vocab)
+        assert len(got.tokens) == MAX_CONTEXT_TOKENS
+
+    def test_over_the_cap_raises_alike(self, vocab):
+        sample = cap_sample(vocab, 4, seed=0)
+        with pytest.raises(LayoutError) as got:
+            training_layout(sample, vocab, MAX_CONTEXT_TOKENS - 1)
+        with pytest.raises(LayoutError) as want:
+            reference_training_layout(sample, vocab, MAX_CONTEXT_TOKENS - 1)
+        assert str(got.value) == str(want.value)
+
+    def test_parse_walks_control_tokens_not_bodies(self, vocab, monkeypatch):
+        # the walk asks for a think label once per path and once to stop
+        sample = cap_sample(vocab, 16, seed=1)
+        calls = []
+        label_of = Vocab.think_open_label
+
+        def counted(self, token):
+            calls.append(token)
+            return label_of(self, token)
+
+        monkeypatch.setattr(Vocab, "think_open_label", counted)
+        parse_sample(sample.tokens, vocab)
+        assert len(calls) <= sample.p_hat + 1
+        calls.clear()
+        training_layout(sample, vocab)
+        assert len(calls) <= sample.p_hat + 1
 
 
 class TestTrainingLayout:
