@@ -23,7 +23,19 @@ one-row causal pass (``model.forward_causal``).
 
 Sampling draws are seeded per (session seed, stream, step), where the
 stream is the path's think label (or 0 for the answer), so any single
-path replays identically in isolation.  Greedy decoding draws nothing.
+path replays identically in isolation.  A draw is a temperature softmax,
+the nucleus, and one uniform double from the draw's generator searched
+in the nucleus's cumulative distribution: the arithmetic that
+``Generator.choice`` performs once it has validated its probabilities,
+written out so that draws (and ``verify``) do not rest on numpy's
+``choice`` internals.  Greedy decoding draws nothing; a greedy reasoning
+step picks every row's token with one argmax over the step's logits.
+
+A session given ``prompt_from``, an earlier session on the same weights,
+thought table and prompt, prefills nothing: its cache reads the earlier
+session's prompt slots in place (``PagedKVCache.share``) and it reuses
+that session's prompt logits.  A prompt's storage and logits are
+read-only once prefilled, so no session can change what another reads.
 """
 
 import json
@@ -119,7 +131,13 @@ class PathState:
 
 
 class GenerationSession:
-    """State for one prompt: cache, path states, stage, and the answer."""
+    """State for one prompt: cache, path states, stage, and the answer.
+
+    ``prompt_from`` is an earlier session on the same weights, thought
+    table and prompt tokens; this session then reads its prefilled prompt
+    in place instead of prefilling one.  A mismatch raises ``ConfigError``
+    before anything is allocated.
+    """
 
     def __init__(
         self,
@@ -131,6 +149,7 @@ class GenerationSession:
         think_labels: list[int] | None = None,
         seed: int = 0,
         record_logits: bool = False,
+        prompt_from: "GenerationSession | None" = None,
     ):
         cfg = weights.config
         if num_paths < 1:
@@ -156,11 +175,14 @@ class GenerationSession:
             raise ConfigError("think labels must be distinct")
         for label in think_labels:
             vocab.think_open(label)  # validates the range
+        prompt_tokens = [int(t) for t in prompt_tokens]
+        if prompt_from is not None:
+            _check_donor(prompt_from, weights, table, prompt_tokens)
 
         self.weights = weights
         self.table = table
         self.vocab = vocab
-        self.prompt_tokens = list(int(t) for t in prompt_tokens)
+        self.prompt_tokens = prompt_tokens
         self.num_paths = num_paths
         self.think_labels = list(think_labels)
         self.seed = seed
@@ -178,15 +200,23 @@ class GenerationSession:
         self.summary_view: SummaryContextView | None = None
 
         self.cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
-        self.cache.reserve(PROMPT, len(self.prompt_tokens))
-        prompt_layout = DecodeLayout(
-            stage=REASONING,
-            assignment=PositionAssignment(SHARED, l_x=len(self.prompt_tokens), l_max=0),
-            thought_labels=tuple(think_labels),
-        )
-        self.prompt_logits = prefill(
-            weights, table, self.cache, prompt_layout, self.prompt_tokens
-        )
+        if prompt_from is not None:
+            self.cache.share(prompt_from.cache.tables[PROMPT])
+            self.prompt_logits = prompt_from.prompt_logits
+        else:
+            prompt = self.cache.reserve(PROMPT, len(self.prompt_tokens))
+            prompt_layout = DecodeLayout(
+                stage=REASONING,
+                assignment=PositionAssignment(SHARED, l_x=len(self.prompt_tokens), l_max=0),
+                thought_labels=tuple(think_labels),
+            )
+            self.prompt_logits = prefill(
+                weights, table, self.cache, prompt_layout, self.prompt_tokens
+            )
+            # read-only from here on, so a session given this one as
+            # ``prompt_from`` reads exactly what this one reads
+            prompt.slab.seal()
+            self.prompt_logits.flags.writeable = False
 
     @property
     def l_x(self) -> int:
@@ -234,6 +264,19 @@ class GenerationSession:
         )
 
 
+def _check_donor(donor: GenerationSession, weights, table, prompt_tokens) -> None:
+    """A session can reuse ``donor``'s prefilled prompt only when it would
+    have computed the same one: same weights, thought table and tokens.
+    The prompt's slots depend on nothing else (thought index 0, positions
+    1..l_x)."""
+    if donor.weights is not weights:
+        raise ConfigError("prompt_from session was built on other weights")
+    if donor.table is not table:
+        raise ConfigError("prompt_from session was built on another thought table")
+    if donor.prompt_tokens != prompt_tokens:
+        raise ConfigError("prompt_from session has a different prompt")
+
+
 def _check_position(last: int, max_position: int, stage: str) -> None:
     if last > max_position:
         raise PositionOverflowError(
@@ -255,7 +298,10 @@ def sample_token(
     touches ``rng``, which may then be None, and takes the argmax of the
     logits as given (widening float32 to float64 is exact, so it would
     pick the same id).  The nucleus keeps the smallest probability-sorted
-    prefix whose mass reaches top_p, in float64.
+    prefix whose mass reaches top_p, in float64.  The draw is the one
+    ``rng.choice(nucleus, p=renormalized)`` makes, spelled out: one
+    ``rng.random()`` searched in the normalized cumulative sum, so it
+    takes the same token and advances ``rng`` the same way.
     """
     logits = np.asarray(logits)
     if logits.size == 0:
@@ -266,16 +312,25 @@ def sample_token(
         raise SamplingError("logits contain non-finite values")
     if sampler.greedy:
         return int(np.argmax(logits))
-    scaled = logits.astype(np.float64) / sampler.temperature
-    scaled -= np.max(scaled)
-    probs = np.exp(scaled)
+    probs = logits.astype(np.float64)
+    probs /= sampler.temperature
+    top = probs.max()
+    if not np.isfinite(top):
+        raise SamplingError(f"logits / temperature {sampler.temperature} overflow float64")
+    probs -= top
+    np.exp(probs, out=probs)
     probs /= probs.sum()
     order = np.argsort(-probs, kind="stable")
-    csum = np.cumsum(probs[order])
-    before = csum - probs[order]
-    support = order[before < sampler.top_p]
-    kept = probs[support] / probs[support].sum()
-    return int(rng.choice(support, p=kept))
+    ranked = probs[order]
+    before = np.cumsum(ranked)
+    before -= ranked  # mass ranked ahead of each token
+    keep = before < sampler.top_p
+    kept = ranked[keep]
+    kept /= kept.sum()
+    # what Generator.choice(support, p=kept) does once p is validated
+    cdf = np.cumsum(kept)
+    cdf /= cdf[-1]
+    return int(order[keep][cdf.searchsorted(rng.random(), side="right")])
 
 
 def _draw(session: GenerationSession, sampler: SamplerConfig, logits, stream: int, step: int):
@@ -338,11 +393,16 @@ def run_reasoning(
     step = 0
     while stop_cause is None:
         step += 1
+        # greedy rows take the block's argmax in one call (lowest id on ties,
+        # as sample_token); forward_paths has rejected non-finite logits
+        greedy = logits.argmax(axis=1).tolist() if sampler.greedy else None
         chosen = []
-        for path, row in zip(active, logits):
+        for r, (path, row) in enumerate(zip(active, logits)):
             script = forced.get(path.index)
             if script is not None and step <= len(script):
                 chosen.append(int(script[step - 1]))
+            elif greedy is not None:
+                chosen.append(greedy[r])
             else:
                 chosen.append(_draw(session, sampler, row, path.think_label, step))
         logits = _feed_paths(session, layout, active, chosen)
@@ -437,6 +497,7 @@ def run_session(
     seed: int = 0,
     record_logits: bool = False,
     forced: dict[int, list[int]] | None = None,
+    prompt_from: GenerationSession | None = None,
 ) -> GenerationSession:
     session = GenerationSession(
         weights,
@@ -447,6 +508,7 @@ def run_session(
         think_labels=think_labels,
         seed=seed,
         record_logits=record_logits,
+        prompt_from=prompt_from,
     )
     run_reasoning(session, sampler, budget, strategy, forced=forced)
     run_summarization(session, sampler, budget.max_answer_tokens)

@@ -5,7 +5,9 @@ Every experiment is a pure function of (config, seed): per-session seeds
 are derived by hashing the experiment key, records carry the config hash,
 and ``verify_experiment_dir`` re-runs an experiment from its stored
 config and byte-compares the regenerated outputs.  Each experiment
-checks its whole grid before its first session runs.
+checks its whole grid before its first session runs.  Within one call,
+the sessions on one prompt prefill it once: the first session on it is
+every later one's ``prompt_from``.
 """
 
 import csv
@@ -131,6 +133,8 @@ def run_budget_sweep(
                     )
     records: list[dict] = []
     transcripts: list[dict] = []
+    # every session on prompt pi reuses the first one's prefill
+    prefilled: dict[int, GenerationSession] = {}
 
     def one_cell(budget_tokens: int, num_paths: int, pi: int, prompt: list[int]):
         sess_seed = derive_seed(seed, "sweep", budget_tokens, num_paths, pi)
@@ -144,7 +148,9 @@ def run_budget_sweep(
             GenerationBudget(budget_tokens, max_answer_tokens),
             strategy,
             seed=sess_seed,
+            prompt_from=prefilled.get(pi),
         )
+        prefilled.setdefault(pi, session)
         records.append(_sweep_record("parallel", budget_tokens, num_paths, pi, [session]))
         transcripts.append(
             {"key": ["sweep", "parallel", budget_tokens, num_paths, pi],
@@ -169,6 +175,7 @@ def run_budget_sweep(
                     GenerationBudget(per_sample, max_answer_tokens),
                     Termination.FIRST_FINISH,
                     seed=maj_seed,
+                    prompt_from=prefilled[pi],
                 )
             )
         rec = _sweep_record("majority", budget_tokens, num_paths, pi, maj_sessions)
@@ -243,6 +250,7 @@ def run_prefix_recovery(
     for ti, trace in enumerate(traces):
         prompt = trace["prompt"]
         body = trace["body"]
+        prefilled = None  # the trace's first session; the rest reuse its prefill
         for n in prefix_lengths:
             successes = 0
             for s in range(samples):
@@ -255,7 +263,9 @@ def run_prefix_recovery(
                     1,
                     think_labels=[1],
                     seed=sess_seed,
+                    prompt_from=prefilled,
                 )
+                prefilled = prefilled or session
                 run_reasoning(
                     session,
                     sampler,
@@ -298,6 +308,7 @@ def run_termination_comparison(
     transcripts: list[dict] = []
     for pi, prompt in enumerate(prompts):
         sess_seed = derive_seed(seed, "terminate", pi)  # shared across strategies
+        prefilled = None  # the prompt's first session; the rest reuse its prefill
         for strategy in strategies:
             strategy = Termination(strategy)
             session = run_session(
@@ -310,7 +321,9 @@ def run_termination_comparison(
                 budget,
                 strategy,
                 seed=sess_seed,
+                prompt_from=prefilled,
             )
+            prefilled = prefilled or session
             records.append(
                 {
                     "strategy": strategy.value,

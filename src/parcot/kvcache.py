@@ -26,6 +26,11 @@ scored as ``P`` groups of one part.  An answer token then scores three
 parts per layer (prompt, slab, answer) whatever ``P`` is, and no slot
 past a row's end is scored.  Rows of unequal length (half or last
 finish) stay one part each.
+
+A prompt prefilled once can serve several sessions on the same model:
+``Slab.seal`` makes a full segment's storage read-only, and
+``PagedKVCache.share`` gives another cache its own segment over the same
+slots, with no room to write more.
 """
 
 import hashlib
@@ -61,6 +66,11 @@ class Slab:
     @property
     def capacity(self) -> int:
         return self.k.shape[2]
+
+    def seal(self) -> None:
+        """Make the storage read-only: a stray write then raises."""
+        for array in (self.k, self.v, self.positions, self.thoughts):
+            array.flags.writeable = False
 
     def prefix(self, layer: int, end: int) -> tuple[np.ndarray, np.ndarray]:
         """(K, V) of slots [0, end) of every row at one layer, in row
@@ -222,6 +232,29 @@ class PagedKVCache:
             seg.slab, seg.row = slab, i
         self.paths = slab
         return slab
+
+    def share(self, source: Segment) -> Segment:
+        """A segment of this cache over ``source``'s slots, read in place.
+
+        ``source`` is a full, sealed segment of another cache (a prompt
+        prefilled once for several sessions).  The new segment holds the
+        same slots and no room for more, and its storage cannot be
+        written, so no cache changes what another reads.
+        """
+        s = source.slab
+        if source.filled != s.capacity:
+            raise LifecycleError(
+                f"segment {source.owner!r} holds {source.filled} of its {s.capacity}"
+                " slots; only a full one can be shared"
+            )
+        if s.k.flags.writeable:
+            raise LifecycleError(f"segment {source.owner!r} is not sealed")
+        if self.length(source.owner):
+            raise LifecycleError(f"segment {source.owner!r} already holds slots")
+        seg = Segment(source.owner, s, source.row)
+        seg.filled = source.filled
+        self.tables[source.owner] = seg
+        return seg
 
     def length(self, segment: str) -> int:
         seg = self.tables.get(segment)

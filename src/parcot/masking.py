@@ -11,12 +11,13 @@ order, then the answer.  Query t sees slot j iff j <= t (generation
 order, self-inclusive; rotary positions play no role) and the rule lets
 t's owner segment see j's segment.  ``AttentionMask`` holds this in O(N)
 memory (slot segment codes, row owner codes, the rule as a (P+2)x(P+2)
-table) and builds the dense N x N matrix only on request.  Path i owns
+table built once per P) and builds the dense N x N matrix only on request.  Path i owns
 every row of its reasoning mask, the answer every row of the summary
 mask, and each row of a training layout is owned by its own segment.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,6 +99,22 @@ class LayoutPlan:
         return replace(self, stage=stage)
 
 
+@lru_cache(maxsize=64)
+def allowed_table(num_paths: int) -> np.ndarray:
+    """The rule as a read-only [P+2, P+2] table: allowed[a, b] when segment
+    code a sees code b.  The prompt and paths follow the reasoning rule;
+    the answer's summarization list is every segment.  It depends on P
+    alone, so it is built once per P and shared."""
+    keys = visible_segments(SUMMARIZATION, ANSWER, num_paths)
+    stages = [REASONING] * (num_paths + 1) + [SUMMARIZATION]
+    table = np.array(
+        [[seen in visible_segments(st, k, num_paths) for seen in keys]
+         for st, k in zip(stages, keys)]
+    )
+    table.flags.writeable = False
+    return table
+
+
 class AttentionMask:
     """Visibility of a serialized layout; rows are queries, columns keys.
 
@@ -109,14 +126,7 @@ class AttentionMask:
     def __init__(self, layout: LayoutPlan, owner):
         self.segment = layout.segment_codes()
         self.owner = np.broadcast_to(owner, self.segment.shape)
-        # allowed[a, b]: code a sees code b.  The prompt and paths follow the
-        # reasoning rule; the answer's summarization list is every segment.
-        p = layout.num_paths
-        keys = visible_segments(SUMMARIZATION, ANSWER, p)
-        stages = [REASONING] * (p + 1) + [SUMMARIZATION]
-        self.allowed = np.array(
-            [[seen in visible_segments(st, k, p) for seen in keys] for st, k in zip(stages, keys)]
-        )
+        self.allowed = allowed_table(layout.num_paths)
 
     @property
     def size(self) -> int:

@@ -499,16 +499,21 @@ def forward_paths(
     owns = [slot.segment for slot in slots]
     rows = cache.rows(owns, 1)  # distinct segments of one slab, equally long
     index = rows.start
-    position = int(layout.positions(owns[0], index, 1)[0])
-    base = layout.base(owns[0])
-    shared = [seg for seg in layout.visible_segments(owns[0]) if seg != owns[0]]
     for slot in slots:
         if slot.index != index:
             raise CacheConsistencyError(f"slot {slot} does not extend segment (filled={index})")
-        if layout.base(slot.segment) != base:
+    # The batch's position and shared segments, derived once.  Rows of one
+    # slab are path segments: their bases are affine in the path index, so
+    # two distinct rows share a base only if every row does, and the rule
+    # gives every path of a stage the same other segments.  The last row is
+    # checked against the first.
+    first, last = owns[0], owns[-1]
+    position = int(layout.positions(first, index, 1)[0])
+    shared = [seg for seg in layout.visible_segments(first) if seg != first]
+    if n > 1:
+        if layout.base(last) != layout.base(first):
             raise CacheConsistencyError("batched slots must share one position")
-        mine = [seg for seg in layout.visible_segments(slot.segment) if seg != slot.segment]
-        if mine != shared:
+        if [seg for seg in layout.visible_segments(last) if seg != last] != shared:
             raise CacheConsistencyError("batched slots must share their visible segments")
     _check_position(cfg, position)
     parts = cache.parts(_visible_others(layout, cache, shared))

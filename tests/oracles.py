@@ -5,13 +5,14 @@ float64 matrix math under an explicit dense mask; the mask oracles spell
 out the visibility case-splits with plain Python loops.  Neither shares
 code with the engine's per-slot decode loop.  The sample parser and the
 training layout are datagen's token-by-token versions, kept to check
-the array-based ones.
+the array-based ones.  The sampler is the engine's nucleus sampler as it
+was when it drew through ``Generator.choice``.
 """
 
 import numpy as np
 
 from parcot.datagen import ParsedSample, TrainingLayout
-from parcot.errors import FormatError, LayoutError
+from parcot.errors import FormatError, LayoutError, SamplingError
 from parcot.masking import REASONING, AttentionMask, LayoutPlan
 from parcot.positional import ANSWER, PROMPT, SHARED, PositionAssignment, Rope, path_key
 from parcot.tokenizer import encode
@@ -241,3 +242,26 @@ def reference_training_layout(sample, vocab, max_context) -> TrainingLayout:
         layout=plan,
         mask=AttentionMask(plan, plan.segment_codes()),
     )
+
+
+def reference_sample_token(logits, sampler, rng) -> int:
+    """engine.sample_token drawing through ``Generator.choice``."""
+    logits = np.asarray(logits)
+    if logits.size == 0:
+        raise SamplingError("all tokens are masked out")
+    if not np.isfinite(logits).all():
+        if np.isneginf(logits).all():
+            raise SamplingError("all tokens are masked out")
+        raise SamplingError("logits contain non-finite values")
+    if sampler.greedy:
+        return int(np.argmax(logits))
+    scaled = logits.astype(np.float64) / sampler.temperature
+    scaled -= np.max(scaled)
+    probs = np.exp(scaled)
+    probs /= probs.sum()
+    order = np.argsort(-probs, kind="stable")
+    csum = np.cumsum(probs[order])
+    before = csum - probs[order]
+    support = order[before < sampler.top_p]
+    kept = probs[support] / probs[support].sum()
+    return int(rng.choice(support, p=kept))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parcot.engine import (
     EvalReport,
@@ -34,6 +36,7 @@ from oracles import (
     causal_mask,
     dense_logits,
     greedy_dense_decode,
+    reference_sample_token,
 )
 
 GREEDY = SamplerConfig(greedy=True)
@@ -141,6 +144,141 @@ class TestSampleToken:
     def test_all_masked_rejected(self):
         with pytest.raises(SamplingError):
             sample_token(np.full(4, -np.inf), GREEDY, np.random.default_rng(0))
+
+    def test_temperature_overflow_rejected(self):
+        sampler = SamplerConfig(temperature=1e-300)
+        with pytest.raises(SamplingError, match="overflow"), np.errstate(over="ignore"):
+            sample_token(np.array([1e10, 0.0]), sampler, np.random.default_rng(0))
+
+
+def outcome(fn, logits, sampler, draw):
+    """A draw's token id, or the SamplingError message it raised."""
+    try:
+        return fn(logits, sampler, draw)
+    except SamplingError as exc:
+        return f"SamplingError: {exc}"
+
+
+@st.composite
+def logit_rows(draw):
+    """Rows with ties, a dominant token, near-zero tails, or non-finite entries."""
+    n = draw(st.integers(0, 300))
+    kind = draw(st.sampled_from(["normal", "ties", "dominant", "tails", "nonfinite"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    row = rng.standard_normal(n) * draw(st.sampled_from([0.1, 1.0, 8.0]))
+    if kind == "ties" and n:
+        row = rng.choice(draw(st.lists(st.floats(-20, 20), min_size=1, max_size=4)), size=n)
+    elif kind == "dominant" and n:
+        row[rng.integers(n)] = draw(st.floats(20, 400))
+    elif kind == "tails" and n:
+        row[rng.random(n) < 0.7] = -draw(st.floats(30, 2000))  # exp underflows to 0
+    elif kind == "nonfinite" and n:
+        row[rng.integers(n, size=draw(st.integers(1, n)))] = draw(
+            st.sampled_from([-np.inf, np.inf, np.nan])
+        )
+    return row.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+class TestSamplerOracle:
+    """sample_token equals the pre-change sampler that drew through
+    Generator.choice: same token id on every draw, same SamplingError."""
+
+    @given(
+        logits=logit_rows(),
+        temperature=st.floats(0.05, 5.0),
+        top_p=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+        greedy=st.booleans(),
+        key=st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 16), st.integers(1, 4096)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_choice_sampler(self, logits, temperature, top_p, greedy, key):
+        sampler = SamplerConfig(temperature=temperature, top_p=top_p, greedy=greedy)
+        want = outcome(reference_sample_token, logits, sampler, engine.draw_rng(*key))
+        got = outcome(sample_token, logits, sampler, engine.draw_rng(*key))
+        assert got == want
+
+    @pytest.mark.parametrize("top_p", [1.0, 0.9, 0.5])
+    def test_matches_choice_sampler_on_model_like_rows(self, top_p):
+        rng = np.random.default_rng(11)
+        sampler = SamplerConfig(temperature=0.7, top_p=top_p)
+        for step in range(1, 1001):
+            row = (rng.standard_normal(292) * 3).astype(np.float32)
+            want = reference_sample_token(row, sampler, engine.draw_rng(5, 1, step))
+            assert sample_token(row, sampler, engine.draw_rng(5, 1, step)) == want
+
+
+    @pytest.mark.parametrize("top_p", [1.0, 0.95])
+    def test_matches_choice_sampler_at_the_flip_points(self, top_p):
+        """Where a draw flips between two tokens as one logit moves by an ulp,
+        a cumulative sum off by rounding, or a uniform equal to a cdf entry
+        searched from the wrong side, picks the other token."""
+        base = np.random.default_rng(0).standard_normal(12)
+        sampler = SamplerConfig(temperature=0.9, top_p=top_p)
+
+        def draw(fn, x, key):
+            row = base.copy()
+            row[0] = x
+            return fn(row, sampler, engine.draw_rng(*key))
+
+        flips = 0
+        for seed in range(40):
+            key = (seed, 1, 1)
+            lo, hi = -30.0, 30.0
+            low_token = draw(reference_sample_token, lo, key)
+            if draw(reference_sample_token, hi, key) == low_token:
+                continue
+            while np.nextafter(lo, hi) < hi:  # bisect down to adjacent floats
+                mid = (lo + hi) / 2
+                if mid in (lo, hi):
+                    break
+                if draw(reference_sample_token, mid, key) == low_token:
+                    lo = mid
+                else:
+                    hi = mid
+            flips += 1
+            x = lo
+            for _ in range(16):
+                x = np.nextafter(x, -np.inf)
+            for _ in range(32):
+                assert draw(sample_token, x, key) == draw(reference_sample_token, x, key)
+                x = np.nextafter(x, np.inf)
+        assert flips >= 20
+
+
+class TestBlockGreedy:
+    def test_block_argmax_equals_per_row_sample_token_on_ties(
+        self, small_weights, small_table, vocab, monkeypatch
+    ):
+        """Greedy steps take one argmax over the [n, vocab] block; with every
+        row tied between two ids, each path takes the lower one, as
+        sample_token would."""
+        forward_paths = engine.forward_paths
+        rng = np.random.default_rng(3)
+        seen = []
+
+        def tied(*args):
+            logits = forward_paths(*args)
+            out = np.zeros_like(logits)
+            for row in out:
+                a, b = rng.choice(np.arange(32, 127), size=2, replace=False)
+                row[[a, b]] = 1.0
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(engine, "forward_paths", tied)
+        draws = []
+        monkeypatch.setattr(engine, "sample_token", lambda *args: draws.append(args))
+        session = make_session(small_weights, small_table, vocab, num_paths=5)
+        run_reasoning(session, GREEDY, GenerationBudget(6))
+        assert draws == []  # greedy reasoning selects without sample_token
+        monkeypatch.undo()
+        # block s picks body token s + 1; after the sixth, budget closes the paths
+        for step, block in enumerate(seen[:6]):
+            for path, row in zip(session.paths, block):
+                token = path.tokens[step + 1]
+                assert token == sample_token(row, GREEDY, None)
+                assert token == int(np.flatnonzero(row == 1.0)[0])
 
 
 class TestTerminationSemantics:

@@ -6,8 +6,10 @@ from parcot.masking import (
     REASONING,
     SUMMARIZATION,
     LayoutPlan,
+    allowed_table,
     build_reasoning_mask,
     build_summary_mask,
+    visible_segments,
 )
 from parcot.model import DecodeLayout
 from parcot.positional import ANSWER, PROMPT, path_key
@@ -171,6 +173,25 @@ class TestOneRule:
         layout = DecodeLayout(stage=SUMMARIZATION, thought_labels=labels)
         summary = build_summary_mask(plan.with_stage(SUMMARIZATION))
         assert seen(summary, plan.answer_slots()[0]) == layout.visible_segments(ANSWER)
+
+
+    @pytest.mark.parametrize("num_paths", [1, 2, 5, 16])
+    def test_allowed_table_is_the_rule_built_once_per_p(self, num_paths):
+        keys = [PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER]
+        stages = [REASONING] * (num_paths + 1) + [SUMMARIZATION]
+        want = [
+            [seen in visible_segments(stage, key, num_paths) for seen in keys]
+            for stage, key in zip(stages, keys)
+        ]
+        table = allowed_table(num_paths)
+        assert table.tolist() == want
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, -1] = True
+        plan = reasoning_plan(2, (3,) * num_paths, 2)
+        a = build_reasoning_mask(plan, 0)
+        b = build_summary_mask(plan.with_stage(SUMMARIZATION))
+        assert a.allowed is table and b.allowed is table
 
 
 class TestVisibleSet:

@@ -23,6 +23,7 @@ from parcot.model import (
     ModelConfig,
     attend,
     forward_causal,
+    forward_paths,
     forward_step,
     init_weights,
     load_weights,
@@ -30,6 +31,7 @@ from parcot.model import (
     save_weights,
 )
 from parcot.positional import (
+    FLATTENED,
     PROMPT,
     SHARED,
     PositionAssignment,
@@ -241,6 +243,61 @@ class TestForwardStep:
                 small_weights, small_table, cache, layout, cfg.vocab_size,
                 SlotAddress(PROMPT, 0),
             )
+
+
+class TestBatchChecks:
+    """forward_paths derives a batch's position and shared segments once;
+    batches that do not share them still raise before any write."""
+
+    def prefilled(self, weights, table, layout, num_paths=3):
+        cfg = weights.config
+        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        cache.reserve(PROMPT, 2)
+        prefill(weights, table, cache, layout, [5, 6])
+        cache.reserve_paths(num_paths, 8)
+        return cache
+
+    def test_flattened_rows_do_not_share_a_position(self, small_weights, small_table):
+        layout = DecodeLayout(
+            stage=REASONING,
+            assignment=PositionAssignment(FLATTENED, l_x=2, l_max=8, num_paths=3),
+            thought_labels=(1, 2, 3),
+        )
+        cache = self.prefilled(small_weights, small_table, layout)
+        for rows in ([0, 1, 2], [0, 2], [1, 2]):
+            slots = [SlotAddress(path_key(i), 0) for i in rows]
+            with pytest.raises(CacheConsistencyError, match="share one position"):
+                forward_paths(
+                    small_weights, small_table, cache, layout, [40] * len(rows), slots
+                )
+        assert [cache.length(path_key(i)) for i in range(3)] == [0, 0, 0]
+        # one flattened row alone is a batch
+        slot = SlotAddress(path_key(2), 0)
+        forward_paths(small_weights, small_table, cache, layout, [40], [slot])
+
+    def test_prompt_and_path_rows_do_not_batch(self, small_weights, small_table):
+        layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
+        cache = self.prefilled(small_weights, small_table, layout)
+        slots = [SlotAddress(path_key(0), 0), SlotAddress(PROMPT, 2)]
+        with pytest.raises(CacheConsistencyError):
+            forward_paths(small_weights, small_table, cache, layout, [40, 41], slots)
+
+    def test_rows_must_extend_their_segments(self, small_weights, small_table):
+        layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
+        cache = self.prefilled(small_weights, small_table, layout)
+        slots = [SlotAddress(path_key(0), 0), SlotAddress(path_key(1), 1)]
+        with pytest.raises(CacheConsistencyError, match="does not extend"):
+            forward_paths(small_weights, small_table, cache, layout, [40, 41], slots)
+
+    def test_shared_rows_equal_their_single_row_passes(self, small_weights, small_table):
+        layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
+        batched = self.prefilled(small_weights, small_table, layout)
+        alone = self.prefilled(small_weights, small_table, layout)
+        slots = [SlotAddress(path_key(i), 0) for i in range(3)]
+        block = forward_paths(small_weights, small_table, batched, layout, [40, 41, 42], slots)
+        for i, slot in enumerate(slots):
+            row = forward_step(small_weights, small_table, alone, layout, 40 + i, slot)
+            assert np.array_equal(block[i], row)
 
 
 class TestPrefill:
