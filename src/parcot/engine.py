@@ -58,6 +58,7 @@ from .masking import REASONING, SUMMARIZATION, LayoutPlan
 from .model import (
     DecodeLayout,
     ModelWeights,
+    check_token_ids,
     forward_causal,
     forward_paths,
     forward_step,  # noqa: F401  perfbench/instrument.py wraps it by this name
@@ -166,6 +167,8 @@ class GenerationSession:
             )
         if not prompt_tokens:
             raise DataError("prompt must contain at least one token")
+        check_token_ids(prompt_tokens, cfg.vocab_size)
+        prompt_tokens = [int(t) for t in prompt_tokens]
         _check_position(len(prompt_tokens), cfg.max_position, "prompt")
         if think_labels is None:
             think_labels = list(range(1, num_paths + 1))
@@ -175,7 +178,6 @@ class GenerationSession:
             raise ConfigError("think labels must be distinct")
         for label in think_labels:
             vocab.think_open(label)  # validates the range
-        prompt_tokens = [int(t) for t in prompt_tokens]
         if prompt_from is not None:
             _check_donor(prompt_from, weights, table, prompt_tokens)
 

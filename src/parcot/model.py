@@ -11,14 +11,22 @@ All parameters, cache entries, and activations are 32-bit floats.
 Attention for a slot is reduced in a fixed order: visible segments in
 layout order, then its own segment's slots in write order up to and
 including itself.  Two passes run their rows through the layers as one
-block (``_decode_rows``), so each weight matrix is read once per block:
+block (``_decode_rows``), so each weight matrix is read once per block.
+A layer computes q, k and v as one product with its fused ``w_qkv``
+(bit-identical to three products), adds the rows' thought embeddings
+(looked up once per pass) to k and v, and rotates q and k in one
+``Rope.rotate`` call (tables built once per pass, or the rope's cached
+ones for a single position):
 
 * ``forward_paths`` decodes one new slot for each active path of a
-  reasoning step, and rows never mix.  A one-row pass (``forward_step``)
-  runs as two identical rows so that it uses the same BLAS kernels as a
-  batch; with OpenBLAS a path's logits are then bit-identical to its
-  single-path replay (the tested bound is 1e-5).  Only reasoning needs
-  that duplicated row; nothing else decodes through it.
+  reasoning step, and rows never mix.  Its attention has two parts per
+  layer: the shared segments, and the rows' own slab rows read through
+  the new slot staged there, scored row by row.  A one-row pass
+  (``forward_step``) runs as two identical rows so that it uses the same
+  BLAS kernels as a batch; with OpenBLAS a path's logits are then
+  bit-identical to its single-path replay (the tested bound is 1e-5).
+  Only reasoning needs that duplicated row; nothing else decodes
+  through it.
 * ``forward_causal`` feeds tokens to consecutive slots of one segment in
   causal blocks of ``CAUSAL_CHUNK`` rows with per-row positions: tokens
   known in advance (the prompt, the re-prefill baseline's flattened
@@ -38,6 +46,10 @@ committed slots, and commit the slots only after the logits are
 computed.  Staged slots are invisible to every other reader, so a pass
 that raises leaves the cache at the length it had.
 
+``attend`` starts its output from the first part's product, the softmax
+runs in place on the scores, and the score scale and the causal triangle
+are cached per ``d_k`` and per block height.
+
 Weight file format ("PTW1", little-endian):
   magic (4 bytes), then the config as eight uint32 values in order
   (n_layers, d_model, n_heads, d_k, d_ff, vocab_size, rope_base,
@@ -45,11 +57,13 @@ Weight file format ("PTW1", little-endian):
   embedding [vocab, d_model]; per layer: attn_norm [d_model],
   w_q, w_k, w_v, w_o [d_model, d_model], ffn_norm [d_model],
   w_ff1 [d_model, d_ff], w_ff2 [d_ff, d_model]; final_norm [d_model];
-  head [d_model, vocab].
+  head [d_model, vocab].  ``w_q``, ``w_k`` and ``w_v`` are written as three
+  matrices and loaded into one ``w_qkv``.
 """
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -116,14 +130,36 @@ class ModelConfig:
 
 @dataclass
 class LayerWeights:
+    """One block's tensors.  The query, key and value projections are the
+    column blocks of one [d_model, 3·d_model] matrix, so one product gives
+    all three; ``w_q``, ``w_k`` and ``w_v`` are views of those blocks."""
+
     attn_norm: np.ndarray
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
+    w_qkv: np.ndarray
     w_o: np.ndarray
     ffn_norm: np.ndarray
     w_ff1: np.ndarray
     w_ff2: np.ndarray
+
+    @classmethod
+    def from_projections(cls, attn_norm, w_q, w_k, w_v, w_o, ffn_norm, w_ff1, w_ff2):
+        return cls(attn_norm, np.concatenate([w_q, w_k, w_v], axis=1), w_o, ffn_norm, w_ff1, w_ff2)
+
+    def _block(self, i: int) -> np.ndarray:
+        d = self.w_qkv.shape[0]
+        return self.w_qkv[:, i * d : (i + 1) * d]
+
+    @property
+    def w_q(self) -> np.ndarray:
+        return self._block(0)
+
+    @property
+    def w_k(self) -> np.ndarray:
+        return self._block(1)
+
+    @property
+    def w_v(self) -> np.ndarray:
+        return self._block(2)
 
 
 @dataclass
@@ -146,9 +182,7 @@ class ModelWeights:
             raise ConfigError(f"expected {cfg.n_layers} layers, got {len(self.layers)}")
         for li, lw in enumerate(self.layers):
             expected[f"layer{li}.attn_norm"] = (lw.attn_norm, (d,))
-            expected[f"layer{li}.w_q"] = (lw.w_q, (d, d))
-            expected[f"layer{li}.w_k"] = (lw.w_k, (d, d))
-            expected[f"layer{li}.w_v"] = (lw.w_v, (d, d))
+            expected[f"layer{li}.w_qkv"] = (lw.w_qkv, (d, 3 * d))
             expected[f"layer{li}.w_o"] = (lw.w_o, (d, d))
             expected[f"layer{li}.ffn_norm"] = (lw.ffn_norm, (d,))
             expected[f"layer{li}.w_ff1"] = (lw.w_ff1, (d, f))
@@ -185,7 +219,7 @@ def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
         return (rng.standard_normal(shape) * scale).astype(np.float32)
 
     layers = [
-        LayerWeights(
+        LayerWeights.from_projections(
             attn_norm=np.ones(d, dtype=np.float32),
             w_q=draw(d, d),
             w_k=draw(d, d),
@@ -268,7 +302,7 @@ def load_weights(path: str) -> ModelWeights:
     layers = []
     for _ in range(config.n_layers):
         layers.append(
-            LayerWeights(
+            LayerWeights.from_projections(
                 attn_norm=next(it),
                 w_q=next(it),
                 w_k=next(it),
@@ -290,23 +324,61 @@ def load_weights(path: str) -> ModelWeights:
     return weights
 
 
+@lru_cache(maxsize=16)
+def _f32(value: float) -> np.ndarray:
+    """``value`` as a read-only 0-d float32 array.  An operand of this kind
+    rounds like a Python number in a float32 operation (NumPy casts that
+    number to float32 first) and skips the conversion on every call."""
+    constant = np.array(value, dtype=np.float32)
+    constant.flags.writeable = False
+    return constant
+
+
+_HALF, _ONE, _EPS = _f32(0.5), _f32(1.0), _f32(NORM_EPS)
+
+
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    """Normalize over the last axis, so a [n, d] block is n independent rows."""
-    mean_square = np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1]
-    return (x * (1.0 / np.sqrt(mean_square + NORM_EPS)) * gain).astype(np.float32, copy=False)
+    """Normalize over the last axis, so a [n, d] block is n independent rows.
+    Returns a new float32 array; ``x`` is left as it is."""
+    scale = np.add.reduce(np.square(x), axis=-1, keepdims=True)
+    scale /= _f32(x.shape[-1])
+    scale += _EPS
+    np.sqrt(scale, out=scale)
+    np.divide(_ONE, scale, out=scale)
+    out = x * scale
+    out *= gain
+    return out.astype(np.float32, copy=False)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
     # x * sigmoid(x) with sigmoid(x) = (1 + tanh(x / 2)) / 2: stable for any x
-    return 0.5 * x * (1.0 + np.tanh(0.5 * x))
+    half = x * _HALF
+    gate = np.tanh(half)
+    gate += _ONE
+    half *= gate
+    return half
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    e = scores - scores.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, in place: ``scores`` becomes the weights
+    and is returned."""
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return scores
+
+
+@lru_cache(maxsize=8)
+def _score_scale(d_k: int) -> np.ndarray:
+    return _f32(np.sqrt(np.float32(d_k)))
+
+
+@lru_cache(maxsize=CAUSAL_CHUNK)
+def _later(n: int) -> np.ndarray:
+    """[n, 1, n], read-only: row r's entry c is True when slot c comes after r."""
+    later = np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :]
+    later.flags.writeable = False
+    return later
 
 
 def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.ndarray:
@@ -337,24 +409,27 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.nd
             grouped = (k.transpose(0, 1, 3, 2, 4) @ q[:, None, ..., None])[..., 0]
             scores.append(grouped.transpose(0, 2, 1, 3).reshape(q.shape[0], q.shape[1], -1))
     scores = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=-1)
-    scores /= np.sqrt(np.float32(d_k))  # a new array either way
+    scores /= _score_scale(d_k)  # a new array either way
     n = q.shape[0]
     if causal and n > 1:  # one row sees its whole part: no triangle to build
-        later = np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :]
-        np.copyto(scores[..., scores.shape[-1] - n :], -np.inf, where=later)
+        np.copyto(scores[..., scores.shape[-1] - n :], -np.inf, where=_later(n))
     weights = softmax(scores)
-    out = np.zeros_like(q)
+    out = None
     start = 0
     for v in values:
         m = v.shape[-3] * (v.shape[1] if v.ndim == 5 else 1)
         w = weights[..., start : start + m]  # [n, H, m]
         if v.ndim == 3:  # [H, n, m] @ [H, m, d_k] -> [n, H, d_k]
-            out += (w.transpose(1, 0, 2) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
+            part = (w.transpose(1, 0, 2) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
         elif v.ndim == 4:  # [n, H, 1, m] @ [n, H, m, d_k] -> [n, H, d_k]
-            out += (w[:, :, None, :] @ v.transpose(0, 2, 1, 3))[:, :, 0]
+            part = (w[:, :, None, :] @ v.transpose(0, 2, 1, 3))[:, :, 0]
         else:  # [n, g, H, 1, m] @ [n, g, H, m, d_k] -> [n, H, d_k], summed over g
             w = w.reshape(*w.shape[:2], v.shape[1], -1).transpose(0, 2, 1, 3)
-            out += (w[..., None, :] @ v.transpose(0, 1, 3, 2, 4))[..., 0, :].sum(axis=1)
+            part = (w[..., None, :] @ v.transpose(0, 1, 3, 2, 4))[..., 0, :].sum(axis=1)
+        if out is None:
+            out = part
+        else:
+            out += part
         start += m
     return out
 
@@ -380,6 +455,7 @@ class DecodeLayout:
         self.flat_positions = np.asarray(self.flat_positions, dtype=np.int64)
         self._thoughts = {PROMPT: 0, ANSWER: 0}  # built once, read on every pass
         self._thoughts.update((path_key(i), j) for i, j in enumerate(self.thought_labels))
+        self._others: dict[str, tuple[str, ...]] = {}  # filled as segments are asked for
 
     def base(self, segment: str) -> int | None:
         """The segment's position offset; None for stage "flat", whose
@@ -403,6 +479,15 @@ class DecodeLayout:
     def visible_segments(self, segment: str) -> tuple[str, ...]:
         return visible_segments(self.stage, segment, len(self.thought_labels))
 
+    def others(self, segment: str) -> tuple[str, ...]:
+        """The visible segments of ``segment``'s slots other than its own."""
+        others = self._others.get(segment)
+        if others is None:
+            others = self._others[segment] = tuple(
+                seg for seg in self.visible_segments(segment) if seg != segment
+            )
+        return others
+
 
 def _decode_rows(
     weights: ModelWeights, table: ThoughtEmbeddingTable, tokens, thoughts, positions, attention
@@ -422,20 +507,24 @@ def _decode_rows(
     n = len(tokens)
     heads, d_k = cfg.n_heads, cfg.d_k
     rope = cfg.rope()
-    # q and k rotate in one call, so per-row positions are given twice
-    both = positions if np.ndim(positions) == 0 else np.concatenate([positions, positions])
-    x = weights.embedding[tokens]
+    # Every layer rotates at the same positions.  One position (a one-row
+    # block's too) reads the rope's cached tables; per-row tables are
+    # built here, once for all layers.
+    if np.ndim(positions):
+        positions = positions[0] if len(positions) == 1 else rope.tables(positions)
+    # Thought rows, looked up once: [n_layers, n_heads, d_k] for one
+    # index, else [n_layers, n, 1, n_heads, d_k], to add to k and v.
+    thought = table.vectors[thoughts]
+    if thought.ndim == 4:
+        thought = thought[:, :, None].swapaxes(0, 1)
+    x = weights.embedding[tokens]  # a copy, updated in place
     for li, lw in enumerate(weights.layers):
-        u = rms_norm(x, lw.attn_norm)
-        q = (u @ lw.w_q).reshape(n, heads, d_k)
-        k = (u @ lw.w_k).reshape(n, heads, d_k)
-        v = (u @ lw.w_v).reshape(n, heads, d_k)
-        thought = table.vectors[thoughts, li]
-        rotated = rope.rotate(np.concatenate([q, k + thought]), both)
-        attn = attention(li, rotated[:n], rotated[n:], v + thought)
-        x = x + attn.reshape(n, cfg.d_model) @ lw.w_o
-        u2 = rms_norm(x, lw.ffn_norm)
-        x = x + silu(u2 @ lw.w_ff1) @ lw.w_ff2
+        qkv = (rms_norm(x, lw.attn_norm) @ lw.w_qkv).reshape(n, 3, heads, d_k)
+        qkv[:, 1:] += thought[li]  # into k and v
+        qk = rope.rotate(qkv[:, :2], positions)
+        attn = attention(li, qk[:, 0], qk[:, 1], qkv[:, 2])
+        x += attn.reshape(n, cfg.d_model) @ lw.w_o
+        x += silu(rms_norm(x, lw.ffn_norm) @ lw.w_ff1) @ lw.w_ff2
     return x
 
 
@@ -447,22 +536,33 @@ def _head(weights: ModelWeights, x: np.ndarray) -> np.ndarray:
     return logits.astype(np.float32, copy=False)
 
 
-def _check_tokens(cfg: ModelConfig, tokens) -> None:
-    for token in tokens:
-        if not 0 <= token < cfg.vocab_size:
-            raise DataError(f"token id {token} outside vocab of size {cfg.vocab_size}")
+def check_token_ids(tokens, vocab_size: int) -> None:
+    """Every id must be an integer (a bool is not one) in [0, vocab_size);
+    raises DataError naming the offset of the first that is not."""
+    for offset, token in enumerate(tokens):
+        if type(token) is not int and (
+            isinstance(token, (bool, np.bool_)) or not isinstance(token, (int, np.integer))
+        ):
+            raise DataError(f"token id {token!r} at offset {offset} is not an integer")
+        if not 0 <= token < vocab_size:
+            raise DataError(
+                f"token id {token} at offset {offset} outside vocab of size {vocab_size}"
+            )
 
 
 def _visible_others(layout: DecodeLayout, cache: PagedKVCache, others) -> list[str]:
     """The non-empty segments of ``others``, each checked against the
     layout's expected length."""
+    visible = []
     for seg in others:
-        want = layout.expected_lengths.get(seg)
-        if want is not None and cache.length(seg) != want:
+        have, want = cache.length(seg), layout.expected_lengths.get(seg)
+        if want is not None and have != want:
             raise CacheConsistencyError(
-                f"visible segment {seg!r} holds {cache.length(seg)} slots, expected {want}"
+                f"visible segment {seg!r} holds {have} slots, expected {want}"
             )
-    return [seg for seg in others if cache.length(seg)]
+        if have:
+            visible.append(seg)
+    return visible
 
 
 def _check_position(cfg: ModelConfig, position: int) -> None:
@@ -486,16 +586,17 @@ def forward_paths(
     rows must share one position and one visible set apart from their own
     segment; the active paths of a reasoning step under the shared
     position scheme do.  Each row attends over the shared segments (one
-    product for all rows), then its own segment's committed slots (one
-    product over the rows of the cache's path slab), then its own new
-    slot.  The new slots are staged layer by layer and committed after
-    the logits, so a call that raises leaves the cache as it was.
+    product for all rows), then its own segment's slots up to and
+    including its new one, staged there first (one product over the rows
+    of the cache's path slab).  The new slots are staged layer by layer
+    and committed after the logits, so a call that raises leaves the
+    cache as it was.
     """
     cfg = weights.config
     n = len(slots)
     if n < 1 or len(tokens) != n:
         raise DataError(f"need one token per slot, got {len(tokens)} for {n} slots")
-    _check_tokens(cfg, tokens)
+    check_token_ids(tokens, cfg.vocab_size)
     owns = [slot.segment for slot in slots]
     rows = cache.rows(owns, 1)  # distinct segments of one slab, equally long
     index = rows.start
@@ -509,11 +610,11 @@ def forward_paths(
     # checked against the first.
     first, last = owns[0], owns[-1]
     position = int(layout.positions(first, index, 1)[0])
-    shared = [seg for seg in layout.visible_segments(first) if seg != first]
+    shared = layout.others(first)
     if n > 1:
         if layout.base(last) != layout.base(first):
             raise CacheConsistencyError("batched slots must share one position")
-        if [seg for seg in layout.visible_segments(last) if seg != last] != shared:
+        if layout.others(last) != shared:
             raise CacheConsistencyError("batched slots must share their visible segments")
     _check_position(cfg, position)
     parts = cache.parts(_visible_others(layout, cache, shared))
@@ -528,11 +629,10 @@ def forward_paths(
     def attention(li, q, k, v):
         rows.stage(li, 0, k[:n, None], v[:n, None])
         keys, values = parts.at(li)
-        if index:  # the rows' own segments, scored row by row at any width
-            keys.append(rows.keys(li, index))
-            values.append(rows.values(li, index))
-        keys.append(k[:, None])
-        values.append(v[:, None])
+        # the rows' own segments up to and including the staged slot, one
+        # [n, index+1] part scored row by row (a duplicated row shares it)
+        keys.append(rows.keys(li, index + 1))
+        values.append(rows.values(li, index + 1))
         return attend(q, keys, values, cfg.d_k)
 
     tokens = list(tokens) * (width // n)
@@ -588,7 +688,7 @@ def forward_causal(
         raise DataError("a causal block of no tokens yields no logits")
     if not 1 <= keep <= n:
         raise DataError(f"cannot keep {keep} rows of {n}")
-    _check_tokens(cfg, tokens)
+    check_token_ids(tokens, cfg.vocab_size)
     owner, index = start.segment, start.index
     if index != cache.length(owner):
         raise CacheConsistencyError(
@@ -596,8 +696,7 @@ def forward_causal(
         )
     positions = layout.positions(owner, index, n)
     _check_position(cfg, int(positions.max()))
-    others = [seg for seg in layout.visible_segments(owner) if seg != owner]
-    parts = cache.parts(_visible_others(layout, cache, others))
+    parts = cache.parts(_visible_others(layout, cache, layout.others(owner)))
     j = layout.thought_index(owner)
     rows = cache.rows([owner], n)
 

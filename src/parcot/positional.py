@@ -48,6 +48,13 @@ class Rope:
 
     R_t is block-diagonal in 2x2 rotations; pair d rotates by angle
     t * base^(-2d/d_k).  R_0 is the identity and (R_n)^T R_m = R_{m-n}.
+
+    A rotation is one pass over interleaved float64 tables: with
+    cos2 = (c_0, c_0, c_1, c_1, ...) and sin2 = (-s_0, s_0, -s_1, s_1, ...),
+    R_t v = v * cos2 + swap(v) * sin2, where swap exchanges the two
+    entries of every pair.  The tables of each position used are cached.
+    Every product is float64, so the float32 result is the rounding of
+    the exact-input rotation, the same for a row however it is batched.
     """
 
     def __init__(self, d_k: int, base: float):
@@ -58,21 +65,28 @@ class Rope:
         self.d_k = d_k
         self.base = float(base)
         self._inv_freq = self.base ** (-np.arange(0, d_k, 2, dtype=np.float64) / d_k)
-        self._trig: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _cos_sin(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._trig.get(t)
-        if cached is None:
-            angles = t * self._inv_freq
-            cached = (np.cos(angles), np.sin(angles))
-            self._trig[t] = cached
-        return cached
+    def tables(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(cos2, sin2) for one position, [d_k] (cached), or for an [n]
+        array of positions, [n, d_k]; read-only float64."""
+        if np.ndim(t) == 0:
+            t = int(t)
+            cached = self._tables.get(t)
+            if cached is None:
+                cached = self._tables[t] = _interleave(t * self._inv_freq)
+            return cached
+        t = np.asarray(t)
+        if t.ndim != 1:
+            raise ConfigError(f"positions must be one number or a 1-d array, got {t.shape}")
+        return _interleave(t[:, None] * self._inv_freq)
 
     def rotate(self, v: np.ndarray, t) -> np.ndarray:
         """Apply R_t to the last axis of ``v`` (shape [..., d_k]).
 
-        ``t`` is one position for every vector, or an [n] array giving
-        row i of ``v`` (shape [n, ..., d_k]) its own position; row i then
+        ``t`` is one position for every vector, an [n] array giving row i
+        of ``v`` (shape [n, ..., d_k]) its own position, or the tables of
+        either from ``tables``, built once for many calls.  Row i then
         gets the same bits as ``rotate(v[i], t[i])``.
         """
         v = np.asarray(v)
@@ -80,34 +94,40 @@ class Rope:
             raise ConfigError(
                 f"vector dim {v.shape[-1]} does not match rope dim {self.d_k}"
             )
-        if np.ndim(t) == 0:
-            cos, sin = self._cos_sin(int(t))
-        else:
-            t = np.asarray(t)
-            if t.ndim != 1 or v.ndim < 2 or len(t) != v.shape[0]:
+        cos2, sin2 = t if isinstance(t, tuple) else self.tables(t)
+        if cos2.ndim == 2:  # one position per row
+            if v.ndim < 2 or len(cos2) != v.shape[0]:
                 raise ConfigError(
-                    f"{t.shape} positions do not give one per row of {v.shape}"
+                    f"{len(cos2)} positions do not give one per row of {v.shape}"
                 )
-            shape = (len(t),) + (1,) * (v.ndim - 2) + (self.d_k // 2,)
-            angles = (t[:, None] * self._inv_freq).reshape(shape)
-            cos, sin = np.cos(angles), np.sin(angles)
-        even = v[..., 0::2]
-        odd = v[..., 1::2]
-        out = np.empty_like(v, dtype=v.dtype)
-        out[..., 0::2] = (even * cos - odd * sin).astype(v.dtype, copy=False)
-        out[..., 1::2] = (even * sin + odd * cos).astype(v.dtype, copy=False)
-        return out
+            shape = (len(cos2),) + (1,) * (v.ndim - 2) + (self.d_k,)
+            cos2, sin2 = cos2.reshape(shape), sin2.reshape(shape)
+        out = v.astype(np.float64)  # a copy, exact
+        swapped = np.empty_like(out)
+        swapped[..., 0::2] = out[..., 1::2]
+        swapped[..., 1::2] = out[..., 0::2]
+        out *= cos2
+        swapped *= sin2
+        out += swapped
+        return out.astype(v.dtype, copy=False)
 
     def matrix(self, t: int) -> np.ndarray:
         """Dense float64 R_t, for algebra checks."""
-        cos, sin = self._cos_sin(int(t))
-        m = np.zeros((self.d_k, self.d_k), dtype=np.float64)
-        for d in range(self.d_k // 2):
-            m[2 * d, 2 * d] = cos[d]
-            m[2 * d, 2 * d + 1] = -sin[d]
-            m[2 * d + 1, 2 * d] = sin[d]
-            m[2 * d + 1, 2 * d + 1] = cos[d]
+        cos2, sin2 = self.tables(int(t))
+        m = np.diag(cos2)
+        for d in range(0, self.d_k, 2):
+            m[d, d + 1] = sin2[d]
+            m[d + 1, d] = sin2[d + 1]
         return m
+
+
+def _interleave(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos2, sin2), [..., d_k], of angles [..., d_k/2]."""
+    cos, sin = np.cos(angles), np.sin(angles)
+    cos2 = np.repeat(cos, 2, axis=-1)
+    sin2 = np.stack([-sin, sin], axis=-1).reshape(cos2.shape)
+    cos2.flags.writeable = sin2.flags.writeable = False
+    return cos2, sin2
 
 
 @lru_cache(maxsize=8)

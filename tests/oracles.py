@@ -6,7 +6,12 @@ out the visibility case-splits with plain Python loops.  Neither shares
 code with the engine's per-slot decode loop.  The sample parser and the
 training layout are datagen's token-by-token versions, kept to check
 the array-based ones.  The sampler is the engine's nucleus sampler as it
-was when it drew through ``Generator.choice``.
+was when it drew through ``Generator.choice``.  The decoder's reference
+forms are the forward pass as it was before its projections were fused
+and its rotation went through interleaved tables: three separate q, k
+and v products, the even/odd float64 rotation, and reasoning attention
+over three parts (shared segments, the rows' committed slots, the new
+slot).
 """
 
 import numpy as np
@@ -14,6 +19,7 @@ import numpy as np
 from parcot.datagen import ParsedSample, TrainingLayout
 from parcot.errors import FormatError, LayoutError, SamplingError
 from parcot.masking import REASONING, AttentionMask, LayoutPlan
+from parcot.model import NORM_EPS, attend
 from parcot.positional import ANSWER, PROMPT, SHARED, PositionAssignment, Rope, path_key
 from parcot.tokenizer import encode
 
@@ -265,3 +271,70 @@ def reference_sample_token(logits, sampler, rng) -> int:
     support = order[before < sampler.top_p]
     kept = probs[support] / probs[support].sum()
     return int(rng.choice(support, p=kept))
+
+
+def reference_projections(u, layer):
+    """q, k and v of rows ``u`` [n, d_model] as three separate products."""
+    return u @ layer.w_q, u @ layer.w_k, u @ layer.w_v
+
+
+def reference_rotate(rope, v, t):
+    """``Rope.rotate`` as even/odd pair arithmetic in float64.  ``t`` is
+    one position, or an [n] array with one per row of ``v``."""
+    half = rope._inv_freq
+    if np.ndim(t) == 0:
+        angles = int(t) * half
+    else:
+        t = np.asarray(t)
+        angles = (t[:, None] * half).reshape((len(t),) + (1,) * (v.ndim - 2) + (len(half),))
+    cos, sin = np.cos(angles), np.sin(angles)
+    even, odd = v[..., 0::2], v[..., 1::2]
+    out = np.empty_like(v)
+    out[..., 0::2] = (even * cos - odd * sin).astype(v.dtype, copy=False)
+    out[..., 1::2] = (even * sin + odd * cos).astype(v.dtype, copy=False)
+    return out
+
+
+def reference_rms_norm(x, gain):
+    """``model.rms_norm`` as one float32 expression, no buffer reused."""
+    mean_square = np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1]
+    return (x * (1.0 / np.sqrt(mean_square + NORM_EPS)) * gain).astype(np.float32, copy=False)
+
+
+def reference_silu(x):
+    return 0.5 * x * (1.0 + np.tanh(0.5 * x))
+
+
+def reference_decode_rows(weights, table, tokens, thoughts, positions, attention):
+    """``model._decode_rows`` with three projections, the even/odd rotation,
+    the thought rows looked up layer by layer and the norms written as one
+    expression each; it takes and returns the same things, so it can stand
+    in for it."""
+    cfg = weights.config
+    n = len(tokens)
+    heads, d_k = cfg.n_heads, cfg.d_k
+    rope = cfg.rope()
+    x = weights.embedding[tokens]
+    for li, lw in enumerate(weights.layers):
+        q, k, v = reference_projections(reference_rms_norm(x, lw.attn_norm), lw)
+        q, k, v = (a.reshape(n, heads, d_k) for a in (q, k, v))
+        thought = table.vectors[thoughts, li]
+        q = reference_rotate(rope, q, positions)
+        k = reference_rotate(rope, k + thought, positions)
+        attn = attention(li, q, k, v + thought)
+        x = x + attn.reshape(n, cfg.d_model) @ lw.w_o
+        x = x + reference_silu(reference_rms_norm(x, lw.ffn_norm) @ lw.w_ff1) @ lw.w_ff2
+    return x
+
+
+def reference_reasoning_attention(q, k, v, shared_keys, shared_values, own_keys, own_values, d_k):
+    """Reasoning attention over three parts: the shared segments, the rows'
+    committed own slots ([rows, index, H, d_k]; none at index 0) and the
+    rows' new slots k, v [n, H, d_k], each scored as its own part."""
+    keys, values = list(shared_keys), list(shared_values)
+    if own_keys.shape[1]:
+        keys.append(own_keys)
+        values.append(own_values)
+    keys.append(k[:, None])
+    values.append(v[:, None])
+    return attend(q, keys, values, d_k)

@@ -27,7 +27,7 @@ from parcot.errors import (
     SamplingError,
 )
 from parcot.model import ModelConfig, init_weights
-from parcot.positional import ANSWER, PROMPT, init_thought_table, path_key
+from parcot.positional import ANSWER, PROMPT, init_thought_table, path_index, path_key
 from parcot.tokenizer import encode
 
 from oracles import (
@@ -485,6 +485,27 @@ class TestFailureAtomicity:
         self.assert_in_step(session)
         assert [len(p.tokens) for p in session.paths] == [3, 3, 3]  # opener + 2 body
 
+    @pytest.mark.parametrize(
+        "bad", [3.5, 2.0, True, np.bool_(False), "7", "a", np.float32(2), None]
+    )
+    def test_non_integer_prompt_id_rejected_before_allocation(
+        self, small_weights, small_table, vocab, monkeypatch, bad
+    ):
+        def refuse(*args):
+            raise AssertionError("a cache was allocated for a bad prompt")
+
+        monkeypatch.setattr(engine, "PagedKVCache", refuse)
+        with pytest.raises(DataError, match="at offset 1 is not an integer"):
+            GenerationSession(small_weights, small_table, vocab, [65, bad, 66], 2)
+
+    def test_integer_prompt_ids_of_any_integer_type_accepted(self, small_weights, small_table, vocab):
+        ids = [np.int64(65), np.uint8(66), 67]
+        session = GenerationSession(small_weights, small_table, vocab, ids, 1)
+        assert session.prompt_tokens == [65, 66, 67]
+        assert all(type(t) is int for t in session.prompt_tokens)
+        with pytest.raises(DataError, match="at offset 2 outside vocab"):
+            GenerationSession(small_weights, small_table, vocab, [65, 66, -1], 1)
+
     def test_greedy_decoding_draws_no_generator(self, small_weights, small_table, vocab, monkeypatch):
         def refuse(*args):
             raise AssertionError("greedy decoding built a generator")
@@ -651,11 +672,14 @@ class TestAnswerPass:
         self, small_weights, small_table, vocab, monkeypatch, num_paths, strategy
     ):
         calls = spy_attend(monkeypatch)
-        active = []
+        active, index, in_place = [], [], []
         forward_paths = engine.forward_paths
 
         def counting(weights, table, cache, layout, tokens, slots):
             active.append(len(slots))
+            index.append(slots[0].index)
+            rows = [path_index(slot.segment) for slot in slots]
+            in_place.append(rows == list(range(rows[0], rows[0] + len(rows))))
             return forward_paths(weights, table, cache, layout, tokens, slots)
 
         monkeypatch.setattr(engine, "forward_paths", counting)
@@ -667,8 +691,17 @@ class TestAnswerPass:
         layers = small_weights.config.n_layers
         reasoning = calls[prefill_calls:]
         assert len(reasoning) == layers * len(active)
-        for call, (rows, _, _) in enumerate(reasoning):
+        slab = session.cache.paths
+        for call, (rows, keys, values) in enumerate(reasoning):
             assert rows == max(active[call // layers], 2)
+            # two parts: the prompt, then the rows' own slots through the
+            # staged new slot, read in place unless a frozen row splits them
+            assert len(keys) == len(values) == 2
+            own_k, own_v = keys[-1], values[-1]
+            assert own_k.shape[:2] == (active[call // layers], index[call // layers] + 1)
+            shared = np.shares_memory(own_k, slab.k) and np.shares_memory(own_v, slab.v)
+            assert shared == in_place[call // layers]
+        assert any(in_place)
 
         del calls[:]
         run_summarization(session, GREEDY, 5)

@@ -244,6 +244,15 @@ class TestForwardStep:
                 SlotAddress(PROMPT, 0),
             )
 
+    @pytest.mark.parametrize("bad", [3.5, True, "7", None])
+    def test_non_integer_ids_raise_data_error(self, small_weights, small_table, bad):
+        cfg = small_weights.config
+        cache = fresh_cache(cfg)
+        layout = reasoning_layout(l_x=3, labels=(1,))
+        with pytest.raises(DataError, match="at offset 1 is not an integer"):
+            prefill(small_weights, small_table, cache, layout, [5, bad, 6])
+        assert cache.length(PROMPT) == 0
+
 
 class TestBatchChecks:
     """forward_paths derives a batch's position and shared segments once;
