@@ -13,8 +13,10 @@ reasoning length used for answer positions is the maximum written length.
 Each reasoning step (the openers, every body step and each round of
 closers) decodes all the paths it feeds in one batched forward pass over
 the cache's path slab.  Every stage checks before it writes anything that
-its last position fits the model, and a token joins a path only after its
-forward pass succeeds, so a failed call leaves tokens and cache in step.
+its last position fits the model, and builds one plan
+(``model.StagePlan``) that every pass of the stage runs under.  A token
+joins a path only after its forward pass succeeds, so a failed call
+leaves tokens and cache in step.
 
 The summarization stage reuses the reasoning-phase KV storage directly
 (no re-prefill): the engine inserts SUMMARY_OPEN and decodes the answer
@@ -58,6 +60,7 @@ from .masking import REASONING, SUMMARIZATION, LayoutPlan
 from .model import (
     DecodeLayout,
     ModelWeights,
+    StagePlan,
     check_token_ids,
     forward_causal,
     forward_paths,
@@ -85,8 +88,8 @@ class SamplerConfig:
     greedy: bool = False
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ConfigError(f"temperature must be finite and positive, got {self.temperature}")
         if not 0 < self.top_p <= 1:
             raise ConfigError(f"top_p must be in (0, 1], got {self.top_p}")
 
@@ -234,15 +237,11 @@ class GenerationSession:
                 num_paths=self.num_paths,
             ),
             thought_labels=tuple(self.think_labels),
-            expected_lengths={PROMPT: self.l_x},
         )
 
     def summary_layout(self) -> DecodeLayout:
         if self.reasoning_len is None:
             raise LifecycleError("summarization layout requires a finished reasoning stage")
-        expected = {PROMPT: self.l_x}
-        for path in self.paths:
-            expected[path_key(path.index)] = len(path.tokens)
         return DecodeLayout(
             stage=SUMMARIZATION,
             assignment=PositionAssignment(
@@ -253,7 +252,6 @@ class GenerationSession:
                 reasoning_len=self.reasoning_len,
             ),
             thought_labels=tuple(self.think_labels),
-            expected_lengths=expected,
         )
 
     def layout_plan(self) -> LayoutPlan:
@@ -340,12 +338,10 @@ def _draw(session: GenerationSession, sampler: SamplerConfig, logits, stream: in
     return sample_token(logits, sampler, rng)
 
 
-def _feed_paths(session: GenerationSession, layout: DecodeLayout, paths, tokens) -> np.ndarray:
+def _feed_paths(session: GenerationSession, plan: StagePlan, paths, tokens) -> np.ndarray:
     """One batched forward pass feeding tokens[r] to paths[r]; [n, vocab] logits."""
     slots = [SlotAddress(path_key(p.index), len(p.tokens)) for p in paths]
-    logits = forward_paths(
-        session.weights, session.table, session.cache, layout, tokens, slots
-    )
+    logits = forward_paths(session.weights, session.table, plan, tokens, slots)
     for path, token, row in zip(paths, tokens, logits):
         path.tokens.append(int(token))
         if session.record_logits:
@@ -353,9 +349,9 @@ def _feed_paths(session: GenerationSession, layout: DecodeLayout, paths, tokens)
     return logits
 
 
-def _close_paths(session, layout, paths: list[PathState], causes: list[str]) -> None:
+def _close_paths(session, plan, paths: list[PathState], causes: list[str]) -> None:
     closers = [session.vocab.think_close(p.think_label) for p in paths]
-    _feed_paths(session, layout, paths, closers)
+    _feed_paths(session, plan, paths, closers)
     for path, cause in zip(paths, causes):
         path.finished = True
         path.finish_cause = cause
@@ -372,15 +368,25 @@ def run_reasoning(
 
     ``forced`` optionally supplies per-path body tokens that replace
     sampling for the leading steps (used for prefix-continuation studies
-    and scripted termination schedules).
+    and scripted termination schedules).  Every script is checked before
+    anything is written: it must be keyed by a path index of the session,
+    fit the body budget and hold valid token ids.
     """
     if session.stage != REASONING or any(p.tokens for p in session.paths):
         raise LifecycleError("reasoning stage already consumed")
     strategy = Termination(strategy)
     forced = forced or {}
+    for index, script in forced.items():
+        if index not in range(session.num_paths) or len(script) > budget.max_path_tokens:
+            raise DataError(
+                f"forced script for path {index!r} ({len(script)} tokens) does not fit"
+                f" paths 0..{session.num_paths - 1} with a budget of {budget.max_path_tokens}"
+            )
+        check_token_ids(script, session.weights.config.vocab_size)
     layout = session.reasoning_layout(budget)
     last = layout.positions(path_key(0), 0, budget.max_path_tokens + 2)[-1]
     _check_position(last, session.weights.config.max_position, "reasoning")
+    plan = StagePlan(session.cache, layout, [path_key(p.index) for p in session.paths])
     session.budget = budget
     session.strategy = strategy
     session.cache.reserve_paths(session.num_paths, budget.max_path_tokens + 2)
@@ -389,7 +395,7 @@ def run_reasoning(
 
     active = list(session.paths)
     openers = [session.vocab.think_open(p.think_label) for p in active]
-    logits = _feed_paths(session, layout, active, openers)  # row r belongs to active[r]
+    logits = _feed_paths(session, plan, active, openers)  # row r belongs to active[r]
     completed = 0
     stop_cause = None
     step = 0
@@ -407,12 +413,12 @@ def run_reasoning(
                 chosen.append(greedy[r])
             else:
                 chosen.append(_draw(session, sampler, row, path.think_label, step))
-        logits = _feed_paths(session, layout, active, chosen)
+        logits = _feed_paths(session, plan, active, chosen)
         finished_now = [p for p, token in zip(active, chosen) if token == eos]
         completed += len(finished_now)
         if strategy is not Termination.FIRST_FINISH and finished_now:
             # freeze naturally finished paths; the rest keep decoding
-            _close_paths(session, layout, finished_now, ["eos"] * len(finished_now))
+            _close_paths(session, plan, finished_now, ["eos"] * len(finished_now))
             keep = [r for r, token in enumerate(chosen) if token != eos]
             active = [active[r] for r in keep]
             logits = logits[keep]
@@ -431,7 +437,7 @@ def run_reasoning(
         else:
             causes.append("strategy_stop")
     if active:
-        _close_paths(session, layout, active, causes)
+        _close_paths(session, plan, active, causes)
 
     session.reasoning_len = max(len(p.tokens) for p in session.paths)
     if strategy is Termination.FIRST_FINISH:
@@ -462,13 +468,13 @@ def run_summarization(
     layout = session.summary_layout()
     last = layout.positions(ANSWER, 0, max_answer_tokens + 1)[-1]  # SUMMARY_OPEN first
     _check_position(last, session.weights.config.max_position, "answer")
+    # the view's segments were checked when it was assembled
+    plan = StagePlan(session.cache, layout, [ANSWER], view=session.summary_view)
     session.cache.reserve(ANSWER, max_answer_tokens + 1)
 
     def feed(token: int) -> np.ndarray:
         slot = SlotAddress(ANSWER, len(session.answer_tokens))
-        logits = forward_causal(
-            session.weights, session.table, session.cache, layout, [int(token)], slot
-        )[0]
+        logits = forward_causal(session.weights, session.table, plan, [int(token)], slot)[0]
         session.answer_tokens.append(int(token))
         if session.record_logits:
             session.answer_logits.append(logits)

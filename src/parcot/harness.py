@@ -46,6 +46,7 @@ from .model import (
     SUMMARIZATION,
     DecodeLayout,
     ModelConfig,
+    StagePlan,
     forward_causal,
     init_weights,
     load_weights,
@@ -348,16 +349,15 @@ def _flat_feed(weights, table, layout, tokens, keep=1):
     """Feed ``tokens`` to a fresh flattened cache in causal chunks.
 
     One ``forward_causal`` pass over the single FLAT segment, reserved for
-    every position the layout lists.  Returns the cache and the last
-    ``keep`` rows' logits.
+    every position the layout lists.  Returns the segment's plan, for the
+    passes that extend it, and the last ``keep`` rows' logits.
     """
     cfg = weights.config
     cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
     cache.reserve(FLAT_SEGMENT, len(layout.flat_positions))
-    logits = forward_causal(
-        weights, table, cache, layout, tokens, SlotAddress(FLAT_SEGMENT, 0), keep
-    )
-    return cache, logits
+    plan = StagePlan(cache, layout, [FLAT_SEGMENT])
+    logits = forward_causal(weights, table, plan, tokens, SlotAddress(FLAT_SEGMENT, 0), keep)
+    return plan, logits
 
 
 def run_reprefill_baseline(
@@ -428,15 +428,14 @@ def run_reprefill_baseline(
     layout = DecodeLayout(stage=FLAT, flat_positions=own)
     vocab = bundle.vocab
     answer = [vocab.summary_open]
-    cache, logits = _flat_feed(bundle.weights, zero, layout, flat_tokens + answer)
+    plan, logits = _flat_feed(bundle.weights, zero, layout, flat_tokens + answer)
     logits = logits[0]
     for step in range(1, budget.max_answer_tokens + 1):
         rng = draw_rng(session.seed, ANSWER_STREAM, step)
         token = sample_token(logits, sampler, rng)
         answer.append(token)
         logits = forward_causal(
-            bundle.weights, zero, cache, layout, [token],
-            SlotAddress(FLAT_SEGMENT, len(flat_tokens) + step),
+            bundle.weights, zero, plan, [token], SlotAddress(FLAT_SEGMENT, len(flat_tokens) + step)
         )[0]
         if token in (vocab.summary_close, vocab.eos):
             break

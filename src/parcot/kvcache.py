@@ -14,18 +14,11 @@ its logits.  Entries are append-only: a written slot is never mutated,
 which is what makes reusing reasoning-phase storage as the summarization
 context exact.
 
-Every read for attention goes through one call too
-(``PagedKVCache.parts``): it turns a pass's visible segments into
-attention parts.  A segment is one part, a view of its written slots.
-When the visible segments hold every row of the path slab, as an answer
-slot's do, and the rows are equally long (always so under first finish),
-the rows are one part instead: slots ``[0, filled)`` of every row of the
-layer's slab, read in place.  That is one ``[P·(B+2), H, d_k]`` reshape
-when the rows are full, else the ``[P, filled, H, d_k]`` strided view,
-scored as ``P`` groups of one part.  An answer token then scores three
-parts per layer (prompt, slab, answer) whatever ``P`` is, and no slot
-past a row's end is scored.  Rows of unequal length (half or last
-finish) stay one part each.
+Reads for attention are views: ``gather`` gives one segment's written
+slots at one layer, and ``Slab.prefix`` the first slots of every row of
+the path slab.  Storage never moves once reserved, so a stage plan
+(``model.StagePlan``) takes the views its stage reads once, when the
+stage starts.
 
 A prompt prefilled once can serve several sessions on the same model:
 ``Slab.seal`` makes a full segment's storage read-only, and
@@ -308,26 +301,6 @@ class PagedKVCache:
         seg = self.tables[segment]
         return seg.keys(layer), seg.values(layer)
 
-    def parts(self, segments) -> "Parts":
-        """The attention parts of ``segments``' written slots, in order.
-
-        Each segment is one part, except that the rows of the path slab
-        become a single slab part when ``segments`` lists every one of
-        them consecutively in row order and every row holds equally many
-        slots (as under first finish): slots [0, filled) of every row,
-        read in place.  Rows of unequal length stay one part each, so no
-        slot past a row's ``filled`` is ever scored.
-        """
-        segments, slab = list(segments), self.paths
-        if slab is None or path_key(0) not in segments:
-            return Parts(self, segments)
-        rows = [path_key(i) for i in range(slab.k.shape[1])]
-        at = segments.index(rows[0])
-        filled = {self.tables[seg].filled for seg in rows}
-        if segments[at : at + len(rows)] != rows or len(filled) != 1:
-            return Parts(self, segments)
-        return Parts(self, segments[:at] + [slab] + segments[at + len(rows) :], filled.pop())
-
     def debug_tables(self) -> str:
         """JSON dump of the segment structure, for lifecycle tests."""
         payload = {
@@ -339,32 +312,6 @@ class PagedKVCache:
             for seg, t in sorted(self.tables.items())
         }
         return json.dumps({"tables": payload}, sort_keys=True)
-
-
-class Parts:
-    """Attention parts over a pass's visible segments, read layer by layer.
-
-    ``sources`` lists segment names (read with ``PagedKVCache.gather``)
-    and at most one path ``Slab``, read as slots [0, ``end``) of every row
-    (``Slab.prefix``).
-    """
-
-    def __init__(self, cache: PagedKVCache, sources: list, end: int = 0):
-        self.cache = cache
-        self.sources = sources
-        self.end = end
-
-    def at(self, layer: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """The parts' keys and values at one layer, in order; views."""
-        keys, values = [], []
-        for source in self.sources:
-            if isinstance(source, Slab):
-                k, v = source.prefix(layer, self.end)
-            else:
-                k, v = self.cache.gather(source, layer)
-            keys.append(k)
-            values.append(v)
-        return keys, values
 
 
 class SummaryContextView:

@@ -4,7 +4,7 @@
 prompt, a path slot the prompt and its own path.  Summarization: an
 answer slot sees the prompt, every path and the answer prefix.  Flat (the
 re-prefill baseline): a slot sees its one segment.  The decoder asks it
-per segment (``model.DecodeLayout``).
+once per stage, when the stage's plan is built (``model.StagePlan``).
 
 A serialized layout numbers slots 0..total-1: prompt, each path in index
 order, then the answer.  Query t sees slot j iff j <= t (generation

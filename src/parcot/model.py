@@ -34,10 +34,15 @@ ones for a single position):
   baseline's own) as a one-row block.  Its logits match one
   ``forward_step`` per slot within float32 rounding.
 
-Both passes take the other visible segments as attention parts from
-``PagedKVCache.parts``.  An answer slot sees every path; when the paths
-are equally long its parts are three per layer: the prompt, the written
-part of the path slab as one view, and the answer itself.
+Both passes run under a ``StagePlan``, built once when a stage starts
+(``prefill`` and ``forward_step`` build one for their single pass).  It
+holds each layer's attention parts over the other visible segments, the
+owners' thought indices and the outcome of every length and batch check,
+so a pass checks its token ids, stages its new slots, attends over the
+plan's parts and its own slots, and commits.  An answer slot sees every
+path; when the paths are equally long its parts are three per layer: the
+prompt, the written part of the path slab as one view, and the answer
+itself.
 
 Both passes write the cache the same way: they take one write handle
 (``PagedKVCache.rows``) for their new slots before the first layer, stage
@@ -62,7 +67,7 @@ Weight file format ("PTW1", little-endian):
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -448,14 +453,12 @@ class DecodeLayout:
     stage: str
     assignment: PositionAssignment | None = None
     thought_labels: tuple[int, ...] = ()
-    expected_lengths: dict[str, int] = field(default_factory=dict)
     flat_positions: np.ndarray = ()
 
     def __post_init__(self):
         self.flat_positions = np.asarray(self.flat_positions, dtype=np.int64)
-        self._thoughts = {PROMPT: 0, ANSWER: 0}  # built once, read on every pass
+        self._thoughts = {PROMPT: 0, ANSWER: 0}
         self._thoughts.update((path_key(i), j) for i, j in enumerate(self.thought_labels))
-        self._others: dict[str, tuple[str, ...]] = {}  # filled as segments are asked for
 
     def base(self, segment: str) -> int | None:
         """The segment's position offset; None for stage "flat", whose
@@ -479,14 +482,85 @@ class DecodeLayout:
     def visible_segments(self, segment: str) -> tuple[str, ...]:
         return visible_segments(self.stage, segment, len(self.thought_labels))
 
-    def others(self, segment: str) -> tuple[str, ...]:
-        """The visible segments of ``segment``'s slots other than its own."""
-        others = self._others.get(segment)
-        if others is None:
-            others = self._others[segment] = tuple(
-                seg for seg in self.visible_segments(segment) if seg != segment
-            )
-        return others
+
+class StagePlan:
+    """What every pass of one stage shares, resolved once when the stage starts.
+
+    ``owners`` are the segments the stage writes: the prompt, the answer,
+    the re-prefill baseline's one flat segment, or the reasoning paths,
+    which must share one position base and their other visible segments.
+    Those other segments are complete when the stage starts and no pass of
+    the stage writes them, so each layer's keys and values over them are
+    taken here once, as views of the cache's storage: ``shared[li]`` holds
+    layer ``li``'s key parts and value parts, in the rule's order.  A
+    segment is one part (``PagedKVCache.gather``) and an empty one none.
+    When the segments hold every row of the path slab in row order and
+    the rows are equally long (always so under first finish), the rows
+    are one part instead: slots ``[0, filled)`` of every row, read in place
+    (``Slab.prefix``).  An answer token then scores three parts per layer
+    (prompt, slab, answer) whatever ``P`` is, and no slot past a row's end
+    is scored.
+
+    The other segments' lengths are checked here against the layout: the
+    prompt holds ``l_x`` slots and the longest path the reasoning length.
+    A plan given the summary view that ``assemble_summary_view`` built
+    (which checked every length) checks only that the view lists the same
+    segments of the same cache.  A pass checks only that it writes one of
+    the owners (``thought_indices``).
+    """
+
+    def __init__(self, cache: PagedKVCache, layout: DecodeLayout, owners, view=None):
+        owners = tuple(owners)
+        others = layout.visible_segments(owners[0])[:-1]  # the rule lists a slot's own segment last
+        for owner in owners[1:]:
+            if layout.base(owner) != layout.base(owners[0]):
+                raise CacheConsistencyError("batched slots must share one position")
+            if layout.visible_segments(owner) != (*others, owner):
+                raise CacheConsistencyError("batched slots must share their visible segments")
+        fills = [cache.length(seg) for seg in others]
+        if view is not None:
+            if [e for e in view.entries if e[0] not in owners] != [
+                (seg, cache.tables.get(seg)) for seg in others
+            ]:
+                raise CacheConsistencyError("the summary view lists other segments than the plan")
+        elif others:
+            have, assignment = dict(zip(others, fills)), layout.assignment
+            prompt = have.pop(PROMPT)
+            if prompt != assignment.l_x:
+                raise CacheConsistencyError(
+                    f"visible segment 'prompt' holds {prompt} slots, expected {assignment.l_x}"
+                )
+            if have and max(have.values()) != assignment.reasoning_len:
+                raise CacheConsistencyError(
+                    f"the longest visible path holds {max(have.values())} slots,"
+                    f" expected {assignment.reasoning_len}"
+                )
+        self.cache, self.layout = cache, layout
+        self.thoughts = {seg: layout.thought_index(seg) for seg in owners}
+        sources, slab = list(others), cache.paths
+        if slab is not None and path_key(0) in sources:
+            rows = [path_key(i) for i in range(slab.k.shape[1])]
+            at = sources.index(rows[0])
+            span = slice(at, at + len(rows))
+            if sources[span] == rows and len(set(fills[span])) == 1:
+                sources[span], fills[span] = [slab], [fills[at]]
+        sources = [(source, fill) for source, fill in zip(sources, fills) if fill]
+        self.shared = []
+        for li in range(cache.n_layers):
+            parts = [
+                slab.prefix(li, fill) if source is slab else cache.gather(source, li)
+                for source, fill in sources
+            ]
+            self.shared.append(([k for k, _ in parts], [v for _, v in parts]))
+
+    def thought_indices(self, segments) -> list[int]:
+        """Each segment's thought index; a segment the plan does not write raises."""
+        try:
+            return [self.thoughts[seg] for seg in segments]
+        except KeyError as missing:
+            raise CacheConsistencyError(
+                f"a plan for {tuple(self.thoughts)} cannot write segment {missing.args[0]!r}"
+            ) from None
 
 
 def _decode_rows(
@@ -550,21 +624,6 @@ def check_token_ids(tokens, vocab_size: int) -> None:
             )
 
 
-def _visible_others(layout: DecodeLayout, cache: PagedKVCache, others) -> list[str]:
-    """The non-empty segments of ``others``, each checked against the
-    layout's expected length."""
-    visible = []
-    for seg in others:
-        have, want = cache.length(seg), layout.expected_lengths.get(seg)
-        if want is not None and have != want:
-            raise CacheConsistencyError(
-                f"visible segment {seg!r} holds {have} slots, expected {want}"
-            )
-        if have:
-            visible.append(seg)
-    return visible
-
-
 def _check_position(cfg: ModelConfig, position: int) -> None:
     if position > cfg.max_position:
         raise PositionOverflowError(
@@ -575,22 +634,21 @@ def _check_position(cfg: ModelConfig, position: int) -> None:
 def forward_paths(
     weights: ModelWeights,
     table: ThoughtEmbeddingTable,
-    cache: PagedKVCache,
-    layout: DecodeLayout,
+    plan: StagePlan,
     tokens,
     slots,
 ) -> np.ndarray:
     """Decode one token at each of ``n`` slots in one pass: [n, vocab] logits.
 
-    The rows go through the layers as one block (``_decode_rows``).  The
-    rows must share one position and one visible set apart from their own
-    segment; the active paths of a reasoning step under the shared
-    position scheme do.  Each row attends over the shared segments (one
-    product for all rows), then its own segment's slots up to and
-    including its new one, staged there first (one product over the rows
-    of the cache's path slab).  The new slots are staged layer by layer
-    and committed after the logits, so a call that raises leaves the
-    cache as it was.
+    The rows go through the layers as one block (``_decode_rows``).  Each
+    slot belongs to one of the plan's owners, which share one position and
+    one visible set apart from their own segment; the active paths of a
+    reasoning step under the shared position scheme do.  Each row attends
+    over the plan's shared parts (one product for all rows), then its own
+    segment's slots up to and including its new one, staged there first
+    (one product over the rows of the cache's path slab).  The new slots
+    are staged layer by layer and committed after the logits, so a call
+    that raises leaves the cache as it was.
     """
     cfg = weights.config
     n = len(slots)
@@ -598,27 +656,14 @@ def forward_paths(
         raise DataError(f"need one token per slot, got {len(tokens)} for {n} slots")
     check_token_ids(tokens, cfg.vocab_size)
     owns = [slot.segment for slot in slots]
-    rows = cache.rows(owns, 1)  # distinct segments of one slab, equally long
+    js = plan.thought_indices(owns)
+    rows = plan.cache.rows(owns, 1)  # distinct segments of one slab, equally long
     index = rows.start
     for slot in slots:
         if slot.index != index:
             raise CacheConsistencyError(f"slot {slot} does not extend segment (filled={index})")
-    # The batch's position and shared segments, derived once.  Rows of one
-    # slab are path segments: their bases are affine in the path index, so
-    # two distinct rows share a base only if every row does, and the rule
-    # gives every path of a stage the same other segments.  The last row is
-    # checked against the first.
-    first, last = owns[0], owns[-1]
-    position = int(layout.positions(first, index, 1)[0])
-    shared = layout.others(first)
-    if n > 1:
-        if layout.base(last) != layout.base(first):
-            raise CacheConsistencyError("batched slots must share one position")
-        if layout.others(last) != shared:
-            raise CacheConsistencyError("batched slots must share their visible segments")
+    position = int(plan.layout.positions(owns[0], index, 1)[0])
     _check_position(cfg, position)
-    parts = cache.parts(_visible_others(layout, cache, shared))
-    js = [layout.thought_index(seg) for seg in owns]
     # BLAS sends a one-row product to a matrix-vector kernel that rounds
     # differently from the matrix-matrix kernel a block of rows uses, so a
     # single row runs as two identical rows.  With OpenBLAS that kernel
@@ -628,12 +673,11 @@ def forward_paths(
 
     def attention(li, q, k, v):
         rows.stage(li, 0, k[:n, None], v[:n, None])
-        keys, values = parts.at(li)
+        keys, values = plan.shared[li]
         # the rows' own segments up to and including the staged slot, one
         # [n, index+1] part scored row by row (a duplicated row shares it)
-        keys.append(rows.keys(li, index + 1))
-        values.append(rows.values(li, index + 1))
-        return attend(q, keys, values, cfg.d_k)
+        own_k, own_v = rows.keys(li, index + 1), rows.values(li, index + 1)
+        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k)
 
     tokens = list(tokens) * (width // n)
     x = _decode_rows(weights, table, tokens, js * (width // n), position, attention)
@@ -652,35 +696,35 @@ def forward_step(
 ) -> np.ndarray:
     """Decode one token at ``slot``: returns next-token logits.
 
-    The one-row case of ``forward_paths``: attends over the layout's
-    visible segments (stored slots first, this slot last), staging the
-    slot's augmented k/v stacks in its segment and committing them after
-    the logits.
+    The one-row case of ``forward_paths``, under a plan built for this
+    pass: attends over the layout's visible segments (stored slots first,
+    this slot last), staging the slot's augmented k/v stacks in its
+    segment and committing them after the logits.
     """
-    return forward_paths(weights, table, cache, layout, [token], [slot])[0]
+    plan = StagePlan(cache, layout, [slot.segment])
+    return forward_paths(weights, table, plan, [token], [slot])[0]
 
 
 def forward_causal(
     weights: ModelWeights,
     table: ThoughtEmbeddingTable,
-    cache: PagedKVCache,
-    layout: DecodeLayout,
+    plan: StagePlan,
     tokens,
     start: SlotAddress,
     keep: int = 1,
 ) -> np.ndarray:
     """Feed tokens known in advance to the new slots from ``start`` on, in
-    one segment; returns the last ``keep`` rows' logits, [keep, vocab].
+    one of the plan's owner segments; returns the last ``keep`` rows'
+    logits, [keep, vocab].
 
     The rows run in causal blocks of ``CAUSAL_CHUNK``.  A block's k/v are
     staged in the segment's reserved storage, and its rows attend over
-    the other visible segments and over their own segment up to and
+    the plan's shared parts and over their own segment up to and
     including themselves, in one masked product against a view of that
     storage, so the scores never exceed [CAUSAL_CHUNK, n_heads, length].
-    Every token id, position, visible length and the segment's room are
-    checked before anything is staged, and the slots are committed only
-    after the last block, so a call that raises leaves the segment at the
-    length it had.
+    Every token id, position and the segment's room are checked before
+    anything is staged, and the slots are committed only after the last
+    block, so a call that raises leaves the segment at the length it had.
     """
     cfg = weights.config
     n = len(tokens)
@@ -690,22 +734,19 @@ def forward_causal(
         raise DataError(f"cannot keep {keep} rows of {n}")
     check_token_ids(tokens, cfg.vocab_size)
     owner, index = start.segment, start.index
-    if index != cache.length(owner):
-        raise CacheConsistencyError(
-            f"slot {start} does not extend segment (filled={cache.length(owner)})"
-        )
-    positions = layout.positions(owner, index, n)
+    (j,) = plan.thought_indices([owner])
+    rows = plan.cache.rows([owner], n)
+    if index != rows.start:
+        raise CacheConsistencyError(f"slot {start} does not extend segment (filled={rows.start})")
+    positions = plan.layout.positions(owner, index, n)
     _check_position(cfg, int(positions.max()))
-    parts = cache.parts(_visible_others(layout, cache, layout.others(owner)))
-    j = layout.thought_index(owner)
-    rows = cache.rows([owner], n)
 
     def attention(li, q, k, v):
         rows.stage(li, lo, k[None], v[None])
-        keys, values = parts.at(li)
-        keys.append(rows.keys(li, index + hi)[0])  # the segment's own row
-        values.append(rows.values(li, index + hi)[0])
-        return attend(q, keys, values, cfg.d_k, causal=True)
+        keys, values = plan.shared[li]
+        # the segment's own row through the block's last staged slot
+        own_k, own_v = rows.keys(li, index + hi)[0], rows.values(li, index + hi)[0]
+        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, causal=True)
 
     first_kept = n - keep
     kept = []
@@ -727,10 +768,12 @@ def prefill(
 ) -> np.ndarray:
     """Feed the prompt tokens in causal chunks; returns the last slot's logits.
 
-    One ``forward_causal`` call over the prompt segment: the prompt runs
-    in blocks of ``CAUSAL_CHUNK`` rows, not one forward pass per token,
-    and a prefill that raises writes no prompt slot.
+    One ``forward_causal`` call over the prompt segment, under a plan
+    built for it: the prompt runs in blocks of ``CAUSAL_CHUNK`` rows, not
+    one forward pass per token, and a prefill that raises writes no prompt
+    slot.
     """
     tokens = list(tokens)
+    plan = StagePlan(cache, layout, [PROMPT])
     start = SlotAddress(PROMPT, cache.length(PROMPT))
-    return forward_causal(weights, table, cache, layout, tokens, start)[0]
+    return forward_causal(weights, table, plan, tokens, start)[0]

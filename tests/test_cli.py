@@ -37,6 +37,19 @@ class TestGenerateAndVerify:
         assert run_cli(["verify", "--dir", str(out)]) == 1
 
 
+    def test_non_finite_temperature_fails_before_any_output(self, tmp_path, capsys):
+        for temperature in ("nan", "inf"):
+            out = tmp_path / temperature
+            code = run_cli(
+                ["generate", "--prompt", "hello", "--temperature", temperature, "--out", str(out)]
+            )
+            assert code == 1
+            captured = capsys.readouterr()
+            assert "temperature must be finite and positive" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
+
+
 class TestSweep:
     def test_sweep_writes_records(self, tmp_path):
         out = str(tmp_path / "sweep")

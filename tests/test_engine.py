@@ -98,6 +98,9 @@ class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
             SamplerConfig(temperature=0.0)
+        for temperature in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                SamplerConfig(temperature=temperature)
         with pytest.raises(ConfigError):
             SamplerConfig(top_p=0.0)
         with pytest.raises(ConfigError):
@@ -320,7 +323,7 @@ class TestTerminationSemantics:
 
     def test_budget_stop_when_nothing_finishes(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab, num_paths=3)
-        forced = forced_schedule(vocab, [None, None, None], horizon=10)
+        forced = forced_schedule(vocab, [None, None, None], horizon=6)
         run_reasoning(session, GREEDY, GenerationBudget(6), Termination.FIRST_FINISH, forced)
         assert {p.finish_cause for p in session.paths} == {"budget"}
         assert {len(p.tokens) for p in session.paths} == {8}  # opener + 6 + closer
@@ -477,13 +480,44 @@ class TestFailureAtomicity:
         run_summarization(session, GREEDY, 4)
         self.assert_in_step(session)
 
-    def test_failed_step_appends_no_token(self, small_weights, small_table, vocab):
+    def test_failed_step_appends_no_token(self, small_weights, small_table, vocab, monkeypatch):
         session = make_session(small_weights, small_table, vocab, num_paths=3)
-        forced = {i: [70, 71, small_weights.config.vocab_size] for i in range(3)}
-        with pytest.raises(DataError):
+        forced = {i: [70, 71, 72] for i in range(3)}
+        forward_paths, passes = engine.forward_paths, []
+
+        def refuse(*args):
+            raise DataError("injected failure")
+
+        def third_fails(*args):
+            passes.append(args)
+            if len(passes) == 4:  # the openers, then body steps 1-3: fail once staged
+                monkeypatch.setattr(model, "_head", refuse)
+            return forward_paths(*args)
+
+        monkeypatch.setattr(engine, "forward_paths", third_fails)
+        with pytest.raises(DataError, match="injected"):
             run_reasoning(session, GREEDY, GenerationBudget(5), forced=forced)
         self.assert_in_step(session)
         assert [len(p.tokens) for p in session.paths] == [3, 3, 3]  # opener + 2 body
+
+    @pytest.mark.parametrize("forced, match", [
+        ({7: [65]}, r"path 7 \(1 tokens\) does not fit paths 0..1 with a budget of 5"),
+        ({-1: [65]}, "path -1 "),
+        ({0: [65] * 6}, r"path 0 \(6 tokens\) does not fit"),
+        ({0: [5, 6, 10**6]}, "at offset 2 outside vocab"),
+        ({1: [65, 3.5]}, "at offset 1 is not an integer"),
+    ])
+    def test_bad_forced_script_rejected_before_any_write(
+        self, small_weights, small_table, vocab, forced, match
+    ):
+        session = make_session(small_weights, small_table, vocab, num_paths=2)
+        with pytest.raises(DataError, match=match):
+            run_reasoning(session, GREEDY, GenerationBudget(5), forced=forced)
+        self.assert_in_step(session)
+        assert all(not p.tokens for p in session.paths)
+        assert session.budget is session.strategy is session.cache.paths is None
+        run_reasoning(session, GREEDY, GenerationBudget(5))  # the session is still usable
+        self.assert_in_step(session)
 
     @pytest.mark.parametrize(
         "bad", [3.5, 2.0, True, np.bool_(False), "7", "a", np.float32(2), None]
@@ -675,12 +709,12 @@ class TestAnswerPass:
         active, index, in_place = [], [], []
         forward_paths = engine.forward_paths
 
-        def counting(weights, table, cache, layout, tokens, slots):
+        def counting(weights, table, plan, tokens, slots):
             active.append(len(slots))
             index.append(slots[0].index)
             rows = [path_index(slot.segment) for slot in slots]
             in_place.append(rows == list(range(rows[0], rows[0] + len(rows))))
-            return forward_paths(weights, table, cache, layout, tokens, slots)
+            return forward_paths(weights, table, plan, tokens, slots)
 
         monkeypatch.setattr(engine, "forward_paths", counting)
         session = make_session(small_weights, small_table, vocab, num_paths=num_paths, seed=7)
@@ -710,6 +744,58 @@ class TestAnswerPass:
         assert equal == (strategy is Termination.FIRST_FINISH or num_paths == 1)
         parts = 3 if equal else num_paths + 2
         assert all(rows == 1 and len(keys) == parts for rows, keys, _ in calls)
+
+
+class TestStagePlans:
+    """Each stage resolves its plan once: one for the prefill (none for a
+    session given ``prompt_from``), one for reasoning and one for
+    summarization, however many passes they run, and no pass looks up a
+    segment length."""
+
+    @pytest.mark.parametrize("strategy", list(Termination))
+    @pytest.mark.parametrize("num_paths", [1, 3, 8])
+    def test_one_plan_per_stage(
+        self, small_weights, small_table, vocab, monkeypatch, strategy, num_paths
+    ):
+        builds, lookups, in_pass, passes = [], [], [], []
+        build, length = model.StagePlan.__init__, engine.PagedKVCache.length
+
+        def counted_build(plan, *args, **kwargs):
+            builds.append(plan)
+            build(plan, *args, **kwargs)
+
+        def counted_length(cache, segment):
+            if in_pass:
+                lookups.append(segment)
+            return length(cache, segment)
+
+        def passing(fn):
+            def run(*args, **kwargs):
+                passes.append(fn.__name__)
+                in_pass.append(True)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    in_pass.pop()
+            return run
+
+        monkeypatch.setattr(model.StagePlan, "__init__", counted_build)
+        monkeypatch.setattr(engine.PagedKVCache, "length", counted_length)
+        for name in ("forward_paths", "forward_causal"):
+            monkeypatch.setattr(engine, name, passing(getattr(engine, name)))
+        forced = forced_schedule(vocab, [3 + i % 4 for i in range(num_paths)], horizon=8)
+        donor = None
+        for _ in range(2):
+            session = make_session(
+                small_weights, small_table, vocab, num_paths=num_paths, prompt_from=donor
+            )
+            assert len(builds) == (0 if donor else 1)
+            run_reasoning(session, GREEDY, GenerationBudget(8, 6), strategy, forced)
+            run_summarization(session, GREEDY, 6)
+            assert len(builds) == (2 if donor else 3)
+            assert passes.count("forward_paths") > 2 and passes.count("forward_causal") > 2
+            donor, builds[:], passes[:] = session, [], []
+        assert lookups == []
 
 
 class TestDistinctTokenDivergence:

@@ -14,13 +14,15 @@ from parcot.errors import (
     LayoutError,
     PositionOverflowError,
 )
-from parcot.kvcache import PagedKVCache, SlotAddress
+from parcot.kvcache import PagedKVCache, SlotAddress, assemble_summary_view
+from parcot.masking import SUMMARIZATION, LayoutPlan
 from parcot.model import (
     CAUSAL_CHUNK,
     FLAT,
     REASONING,
     DecodeLayout,
     ModelConfig,
+    StagePlan,
     attend,
     forward_causal,
     forward_paths,
@@ -31,6 +33,7 @@ from parcot.model import (
     save_weights,
 )
 from parcot.positional import (
+    ANSWER,
     FLATTENED,
     PROMPT,
     SHARED,
@@ -50,7 +53,6 @@ def reasoning_layout(l_x, labels, l_max=16):
             SHARED, l_x=l_x, l_max=l_max, num_paths=max(len(labels), 1)
         ),
         thought_labels=tuple(labels),
-        expected_lengths={PROMPT: l_x},
     )
 
 
@@ -255,8 +257,9 @@ class TestForwardStep:
 
 
 class TestBatchChecks:
-    """forward_paths derives a batch's position and shared segments once;
-    batches that do not share them still raise before any write."""
+    """A stage plan derives its owners' position and shared segments once;
+    owners that do not share them raise when the plan is built, before any
+    write."""
 
     def prefilled(self, weights, table, layout, num_paths=3):
         cfg = weights.config
@@ -274,39 +277,101 @@ class TestBatchChecks:
         )
         cache = self.prefilled(small_weights, small_table, layout)
         for rows in ([0, 1, 2], [0, 2], [1, 2]):
-            slots = [SlotAddress(path_key(i), 0) for i in rows]
             with pytest.raises(CacheConsistencyError, match="share one position"):
-                forward_paths(
-                    small_weights, small_table, cache, layout, [40] * len(rows), slots
-                )
+                StagePlan(cache, layout, [path_key(i) for i in rows])
         assert [cache.length(path_key(i)) for i in range(3)] == [0, 0, 0]
         # one flattened row alone is a batch
         slot = SlotAddress(path_key(2), 0)
-        forward_paths(small_weights, small_table, cache, layout, [40], [slot])
+        plan = StagePlan(cache, layout, [slot.segment])
+        forward_paths(small_weights, small_table, plan, [40], [slot])
 
     def test_prompt_and_path_rows_do_not_batch(self, small_weights, small_table):
         layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
         cache = self.prefilled(small_weights, small_table, layout)
-        slots = [SlotAddress(path_key(0), 0), SlotAddress(PROMPT, 2)]
         with pytest.raises(CacheConsistencyError):
-            forward_paths(small_weights, small_table, cache, layout, [40, 41], slots)
+            StagePlan(cache, layout, [path_key(0), PROMPT])
 
     def test_rows_must_extend_their_segments(self, small_weights, small_table):
         layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
         cache = self.prefilled(small_weights, small_table, layout)
         slots = [SlotAddress(path_key(0), 0), SlotAddress(path_key(1), 1)]
+        plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
         with pytest.raises(CacheConsistencyError, match="does not extend"):
-            forward_paths(small_weights, small_table, cache, layout, [40, 41], slots)
+            forward_paths(small_weights, small_table, plan, [40, 41], slots)
 
     def test_shared_rows_equal_their_single_row_passes(self, small_weights, small_table):
         layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
         batched = self.prefilled(small_weights, small_table, layout)
         alone = self.prefilled(small_weights, small_table, layout)
         slots = [SlotAddress(path_key(i), 0) for i in range(3)]
-        block = forward_paths(small_weights, small_table, batched, layout, [40, 41, 42], slots)
+        plan = StagePlan(batched, layout, [slot.segment for slot in slots])
+        block = forward_paths(small_weights, small_table, plan, [40, 41, 42], slots)
         for i, slot in enumerate(slots):
             row = forward_step(small_weights, small_table, alone, layout, 40 + i, slot)
             assert np.array_equal(block[i], row)
+
+
+class TestStalePlan:
+    """A plan that does not fit the pass or the cache raises before
+    anything is staged."""
+
+    def reasoned(self, weights, table, l_x=2, path_slots=0):
+        """A cache holding an ``l_x``-slot prompt and ``path_slots`` slots
+        of each of two paths, with answer storage reserved."""
+        cfg = weights.config
+        layout = reasoning_layout(l_x=l_x, labels=(1, 2))
+        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        cache.reserve(PROMPT, l_x)
+        prefill(weights, table, cache, layout, list(range(5, 5 + l_x)))
+        cache.reserve_paths(2, 8)
+        cache.reserve(ANSWER, 4)
+        plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
+        for t in range(path_slots):
+            slots = [SlotAddress(path_key(0), t), SlotAddress(path_key(1), t)]
+            forward_paths(weights, table, plan, [40, 41], slots)
+        return cache, layout
+
+    @staticmethod
+    def summary_layout(l_x, reasoning_len):
+        return DecodeLayout(
+            stage=SUMMARIZATION,
+            assignment=PositionAssignment(
+                SHARED, l_x=l_x, l_max=8, num_paths=2, reasoning_len=reasoning_len
+            ),
+            thought_labels=(1, 2),
+        )
+
+    def test_segment_the_plan_does_not_own(self, small_weights, small_table):
+        cache, layout = self.reasoned(small_weights, small_table)
+        plan = StagePlan(cache, layout, [path_key(0)])
+        for rows in ([1], [0, 1]):
+            slots = [SlotAddress(path_key(i), 0) for i in rows]
+            with pytest.raises(CacheConsistencyError, match="cannot write segment 'path:1'"):
+                forward_paths(small_weights, small_table, plan, [40] * len(rows), slots)
+        assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
+        assert not cache.paths.k.any()
+
+    def test_reasoning_plan_for_an_answer_slot(self, small_weights, small_table):
+        cache, layout = self.reasoned(small_weights, small_table, path_slots=2)
+        plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
+        with pytest.raises(CacheConsistencyError, match="cannot write segment 'answer'"):
+            forward_causal(small_weights, small_table, plan, [40], SlotAddress(ANSWER, 0))
+        assert cache.length(ANSWER) == 0
+        assert not cache.tables[ANSWER].slab.k.any()
+
+    def test_plan_built_before_its_shared_segments_are_complete(self, small_weights, small_table):
+        cache, _ = self.reasoned(small_weights, small_table, l_x=2)
+        with pytest.raises(CacheConsistencyError, match="'prompt' holds 2 slots, expected 4"):
+            StagePlan(cache, reasoning_layout(l_x=4, labels=(1, 2)), [path_key(0)])
+        cache, _ = self.reasoned(small_weights, small_table, path_slots=2)
+        with pytest.raises(CacheConsistencyError, match="longest visible path holds 2 slots"):
+            StagePlan(cache, self.summary_layout(2, reasoning_len=3), [ANSWER])
+        layout = self.summary_layout(2, reasoning_len=2)
+        StagePlan(cache, layout, [ANSWER])  # complete now
+        other, _ = self.reasoned(small_weights, small_table, path_slots=2)
+        view = assemble_summary_view(other, LayoutPlan(2, (2, 2), 0, SUMMARIZATION))
+        with pytest.raises(CacheConsistencyError, match="summary view lists other segments"):
+            StagePlan(cache, layout, [ANSWER], view=view)
 
 
 class TestPrefill:
@@ -377,7 +442,7 @@ class TestPrefill:
             got = prefill(small_weights, small_table, blocked, layout, tokens)[None]
         else:
             got = forward_causal(
-                small_weights, small_table, blocked, layout, tokens,
+                small_weights, small_table, StagePlan(blocked, layout, [segment]), tokens,
                 SlotAddress(segment, 0), keep=length,
             )
         want = np.stack([
@@ -448,7 +513,8 @@ class TestPrefill:
         layout = DecodeLayout(stage=FLAT, flat_positions=(1, 2, 3))
         with pytest.raises(LayoutError, match="flat layout lists 3 positions"):
             forward_causal(
-                small_weights, small_table, cache, layout, [5, 6, 7, 8], SlotAddress("seq", 0)
+                small_weights, small_table, StagePlan(cache, layout, ["seq"]), [5, 6, 7, 8],
+                SlotAddress("seq", 0),
             )
         assert cache.length("seq") == 0
         assert not cache.tables["seq"].slab.k.any()

@@ -86,9 +86,10 @@ def test_lockstep_paths_replay_alone(small_weights, small_table, vocab, case):
             small_weights, small_table, vocab, PROMPT_TOKENS, 1,
             think_labels=[path.think_label], seed=case["seed"], record_logits=True,
         )
+        body = len(path.tokens) - 2
         run_reasoning(
-            solo, sampler, GenerationBudget(len(path.tokens) - 2),
-            Termination.FIRST_FINISH, {0: forced[path.index]},
+            solo, sampler, GenerationBudget(body), Termination.FIRST_FINISH,
+            {0: forced[path.index][:body]},
         )
         assert solo.paths[0].tokens == path.tokens
         assert len(solo.paths[0].step_logits) == len(path.step_logits)
