@@ -468,8 +468,7 @@ def run_summarization(
     layout = session.summary_layout()
     last = layout.positions(ANSWER, 0, max_answer_tokens + 1)[-1]  # SUMMARY_OPEN first
     _check_position(last, session.weights.config.max_position, "answer")
-    # the view's segments were checked when it was assembled
-    plan = StagePlan(session.cache, layout, [ANSWER], view=session.summary_view)
+    plan = StagePlan(session.cache, layout, [ANSWER])
     session.cache.reserve(ANSWER, max_answer_tokens + 1)
 
     def feed(token: int) -> np.ndarray:

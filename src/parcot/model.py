@@ -88,6 +88,7 @@ from .positional import (
     PositionAssignment,
     Rope,
     ThoughtEmbeddingTable,
+    path_index,
     path_key,
     rope_for,
 )
@@ -457,8 +458,6 @@ class DecodeLayout:
 
     def __post_init__(self):
         self.flat_positions = np.asarray(self.flat_positions, dtype=np.int64)
-        self._thoughts = {PROMPT: 0, ANSWER: 0}
-        self._thoughts.update((path_key(i), j) for i, j in enumerate(self.thought_labels))
 
     def base(self, segment: str) -> int | None:
         """The segment's position offset; None for stage "flat", whose
@@ -477,7 +476,12 @@ class DecodeLayout:
         return self.flat_positions[start : start + n]
 
     def thought_index(self, segment: str) -> int:
-        return 0 if self.stage == FLAT else self._thoughts[segment]
+        if self.stage == FLAT or segment in (PROMPT, ANSWER):
+            return 0
+        i = path_index(segment)
+        if not 0 <= i < len(self.thought_labels):
+            raise LayoutError(f"{segment!r} is not one of the layout's paths")
+        return self.thought_labels[i]
 
     def visible_segments(self, segment: str) -> tuple[str, ...]:
         return visible_segments(self.stage, segment, len(self.thought_labels))
@@ -503,13 +507,14 @@ class StagePlan:
 
     The other segments' lengths are checked here against the layout: the
     prompt holds ``l_x`` slots and the longest path the reasoning length.
-    A plan given the summary view that ``assemble_summary_view`` built
-    (which checked every length) checks only that the view lists the same
-    segments of the same cache.  A pass checks only that it writes one of
-    the owners (``thought_indices``).
+    The layout does not hold each path's own length, so a path shorter
+    than the longest is not checked here; ``assemble_summary_view``, which
+    the engine runs before the answer stage, checks every path exactly.
+    A pass checks only that it writes one of the owners
+    (``thought_indices``).
     """
 
-    def __init__(self, cache: PagedKVCache, layout: DecodeLayout, owners, view=None):
+    def __init__(self, cache: PagedKVCache, layout: DecodeLayout, owners):
         owners = tuple(owners)
         others = layout.visible_segments(owners[0])[:-1]  # the rule lists a slot's own segment last
         for owner in owners[1:]:
@@ -518,12 +523,7 @@ class StagePlan:
             if layout.visible_segments(owner) != (*others, owner):
                 raise CacheConsistencyError("batched slots must share their visible segments")
         fills = [cache.length(seg) for seg in others]
-        if view is not None:
-            if [e for e in view.entries if e[0] not in owners] != [
-                (seg, cache.tables.get(seg)) for seg in others
-            ]:
-                raise CacheConsistencyError("the summary view lists other segments than the plan")
-        elif others:
+        if others:
             have, assignment = dict(zip(others, fills)), layout.assignment
             prompt = have.pop(PROMPT)
             if prompt != assignment.l_x:

@@ -12,6 +12,7 @@ from parcot.errors import (
     ConfigError,
     DataError,
     LayoutError,
+    LifecycleError,
     PositionOverflowError,
 )
 from parcot.kvcache import PagedKVCache, SlotAddress, assemble_summary_view
@@ -351,6 +352,12 @@ class TestStalePlan:
         assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
         assert not cache.paths.k.any()
 
+    def test_path_outside_the_layout(self, small_weights, small_table):
+        cache, layout = self.reasoned(small_weights, small_table)
+        for segment in (path_key(2), "path:-1"):
+            with pytest.raises(LayoutError, match="not one of the layout's paths"):
+                StagePlan(cache, layout, [segment])
+
     def test_reasoning_plan_for_an_answer_slot(self, small_weights, small_table):
         cache, layout = self.reasoned(small_weights, small_table, path_slots=2)
         plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
@@ -366,12 +373,18 @@ class TestStalePlan:
         cache, _ = self.reasoned(small_weights, small_table, path_slots=2)
         with pytest.raises(CacheConsistencyError, match="longest visible path holds 2 slots"):
             StagePlan(cache, self.summary_layout(2, reasoning_len=3), [ANSWER])
-        layout = self.summary_layout(2, reasoning_len=2)
-        StagePlan(cache, layout, [ANSWER])  # complete now
-        other, _ = self.reasoned(small_weights, small_table, path_slots=2)
-        view = assemble_summary_view(other, LayoutPlan(2, (2, 2), 0, SUMMARIZATION))
-        with pytest.raises(CacheConsistencyError, match="summary view lists other segments"):
-            StagePlan(cache, layout, [ANSWER], view=view)
+        StagePlan(cache, self.summary_layout(2, reasoning_len=2), [ANSWER])  # complete now
+
+    def test_short_path_is_the_summary_views_check(self, small_weights, small_table):
+        """The layout knows the longest path only: a path short of its own
+        length passes the plan, and ``assemble_summary_view`` (which the
+        engine runs before the answer stage) rejects it."""
+        cache, layout = self.reasoned(small_weights, small_table, path_slots=2)
+        plan = StagePlan(cache, layout, [path_key(1)])
+        forward_paths(small_weights, small_table, plan, [42], [SlotAddress(path_key(1), 2)])
+        StagePlan(cache, self.summary_layout(2, reasoning_len=3), [ANSWER])
+        with pytest.raises(LifecycleError, match="path:0 holds 2 slots, layout says 3"):
+            assemble_summary_view(cache, LayoutPlan(2, (3, 3), 0, SUMMARIZATION))
 
 
 class TestPrefill:
