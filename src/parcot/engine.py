@@ -23,15 +23,21 @@ The summarization stage reuses the reasoning-phase KV storage directly
 against the prompt, every path, and the answer prefix, one token per
 one-row causal pass (``model.forward_causal``).
 
-Sampling draws are seeded per (session seed, stream, step), where the
-stream is the path's think label (or 0 for the answer), so any single
-path replays identically in isolation.  A draw is a temperature softmax,
-the nucleus, and one uniform double from the draw's generator searched
-in the nucleus's cumulative distribution: the arithmetic that
+Sampling draws are keyed (session seed, stream, step), where the stream
+is the path's think label (or ANSWER_STREAM, 0, for the answer), so any
+single path replays identically in isolation.  A draw's uniform double is
+``draw_rng(seed, stream, step).random()`` and its token is the temperature
+softmax, the nucleus, and that uniform searched in the nucleus's
+cumulative distribution (``sample_tokens``): the arithmetic that
 ``Generator.choice`` performs once it has validated its probabilities,
 written out so that draws (and ``verify``) do not rest on numpy's
-``choice`` internals.  Greedy decoding draws nothing; a greedy reasoning
-step picks every row's token with one argmax over the step's logits.
+``choice`` internals.  A sampled reasoning step samples all of its drawn
+rows in one ``sample_tokens`` call, and takes their uniforms from the
+kernel ``pcg.uniforms``, which computes the same doubles for a chunk of
+steps at once, when a chunk holds enough draws (UNIFORM_CROSSOVER);
+answer tokens draw one at a time (``draw_token``).  Greedy decoding draws
+nothing; a greedy reasoning step picks every row's token with one argmax
+over the step's logits.
 
 A session given ``prompt_from``, an earlier session on the same weights,
 thought table and prompt, prefills nothing: its cache reads the earlier
@@ -67,6 +73,7 @@ from .model import (
     forward_step,  # noqa: F401  perfbench/instrument.py wraps it by this name
     prefill,
 )
+from .pcg import uniforms
 from .positional import (
     ANSWER,
     PROMPT,
@@ -79,9 +86,28 @@ from .tokenizer import Vocab
 
 ANSWER_STREAM = 0  # think labels start at 1, so stream 0 is free
 
+# A sampled reasoning step takes its uniforms UNIFORM_CHUNK steps at a time
+# from one ``uniforms`` call when that call covers at least
+# UNIFORM_CROSSOVER draws (rows x steps), else one ``draw_rng`` per draw.
+# Measured on a 2-CPU Xeon (numpy 2.4): a ``uniforms`` call costs 160-190 us
+# for 8 to 16 draws and ~210 us for 256, one ``draw_rng(...).random()``
+# ~20 us, so the two break even near 8 draws; at 16 the kernel costs half,
+# and a chunk still pays when its rows stop halfway through it.
+UNIFORM_CHUNK = 16
+UNIFORM_CROSSOVER = 16
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """How a row's token is chosen: temperature, nucleus mass, or greedy.
+
+    ``seed`` is read by nothing: every draw is keyed by the session's seed
+    (``GenerationSession(seed=...)``), a stream and a step, so two configs
+    differing only in ``seed`` give byte-identical sessions.  The field
+    stays so that experiment configs that set it still load, hash and
+    ``verify`` as before.
+    """
+
     temperature: float = 1.0
     top_p: float = 1.0
     seed: int = 0
@@ -285,57 +311,155 @@ def _check_position(last: int, max_position: int, stage: str) -> None:
 
 
 def draw_rng(seed: int, stream: int, step: int) -> np.random.Generator:
-    """Per-draw generator; the stream is a think label or ANSWER_STREAM."""
+    """Per-draw generator; the stream is a think label or ANSWER_STREAM.
+
+    The reference for every draw's uniform: ``draw_rng(seed, stream,
+    step).random()``.  ``_StageUniforms`` takes the same doubles from the
+    vectorized kernel ``uniforms`` when enough draws are due."""
     return np.random.default_rng((seed, stream, step))
+
+
+def sample_tokens(logits: np.ndarray, sampler: SamplerConfig, draws) -> np.ndarray:
+    """Temperature softmax with nucleus truncation over the rows of a
+    ``[n, vocab]`` block; row r draws with the uniform ``draws[r]``.
+
+    ``draws`` is n doubles in [0, 1), or a Generator from which n are
+    taken (``random(n)``) once every row has been checked.  Greedy mode is
+    the rows' argmax (lowest id on ties) and draws nothing.  Each row takes
+    the token it takes alone, whatever the other rows hold, and a block
+    that cannot be sampled raises the SamplingError of its first such row.
+
+    Per row, in float64: softmax of logits / temperature; the nucleus is
+    the smallest probability-sorted prefix whose mass reaches top_p (the
+    mass ranked ahead of a token is below top_p), renormalized; the draw
+    is the one ``Generator.choice(nucleus, p=renormalized)`` makes, spelled
+    out: the uniform searched (``side="right"``) in the normalized
+    cumulative sum.  Every row-wise step runs along axis 1 of the block,
+    and numpy does each per row as it does on that row alone (reductions
+    summing pairwise along the row, cumulative sums in order).  The
+    ranking is the default argsort reversed, which is the only descending
+    order when no two probabilities tie; a row with ties is ranked by the
+    stable descending argsort, the order ``choice`` sees.  The nucleus is
+    always a prefix of the ranking: the mass ranked ahead, ``cumsum - p``,
+    never falls along it, since each rounded cumulative sum is at least the
+    one before and each probability at most the one before.  Its mass is
+    summed over the rows of one nucleus size at a time, since a pairwise
+    sum depends on its length.
+    """
+    logits = np.asarray(logits)
+    n, vocab = logits.shape
+    if not vocab:
+        raise SamplingError("all tokens are masked out")
+    if sampler.greedy:
+        if not np.isfinite(logits).all():
+            _reject_row(logits[np.argmin(np.isfinite(logits).all(axis=1))])
+        return logits.argmax(axis=1)
+    probs = logits.astype(np.float64)
+    probs /= sampler.temperature
+    if not np.isfinite(probs).all():
+        # the first row that is non-finite or whose scaled maximum overflows
+        for row, scaled in zip(logits, probs):
+            if not np.isfinite(row).all():
+                _reject_row(row)
+            if not np.isfinite(scaled.max()):
+                raise SamplingError(f"logits / temperature {sampler.temperature} overflow float64")
+    draws = draws.random(n) if isinstance(draws, np.random.Generator) else np.asarray(draws)
+    top = probs.max(axis=1, keepdims=True)
+    probs -= top
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+
+    order = probs.argsort(axis=1)[:, ::-1]  # descending
+    flat = order + np.arange(0, n * vocab, vocab)[:, None] if n > 1 else order
+    ranked = probs.ravel()[flat]  # the same for any descending order
+    if (ranked[:, 1:] == ranked[:, :-1]).any():
+        for r in np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1)):
+            order[r] = (-probs[r]).argsort(kind="stable")
+    cdf = np.add.accumulate(ranked, axis=1)
+    keep = cdf - ranked < sampler.top_p  # mass ranked ahead of each token
+    sizes = keep.sum(axis=1)
+    groups = set(sizes.tolist())
+    if len(groups) == 1:
+        mass = ranked[:, : sizes[0]].sum(axis=1, keepdims=True)
+    else:
+        mass = np.empty((n, 1))
+        for size in groups:
+            rows = sizes == size
+            mass[rows, 0] = ranked[rows, :size].sum(axis=1)
+    # the nucleus's cdf, normalized by its last entry; past the nucleus the
+    # row runs on at >= 1.0, above every uniform, so it is never picked
+    np.divide(ranked, mass, out=cdf)
+    np.add.accumulate(cdf, axis=1, out=cdf)
+    rows = np.arange(n)
+    cdf /= cdf[rows, sizes - 1, None]
+    return order[rows, (cdf > draws[:, None]).argmax(axis=1)]
+
+
+def _reject_row(row: np.ndarray) -> None:
+    if np.isneginf(row).all():
+        raise SamplingError("all tokens are masked out")
+    raise SamplingError("logits contain non-finite values")
 
 
 def sample_token(
     logits: np.ndarray, sampler: SamplerConfig, rng: np.random.Generator
 ) -> int:
-    """Temperature softmax with nucleus truncation; greedy mode is argmax.
+    """One draw: ``sample_tokens`` on ``logits`` as a one-row block.
 
-    Greedy ties break toward the lowest token id; greedy mode never
-    touches ``rng``, which may then be None, and takes the argmax of the
-    logits as given (widening float32 to float64 is exact, so it would
-    pick the same id).  The nucleus keeps the smallest probability-sorted
-    prefix whose mass reaches top_p, in float64.  The draw is the one
-    ``rng.choice(nucleus, p=renormalized)`` makes, spelled out: one
-    ``rng.random()`` searched in the normalized cumulative sum, so it
-    takes the same token and advances ``rng`` the same way.
+    Greedy mode never touches ``rng``, which may then be None.  Otherwise
+    the draw takes one ``rng.random()`` after the row is checked, the
+    token and the generator's advance that ``rng.choice(nucleus,
+    p=renormalized)`` would give.
     """
-    logits = np.asarray(logits)
-    if logits.size == 0:
-        raise SamplingError("all tokens are masked out")
-    if not np.isfinite(logits).all():
-        if np.isneginf(logits).all():
-            raise SamplingError("all tokens are masked out")
-        raise SamplingError("logits contain non-finite values")
+    return int(sample_tokens(np.asarray(logits).reshape(1, -1), sampler, rng)[0])
+
+
+def draw_token(
+    seed: int, sampler: SamplerConfig, logits: np.ndarray, stream: int, step: int
+) -> int:
+    """The draw for one row of step ``step`` of ``stream``, through its own
+    generator.  Greedy takes the argmax: a forward pass has already
+    rejected non-finite logits."""
     if sampler.greedy:
         return int(np.argmax(logits))
-    probs = logits.astype(np.float64)
-    probs /= sampler.temperature
-    top = probs.max()
-    if not np.isfinite(top):
-        raise SamplingError(f"logits / temperature {sampler.temperature} overflow float64")
-    probs -= top
-    np.exp(probs, out=probs)
-    probs /= probs.sum()
-    order = np.argsort(-probs, kind="stable")
-    ranked = probs[order]
-    before = np.cumsum(ranked)
-    before -= ranked  # mass ranked ahead of each token
-    keep = before < sampler.top_p
-    kept = ranked[keep]
-    kept /= kept.sum()
-    # what Generator.choice(support, p=kept) does once p is validated
-    cdf = np.cumsum(kept)
-    cdf /= cdf[-1]
-    return int(order[keep][cdf.searchsorted(rng.random(), side="right")])
+    return sample_token(logits, sampler, draw_rng(seed, stream, step))
 
 
-def _draw(session: GenerationSession, sampler: SamplerConfig, logits, stream: int, step: int):
-    rng = None if sampler.greedy else draw_rng(session.seed, stream, step)
-    return sample_token(logits, sampler, rng)
+class _StageUniforms:
+    """The reasoning stage's uniforms, keyed (session seed, think label, step).
+
+    When step ``s`` draws and its uniforms are not yet at hand, the next
+    ``UNIFORM_CHUNK`` steps (up to the budget) are filled at once for the
+    labels drawing at ``s``, by one ``uniforms`` call, if that covers at
+    least ``UNIFORM_CROSSOVER`` draws; a label the chunk lacks, or a chunk
+    too small, takes its uniform from ``draw_rng``.  Either way the double
+    is ``draw_rng(seed, label, step).random()``.
+    """
+
+    def __init__(self, seed: int, last_step: int):
+        self.seed = seed
+        self.last_step = last_step
+        self.kernel = type(seed) is int and 0 <= seed < 1 << 64
+        self.first = self.end = 0  # steps [first, end) are planned
+        self.labels: list[int] = []  # rows of self.table
+        self.table = None
+
+    def take(self, step: int, labels: list[int]) -> np.ndarray:
+        if step >= self.end:
+            self.first = step
+            self.end = min(step + UNIFORM_CHUNK, self.last_step + 1)
+            self.labels = []
+            if self.kernel and len(labels) * (self.end - step) >= UNIFORM_CROSSOVER:
+                self.labels = labels
+                self.table = uniforms(self.seed, labels, range(step, self.end))
+        col = step - self.first
+        if labels == self.labels:
+            return self.table[:, col]
+        return np.array([
+            self.table[self.labels.index(label), col] if label in self.labels
+            else draw_rng(self.seed, label, step).random()
+            for label in labels
+        ])
 
 
 def _feed_paths(session: GenerationSession, plan: StagePlan, paths, tokens) -> np.ndarray:
@@ -396,6 +520,7 @@ def run_reasoning(
     active = list(session.paths)
     openers = [session.vocab.think_open(p.think_label) for p in active]
     logits = _feed_paths(session, plan, active, openers)  # row r belongs to active[r]
+    draws = None if sampler.greedy else _StageUniforms(session.seed, budget.max_path_tokens)
     completed = 0
     stop_cause = None
     step = 0
@@ -405,14 +530,22 @@ def run_reasoning(
         # as sample_token); forward_paths has rejected non-finite logits
         greedy = logits.argmax(axis=1).tolist() if sampler.greedy else None
         chosen = []
-        for r, (path, row) in enumerate(zip(active, logits)):
+        drawn = []  # rows that sample, all in one sample_tokens call
+        for r, path in enumerate(active):
             script = forced.get(path.index)
             if script is not None and step <= len(script):
                 chosen.append(int(script[step - 1]))
             elif greedy is not None:
                 chosen.append(greedy[r])
             else:
-                chosen.append(_draw(session, sampler, row, path.think_label, step))
+                chosen.append(None)
+                drawn.append(r)
+        if drawn:
+            labels = [active[r].think_label for r in drawn]
+            block = logits if len(drawn) == len(active) else logits[drawn]
+            picks = sample_tokens(block, sampler, draws.take(step, labels))
+            for r, token in zip(drawn, picks.tolist()):
+                chosen[r] = token
         logits = _feed_paths(session, plan, active, chosen)
         finished_now = [p for p, token in zip(active, chosen) if token == eos]
         completed += len(finished_now)
@@ -482,7 +615,7 @@ def run_summarization(
     logits = feed(vocab.summary_open)
     sampled: list[int] = []
     for step in range(1, max_answer_tokens + 1):
-        token = _draw(session, sampler, logits, ANSWER_STREAM, step)
+        token = draw_token(session.seed, sampler, logits, ANSWER_STREAM, step)
         sampled.append(token)
         logits = feed(token)
         if token in (vocab.summary_close, vocab.eos):

@@ -31,12 +31,11 @@ from .engine import (
     GenerationSession,
     SamplerConfig,
     Termination,
-    draw_rng,
     canonical_json,
+    draw_token,
     majority_vote,
     run_reasoning,
     run_session,
-    sample_token,
     session_record,
 )
 from .errors import ConfigError, DataError, LifecycleError
@@ -431,8 +430,8 @@ def run_reprefill_baseline(
     plan, logits = _flat_feed(bundle.weights, zero, layout, flat_tokens + answer)
     logits = logits[0]
     for step in range(1, budget.max_answer_tokens + 1):
-        rng = draw_rng(session.seed, ANSWER_STREAM, step)
-        token = sample_token(logits, sampler, rng)
+        # the engine's draw, so the baseline's answer cannot drift from it
+        token = draw_token(session.seed, sampler, logits, ANSWER_STREAM, step)
         answer.append(token)
         logits = forward_causal(
             bundle.weights, zero, plan, [token], SlotAddress(FLAT_SEGMENT, len(flat_tokens) + step)

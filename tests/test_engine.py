@@ -542,9 +542,10 @@ class TestFailureAtomicity:
 
     def test_greedy_decoding_draws_no_generator(self, small_weights, small_table, vocab, monkeypatch):
         def refuse(*args):
-            raise AssertionError("greedy decoding built a generator")
+            raise AssertionError("greedy decoding drew a uniform or ran the sampler")
 
-        monkeypatch.setattr(engine, "draw_rng", refuse)
+        for name in ("draw_rng", "uniforms", "sample_tokens"):
+            monkeypatch.setattr(engine, name, refuse)
         run_session(
             small_weights, small_table, vocab, encode("hi", vocab, markup=False), 3,
             GREEDY, GenerationBudget(4, 3), strategy=Termination.HALF_FINISH,

@@ -1,0 +1,319 @@
+"""Sampled draws: the uniform kernel, the batched sampler and the engine's
+draw rule, each against a per-draw reference.
+
+Every draw of a session is ``sample_token(logits, sampler, draw_rng(seed,
+stream, step))``: the engine takes the uniform from ``pcg.uniforms`` when a
+chunk of steps is large enough, and samples all of a reasoning step's rows
+in one ``sample_tokens`` call.  Neither may change a single token.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parcot import engine
+from parcot.engine import (
+    ANSWER_STREAM,
+    UNIFORM_CHUNK,
+    UNIFORM_CROSSOVER,
+    GenerationBudget,
+    SamplerConfig,
+    Termination,
+    canonical_json,
+    draw_rng,
+    run_session,
+    sample_token,
+    sample_tokens,
+    session_record,
+)
+from parcot.errors import SamplingError
+from parcot.pcg import uniforms
+from parcot.tokenizer import encode
+
+from oracles import reference_sample_token
+
+
+class TestUniformKernel:
+    def test_matches_default_rng_over_random_keys(self, vocab):
+        rng = np.random.default_rng(20261018)
+        seeds = [0, 1, 7, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63 - 2, 2**64 - 1]
+        seeds += [int(s) for s in rng.integers(0, 2**32, 12)]
+        seeds += [int(s) for s in rng.integers(2**32, 2**63, 12, dtype=np.int64)]
+        seeds += [2**63 - 1 - int(d) for d in rng.integers(0, 2**20, 8)]
+        streams = list(range(vocab.p_max + 1))
+        checked = 0
+        for seed in seeds:
+            steps = [0, 1, 2, 15, 16, 2**31, 2**32 - 1]
+            steps += [int(s) for s in rng.integers(0, 2**32, 8, dtype=np.int64)]
+            got = uniforms(seed, streams, steps)
+            assert got.shape == (len(streams), len(steps))
+            for i, stream in enumerate(streams):
+                for j, step in enumerate(steps):
+                    assert got[i, j] == draw_rng(seed, stream, step).random(), (seed, stream, step)
+                    checked += 1
+        assert checked >= 10_000
+
+    def test_empty_grids(self):
+        assert uniforms(3, [], [1, 2]).shape == (0, 2)
+        assert uniforms(3, [1], []).shape == (1, 0)
+
+    @pytest.mark.parametrize(
+        "seed, streams, steps",
+        [(-1, [1], [1]), (2**64, [1], [1]), (0, [-1], [1]), (0, [1], [2**32])],
+    )
+    def test_keys_outside_the_words_are_rejected(self, seed, streams, steps):
+        with pytest.raises(ValueError):
+            uniforms(seed, streams, steps)
+
+
+def outcome(logits, sampler, draw):
+    """Token ids of a block's rows, or the SamplingError message it raised."""
+    try:
+        return [int(t) for t in draw(logits, sampler)]
+    except SamplingError as exc:
+        return f"SamplingError: {exc}"
+
+
+def per_row(block, sampler, keys):
+    """The reference, row after row: the first row that raises decides."""
+    return outcome(
+        block, sampler,
+        lambda b, s: [reference_sample_token(row, s, draw_rng(*k)) for row, k in zip(b, keys)],
+    )
+
+
+def batched(block, sampler, keys):
+    u = np.array([draw_rng(*k).random() for k in keys])
+    return outcome(block, sampler, lambda b, s: sample_tokens(b, s, u))
+
+
+@st.composite
+def logit_blocks(draw):
+    """[n, vocab] blocks whose rows mix ties, dominant tokens, underflowing
+    tails and (rarely) non-finite entries."""
+    n = draw(st.integers(1, 16))
+    vocab = draw(st.sampled_from([0, 1, 2, 12, 64, 292]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = rng.standard_normal((n, vocab)) * draw(st.sampled_from([0.1, 1.0, 8.0]))
+    for row in block:
+        kind = draw(st.sampled_from(["normal"] * 3 + ["ties", "dominant", "tails", "nonfinite"]))
+        if not vocab:
+            break
+        if kind == "ties":
+            row[:] = rng.choice(rng.standard_normal(draw(st.integers(1, 4))) * 5, size=vocab)
+        elif kind == "dominant":
+            row[rng.integers(vocab)] = draw(st.floats(20, 400))
+        elif kind == "tails":
+            row[rng.random(vocab) < 0.7] = -draw(st.floats(30, 2000))
+        elif kind == "nonfinite" and draw(st.integers(0, 3)) == 0:
+            row[rng.integers(vocab, size=draw(st.integers(1, vocab)))] = draw(
+                st.sampled_from([-np.inf, np.inf, np.nan])
+            )
+    return block.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+class TestBatchedSampler:
+    """Each row of a ``sample_tokens`` block takes the token the reference
+    takes on that row alone with the same key; a block that cannot be
+    sampled raises what its first such row raises."""
+
+    @given(
+        block=logit_blocks(),
+        temperature=st.floats(0.05, 5.0),
+        top_p=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+        greedy=st.booleans(),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_the_reference(self, block, temperature, top_p, greedy, seed):
+        sampler = SamplerConfig(temperature=temperature, top_p=top_p, greedy=greedy)
+        keys = [(seed, r + 1, 1 + r % 3) for r in range(len(block))]
+        assert batched(block, sampler, keys) == per_row(block, sampler, keys)
+
+    @pytest.mark.parametrize("top_p", [1.0, 0.9, 0.5])
+    def test_model_like_blocks(self, top_p):
+        rng = np.random.default_rng(12)
+        sampler = SamplerConfig(temperature=0.7, top_p=top_p)
+        for step in range(1, 201):
+            block = (rng.standard_normal((1 + step % 16, 292)) * 3).astype(np.float32)
+            keys = [(99, label, step) for label in range(1, len(block) + 1)]
+            assert batched(block, sampler, keys) == per_row(block, sampler, keys)
+
+    @pytest.mark.parametrize("top_p", [1.0, 0.95])
+    def test_flip_point_rows_inside_blocks(self, top_p):
+        """The rows of ``test_matches_choice_sampler_at_the_flip_points``
+        (one logit within 16 ulps of where the reference's draw flips
+        between two tokens), each placed among other rows of a block."""
+        base = np.random.default_rng(0).standard_normal(12)
+        sampler = SamplerConfig(temperature=0.9, top_p=top_p)
+
+        def with_x(x):
+            row = base.copy()
+            row[0] = x
+            return row
+
+        def reference(x, key):
+            return reference_sample_token(with_x(x), sampler, draw_rng(*key))
+
+        rows, keys = [], []
+        for seed in range(40):
+            key = (seed, 1, 1)
+            lo, hi = -30.0, 30.0
+            low_token = reference(lo, key)
+            if reference(hi, key) == low_token:
+                continue
+            while np.nextafter(lo, hi) < hi:
+                mid = (lo + hi) / 2
+                if mid in (lo, hi):
+                    break
+                if reference(mid, key) == low_token:
+                    lo = mid
+                else:
+                    hi = mid
+            x = lo
+            for _ in range(16):
+                x = np.nextafter(x, -np.inf)
+            for _ in range(32):
+                rows.append(with_x(x))
+                keys.append(key)
+                x = np.nextafter(x, np.inf)
+        assert len(rows) >= 20 * 32
+        rows = np.array(rows)
+        rng = np.random.default_rng(1)
+        filler = rng.standard_normal((len(rows), 12))
+        at = 0
+        while at < len(rows):
+            size = int(rng.integers(1, 17))
+            flips = int(rng.integers(1, size + 1))
+            block = np.concatenate([rows[at : at + flips], filler[at : at + size - flips]])
+            block_keys = keys[at : at + flips] + [(7, 2, 1 + i) for i in range(size - flips)]
+            order = rng.permutation(len(block))
+            block, block_keys = block[order], [block_keys[i] for i in order]
+            assert batched(block, sampler, block_keys) == per_row(block, sampler, block_keys)
+            at += flips
+
+    def test_first_bad_row_decides_the_error(self):
+        sampler = SamplerConfig(temperature=1e-300)
+        finite_overflow = np.array([1e10, 0.0, 1.0])
+        masked = np.full(3, -np.inf)
+        nan_row = np.array([0.0, np.nan, 1.0])
+        fine = np.array([0.0, 0.5, 1.0])
+        keys = [(1, 1, 1)] * 3
+        with np.errstate(over="ignore"):
+            for block, message in [
+                ([fine, finite_overflow, masked], "overflow"),
+                ([fine, masked, finite_overflow], "masked out"),
+                ([nan_row, finite_overflow, fine], "non-finite"),
+            ]:
+                got = batched(np.array(block), sampler, keys)
+                # the reference has no overflow check: compare with each
+                # row drawn alone, first row first
+                alone = outcome(np.array(block), sampler, lambda b, s: [
+                    sample_token(row, s, draw_rng(*k)) for row, k in zip(b, keys)
+                ])
+                assert got == alone
+                assert message in got
+
+    def test_generator_draws_only_after_the_rows_are_checked(self):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(SamplingError):
+            sample_tokens(np.array([[0.0, 1.0], [0.0, np.nan]]), SamplerConfig(), rng)
+        assert rng.bit_generator.state == before
+        assert sample_tokens(np.zeros((0, 5)), SamplerConfig(), rng).shape == (0,)
+
+    def test_sample_token_is_the_one_row_case(self, monkeypatch):
+        calls = []
+        original = engine.sample_tokens
+
+        def spy(logits, sampler, draws):
+            calls.append(np.shape(logits))
+            return original(logits, sampler, draws)
+
+        monkeypatch.setattr(engine, "sample_tokens", spy)
+        row = np.random.default_rng(5).standard_normal(40)
+        token = sample_token(row, SamplerConfig(top_p=0.9), draw_rng(3, 1, 1))
+        assert calls == [(1, 40)]
+        assert token == reference_sample_token(row, SamplerConfig(top_p=0.9), draw_rng(3, 1, 1))
+
+
+STRATEGIES = list(Termination)
+
+
+def session_cases():
+    """Sampled sessions over P 1..16, all strategies, some paths scripted
+    for their first steps (so scripted rows turn into sampled ones mid-stage),
+    budgets above and below a uniform chunk, seeds of one and two words and
+    one too large for the kernel."""
+    rng = np.random.default_rng(77)
+    seeds = [0, 12, 2**32 + 5, 2**63 - 11, 2**64 + 3]
+    for case in range(30):
+        num_paths = [1, 2, 3, 5, 8, 16][case % 6]
+        budget = int(rng.choice([3, 9, 20, 40]))
+        forced = {}
+        for index in range(num_paths):
+            if rng.random() < 0.35:
+                length = int(rng.integers(1, budget + 1))
+                forced[index] = [int(t) for t in rng.integers(65, 90, length)]
+        sampler = SamplerConfig(
+            temperature=float(rng.choice([0.7, 1.3])), top_p=float(rng.choice([1.0, 0.8]))
+        )
+        yield num_paths, budget, STRATEGIES[case % 3], seeds[case % len(seeds)], forced, sampler
+
+
+class TestEngineDraws:
+    def test_every_draw_is_the_per_draw_reference(
+        self, small_weights, small_table, vocab, monkeypatch
+    ):
+        kernel_calls = []
+        kernel = engine.uniforms
+
+        def counted(*args):
+            kernel_calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "uniforms", counted)
+        prompt = encode("count the ways", vocab, markup=False)
+        drawn = 0
+        for num_paths, budget, strategy, seed, forced, sampler in session_cases():
+            session = run_session(
+                small_weights, small_table, vocab, prompt, num_paths, sampler,
+                GenerationBudget(budget, 6), strategy, seed=seed, record_logits=True,
+                forced=forced,
+            )
+            for path in session.paths:
+                script = forced.get(path.index, [])
+                body = path.tokens[1:-1]  # between the opener and the closer
+                for s, token in enumerate(body, 1):
+                    if s <= len(script):
+                        assert token == script[s - 1]
+                        continue
+                    logits = path.step_logits[s - 1]
+                    want = sample_token(logits, sampler, draw_rng(seed, path.think_label, s))
+                    assert token == want, (num_paths, strategy, seed, path.index, s)
+                    assert want == reference_sample_token(
+                        logits, sampler, draw_rng(seed, path.think_label, s)
+                    )
+                    drawn += 1
+            for s, token in enumerate(session.answer_tokens[1:], 1):
+                rng = draw_rng(seed, ANSWER_STREAM, s)
+                assert token == sample_token(session.answer_logits[s - 1], sampler, rng)
+        assert drawn > 1000
+        assert kernel_calls, "no session filled a uniform chunk"
+        for seed, labels, steps in kernel_calls:
+            assert seed < 2**64
+            assert len(labels) * len(steps) >= UNIFORM_CROSSOVER
+            assert len(steps) <= UNIFORM_CHUNK
+
+    def test_sampler_seed_changes_nothing(self, small_weights, small_table, vocab):
+        prompt = encode("same draws", vocab, markup=False)
+        records = {
+            canonical_json(session_record(run_session(
+                small_weights, small_table, vocab, prompt, 4,
+                SamplerConfig(temperature=1.1, top_p=0.9, seed=sampler_seed),
+                GenerationBudget(12, 5), Termination.HALF_FINISH, seed=21,
+            )))
+            for sampler_seed in (0, 1, 2**40)
+        }
+        assert len(records) == 1
