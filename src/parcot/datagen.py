@@ -31,7 +31,7 @@ from .masking import REASONING, AttentionMask, LayoutPlan
 # perfbench/instrument.py wraps these two by name in this module's namespace
 from .masking import build_reasoning_mask, build_summary_mask  # noqa: F401
 from .positional import ANSWER, PROMPT, SHARED, PositionAssignment, path_key
-from .tokenizer import Vocab, encode, sample_think_tokens
+from .tokenizer import Vocab, encode, is_token_int, sample_think_tokens
 
 SCHEMA_FORMAT = "ptsft-1"
 MAX_CONTEXT_TOKENS = 28672
@@ -216,8 +216,15 @@ def _spans(tokens, vocab: Vocab) -> _Spans:
 
 
 def parse_sample(tokens, vocab: Vocab) -> ParsedSample:
-    """Inverse of the serialization; rejects malformed nesting and ids
-    outside the vocabulary."""
+    """Inverse of the serialization; rejects ids that are not integers
+    (``is_token_int``), then ids outside the vocabulary, then malformed
+    nesting.
+
+    ``build_sample``'s self-check and ``training_layout`` read the ids
+    that ``build_sample`` wrote, so they skip the integer check."""
+    for offset, token in enumerate(tokens):
+        if not is_token_int(token):
+            raise FormatError(f"token id {token!r} is not an integer", offset=offset)
     spans = _spans(tokens, vocab)
     ids = spans.ids
     start, end = spans.answer

@@ -54,19 +54,14 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    LifecycleError,
-    PositionOverflowError,
-    SamplingError,
-)
-from .kvcache import PagedKVCache, SlotAddress, SummaryContextView, assemble_summary_view
+from .errors import ConfigError, DataError, LifecycleError, SamplingError
+from .kvcache import PagedKVCache, SummaryContextView, assemble_summary_view
 from .masking import REASONING, SUMMARIZATION, LayoutPlan
 from .model import (
     DecodeLayout,
     ModelWeights,
     StagePlan,
+    check_position,
     check_token_ids,
     forward_causal,
     forward_paths,
@@ -198,7 +193,7 @@ class GenerationSession:
             raise DataError("prompt must contain at least one token")
         check_token_ids(prompt_tokens, cfg.vocab_size)
         prompt_tokens = [int(t) for t in prompt_tokens]
-        _check_position(len(prompt_tokens), cfg.max_position, "prompt")
+        check_position(cfg, len(prompt_tokens), "prompt")
         if think_labels is None:
             think_labels = list(range(1, num_paths + 1))
         if len(think_labels) != num_paths:
@@ -301,13 +296,6 @@ def _check_donor(donor: GenerationSession, weights, table, prompt_tokens) -> Non
         raise ConfigError("prompt_from session was built on another thought table")
     if donor.prompt_tokens != prompt_tokens:
         raise ConfigError("prompt_from session has a different prompt")
-
-
-def _check_position(last: int, max_position: int, stage: str) -> None:
-    if last > max_position:
-        raise PositionOverflowError(
-            f"{stage} would reach position {last}, beyond max_position {max_position}"
-        )
 
 
 def draw_rng(seed: int, stream: int, step: int) -> np.random.Generator:
@@ -463,9 +451,10 @@ class _StageUniforms:
 
 
 def _feed_paths(session: GenerationSession, plan: StagePlan, paths, tokens) -> np.ndarray:
-    """One batched forward pass feeding tokens[r] to paths[r]; [n, vocab] logits."""
-    slots = [SlotAddress(path_key(p.index), len(p.tokens)) for p in paths]
-    logits = forward_paths(session.weights, session.table, plan, tokens, slots)
+    """One batched forward pass feeding tokens[r] to paths[r]; [n, vocab] logits.
+    A path's index is its position among the reasoning plan's owners."""
+    rows, index = [p.index for p in paths], len(paths[0].tokens)
+    logits = forward_paths(session.weights, session.table, plan, tokens, rows, index)
     for path, token, row in zip(paths, tokens, logits):
         path.tokens.append(int(token))
         if session.record_logits:
@@ -509,7 +498,7 @@ def run_reasoning(
         check_token_ids(script, session.weights.config.vocab_size)
     layout = session.reasoning_layout(budget)
     last = layout.positions(path_key(0), 0, budget.max_path_tokens + 2)[-1]
-    _check_position(last, session.weights.config.max_position, "reasoning")
+    check_position(session.weights.config, last, "reasoning")
     plan = StagePlan(session.cache, layout, [path_key(p.index) for p in session.paths])
     session.budget = budget
     session.strategy = strategy
@@ -600,13 +589,13 @@ def run_summarization(
     vocab = session.vocab
     layout = session.summary_layout()
     last = layout.positions(ANSWER, 0, max_answer_tokens + 1)[-1]  # SUMMARY_OPEN first
-    _check_position(last, session.weights.config.max_position, "answer")
+    check_position(session.weights.config, last, "answer")
     plan = StagePlan(session.cache, layout, [ANSWER])
     session.cache.reserve(ANSWER, max_answer_tokens + 1)
 
     def feed(token: int) -> np.ndarray:
-        slot = SlotAddress(ANSWER, len(session.answer_tokens))
-        logits = forward_causal(session.weights, session.table, plan, [int(token)], slot)[0]
+        index = len(session.answer_tokens)
+        logits = forward_causal(session.weights, session.table, plan, [int(token)], index)[0]
         session.answer_tokens.append(int(token))
         if session.record_logits:
             session.answer_logits.append(logits)

@@ -39,7 +39,7 @@ from .engine import (
     session_record,
 )
 from .errors import ConfigError, DataError, LifecycleError
-from .kvcache import PagedKVCache, SlotAddress
+from .kvcache import PagedKVCache
 from .model import (
     FLAT,
     SUMMARIZATION,
@@ -355,7 +355,7 @@ def _flat_feed(weights, table, layout, tokens, keep=1):
     cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
     cache.reserve(FLAT_SEGMENT, len(layout.flat_positions))
     plan = StagePlan(cache, layout, [FLAT_SEGMENT])
-    logits = forward_causal(weights, table, plan, tokens, SlotAddress(FLAT_SEGMENT, 0), keep)
+    logits = forward_causal(weights, table, plan, tokens, 0, keep)
     return plan, logits
 
 
@@ -433,9 +433,7 @@ def run_reprefill_baseline(
         # the engine's draw, so the baseline's answer cannot drift from it
         token = draw_token(session.seed, sampler, logits, ANSWER_STREAM, step)
         answer.append(token)
-        logits = forward_causal(
-            bundle.weights, zero, plan, [token], SlotAddress(FLAT_SEGMENT, len(flat_tokens) + step)
-        )[0]
+        logits = forward_causal(bundle.weights, zero, plan, [token], len(flat_tokens) + step)[0]
         if token in (vocab.summary_close, vocab.eos):
             break
     record["own_answer"] = answer

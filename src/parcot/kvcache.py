@@ -8,11 +8,13 @@ prompt when the session is created, the ``P`` reasoning paths as the rows
 of one ``[L, P, B+2, H, d_k]`` slab when reasoning starts, and the answer
 when summarization starts; writing an unreserved segment raises.
 
-Every write goes through one protocol (``PagedKVCache.rows``): a forward
-pass stages its new slots past the committed ones and commits them after
-its logits.  Entries are append-only: a written slot is never mutated,
-which is what makes reusing reasoning-phase storage as the summarization
-context exact.
+Every write goes through one handle (``Rows``): a forward pass stages its
+new slots past the committed ones and commits them after its logits.  The
+slab and the rows a handle writes are resolved once per writer
+(``reserved_slab``, ``row_index``): by a stage plan (``model.StagePlan``)
+for every pass of its stage, by ``PagedKVCache.append`` for its one slot.
+Entries are append-only: a written slot is never mutated, which is what
+makes reusing reasoning-phase storage as the summarization context exact.
 
 Reads for attention are views: ``gather`` gives one segment's written
 slots at one layer, and ``Slab.prefix`` the first slots of every row of
@@ -116,6 +118,26 @@ class Segment:
         return h.hexdigest()
 
 
+def reserved_slab(segments) -> Slab:
+    """The one slab holding ``segments``; raises unless every segment is
+    reserved and all of them share it."""
+    slab = segments[0].slab
+    for seg in segments:
+        if seg.slab.capacity == 0:
+            raise CacheConsistencyError(f"segment {seg.owner!r} was never reserved")
+        if seg.slab is not slab:
+            raise CacheConsistencyError("batched segments must share one slab")
+    return slab
+
+
+def row_index(rows: list[int]):
+    """Slab rows as a slice when they are consecutive (read as views), else
+    the list itself (read as copies)."""
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return rows
+
+
 class Rows:
     """``n`` new slots of each of several equally long segments of one slab.
 
@@ -123,14 +145,25 @@ class Rows:
     them back while it computes, and commits them once its logits exist;
     until then no reader (``length``, ``gather``, a summary view) sees
     them, so a pass that raises leaves every segment as it was.
+
+    ``slab`` and ``rows`` (``row_index``) come resolved from the writer;
+    the handle checks what every write can change: each segment holds
+    ``start`` slots and has room for ``n`` more.
     """
 
-    def __init__(self, slab: Slab, rows, segments: list[Segment], n: int):
-        self.slab = slab
-        self.rows = rows  # a slice when the rows are consecutive, else a list
-        self.segments = segments
-        self.start = segments[0].filled  # committed slots of every segment
-        self.n = n
+    def __init__(self, slab: Slab, rows, segments: list[Segment], start: int, n: int):
+        if any(seg.filled != start for seg in segments):
+            raise CacheConsistencyError(
+                f"slot {start} does not extend segments holding"
+                f" {[seg.filled for seg in segments]} slots"
+            )
+        if start + n > slab.capacity:
+            raise CacheConsistencyError(
+                f"segments {[seg.owner for seg in segments]} are full at their reserved"
+                f" {slab.capacity} slots ({start} written, {n} more asked for)"
+            )
+        self.slab, self.rows, self.segments, self.n = slab, rows, segments, n
+        self.start = start  # committed slots of every segment
 
     def stage(self, layer: int, offset: int, k: np.ndarray, v: np.ndarray) -> None:
         """Store one layer's k/v [rows, m, n_heads, d_k] at the new slots
@@ -253,34 +286,6 @@ class PagedKVCache:
         seg = self.tables.get(segment)
         return seg.filled if seg is not None else 0
 
-    def rows(self, segments, n: int) -> Rows:
-        """Write handle for ``n`` new slots of each of ``segments``.
-
-        Checks everything before anything is written: the segments are
-        distinct, share one slab, hold equally many slots, and have room
-        for ``n`` more in their reserved storage.
-        """
-        segs = [self.tables.get(name) for name in segments]
-        if not segs or n < 1 or len(set(segments)) != len(segs):
-            raise CacheConsistencyError(f"cannot write {n} slots to segments {segments}")
-        for name, seg in zip(segments, segs):
-            if seg is None or seg.slab.capacity == 0:
-                raise CacheConsistencyError(f"segment {name!r} was never reserved")
-        slab, start = segs[0].slab, segs[0].filled
-        if any(seg.slab is not slab for seg in segs):
-            raise CacheConsistencyError("batched segments must share one slab")
-        if any(seg.filled != start for seg in segs):
-            raise CacheConsistencyError("batched segments differ in length")
-        if start + n > slab.capacity:
-            raise CacheConsistencyError(
-                f"segments {segments} are full at their reserved {slab.capacity} slots"
-                f" ({start} written, {n} more asked for)"
-            )
-        rows = [seg.row for seg in segs]
-        if rows == list(range(rows[0], rows[0] + len(rows))):
-            rows = slice(rows[0], rows[0] + len(rows))
-        return Rows(slab, rows, segs, n)
-
     def append(
         self, segment: str, k: np.ndarray, v: np.ndarray, position: int, j: int
     ) -> SlotAddress:
@@ -290,7 +295,8 @@ class PagedKVCache:
             raise CacheConsistencyError(
                 f"entry shape {k.shape} does not match cache dims {expected}"
             )
-        rows = self.rows([segment], 1)
+        seg = self.table(segment)
+        rows = Rows(reserved_slab([seg]), slice(seg.row, seg.row + 1), [seg], seg.filled, 1)
         for layer in range(self.n_layers):
             rows.stage(layer, 0, k[layer][None, None], v[layer][None, None])
         rows.commit(position, j)

@@ -37,17 +37,20 @@ ones for a single position):
 Both passes run under a ``StagePlan``, built once when a stage starts
 (``prefill`` and ``forward_step`` build one for their single pass).  It
 holds each layer's attention parts over the other visible segments, the
-owners' thought indices and the outcome of every length and batch check,
-so a pass checks its token ids, stages its new slots, attends over the
-plan's parts and its own slots, and commits.  An answer slot sees every
-path; when the paths are equally long its parts are three per layer: the
-prompt, the written part of the path slab as one view, and the answer
-itself.
+owners' segments, thought indices and storage, and the outcome of every
+length and batch check, so a pass checks its token ids, stages its new
+slots, attends over the plan's parts and its own slots, and commits.  An
+answer slot sees every path; when the paths are equally long its parts
+are three per layer: the prompt, the written part of the path slab as
+one view, and the answer itself.
 
-Both passes write the cache the same way: they take one write handle
-(``PagedKVCache.rows``) for their new slots before the first layer, stage
+Both passes write the cache the same way.  A pass names the owners it
+writes by their positions among the plan's owners, plus the one slot
+index they all extend, and takes its write handle from the plan
+(``StagePlan.rows``, a ``kvcache.Rows``) before the first layer; the
+handle checks the owners' common fill and their room.  The pass stages
 each layer's new k/v straight into the reserved storage past the
-committed slots, and commit the slots only after the logits are
+committed slots, and commits the slots only after the logits are
 computed.  Staged slots are invisible to every other reader, so a pass
 that raises leaves the cache at the length it had.
 
@@ -79,7 +82,7 @@ from .errors import (
     LayoutError,
     PositionOverflowError,
 )
-from .kvcache import PagedKVCache, SlotAddress
+from .kvcache import PagedKVCache, Rows, SlotAddress, reserved_slab, row_index
 # stage strings and the visibility rule live in masking; stages re-exported
 from .masking import FLAT, REASONING, SUMMARIZATION, visible_segments  # noqa: F401
 from .positional import (
@@ -92,6 +95,7 @@ from .positional import (
     path_key,
     rope_for,
 )
+from .tokenizer import is_token_int
 
 WEIGHT_MAGIC = b"PTW1"
 
@@ -488,37 +492,46 @@ class DecodeLayout:
 
 
 class StagePlan:
-    """What every pass of one stage shares, resolved once when the stage starts.
+    """What every pass of one stage shares, resolved once for the stage.
 
-    ``owners`` are the segments the stage writes: the prompt, the answer,
-    the re-prefill baseline's one flat segment, or the reasoning paths,
-    which must share one position base and their other visible segments.
-    Those other segments are complete when the stage starts and no pass of
-    the stage writes them, so each layer's keys and values over them are
-    taken here once, as views of the cache's storage: ``shared[li]`` holds
-    layer ``li``'s key parts and value parts, in the rule's order.  A
-    segment is one part (``PagedKVCache.gather``) and an empty one none.
-    When the segments hold every row of the path slab in row order and
-    the rows are equally long (always so under first finish), the rows
-    are one part instead: slots ``[0, filled)`` of every row, read in place
-    (``Slab.prefix``).  An answer token then scores three parts per layer
-    (prompt, slab, answer) whatever ``P`` is, and no slot past a row's end
-    is scored.
+    ``owners`` are the segments the stage writes, each named once: the
+    prompt, the answer, the re-prefill baseline's one flat segment, or the
+    reasoning paths, which must share one position base and their other
+    visible segments.  Those other segments are complete when the stage
+    starts and no pass of the stage writes them, so each layer's keys and
+    values over them are taken here once, as views of the cache's storage:
+    ``shared[li]`` holds layer ``li``'s key parts and value parts, in the
+    rule's order.  A segment is one part (``PagedKVCache.gather``) and an
+    empty one none.  When the segments hold every row of the path slab in
+    row order and the rows are equally long (always so under first
+    finish), the rows are one part instead: slots ``[0, filled)`` of every
+    row, read in place (``Slab.prefix``).  An answer token then scores
+    three parts per layer (prompt, slab, answer) whatever ``P`` is, and no
+    slot past a row's end is scored.
 
     The other segments' lengths are checked here against the layout: the
     prompt holds ``l_x`` slots and the longest path the reasoning length.
     The layout does not hold each path's own length, so a path shorter
     than the longest is not checked here; ``assemble_summary_view``, which
     the engine runs before the answer stage, checks every path exactly.
-    A pass checks only that it writes one of the owners
-    (``thought_indices``).
+
+    The owners' segments and thought indices are resolved here too, and a
+    pass names the owners it writes by their positions in ``owners``
+    (``rows``).  The engine reserves a stage's storage only after building
+    its plan, once every check has passed, and a reserved segment keeps
+    its identity, so the plan binds the owners' storage (reserved, on one
+    slab, and their rows in it) once, at its first write.  A pass then
+    checks only what it can change: the positions it names, their common
+    fill against the slot it extends, and the room left.
     """
 
     def __init__(self, cache: PagedKVCache, layout: DecodeLayout, owners):
-        owners = tuple(owners)
-        others = layout.visible_segments(owners[0])[:-1]  # the rule lists a slot's own segment last
-        for owner in owners[1:]:
-            if layout.base(owner) != layout.base(owners[0]):
+        names = tuple(owners)
+        if not names or len(set(names)) != len(names):
+            raise CacheConsistencyError(f"a plan needs distinct owner segments, got {names}")
+        others = layout.visible_segments(names[0])[:-1]  # the rule lists a slot's own segment last
+        for owner in names[1:]:
+            if layout.base(owner) != layout.base(names[0]):
                 raise CacheConsistencyError("batched slots must share one position")
             if layout.visible_segments(owner) != (*others, owner):
                 raise CacheConsistencyError("batched slots must share their visible segments")
@@ -535,8 +548,11 @@ class StagePlan:
                     f"the longest visible path holds {max(have.values())} slots,"
                     f" expected {assignment.reasoning_len}"
                 )
-        self.cache, self.layout = cache, layout
-        self.thoughts = {seg: layout.thought_index(seg) for seg in owners}
+        self.layout = layout
+        self.owners = [cache.table(name) for name in names]
+        self.thoughts = [layout.thought_index(name) for name in names]
+        self.every = list(range(len(names)))  # the positions of all owners, in order
+        self.slab = self.slab_rows = None  # bound at the first write
         sources, slab = list(others), cache.paths
         if slab is not None and path_key(0) in sources:
             rows = [path_key(i) for i in range(slab.k.shape[1])]
@@ -553,14 +569,25 @@ class StagePlan:
             ]
             self.shared.append(([k for k, _ in parts], [v for _, v in parts]))
 
-    def thought_indices(self, segments) -> list[int]:
-        """Each segment's thought index; a segment the plan does not write raises."""
-        try:
-            return [self.thoughts[seg] for seg in segments]
-        except KeyError as missing:
+    def rows(self, at: list[int], index: int, n: int) -> tuple[Rows, list[int]]:
+        """Write handle for ``n`` new slots of the owners at positions
+        ``at``, which hold ``index`` slots each, and their thought indices.
+
+        ``at`` names each owner at most once; ``Rows`` checks the fill and
+        the room left.
+        """
+        if self.slab is None:
+            self.slab = reserved_slab(self.owners)
+            self.slab_rows = row_index([seg.row for seg in self.owners])
+        if at == self.every:
+            return Rows(self.slab, self.slab_rows, self.owners, index, n), self.thoughts
+        if not at or len(set(at)) != len(at) or not set(at) <= set(self.every):
             raise CacheConsistencyError(
-                f"a plan for {tuple(self.thoughts)} cannot write segment {missing.args[0]!r}"
-            ) from None
+                f"a plan for {[seg.owner for seg in self.owners]} cannot write its rows {at}"
+            )
+        segments = [self.owners[i] for i in at]
+        rows = row_index([seg.row for seg in segments])
+        return Rows(self.slab, rows, segments, index, n), [self.thoughts[i] for i in at]
 
 
 def _decode_rows(
@@ -611,12 +638,10 @@ def _head(weights: ModelWeights, x: np.ndarray) -> np.ndarray:
 
 
 def check_token_ids(tokens, vocab_size: int) -> None:
-    """Every id must be an integer (a bool is not one) in [0, vocab_size);
+    """Every id must be an integer (``is_token_int``) in [0, vocab_size);
     raises DataError naming the offset of the first that is not."""
     for offset, token in enumerate(tokens):
-        if type(token) is not int and (
-            isinstance(token, (bool, np.bool_)) or not isinstance(token, (int, np.integer))
-        ):
+        if type(token) is not int and not is_token_int(token):
             raise DataError(f"token id {token!r} at offset {offset} is not an integer")
         if not 0 <= token < vocab_size:
             raise DataError(
@@ -624,10 +649,12 @@ def check_token_ids(tokens, vocab_size: int) -> None:
             )
 
 
-def _check_position(cfg: ModelConfig, position: int) -> None:
-    if position > cfg.max_position:
+def check_position(cfg: ModelConfig, last: int, what: str) -> None:
+    """``what`` (a stage, or the segment a pass writes) may reach position
+    ``last`` only up to the model's ``max_position``."""
+    if last > cfg.max_position:
         raise PositionOverflowError(
-            f"position {position} exceeds max_position {cfg.max_position}"
+            f"{what} would reach position {last}, beyond max_position {cfg.max_position}"
         )
 
 
@@ -636,34 +663,31 @@ def forward_paths(
     table: ThoughtEmbeddingTable,
     plan: StagePlan,
     tokens,
-    slots,
+    rows: list[int],
+    index: int,
 ) -> np.ndarray:
     """Decode one token at each of ``n`` slots in one pass: [n, vocab] logits.
 
-    The rows go through the layers as one block (``_decode_rows``).  Each
-    slot belongs to one of the plan's owners, which share one position and
-    one visible set apart from their own segment; the active paths of a
-    reasoning step under the shared position scheme do.  Each row attends
-    over the plan's shared parts (one product for all rows), then its own
-    segment's slots up to and including its new one, staged there first
-    (one product over the rows of the cache's path slab).  The new slots
-    are staged layer by layer and committed after the logits, so a call
-    that raises leaves the cache as it was.
+    Row r feeds ``tokens[r]`` to slot ``index`` of the plan's owner at
+    position ``rows[r]``; every row's owner holds ``index`` slots.  The
+    rows go through the layers as one block (``_decode_rows``).  The
+    owners share one position and one visible set apart from their own
+    segment; the active paths of a reasoning step under the shared
+    position scheme do.  Each row attends over the plan's shared parts
+    (one product for all rows), then its own segment's slots up to and
+    including its new one, staged there first (one product over the rows
+    of the cache's path slab).  The new slots are staged layer by layer
+    and committed after the logits, so a call that raises leaves the
+    cache as it was.
     """
     cfg = weights.config
-    n = len(slots)
+    n = len(rows)
     if n < 1 or len(tokens) != n:
-        raise DataError(f"need one token per slot, got {len(tokens)} for {n} slots")
+        raise DataError(f"need one token per row, got {len(tokens)} for {n} rows")
     check_token_ids(tokens, cfg.vocab_size)
-    owns = [slot.segment for slot in slots]
-    js = plan.thought_indices(owns)
-    rows = plan.cache.rows(owns, 1)  # distinct segments of one slab, equally long
-    index = rows.start
-    for slot in slots:
-        if slot.index != index:
-            raise CacheConsistencyError(f"slot {slot} does not extend segment (filled={index})")
-    position = int(plan.layout.positions(owns[0], index, 1)[0])
-    _check_position(cfg, position)
+    writes, js = plan.rows(rows, index, 1)
+    position = int(plan.layout.positions(writes.segments[0].owner, index, 1)[0])
+    check_position(cfg, position, writes.segments[0].owner)
     # BLAS sends a one-row product to a matrix-vector kernel that rounds
     # differently from the matrix-matrix kernel a block of rows uses, so a
     # single row runs as two identical rows.  With OpenBLAS that kernel
@@ -672,17 +696,17 @@ def forward_paths(
     width = max(n, 2)
 
     def attention(li, q, k, v):
-        rows.stage(li, 0, k[:n, None], v[:n, None])
+        writes.stage(li, 0, k[:n, None], v[:n, None])
         keys, values = plan.shared[li]
         # the rows' own segments up to and including the staged slot, one
         # [n, index+1] part scored row by row (a duplicated row shares it)
-        own_k, own_v = rows.keys(li, index + 1), rows.values(li, index + 1)
+        own_k, own_v = writes.keys(li, index + 1), writes.values(li, index + 1)
         return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k)
 
     tokens = list(tokens) * (width // n)
     x = _decode_rows(weights, table, tokens, js * (width // n), position, attention)
     logits = _head(weights, x)[:n]
-    rows.commit(position, js)
+    writes.commit(position, js)
     return logits
 
 
@@ -702,7 +726,7 @@ def forward_step(
     segment and committing them after the logits.
     """
     plan = StagePlan(cache, layout, [slot.segment])
-    return forward_paths(weights, table, plan, [token], [slot])[0]
+    return forward_paths(weights, table, plan, [token], [0], slot.index)[0]
 
 
 def forward_causal(
@@ -710,12 +734,12 @@ def forward_causal(
     table: ThoughtEmbeddingTable,
     plan: StagePlan,
     tokens,
-    start: SlotAddress,
+    index: int,
     keep: int = 1,
 ) -> np.ndarray:
-    """Feed tokens known in advance to the new slots from ``start`` on, in
-    one of the plan's owner segments; returns the last ``keep`` rows'
-    logits, [keep, vocab].
+    """Feed tokens known in advance to the new slots from ``index`` on, in
+    the plan's one owner segment, which holds ``index`` slots; returns the
+    last ``keep`` rows' logits, [keep, vocab].
 
     The rows run in causal blocks of ``CAUSAL_CHUNK``.  A block's k/v are
     staged in the segment's reserved storage, and its rows attend over
@@ -732,20 +756,21 @@ def forward_causal(
         raise DataError("a causal block of no tokens yields no logits")
     if not 1 <= keep <= n:
         raise DataError(f"cannot keep {keep} rows of {n}")
+    if len(plan.owners) != 1:
+        raise CacheConsistencyError(
+            f"a causal pass writes one segment, the plan owns {len(plan.owners)}"
+        )
     check_token_ids(tokens, cfg.vocab_size)
-    owner, index = start.segment, start.index
-    (j,) = plan.thought_indices([owner])
-    rows = plan.cache.rows([owner], n)
-    if index != rows.start:
-        raise CacheConsistencyError(f"slot {start} does not extend segment (filled={rows.start})")
+    writes, (j,) = plan.rows([0], index, n)
+    owner = writes.segments[0].owner
     positions = plan.layout.positions(owner, index, n)
-    _check_position(cfg, int(positions.max()))
+    check_position(cfg, int(positions.max()), owner)
 
     def attention(li, q, k, v):
-        rows.stage(li, lo, k[None], v[None])
+        writes.stage(li, lo, k[None], v[None])
         keys, values = plan.shared[li]
         # the segment's own row through the block's last staged slot
-        own_k, own_v = rows.keys(li, index + hi)[0], rows.values(li, index + hi)[0]
+        own_k, own_v = writes.keys(li, index + hi)[0], writes.values(li, index + hi)[0]
         return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, causal=True)
 
     first_kept = n - keep
@@ -755,7 +780,7 @@ def forward_causal(
         x = _decode_rows(weights, table, tokens[lo:hi], j, positions[lo:hi], attention)
         if hi > first_kept:
             kept.append(_head(weights, x[max(first_kept - lo, 0) :]))
-    rows.commit(positions, j)
+    writes.commit(positions, j)
     return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
@@ -773,7 +798,5 @@ def prefill(
     one forward pass per token, and a prefill that raises writes no prompt
     slot.
     """
-    tokens = list(tokens)
     plan = StagePlan(cache, layout, [PROMPT])
-    start = SlotAddress(PROMPT, cache.length(PROMPT))
-    return forward_causal(weights, table, plan, tokens, start)[0]
+    return forward_causal(weights, table, plan, list(tokens), cache.length(PROMPT))[0]

@@ -120,6 +120,11 @@ class Vocab:
         return self.think_close(i) if text.startswith("</") else self.think_open(i)
 
 
+def is_token_int(token) -> bool:
+    """A token id must be a Python or numpy integer; a bool is not one."""
+    return isinstance(token, (int, np.integer)) and not isinstance(token, (bool, np.bool_))
+
+
 def encode(text: str, vocab: Vocab, markup: bool = True) -> list[int]:
     """Token ids for ``text``.
 

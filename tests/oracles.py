@@ -262,6 +262,8 @@ def reference_sample_token(logits, sampler, rng) -> int:
     if sampler.greedy:
         return int(np.argmax(logits))
     scaled = logits.astype(np.float64) / sampler.temperature
+    if np.isposinf(scaled).any():  # a finite logit too large for the temperature
+        raise SamplingError(f"logits / temperature {sampler.temperature} overflow float64")
     scaled -= np.max(scaled)
     probs = np.exp(scaled)
     probs /= probs.sum()

@@ -268,6 +268,22 @@ class TestIdsOutsideTheVocabulary:
         with pytest.raises(FormatError):
             training_layout(bad, vocab)
 
+    @pytest.mark.parametrize("bad", [65.7, True, np.bool_(False), "7", np.float32(2), None])
+    def test_ids_that_are_not_integers_rejected(self, vocab, bad):
+        # 65.7 once parsed as 65, True as 1 and "7" as 7
+        tokens = self.sample(vocab)
+        tokens[2] = bad
+        tokens[5] = vocab.size  # outside the vocabulary, but later checked
+        with pytest.raises(FormatError, match="is not an integer") as err:
+            parse_sample(tokens, vocab)
+        assert err.value.offset == 2
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint8])
+    def test_numpy_integer_ids_accepted(self, vocab, kind):
+        tokens = self.sample(vocab)
+        tokens[2] = kind(65)
+        assert parse_sample(tokens, vocab).paths[0] == (1, (70, 65))
+
     def test_the_last_ids_of_the_vocabulary_are_body_ids(self, vocab):
         tokens = self.sample(vocab)
         tokens[1] = vocab.size - 1  # PAD

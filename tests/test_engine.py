@@ -18,7 +18,7 @@ from parcot.engine import (
     sample_token,
     session_record,
 )
-from parcot import engine, model
+from parcot import engine, kvcache, model
 from parcot.errors import (
     ConfigError,
     DataError,
@@ -27,7 +27,7 @@ from parcot.errors import (
     SamplingError,
 )
 from parcot.model import ModelConfig, init_weights
-from parcot.positional import ANSWER, PROMPT, init_thought_table, path_index, path_key
+from parcot.positional import ANSWER, PROMPT, init_thought_table, path_key
 from parcot.tokenizer import encode
 
 from oracles import (
@@ -710,12 +710,11 @@ class TestAnswerPass:
         active, index, in_place = [], [], []
         forward_paths = engine.forward_paths
 
-        def counting(weights, table, plan, tokens, slots):
-            active.append(len(slots))
-            index.append(slots[0].index)
-            rows = [path_index(slot.segment) for slot in slots]
+        def counting(weights, table, plan, tokens, rows, at):
+            active.append(len(rows))
+            index.append(at)
             in_place.append(rows == list(range(rows[0], rows[0] + len(rows))))
-            return forward_paths(weights, table, plan, tokens, slots)
+            return forward_paths(weights, table, plan, tokens, rows, at)
 
         monkeypatch.setattr(engine, "forward_paths", counting)
         session = make_session(small_weights, small_table, vocab, num_paths=num_paths, seed=7)
@@ -750,16 +749,33 @@ class TestAnswerPass:
 class TestStagePlans:
     """Each stage resolves its plan once: one for the prefill (none for a
     session given ``prompt_from``), one for reasoning and one for
-    summarization, however many passes they run, and no pass looks up a
-    segment length."""
+    summarization, however many passes they run.  No pass looks up a
+    segment length or resolves a segment's storage by name (``table``, a
+    lookup in ``cache.tables``), and no slot address is built: a pass
+    names its rows by their positions among the plan's owners."""
 
     @pytest.mark.parametrize("strategy", list(Termination))
     @pytest.mark.parametrize("num_paths", [1, 3, 8])
     def test_one_plan_per_stage(
         self, small_weights, small_table, vocab, monkeypatch, strategy, num_paths
     ):
-        builds, lookups, in_pass, passes = [], [], [], []
+        builds, lookups, in_pass, passes, addresses = [], [], [], [], []
         build, length = model.StagePlan.__init__, engine.PagedKVCache.length
+        table, cache_init = engine.PagedKVCache.table, engine.PagedKVCache.__init__
+        address_init = kvcache.SlotAddress.__init__
+
+        class Tables(dict):
+            """``cache.tables``, noting every lookup made inside a pass."""
+
+            def __getitem__(self, segment):
+                if in_pass:
+                    lookups.append(("tables", segment))
+                return super().__getitem__(segment)
+
+            def get(self, segment, default=None):
+                if in_pass:
+                    lookups.append(("tables", segment))
+                return super().get(segment, default)
 
         def counted_build(plan, *args, **kwargs):
             builds.append(plan)
@@ -767,8 +783,21 @@ class TestStagePlans:
 
         def counted_length(cache, segment):
             if in_pass:
-                lookups.append(segment)
+                lookups.append(("length", segment))
             return length(cache, segment)
+
+        def counted_table(cache, segment):
+            if in_pass:
+                lookups.append(("table", segment))
+            return table(cache, segment)
+
+        def spied_cache(cache, *args, **kwargs):
+            cache_init(cache, *args, **kwargs)
+            cache.tables = Tables(cache.tables)
+
+        def counted_address(address, *args, **kwargs):
+            addresses.append(args)
+            address_init(address, *args, **kwargs)
 
         def passing(fn):
             def run(*args, **kwargs):
@@ -782,6 +811,9 @@ class TestStagePlans:
 
         monkeypatch.setattr(model.StagePlan, "__init__", counted_build)
         monkeypatch.setattr(engine.PagedKVCache, "length", counted_length)
+        monkeypatch.setattr(engine.PagedKVCache, "table", counted_table)
+        monkeypatch.setattr(engine.PagedKVCache, "__init__", spied_cache)
+        monkeypatch.setattr(kvcache.SlotAddress, "__init__", counted_address)
         for name in ("forward_paths", "forward_causal"):
             monkeypatch.setattr(engine, name, passing(getattr(engine, name)))
         forced = forced_schedule(vocab, [3 + i % 4 for i in range(num_paths)], horizon=8)
@@ -791,12 +823,14 @@ class TestStagePlans:
                 small_weights, small_table, vocab, num_paths=num_paths, prompt_from=donor
             )
             assert len(builds) == (0 if donor else 1)
+            assert isinstance(session.cache.tables, Tables)
             run_reasoning(session, GREEDY, GenerationBudget(8, 6), strategy, forced)
             run_summarization(session, GREEDY, 6)
             assert len(builds) == (2 if donor else 3)
             assert passes.count("forward_paths") > 2 and passes.count("forward_causal") > 2
             donor, builds[:], passes[:] = session, [], []
         assert lookups == []
+        assert addresses == []
 
 
 class TestDistinctTokenDivergence:

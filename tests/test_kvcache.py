@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from parcot.errors import CacheConsistencyError, LifecycleError
-from parcot.kvcache import PagedKVCache, assemble_summary_view
+from parcot.kvcache import PagedKVCache, Rows, assemble_summary_view, reserved_slab, row_index
 from parcot.masking import REASONING, SUMMARIZATION, LayoutPlan
 from parcot.positional import ANSWER, PROMPT, path_key
 
@@ -40,8 +40,8 @@ class TestAppendRead:
         k, v = entry()
         with pytest.raises(CacheConsistencyError):
             cache.append(PROMPT, k, v, position=1, j=0)
-        with pytest.raises(CacheConsistencyError):
-            cache.rows([path_key(0)], 1)
+        with pytest.raises(CacheConsistencyError, match="never reserved"):
+            reserved_slab([cache.table(path_key(0))])
         assert cache.length(PROMPT) == 0
         cache.table(ANSWER)  # known to a summary view, still without storage
         with pytest.raises(CacheConsistencyError):
@@ -122,6 +122,13 @@ def block(rows, m):
     return RNG.standard_normal((rows, m, DIMS["n_heads"], DIMS["d_k"])).astype(np.float32)
 
 
+def write_rows(cache, segments, n):
+    """A handle for ``n`` new slots of ``segments``, resolved as a stage
+    plan resolves its owners: their one reserved slab and their rows."""
+    segs = [cache.table(segment) for segment in segments]
+    return Rows(reserved_slab(segs), row_index([s.row for s in segs]), segs, segs[0].filled, n)
+
+
 class TestRows:
     def test_staged_slots_are_invisible_until_commit(self):
         cache = make_cache()
@@ -129,7 +136,7 @@ class TestRows:
         k, v = entry()
         cache.append(PROMPT, k, v, 1, 0)
         held = cache.tables[PROMPT].content_hash()
-        rows = cache.rows([PROMPT], 3)
+        rows = write_rows(cache, [PROMPT], 3)
         staged = [(block(1, 3), block(1, 3)) for _ in range(DIMS["n_layers"])]
         for layer, (k3, v3) in enumerate(staged):
             rows.stage(layer, 0, k3[:, :2], v3[:, :2])
@@ -150,7 +157,7 @@ class TestRows:
     def test_mismatched_commit_raises(self):
         cache = make_cache()
         cache.reserve_paths(2, 4)
-        rows = cache.rows([path_key(0), path_key(1)], 2)
+        rows = write_rows(cache, [path_key(0), path_key(1)], 2)
         with pytest.raises(CacheConsistencyError):  # three positions for two slots
             rows.commit([5, 6, 7], [1, 2])
         with pytest.raises(CacheConsistencyError):  # one thought index short
@@ -171,7 +178,7 @@ class TestPathSlab:
         segments = [path_key(i) for i in range(3)]
         written = []
         for t in range(2):
-            rows = cache.rows(segments, 1)
+            rows = write_rows(cache, segments, 1)
             k = [block(3, 1) for _ in range(DIMS["n_layers"])]
             for layer in range(DIMS["n_layers"]):
                 rows.stage(layer, 0, k[layer], k[layer] + 1)
@@ -184,13 +191,13 @@ class TestPathSlab:
                 assert np.array_equal(got_v[layer], written[1][layer][i, 0] + 1)
             assert (pos, j) == (11, i + 1)
         # every row in order, or one row: views of the slab; a subset: copied
-        rows = cache.rows(segments, 1)
+        rows = write_rows(cache, segments, 1)
         keys, values = rows.keys(1, 2), rows.values(1, 2)
         assert keys.shape == (3, 2, DIMS["n_heads"], DIMS["d_k"])
         assert keys.base is slab.k and values.base is slab.v
-        one = cache.rows([path_key(1)], 1).keys(1, 2)
+        one = write_rows(cache, [path_key(1)], 1).keys(1, 2)
         assert one.base is slab.k and np.array_equal(one[0], keys[1])
-        subset = cache.rows([path_key(2), path_key(0)], 1)
+        subset = write_rows(cache, [path_key(2), path_key(0)], 1)
         sub_k = subset.keys(1, 2)
         assert np.array_equal(sub_k, keys[[2, 0]])
         assert not np.shares_memory(sub_k, slab.k)
@@ -204,20 +211,18 @@ class TestPathSlab:
         cache = make_cache()
         one = np.zeros((DIMS["n_layers"], DIMS["n_heads"], DIMS["d_k"]), dtype=np.float32)
         pair = [path_key(0), path_key(1)]
-        with pytest.raises(CacheConsistencyError):  # never reserved
-            cache.rows(pair, 1)
+        with pytest.raises(CacheConsistencyError, match="never reserved"):
+            write_rows(cache, pair, 1)
         cache.reserve(PROMPT, 4)
         cache.reserve_paths(2, 1)
-        with pytest.raises(CacheConsistencyError):  # two slabs
-            cache.rows([PROMPT, path_key(0)], 1)
-        with pytest.raises(CacheConsistencyError):  # one segment twice
-            cache.rows([path_key(0), path_key(0)], 1)
+        with pytest.raises(CacheConsistencyError, match="share one slab"):
+            write_rows(cache, [PROMPT, path_key(0)], 1)
         cache.append(path_key(0), one, one, 5, 1)
-        with pytest.raises(CacheConsistencyError):  # unequal lengths
-            cache.rows(pair, 1)
+        with pytest.raises(CacheConsistencyError, match="does not extend"):  # unequal lengths
+            write_rows(cache, pair, 1)
         cache.append(path_key(1), one, one, 5, 2)
-        with pytest.raises(CacheConsistencyError):  # full
-            cache.rows(pair, 1)
+        with pytest.raises(CacheConsistencyError, match="full"):
+            write_rows(cache, pair, 1)
         assert [cache.length(path_key(i)) for i in range(2)] == [1, 1]
 
 

@@ -212,10 +212,17 @@ class TestForwardStep:
         weights = init_weights(cfg, seed=1)
         cache = fresh_cache(cfg)
         layout = reasoning_layout(l_x=3, labels=(1,))
-        with pytest.raises(PositionOverflowError):
+        with pytest.raises(PositionOverflowError, match="prompt would reach position 3"):
             prefill(weights, small_table, cache, layout, [1, 2, 3])
         # every position is checked before the first slot is written
         assert cache.length(PROMPT) == 0
+        # a decode step checks its own position: path slot 0 sits at 3
+        layout = reasoning_layout(l_x=2, labels=(1,))
+        prefill(weights, small_table, cache, layout, [1, 2])
+        with pytest.raises(PositionOverflowError, match="path:0 would reach position 3"):
+            forward_step(weights, small_table, cache, layout, 9, SlotAddress(path_key(0), 0))
+        assert cache.length(path_key(0)) == 0
+        assert not cache.tables[path_key(0)].slab.k.any()
 
     def test_slot_must_extend_segment(self, small_weights, small_table):
         cfg = small_weights.config
@@ -282,9 +289,8 @@ class TestBatchChecks:
                 StagePlan(cache, layout, [path_key(i) for i in rows])
         assert [cache.length(path_key(i)) for i in range(3)] == [0, 0, 0]
         # one flattened row alone is a batch
-        slot = SlotAddress(path_key(2), 0)
-        plan = StagePlan(cache, layout, [slot.segment])
-        forward_paths(small_weights, small_table, plan, [40], [slot])
+        plan = StagePlan(cache, layout, [path_key(2)])
+        forward_paths(small_weights, small_table, plan, [40], [0], 0)
 
     def test_prompt_and_path_rows_do_not_batch(self, small_weights, small_table):
         layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
@@ -295,19 +301,18 @@ class TestBatchChecks:
     def test_rows_must_extend_their_segments(self, small_weights, small_table):
         layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
         cache = self.prefilled(small_weights, small_table, layout)
-        slots = [SlotAddress(path_key(0), 0), SlotAddress(path_key(1), 1)]
         plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
         with pytest.raises(CacheConsistencyError, match="does not extend"):
-            forward_paths(small_weights, small_table, plan, [40, 41], slots)
+            forward_paths(small_weights, small_table, plan, [40, 41], [0, 1], 1)
 
     def test_shared_rows_equal_their_single_row_passes(self, small_weights, small_table):
         layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
         batched = self.prefilled(small_weights, small_table, layout)
         alone = self.prefilled(small_weights, small_table, layout)
-        slots = [SlotAddress(path_key(i), 0) for i in range(3)]
-        plan = StagePlan(batched, layout, [slot.segment for slot in slots])
-        block = forward_paths(small_weights, small_table, plan, [40, 41, 42], slots)
-        for i, slot in enumerate(slots):
+        plan = StagePlan(batched, layout, [path_key(i) for i in range(3)])
+        block = forward_paths(small_weights, small_table, plan, [40, 41, 42], [0, 1, 2], 0)
+        for i in range(3):
+            slot = SlotAddress(path_key(i), 0)
             row = forward_step(small_weights, small_table, alone, layout, 40 + i, slot)
             assert np.array_equal(block[i], row)
 
@@ -328,8 +333,7 @@ class TestStalePlan:
         cache.reserve(ANSWER, 4)
         plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
         for t in range(path_slots):
-            slots = [SlotAddress(path_key(0), t), SlotAddress(path_key(1), t)]
-            forward_paths(weights, table, plan, [40, 41], slots)
+            forward_paths(weights, table, plan, [40, 41], [0, 1], t)
         return cache, layout
 
     @staticmethod
@@ -346,11 +350,60 @@ class TestStalePlan:
         cache, layout = self.reasoned(small_weights, small_table)
         plan = StagePlan(cache, layout, [path_key(0)])
         for rows in ([1], [0, 1]):
-            slots = [SlotAddress(path_key(i), 0) for i in rows]
-            with pytest.raises(CacheConsistencyError, match="cannot write segment 'path:1'"):
-                forward_paths(small_weights, small_table, plan, [40] * len(rows), slots)
+            with pytest.raises(CacheConsistencyError, match=r"cannot write its rows \["):
+                forward_paths(small_weights, small_table, plan, [40] * len(rows), rows, 0)
         assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
         assert not cache.paths.k.any()
+
+    @pytest.mark.parametrize("fault, match", [
+        ("never reserved", "never reserved"),
+        ("owner named twice", "distinct owner segments"),
+        ("row named twice", r"cannot write its rows \[1, 1\]"),
+        ("not an owner", r"cannot write its rows \[2\]"),
+        ("two slabs", "share one slab"),
+        ("unequal lengths", r"does not extend segments holding \[1, 0\]"),
+        ("does not extend", r"slot 1 does not extend segments holding \[0, 0\]"),
+        ("full", "full at their reserved 2 slots"),
+    ])
+    def test_write_checks_raise_before_staging(self, small_weights, small_table, fault, match):
+        """The plan checks its owners when it is built (distinct) and when
+        it binds their storage at the first write (reserved, one slab); a
+        pass checks the rows it names and the write handle the fill and
+        the room.  Each raises before a slot is staged."""
+        cfg = small_weights.config
+        layout = reasoning_layout(l_x=2, labels=(1, 2))
+        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        cache.reserve(PROMPT, 2)
+        prefill(small_weights, small_table, cache, layout, [5, 6])
+        owners, rows, index = [path_key(0), path_key(1)], [0, 1], 0
+        if fault == "two slabs":
+            cache.reserve(path_key(0), 2)
+            cache.reserve(path_key(1), 2)
+        elif fault != "never reserved":
+            cache.reserve_paths(2, 2)
+        if fault == "owner named twice":
+            owners = [path_key(0), path_key(0)]
+        elif fault == "row named twice":
+            rows = [1, 1]
+        elif fault == "not an owner":
+            rows = [2]
+        elif fault == "unequal lengths":
+            forward_paths(small_weights, small_table, StagePlan(cache, layout, owners), [40], [0], 0)
+        elif fault == "does not extend":
+            index = 1
+        elif fault == "full":
+            plan = StagePlan(cache, layout, owners)
+            for t in range(2):
+                forward_paths(small_weights, small_table, plan, [40, 41], rows, t)
+            index = 2
+        lengths = [cache.length(segment) for segment in owners]
+        held = [cache.table(segment).slab.k.copy() for segment in owners]
+        with pytest.raises(CacheConsistencyError, match=match):
+            plan = StagePlan(cache, layout, owners)
+            forward_paths(small_weights, small_table, plan, [40] * len(rows), rows, index)
+        assert [cache.length(segment) for segment in owners] == lengths
+        for segment, k in zip(owners, held):
+            assert np.array_equal(cache.table(segment).slab.k, k)
 
     def test_path_outside_the_layout(self, small_weights, small_table):
         cache, layout = self.reasoned(small_weights, small_table)
@@ -359,10 +412,16 @@ class TestStalePlan:
                 StagePlan(cache, layout, [segment])
 
     def test_reasoning_plan_for_an_answer_slot(self, small_weights, small_table):
+        # a pass names only the plan's own owners, so the answer cannot be
+        # reached through a reasoning plan; the answer's causal pass under
+        # one raises before staging
         cache, layout = self.reasoned(small_weights, small_table, path_slots=2)
         plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
-        with pytest.raises(CacheConsistencyError, match="cannot write segment 'answer'"):
-            forward_causal(small_weights, small_table, plan, [40], SlotAddress(ANSWER, 0))
+        held = cache.paths.k.copy()
+        with pytest.raises(CacheConsistencyError, match="writes one segment, the plan owns 2"):
+            forward_causal(small_weights, small_table, plan, [40], 2)
+        assert [cache.length(path_key(i)) for i in range(2)] == [2, 2]
+        assert np.array_equal(cache.paths.k, held)
         assert cache.length(ANSWER) == 0
         assert not cache.tables[ANSWER].slab.k.any()
 
@@ -381,7 +440,7 @@ class TestStalePlan:
         engine runs before the answer stage) rejects it."""
         cache, layout = self.reasoned(small_weights, small_table, path_slots=2)
         plan = StagePlan(cache, layout, [path_key(1)])
-        forward_paths(small_weights, small_table, plan, [42], [SlotAddress(path_key(1), 2)])
+        forward_paths(small_weights, small_table, plan, [42], [0], 2)
         StagePlan(cache, self.summary_layout(2, reasoning_len=3), [ANSWER])
         with pytest.raises(LifecycleError, match="path:0 holds 2 slots, layout says 3"):
             assemble_summary_view(cache, LayoutPlan(2, (3, 3), 0, SUMMARIZATION))
@@ -455,8 +514,8 @@ class TestPrefill:
             got = prefill(small_weights, small_table, blocked, layout, tokens)[None]
         else:
             got = forward_causal(
-                small_weights, small_table, StagePlan(blocked, layout, [segment]), tokens,
-                SlotAddress(segment, 0), keep=length,
+                small_weights, small_table, StagePlan(blocked, layout, [segment]), tokens, 0,
+                keep=length,
             )
         want = np.stack([
             forward_step(
@@ -526,8 +585,7 @@ class TestPrefill:
         layout = DecodeLayout(stage=FLAT, flat_positions=(1, 2, 3))
         with pytest.raises(LayoutError, match="flat layout lists 3 positions"):
             forward_causal(
-                small_weights, small_table, StagePlan(cache, layout, ["seq"]), [5, 6, 7, 8],
-                SlotAddress("seq", 0),
+                small_weights, small_table, StagePlan(cache, layout, ["seq"]), [5, 6, 7, 8], 0
             )
         assert cache.length("seq") == 0
         assert not cache.tables["seq"].slab.k.any()

@@ -143,8 +143,9 @@ def test_prompt_storage_is_read_only(small_weights, small_table, vocab):
                 array[..., 0] = 0
         with pytest.raises(ValueError):
             session.prompt_logits[0] = 0.0
-        with pytest.raises(CacheConsistencyError):
-            session.cache.rows([PROMPT], 1)
+        k = np.zeros(slab.k.shape[:1] + slab.k.shape[3:], dtype=np.float32)
+        with pytest.raises(CacheConsistencyError, match="full"):
+            session.cache.append(PROMPT, k, k, len(PROMPT_TOKENS) + 1, 0)
         with pytest.raises(LifecycleError):
             session.cache.reserve(PROMPT, len(PROMPT_TOKENS))
 

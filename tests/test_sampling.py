@@ -207,12 +207,7 @@ class TestBatchedSampler:
                 ([nan_row, finite_overflow, fine], "non-finite"),
             ]:
                 got = batched(np.array(block), sampler, keys)
-                # the reference has no overflow check: compare with each
-                # row drawn alone, first row first
-                alone = outcome(np.array(block), sampler, lambda b, s: [
-                    sample_token(row, s, draw_rng(*k)) for row, k in zip(b, keys)
-                ])
-                assert got == alone
+                assert got == per_row(np.array(block), sampler, keys)
                 assert message in got
 
     def test_generator_draws_only_after_the_rows_are_checked(self):
