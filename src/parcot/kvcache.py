@@ -1,12 +1,13 @@
 """Contiguous per-segment KV storage with zero-copy summary views.
 
 Each appended slot stores the augmented key/value stacks for every layer
-(thought embedding folded in, key rotated), plus the slot's absolute
-position and thought index.  Every segment's final size is known when its
-stage starts, so a session reserves each segment's storage once: the
-prompt when the session is created, the ``P`` reasoning paths as the rows
-of one ``[L, P, B+2, H, d_k]`` slab when reasoning starts, and the answer
-when summarization starts; writing an unreserved segment raises.
+(thought embedding folded in, key rotated), and nothing else: a slot's
+position and thought index live only in its k and v.  Every segment's
+final size is known when its stage starts, so a session reserves each
+segment's storage once: the prompt when the session is created, the ``P``
+reasoning paths as the rows of one ``[L, P, B+2, H, d_k]`` slab when
+reasoning starts, and the answer when summarization starts; writing an
+unreserved segment raises.
 
 Every write goes through one handle (``Rows``): a forward pass stages its
 new slots past the committed ones and commits them after its logits.  The
@@ -47,16 +48,14 @@ class SlotAddress:
 class Slab:
     """Storage for ``rows`` segments of equal capacity.
 
-    k and v are [n_layers, rows, capacity, n_heads, d_k]; positions and
-    thought indices are [rows, capacity].
+    k and v are [n_layers, rows, capacity, n_heads, d_k], the slab's only
+    arrays.
     """
 
     def __init__(self, n_layers: int, rows: int, capacity: int, n_heads: int, d_k: int):
         shape = (n_layers, rows, capacity, n_heads, d_k)
         self.k = np.zeros(shape, dtype=np.float32)
         self.v = np.zeros(shape, dtype=np.float32)
-        self.positions = np.zeros((rows, capacity), dtype=np.int64)
-        self.thoughts = np.zeros((rows, capacity), dtype=np.int64)
 
     @property
     def capacity(self) -> int:
@@ -64,7 +63,7 @@ class Slab:
 
     def seal(self) -> None:
         """Make the storage read-only: a stray write then raises."""
-        for array in (self.k, self.v, self.positions, self.thoughts):
+        for array in (self.k, self.v):
             array.flags.writeable = False
 
     def prefix(self, layer: int, end: int) -> tuple[np.ndarray, np.ndarray]:
@@ -94,26 +93,18 @@ class Segment:
     def values(self, layer: int) -> np.ndarray:
         return self.slab.v[layer, self.row, : self.filled]
 
-    def read(self, index: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    def read(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """(k, v) stacks of one written slot, [n_layers, n_heads, d_k] each."""
         if not 0 <= index < self.filled:
             raise CacheConsistencyError(
                 f"segment {self.owner!r} has {self.filled} slots, asked for {index}"
             )
-        s = self.slab
-        return (
-            s.k[:, self.row, index],
-            s.v[:, self.row, index],
-            int(s.positions[self.row, index]),
-            int(s.thoughts[self.row, index]),
-        )
-
-    def positions(self) -> np.ndarray:
-        return self.slab.positions[self.row, : self.filled]
+        return self.slab.k[:, self.row, index], self.slab.v[:, self.row, index]
 
     def content_hash(self) -> str:
         s, r, n = self.slab, self.row, self.filled
         h = hashlib.sha256()
-        for part in (s.k[:, r, :n], s.v[:, r, :n], s.positions[r, :n], s.thoughts[r, :n]):
+        for part in (s.k[:, r, :n], s.v[:, r, :n]):
             h.update(np.ascontiguousarray(part).tobytes())
         return h.hexdigest()
 
@@ -185,26 +176,11 @@ class Rows:
     def values(self, layer: int, end: int) -> np.ndarray:
         return self.slab.v[layer, self.rows, :end]
 
-    def commit(self, positions, thoughts) -> None:
-        """The staged slots become written slots.
-
-        ``positions`` holds one position for every new slot or one per
-        slot (shared by the rows); ``thoughts`` one thought index for every
-        row or one per row (shared by the slots).
-        """
-        positions, thoughts = np.asarray(positions), np.asarray(thoughts)
-        if positions.shape not in ((), (self.n,)) or thoughts.shape not in (
-            (), (len(self.segments),)
-        ):
-            raise CacheConsistencyError(
-                f"commit of {self.n} slots x {len(self.segments)} rows got positions"
-                f" {positions.shape} and thoughts {thoughts.shape}"
-            )
+    def commit(self) -> None:
+        """The staged slots become written slots; their k/v already carry
+        their positions and thought indices."""
         if any(seg.filled != self.start for seg in self.segments):
             raise CacheConsistencyError("segments were written since their rows were taken")
-        at = slice(self.start, self.start + self.n)
-        self.slab.positions[self.rows, at] = positions
-        self.slab.thoughts[self.rows, at] = thoughts.reshape(-1, 1)
         for seg in self.segments:
             seg.filled += self.n
 
@@ -286,9 +262,7 @@ class PagedKVCache:
         seg = self.tables.get(segment)
         return seg.filled if seg is not None else 0
 
-    def append(
-        self, segment: str, k: np.ndarray, v: np.ndarray, position: int, j: int
-    ) -> SlotAddress:
+    def append(self, segment: str, k: np.ndarray, v: np.ndarray) -> SlotAddress:
         """Write one slot's full per-layer k/v stacks; returns its address."""
         expected = (self.n_layers, self.n_heads, self.d_k)
         if k.shape != expected or v.shape != expected:
@@ -299,7 +273,7 @@ class PagedKVCache:
         rows = Rows(reserved_slab([seg]), slice(seg.row, seg.row + 1), [seg], seg.filled, 1)
         for layer in range(self.n_layers):
             rows.stage(layer, 0, k[layer][None, None], v[layer][None, None])
-        rows.commit(position, j)
+        rows.commit()
         return SlotAddress(segment, rows.start)
 
     def gather(self, segment: str, layer: int) -> tuple[np.ndarray, np.ndarray]:

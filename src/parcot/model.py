@@ -706,7 +706,7 @@ def forward_paths(
     tokens = list(tokens) * (width // n)
     x = _decode_rows(weights, table, tokens, js * (width // n), position, attention)
     logits = _head(weights, x)[:n]
-    writes.commit(position, js)
+    writes.commit()
     return logits
 
 
@@ -780,7 +780,7 @@ def forward_causal(
         x = _decode_rows(weights, table, tokens[lo:hi], j, positions[lo:hi], attention)
         if hi > first_kept:
             kept.append(_head(weights, x[max(first_kept - lo, 0) :]))
-    writes.commit(positions, j)
+    writes.commit()
     return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 

@@ -65,9 +65,6 @@ class Vocab:
         if not 1 <= i <= self.p_max:
             raise VocabError(f"think label {i} out of range [1, {self.p_max}]")
 
-    def is_control(self, token: int) -> bool:
-        return self.base_size <= token < self.size
-
     def think_open_label(self, token: int) -> int | None:
         """Label i if token is THINK_OPEN(i), else None."""
         if self.base_size <= token < self.base_size + self.p_max:

@@ -14,6 +14,8 @@ over three parts (shared segments, the rows' committed slots, the new
 slot).
 """
 
+import numbers
+
 import numpy as np
 
 from parcot.datagen import ParsedSample, TrainingLayout
@@ -155,7 +157,14 @@ def greedy_dense_decode(weights, table, vocab, prompt, think_label, body_budget)
 
 
 def reference_parse_sample(tokens, vocab) -> ParsedSample:
-    """datagen.parse_sample as a walk over every token."""
+    """datagen.parse_sample as a walk over every token.
+
+    An id is an integer when it is a ``numbers.Integral`` that is not a
+    bool; the first id that is not one raises before the grammar is read.
+    """
+    for offset, token in enumerate(tokens):
+        if isinstance(token, bool) or not isinstance(token, numbers.Integral):
+            raise FormatError(f"token id {token!r} is not an integer", offset=offset)
     tokens = [int(t) for t in tokens]
     pos = 0
     n = len(tokens)

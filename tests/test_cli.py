@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 from parcot.cli import main
 
@@ -61,7 +62,7 @@ class TestSweep:
             ]
         )
         assert code == 0
-        lines = open(os.path.join(out, "records.csv")).read().splitlines()
+        lines = Path(out, "records.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2  # header + (budgets x paths x modes)
         assert lines[0].startswith("experiment,")
 
@@ -76,7 +77,7 @@ class TestTerminate:
             ]
         )
         assert code == 0
-        text = open(os.path.join(out, "records.csv")).read()
+        text = Path(out, "records.csv").read_text()
         for name in ("first_finish", "half_finish", "last_finish"):
             assert name in text
 
@@ -95,7 +96,7 @@ class TestPrefix:
             ]
         )
         assert code == 0
-        text = open(os.path.join(out, "records.csv")).read()
+        text = Path(out, "records.csv").read_text()
         assert "success_rate" in text
 
 
@@ -109,7 +110,7 @@ class TestReprefill:
             ]
         )
         assert code == 0
-        text = open(os.path.join(out, "records.csv")).read()
+        text = Path(out, "records.csv").read_text()
         assert "max_path_position" in text
 
 
@@ -136,7 +137,7 @@ class TestTerminationAliases:
             ]
         )
         assert code == 0
-        config = json.loads(open(os.path.join(out, "config.json")).read())
+        config = json.loads(Path(out, "config.json").read_text())
         assert config["config"]["strategy"] == "half_finish"
 
 
@@ -185,7 +186,7 @@ class TestDatagen:
             ]
         )
         assert code == 0
-        lines = [json.loads(l) for l in open(out) if l.strip()]
+        lines = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
         assert len(lines) == 2 and all(r["format"] == "ptsft-1" for r in lines)
         manifest = json.loads((tmp_path / "train.jsonl.manifest.json").read_text())
         assert manifest["teacher"] == {"temperature": 0.8, "paths_per_problem": 6}

@@ -184,10 +184,15 @@ def well_formed(draw, vocab=Vocab()):
     return paths, draw(st.lists(body_ids, max_size=8))
 
 
+# ids that int() would read as 65, 1 and 7
+NOT_INTEGERS = [65.7, True, "7"]
+
+
 @st.composite
 def mutated(draw, vocab=Vocab()):
     """A well-formed sample after up to three edits: replace, insert or
-    delete one id, truncate, or append; edited ids lean to control ids."""
+    delete one id, truncate, append, or replace one id with one that is not
+    an integer; edited ids lean to control ids."""
     paths, answer = draw(well_formed())
     tokens = serialize(vocab, paths, answer)
     any_id = st.one_of(
@@ -195,7 +200,9 @@ def mutated(draw, vocab=Vocab()):
         st.integers(vocab.base_size, vocab.size - 1),
     )
     for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["replace", "insert", "delete", "truncate", "append"]))
+        edit = draw(
+            st.sampled_from(["replace", "insert", "delete", "truncate", "append", "foreign"])
+        )
         at = draw(st.integers(0, max(len(tokens) - 1, 0)))
         if edit == "replace" and tokens:
             tokens[at] = draw(any_id)
@@ -207,6 +214,8 @@ def mutated(draw, vocab=Vocab()):
             tokens = tokens[:at]
         elif edit == "append":
             tokens.append(draw(any_id))
+        elif edit == "foreign" and tokens:
+            tokens[at] = draw(st.sampled_from(NOT_INTEGERS))
     return tokens
 
 
@@ -227,6 +236,18 @@ class TestParserOracle:
     @settings(max_examples=300, deadline=None)
     def test_mutated_samples_parse_or_fail_alike(self, vocab, tokens):
         # equal paths and answer, or the same FormatError message and offset
+        assert outcome(parse_sample, tokens, vocab) == outcome(
+            reference_parse_sample, tokens, vocab
+        )
+
+    @pytest.mark.parametrize("bad", [*NOT_INTEGERS, np.bool_(False), np.float32(2), None])
+    def test_reference_rejects_ids_that_are_not_integers(self, vocab, bad):
+        tokens = serialize(vocab, [(1, [70, 71]), (2, [72])], [73])
+        tokens[2] = bad
+        tokens[6] = "8"  # a second one, later
+        with pytest.raises(FormatError, match="is not an integer") as err:
+            reference_parse_sample(tokens, vocab)
+        assert err.value.offset == 2
         assert outcome(parse_sample, tokens, vocab) == outcome(
             reference_parse_sample, tokens, vocab
         )
@@ -516,7 +537,7 @@ class TestJsonl:
             records.append(training_record(sample, training_layout(sample, vocab)))
         out_path = tmp_path / "train.jsonl"
         write_training_records(records, str(out_path))
-        lines = [json.loads(l) for l in open(out_path) if l.strip()]
+        lines = [json.loads(l) for l in out_path.read_text().splitlines() if l.strip()]
         assert all(rec["format"] == "ptsft-1" for rec in lines)
         assert all(
             len(rec["tokens"]) == len(rec["loss_mask"]) for rec in lines

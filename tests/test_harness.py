@@ -29,6 +29,8 @@ from parcot.model import FLAT, DecodeLayout, ModelConfig, forward_step, init_wei
 from parcot.positional import init_thought_table, zero_thought_table
 from parcot.tokenizer import Vocab, encode
 
+from oracles import causal_mask, dense_logits
+
 
 @pytest.fixture(scope="module")
 def bundle(small_weights, small_table, vocab):
@@ -156,11 +158,17 @@ class TestPrefixRecovery:
         tokens = session.paths[0].tokens
         assert tokens[0] == vocab.think_open(1)
         assert tokens[1:4] == body[:3]
-        positions = session.cache.tables["path:0"].positions()
+        # path 0's keys are the dense reference's at positions l_x + t + 1
         l_x = len(prompt)
-        assert positions.tolist() == [
-            l_x + t + 1 for t in range(len(tokens))
-        ]
+        _, k_ref, _ = dense_logits(
+            bundle.weights, bundle.table, list(prompt) + tokens,
+            list(range(1, l_x + 1)) + [l_x + t + 1 for t in range(len(tokens))],
+            [0] * l_x + [1] * len(tokens), causal_mask(l_x + len(tokens)), return_kv=True,
+        )
+        path = session.cache.tables["path:0"]
+        assert path.filled == len(tokens)
+        for li in range(bundle.weights.config.n_layers):
+            assert np.max(np.abs(path.keys(li) - k_ref[li, l_x:])) <= 1e-5
 
     def test_success_rate_counts_target(self, bundle, prompt):
         trace = {"prompt": prompt, "body": [70, 71, 72, 73]}

@@ -30,65 +30,62 @@ class TestAppendRead:
         cache = make_cache()
         cache.reserve(PROMPT, 1)
         k, v = entry()
-        addr = cache.append(PROMPT, k, v, position=7, j=3)
-        got_k, got_v, pos, j = cache.tables[PROMPT].read(addr.index)
+        addr = cache.append(PROMPT, k, v)
+        got_k, got_v = cache.tables[PROMPT].read(addr.index)
         assert np.array_equal(got_k, k) and np.array_equal(got_v, v)
-        assert (pos, j) == (7, 3)
 
     def test_write_to_an_unreserved_segment_raises(self):
         cache = make_cache()
         k, v = entry()
         with pytest.raises(CacheConsistencyError):
-            cache.append(PROMPT, k, v, position=1, j=0)
+            cache.append(PROMPT, k, v)
         with pytest.raises(CacheConsistencyError, match="never reserved"):
             reserved_slab([cache.table(path_key(0))])
         assert cache.length(PROMPT) == 0
         cache.table(ANSWER)  # known to a summary view, still without storage
         with pytest.raises(CacheConsistencyError):
-            cache.append(ANSWER, k, v, position=1, j=0)
+            cache.append(ANSWER, k, v)
         assert cache.length(ANSWER) == 0
 
     def test_interleaved_appends_stay_per_path(self):
         cache = make_cache()
         cache.reserve_paths(4, 6)
-        log = []  # flat reference: (segment, position, k-bytes)
+        log = []  # flat reference: (segment, k-bytes, v-bytes)
         for step in range(6):
             for i in range(4):
                 k, v = entry()
-                pos = 10 * i + step
-                cache.append(path_key(i), k, v, position=pos, j=i + 1)
-                log.append((path_key(i), pos, k.tobytes()))
+                cache.append(path_key(i), k, v)
+                log.append((path_key(i), k.tobytes(), v.tobytes()))
         for i in range(4):
             table = cache.tables[path_key(i)]
-            expected = [(seg, pos, kb) for seg, pos, kb in log if seg == path_key(i)]
+            expected = [(kb, vb) for seg, kb, vb in log if seg == path_key(i)]
             assert table.filled == len(expected)
-            for idx, (_, pos, kb) in enumerate(expected):
-                got_k, _, got_pos, got_j = table.read(idx)
-                assert got_pos == pos
-                assert got_j == i + 1
+            for idx, (kb, vb) in enumerate(expected):
+                got_k, got_v = table.read(idx)
                 assert got_k.tobytes() == kb
+                assert got_v.tobytes() == vb
 
     def test_bad_shape_rejected(self):
         cache = make_cache()
         bad = np.zeros((1, 2, 4), dtype=np.float32)
         with pytest.raises(CacheConsistencyError):
-            cache.append(PROMPT, bad, bad, position=1, j=0)
+            cache.append(PROMPT, bad, bad)
 
     def test_capacity_limit(self):
         cache = make_cache()
         cache.reserve(PROMPT, 2)
         k, v = entry()
-        cache.append(PROMPT, k, v, 1, 0)
-        cache.append(PROMPT, k, v, 2, 0)
+        cache.append(PROMPT, k, v)
+        cache.append(PROMPT, k, v)
         with pytest.raises(CacheConsistencyError):
-            cache.append(PROMPT, k, v, 3, 0)
+            cache.append(PROMPT, k, v)
         assert cache.length(PROMPT) == 2
 
     def test_reserve_rejects_a_written_segment(self):
         cache = make_cache()
         cache.reserve(PROMPT, 1)
         k, v = entry()
-        cache.append(PROMPT, k, v, 1, 0)
+        cache.append(PROMPT, k, v)
         with pytest.raises(LifecycleError):
             cache.reserve(PROMPT, 4)
         cache.reserve_paths(2, 3)
@@ -99,7 +96,7 @@ class TestAppendRead:
         cache = make_cache()
         cache.reserve(PROMPT, 1)
         k, v = entry()
-        cache.append(PROMPT, k, v, 1, 0)
+        cache.append(PROMPT, k, v)
         with pytest.raises(CacheConsistencyError):
             cache.tables[PROMPT].read(1)
 
@@ -110,7 +107,7 @@ class TestGather:
         cache.reserve(PROMPT, 4)
         for t in range(3):
             k, v = entry()
-            cache.append(PROMPT, k, v, t + 1, 0)
+            cache.append(PROMPT, k, v)
         keys, values = cache.gather(PROMPT, layer=0)
         storage = cache.tables[PROMPT].slab
         assert keys.shape == (3, DIMS["n_heads"], DIMS["d_k"])
@@ -134,7 +131,7 @@ class TestRows:
         cache = make_cache()
         cache.reserve(PROMPT, 5)
         k, v = entry()
-        cache.append(PROMPT, k, v, 1, 0)
+        cache.append(PROMPT, k, v)
         held = cache.tables[PROMPT].content_hash()
         rows = write_rows(cache, [PROMPT], 3)
         staged = [(block(1, 3), block(1, 3)) for _ in range(DIMS["n_layers"])]
@@ -147,27 +144,24 @@ class TestRows:
         # the writing pass reads its own staged slots back
         assert np.array_equal(rows.keys(1, 4)[0, 1:], staged[1][0][0])
         assert np.array_equal(rows.values(0, 4)[0, 1:], staged[0][1][0])
-        rows.commit([2, 3, 4], 0)
+        rows.commit()
         assert cache.length(PROMPT) == 4
         keys, values = cache.gather(PROMPT, 1)
         assert np.array_equal(keys[1:], staged[1][0][0])
         assert np.array_equal(values[1:], staged[1][1][0])
-        assert cache.tables[PROMPT].positions().tolist() == [1, 2, 3, 4]
+        # the slot written before the handle was taken keeps its k/v
+        assert np.array_equal(keys[0], k[1]) and np.array_equal(values[0], v[1])
 
     def test_mismatched_commit_raises(self):
         cache = make_cache()
         cache.reserve_paths(2, 4)
         rows = write_rows(cache, [path_key(0), path_key(1)], 2)
-        with pytest.raises(CacheConsistencyError):  # three positions for two slots
-            rows.commit([5, 6, 7], [1, 2])
-        with pytest.raises(CacheConsistencyError):  # one thought index short
-            rows.commit([5, 6], [1])
         with pytest.raises(CacheConsistencyError):  # past the new slots
             rows.stage(0, 1, block(2, 2), block(2, 2))
         assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
-        rows.commit([5, 6], [1, 2])
+        rows.commit()
         with pytest.raises(CacheConsistencyError):  # committed once already
-            rows.commit([5, 6], [1, 2])
+            rows.commit()
         assert [cache.length(path_key(i)) for i in range(2)] == [2, 2]
 
 
@@ -182,14 +176,13 @@ class TestPathSlab:
             k = [block(3, 1) for _ in range(DIMS["n_layers"])]
             for layer in range(DIMS["n_layers"]):
                 rows.stage(layer, 0, k[layer], k[layer] + 1)
-            rows.commit(10 + t, [1, 2, 3])
+            rows.commit()
             written.append(k)
         for i in range(3):
-            got_k, got_v, pos, j = cache.tables[path_key(i)].read(1)
+            got_k, got_v = cache.tables[path_key(i)].read(1)
             for layer in range(DIMS["n_layers"]):
                 assert np.array_equal(got_k[layer], written[1][layer][i, 0])
                 assert np.array_equal(got_v[layer], written[1][layer][i, 0] + 1)
-            assert (pos, j) == (11, i + 1)
         # every row in order, or one row: views of the slab; a subset: copied
         rows = write_rows(cache, segments, 1)
         keys, values = rows.keys(1, 2), rows.values(1, 2)
@@ -202,10 +195,14 @@ class TestPathSlab:
         assert np.array_equal(sub_k, keys[[2, 0]])
         assert not np.shares_memory(sub_k, slab.k)
         # a subset of rows writes only its own rows
-        subset.stage(0, 0, block(2, 1), block(2, 1))
-        subset.commit(12, [3, 1])
+        new_k, new_v = block(2, 1), block(2, 1)
+        subset.stage(0, 0, new_k, new_v)
+        subset.commit()
         assert [cache.length(path_key(i)) for i in range(3)] == [3, 2, 3]
-        assert cache.tables[path_key(2)].read(2)[3] == 3
+        for i, row in ((2, 0), (0, 1)):  # the subset's rows, in its order
+            got_k, got_v = cache.tables[path_key(i)].read(2)
+            assert np.array_equal(got_k[0], new_k[row, 0])
+            assert np.array_equal(got_v[0], new_v[row, 0])
 
     def test_rows_must_be_reserved_and_in_step(self):
         cache = make_cache()
@@ -217,10 +214,10 @@ class TestPathSlab:
         cache.reserve_paths(2, 1)
         with pytest.raises(CacheConsistencyError, match="share one slab"):
             write_rows(cache, [PROMPT, path_key(0)], 1)
-        cache.append(path_key(0), one, one, 5, 1)
+        cache.append(path_key(0), one, one)
         with pytest.raises(CacheConsistencyError, match="does not extend"):  # unequal lengths
             write_rows(cache, pair, 1)
-        cache.append(path_key(1), one, one, 5, 2)
+        cache.append(path_key(1), one, one)
         with pytest.raises(CacheConsistencyError, match="full"):
             write_rows(cache, pair, 1)
         assert [cache.length(path_key(i)) for i in range(2)] == [1, 1]
@@ -232,11 +229,11 @@ def fill_session_like(cache, l_x=3, path_lengths=(4, 4)):
         cache.reserve_paths(len(path_lengths), max(path_lengths))
     for t in range(l_x):
         k, v = entry()
-        cache.append(PROMPT, k, v, t + 1, 0)
+        cache.append(PROMPT, k, v)
     for i, length in enumerate(path_lengths):
         for t in range(length):
             k, v = entry()
-            cache.append(path_key(i), k, v, l_x + t + 1, i + 1)
+            cache.append(path_key(i), k, v)
 
 
 class TestSummaryView:
@@ -276,7 +273,7 @@ class TestSummaryView:
             for seg in (PROMPT, path_key(0), path_key(1))
         }
         k, v = entry()
-        cache.append(ANSWER, k, v, 8, 0)
+        cache.append(ANSWER, k, v)
         for seg, digest in hashes.items():
             assert cache.tables[seg].content_hash() == digest
 

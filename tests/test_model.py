@@ -525,9 +525,9 @@ class TestPrefill:
         ])[-len(got):]
         assert np.max(np.abs(got - want)) <= 1e-5
         assert blocked.length(segment) == stepped.length(segment) == length
-        assert np.array_equal(
-            blocked.tables[segment].positions(), stepped.tables[segment].positions()
-        )
+        for li in range(cfg.n_layers):  # same positions and thought rows, so the same k/v
+            for got_kv, want_kv in zip(blocked.gather(segment, li), stepped.gather(segment, li)):
+                assert np.max(np.abs(got_kv - want_kv)) <= 1e-5
         after = [
             forward_step(small_weights, small_table, cache, layout, 42, next_slot)
             for cache in caches

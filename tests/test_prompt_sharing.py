@@ -138,14 +138,16 @@ def test_prompt_storage_is_read_only(small_weights, small_table, vocab):
     )
     for session in (donor, sharer):
         slab = session.cache.tables[PROMPT].slab
-        for array in (slab.k, slab.v, slab.positions, slab.thoughts):
+        arrays = [a for a in vars(slab).values() if isinstance(a, np.ndarray)]
+        assert arrays  # every array the slab holds, so a new one cannot escape the seal
+        for array in arrays:
             with pytest.raises(ValueError):
                 array[..., 0] = 0
         with pytest.raises(ValueError):
             session.prompt_logits[0] = 0.0
         k = np.zeros(slab.k.shape[:1] + slab.k.shape[3:], dtype=np.float32)
         with pytest.raises(CacheConsistencyError, match="full"):
-            session.cache.append(PROMPT, k, k, len(PROMPT_TOKENS) + 1, 0)
+            session.cache.append(PROMPT, k, k)
         with pytest.raises(LifecycleError):
             session.cache.reserve(PROMPT, len(PROMPT_TOKENS))
 
@@ -166,7 +168,7 @@ def test_only_a_full_sealed_segment_is_shared(small_weights, small_table, vocab)
     engine.prefill(small_weights, small_table, unsealed, layout, [5, 6, 7])
     partial = cache()
     partial.reserve(PROMPT, 4)
-    partial.append(PROMPT, *unsealed.tables[PROMPT].read(0)[:2], 1, 0)
+    partial.append(PROMPT, *unsealed.tables[PROMPT].read(0))
     partial.tables[PROMPT].slab.seal()
     for source, why in ((unsealed.tables[PROMPT], "not sealed"),
                         (partial.tables[PROMPT], "only a full one")):
