@@ -49,7 +49,7 @@ read-only once prefilled, so no session can change what another reads.
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -578,7 +578,8 @@ def run_summarization(
 
     The engine inserts SUMMARY_OPEN itself.  Decoding stops after
     ``max_answer_tokens`` samples or once SUMMARY_CLOSE or EOS is sampled
-    (the terminator is recorded and fed like any other token).
+    (the terminator is recorded and fed like any other token).  The cap
+    becomes the session's ``budget.max_answer_tokens``.
     """
     if session.stage != SUMMARIZATION:
         raise LifecycleError("summarization requires a finished reasoning stage")
@@ -590,6 +591,8 @@ def run_summarization(
     layout = session.summary_layout()
     last = layout.positions(ANSWER, 0, max_answer_tokens + 1)[-1]  # SUMMARY_OPEN first
     check_position(session.weights.config, last, "answer")
+    # the record and the re-prefill baseline read the cap the answer ran with
+    session.budget = replace(session.budget, max_answer_tokens=max_answer_tokens)
     plan = StagePlan(session.cache, layout, [ANSWER])
     session.cache.reserve(ANSWER, max_answer_tokens + 1)
 

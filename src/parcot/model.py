@@ -61,14 +61,15 @@ are cached per ``d_k`` and per block height.
 Weight file format ("PTW1", little-endian):
   magic (4 bytes), then the config as eight uint32 values in order
   (n_layers, d_model, n_heads, d_k, d_ff, vocab_size, rope_base,
-  max_position), then float32 tensors row-major in this order:
-  embedding [vocab, d_model]; per layer: attn_norm [d_model],
-  w_q, w_k, w_v, w_o [d_model, d_model], ffn_norm [d_model],
-  w_ff1 [d_model, d_ff], w_ff2 [d_ff, d_model]; final_norm [d_model];
-  head [d_model, vocab].  ``w_q``, ``w_k`` and ``w_v`` are written as three
-  matrices and loaded into one ``w_qkv``.
+  max_position), then float32 tensors row-major, each named and shaped
+  as ``tensor_shapes(config)`` lists them in file order: the embedding,
+  each layer's tensors, the final norm and the head.  ``w_q``, ``w_k``
+  and ``w_v`` are written as three matrices and loaded into one
+  ``w_qkv``.  Both loaders build their weights with
+  ``ModelWeights.from_tensors``.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -172,6 +173,37 @@ class LayerWeights:
         return self._block(2)
 
 
+def _file_tensors(config: ModelConfig):
+    """(layer index or None, field, shape) of every PTW1 tensor in file
+    order; a layer's fields are the arguments of ``from_projections``."""
+    d, f, v = config.d_model, config.d_ff, config.vocab_size
+    layer = {
+        "attn_norm": (d,),
+        "w_q": (d, d),
+        "w_k": (d, d),
+        "w_v": (d, d),
+        "w_o": (d, d),
+        "ffn_norm": (d,),
+        "w_ff1": (d, f),
+        "w_ff2": (f, d),
+    }
+    yield None, "embedding", (v, d)
+    for li in range(config.n_layers):
+        for field, shape in layer.items():
+            yield li, field, shape
+    yield None, "final_norm", (d,)
+    yield None, "head", (d, v)
+
+
+def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every tensor of a PTW1 file, in file order.  Layer
+    li's tensors are named ``layer{li}.attn_norm`` and so on."""
+    return [
+        (field if li is None else f"layer{li}.{field}", shape)
+        for li, field, shape in _file_tensors(config)
+    ]
+
+
 @dataclass
 class ModelWeights:
     config: ModelConfig
@@ -180,76 +212,57 @@ class ModelWeights:
     final_norm: np.ndarray
     head: np.ndarray
 
+    @classmethod
+    def from_tensors(cls, config: ModelConfig, tensors) -> "ModelWeights":
+        """Validated weights from the tensors of ``tensor_shapes(config)``,
+        in file order."""
+        top, layers = {}, [{} for _ in range(config.n_layers)]
+        for (li, field, _), tensor in zip(_file_tensors(config), tensors, strict=True):
+            (top if li is None else layers[li])[field] = tensor
+        weights = cls(config, layers=[LayerWeights.from_projections(**kw) for kw in layers], **top)
+        weights.validate()
+        return weights
+
     def validate(self) -> None:
+        """Every tensor has its ``tensor_shapes`` shape and finite entries."""
         cfg = self.config
-        d, f, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-        expected = {
-            "embedding": (self.embedding, (v, d)),
-            "final_norm": (self.final_norm, (d,)),
-            "head": (self.head, (d, v)),
-        }
         if len(self.layers) != cfg.n_layers:
             raise ConfigError(f"expected {cfg.n_layers} layers, got {len(self.layers)}")
         for li, lw in enumerate(self.layers):
-            expected[f"layer{li}.attn_norm"] = (lw.attn_norm, (d,))
-            expected[f"layer{li}.w_qkv"] = (lw.w_qkv, (d, 3 * d))
-            expected[f"layer{li}.w_o"] = (lw.w_o, (d, d))
-            expected[f"layer{li}.ffn_norm"] = (lw.ffn_norm, (d,))
-            expected[f"layer{li}.w_ff1"] = (lw.w_ff1, (d, f))
-            expected[f"layer{li}.w_ff2"] = (lw.w_ff2, (f, d))
-        for name, (tensor, shape) in expected.items():
+            # the table checks w_q, w_k and w_v, views of w_qkv that cover
+            # all of it only if it is three square blocks wide
+            qkv = lw.w_qkv
+            if qkv.ndim != 2 or qkv.shape[1] != 3 * qkv.shape[0]:
+                raise ConfigError(
+                    f"layer{li}.w_qkv has shape {qkv.shape}, not three square blocks"
+                )
+        for (name, shape), tensor in zip(tensor_shapes(cfg), self.tensors()):
             if tensor.shape != shape:
                 raise ConfigError(f"{name} has shape {tensor.shape}, expected {shape}")
-            if not np.all(np.isfinite(tensor)):
+            if not np.isfinite(tensor).all():
                 raise ConfigError(f"{name} contains non-finite entries")
 
     def tensors(self):
-        """All tensors in the serialized file order."""
-        yield self.embedding
-        for lw in self.layers:
-            yield lw.attn_norm
-            yield lw.w_q
-            yield lw.w_k
-            yield lw.w_v
-            yield lw.w_o
-            yield lw.ffn_norm
-            yield lw.w_ff1
-            yield lw.w_ff2
-        yield self.final_norm
-        yield self.head
+        """All tensors in the serialized file order (``tensor_shapes``)."""
+        for li, field, _ in _file_tensors(self.config):
+            yield getattr(self if li is None else self.layers[li], field)
 
 
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Zero-mean gaussian matrices at scale 1/sqrt(d_model); unit norm gains."""
     rng = np.random.default_rng(seed)
     scale = config.d_model**-0.5
-    d, f = config.d_model, config.d_ff
 
-    def draw(*shape):
+    def make(shape):
+        if len(shape) == 1:
+            return np.ones(shape, dtype=np.float32)
         return (rng.standard_normal(shape) * scale).astype(np.float32)
 
-    layers = [
-        LayerWeights.from_projections(
-            attn_norm=np.ones(d, dtype=np.float32),
-            w_q=draw(d, d),
-            w_k=draw(d, d),
-            w_v=draw(d, d),
-            w_o=draw(d, d),
-            ffn_norm=np.ones(d, dtype=np.float32),
-            w_ff1=draw(d, f),
-            w_ff2=draw(f, d),
-        )
-        for _ in range(config.n_layers)
-    ]
-    weights = ModelWeights(
-        config=config,
-        embedding=draw(config.vocab_size, d),
-        layers=layers,
-        final_norm=np.ones(d, dtype=np.float32),
-        head=draw(d, config.vocab_size),
-    )
-    weights.validate()
-    return weights
+    # draw order, which the pinned weight-file digests fix: every layer's
+    # matrices in file order, then the embedding, then the head
+    (_, embedding), *middle, (_, head) = tensor_shapes(config)
+    middle = [make(shape) for _, shape in middle]
+    return ModelWeights.from_tensors(config, [make(embedding), *middle, make(head)])
 
 
 def save_weights(weights: ModelWeights, path: str) -> None:
@@ -279,6 +292,8 @@ def load_weights(path: str) -> ModelWeights:
         blob = fh.read()
     if blob[:4] != WEIGHT_MAGIC:
         raise ConfigError(f"bad weight-file magic in {path!r}")
+    if len(blob) < 36:
+        raise ConfigError(f"weight file {path!r} is shorter than its 36-byte header")
     fields = struct.unpack("<8I", blob[4:36])
     config = ModelConfig(
         n_layers=fields[0],
@@ -290,48 +305,16 @@ def load_weights(path: str) -> ModelWeights:
         rope_base=float(fields[6]),
         max_position=fields[7],
     )
-    d, f, v = config.d_model, config.d_ff, config.vocab_size
-    shapes = [(v, d)]
-    for _ in range(config.n_layers):
-        shapes += [(d,), (d, d), (d, d), (d, d), (d, d), (d,), (d, f), (f, d)]
-    shapes += [(d,), (d, v)]
-    expected_floats = sum(int(np.prod(s)) for s in shapes)
-    if len(blob) != 36 + 4 * expected_floats:
-        raise ConfigError(
-            f"weight file length {len(blob)} != expected {36 + 4 * expected_floats}"
-        )
-    flat = np.frombuffer(blob[36:], dtype="<f4")
-    tensors = []
-    offset = 0
-    for shape in shapes:
-        count = int(np.prod(shape))
-        tensors.append(flat[offset : offset + count].reshape(shape).copy())
-        offset += count
-    it = iter(tensors)
-    embedding = next(it)
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(
-            LayerWeights.from_projections(
-                attn_norm=next(it),
-                w_q=next(it),
-                w_k=next(it),
-                w_v=next(it),
-                w_o=next(it),
-                ffn_norm=next(it),
-                w_ff1=next(it),
-                w_ff2=next(it),
-            )
-        )
-    weights = ModelWeights(
-        config=config,
-        embedding=embedding,
-        layers=layers,
-        final_norm=next(it),
-        head=next(it),
+    shapes = [shape for _, shape in tensor_shapes(config)]
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = 36 + 4 * sum(sizes)
+    if len(blob) != expected:
+        raise ConfigError(f"weight file length {len(blob)} != expected {expected}")
+    flat = np.frombuffer(blob, dtype="<f4", offset=36)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return ModelWeights.from_tensors(
+        config, [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]
     )
-    weights.validate()
-    return weights
 
 
 @lru_cache(maxsize=16)

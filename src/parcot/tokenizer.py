@@ -4,13 +4,21 @@ Ids 0..255 are raw bytes (UTF-8).  Above them sit, contiguously:
 THINK_OPEN(1..p_max), THINK_CLOSE(1..p_max), SUMMARY_OPEN, SUMMARY_CLOSE,
 EOS, PAD.  Control tokens are inserted by id by the engine and the data
 pipeline; plain text is always encoded as raw bytes unless markup
-recognition is explicitly requested, so user text can never smuggle a
-control token into a sequence.
+recognition is explicitly requested (``encode(..., markup=True)``), so
+user text can never smuggle a control token into a sequence.
+
+Each control id has one canonical surface form: ``<think i>`` and
+``</think i>`` for labels 1..p_max without leading zeros, ``<summary>``,
+``</summary>``, ``<eos>`` and ``<pad>``.  One id-to-surface table per
+``Vocab`` serves ``decode`` (``Vocab.surface``) and markup recognition
+(``Vocab.control_id_for_surface``), so any other form, such as
+``<think 01>`` or a label above p_max, stays bytes.
 """
 
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +27,7 @@ from .errors import ConfigError, DataError, VocabError
 DEFAULT_BASE_SIZE = 256
 DEFAULT_P_MAX = 16
 
-_MARKUP = re.compile(r"</?think (\d+)>|</?summary>|<eos>|<pad>")
+_MARKUP = re.compile(r"</?think \d+>|</?summary>|<eos>|<pad>")
 
 
 @dataclass(frozen=True)
@@ -71,50 +79,34 @@ class Vocab:
             return token - self.base_size + 1
         return None
 
-    def think_close_label(self, token: int) -> int | None:
-        lo = self.base_size + self.p_max
-        if lo <= token < lo + self.p_max:
-            return token - lo + 1
-        return None
+    @cached_property
+    def _surfaces(self) -> dict[int, str]:
+        """Every control id's canonical surface form: labels 1..p_max,
+        written without leading zeros."""
+        labels = range(1, self.p_max + 1)
+        return {
+            **{self.think_open(i): f"<think {i}>" for i in labels},
+            **{self.think_close(i): f"</think {i}>" for i in labels},
+            self.summary_open: "<summary>",
+            self.summary_close: "</summary>",
+            self.eos: "<eos>",
+            self.pad: "<pad>",
+        }
+
+    @cached_property
+    def _control_ids(self) -> dict[str, int]:
+        return {text: token for token, text in self._surfaces.items()}
 
     def surface(self, token: int) -> str:
         """Debug/decode surface form of a control token."""
-        label = self.think_open_label(token)
-        if label is not None:
-            return f"<think {label}>"
-        label = self.think_close_label(token)
-        if label is not None:
-            return f"</think {label}>"
-        if token == self.summary_open:
-            return "<summary>"
-        if token == self.summary_close:
-            return "</summary>"
-        if token == self.eos:
-            return "<eos>"
-        if token == self.pad:
-            return "<pad>"
-        raise VocabError(f"token {token} is not a control token")
+        text = self._surfaces.get(token)
+        if text is None:
+            raise VocabError(f"token {token} is not a control token")
+        return text
 
     def control_id_for_surface(self, text: str) -> int | None:
         """Control id for an exact reserved surface form, else None."""
-        match = _MARKUP.fullmatch(text)
-        if match is None:
-            return None
-        if text == "<summary>":
-            return self.summary_open
-        if text == "</summary>":
-            return self.summary_close
-        if text == "<eos>":
-            return self.eos
-        if text == "<pad>":
-            return self.pad
-        num = match.group(1)
-        if str(int(num)) != num:  # no leading zeros
-            return None
-        i = int(num)
-        if not 1 <= i <= self.p_max:
-            return None
-        return self.think_close(i) if text.startswith("</") else self.think_open(i)
+        return self._control_ids.get(text)
 
 
 def is_token_int(token) -> bool:
@@ -122,12 +114,12 @@ def is_token_int(token) -> bool:
     return isinstance(token, (int, np.integer)) and not isinstance(token, (bool, np.bool_))
 
 
-def encode(text: str, vocab: Vocab, markup: bool = True) -> list[int]:
+def encode(text: str, vocab: Vocab, markup: bool = False) -> list[int]:
     """Token ids for ``text``.
 
-    With markup=True, exact reserved forms ("<think 3>", "</summary>", ...)
-    map to control ids.  With markup=False the output is pure bytes, which
-    is what the engine and data pipeline use for user-supplied content.
+    By default the output is pure bytes, which is what the engine and data
+    pipeline use for user-supplied content.  With markup=True, exact
+    reserved forms ("<think 3>", "</summary>", ...) map to control ids.
     """
     if not markup:
         return list(text.encode("utf-8"))

@@ -4,10 +4,13 @@ import pytest
 from parcot.engine import (
     ANSWER_STREAM,
     GenerationBudget,
+    GenerationSession,
     SamplerConfig,
     Termination,
     draw_rng,
+    run_reasoning,
     run_session,
+    run_summarization,
     sample_token,
     session_record,
 )
@@ -329,6 +332,22 @@ class TestReprefillBaseline:
         )
         record = run_reprefill_baseline(bundle, session, SamplerConfig(greedy=True))
         assert record["logit_divergence"] <= 1e-5
+        assert record["own_answer"] == session.answer_tokens
+
+    def test_answer_cap_is_the_one_the_answer_ran_with(self, small_weights, vocab, prompt):
+        # the reasoning budget's answer cap (64) is not the one summarization
+        # gets (3); the record and the baseline's own answer must use 3
+        cfg = small_weights.config
+        zero = zero_thought_table(vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k)
+        greedy = SamplerConfig(greedy=True)
+        session = GenerationSession(small_weights, zero, vocab, prompt, 1, seed=3)
+        run_reasoning(session, greedy, GenerationBudget(6))
+        run_summarization(session, greedy, 3)
+        assert len(session.answer_tokens) == 4  # SUMMARY_OPEN and 3 samples
+        assert session.budget == GenerationBudget(6, 3)
+        assert session_record(session)["config"]["budget"]["max_answer_tokens"] == 3
+        bundle = ModelBundle(weights=small_weights, table=zero, vocab=vocab)
+        record = run_reprefill_baseline(bundle, session, greedy)
         assert record["own_answer"] == session.answer_tokens
 
     def test_position_and_token_accounting(self, bundle, prompt):

@@ -1,10 +1,11 @@
 import copy
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from parcot.errors import (
@@ -475,7 +476,10 @@ class TestPrefill:
         [1, CAUSAL_CHUNK - 1, CAUSAL_CHUNK, CAUSAL_CHUNK + 1, 3 * CAUSAL_CHUNK + 5, 768],
     )
     @pytest.mark.parametrize("kind", ["prompt", "flat", "path"])
-    @settings(max_examples=2, deadline=None)
+    # no shrinking: a failure over a 768-token prompt reports in seconds
+    @settings(
+        max_examples=2, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate]
+    )
     @given(seed=st.integers(0, 2**16))
     def test_causal_blocks_match_iterated_steps(
         self, small_weights, small_table, kind, length, seed
@@ -614,6 +618,51 @@ class TestPrefill:
         )
 
 
+class TestValidate:
+    """Each check names the tensor it rejects."""
+
+    @pytest.fixture
+    def weights(self, small_config):
+        return init_weights(small_config, seed=5)
+
+    def test_wrong_layer_count(self, weights):
+        weights.layers.pop()
+        with pytest.raises(ConfigError, match="expected 2 layers, got 1"):
+            weights.validate()
+
+    @pytest.mark.parametrize(
+        "layer, name, label",
+        [
+            (None, "embedding", "embedding"),
+            (0, "attn_norm", "layer0.attn_norm"),
+            (1, "w_o", "layer1.w_o"),
+            (1, "w_ff1", "layer1.w_ff1"),
+            (0, "w_ff2", "layer0.w_ff2"),
+            (None, "final_norm", "final_norm"),
+            (None, "head", "head"),
+        ],
+    )
+    def test_wrong_shape(self, weights, layer, name, label):
+        owner = weights if layer is None else weights.layers[layer]
+        tensor = getattr(owner, name)
+        setattr(owner, name, tensor[:-1])
+        with pytest.raises(ConfigError, match=rf"{label} has shape \({tensor.shape[0] - 1}"):
+            weights.validate()
+
+    def test_fused_projection_with_extra_columns(self, weights):
+        layer = weights.layers[1]
+        d = weights.config.d_model
+        layer.w_qkv = np.concatenate([layer.w_qkv, np.zeros((d, 1), np.float32)], axis=1)
+        with pytest.raises(ConfigError, match=rf"layer1\.w_qkv has shape \({d}, {3 * d + 1}\)"):
+            weights.validate()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, weights, bad):
+        weights.layers[1].w_ff1[3, 5] = bad
+        with pytest.raises(ConfigError, match=r"layer1\.w_ff1 contains non-finite entries"):
+            weights.validate()
+
+
 class TestWeightFile:
     def test_round_trip(self, small_weights, tmp_path):
         path = str(tmp_path / "model.ptw")
@@ -627,6 +676,29 @@ class TestWeightFile:
         path = tmp_path / "model.ptw"
         path.write_bytes(b"NOPE" + b"\0" * 64)
         with pytest.raises(ConfigError):
+            load_weights(str(path))
+
+    def test_contradictory_header_rejected(self, small_weights, tmp_path):
+        path = tmp_path / "model.ptw"
+        save_weights(small_weights, str(path))
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = struct.pack("<I", 3)  # n_heads 3, so d_model != n_heads * d_k
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError, match="d_model 32 != n_heads 3"):
+            load_weights(str(path))
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "model.ptw"
+        path.write_bytes(b"PTW1" + struct.pack("<2I", 2, 32))
+        with pytest.raises(ConfigError, match="header"):
+            load_weights(str(path))
+
+    def test_one_tensor_short_rejected(self, small_weights, tmp_path):
+        path = tmp_path / "model.ptw"
+        save_weights(small_weights, str(path))
+        head_bytes = small_weights.head.nbytes
+        path.write_bytes(path.read_bytes()[:-head_bytes])
+        with pytest.raises(ConfigError, match="weight file length"):
             load_weights(str(path))
 
     def test_truncated(self, small_weights, tmp_path):

@@ -45,13 +45,17 @@ class TestVocabLayout:
 
 class TestEncodeDecode:
     def test_bytes_identity(self, vocab):
-        assert encode("ab", vocab) == [97, 98]
+        assert encode("ab", vocab, markup=True) == [97, 98]
 
     def test_reserved_form_maps_to_control_id(self, vocab):
-        assert encode("<think 3>", vocab) == [vocab.think_open(3)]
-        assert encode("</think 3>", vocab) == [vocab.think_close(3)]
-        assert encode("<summary>", vocab) == [vocab.summary_open]
-        assert encode("</summary>", vocab) == [vocab.summary_close]
+        assert encode("<think 3>", vocab, markup=True) == [vocab.think_open(3)]
+        assert encode("</think 3>", vocab, markup=True) == [vocab.think_close(3)]
+        assert encode("<summary>", vocab, markup=True) == [vocab.summary_open]
+        assert encode("</summary>", vocab, markup=True) == [vocab.summary_close]
+
+    def test_default_is_bytes_only(self, vocab):
+        text = "<think 3></summary><eos>"
+        assert encode(text, vocab) == list(text.encode("utf-8"))
 
     def test_plain_mode_never_emits_control_ids(self, vocab):
         ids = encode("<think 3> and </summary>", vocab, markup=False)
@@ -60,11 +64,11 @@ class TestEncodeDecode:
 
     def test_near_miss_forms_stay_bytes(self, vocab):
         for text in ("<think 03>", "<think 99>", "<think  3>", "<Think 3>"):
-            assert all(i < 256 for i in encode(text, vocab))
+            assert all(i < 256 for i in encode(text, vocab, markup=True))
 
     def test_mixed_text_round_trip(self, vocab):
         text = "solve: <think 1>use algebra</think 1><summary>42</summary>"
-        ids = encode(text, vocab)
+        ids = encode(text, vocab, markup=True)
         assert vocab.think_open(1) in ids and vocab.summary_close in ids
         assert decode(ids, vocab) == text
 
@@ -76,7 +80,7 @@ class TestEncodeDecode:
     @settings(max_examples=150, deadline=None)
     def test_markup_round_trip_any_text(self, text):
         vocab = Vocab()
-        assert decode(encode(text, vocab), vocab) == text
+        assert decode(encode(text, vocab, markup=True), vocab) == text
 
     @given(
         st.lists(
@@ -93,7 +97,45 @@ class TestEncodeDecode:
     def test_round_trip_with_embedded_markers(self, pieces):
         vocab = Vocab()
         text = "".join(pieces)
-        assert decode(encode(text, vocab), vocab) == text
+        assert decode(encode(text, vocab, markup=True), vocab) == text
+
+
+# Every control id of a p_max 1 vocab and a p_max 16 vocab, written out.
+SURFACES = {
+    1: {256: "<think 1>", 257: "</think 1>", 258: "<summary>", 259: "</summary>",
+        260: "<eos>", 261: "<pad>"},
+    16: {
+        **{255 + i: f"<think {i}>" for i in range(1, 17)},
+        **{271 + i: f"</think {i}>" for i in range(1, 17)},
+        288: "<summary>", 289: "</summary>", 290: "<eos>", 291: "<pad>",
+    },
+}
+NEAR_MISSES = ["<think 0>", "<think 01>", "<think 17>", "</think  1>", "<Summary>"]
+
+
+class TestSurfaces:
+    @pytest.mark.parametrize("p_max", sorted(SURFACES))
+    def test_every_id_against_the_written_table(self, p_max):
+        vocab = Vocab(p_max=p_max)
+        table = SURFACES[p_max]
+        for token in range(vocab.size):
+            if token < vocab.base_size:
+                with pytest.raises(VocabError):
+                    vocab.surface(token)
+                continue
+            text = table[token]
+            assert vocab.surface(token) == text
+            assert vocab.control_id_for_surface(text) == token
+            assert encode(text, vocab, markup=True) == [token]
+            assert decode([token], vocab) == text
+        assert len(table) == vocab.size - vocab.base_size
+
+    @pytest.mark.parametrize("p_max", sorted(SURFACES))
+    @pytest.mark.parametrize("text", NEAR_MISSES)
+    def test_near_misses_are_not_control_tokens(self, p_max, text):
+        vocab = Vocab(p_max=p_max)
+        assert vocab.control_id_for_surface(text) is None
+        assert encode(text, vocab, markup=True) == list(text.encode("utf-8"))
 
 
 class TestSampleThinkTokens:
