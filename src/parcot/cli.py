@@ -10,6 +10,7 @@ mismatch or invariant violation.
 import argparse
 import json
 import sys
+from functools import partial
 
 from .costmodel import load_profile
 from .datagen import (
@@ -51,16 +52,20 @@ TERMINATION_ALIASES = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--paths", type=int, default=4, help="parallel path count P")
-    parser.add_argument("--budget", type=int, default=32, help="body tokens per path B")
+# options read by only some session subcommands; each names those it reads
+_SESSION_OPTIONS = {
+    "--paths": dict(type=int, default=4, help="parallel path count P"),
+    "--budget": dict(type=int, default=32, help="body tokens per path B"),
+    "--termination": dict(choices=sorted(TERMINATION_ALIASES), default="first",
+                          help="first|half|last"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
+    """The model, sampler and output options, plus the named _SESSION_OPTIONS."""
+    for option in options:
+        parser.add_argument(option, **_SESSION_OPTIONS[option])
     parser.add_argument("--max-answer", type=int, default=16, help="answer token cap")
-    parser.add_argument(
-        "--termination",
-        choices=sorted(TERMINATION_ALIASES),
-        default="first",
-        help="first|half|last",
-    )
     parser.add_argument("--temperature", type=float, default=0.7)
     parser.add_argument("--top-p", type=float, default=1.0)
     parser.add_argument("--greedy", action="store_true")
@@ -101,16 +106,21 @@ def _run_and_write(name: str, config: dict, out_dir: str) -> None:
     print(f"{name}: wrote {len(records)} records to {out_dir}")
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="parcot")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no abbreviated flags, so that ``sweep --paths`` is an error and not
+    # ``--paths-list``
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
     p_gen = sub.add_parser("generate", help="run one parallel-reasoning session")
-    _add_common(p_gen)
+    _add_common(p_gen, "--paths", "--budget", "--termination")
     p_gen.add_argument("--prompt", required=True)
 
     p_sweep = sub.add_parser("sweep", help="budget sweep with majority baselines")
-    _add_common(p_sweep)
+    _add_common(p_sweep, "--termination")
     p_sweep.add_argument("--budgets", type=int, nargs="+", default=[8, 16, 32])
     p_sweep.add_argument("--paths-list", type=int, nargs="+", default=[1, 2, 4])
     p_sweep.add_argument(
@@ -121,7 +131,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--prompt", action="append", dest="prompts", required=True)
 
     p_prefix = sub.add_parser("prefix", help="continue decoding from trace prefixes")
-    _add_common(p_prefix)
+    _add_common(p_prefix, "--budget")
     p_prefix.add_argument("--traces", required=True, help="JSONL of {prompt, body} id lists")
     p_prefix.add_argument("--prefix-lengths", type=int, nargs="+",
                           default=list(DEFAULT_PREFIX_GRID))
@@ -129,13 +139,13 @@ def main(argv=None) -> int:
     p_prefix.add_argument("--target-token", type=int, required=True)
 
     p_term = sub.add_parser("terminate", help="compare termination strategies")
-    _add_common(p_term)
+    _add_common(p_term, "--paths", "--budget")
     p_term.add_argument("--strategies", nargs="+", choices=sorted(TERMINATION_ALIASES),
                         default=["first", "half", "last"])
     p_term.add_argument("--prompt", action="append", dest="prompts", required=True)
 
     p_re = sub.add_parser("reprefill", help="flattened re-prefill baseline")
-    _add_common(p_re)
+    _add_common(p_re, "--paths", "--budget")
     p_re.add_argument("--prompt", required=True)
 
     p_cost = sub.add_parser("costmodel", help="roofline latency table")
@@ -155,8 +165,11 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="re-run an experiment dir and compare")
     p_verify.add_argument("--dir", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
     except EngineError as exc:

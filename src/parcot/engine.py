@@ -1,14 +1,19 @@
 """Two-stage generation: synchronized parallel reasoning, then summarization.
 
 The reasoning stage drives all paths from one decode loop.  Step s feeds
-each active path its s-th body token; a path completes when that token is
-EOS.  The stage stops at the first step where the termination strategy's
-completion count is reached or the body budget B is hit, and every still
-open path receives its THINK_CLOSE token.  Under first_finish all paths
-therefore end with identical written lengths.  Under half/last_finish a
-completed path is closed and frozen immediately (it stops writing cache
-entries) while the others continue, so frozen paths may be shorter; the
-reasoning length used for answer positions is the maximum written length.
+each open path its s-th body token; a path completes when that token is
+EOS.  One rule ends paths under every termination strategy: after each
+step's pass the paths that emitted EOS are counted, and once the count
+reaches the strategy's threshold (``Termination.threshold``) or the step
+reaches the body budget B, every open path, those that just emitted EOS
+included, receives its THINK_CLOSE token in one closer pass.  Otherwise
+only the paths that emitted EOS are closed; they write no further cache
+entries while the others continue.  A path that emitted EOS finishes with
+cause ``eos``, any other with ``strategy_stop`` or ``budget``.  Under
+first_finish the threshold is one, so all paths end on the same step with
+identical written lengths; under half/last_finish paths closed earlier
+are shorter, and the reasoning length used for answer positions is the
+maximum written length.
 
 Each reasoning step (the openers, every body step and each round of
 closers) decodes all the paths it feeds in one batched forward pass over
@@ -49,7 +54,7 @@ read-only once prefilled, so no session can change what another reads.
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -77,7 +82,7 @@ from .positional import (
     ThoughtEmbeddingTable,
     path_key,
 )
-from .tokenizer import Vocab
+from .tokenizer import Vocab, is_token_int
 
 ANSWER_STREAM = 0  # think labels start at 1, so stream 0 is free
 
@@ -128,6 +133,9 @@ class GenerationBudget:
 
 
 class Termination(str, Enum):
+    """When the reasoning stage stops: once ``threshold(P)`` of its P paths
+    have emitted EOS (one, half rounded up, or all), or at the body budget."""
+
     FIRST_FINISH = "first_finish"
     HALF_FINISH = "half_finish"
     LAST_FINISH = "last_finish"
@@ -145,14 +153,13 @@ class PathState:
     index: int
     think_label: int
     tokens: list[int] = field(default_factory=list)
-    finished: bool = False
     finish_cause: str | None = None  # eos | budget | strategy_stop
     step_logits: list[np.ndarray] = field(default_factory=list)
 
     def body_length(self) -> int:
         """Sampled tokens, excluding the opener and closer control tokens."""
         n = len(self.tokens)
-        return max(0, n - 2) if self.finished else max(0, n - 1)
+        return max(0, n - 2) if self.finish_cause is not None else max(0, n - 1)
 
 
 class GenerationSession:
@@ -189,6 +196,8 @@ class GenerationSession:
             raise ConfigError(
                 f"thought table has {table.p_max} path rows, vocab allows {vocab.p_max}"
             )
+        if not is_token_int(seed) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if not prompt_tokens:
             raise DataError("prompt must contain at least one token")
         check_token_ids(prompt_tokens, cfg.vocab_size)
@@ -211,7 +220,7 @@ class GenerationSession:
         self.prompt_tokens = prompt_tokens
         self.num_paths = num_paths
         self.think_labels = list(think_labels)
-        self.seed = seed
+        self.seed = int(seed)
         self.record_logits = record_logits
         self.stage = REASONING
         self.answer_done = False
@@ -427,7 +436,7 @@ class _StageUniforms:
     def __init__(self, seed: int, last_step: int):
         self.seed = seed
         self.last_step = last_step
-        self.kernel = type(seed) is int and 0 <= seed < 1 << 64
+        self.kernel = seed < 1 << 64
         self.first = self.end = 0  # steps [first, end) are planned
         self.labels: list[int] = []  # rows of self.table
         self.table = None
@@ -466,7 +475,6 @@ def _close_paths(session, plan, paths: list[PathState], causes: list[str]) -> No
     closers = [session.vocab.think_close(p.think_label) for p in paths]
     _feed_paths(session, plan, paths, closers)
     for path, cause in zip(paths, causes):
-        path.finished = True
         path.finish_cause = cause
 
 
@@ -511,10 +519,7 @@ def run_reasoning(
     logits = _feed_paths(session, plan, active, openers)  # row r belongs to active[r]
     draws = None if sampler.greedy else _StageUniforms(session.seed, budget.max_path_tokens)
     completed = 0
-    stop_cause = None
-    step = 0
-    while stop_cause is None:
-        step += 1
+    for step in range(1, budget.max_path_tokens + 1):
         # greedy rows take the block's argmax in one call (lowest id on ties,
         # as sample_token); forward_paths has rejected non-finite logits
         greedy = logits.argmax(axis=1).tolist() if sampler.greedy else None
@@ -536,30 +541,19 @@ def run_reasoning(
             for r, token in zip(drawn, picks.tolist()):
                 chosen[r] = token
         logits = _feed_paths(session, plan, active, chosen)
-        finished_now = [p for p, token in zip(active, chosen) if token == eos]
-        completed += len(finished_now)
-        if strategy is not Termination.FIRST_FINISH and finished_now:
-            # freeze naturally finished paths; the rest keep decoding
-            _close_paths(session, plan, finished_now, ["eos"] * len(finished_now))
-            keep = [r for r, token in enumerate(chosen) if token != eos]
+        ended = [token == eos for token in chosen]
+        completed += sum(ended)
+        if completed >= threshold or step == budget.max_path_tokens:
+            stop = "strategy_stop" if completed >= threshold else "budget"
+            _close_paths(session, plan, active, ["eos" if e else stop for e in ended])
+            break
+        if any(ended):
+            # close the paths that emitted EOS; the rest keep decoding
+            done = [p for p, e in zip(active, ended) if e]
+            _close_paths(session, plan, done, ["eos"] * len(done))
+            keep = [r for r, e in enumerate(ended) if not e]
             active = [active[r] for r in keep]
             logits = logits[keep]
-            chosen = [chosen[r] for r in keep]
-        if completed >= threshold:
-            stop_cause = "strategy"
-        elif step >= budget.max_path_tokens:
-            stop_cause = "budget"
-
-    causes = []
-    for token in chosen:
-        if strategy is Termination.FIRST_FINISH and token == eos:
-            causes.append("eos")
-        elif stop_cause == "budget":
-            causes.append("budget")
-        else:
-            causes.append("strategy_stop")
-    if active:
-        _close_paths(session, plan, active, causes)
 
     session.reasoning_len = max(len(p.tokens) for p in session.paths)
     if strategy is Termination.FIRST_FINISH:
@@ -713,16 +707,7 @@ def session_record(session: GenerationSession) -> dict:
         "L_r": session.reasoning_len,
         "answer": session.answer_tokens,
         "config": {
-            "model": {
-                "n_layers": cfg.n_layers,
-                "d_model": cfg.d_model,
-                "n_heads": cfg.n_heads,
-                "d_k": cfg.d_k,
-                "d_ff": cfg.d_ff,
-                "vocab_size": cfg.vocab_size,
-                "rope_base": cfg.rope_base,
-                "max_position": cfg.max_position,
-            },
+            "model": {f.name: getattr(cfg, f.name) for f in fields(cfg)},
             "num_paths": session.num_paths,
             "think_labels": session.think_labels,
             "budget": {

@@ -59,19 +59,19 @@ runs in place on the scores, and the score scale and the causal triangle
 are cached per ``d_k`` and per block height.
 
 Weight file format ("PTW1", little-endian):
-  magic (4 bytes), then the config as eight uint32 values in order
-  (n_layers, d_model, n_heads, d_k, d_ff, vocab_size, rope_base,
-  max_position), then float32 tensors row-major, each named and shaped
-  as ``tensor_shapes(config)`` lists them in file order: the embedding,
-  each layer's tensors, the final norm and the head.  ``w_q``, ``w_k``
-  and ``w_v`` are written as three matrices and loaded into one
-  ``w_qkv``.  Both loaders build their weights with
+  magic (4 bytes), then the config as one uint32 per ``ModelConfig``
+  field in declaration order (n_layers, d_model, n_heads, d_k, d_ff,
+  vocab_size, rope_base, max_position), then float32 tensors row-major,
+  each named and shaped as ``tensor_shapes(config)`` lists them in file
+  order: the embedding, each layer's tensors, the final norm and the
+  head.  ``w_q``, ``w_k`` and ``w_v`` are written as three matrices and
+  loaded into one ``w_qkv``.  Both loaders build their weights with
   ``ModelWeights.from_tensors``.
 """
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -137,6 +137,11 @@ class ModelConfig:
 
     def rope(self) -> Rope:
         return rope_for(self.d_k, self.rope_base)
+
+
+# the PTW1 header after the magic: one uint32 per ModelConfig field
+_HEADER = struct.Struct(f"<{len(fields(ModelConfig))}I")
+_HEADER_END = len(WEIGHT_MAGIC) + _HEADER.size
 
 
 @dataclass
@@ -269,17 +274,7 @@ def save_weights(weights: ModelWeights, path: str) -> None:
     cfg = weights.config
     if cfg.rope_base != int(cfg.rope_base):
         raise ConfigError("weight files store rope_base as an integer")
-    header = struct.pack(
-        "<8I",
-        cfg.n_layers,
-        cfg.d_model,
-        cfg.n_heads,
-        cfg.d_k,
-        cfg.d_ff,
-        cfg.vocab_size,
-        int(cfg.rope_base),
-        cfg.max_position,
-    )
+    header = _HEADER.pack(*(int(getattr(cfg, f.name)) for f in fields(cfg)))
     with open(path, "wb") as fh:
         fh.write(WEIGHT_MAGIC)
         fh.write(header)
@@ -292,25 +287,17 @@ def load_weights(path: str) -> ModelWeights:
         blob = fh.read()
     if blob[:4] != WEIGHT_MAGIC:
         raise ConfigError(f"bad weight-file magic in {path!r}")
-    if len(blob) < 36:
-        raise ConfigError(f"weight file {path!r} is shorter than its 36-byte header")
-    fields = struct.unpack("<8I", blob[4:36])
-    config = ModelConfig(
-        n_layers=fields[0],
-        d_model=fields[1],
-        n_heads=fields[2],
-        d_k=fields[3],
-        d_ff=fields[4],
-        vocab_size=fields[5],
-        rope_base=float(fields[6]),
-        max_position=fields[7],
-    )
+    if len(blob) < _HEADER_END:
+        raise ConfigError(f"weight file {path!r} is shorter than its {_HEADER_END}-byte header")
+    values = _HEADER.unpack(blob[len(WEIGHT_MAGIC) : _HEADER_END])
+    # each field takes its declared type, so rope_base comes back a float
+    config = ModelConfig(**{f.name: f.type(v) for f, v in zip(fields(ModelConfig), values)})
     shapes = [shape for _, shape in tensor_shapes(config)]
     sizes = [math.prod(shape) for shape in shapes]
-    expected = 36 + 4 * sum(sizes)
+    expected = _HEADER_END + 4 * sum(sizes)
     if len(blob) != expected:
         raise ConfigError(f"weight file length {len(blob)} != expected {expected}")
-    flat = np.frombuffer(blob, dtype="<f4", offset=36)
+    flat = np.frombuffer(blob, dtype="<f4", offset=_HEADER_END)
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     return ModelWeights.from_tensors(
         config, [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]

@@ -110,7 +110,8 @@ class Vocab:
 
 
 def is_token_int(token) -> bool:
-    """A token id must be a Python or numpy integer; a bool is not one."""
+    """A token id (or a session seed) must be a Python or numpy integer; a
+    bool is not one."""
     return isinstance(token, (int, np.integer)) and not isinstance(token, (bool, np.bool_))
 
 
@@ -145,6 +146,8 @@ def decode(ids, vocab: Vocab, errors: str = "strict") -> str:
     pieces: list[str] = []
     byte_run = bytearray()
     for token in ids:
+        if not is_token_int(token):
+            raise VocabError(f"token id {token!r} is not an integer")
         token = int(token)
         if not 0 <= token < vocab.size:
             raise VocabError(f"unknown token id {token} (vocab size {vocab.size})")

@@ -1,8 +1,14 @@
 import json
 import os
+import re
+import shlex
 from pathlib import Path
 
-from parcot.cli import main
+import pytest
+
+from parcot.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args):
@@ -49,6 +55,16 @@ class TestGenerateAndVerify:
             assert "temperature must be finite and positive" in captured.err
             assert captured.out == ""
             assert not out.exists()
+
+
+    def test_negative_seed_fails_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "gen"
+        code = run_cli(["generate", "--prompt", "hello", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "error: seed must be a non-negative integer" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSweep:
@@ -200,3 +216,34 @@ class TestDatagen:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestParser:
+    @pytest.mark.parametrize("command, flag", [
+        (["sweep", "--prompt", "p"], ["--paths", "2"]),
+        (["sweep", "--prompt", "p"], ["--budget", "8"]),
+        (["prefix", "--traces", "t.jsonl", "--target-token", "70"], ["--paths", "2"]),
+        (["prefix", "--traces", "t.jsonl", "--target-token", "70"], ["--termination", "half"]),
+        (["terminate", "--prompt", "p"], ["--termination", "half"]),
+        (["reprefill", "--prompt", "p"], ["--termination", "half"]),
+    ])
+    def test_flags_a_subcommand_never_reads_are_rejected(self, command, flag, capsys):
+        build_parser().parse_args(command)  # the command parses without the flag
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flag[0] in capsys.readouterr().err
+
+    def test_readme_cli_examples_parse(self):
+        block = re.search(r"## CLI\n\n```bash\n(.*?)```", README.read_text(), re.S).group(1)
+        commands = [
+            shlex.split(line)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("parcot ")
+        ]
+        for argv in commands:
+            build_parser().parse_args(argv[1:])
+        assert sorted(argv[1] for argv in commands) == sorted([
+            "generate", "sweep", "prefix", "terminate", "reprefill",
+            "costmodel", "datagen", "verify",
+        ])

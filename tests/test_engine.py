@@ -329,6 +329,37 @@ class TestTerminationSemantics:
         assert {len(p.tokens) for p in session.paths} == {8}  # opener + 6 + closer
         assert all(p.body_length() == 6 for p in session.paths)
 
+    @pytest.mark.parametrize("strategy, finish_steps, budget, closed, causes, lengths", [
+        # half of 4: paths 2 and 3 end on step 5 while path 1 is still open
+        (Termination.HALF_FINISH, [3, 9, 5, 5], 12, [[0], [1, 2, 3]],
+         ["eos", "strategy_stop", "eos", "eos"], [5, 7, 7, 7]),
+        # the budget stops the stage on the step path 1 emits EOS
+        (Termination.LAST_FINISH, [2, 6, None], 6, [[0], [1, 2]],
+         ["eos", "eos", "budget"], [4, 8, 8]),
+    ])
+    def test_stopping_step_closes_every_open_path_in_one_pass(
+        self, small_weights, small_table, vocab, monkeypatch,
+        strategy, finish_steps, budget, closed, causes, lengths,
+    ):
+        passes = []
+        real = engine.forward_paths
+
+        def spy(weights, table, plan, tokens, rows, index):
+            passes.append((list(tokens), list(rows)))
+            return real(weights, table, plan, tokens, rows, index)
+
+        monkeypatch.setattr(engine, "forward_paths", spy)
+        session = make_session(small_weights, small_table, vocab, num_paths=len(finish_steps))
+        forced = forced_schedule(vocab, finish_steps, horizon=budget)
+        run_reasoning(session, GREEDY, GenerationBudget(budget), strategy, forced)
+        closer_passes = [
+            rows for tokens, rows in passes
+            if tokens == [vocab.think_close(session.paths[r].think_label) for r in rows]
+        ]
+        assert closer_passes == closed
+        assert [p.finish_cause for p in session.paths] == causes
+        assert [len(p.tokens) for p in session.paths] == lengths
+
     def test_paths_open_with_their_think_token(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab, num_paths=2)
         run_reasoning(session, GREEDY, GenerationBudget(3), Termination.FIRST_FINISH)
@@ -530,6 +561,29 @@ class TestFailureAtomicity:
         monkeypatch.setattr(engine, "PagedKVCache", refuse)
         with pytest.raises(DataError, match="at offset 1 is not an integer"):
             GenerationSession(small_weights, small_table, vocab, [65, bad, 66], 2)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, True, np.bool_(True), "3", None, np.int64(-2)])
+    def test_bad_seed_rejected_before_allocation(
+        self, small_weights, small_table, vocab, monkeypatch, bad
+    ):
+        def refuse(*args):
+            raise AssertionError("a cache was allocated for a bad seed")
+
+        monkeypatch.setattr(engine, "PagedKVCache", refuse)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            GenerationSession(small_weights, small_table, vocab, [65, 66], 2, seed=bad)
+
+    def test_numpy_seed_stored_as_int(self, small_weights, small_table, vocab):
+        sampler = SamplerConfig(temperature=0.9)
+        records = []
+        for seed in (np.int64(5), np.uint32(5), 5):
+            session = run_session(
+                small_weights, small_table, vocab, [65, 66], 2, sampler,
+                GenerationBudget(4, 2), seed=seed,
+            )
+            assert type(session.seed) is int
+            records.append(canonical_json(session_record(session)))
+        assert len(set(records)) == 1
 
     def test_integer_prompt_ids_of_any_integer_type_accepted(self, small_weights, small_table, vocab):
         ids = [np.int64(65), np.uint8(66), 67]

@@ -672,6 +672,19 @@ class TestWeightFile:
         for ta, tb in zip(loaded.tensors(), small_weights.tensors()):
             assert np.array_equal(ta, tb)
 
+    def test_round_trip_keeps_field_types(self, tmp_path):
+        config = ModelConfig(
+            n_layers=1, d_model=16, n_heads=2, d_k=8, d_ff=32, vocab_size=292,
+            rope_base=500.0, max_position=777,
+        )
+        path = str(tmp_path / "model.ptw")
+        save_weights(init_weights(config, seed=1), path)
+        loaded = load_weights(path).config
+        assert loaded == config
+        assert type(loaded.rope_base) is float
+        assert all(type(getattr(loaded, f)) is int for f in
+                   ("n_layers", "d_model", "n_heads", "d_k", "d_ff", "vocab_size", "max_position"))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ptw"
         path.write_bytes(b"NOPE" + b"\0" * 64)

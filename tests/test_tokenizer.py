@@ -76,6 +76,14 @@ class TestEncodeDecode:
         with pytest.raises(VocabError):
             decode([292], vocab)
 
+    @pytest.mark.parametrize("bad", [65.7, 66.0, True, np.bool_(False), "66", np.float32(65), None])
+    def test_non_integer_id_rejected(self, vocab, bad):
+        with pytest.raises(VocabError, match="is not an integer"):
+            decode([65, bad, 66], vocab)
+
+    def test_integer_ids_of_any_integer_type_accepted(self, vocab):
+        assert decode([np.int64(65), np.uint8(66), 67], vocab) == "ABC"
+
     @given(st.text(max_size=80))
     @settings(max_examples=150, deadline=None)
     def test_markup_round_trip_any_text(self, text):
