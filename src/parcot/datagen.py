@@ -11,10 +11,12 @@ generalize beyond the path counts seen in any one sample.  Path and
 answer text is byte-encoded (never markup-parsed), so body text cannot
 inject control tokens.
 
-A serialized sample is read as one int64 array: the parser finds its
-control tokens with one array comparison and walks only their positions,
-and a training layout copies the path and answer spans of that array
-into place rather than serializing them again.
+A sample is serialized once, straight into one int64 array (each body's
+UTF-8 bytes between its control ids), and parsed once: the parser finds
+the control tokens with one array comparison and walks only their
+positions.  ``build_sample`` keeps that parse, and ``training_layout``
+lays the record out from it, copying the path and answer spans of the
+array into place rather than converting or parsing the tokens again.
 
 Input records are JSONL lines {"format": "ptsft-1", "query", "answer",
 "paths": [...]}; emitted training records are JSONL lines
@@ -89,9 +91,13 @@ def build_sample(
     The summary body is the groundtruth answer, wrapped in ``template``
     when one is given.
     """
+    if p_hat is not None and not is_token_int(p_hat):
+        raise DataError(f"p_hat must be an integer, got {p_hat!r}")
+    if not is_token_int(seed) or seed < 0:
+        raise DataError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = int(seed)
     rng = np.random.default_rng(seed)
-    if p_hat is None:
-        p_hat = int(rng.choice(DEFAULT_PATH_COUNTS))
+    p_hat = int(rng.choice(DEFAULT_PATH_COUNTS)) if p_hat is None else int(p_hat)
     if p_hat < 1:
         raise DataError("p_hat must be at least 1")
     if p_hat > len(problem.paths):
@@ -107,27 +113,29 @@ def build_sample(
     )
     answer_text = template.format(answer=problem.answer) if template else problem.answer
 
-    tokens: list[int] = []
+    parts: list = []
     for label, body in zip(labels, chosen):
-        tokens.append(vocab.think_open(label))
-        tokens.extend(encode(body, vocab, markup=False))
-        tokens.append(vocab.think_close(label))
-    tokens.append(vocab.summary_open)
-    tokens.extend(encode(answer_text, vocab, markup=False))
-    tokens.append(vocab.summary_close)
+        parts += [(vocab.think_open(label),), _utf8(body), (vocab.think_close(label),)]
+    parts += [(vocab.summary_open,), _utf8(answer_text), (vocab.summary_close,)]
+    ids = np.concatenate(parts, dtype=np.int64)
 
     sample = SFTSample(
         query=problem.query,
         chosen_paths=chosen,
         think_labels=labels,
         answer_text=answer_text,
-        tokens=tuple(tokens),
+        tokens=tuple(ids.tolist()),
         p_hat=p_hat,
         seed=seed,
     )
-    if len(_spans(sample.tokens, vocab).labels) != p_hat:  # grammar self-check
+    if len(_sample_spans(sample.tokens, vocab, ids).labels) != p_hat:  # grammar self-check
         raise FormatError("serialized sample does not round-trip")
     return sample
+
+
+def _utf8(text: str) -> np.ndarray:
+    """``encode(text, vocab)`` (raw bytes, no markup) as a uint8 array."""
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -145,23 +153,17 @@ class _Spans:
     answer: tuple[int, int]
 
 
-def _vocab_ids(tokens, vocab: Vocab) -> np.ndarray:
-    """``tokens`` as one int64 array; an id outside the vocabulary is an error."""
+def _as_ids(tokens) -> np.ndarray:
+    """``tokens`` as a new int64 array (an object array if an id is past int64)."""
     try:
-        ids = np.fromiter(tokens, dtype=np.int64)
+        return np.fromiter(tokens, dtype=np.int64)
     except OverflowError:  # an id past int64, compared below as Python ints
-        ids = np.array([int(t) for t in tokens], dtype=object)
-    outside = (ids < 0) | (ids >= vocab.size)
-    if outside.any():
-        pos = int(np.argmax(outside))
-        raise FormatError(
-            f"token id {ids[pos]} outside the vocabulary [0, {vocab.size})", offset=pos
-        )
-    return ids
+        return np.array([int(t) for t in tokens], dtype=object)
 
 
-def _spans(tokens, vocab: Vocab) -> _Spans:
-    """Checks the sample grammar and finds its spans.
+def _spans(ids: np.ndarray, vocab: Vocab) -> _Spans:
+    """Checks that ``ids`` lie in the vocabulary and follow the sample
+    grammar, and finds their spans.
 
     THINK_OPEN, THINK_CLOSE, SUMMARY_OPEN and SUMMARY_CLOSE are the ids
     [base_size, eos); a body may hold any other id, EOS and PAD included
@@ -169,7 +171,12 @@ def _spans(tokens, vocab: Vocab) -> _Spans:
     So one array comparison finds every control token, and the walk visits
     only those: O(P̂) steps in Python, however long the bodies are.
     """
-    ids = _vocab_ids(tokens, vocab)
+    outside = (ids < 0) | (ids >= vocab.size)
+    if outside.any():
+        pos = int(np.argmax(outside))
+        raise FormatError(
+            f"token id {ids[pos]} outside the vocabulary [0, {vocab.size})", offset=pos
+        )
     n = len(ids)
     control = np.flatnonzero((ids >= vocab.base_size) & (ids < vocab.eos)).tolist()
     values = ids[control].tolist()
@@ -215,17 +222,43 @@ def _spans(tokens, vocab: Vocab) -> _Spans:
     return _Spans(ids, tuple(labels), tuple(bodies), answer)
 
 
+# The last parse of a sample's tokens, as (tokens, vocab, spans):
+# build_sample keeps its self-check's parse here and training_layout reads
+# it back, so a record is parsed once.  The entry holds its tokens tuple, so
+# no other tuple can take that tuple's id while the entry stands.
+_last_parse: tuple[tuple, Vocab, _Spans] | None = None
+
+
+def _sample_spans(tokens: tuple, vocab: Vocab, ids: np.ndarray | None = None) -> _Spans:
+    """The spans of a sample's ``tokens``, given as ``ids`` too when the
+    caller already holds them as an int64 array.
+
+    The kept parse answers when ``tokens`` is the very tuple it parsed and
+    ``vocab`` equals its vocabulary; any other tuple is parsed afresh and
+    becomes the kept parse.
+    """
+    global _last_parse
+    last = _last_parse
+    if last is not None and last[0] is tokens and last[1] == vocab:
+        return last[2]
+    spans = _spans(_as_ids(tokens) if ids is None else ids, vocab)
+    spans.ids.flags.writeable = False
+    _last_parse = (tokens, vocab, spans)
+    return spans
+
+
 def parse_sample(tokens, vocab: Vocab) -> ParsedSample:
     """Inverse of the serialization; rejects ids that are not integers
     (``is_token_int``), then ids outside the vocabulary, then malformed
     nesting.
 
     ``build_sample``'s self-check and ``training_layout`` read the ids
-    that ``build_sample`` wrote, so they skip the integer check."""
+    that ``build_sample`` wrote, so they skip the integer check; this
+    parse is the caller's own and is never kept."""
     for offset, token in enumerate(tokens):
         if not is_token_int(token):
             raise FormatError(f"token id {token!r} is not an integer", offset=offset)
-    spans = _spans(tokens, vocab)
+    spans = _spans(_as_ids(tokens), vocab)
     ids = spans.ids
     start, end = spans.answer
     answer = tuple(ids[start:end].tolist())
@@ -267,7 +300,7 @@ def training_layout(
     position); like the thought indices, they are built one segment range
     at a time (``PositionAssignment.positions``).
     """
-    spans = _spans(sample.tokens, vocab)
+    spans = _sample_spans(sample.tokens, vocab)
     prompt_ids = encode(sample.query, vocab, markup=False)
     l_x = len(prompt_ids)
     num_paths = len(spans.labels)

@@ -122,14 +122,23 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class GenerationBudget:
+    """Token caps, each a Python or numpy integer (``is_token_int``, so not a
+    bool), stored as ``int``."""
+
     max_path_tokens: int  # body tokens per reasoning path
     max_answer_tokens: int = 64
 
     def __post_init__(self):
-        if self.max_path_tokens < 1:
-            raise ConfigError("path budget must be at least 1")
-        if self.max_answer_tokens < 0:
-            raise ConfigError("answer budget must be non-negative")
+        object.__setattr__(self, "max_path_tokens", _token_cap(self.max_path_tokens, 1, "path"))
+        object.__setattr__(
+            self, "max_answer_tokens", _token_cap(self.max_answer_tokens, 0, "answer")
+        )
+
+
+def _token_cap(value, least: int, what: str) -> int:
+    if not is_token_int(value) or value < least:
+        raise ConfigError(f"{what} budget must be an integer of at least {least}, got {value!r}")
+    return int(value)
 
 
 class Termination(str, Enum):
@@ -579,8 +588,7 @@ def run_summarization(
         raise LifecycleError("summarization requires a finished reasoning stage")
     if session.answer_done:
         raise LifecycleError("summarization already ran for this session")
-    if max_answer_tokens < 0:
-        raise ConfigError("answer budget must be non-negative")
+    max_answer_tokens = _token_cap(max_answer_tokens, 0, "answer")
     vocab = session.vocab
     layout = session.summary_layout()
     last = layout.positions(ANSWER, 0, max_answer_tokens + 1)[-1]  # SUMMARY_OPEN first

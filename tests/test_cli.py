@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -207,6 +208,31 @@ class TestDatagen:
         manifest = json.loads((tmp_path / "train.jsonl.manifest.json").read_text())
         assert manifest["teacher"] == {"temperature": 0.8, "paths_per_problem": 6}
         assert manifest["samples"] == 2
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        # ASCII and multi-byte UTF-8 bodies, an empty body, P-hat drawn per
+        # record, with and without the summary template
+        words = ["cats", "é", "→ step", "猫", "🙂 ok", "", "x" * 37]
+        problems = tmp_path / "problems.jsonl"
+        with open(problems, "w", encoding="utf-8") as fh:
+            for i in range(5):
+                paths = [f"{words[(i + k) % 7]} {k}" * (k % 3) for k in range(6)]
+                record = {"format": "ptsft-1", "query": f"q{i} {words[i]}",
+                          "answer": words[(i + 3) % 7] or "0", "paths": paths}
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        digests = []
+        for extra in ([], ["--verbatim-answer", "--p-hat", "3"]):
+            out = tmp_path / f"train{len(extra)}.jsonl"
+            args = ["datagen", "--input", str(problems), "--output", str(out), "--seed", "7"]
+            assert run_cli(args + extra) == 0
+            for path in (out, Path(f"{out}.manifest.json")):
+                digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        # records then manifest, per run; the manifest does not read --p-hat
+        manifest = "41cf5a4f1750f9547900863276aaa01a329d2bb784b3eca29c141ee2b17c2b99"
+        assert digests == [
+            "73caf637d5c8c551fe89678b278832bb8a894f7d000edaa5db794cfac1a104ab", manifest,
+            "65acd28574aaa3970fe4f73f5eb112a252e299031c6c11cffecf89a8fdb4754a", manifest,
+        ]
 
     def test_bad_input_exits_nonzero(self, tmp_path, capsys):
         problems = tmp_path / "problems.jsonl"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_parse_sample, reference_training_layout
+from parcot import datagen
 from parcot.datagen import (
     DEFAULT_ANSWER_TEMPLATE,
     MAX_CONTEXT_TOKENS,
@@ -22,7 +23,7 @@ from parcot.datagen import (
 )
 from parcot.errors import DataError, FormatError, LayoutError
 from parcot.masking import REASONING, SUMMARIZATION, build_reasoning_mask, build_summary_mask
-from parcot.tokenizer import Vocab, decode
+from parcot.tokenizer import Vocab, decode, encode
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +89,153 @@ class TestBuildSample:
         parsed = parse_sample(sample.tokens, vocab)
         assert len(parsed.paths) == 2
         assert decode(parsed.paths[0][1], vocab) in hostile.paths
+
+
+class TestBuildSampleArguments:
+    """``p_hat`` and ``seed`` are integers (not bools), checked before any draw."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_sample drew before checking its arguments")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.bool_(True), "2", np.float32(2)])
+    def test_p_hat_that_is_not_an_integer(self, vocab, no_draws, bad):
+        with pytest.raises(DataError, match="p_hat must be an integer"):
+            build_sample(problem(), vocab, p_hat=bad, seed=0)
+
+    @pytest.mark.parametrize("bad", [-1, np.int64(-1), 1.5, 1.0, True, np.bool_(False), "1", None])
+    def test_seed_that_is_not_a_non_negative_integer(self, vocab, no_draws, bad):
+        with pytest.raises(DataError, match="seed must be a non-negative integer"):
+            build_sample(problem(), vocab, p_hat=2, seed=bad)
+
+    def test_numpy_integers_stored_as_int(self, vocab, tmp_path):
+        want = build_sample(problem(), vocab, p_hat=2, seed=3)
+        for kind in (np.int64, np.uint8):
+            sample = build_sample(problem(), vocab, p_hat=kind(2), seed=kind(3))
+            assert sample == want
+            assert type(sample.p_hat) is int and type(sample.seed) is int
+            out = tmp_path / f"{kind.__name__}.jsonl"
+            record = training_record(sample, training_layout(sample, vocab))
+            write_training_records([record], str(out))
+            assert json.loads(out.read_text())["P"] == 2
+
+
+def list_serialization(sample, vocab):
+    """A sample's ids built as a list of Python ints, body by body."""
+    tokens = []
+    for label, body in zip(sample.think_labels, sample.chosen_paths):
+        tokens += [vocab.think_open(label), *encode(body, vocab), vocab.think_close(label)]
+    return tokens + [vocab.summary_open, *encode(sample.answer_text, vocab), vocab.summary_close]
+
+
+def layout_or_error(sample, vocab):
+    try:
+        return training_layout(sample, vocab)
+    except LayoutError as err:
+        return str(err)
+
+
+def assert_same_layouts(got, want):
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in ("tokens", "positions", "thought_indices", "loss_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.segments == want.segments
+    assert got.layout == want.layout
+    for name in ("segment", "owner", "allowed"):
+        assert np.array_equal(getattr(got.mask, name), getattr(want.mask, name)), name
+
+
+@st.composite
+def raw_problems(draw, vocab=Vocab()):
+    """(problem, P̂): any UTF-8 text, empty bodies, and a body long enough
+    to pass the context cap at times."""
+    p_hat = draw(st.integers(1, vocab.p_max))
+    paths = [draw(st.text(max_size=6)) for _ in range(p_hat)]
+    paths[0] *= draw(st.sampled_from([1, 1, 40, 2000, 7000]))
+    return RawProblem(
+        query=draw(st.text(min_size=1, max_size=8)),
+        answer=draw(st.text(min_size=1, max_size=8)),
+        paths=tuple(paths),
+    ), p_hat
+
+
+class TestSingleParse:
+    """``build_sample`` parses its ids once and ``training_layout`` lays the
+    record out from that parse."""
+
+    def test_one_parse_and_no_fromiter_per_record(self, vocab, monkeypatch):
+        parses, fromiter = [], np.fromiter
+        spans = datagen._spans
+
+        def counted_spans(ids, vocab):
+            parses.append(len(ids))
+            return spans(ids, vocab)
+
+        def counted_fromiter(*args, **kwargs):
+            parses.append("fromiter")
+            return fromiter(*args, **kwargs)
+
+        monkeypatch.setattr(datagen, "_spans", counted_spans)
+        monkeypatch.setattr(np, "fromiter", counted_fromiter)
+        for seed in range(3):
+            parses.clear()
+            sample = build_sample(problem(), vocab, p_hat=4, seed=seed)
+            training_layout(sample, vocab)
+            assert parses == [len(sample.tokens)]
+
+    def test_a_new_tuple_or_another_vocab_is_parsed_afresh(self, vocab, monkeypatch):
+        sample = build_sample(problem(), vocab, p_hat=4, seed=2)
+        parses, spans = [], datagen._spans
+        monkeypatch.setattr(datagen, "_spans", lambda ids, v: parses.append(v) or spans(ids, v))
+        want = training_layout(sample, vocab)
+        assert parses == []
+        copy = SFTSample(**{**sample.__dict__, "tokens": tuple(list(sample.tokens))})
+        assert_same_layouts(training_layout(copy, vocab), want)
+        training_layout(copy, Vocab(p_max=vocab.p_max))  # equal, so the kept parse answers
+        assert parses == [vocab]
+        with pytest.raises(FormatError):  # the summary ids mean other things here
+            training_layout(copy, Vocab(p_max=vocab.p_max + 1))
+        assert len(parses) == 2
+
+    @given(raw_problems(), st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_layout_from_the_kept_parse_equals_a_fresh_one(self, vocab, case, seed, templated):
+        prob, p_hat = case
+        template = DEFAULT_ANSWER_TEMPLATE if templated else None
+        sample = build_sample(prob, vocab, p_hat=p_hat, seed=seed, template=template)
+        by_list = list_serialization(sample, vocab)
+        assert sample.tokens == tuple(by_list)
+        assert all(type(t) is int for t in sample.tokens)
+        kept = layout_or_error(sample, vocab)
+        by_hand = SFTSample(**{**sample.__dict__, "tokens": tuple(by_list)})
+        assert by_hand == sample and by_hand.tokens is not sample.tokens
+        assert_same_layouts(kept, layout_or_error(by_hand, vocab))
+
+    def test_at_the_context_cap(self, vocab):
+        for p_hat in (1, 16):
+            sample = cap_sample(vocab, p_hat, seed=p_hat)
+            kept = training_layout(sample, vocab)
+            assert len(kept.tokens) == MAX_CONTEXT_TOKENS
+            tokens = tuple(list_serialization(sample, vocab))
+            by_hand = SFTSample(**{**sample.__dict__, "tokens": tokens})
+            assert_same_layouts(kept, training_layout(by_hand, vocab))
+
+    def test_a_callers_array_is_never_frozen_or_kept(self, vocab):
+        sample = build_sample(problem(), vocab, p_hat=4, seed=9)
+        want = training_layout(sample, vocab)
+        ids = np.array(sample.tokens, dtype=np.int64)
+        parse_sample(ids, vocab)
+        assert ids.flags.writeable
+        kept = datagen._last_parse
+        assert kept[0] is sample.tokens and not np.shares_memory(kept[2].ids, ids)
+        ids[1] = vocab.summary_open  # the caller's array changes; the layout does not
+        assert_same_layouts(training_layout(sample, vocab), want)
 
 
 class TestParseSample:

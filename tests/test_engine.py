@@ -573,6 +573,31 @@ class TestFailureAtomicity:
         with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
             GenerationSession(small_weights, small_table, vocab, [65, 66], 2, seed=bad)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.bool_(True), np.float64(4), "3", None])
+    def test_budget_that_is_not_an_integer(self, bad):
+        with pytest.raises(ConfigError, match="path budget must be an integer of at least 1"):
+            GenerationBudget(bad)
+        with pytest.raises(ConfigError, match="answer budget must be an integer of at least 0"):
+            GenerationBudget(4, bad)
+
+    def test_numpy_budget_stored_as_int(self):
+        budget = GenerationBudget(np.int64(4), np.uint8(2))
+        assert budget == GenerationBudget(4, 2)
+        assert type(budget.max_path_tokens) is int and type(budget.max_answer_tokens) is int
+
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.bool_(True), "3", None, -1])
+    def test_bad_answer_cap_refused_before_any_write(self, small_weights, small_table, vocab, bad):
+        session = make_session(small_weights, small_table, vocab, num_paths=2)
+        run_reasoning(session, GREEDY, GenerationBudget(3, 5))
+        before = (session.budget, session.stage, session.cache.length(ANSWER))
+        with pytest.raises(ConfigError, match="answer budget must be an integer of at least 0"):
+            run_summarization(session, GREEDY, bad)
+        assert (session.budget, session.stage, session.cache.length(ANSWER)) == before
+        assert session.answer_tokens == []
+        run_summarization(session, GREEDY, np.int64(2))  # the session is still usable
+        assert type(session.budget.max_answer_tokens) is int
+        assert session.budget.max_answer_tokens == 2
+
     def test_numpy_seed_stored_as_int(self, small_weights, small_table, vocab):
         sampler = SamplerConfig(temperature=0.9)
         records = []
