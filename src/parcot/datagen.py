@@ -52,12 +52,18 @@ class RawProblem:
     paths: tuple[str, ...]
 
     def __post_init__(self):
+        for name, value in (("query", self.query), ("answer", self.answer)):
+            if not isinstance(value, str):
+                raise DataError(f"problem {name} must be a string, got {type(value).__name__}")
         if not self.query:
             raise DataError("problem query must be non-empty")
         if not self.answer:
             raise DataError("problem groundtruth answer must be non-empty")
         if not self.paths:
             raise DataError("problem needs at least one candidate path")
+        for i, path in enumerate(self.paths):
+            if not isinstance(path, str):
+                raise DataError(f"problem path {i} must be a string, got {type(path).__name__}")
 
 
 @dataclass(frozen=True)
@@ -356,18 +362,19 @@ def training_layout(
 
 
 def problem_from_record(record: dict) -> RawProblem:
+    if not isinstance(record, dict):
+        raise DataError(f"problem record must be a JSON object, got {type(record).__name__}")
     if record.get("format") != SCHEMA_FORMAT:
         raise DataError(
             f"problem record format {record.get('format')!r} != {SCHEMA_FORMAT!r}"
         )
     try:
-        return RawProblem(
-            query=record["query"],
-            answer=record["answer"],
-            paths=tuple(record["paths"]),
-        )
+        query, answer, paths = record["query"], record["answer"], record["paths"]
     except KeyError as exc:
         raise DataError(f"problem record missing field {exc}") from exc
+    if not isinstance(paths, list):
+        raise DataError(f"problem paths must be a list of strings, got {type(paths).__name__}")
+    return RawProblem(query=query, answer=answer, paths=tuple(paths))
 
 
 def read_problems(path: str) -> list[RawProblem]:
@@ -378,10 +385,11 @@ def read_problems(path: str) -> list[RawProblem]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                problems.append(problem_from_record(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
-            problems.append(problem_from_record(record))
+            except DataError as exc:
+                raise DataError(f"line {line_no}: {exc}") from exc
     return problems
 
 

@@ -36,13 +36,13 @@ softmax, the nucleus, and that uniform searched in the nucleus's
 cumulative distribution (``sample_tokens``): the arithmetic that
 ``Generator.choice`` performs once it has validated its probabilities,
 written out so that draws (and ``verify``) do not rest on numpy's
-``choice`` internals.  A sampled reasoning step samples all of its drawn
-rows in one ``sample_tokens`` call, and takes their uniforms from the
-kernel ``pcg.uniforms``, which computes the same doubles for a chunk of
-steps at once, when a chunk holds enough draws (UNIFORM_CROSSOVER);
-answer tokens draw one at a time (``draw_token``).  Greedy decoding draws
-nothing; a greedy reasoning step picks every row's token with one argmax
-over the step's logits.
+``choice`` internals.  Both stages take their uniforms by one rule: from
+the kernel ``pcg.uniforms``, which computes the same doubles for a chunk
+of steps at once, when a chunk holds enough draws (UNIFORM_CROSSOVER).  A
+sampled reasoning step samples all its drawn rows in one ``sample_tokens``
+call; the answer, reused cache or re-prefill baseline alike, is decoded by
+one loop (``decode_answer``).  Greedy decoding draws nothing: each token
+is its row's argmax.
 
 A session given ``prompt_from``, an earlier session on the same weights,
 thought table and prompt, prefills nothing: its cache reads the earlier
@@ -86,9 +86,9 @@ from .tokenizer import Vocab, is_token_int
 
 ANSWER_STREAM = 0  # think labels start at 1, so stream 0 is free
 
-# A sampled reasoning step takes its uniforms UNIFORM_CHUNK steps at a time
-# from one ``uniforms`` call when that call covers at least
-# UNIFORM_CROSSOVER draws (rows x steps), else one ``draw_rng`` per draw.
+# A sampled stage takes its uniforms UNIFORM_CHUNK steps at a time from one
+# ``uniforms`` call over all its streams when that covers at least
+# UNIFORM_CROSSOVER draws (streams x steps), else one ``draw_rng`` per draw.
 # Measured on a 2-CPU Xeon (numpy 2.4): a ``uniforms`` call costs 160-190 us
 # for 8 to 16 draws and ~210 us for 256, one ``draw_rng(...).random()``
 # ~20 us, so the two break even near 8 draws; at 16 the kernel costs half,
@@ -407,65 +407,71 @@ def _reject_row(row: np.ndarray) -> None:
     raise SamplingError("logits contain non-finite values")
 
 
-def sample_token(
-    logits: np.ndarray, sampler: SamplerConfig, rng: np.random.Generator
-) -> int:
+def sample_token(logits: np.ndarray, sampler: SamplerConfig, rng) -> int:
     """One draw: ``sample_tokens`` on ``logits`` as a one-row block.
 
     Greedy mode never touches ``rng``, which may then be None.  Otherwise
-    the draw takes one ``rng.random()`` after the row is checked, the
-    token and the generator's advance that ``rng.choice(nucleus,
-    p=renormalized)`` would give.
+    ``rng`` is the draw's uniform as a one-element array, or a Generator
+    that gives one ``rng.random()`` after the row is checked: the token and
+    advance ``rng.choice(nucleus, p=renormalized)`` would give.
     """
     return int(sample_tokens(np.asarray(logits).reshape(1, -1), sampler, rng)[0])
 
 
-def draw_token(
-    seed: int, sampler: SamplerConfig, logits: np.ndarray, stream: int, step: int
-) -> int:
-    """The draw for one row of step ``step`` of ``stream``, through its own
-    generator.  Greedy takes the argmax: a forward pass has already
-    rejected non-finite logits."""
-    if sampler.greedy:
-        return int(np.argmax(logits))
-    return sample_token(logits, sampler, draw_rng(seed, stream, step))
-
-
 class _StageUniforms:
-    """The reasoning stage's uniforms, keyed (session seed, think label, step).
+    """A stage's uniforms, keyed (session seed, stream, step).
 
-    When step ``s`` draws and its uniforms are not yet at hand, the next
-    ``UNIFORM_CHUNK`` steps (up to the budget) are filled at once for the
-    labels drawing at ``s``, by one ``uniforms`` call, if that covers at
-    least ``UNIFORM_CROSSOVER`` draws; a label the chunk lacks, or a chunk
-    too small, takes its uniform from ``draw_rng``.  Either way the double
-    is ``draw_rng(seed, label, step).random()``.
+    ``streams`` holds one stream per row: the paths' think labels in path
+    order, or ``[ANSWER_STREAM]``.  When step ``s`` draws past the planned
+    steps, the next ``UNIFORM_CHUNK`` (up to ``last_step``) are planned for
+    every stream: by one ``uniforms`` call if that covers at least
+    ``UNIFORM_CROSSOVER`` draws, else one ``draw_rng`` per draw.  Either
+    way the double is ``draw_rng(seed, stream, step).random()``.
     """
 
-    def __init__(self, seed: int, last_step: int):
+    def __init__(self, seed: int, streams: list[int], last_step: int):
         self.seed = seed
+        self.streams = streams
         self.last_step = last_step
         self.kernel = seed < 1 << 64
         self.first = self.end = 0  # steps [first, end) are planned
-        self.labels: list[int] = []  # rows of self.table
-        self.table = None
+        self.table = None  # [streams, end - first] uniforms, or None per draw
 
-    def take(self, step: int, labels: list[int]) -> np.ndarray:
+    def take(self, step: int, rows: list[int]) -> np.ndarray:
+        """The uniforms of step ``step`` for the streams at ``rows``."""
         if step >= self.end:
             self.first = step
             self.end = min(step + UNIFORM_CHUNK, self.last_step + 1)
-            self.labels = []
-            if self.kernel and len(labels) * (self.end - step) >= UNIFORM_CROSSOVER:
-                self.labels = labels
-                self.table = uniforms(self.seed, labels, range(step, self.end))
-        col = step - self.first
-        if labels == self.labels:
-            return self.table[:, col]
-        return np.array([
-            self.table[self.labels.index(label), col] if label in self.labels
-            else draw_rng(self.seed, label, step).random()
-            for label in labels
-        ])
+            self.table = None
+            if self.kernel and len(self.streams) * (self.end - step) >= UNIFORM_CROSSOVER:
+                self.table = uniforms(self.seed, self.streams, range(step, self.end))
+        if self.table is None:
+            return np.array([draw_rng(self.seed, self.streams[r], step).random() for r in rows])
+        return self.table[rows, step - self.first]
+
+
+def decode_answer(
+    logits: np.ndarray, feed, seed: int, sampler: SamplerConfig, vocab: Vocab, cap: int
+) -> list[int]:
+    """The answer rule; returns the tokens taken from ``logits`` onward.
+
+    Step s (1-based) takes the argmax when greedy, else ``sample_token``
+    with the uniform keyed (seed, ANSWER_STREAM, s), and feeds the token
+    through ``feed(token) -> logits``.  Decoding stops after ``cap`` tokens,
+    or once SUMMARY_CLOSE or EOS has been fed.
+    """
+    draws = _StageUniforms(seed, [ANSWER_STREAM], cap)
+    answer: list[int] = []
+    for step in range(1, cap + 1):
+        if sampler.greedy:  # a forward pass has rejected non-finite logits
+            token = int(np.argmax(logits))
+        else:
+            token = sample_token(logits, sampler, draws.take(step, [0]))
+        answer.append(token)
+        logits = feed(token)
+        if token in (vocab.summary_close, vocab.eos):
+            break
+    return answer
 
 
 def _feed_paths(session: GenerationSession, plan: StagePlan, paths, tokens) -> np.ndarray:
@@ -526,7 +532,7 @@ def run_reasoning(
     active = list(session.paths)
     openers = [session.vocab.think_open(p.think_label) for p in active]
     logits = _feed_paths(session, plan, active, openers)  # row r belongs to active[r]
-    draws = None if sampler.greedy else _StageUniforms(session.seed, budget.max_path_tokens)
+    draws = _StageUniforms(session.seed, session.think_labels, budget.max_path_tokens)
     completed = 0
     for step in range(1, budget.max_path_tokens + 1):
         # greedy rows take the block's argmax in one call (lowest id on ties,
@@ -544,9 +550,9 @@ def run_reasoning(
                 chosen.append(None)
                 drawn.append(r)
         if drawn:
-            labels = [active[r].think_label for r in drawn]
             block = logits if len(drawn) == len(active) else logits[drawn]
-            picks = sample_tokens(block, sampler, draws.take(step, labels))
+            rows = [active[r].index for r in drawn]  # path i draws on stream row i
+            picks = sample_tokens(block, sampler, draws.take(step, rows))
             for r, token in zip(drawn, picks.tolist()):
                 chosen[r] = token
         logits = _feed_paths(session, plan, active, chosen)
@@ -607,13 +613,7 @@ def run_summarization(
         return logits
 
     logits = feed(vocab.summary_open)
-    sampled: list[int] = []
-    for step in range(1, max_answer_tokens + 1):
-        token = draw_token(session.seed, sampler, logits, ANSWER_STREAM, step)
-        sampled.append(token)
-        logits = feed(token)
-        if token in (vocab.summary_close, vocab.eos):
-            break
+    sampled = decode_answer(logits, feed, session.seed, sampler, vocab, max_answer_tokens)
     session.answer_done = True
     return sampled
 

@@ -26,13 +26,12 @@ from .costmodel import (
     predict_step_time,
 )
 from .engine import (
-    ANSWER_STREAM,
     GenerationBudget,
     GenerationSession,
     SamplerConfig,
     Termination,
     canonical_json,
-    draw_token,
+    decode_answer,
     majority_vote,
     run_reasoning,
     run_session,
@@ -422,21 +421,21 @@ def run_reprefill_baseline(
             np.max(np.abs(logits - np.stack(session.answer_logits)))
         )
 
-    # independent answer decode over a fresh flattened prefill
-    budget = session.budget
-    layout = DecodeLayout(stage=FLAT, flat_positions=own)
+    # independent answer decode over a fresh flattened prefill, by the
+    # engine's answer loop
     vocab = bundle.vocab
-    answer = [vocab.summary_open]
-    plan, logits = _flat_feed(bundle.weights, zero, layout, flat_tokens + answer)
-    logits = logits[0]
-    for step in range(1, budget.max_answer_tokens + 1):
-        # the engine's draw, so the baseline's answer cannot drift from it
-        token = draw_token(session.seed, sampler, logits, ANSWER_STREAM, step)
-        answer.append(token)
-        logits = forward_causal(bundle.weights, zero, plan, [token], len(flat_tokens) + step)[0]
-        if token in (vocab.summary_close, vocab.eos):
-            break
-    record["own_answer"] = answer
+    layout = DecodeLayout(stage=FLAT, flat_positions=own)
+    fed = flat_tokens + [vocab.summary_open]
+    plan, logits = _flat_feed(bundle.weights, zero, layout, fed)
+
+    def feed(token: int) -> np.ndarray:
+        fed.append(token)
+        return forward_causal(bundle.weights, zero, plan, [token], len(fed) - 1)[0]
+
+    answer = decode_answer(
+        logits[0], feed, session.seed, sampler, vocab, session.budget.max_answer_tokens
+    )
+    record["own_answer"] = [vocab.summary_open, *answer]
     return record
 
 

@@ -153,10 +153,11 @@ class ThoughtEmbeddingTable:
         if not np.all(np.isfinite(vectors)):
             raise ConfigError("thought table contains non-finite entries")
         rows = vectors.reshape(vectors.shape[0], -1)
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                if np.array_equal(rows[a], rows[b]):
-                    raise ConfigError(f"thought rows {a} and {b} are identical")
+        for a in range(len(rows) - 1):
+            # row a against every later row at once; == counts -0.0 as 0.0
+            same = (rows[a + 1 :] == rows[a]).all(axis=1)
+            if same.any():
+                raise ConfigError(f"thought rows {a} and {a + 1 + same.argmax()} are identical")
         self.vectors = vectors
 
     @property

@@ -6,12 +6,13 @@ out the visibility case-splits with plain Python loops.  Neither shares
 code with the engine's per-slot decode loop.  The sample parser and the
 training layout are datagen's token-by-token versions, kept to check
 the array-based ones.  The sampler is the engine's nucleus sampler as it
-was when it drew through ``Generator.choice``.  The decoder's reference
-forms are the forward pass as it was before its projections were fused
-and its rotation went through interleaved tables: three separate q, k
-and v products, the even/odd float64 rotation, and reasoning attention
-over three parts (shared segments, the rows' committed slots, the new
-slot).
+was when it drew through ``Generator.choice``, and the re-prefill answer
+is the baseline's answer loop as it was when every token drew through its
+own generator.  The decoder's reference forms are the forward pass as it
+was before its projections were fused and its rotation went through
+interleaved tables: three separate q, k and v products, the even/odd
+float64 rotation, and reasoning attention over three parts (shared
+segments, the rows' committed slots, the new slot).
 """
 
 import numbers
@@ -19,9 +20,11 @@ import numbers
 import numpy as np
 
 from parcot.datagen import ParsedSample, TrainingLayout
+from parcot.engine import ANSWER_STREAM, draw_rng
 from parcot.errors import FormatError, LayoutError, SamplingError
+from parcot.kvcache import PagedKVCache
 from parcot.masking import REASONING, AttentionMask, LayoutPlan
-from parcot.model import NORM_EPS, attend
+from parcot.model import FLAT, NORM_EPS, DecodeLayout, StagePlan, attend, forward_causal
 from parcot.positional import ANSWER, PROMPT, SHARED, PositionAssignment, Rope, path_key
 from parcot.tokenizer import encode
 
@@ -282,6 +285,43 @@ def reference_sample_token(logits, sampler, rng) -> int:
     support = order[before < sampler.top_p]
     kept = probs[support] / probs[support].sum()
     return int(rng.choice(support, p=kept))
+
+
+def reference_reprefill_answer(weights, zero_table, vocab, session, sampler) -> list[int]:
+    """The re-prefill baseline's own answer, SUMMARY_OPEN first, as a
+    per-token loop with one generator per draw.
+
+    The prompt, every path and SUMMARY_OPEN run in one causal pass at
+    flattened positions (path i at ``l_x + i * l_max + t``, the answer after
+    the last path's reserved range); each answer token is then drawn from
+    ``draw_rng(seed, ANSWER_STREAM, step)`` (the argmax when greedy) and fed
+    in its own pass, until the session's answer cap or a fed SUMMARY_CLOSE
+    or EOS.
+    """
+    cfg = weights.config
+    l_x, l_max = session.l_x, session.budget.max_path_tokens + 2
+    cap = session.budget.max_answer_tokens
+    tokens = list(session.prompt_tokens)
+    positions = list(range(1, l_x + 1))
+    for i, path in enumerate(session.paths):
+        tokens += path.tokens
+        positions += [l_x + i * l_max + t for t in range(1, len(path.tokens) + 1)]
+    base = l_x + (session.num_paths - 1) * l_max + session.reasoning_len
+    positions += [base + t for t in range(1, cap + 2)]
+    cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+    cache.reserve("seq", len(positions))
+    plan = StagePlan(cache, DecodeLayout(stage=FLAT, flat_positions=tuple(positions)), ["seq"])
+    answer = [vocab.summary_open]
+    logits = forward_causal(weights, zero_table, plan, tokens + answer, 0)[0]
+    for step in range(1, cap + 1):
+        token = reference_sample_token(
+            logits, sampler, draw_rng(session.seed, ANSWER_STREAM, step)
+        )
+        answer.append(token)
+        logits = forward_causal(weights, zero_table, plan, [token], len(tokens) + step)[0]
+        if token in (vocab.summary_close, vocab.eos):
+            break
+    return answer
 
 
 def reference_projections(u, layer):

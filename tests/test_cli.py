@@ -131,6 +131,34 @@ class TestReprefill:
         assert "max_path_position" in text
 
 
+class TestVerifyRoundTrips:
+    """``verify`` reproduces every session experiment's directory, sampled
+    answers past a uniform chunk included."""
+
+    @pytest.mark.parametrize("name, args", [
+        ("reprefill", ["--prompt", "q and r", "--paths", "3", "--budget", "20",
+                       "--max-answer", "18", "--seed", "6"]),
+        ("reprefill", ["--prompt", "q", "--paths", "2", "--budget", "6", "--greedy"]),
+        ("terminate", ["--prompt", "alpha", "--prompt", "beta", "--paths", "3",
+                       "--budget", "18", "--max-answer", "17", "--seed", "4"]),
+        ("prefix", ["--prefix-lengths", "0", "3", "--samples", "2", "--target-token", "70",
+                    "--budget", "20", "--max-answer", "2", "--seed", "2"]),
+    ])
+    def test_verify_reproduces(self, tmp_path, capsys, name, args):
+        if name == "prefix":
+            traces = tmp_path / "traces.jsonl"
+            traces.write_text(json.dumps({"prompt": [104, 105], "body": [70, 71, 72, 73]}) + "\n")
+            args = ["--traces", str(traces), *args]
+        out = str(tmp_path / name)
+        assert run_cli([name, *args, "--out", out]) == 0
+        capsys.readouterr()
+        assert run_cli(["verify", "--dir", out]) == 0
+        assert "reproduces exactly" in capsys.readouterr().out
+        path = Path(out, "transcripts.jsonl")
+        path.write_text(path.read_text().replace('"answer":[', '"answer":[1,', 1))
+        assert run_cli(["verify", "--dir", out]) == 1
+
+
 class TestCostModel:
     def test_table_printed_and_written(self, tmp_path, capsys):
         out = str(tmp_path / "cost")
@@ -233,6 +261,29 @@ class TestDatagen:
             "73caf637d5c8c551fe89678b278832bb8a894f7d000edaa5db794cfac1a104ab", manifest,
             "65acd28574aaa3970fe4f73f5eb112a252e299031c6c11cffecf89a8fdb4754a", manifest,
         ]
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "problem record must be a JSON object, got list"),
+        ('{"format": "ptsft-1", "query": "q", "answer": "a", "paths": "abc"}',
+         "problem paths must be a list of strings, got str"),
+        ('{"format": "ptsft-1", "query": "q", "answer": "a", "paths": ["x", 7]}',
+         "problem path 1 must be a string, got int"),
+        ('{"format": "ptsft-1", "query": 5, "answer": "a", "paths": ["x"]}',
+         "problem query must be a string, got int"),
+        ('{"format": "ptsft-1", "query": "q", "answer": ["a"], "paths": ["x"]}',
+         "problem answer must be a string, got list"),
+    ])
+    def test_malformed_record_fails_naming_its_line(self, tmp_path, capsys, line, message):
+        good = {"format": "ptsft-1", "query": "q", "answer": "a", "paths": ["x", "y"]}
+        problems = tmp_path / "problems.jsonl"
+        problems.write_text(json.dumps(good) + "\n\n" + line + "\n")
+        out = tmp_path / "o.jsonl"
+        code = run_cli(["datagen", "--input", str(problems), "--output", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: line 3: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [problems]
 
     def test_bad_input_exits_nonzero(self, tmp_path, capsys):
         problems = tmp_path / "problems.jsonl"

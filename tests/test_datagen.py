@@ -661,6 +661,26 @@ class TestJsonl:
         with pytest.raises(DataError):
             problem_from_record({"query": "q", "answer": "a", "paths": ["p"]})
 
+    @pytest.mark.parametrize("record, message", [
+        ([1, 2], "problem record must be a JSON object, got list"),
+        ({"paths": "abc"}, "problem paths must be a list of strings, got str"),
+        ({"paths": ["x", 7]}, "problem path 1 must be a string, got int"),
+        ({"query": 5}, "problem query must be a string, got int"),
+        ({"answer": None}, "problem answer must be a string, got NoneType"),
+    ])
+    def test_malformed_record_rejected_naming_its_line(self, tmp_path, record, message):
+        if isinstance(record, dict):
+            record = {"format": "ptsft-1", "query": "q", "answer": "a", "paths": ["p"], **record}
+        with pytest.raises(DataError, match=f"^{message}$"):
+            problem_from_record(record)
+        problems_path = tmp_path / "problems.jsonl"
+        problems_path.write_text(
+            json.dumps({"format": "ptsft-1", "query": "q", "answer": "a", "paths": ["p"]})
+            + "\n" + json.dumps(record) + "\n"
+        )
+        with pytest.raises(DataError, match=f"^line 2: {message}$"):
+            read_problems(str(problems_path))
+
     def test_io_round_trip(self, vocab, tmp_path):
         problems_path = tmp_path / "problems.jsonl"
         with open(problems_path, "w") as fh:

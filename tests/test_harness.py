@@ -32,7 +32,7 @@ from parcot.model import FLAT, DecodeLayout, ModelConfig, forward_step, init_wei
 from parcot.positional import init_thought_table, zero_thought_table
 from parcot.tokenizer import Vocab, encode
 
-from oracles import causal_mask, dense_logits
+from oracles import causal_mask, dense_logits, reference_reprefill_answer
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +309,23 @@ def per_token_reprefill(bundle, session, sampler):
 
 
 class TestReprefillBaseline:
+    @pytest.mark.parametrize("greedy", [True, False])
+    @pytest.mark.parametrize("cap", [8, 20])
+    def test_own_answer_matches_per_draw_reference_loop(self, bundle, prompt, greedy, cap):
+        sampler = SamplerConfig(greedy=True) if greedy else SAMPLER
+        zero = bundle.with_zero_table().table
+        reached_cap = 0
+        for paths, budget, seed in [(1, 6, 2), (3, 9, 5), (2, 14, 2**63 - 5), (2, 5, 2**64 + 1)]:
+            session = run_session(
+                bundle.weights, bundle.table, bundle.vocab, prompt, paths, sampler,
+                GenerationBudget(budget, cap), Termination.HALF_FINISH, seed=seed,
+            )
+            record = run_reprefill_baseline(bundle, session, sampler)
+            want = reference_reprefill_answer(bundle.weights, zero, bundle.vocab, session, sampler)
+            assert record["own_answer"] == want, (paths, budget, seed)
+            reached_cap += len(want) == cap + 1
+        assert reached_cap, "no baseline answer ran to its cap"
+
     @pytest.mark.parametrize("paths, budget, seed", [(3, 5, 6), (4, 12, 11), (2, 30, 17)])
     def test_matches_per_token_feed(self, bundle, prompt, paths, budget, seed):
         session = run_session(

@@ -260,6 +260,35 @@ class TestThoughtTable:
         with pytest.raises(ConfigError):
             ThoughtEmbeddingTable(vectors)
 
+    def test_first_duplicate_pair_in_loop_order_is_named(self):
+        vectors = init_thought_table(16, 2, 4, 16, seed=3).vectors.copy()
+        vectors[12] = vectors[3]
+        vectors[9] = vectors[4]
+        with pytest.raises(ConfigError, match=r"^thought rows 3 and 12 are identical$"):
+            ThoughtEmbeddingTable(vectors)
+        # the pair a nested loop over (a, b > a) meets first, on random tables
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            rows = int(rng.integers(2, 12))
+            vectors = rng.integers(0, 3, (rows, 1, 1, 2)).astype(np.float32)
+            pairs = [
+                (a, b) for a in range(rows) for b in range(a + 1, rows)
+                if np.array_equal(vectors[a], vectors[b])
+            ]
+            if not pairs:
+                ThoughtEmbeddingTable(vectors)
+                continue
+            a, b = pairs[0]
+            with pytest.raises(ConfigError, match=rf"^thought rows {a} and {b} are identical$"):
+                ThoughtEmbeddingTable(vectors)
+
+    def test_signed_zeros_count_as_equal(self):
+        vectors = np.ones((3, 1, 2, 2), dtype=np.float32)
+        vectors[:, 0, 0, 0] = [1.0, 0.0, -0.0]
+        vectors[0, 0, 1, 1] = 2.0
+        with pytest.raises(ConfigError, match="thought rows 1 and 2 are identical"):
+            ThoughtEmbeddingTable(vectors)
+
     def test_file_round_trip(self, tmp_path):
         table = init_thought_table(5, 2, 2, 16, seed=8)
         path = str(tmp_path / "table.ptt")

@@ -312,3 +312,91 @@ class TestEngineDraws:
             for sampler_seed in (0, 1, 2**40)
         }
         assert len(records) == 1
+
+
+def count_kernel_calls(monkeypatch) -> list:
+    """Record (seed, streams, steps) of every engine ``uniforms`` call."""
+    calls = []
+    kernel = engine.uniforms
+
+    def counted(seed, streams, steps):
+        calls.append((seed, list(streams), list(steps)))
+        return kernel(seed, streams, steps)
+
+    monkeypatch.setattr(engine, "uniforms", counted)
+    return calls
+
+
+class TestAnswerDraws:
+    """An answer draws on its one stream by the reasoning stage's chunk rule:
+    a cap below a full chunk draws per token, a full chunk takes the kernel,
+    and a cap past a chunk edge draws its tail per token again."""
+
+    @pytest.mark.parametrize("cap", [7, 15, 16, 17, 33])
+    def test_every_answer_token_is_the_per_draw_reference(
+        self, small_weights, small_table, vocab, monkeypatch, cap
+    ):
+        calls = count_kernel_calls(monkeypatch)
+        sampler = SamplerConfig(temperature=1.2, top_p=0.95)
+        prompt = encode("answer me", vocab, markup=False)
+        reached_cap = 0
+        for seed in (0, 9, 2**40 + 1, 2**64 + 3):
+            session = run_session(
+                small_weights, small_table, vocab, prompt, 2, sampler,
+                GenerationBudget(3, cap), seed=seed, record_logits=True,
+            )
+            answer = session.answer_tokens[1:]  # after SUMMARY_OPEN
+            for s, token in enumerate(answer, 1):
+                logits = session.answer_logits[s - 1]
+                want = sample_token(logits, sampler, draw_rng(seed, ANSWER_STREAM, s))
+                assert token == want, (cap, seed, s)
+                assert want == reference_sample_token(
+                    logits, sampler, draw_rng(seed, ANSWER_STREAM, s)
+                )
+            reached_cap += len(answer) == cap
+        assert reached_cap, "no answer ran to its cap"
+        answer_calls = [steps for _, streams, steps in calls if streams == [ANSWER_STREAM]]
+        assert bool(answer_calls) == (cap >= UNIFORM_CROSSOVER)
+        assert all(len(steps) == UNIFORM_CHUNK for steps in answer_calls)
+
+
+class TestRowsJoiningMidChunk:
+    """Scripted paths that end inside a planned chunk start drawing there:
+    each takes its uniform from the chunk planned for every stream of the
+    stage, and it is still the per-draw reference."""
+
+    @pytest.mark.parametrize("labels, script_lengths", [
+        ([7, 2, 11, 5], {0: 3, 1: 7, 2: 10}),  # path 3 draws from step 1
+        ([9, 4], {0: 5, 1: 9}),  # the first chunk starts at step 6
+        ([3, 8, 1, 6], {0: 20, 1: 4, 3: 27}),  # joins inside the second chunk
+    ])
+    def test_every_draw_is_the_per_draw_reference(
+        self, small_weights, small_table, vocab, monkeypatch, labels, script_lengths
+    ):
+        calls = count_kernel_calls(monkeypatch)
+        rng = np.random.default_rng(len(labels))
+        forced = {i: [int(t) for t in rng.integers(65, 90, n)] for i, n in script_lengths.items()}
+        sampler = SamplerConfig(temperature=1.1, top_p=0.9)
+        prompt = encode("join late", vocab, markup=False)
+        for seed in (4, 2**33 + 7):
+            calls.clear()
+            session = run_session(
+                small_weights, small_table, vocab, prompt, len(labels), sampler,
+                GenerationBudget(40, 4), Termination.LAST_FINISH, think_labels=labels,
+                seed=seed, record_logits=True, forced=forced,
+            )
+            assert all(streams == labels for _, streams, _ in calls)
+            joined_mid_chunk = 0
+            for path in session.paths:
+                script = forced.get(path.index, [])
+                body = path.tokens[1:-1]
+                assert body[: len(script)] == script
+                for s in range(len(script) + 1, len(body) + 1):
+                    logits = path.step_logits[s - 1]
+                    rng_key = (seed, path.think_label, s)
+                    assert body[s - 1] == sample_token(logits, sampler, draw_rng(*rng_key))
+                joined = len(script) + 1
+                if script and len(body) >= joined:
+                    # the step it joined at lies inside a chunk planned before it
+                    joined_mid_chunk += any(steps[0] < joined <= steps[-1] for *_, steps in calls)
+            assert joined_mid_chunk
