@@ -12,10 +12,13 @@ weight-dominated regime decoding many paths costs little more than one.
 """
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from importlib import resources
+from numbers import Real
 
 from .errors import ConfigError
+from .tokenizer import is_token_int
 
 PROFILE_FORMAT = "ptprofile-1"
 DEFAULT_PROFILE_NAME = "decoder_1p5b_hbm.json"
@@ -32,17 +35,22 @@ class CostModelParams:
     tokens_per_path: int
 
     def __post_init__(self):
-        numeric = (
-            self.bytes_per_weight_pass,
-            self.kv_bytes_per_token_per_slot,
-            self.flops_per_token,
-            self.memory_bandwidth,
-            self.compute_throughput,
-            self.paths,
-            self.tokens_per_path,
-        )
-        if any(v <= 0 for v in numeric):
-            raise ConfigError("all cost-model parameters must be positive")
+        """Figures must be finite positive reals, ``paths`` and
+        ``tokens_per_path`` positive integers (``is_token_int``, so not a
+        bool), stored as ``int``; a bool is no figure either."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                if not is_token_int(value) or value < 1:
+                    raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
+            elif (
+                not isinstance(value, Real)
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+                or value <= 0
+            ):
+                raise ConfigError(f"{f.name} must be finite and positive, got {value!r}")
 
 
 def memory_time(params: CostModelParams) -> float:

@@ -193,6 +193,9 @@ class GenerationSession:
         prompt_from: "GenerationSession | None" = None,
     ):
         cfg = weights.config
+        if not is_token_int(num_paths):
+            raise ConfigError(f"num_paths must be an integer, got {num_paths!r}")
+        num_paths = int(num_paths)
         if num_paths < 1:
             raise ConfigError("need at least one path")
         if num_paths > vocab.p_max:
@@ -213,13 +216,14 @@ class GenerationSession:
         prompt_tokens = [int(t) for t in prompt_tokens]
         check_position(cfg, len(prompt_tokens), "prompt")
         if think_labels is None:
-            think_labels = list(range(1, num_paths + 1))
+            think_labels = range(1, num_paths + 1)
         if len(think_labels) != num_paths:
             raise ConfigError("one think label per path required")
+        for label in think_labels:
+            vocab.think_open(label)  # an integer (ConfigError) in range (VocabError)
+        think_labels = [int(label) for label in think_labels]
         if len(set(think_labels)) != num_paths:
             raise ConfigError("think labels must be distinct")
-        for label in think_labels:
-            vocab.think_open(label)  # validates the range
         if prompt_from is not None:
             _check_donor(prompt_from, weights, table, prompt_tokens)
 
@@ -228,7 +232,7 @@ class GenerationSession:
         self.vocab = vocab
         self.prompt_tokens = prompt_tokens
         self.num_paths = num_paths
-        self.think_labels = list(think_labels)
+        self.think_labels = think_labels
         self.seed = int(seed)
         self.record_logits = record_logits
         self.stage = REASONING

@@ -32,7 +32,11 @@ ones for a single position):
   known in advance (the prompt, the re-prefill baseline's flattened
   sequence), and each answer token (the engine's, and the re-prefill
   baseline's own) as a one-row block.  Its logits match one
-  ``forward_step`` per slot within float32 rounding.
+  ``forward_step`` per slot within float32 rounding.  Only the last
+  ``keep`` rows' logits are returned, and later slots read a row only
+  through its k/v, so a block with no kept row stops at the last layer
+  once its k/v are staged: no attention, output projection, feed-forward
+  or head runs for it there.  Every slot and logit keeps its bits.
 
 Both passes run under a ``StagePlan``, built once when a stage starts
 (``prefill`` and ``forward_step`` build one for their single pass).  It
@@ -561,7 +565,13 @@ class StagePlan:
 
 
 def _decode_rows(
-    weights: ModelWeights, table: ThoughtEmbeddingTable, tokens, thoughts, positions, attention
+    weights: ModelWeights,
+    table: ThoughtEmbeddingTable,
+    tokens,
+    thoughts,
+    positions,
+    attention,
+    stage_last=None,
 ):
     """Run a block of rows through every layer; returns the hidden rows [n, d_model].
 
@@ -573,6 +583,12 @@ def _decode_rows(
     the rows' rotated queries and augmented keys and values (thought
     embedding folded in), each [n, n_heads, d_k], and returns the rows'
     attention output of the same shape.
+
+    A block whose hidden rows nobody reads passes ``stage_last``: the last
+    layer then computes its keys and values as above, hands them to
+    ``stage_last(li, k, v)`` and returns None, with no attention, output
+    projection or feed-forward.  Every k/v it stages has the bits the full
+    layer would stage.
     """
     cfg = weights.config
     n = len(tokens)
@@ -589,9 +605,14 @@ def _decode_rows(
     if thought.ndim == 4:
         thought = thought[:, :, None].swapaxes(0, 1)
     x = weights.embedding[tokens]  # a copy, updated in place
+    last = cfg.n_layers - 1
     for li, lw in enumerate(weights.layers):
         qkv = (rms_norm(x, lw.attn_norm) @ lw.w_qkv).reshape(n, 3, heads, d_k)
         qkv[:, 1:] += thought[li]  # into k and v
+        if li == last and stage_last is not None:
+            # rotation is elementwise, so k rotated alone has the same bits
+            stage_last(li, rope.rotate(qkv[:, 1], positions), qkv[:, 2])
+            return None
         qk = rope.rotate(qkv[:, :2], positions)
         attn = attention(li, qk[:, 0], qk[:, 1], qkv[:, 2])
         x += attn.reshape(n, cfg.d_model) @ lw.w_o
@@ -716,6 +737,12 @@ def forward_causal(
     the plan's shared parts and over their own segment up to and
     including themselves, in one masked product against a view of that
     storage, so the scores never exceed [CAUSAL_CHUNK, n_heads, length].
+    A block with no kept row (all its rows before ``n - keep``) stops at
+    the last layer once its k/v are staged, since nothing reads its
+    last-layer output: that layer's attention, output projection and
+    feed-forward, and the head, run only for blocks that hold a kept row.
+    The slots and the returned logits have the bits of a pass that runs
+    every layer for every row.
     Every token id, position and the segment's room are checked before
     anything is staged, and the slots are committed only after the last
     block, so a call that raises leaves the segment at the length it had.
@@ -736,8 +763,11 @@ def forward_causal(
     positions = plan.layout.positions(owner, index, n)
     check_position(cfg, int(positions.max()), owner)
 
-    def attention(li, q, k, v):
+    def stage(li, k, v):
         writes.stage(li, lo, k[None], v[None])
+
+    def attention(li, q, k, v):
+        stage(li, k, v)
         keys, values = plan.shared[li]
         # the segment's own row through the block's last staged slot
         own_k, own_v = writes.keys(li, index + hi)[0], writes.values(li, index + hi)[0]
@@ -747,8 +777,12 @@ def forward_causal(
     kept = []
     for lo in range(0, n, CAUSAL_CHUNK):
         hi = min(lo + CAUSAL_CHUNK, n)
-        x = _decode_rows(weights, table, tokens[lo:hi], j, positions[lo:hi], attention)
-        if hi > first_kept:
+        # a block with no kept row is read only through its k/v
+        write_only = stage if hi <= first_kept else None
+        x = _decode_rows(
+            weights, table, tokens[lo:hi], j, positions[lo:hi], attention, write_only
+        )
+        if write_only is None:
             kept.append(_head(weights, x[max(first_kept - lo, 0) :]))
     writes.commit()
     return kept[0] if len(kept) == 1 else np.concatenate(kept)
@@ -766,7 +800,9 @@ def prefill(
     One ``forward_causal`` call over the prompt segment, under a plan
     built for it: the prompt runs in blocks of ``CAUSAL_CHUNK`` rows, not
     one forward pass per token, and a prefill that raises writes no prompt
-    slot.
+    slot.  Only the block holding the last slot runs the whole last layer
+    and the head; a block with no kept row stops at the last layer once
+    its k/v are staged.
     """
     plan = StagePlan(cache, layout, [PROMPT])
     return forward_causal(weights, table, plan, list(tokens), cache.length(PROMPT))[0]

@@ -46,12 +46,10 @@ class Vocab:
         return self.base_size + 2 * self.p_max + 4
 
     def think_open(self, i: int) -> int:
-        self._check_label(i)
-        return self.base_size + (i - 1)
+        return self.base_size + (self._check_label(i) - 1)
 
     def think_close(self, i: int) -> int:
-        self._check_label(i)
-        return self.base_size + self.p_max + (i - 1)
+        return self.base_size + self.p_max + (self._check_label(i) - 1)
 
     @property
     def summary_open(self) -> int:
@@ -69,9 +67,16 @@ class Vocab:
     def pad(self) -> int:
         return self.base_size + 2 * self.p_max + 3
 
-    def _check_label(self, i: int) -> None:
+    def _check_label(self, i: int) -> int:
+        """Label ``i`` as an ``int``: an integer (``is_token_int``) in
+        [1, p_max]."""
+        if type(i) is not int:  # the common case skips the slower isinstance checks
+            if not is_token_int(i):
+                raise ConfigError(f"think label {i!r} is not an integer")
+            i = int(i)
         if not 1 <= i <= self.p_max:
             raise VocabError(f"think label {i} out of range [1, {self.p_max}]")
+        return i
 
     def think_open_label(self, token: int) -> int | None:
         """Label i if token is THINK_OPEN(i), else None."""

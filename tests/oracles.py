@@ -356,11 +356,15 @@ def reference_silu(x):
     return 0.5 * x * (1.0 + np.tanh(0.5 * x))
 
 
-def reference_decode_rows(weights, table, tokens, thoughts, positions, attention):
+def reference_decode_rows(
+    weights, table, tokens, thoughts, positions, attention, stage_last=None
+):
     """``model._decode_rows`` with three projections, the even/odd rotation,
     the thought rows looked up layer by layer and the norms written as one
     expression each; it takes and returns the same things, so it can stand
-    in for it."""
+    in for it.  It ignores ``stage_last`` and runs every layer for every
+    row, so the last layer's k/v are staged by ``attention``, as a full
+    pass stages them."""
     cfg = weights.config
     n = len(tokens)
     heads, d_k = cfg.n_heads, cfg.d_k

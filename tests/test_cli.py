@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from parcot.cli import build_parser, main
+from parcot.costmodel import load_profile
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -169,6 +170,15 @@ class TestCostModel:
         printed = capsys.readouterr().out
         assert "ratio_vs_P1" in printed
         assert os.path.exists(os.path.join(out, "records.csv"))
+
+    def test_nan_profile_is_an_error(self, tmp_path, capsys):
+        profile = dict(load_profile(), memory_bandwidth=float("nan"))
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(profile))  # written as NaN, which json reads back
+        out = str(tmp_path / "cost")
+        assert run_cli(["costmodel", "--profile", str(path), "--out", out]) == 1
+        assert "error: memory_bandwidth must be finite and positive" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "records.csv"))
 
 
 class TestTerminationAliases:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from parcot.costmodel import (
@@ -53,6 +54,41 @@ class TestRoofline:
             params(memory_bandwidth=0)
         with pytest.raises(ConfigError):
             params(paths=0)
+
+
+FIGURES = [
+    "bytes_per_weight_pass", "kv_bytes_per_token_per_slot", "flops_per_token",
+    "memory_bandwidth", "compute_throughput",
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("field", FIGURES)
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, np.float32("nan"), 0.0, -1.0, True, "2e12", None]
+    )
+    def test_figure_must_be_finite_and_positive(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be finite and positive"):
+            params(**{field: bad})
+
+    @pytest.mark.parametrize("field", ["paths", "tokens_per_path"])
+    @pytest.mark.parametrize(
+        "bad", [2.5, 2.0, True, np.bool_(True), np.float64(4), math.nan, 0, -1, "2", None]
+    )
+    def test_counts_must_be_positive_integers(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be a positive integer"):
+            params(**{field: bad})
+
+    def test_numpy_values_accepted(self):
+        p = params(paths=np.int64(4), tokens_per_path=np.uint16(4096), flops_per_token=np.float32(3e9))
+        assert type(p.paths) is int and type(p.tokens_per_path) is int
+        assert p == params(flops_per_token=float(np.float32(3e9)))
+        assert predict_decode_time(p) == predict_decode_time(params(flops_per_token=p.flops_per_token))
+
+    def test_nan_profile_refused(self):
+        profile = dict(load_profile(), memory_bandwidth=math.nan)
+        with pytest.raises(ConfigError, match="memory_bandwidth must be finite and positive"):
+            params_from_profile(profile, 1, 1024)
 
 
 class TestMonotonicity:

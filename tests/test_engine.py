@@ -25,6 +25,7 @@ from parcot.errors import (
     LifecycleError,
     PositionOverflowError,
     SamplingError,
+    VocabError,
 )
 from parcot.model import ModelConfig, init_weights
 from parcot.positional import ANSWER, PROMPT, init_thought_table, path_key
@@ -609,6 +610,82 @@ class TestFailureAtomicity:
             assert type(session.seed) is int
             records.append(canonical_json(session_record(session)))
         assert len(set(records)) == 1
+
+    @staticmethod
+    def session_state(session):
+        """Every field a refused session could have touched, by value."""
+        return (
+            session.num_paths, list(session.think_labels),
+            [(p.think_label, list(p.tokens), p.finish_cause) for p in session.paths],
+            session.stage, session.budget, session.strategy, session.reasoning_len,
+            session.prompt_logits.tobytes(), session.cache.debug_tables(),
+            session.cache.tables[PROMPT].content_hash(),
+        )
+
+    def refuse_before_allocation(self, weights, table, vocab, monkeypatch, error, match, **kwargs):
+        """The session is refused before any cache is made, and the prompt
+        donor it names keeps every field."""
+        donor = GenerationSession(weights, table, vocab, [65, 66], 2)
+        before = self.session_state(donor)
+
+        def refuse(*args):
+            raise AssertionError("a cache was allocated for a bad session")
+
+        monkeypatch.setattr(engine, "PagedKVCache", refuse)
+        kwargs.setdefault("num_paths", 2)
+        with pytest.raises(error, match=match):
+            GenerationSession(weights, table, vocab, [65, 66], prompt_from=donor, **kwargs)
+        assert self.session_state(donor) == before
+
+    @pytest.mark.parametrize(
+        "bad", [True, np.bool_(True), 2.0, np.float64(2), 1.5, "2", None]
+    )
+    def test_non_integer_path_count_refused_before_allocation(
+        self, small_weights, small_table, vocab, monkeypatch, bad
+    ):
+        self.refuse_before_allocation(
+            small_weights, small_table, vocab, monkeypatch, ConfigError,
+            "num_paths must be an integer", num_paths=bad,
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [True, np.bool_(True), 1.0, np.float32(3), 2.5, "3", None]
+    )
+    def test_non_integer_think_label_refused_before_allocation(
+        self, small_weights, small_table, vocab, monkeypatch, bad
+    ):
+        self.refuse_before_allocation(
+            small_weights, small_table, vocab, monkeypatch, ConfigError,
+            "think label .* is not an integer", think_labels=[4, bad],
+        )
+
+    @pytest.mark.parametrize("bad", [0, np.int64(0), 17, np.uint8(17), -1])
+    def test_think_label_out_of_range_refused_before_allocation(
+        self, small_weights, small_table, vocab, monkeypatch, bad
+    ):
+        self.refuse_before_allocation(
+            small_weights, small_table, vocab, monkeypatch, VocabError,
+            "out of range", think_labels=[bad, 2],
+        )
+
+    def test_numpy_path_count_and_labels_stored_as_int(self, small_weights, small_table, vocab):
+        sampler = SamplerConfig(temperature=0.9)
+        records = []
+        for num_paths, labels in (
+            (np.int64(2), [np.int64(3), np.int64(1)]),
+            (np.uint8(2), (np.uint8(3), 1)),
+            (2, [3, 1]),
+        ):
+            session = run_session(
+                small_weights, small_table, vocab, [65, 66], num_paths, sampler,
+                GenerationBudget(4, 2), think_labels=labels, seed=5,
+            )
+            assert type(session.num_paths) is int
+            assert [type(label) for label in session.think_labels] == [int, int]
+            assert [type(path.think_label) for path in session.paths] == [int, int]
+            records.append(canonical_json(session_record(session)))
+        assert len(set(records)) == 1
+        assert '"think_labels":[3,1]' in records[0]
 
     def test_integer_prompt_ids_of_any_integer_type_accepted(self, small_weights, small_table, vocab):
         ids = [np.int64(65), np.uint8(66), 67]

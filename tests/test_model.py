@@ -8,6 +8,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from parcot import model
 from parcot.errors import (
     CacheConsistencyError,
     ConfigError,
@@ -616,6 +617,117 @@ class TestPrefill:
         assert (
             a.tables[PROMPT].content_hash() == b.tables[PROMPT].content_hash()
         )
+
+
+def gained_model(n_layers, vocab, seed=11):
+    """Small weights with ``n_layers`` layers and norm gains that are not 1,
+    and a thought table whose rows are not zero."""
+    cfg = ModelConfig(
+        n_layers=n_layers, d_model=32, n_heads=2, d_k=16, d_ff=64, vocab_size=292
+    )
+    weights = init_weights(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    gains = [weights.final_norm] + [g for lw in weights.layers for g in (lw.attn_norm, lw.ffn_norm)]
+    for gain in gains:
+        gain += (rng.standard_normal(gain.shape) * 0.3).astype(np.float32)
+    weights.validate()
+    table = init_thought_table(vocab.p_max, n_layers, cfg.n_heads, cfg.d_k, seed=seed)
+    return weights, table
+
+
+def run_every_layer(patch):
+    """Make every causal block run every layer for every row, as it did
+    before a block with no kept row stopped at the last layer."""
+    decode_rows = model._decode_rows
+
+    def every_layer(weights, table, tokens, thoughts, positions, attention, stage_last=None):
+        return decode_rows(weights, table, tokens, thoughts, positions, attention)
+
+    patch.setattr(model, "_decode_rows", every_layer)
+
+
+def causal_state(weights, table, kind, tokens, keep):
+    """Logits and segment hash of one causal pass: a prefill (keep 1), a
+    pass over the prompt, over a flat segment with gapped positions, or
+    over a path that also sees a 5-slot prompt."""
+    cfg = weights.config
+    n = len(tokens)
+    cache = fresh_cache(cfg, slots=max(n, 8))
+    if kind == "prefill":
+        segment = PROMPT
+        logits = prefill(weights, table, cache, reasoning_layout(l_x=n, labels=(1,)), tokens)[None]
+    else:
+        if kind == "prompt":
+            segment, layout = PROMPT, reasoning_layout(l_x=n, labels=(1,))
+        elif kind == "flat":
+            segment = "seq"
+            gaps = np.random.default_rng(n).integers(1, 4, size=n)
+            layout = DecodeLayout(stage=FLAT, flat_positions=tuple(np.cumsum(gaps).tolist()))
+        else:
+            segment, layout = path_key(0), reasoning_layout(l_x=5, labels=(2,), l_max=n + 1)
+            prefill(weights, table, cache, layout, [3, 1, 4, 1, 5])
+        logits = forward_causal(weights, table, StagePlan(cache, layout, [segment]), tokens, 0, keep)
+    assert cache.length(segment) == n
+    return logits, cache.tables[segment].content_hash()
+
+
+# every (length, keep) with keep in 1, 2, 33 and the length itself that fits
+LENGTH_KEEP = list(dict.fromkeys(
+    (n, keep) for n in [1, 31, 32, 33, 64, 65, 97, 800] for keep in (1, 2, 33, n) if keep <= n
+))
+
+
+class TestWriteOnlyLastLayer:
+    """A causal block with no kept row stops at the last layer once its k/v
+    are staged.  Its slots and the returned logits keep the bits of a pass
+    that runs every layer for every row."""
+
+    def assert_identical(self, monkeypatch, weights, table, kind, tokens, keep):
+        got = causal_state(weights, table, kind, tokens, keep)
+        with monkeypatch.context() as patch:
+            run_every_layer(patch)
+            want = causal_state(weights, table, kind, tokens, keep)
+        assert got[0].shape == (keep, weights.config.vocab_size)
+        assert np.array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("length, keep", LENGTH_KEEP)
+    def test_prompt_identical_to_every_layer(self, vocab, monkeypatch, n_layers, length, keep):
+        weights, table = gained_model(n_layers, vocab)
+        tokens = np.random.default_rng(length).integers(0, 256, size=length).tolist()
+        self.assert_identical(monkeypatch, weights, table, "prompt", tokens, keep)
+
+    @pytest.mark.parametrize("kind, length, keep", [
+        *(("prefill", n, 1) for n in (33, 65, 97, 800)),
+        *((kind, n, keep) for kind in ("flat", "path")
+          for n, keep in ((33, 1), (65, 2), (97, 33), (800, 1), (65, 65))),
+    ])
+    def test_other_passes_identical_to_every_layer(self, vocab, monkeypatch, kind, length, keep):
+        weights, table = gained_model(2, vocab)
+        tokens = np.random.default_rng(length + 1).integers(0, 256, size=length).tolist()
+        self.assert_identical(monkeypatch, weights, table, kind, tokens, keep)
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    @pytest.mark.parametrize("length, keep", LENGTH_KEEP)
+    def test_attend_calls(self, vocab, monkeypatch, n_layers, length, keep):
+        """(L-1)·⌈n/32⌉ attend calls, plus one per block holding a kept row."""
+        weights, table = gained_model(n_layers, vocab)
+        calls = []
+        attend = model.attend
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return attend(*args, **kwargs)
+
+        monkeypatch.setattr(model, "attend", counting)
+        causal_state(weights, table, "prompt", [7] * length, keep)
+        blocks = -(-length // CAUSAL_CHUNK)
+        kept_blocks = blocks - (length - keep) // CAUSAL_CHUNK
+        assert len(calls) == (n_layers - 1) * blocks + kept_blocks
+        calls.clear()
+        causal_state(weights, table, "prefill", [7] * length, 1)
+        assert len(calls) == (n_layers - 1) * blocks + 1
 
 
 class TestValidate:

@@ -164,7 +164,7 @@ def gained_weights(small_config):
 
 
 class TestPromptUnchanged:
-    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 77])
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 64, 65, 77, 97])
     def test_prompt_equals_reference_forms(self, gained_weights, small_table, monkeypatch, length):
         rng = np.random.default_rng(length)
         tokens = rng.integers(0, 256, size=length).tolist()

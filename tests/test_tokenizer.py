@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parcot.errors import DataError, VocabError
+from parcot.errors import ConfigError, DataError, VocabError
 from parcot.tokenizer import (
     Vocab,
     decode,
@@ -41,6 +41,19 @@ class TestVocabLayout:
             vocab.think_open(0)
         with pytest.raises(VocabError):
             vocab.think_open(17)
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), 1.0, np.float64(3), "2", None])
+    def test_label_must_be_an_integer(self, vocab, bad):
+        for control in (vocab.think_open, vocab.think_close):
+            with pytest.raises(ConfigError, match="is not an integer"):
+                control(bad)
+
+    def test_numpy_integer_label(self, vocab):
+        assert vocab.think_open(np.int64(3)) == vocab.think_open(3)
+        assert vocab.think_close(np.uint8(16)) == vocab.think_close(16)
+        assert type(vocab.think_open(np.uint8(2))) is int
+        with pytest.raises(VocabError):
+            vocab.think_open(np.int64(17))
 
 
 class TestEncodeDecode:
