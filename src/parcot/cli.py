@@ -21,7 +21,7 @@ from .datagen import (
     write_training_records,
 )
 from .engine import canonical_json
-from .errors import EngineError
+from .errors import DataError, EngineError
 from .harness import (
     DEFAULT_PREFIX_GRID,
     run_experiment,
@@ -263,9 +263,12 @@ def _dispatch(args) -> int:
     if args.command == "prefix":
         traces = []
         with open(args.traces, encoding="utf-8") as fh:
-            for line in fh:
+            for line_no, line in enumerate(fh, start=1):
                 if line.strip():
-                    traces.append(json.loads(line))
+                    try:
+                        traces.append(json.loads(line))
+                    except json.JSONDecodeError as exc:
+                        raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
         config.update(
             {
                 "traces": traces,

@@ -262,7 +262,8 @@ def parse_sample(tokens, vocab: Vocab) -> ParsedSample:
     that ``build_sample`` wrote, so they skip the integer check; this
     parse is the caller's own and is never kept."""
     for offset, token in enumerate(tokens):
-        if not is_token_int(token):
+        # the common case skips the slower isinstance checks
+        if type(token) is not int and not is_token_int(token):
             raise FormatError(f"token id {token!r} is not an integer", offset=offset)
     spans = _spans(_as_ids(tokens), vocab)
     ids = spans.ids

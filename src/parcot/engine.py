@@ -101,16 +101,12 @@ UNIFORM_CROSSOVER = 16
 class SamplerConfig:
     """How a row's token is chosen: temperature, nucleus mass, or greedy.
 
-    ``seed`` is read by nothing: every draw is keyed by the session's seed
-    (``GenerationSession(seed=...)``), a stream and a step, so two configs
-    differing only in ``seed`` give byte-identical sessions.  The field
-    stays so that experiment configs that set it still load, hash and
-    ``verify`` as before.
+    It holds no seed: every draw is keyed by the session's seed
+    (``GenerationSession(seed=...)``), a stream and a step.
     """
 
     temperature: float = 1.0
     top_p: float = 1.0
-    seed: int = 0
     greedy: bool = False
 
     def __post_init__(self):

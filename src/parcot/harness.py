@@ -60,7 +60,7 @@ from .positional import (
     path_key,
     zero_thought_table,
 )
-from .tokenizer import Vocab
+from .tokenizer import Vocab, is_token_int
 
 DEFAULT_PREFIX_GRID = (0, 100, 200, 400, 800, 1600)
 
@@ -234,7 +234,18 @@ def run_prefix_recovery(
     a sample "recovers" when ``target_token`` shows up among the freshly
     sampled tokens.
     """
+    if not is_token_int(samples) or samples < 1:
+        raise DataError(f"samples must be an integer of at least 1, got {samples!r}")
+    vocab_size = bundle.weights.config.vocab_size
+    if not is_token_int(target_token) or not 0 <= target_token < vocab_size:
+        raise DataError(f"target token {target_token!r} outside vocab of size {vocab_size}")
+    for n in prefix_lengths:
+        if not is_token_int(n) or n < 0:
+            raise DataError(f"prefix length must be a non-negative integer, got {n!r}")
     for ti, trace in enumerate(traces):
+        if not (isinstance(trace, dict)
+                and all(isinstance(trace.get(key), list) for key in ("prompt", "body"))):
+            raise DataError(f"trace {ti} must be an object with prompt and body id lists")
         for n in prefix_lengths:
             if n > len(trace["body"]):
                 raise DataError(
@@ -480,8 +491,6 @@ def bundle_from_config(config: dict) -> ModelBundle:
     cfg = weights.config
     if config.get("thought_table_file"):
         table = load_thought_table(config["thought_table_file"])
-    elif config.get("zero_thought_table"):
-        table = zero_thought_table(vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k)
     else:
         table = init_thought_table(
             vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k,
@@ -491,8 +500,13 @@ def bundle_from_config(config: dict) -> ModelBundle:
 
 
 def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
-    """Dispatch an experiment from a pure-JSON config (used by verify)."""
-    sampler = SamplerConfig(**config.get("sampler", {}))
+    """Dispatch an experiment from a pure-JSON config (used by verify).
+
+    The CLI writes a ``sampler.seed`` equal to the top-level ``seed``; no
+    draw reads it (draws are keyed by session seeds), so it is dropped here
+    and configs that carry it load and hash as written.
+    """
+    sampler = SamplerConfig(**{k: v for k, v in config.get("sampler", {}).items() if k != "seed"})
     seed = config.get("seed", 0)
     if name == "costmodel":
         profile = load_profile(config.get("profile_file"))

@@ -30,7 +30,6 @@ slots, with no room to write more.
 """
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,18 +279,6 @@ class PagedKVCache:
         """(K, V) of one segment's written slots at one layer; views."""
         seg = self.tables[segment]
         return seg.keys(layer), seg.values(layer)
-
-    def debug_tables(self) -> str:
-        """JSON dump of the segment structure, for lifecycle tests."""
-        payload = {
-            seg: {
-                "capacity": t.slab.capacity,
-                "filled": t.filled,
-                "path_row": t.row if t.slab is self.paths else None,
-            }
-            for seg, t in sorted(self.tables.items())
-        }
-        return json.dumps({"tables": payload}, sort_keys=True)
 
 
 class SummaryContextView:

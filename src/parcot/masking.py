@@ -16,7 +16,7 @@ every row of its reasoning mask, the answer every row of the summary
 mask, and each row of a training layout is owned by its own segment.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -95,9 +95,6 @@ class LayoutPlan:
         lengths = (self.l_x, *self.path_lengths, self.answer_length)
         return np.repeat(np.arange(len(lengths)), lengths)
 
-    def with_stage(self, stage: str) -> "LayoutPlan":
-        return replace(self, stage=stage)
-
 
 @lru_cache(maxsize=64)
 def allowed_table(num_paths: int) -> np.ndarray:
@@ -139,28 +136,12 @@ class AttentionMask:
         out &= np.tri(self.size, dtype=bool)
         return out
 
-    def dense(self) -> np.ndarray:
-        """0 where visible, -inf where masked (additive form)."""
-        out = np.where(self.visible, 0.0, -np.inf)
-        return out.astype(np.float32)
-
     def visible_set(self, t: int) -> list[int]:
         """Slots visible to the query at slot t."""
         if not 0 <= t < self.size:
             raise IndexError(f"slot {t} out of range [0, {self.size})")
         row = self.allowed[self.owner[t], self.segment[: t + 1]]
         return [int(j) for j in np.flatnonzero(row)]
-
-    def grid(self) -> str:
-        """Text rendering, '.' visible / 'x' masked, one row per query."""
-        return "\n".join(
-            "".join("." if v else "x" for v in row) for row in self.visible
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AttentionMask) and np.array_equal(
-            self.visible, other.visible
-        )
 
 
 def build_reasoning_mask(layout: LayoutPlan, path: int) -> AttentionMask:

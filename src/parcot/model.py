@@ -74,6 +74,7 @@ Weight file format ("PTW1", little-endian):
 """
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -114,6 +115,9 @@ CAUSAL_CHUNK = 32
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Every size is an integer (``is_token_int``, so not a bool), stored as
+    ``int``; ``rope_base`` is a finite positive real, kept as given."""
+
     n_layers: int
     d_model: int
     n_heads: int
@@ -124,6 +128,13 @@ class ModelConfig:
     max_position: int = 4096
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name == "rope_base":
+                continue
+            value = getattr(self, f.name)
+            if not is_token_int(value):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            object.__setattr__(self, f.name, int(value))
         if min(self.n_layers, self.d_model, self.n_heads, self.d_k, self.d_ff) < 1:
             raise ConfigError("all model dimensions must be positive")
         if self.d_model != self.n_heads * self.d_k:
@@ -134,8 +145,10 @@ class ModelConfig:
             raise ConfigError(f"d_k must be even for rotary pairs, got {self.d_k}")
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be positive")
-        if self.rope_base <= 0:
-            raise ConfigError("rope_base must be positive")
+        base = self.rope_base
+        if (isinstance(base, (bool, np.bool_)) or not isinstance(base, numbers.Real)
+                or not (math.isfinite(base) and base > 0)):
+            raise ConfigError(f"rope_base must be a finite positive real, got {base!r}")
         if self.max_position < 1:
             raise ConfigError("max_position must be positive")
 

@@ -10,7 +10,7 @@ local indices ``t`` 1-based within a segment, so the first prompt token
 sits at absolute position 1.  ``PositionAssignment.base`` is a segment's
 offset under the shared or flattened scheme and ``positions`` gives a
 whole range of a segment's slots as one array; every caller asks for
-ranges, and ``assign_position`` is the one-slot case.
+ranges.
 """
 
 import struct
@@ -111,15 +111,6 @@ class Rope:
         out += swapped
         return out.astype(v.dtype, copy=False)
 
-    def matrix(self, t: int) -> np.ndarray:
-        """Dense float64 R_t, for algebra checks."""
-        cos2, sin2 = self.tables(int(t))
-        m = np.diag(cos2)
-        for d in range(0, self.d_k, 2):
-            m[d, d + 1] = sin2[d]
-            m[d + 1, d] = sin2[d + 1]
-        return m
-
 
 def _interleave(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (cos2, sin2), [..., d_k], of angles [..., d_k/2]."""
@@ -164,12 +155,6 @@ class ThoughtEmbeddingTable:
     def p_max(self) -> int:
         return self.vectors.shape[0] - 1
 
-    def layer_row(self, j: int, layer: int) -> np.ndarray:
-        """T[j] at one layer, shape [n_heads, d_k]."""
-        if not 0 <= j <= self.p_max:
-            raise IndexError(f"thought index {j} out of range [0, {self.p_max}]")
-        return self.vectors[j, layer]
-
 
 def init_thought_table(
     p_max: int, n_layers: int, n_heads: int, d_k: int, seed: int, scale: float = 0.02
@@ -209,49 +194,6 @@ def load_thought_table(path: str) -> ThoughtEmbeddingTable:
         )
     vectors = np.frombuffer(blob[20:], dtype="<f4").reshape(rows, n_layers, n_heads, d_k)
     return ThoughtEmbeddingTable(vectors.copy())
-
-
-def augment_kv(
-    k: np.ndarray,
-    v: np.ndarray,
-    j: int,
-    t: int,
-    table: ThoughtEmbeddingTable,
-    rope: Rope,
-    layer: int = 0,
-    head: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fold T[j] into a key/value pair and rotate the key to position t.
-
-    Accepts per-head vectors of shape [d_k] (``head`` selects the embedding)
-    or full head stacks of shape [n_heads, d_k].
-    """
-    row = table.layer_row(j, layer)
-    thought = row[head] if np.asarray(k).ndim == 1 else row
-    k_aug = rope.rotate(np.asarray(k) + thought, t)
-    v_aug = np.asarray(v) + thought
-    return k_aug, v_aug
-
-
-def decompose_score(
-    q: np.ndarray, n: int, k: np.ndarray, m: int, thought: np.ndarray, rope: Rope
-) -> tuple[float, float]:
-    """Split the rotary attention score into its two additive terms.
-
-    Returns (content_content, content_segment):
-      content_content = q . R_{m-n} k
-      content_segment = q . R_{m-n} thought
-    Their sum equals (R_n q) . R_m (k + thought).
-    """
-    q64 = np.asarray(q, dtype=np.float64)
-    k64 = np.asarray(k, dtype=np.float64)
-    t64 = np.asarray(thought, dtype=np.float64)
-    if not (q64.shape == k64.shape == t64.shape) or q64.shape[-1] != rope.d_k:
-        raise ConfigError("decompose_score operands must all have shape [d_k]")
-    rel = m - n
-    cc = float(q64 @ rope.rotate(k64, rel))
-    cs = float(q64 @ rope.rotate(t64, rel))
-    return cc, cs
 
 
 @dataclass(frozen=True)
@@ -306,13 +248,3 @@ class PositionAssignment:
         if segment not in (PROMPT, ANSWER) and last > self.l_max:
             raise LayoutError(f"path index {last} exceeds per-path cap {self.l_max}")
         return np.arange(base + start + 1, base + last + 1, dtype=np.int64)
-
-
-def assign_position(assignment: PositionAssignment, segment: str, t: int) -> int:
-    """Absolute position of the t-th token (1-based) of a segment."""
-    return int(assignment.positions(segment, t - 1, 1)[0])
-
-
-def max_path_position(assignment: PositionAssignment, written_len: int) -> int:
-    """Largest absolute position used by path tokens of length ``written_len``."""
-    return assignment.base(path_key(assignment.num_paths - 1)) + written_len

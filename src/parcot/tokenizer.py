@@ -15,7 +15,6 @@ Each control id has one canonical surface form: ``<think i>`` and
 ``<think 01>`` or a label above p_max, stays bytes.
 """
 
-import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,10 +31,17 @@ _MARKUP = re.compile(r"</?think \d+>|</?summary>|<eos>|<pad>")
 
 @dataclass(frozen=True)
 class Vocab:
+    """Id layout; both sizes are integers (``is_token_int``), stored as ``int``."""
+
     base_size: int = DEFAULT_BASE_SIZE
     p_max: int = DEFAULT_P_MAX
 
     def __post_init__(self):
+        for name in ("base_size", "p_max"):
+            value = getattr(self, name)
+            if not is_token_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.base_size < 256:
             raise ConfigError("byte-level vocab needs at least 256 base ids")
         if self.p_max < 1:
@@ -151,9 +157,10 @@ def decode(ids, vocab: Vocab, errors: str = "strict") -> str:
     pieces: list[str] = []
     byte_run = bytearray()
     for token in ids:
-        if not is_token_int(token):
-            raise VocabError(f"token id {token!r} is not an integer")
-        token = int(token)
+        if type(token) is not int:  # the common case skips the slower isinstance checks
+            if not is_token_int(token):
+                raise VocabError(f"token id {token!r} is not an integer")
+            token = int(token)
         if not 0 <= token < vocab.size:
             raise VocabError(f"unknown token id {token} (vocab size {vocab.size})")
         if token < vocab.base_size:
@@ -183,40 +190,3 @@ def sample_think_tokens(p_hat: int, p_max: int, seed: int) -> list[int]:
         raise DataError(f"cannot draw {p_hat} distinct labels from 1..{p_max}")
     rng = np.random.default_rng(seed)
     return [int(i) + 1 for i in rng.choice(p_max, size=p_hat, replace=False)]
-
-
-MANIFEST_FORMAT = "ptvocab-1"
-
-
-def manifest(vocab: Vocab) -> dict:
-    """Full id assignment; datagen and the engine must agree bit-exactly."""
-    return {
-        "format": MANIFEST_FORMAT,
-        "base_size": vocab.base_size,
-        "p_max": vocab.p_max,
-        "think_open": {str(i): vocab.think_open(i) for i in range(1, vocab.p_max + 1)},
-        "think_close": {str(i): vocab.think_close(i) for i in range(1, vocab.p_max + 1)},
-        "summary_open": vocab.summary_open,
-        "summary_close": vocab.summary_close,
-        "eos": vocab.eos,
-        "pad": vocab.pad,
-    }
-
-
-def write_manifest(vocab: Vocab, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest(vocab), fh, sort_keys=True, indent=2)
-
-
-def vocab_from_manifest(data: dict) -> Vocab:
-    if data.get("format") != MANIFEST_FORMAT:
-        raise VocabError(f"unsupported vocab manifest format {data.get('format')!r}")
-    vocab = Vocab(base_size=int(data["base_size"]), p_max=int(data["p_max"]))
-    if manifest(vocab) != {**data, "format": MANIFEST_FORMAT}:
-        raise VocabError("vocab manifest id assignments do not match this layout")
-    return vocab
-
-
-def read_manifest(path: str) -> Vocab:
-    with open(path, encoding="utf-8") as fh:
-        return vocab_from_manifest(json.load(fh))

@@ -12,7 +12,9 @@ own generator.  The decoder's reference forms are the forward pass as it
 was before its projections were fused and its rotation went through
 interleaved tables: three separate q, k and v products, the even/odd
 float64 rotation, and reasoning attention over three parts (shared
-segments, the rows' committed slots, the new slot).
+segments, the rows' committed slots, the new slot).  The rotary algebra's
+reference forms are a dense R_t matrix, one key/value pair's thought fold
+and rotation, and the score split into its content and segment terms.
 """
 
 import numbers
@@ -21,7 +23,7 @@ import numpy as np
 
 from parcot.datagen import ParsedSample, TrainingLayout
 from parcot.engine import ANSWER_STREAM, draw_rng
-from parcot.errors import FormatError, LayoutError, SamplingError
+from parcot.errors import ConfigError, FormatError, LayoutError, SamplingError
 from parcot.kvcache import PagedKVCache
 from parcot.masking import REASONING, AttentionMask, LayoutPlan
 from parcot.model import FLAT, NORM_EPS, DecodeLayout, StagePlan, attend, forward_causal
@@ -393,3 +395,52 @@ def reference_reasoning_attention(q, k, v, shared_keys, shared_values, own_keys,
     keys.append(k[:, None])
     values.append(v[:, None])
     return attend(q, keys, values, d_k)
+
+
+def rope_matrix(rope, t: int) -> np.ndarray:
+    """Dense float64 R_t, for algebra checks."""
+    cos2, sin2 = rope.tables(int(t))
+    m = np.diag(cos2)
+    for d in range(0, rope.d_k, 2):
+        m[d, d + 1] = sin2[d]
+        m[d + 1, d] = sin2[d + 1]
+    return m
+
+
+def layer_row(table, j: int, layer: int) -> np.ndarray:
+    """T[j] at one layer, shape [n_heads, d_k]."""
+    if not 0 <= j <= table.p_max:
+        raise IndexError(f"thought index {j} out of range [0, {table.p_max}]")
+    return table.vectors[j, layer]
+
+
+def augment_kv(k, v, j: int, t: int, table, rope, layer: int = 0, head: int = 0):
+    """Fold T[j] into a key/value pair and rotate the key to position t.
+
+    Accepts per-head vectors of shape [d_k] (``head`` selects the embedding)
+    or full head stacks of shape [n_heads, d_k].
+    """
+    row = layer_row(table, j, layer)
+    thought = row[head] if np.asarray(k).ndim == 1 else row
+    k_aug = rope.rotate(np.asarray(k) + thought, t)
+    v_aug = np.asarray(v) + thought
+    return k_aug, v_aug
+
+
+def decompose_score(q, n: int, k, m: int, thought, rope) -> tuple[float, float]:
+    """Split the rotary attention score into its two additive terms.
+
+    Returns (content_content, content_segment):
+      content_content = q . R_{m-n} k
+      content_segment = q . R_{m-n} thought
+    Their sum equals (R_n q) . R_m (k + thought).
+    """
+    q64 = np.asarray(q, dtype=np.float64)
+    k64 = np.asarray(k, dtype=np.float64)
+    t64 = np.asarray(thought, dtype=np.float64)
+    if not (q64.shape == k64.shape == t64.shape) or q64.shape[-1] != rope.d_k:
+        raise ConfigError("decompose_score operands must all have shape [d_k]")
+    rel = m - n
+    cc = float(q64 @ rope.rotate(k64, rel))
+    cs = float(q64 @ rope.rotate(t64, rel))
+    return cc, cs

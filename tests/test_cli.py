@@ -13,6 +13,9 @@ from parcot.costmodel import load_profile
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+TRACE = {"prompt": [104, 105], "body": [70, 71, 72, 73]}
+
+
 def run_cli(args):
     return main(args)
 
@@ -45,6 +48,21 @@ class TestGenerateAndVerify:
         path.write_text(path.read_text().replace('"seed":', '"sead":', 1))
         assert run_cli(["verify", "--dir", str(out)]) == 1
 
+    @pytest.mark.parametrize("edit, message", [
+        (('"n_layers": 2', '"n_layers": 2.5'), "n_layers must be an integer, got 2.5"),
+        (('"rope_base": 10000.0', '"rope_base": NaN'), "rope_base must be a finite positive"),
+        (('"p_max": 16', '"p_max": true'), "p_max must be an integer, got True"),
+    ], ids=["float-layers", "nan-rope-base", "bool-p-max"])
+    def test_verify_refuses_non_integer_sizes(self, tmp_path, capsys, edit, message):
+        out = tmp_path / "gen"
+        run_cli(["generate", "--prompt", "x", "--paths", "1", "--budget", "3",
+                 "--max-answer", "2", "--greedy", "--out", str(out)])
+        path = out / "config.json"
+        assert edit[0] in path.read_text()
+        path.write_text(path.read_text().replace(*edit))
+        capsys.readouterr()
+        assert run_cli(["verify", "--dir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     def test_non_finite_temperature_fails_before_any_output(self, tmp_path, capsys):
         for temperature in ("nan", "inf"):
@@ -117,6 +135,27 @@ class TestPrefix:
         text = Path(out, "records.csv").read_text()
         assert "success_rate" in text
 
+    @pytest.mark.parametrize("trace_text, flags, message", [
+        (None, ["--samples", "0"], "samples must be an integer of at least 1, got 0"),
+        (None, ["--prefix-lengths", "-2"],
+         "prefix length must be a non-negative integer, got -2"),
+        ('{"prompt": [104, 105]}\n', [], "trace 0 must be an object with prompt and body"),
+        ('\n{"prompt": [104, 105], "body": [70]\n', [], "line 2: invalid JSON"),
+        (None, ["--target-token", "5000"], "target token 5000 outside vocab of size 292"),
+    ], ids=["zero-samples", "negative-prefix", "no-body", "not-json", "target-outside-vocab"])
+    def test_bad_input_fails_before_any_output(self, tmp_path, capsys, trace_text, flags,
+                                               message):
+        traces = tmp_path / "traces.jsonl"
+        traces.write_text(trace_text or json.dumps(TRACE) + "\n")
+        out = tmp_path / "prefix"
+        args = ["prefix", "--traces", str(traces), "--target-token", "70",
+                "--prefix-lengths", "0", "2", "--budget", "5", "--out", str(out)]
+        assert run_cli(args + flags) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestReprefill:
     def test_reprefill_records_positions(self, tmp_path):
@@ -158,6 +197,102 @@ class TestVerifyRoundTrips:
         path = Path(out, "transcripts.jsonl")
         path.write_text(path.read_text().replace('"answer":[', '"answer":[1,', 1))
         assert run_cli(["verify", "--dir", out]) == 1
+
+
+# each session command at a tiny size: (command, arguments, the sha256 of
+# each output file).  A re-prefill record's logit_divergence depends on the
+# BLAS kernels, so its records.csv is left out.
+PINNED_OUTPUTS = {
+    "costmodel": ("costmodel", [
+        "--paths-list", "1", "4", "16", "--lengths", "1024", "4096",
+    ], {
+        "config.json": "a78aa6d8922aca5ee371c503df4a289321b8be138f0a8243947d64a9b55c0e52",
+        "records.csv": "42ce4edb07f9b50b026d80acc472ba45e9de0b76ba4644b1edfb5f157779bfd1",
+        "transcripts.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    }),
+    "generate-greedy": ("generate", [
+        "--prompt", "add two and two", "--paths", "3", "--budget", "6", "--max-answer", "4",
+        "--greedy", "--seed", "1",
+    ], {
+        "config.json": "4b1f589ee3d19a57f72ded4042d7696a5de00972a297dd198a6382c0dd1c7059",
+        "records.csv": "aeb5c2b816cb56f7abfe96ff991521f703bcbaa94bcafdd4009ed4fd0278b795",
+        "transcripts.jsonl": "406722a2fd98511255580879ff14bee46382085e6a25c1a4ef518256c6a39bf9",
+    }),
+    "generate-top-p": ("generate", [
+        "--prompt", "add two and two", "--paths", "3", "--budget", "6", "--max-answer", "4",
+        "--top-p", "0.8", "--seed", "2",
+    ], {
+        "config.json": "4a9e5c8a63595f4570ac60e28a875873b4567bd0bb6b8798ee379b846f682d83",
+        "records.csv": "9351403636c42f6b8ccd58cc6c9fcc96e00994f756d946e112a2491d8a31e9ed",
+        "transcripts.jsonl": "e07620279fd811fdb135ed88f05003dfcaedebadaaacc356e277811d5f37c4c3",
+    }),
+    "prefix": ("prefix", [
+        "--prefix-lengths", "0", "2", "--samples", "2", "--target-token", "70", "--budget", "6",
+        "--max-answer", "2", "--seed", "2",
+    ], {
+        "config.json": "b03d759684dafc619940b5480342ccff5c1be84d2c991236402587f0cad9b43d",
+        "records.csv": "551ad2ae1d9549c06eb94bda37bc2270f5f11caf5ac5fba1e3b28f2ef341ee3e",
+        "transcripts.jsonl": "e487e87f044596863cbed6597ba379e6726dd71e51d8aef1a64d7584e60deeee",
+    }),
+    "reprefill-greedy": ("reprefill", [
+        "--prompt", "q", "--paths", "2", "--budget", "6", "--greedy",
+    ], {
+        "config.json": "16710de512b4e4f364caa1dfc75453f71130d46144003d06cac92aaa84d2effb",
+        "transcripts.jsonl": "e1dc0da618e7afdc3fd1bb4904688b96bacdf64bb7ff774801214b0f6cb389c8",
+    }),
+    "reprefill-sampled": ("reprefill", [
+        "--prompt", "q and r", "--paths", "3", "--budget", "8", "--max-answer", "6", "--seed", "6",
+    ], {
+        "config.json": "3a580b1b0aafb73514749c2e8f13a7572478be563ff7ac69a880401bf5001b8e",
+        "transcripts.jsonl": "2a9ac2bdfbd123cbef7b494d17ad8ecaef6fd3b5899786c91c473eee99215004",
+    }),
+    "sweep-first": ("sweep", [
+        "--prompt", "p one", "--prompt", "q", "--budgets", "12", "--paths-list", "1", "2",
+        "--max-answer", "3", "--seed", "16", "--termination", "first", "--temperature", "1.5",
+    ], {
+        "config.json": "e1c367c3dfa27d1181d372bbfed16ea3f402fdf2fb2c2aa243534c7826359019",
+        "records.csv": "a553faf6b5e7b75e6185acb9f11f34be289b498e09e7f26626bc2b8ba22a1a2e",
+        "transcripts.jsonl": "663bb431bda2466809272ec0516a9ce8ce64ed8db1dbd494ebfd1e3a89380ea9",
+    }),
+    "sweep-half": ("sweep", [
+        "--prompt", "p one", "--budgets", "12", "--paths-list", "3", "--max-answer", "3",
+        "--seed", "6", "--termination", "half", "--temperature", "1.5",
+        "--allocation", "per-path-budget",
+    ], {
+        "config.json": "7766a7b9e38f1cbd103ef399ff0bb3a2c2e97885e8f5879dda88766070a35e06",
+        "records.csv": "dd9c20bd11a6d5a47f8b2f99ec63ed4be61edeb82d1827743dba3ca3e2bf1074",
+        "transcripts.jsonl": "6fee220f866f1af3dbe733c01a38e5a3c89026d244a6a38ff965b8f0ecf9fc03",
+    }),
+    "sweep-last": ("sweep", [
+        "--prompt", "p one", "--budgets", "12", "--paths-list", "3", "--max-answer", "3",
+        "--seed", "18", "--termination", "last", "--temperature", "1.5",
+    ], {
+        "config.json": "764b54e08d5902e0b1a9efa2d3a23a3d2d60cf363c013cafe344c2fd2f967815",
+        "records.csv": "610b87b53d035f5d6bd2a64cb52ffd2d682a5aa109fdcb5be4136db1720f035b",
+        "transcripts.jsonl": "726511db7e18b0f549cc5ecd4f4293bb15cf39869b4f224b067147af44dd8fee",
+    }),
+    "terminate": ("terminate", [
+        "--prompt", "alpha", "--prompt", "beta", "--paths", "3", "--budget", "8", "--max-answer",
+        "3", "--seed", "4",
+    ], {
+        "config.json": "8fc2e5e9782d99a14f197731d9a371cd55f525c9b0bbf4af2b1a9405e5ac9240",
+        "records.csv": "e8c5d7c5522b461168aad1733bc5cd0802243af911b0d253d4c1171c059b9b91",
+        "transcripts.jsonl": "cb4bfde54562869181c884cbad219d3705f761dc838cb2af59845872bee284d5",
+    }),
+}
+
+
+class TestSessionOutputs:
+    @pytest.mark.parametrize("run", sorted(PINNED_OUTPUTS))
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, run):
+        name, args, digests = PINNED_OUTPUTS[run]
+        if name == "prefix":
+            traces = tmp_path / "traces.jsonl"
+            traces.write_text(json.dumps(TRACE) + "\n")
+            args = ["--traces", str(traces), *args]
+        out = tmp_path / name
+        assert run_cli([name, *args, "--out", str(out)]) == 0
+        assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests} == digests
 
 
 class TestCostModel:

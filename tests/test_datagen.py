@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -544,7 +545,7 @@ class TestTrainingLayout:
         tl = training_layout(sample, vocab)
         plan = tl.layout
         assert plan.stage == REASONING
-        summary = build_summary_mask(plan.with_stage(SUMMARIZATION))
+        summary = build_summary_mask(replace(plan, stage=SUMMARIZATION))
         for i in range(plan.num_paths):
             reasoning = build_reasoning_mask(plan, i)
             for t in plan.path_slots(i):

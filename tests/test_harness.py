@@ -45,7 +45,7 @@ def prompt(vocab):
     return encode("prove it", vocab, markup=False)
 
 
-SAMPLER = SamplerConfig(temperature=0.9, seed=5)
+SAMPLER = SamplerConfig(temperature=0.9)
 
 
 def count_calls(monkeypatch, name):
@@ -219,13 +219,29 @@ class TestPrefixRecovery:
             )
         assert sessions == []
 
+    @pytest.mark.parametrize("case, message", [
+        (dict(samples=0), "samples must be an integer of at least 1, got 0"),
+        (dict(prefix_lengths=(0, -2)), "prefix length must be a non-negative integer, got -2"),
+        (dict(traces=[{"prompt": [104]}]), "trace 0 must be an object with prompt and body"),
+        (dict(target_token=5000), "target token 5000 outside vocab of size 292"),
+    ], ids=["zero-samples", "negative-prefix", "no-body", "target-outside-vocab"])
+    def test_bad_input_refused_before_the_first_session(
+        self, bundle, prompt, monkeypatch, case, message
+    ):
+        sessions = count_calls(monkeypatch, "GenerationSession")
+        args = {"traces": [{"prompt": prompt, "body": [70, 71, 72]}], "target_token": 70,
+                "prefix_lengths": (0, 2), "samples": 2, **case}
+        with pytest.raises(DataError, match=message):
+            run_prefix_recovery(bundle, budget=GenerationBudget(6, 2), sampler=SAMPLER, **args)
+        assert sessions == []
+
 
 class TestTerminationComparison:
     def test_stop_step_ordering_under_shared_seeds(self, bundle, prompt):
         records, _ = run_termination_comparison(
             bundle, [prompt],
             ["first_finish", "half_finish", "last_finish"],
-            SamplerConfig(temperature=1.2, seed=0), GenerationBudget(24, 2),
+            SamplerConfig(temperature=1.2), GenerationBudget(24, 2),
             num_paths=4, seed=11,
         )
         by_strategy = {rec["strategy"]: rec for rec in records}
@@ -253,7 +269,7 @@ class TestTerminationComparison:
         records, transcripts = run_termination_comparison(
             bundle, [prompt],
             ["first_finish", "half_finish", "last_finish"],
-            SamplerConfig(temperature=1.2, seed=0), GenerationBudget(20, 2),
+            SamplerConfig(temperature=1.2), GenerationBudget(20, 2),
             num_paths=4, seed=13,
         )
         for rec, t in zip(records, transcripts):
@@ -408,7 +424,7 @@ class TestReprefillBaseline:
         )
         weights = init_weights(cfg, seed=1)
         table = init_thought_table(vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k, seed=2)
-        sampler = SamplerConfig(temperature=3.0, seed=3)
+        sampler = SamplerConfig(temperature=3.0)
         session = run_session(
             weights, table, vocab, [1, 2, 3], 2, sampler, GenerationBudget(8, 40), seed=seed
         )

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -288,13 +286,3 @@ class TestSummaryView:
         fill_session_like(cache, l_x=2, path_lengths=(2, 2))
         with pytest.raises(LifecycleError):
             assemble_summary_view(cache, LayoutPlan(2, (2, 3), 0, SUMMARIZATION))
-
-
-class TestDebugDump:
-    def test_json_structure(self):
-        cache = make_cache()
-        cache.reserve_paths(1, 4)
-        fill_session_like(cache, l_x=3, path_lengths=(2,))
-        dump = json.loads(cache.debug_tables())
-        assert dump["tables"][PROMPT] == {"capacity": 3, "filled": 3, "path_row": None}
-        assert dump["tables"][path_key(0)] == {"capacity": 4, "filled": 2, "path_row": 0}

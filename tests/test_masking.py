@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,7 +137,7 @@ class TestOracleAgreement:
             if answer_len == 0:
                 continue
             plan_r = LayoutPlan(l_x, lengths, answer_len, REASONING)
-            plan_s = plan_r.with_stage(SUMMARIZATION)
+            plan_s = replace(plan_r, stage=SUMMARIZATION)
             summary = build_summary_mask(plan_s).visible
             for i in range(plan_r.num_paths):
                 reasoning = build_reasoning_mask(plan_r, i).visible
@@ -171,7 +173,7 @@ class TestOneRule:
                 path_key(i)
             )
         layout = DecodeLayout(stage=SUMMARIZATION, thought_labels=labels)
-        summary = build_summary_mask(plan.with_stage(SUMMARIZATION))
+        summary = build_summary_mask(replace(plan, stage=SUMMARIZATION))
         assert seen(summary, plan.answer_slots()[0]) == layout.visible_segments(ANSWER)
 
 
@@ -190,7 +192,7 @@ class TestOneRule:
             table[0, -1] = True
         plan = reasoning_plan(2, (3,) * num_paths, 2)
         a = build_reasoning_mask(plan, 0)
-        b = build_summary_mask(plan.with_stage(SUMMARIZATION))
+        b = build_summary_mask(replace(plan, stage=SUMMARIZATION))
         assert a.allowed is table and b.allowed is table
 
 
@@ -223,22 +225,11 @@ class TestDebugGrid:
         mask = build_reasoning_mask(plan, 0)
         # rows for path-1 queries still follow the literal case split:
         # they see the prompt and path-0 slots at or before them
-        assert mask.grid() == "\n".join(
-            [
-                ".xxxx",
-                "..xxx",
-                "...xx",
-                "...xx",
-                "...xx",
-            ]
-        )
-
-    def test_dense_values(self):
-        plan = reasoning_plan(1, (1,))
-        dense = build_reasoning_mask(plan, 0).dense()
-        assert dense[0, 0] == 0.0 and dense[0, 1] == -np.inf
-
-    def test_mask_equality(self):
-        plan = reasoning_plan(2, (2, 2))
-        assert build_reasoning_mask(plan, 0) == build_reasoning_mask(plan, 0)
-        assert build_reasoning_mask(plan, 0) != build_reasoning_mask(plan, 1)
+        grid = ["".join("." if v else "x" for v in row) for row in mask.visible]
+        assert grid == [
+            ".xxxx",
+            "..xxx",
+            "...xx",
+            "...xx",
+            "...xx",
+        ]

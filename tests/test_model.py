@@ -76,6 +76,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig(n_layers=1, d_model=60, n_heads=4, d_k=15, d_ff=64, vocab_size=300)
 
+    @pytest.mark.parametrize("field, bad", [
+        ("n_layers", 2.5), ("n_layers", True), ("d_ff", np.bool_(True)),
+        ("vocab_size", 292.0), ("max_position", 4096.5), ("d_model", "64"),
+    ])
+    def test_sizes_must_be_integers(self, field, bad):
+        sizes = dict(n_layers=2, d_model=64, n_heads=4, d_k=16, d_ff=256, vocab_size=292)
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got"):
+            ModelConfig(**{**sizes, field: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0, True, "10000"])
+    def test_rope_base_must_be_a_finite_positive_real(self, bad):
+        with pytest.raises(ConfigError, match="^rope_base must be a finite positive real"):
+            ModelConfig(n_layers=1, d_model=32, n_heads=2, d_k=16, d_ff=64, vocab_size=292,
+                        rope_base=bad)
+
+    def test_numpy_sizes_stored_as_int_and_rope_base_kept(self):
+        cfg = ModelConfig(n_layers=np.int64(2), d_model=np.int32(32), n_heads=2, d_k=16,
+                          d_ff=np.uint16(64), vocab_size=292, rope_base=500)
+        assert all(type(getattr(cfg, f)) is int
+                   for f in ("n_layers", "d_model", "d_ff", "max_position"))
+        assert type(cfg.rope_base) is int
+        assert type(ModelConfig(1, 32, 2, 16, 64, 292, np.float64(5.5)).rope_base) is np.float64
+
 
 class TestInitWeights:
     def test_deterministic(self, toy_config):
@@ -613,7 +636,11 @@ class TestPrefill:
             prefill(small_weights, small_table, cache, layout, [4, 5, 6])
             caches.append(cache)
         a, b = caches
-        assert a.debug_tables() == b.debug_tables()
+        structure = [
+            [(seg, t.slab.capacity, t.filled, t.row) for seg, t in sorted(c.tables.items())]
+            for c in caches
+        ]
+        assert structure[0] == structure[1]
         assert (
             a.tables[PROMPT].content_hash() == b.tables[PROMPT].content_hash()
         )

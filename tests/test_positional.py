@@ -10,16 +10,14 @@ from parcot.positional import (
     PositionAssignment,
     Rope,
     ThoughtEmbeddingTable,
-    assign_position,
-    augment_kv,
-    decompose_score,
     init_thought_table,
     load_thought_table,
-    max_path_position,
     path_key,
     save_thought_table,
     zero_thought_table,
 )
+
+from oracles import augment_kv, decompose_score, layer_row, rope_matrix
 
 RNG = np.random.default_rng(123)
 
@@ -43,7 +41,7 @@ class TestRope:
         # (R_n)^T (R_m v) should equal R_{m-n} v, via dense matrices
         v = RNG.standard_normal(16)
         for m, n in [(9, 4), (3, 11), (25, 25)]:
-            back = rope.matrix(n).T @ (rope.matrix(m) @ v)
+            back = rope_matrix(rope, n).T @ (rope_matrix(rope, m) @ v)
             direct = rope.rotate(v, m - n)
             assert np.max(np.abs(back - direct)) <= 1e-6
 
@@ -51,8 +49,8 @@ class TestRope:
         rng = np.random.default_rng(7)
         for _ in range(1000):
             m, n = rng.integers(0, 4096, size=2)
-            lhs = rope.matrix(int(n)).T @ rope.matrix(int(m))
-            rhs = rope.matrix(int(m) - int(n))
+            lhs = rope_matrix(rope, int(n)).T @ rope_matrix(rope, int(m))
+            rhs = rope_matrix(rope, int(m) - int(n))
             assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
     def test_per_row_positions_match_scalar_rotations(self, rope):
@@ -91,7 +89,7 @@ class TestAugmentKV:
         k = RNG.standard_normal(16).astype(np.float32)
         v = RNG.standard_normal(16).astype(np.float32)
         k_aug, _ = augment_kv(k, v, j=3, t=0, table=table, rope=rope)
-        expected = k + table.layer_row(3, 0)[0]
+        expected = k + layer_row(table, 3, 0)[0]
         assert np.max(np.abs(k_aug - expected)) <= 1e-7
 
     def test_score_identity_against_dense_rotations(self, rope):
@@ -107,9 +105,9 @@ class TestAugmentKV:
             m = int(rng.integers(0, 200))
             n = int(rng.integers(0, 200))
             k_aug, _ = augment_kv(k, v, j=j, t=m, table=table, rope=rope)
-            left = (rope.matrix(n) @ q) @ k_aug
-            rel = rope.matrix(m - n)
-            thought = table.layer_row(j, 0)[0]
+            left = (rope_matrix(rope, n) @ q) @ k_aug
+            rel = rope_matrix(rope, m - n)
+            thought = layer_row(table, j, 0)[0]
             right = q @ (rel @ k) + q @ (rel @ thought)
             assert abs(left - right) <= 1e-6
 
@@ -143,37 +141,42 @@ class TestDecomposeScore:
             m = int(rng.integers(0, 4096))
             n = int(rng.integers(0, 4096))
             cc, cs = decompose_score(q, n, k, m, thought, rope)
-            full = (rope.matrix(n) @ q) @ (rope.matrix(m) @ (k + thought))
+            full = (rope_matrix(rope, n) @ q) @ (rope_matrix(rope, m) @ (k + thought))
             assert abs((cc + cs) - full) <= 1e-6
+
+
+def position(a, segment, t):
+    """Absolute position of a segment's t-th slot (1-based)."""
+    return int(a.positions(segment, t - 1, 1)[0])
 
 
 class TestAssignPosition:
     def test_flattened_formula(self):
         a = PositionAssignment(FLATTENED, l_x=4, l_max=8, num_paths=4)
-        assert assign_position(a, path_key(2), 3) == 23
+        assert position(a, path_key(2), 3) == 23
 
     def test_shared_positions_coincide_across_paths(self):
         a = PositionAssignment(SHARED, l_x=4, l_max=8, num_paths=4)
-        assert {assign_position(a, path_key(i), 3) for i in range(4)} == {7}
+        assert {position(a, path_key(i), 3) for i in range(4)} == {7}
 
     def test_shared_answer_position(self):
         a = PositionAssignment(SHARED, l_x=4, l_max=16, num_paths=2, reasoning_len=10)
-        assert assign_position(a, ANSWER, 1) == 15
+        assert position(a, ANSWER, 1) == 15
 
     def test_prompt_positions(self):
         a = PositionAssignment(SHARED, l_x=4, l_max=8)
-        assert [assign_position(a, PROMPT, t) for t in (1, 4)] == [1, 4]
+        assert [position(a, PROMPT, t) for t in (1, 4)] == [1, 4]
 
     def test_cap_exceeded(self):
         a = PositionAssignment(SHARED, l_x=4, l_max=8)
         with pytest.raises(LayoutError):
-            assign_position(a, path_key(0), 9)
+            position(a, path_key(0), 9)
 
     def test_positions_increase_within_segment(self):
         a = PositionAssignment(FLATTENED, l_x=3, l_max=6, num_paths=3, reasoning_len=6)
         for seg in (PROMPT, path_key(1), ANSWER):
             top = 3 if seg == PROMPT else 6
-            ms = [assign_position(a, seg, t) for t in range(1, top + 1)]
+            ms = [position(a, seg, t) for t in range(1, top + 1)]
             assert ms == sorted(ms) and len(set(ms)) == len(ms)
 
     @pytest.mark.parametrize("scheme", [SHARED, FLATTENED])
@@ -195,8 +198,6 @@ class TestAssignPosition:
                     got = a.positions(seg, start, n)
                     want = [literal(seg, t) for t in range(start + 1, start + n + 1)]
                     assert got.dtype == np.int64 and got.tolist() == want
-                    if n:
-                        assert assign_position(a, seg, start + 1) == want[0]
             assert a.base(seg) == literal(seg, 0)
 
     @pytest.mark.parametrize(
@@ -229,12 +230,11 @@ class TestAssignPosition:
                 SHARED, l_x=l_x, l_max=l_max, num_paths=num_paths,
                 reasoning_len=reasoning_len,
             )
-            assert max_path_position(flat, reasoning_len) == (
-                l_x + (num_paths - 1) * l_max + reasoning_len
-            )
-            flattened_maxima.append(max_path_position(flat, reasoning_len))
+            last_path = flat.positions(path_key(num_paths - 1), 0, reasoning_len)
+            assert last_path[-1] == l_x + (num_paths - 1) * l_max + reasoning_len
+            flattened_maxima.append(last_path[-1])
             shared_maxima.append(
-                assign_position(shared, ANSWER, answer_len)
+                position(shared, ANSWER, answer_len)
             )
         diffs = np.diff(flattened_maxima)
         assert all(d == l_max * step for d, step in zip(diffs, [1, 2, 4]))
@@ -316,7 +316,7 @@ class TestThoughtTable:
         q = RNG.standard_normal(16)
         k = np.zeros(16)
         terms = {
-            round(decompose_score(q, 5, k, 9, table.layer_row(j, 0)[0], rope)[1], 12)
+            round(decompose_score(q, 5, k, 9, layer_row(table, j, 0)[0], rope)[1], 12)
             for j in range(1, 7)
         }
         assert len(terms) > 1

@@ -118,7 +118,7 @@ def test_sharers_read_the_donors_storage_and_leave_it_unchanged(
     for i in range(6):
         session = run_session(
             small_weights, small_table, vocab, PROMPT_TOKENS, 1 + i % 3,
-            SamplerConfig(temperature=1.2, seed=i), GenerationBudget(5, 3),
+            SamplerConfig(temperature=1.2), GenerationBudget(5, 3),
             Termination.LAST_FINISH, seed=i, prompt_from=source,
         )
         sharers.append(session)

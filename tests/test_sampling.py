@@ -25,9 +25,9 @@ from parcot.engine import (
     run_session,
     sample_token,
     sample_tokens,
-    session_record,
 )
 from parcot.errors import SamplingError
+from parcot.harness import run_experiment
 from parcot.pcg import uniforms
 from parcot.tokenizer import encode
 
@@ -301,17 +301,25 @@ class TestEngineDraws:
             assert len(labels) * len(steps) >= UNIFORM_CROSSOVER
             assert len(steps) <= UNIFORM_CHUNK
 
-    def test_sampler_seed_changes_nothing(self, small_weights, small_table, vocab):
-        prompt = encode("same draws", vocab, markup=False)
-        records = {
-            canonical_json(session_record(run_session(
-                small_weights, small_table, vocab, prompt, 4,
-                SamplerConfig(temperature=1.1, top_p=0.9, seed=sampler_seed),
-                GenerationBudget(12, 5), Termination.HALF_FINISH, seed=21,
-            )))
-            for sampler_seed in (0, 1, 2**40)
+    def test_sampler_seed_changes_nothing(self, vocab):
+        # the CLI writes sampler.seed beside the top-level seed; stored
+        # configs with any value of it, or none, run the same sessions
+        config = {
+            "model": {"n_layers": 2, "d_model": 32, "n_heads": 2, "d_k": 16,
+                      "d_ff": 64, "vocab_size": 292},
+            "prompt": encode("same draws", vocab, markup=False),
+            "paths": 4, "budget": 12, "max_answer_tokens": 5,
+            "strategy": "half_finish", "seed": 21,
         }
-        assert len(records) == 1
+        outputs = {
+            canonical_json(run_experiment(
+                "generate", {**config, "sampler": {"temperature": 1.1, "top_p": 0.9, **extra}}
+            ))
+            for extra in ({}, {"seed": 0}, {"seed": 1}, {"seed": 2**40})
+        }
+        assert len(outputs) == 1
+        with pytest.raises(TypeError):
+            SamplerConfig(temperature=1.1, seed=0)
 
 
 def count_kernel_calls(monkeypatch) -> list:

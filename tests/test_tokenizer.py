@@ -8,11 +8,7 @@ from parcot.tokenizer import (
     Vocab,
     decode,
     encode,
-    manifest,
-    read_manifest,
     sample_think_tokens,
-    vocab_from_manifest,
-    write_manifest,
 )
 
 
@@ -54,6 +50,19 @@ class TestVocabLayout:
         assert type(vocab.think_open(np.uint8(2))) is int
         with pytest.raises(VocabError):
             vocab.think_open(np.int64(17))
+
+
+    @pytest.mark.parametrize("field, bad", [
+        ("p_max", 2.5), ("p_max", True), ("base_size", 256.0), ("base_size", np.bool_(True)),
+    ])
+    def test_sizes_must_be_integers(self, field, bad):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got"):
+            Vocab(**{field: bad})
+
+    def test_numpy_sizes_stored_as_int(self):
+        vocab = Vocab(base_size=np.int64(256), p_max=np.uint8(4))
+        assert type(vocab.base_size) is int and type(vocab.p_max) is int
+        assert type(vocab.think_close(1)) is int and vocab == Vocab(256, 4)
 
 
 class TestEncodeDecode:
@@ -183,24 +192,3 @@ class TestSampleThinkTokens:
         expected = trials / 8
         sigma = np.sqrt(trials * (1 / 8) * (7 / 8))
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
-
-
-class TestManifest:
-    def test_round_trip(self, vocab, tmp_path):
-        path = str(tmp_path / "vocab.json")
-        write_manifest(vocab, path)
-        loaded = read_manifest(path)
-        assert loaded == vocab
-        assert manifest(loaded) == manifest(vocab)
-
-    def test_tampered_assignment_rejected(self, vocab):
-        data = manifest(vocab)
-        data["eos"] = data["eos"] + 1
-        with pytest.raises(VocabError):
-            vocab_from_manifest(data)
-
-    def test_wrong_format_rejected(self, vocab):
-        data = manifest(vocab)
-        data["format"] = "ptvocab-0"
-        with pytest.raises(VocabError):
-            vocab_from_manifest(data)
