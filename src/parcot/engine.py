@@ -38,8 +38,8 @@ cumulative distribution (``sample_tokens``): the arithmetic that
 written out so that draws (and ``verify``) do not rest on numpy's
 ``choice`` internals.  Both stages take their uniforms by one rule: from
 the kernel ``pcg.uniforms``, which computes the same doubles for a chunk
-of steps at once, when a chunk holds enough draws (UNIFORM_CROSSOVER).  A
-sampled reasoning step samples all its drawn rows in one ``sample_tokens``
+of steps at once (``draw_rng`` for a seed past 64 bits).  A sampled
+reasoning step samples all its drawn rows in one ``sample_tokens``
 call; the answer, reused cache or re-prefill baseline alike, is decoded by
 one loop (``decode_answer``).  Greedy decoding draws nothing: each token
 is its row's argmax.
@@ -87,14 +87,13 @@ from .tokenizer import Vocab, is_token_int
 ANSWER_STREAM = 0  # think labels start at 1, so stream 0 is free
 
 # A sampled stage takes its uniforms UNIFORM_CHUNK steps at a time from one
-# ``uniforms`` call over all its streams when that covers at least
-# UNIFORM_CROSSOVER draws (streams x steps), else one ``draw_rng`` per draw.
-# Measured on a 2-CPU Xeon (numpy 2.4): a ``uniforms`` call costs 160-190 us
-# for 8 to 16 draws and ~210 us for 256, one ``draw_rng(...).random()``
-# ~20 us, so the two break even near 8 draws; at 16 the kernel costs half,
-# and a chunk still pays when its rows stop halfway through it.
+# ``uniforms`` call over all its streams, however few draws that covers.
+# Measured on a 2-CPU Xeon (numpy 2.4, min of 7 x 200 calls): an 8-draw
+# call (a sampled answer capped at 8 tokens) costs ~95 us, those draws one
+# ``draw_rng(...).random()`` each ~131 us; a 1- to 4-draw call loses
+# 43-72 us, which the ``sweep`` workload does not resolve.  Every sampled
+# stage thus takes its draws by one rule.
 UNIFORM_CHUNK = 16
-UNIFORM_CROSSOVER = 16
 
 
 @dataclass(frozen=True)
@@ -321,7 +320,7 @@ def draw_rng(seed: int, stream: int, step: int) -> np.random.Generator:
 
     The reference for every draw's uniform: ``draw_rng(seed, stream,
     step).random()``.  ``_StageUniforms`` takes the same doubles from the
-    vectorized kernel ``uniforms`` when enough draws are due."""
+    vectorized kernel ``uniforms`` for any seed below 2**64."""
     return np.random.default_rng((seed, stream, step))
 
 
@@ -424,9 +423,9 @@ class _StageUniforms:
     ``streams`` holds one stream per row: the paths' think labels in path
     order, or ``[ANSWER_STREAM]``.  When step ``s`` draws past the planned
     steps, the next ``UNIFORM_CHUNK`` (up to ``last_step``) are planned for
-    every stream: by one ``uniforms`` call if that covers at least
-    ``UNIFORM_CROSSOVER`` draws, else one ``draw_rng`` per draw.  Either
-    way the double is ``draw_rng(seed, stream, step).random()``.
+    every stream by one ``uniforms`` call; a seed of 2**64 or more, which
+    the kernel does not take, draws one ``draw_rng`` per draw.  Either way
+    the double is ``draw_rng(seed, stream, step).random()``.
     """
 
     def __init__(self, seed: int, streams: list[int], last_step: int):
@@ -443,7 +442,7 @@ class _StageUniforms:
             self.first = step
             self.end = min(step + UNIFORM_CHUNK, self.last_step + 1)
             self.table = None
-            if self.kernel and len(self.streams) * (self.end - step) >= UNIFORM_CROSSOVER:
+            if self.kernel:
                 self.table = uniforms(self.seed, self.streams, range(step, self.end))
         if self.table is None:
             return np.array([draw_rng(self.seed, self.streams[r], step).random() for r in rows])

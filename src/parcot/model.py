@@ -44,9 +44,11 @@ holds each layer's attention parts over the other visible segments, the
 owners' segments, thought indices and storage, and the outcome of every
 length and batch check, so a pass checks its token ids, stages its new
 slots, attends over the plan's parts and its own slots, and commits.  An
-answer slot sees every path; when the paths are equally long its parts
-are three per layer: the prompt, the written part of the path slab as
-one view, and the answer itself.
+answer slot sees every path, and its parts are three per layer under
+every termination strategy: the prompt, the path slab as one view up to
+the longest path's fill, and the answer itself.  When the paths' lengths
+differ, the plan's one mask (``StagePlan.hidden``) scores each path's
+unwritten tail -inf, so no slot past a path's end gets any weight.
 
 Both passes write the cache the same way.  A pass names the owners it
 writes by their positions among the plan's owners, plus the one slot
@@ -378,7 +380,7 @@ def _later(n: int) -> np.ndarray:
     return later
 
 
-def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.ndarray:
+def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False, hidden=None) -> np.ndarray:
     """Per-head attention of query rows over a visible set given in parts.
 
     q: [n, n_heads, d_k].  ``keys`` and ``values`` list the parts of the
@@ -389,11 +391,14 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.nd
     by group (a leading axis of 1 is shared by every row; the path slab,
     read in place, is such a part).  With ``causal`` the last part ends
     with the rows' own slots in row order, and row r does not see the
-    n-1-r slots after its own.  One softmax runs over all parts' scores
-    and the values are summed part by part, so no part is copied or
-    concatenated.  Returns [n, n_heads, d_k].  A single-entry visible set
-    reduces to that entry's value row exactly (softmax over one element
-    is 1).
+    n-1-r slots after its own.  The score columns are the parts' slots in
+    order, a grouped part's group by group; ``hidden``, a boolean [c] (a
+    plan's ``hidden``), hides column j < c from every row where it is
+    set.  A hidden or later slot scores -inf, so its weight is 0.  One
+    softmax runs over all parts' scores and the values are summed part by
+    part, so no part is copied or concatenated.  Returns [n, n_heads,
+    d_k].  A single-entry visible set reduces to that entry's value row
+    exactly (softmax over one element is 1).
     """
     q_heads = q.transpose(1, 0, 2)  # [H, n, d_k]
     scores = []
@@ -410,6 +415,8 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False) -> np.nd
     n = q.shape[0]
     if causal and n > 1:  # one row sees its whole part: no triangle to build
         np.copyto(scores[..., scores.shape[-1] - n :], -np.inf, where=_later(n))
+    if hidden is not None:
+        np.copyto(scores[..., : hidden.size], -np.inf, where=hidden)
     weights = softmax(scores)
     out = None
     start = 0
@@ -490,17 +497,19 @@ class StagePlan:
     ``shared[li]`` holds layer ``li``'s key parts and value parts, in the
     rule's order.  A segment is one part (``PagedKVCache.gather``) and an
     empty one none.  When the segments hold every row of the path slab in
-    row order and the rows are equally long (always so under first
-    finish), the rows are one part instead: slots ``[0, filled)`` of every
-    row, read in place (``Slab.prefix``).  An answer token then scores
-    three parts per layer (prompt, slab, answer) whatever ``P`` is, and no
-    slot past a row's end is scored.
+    row order, the rows are one part instead, read in place up to the
+    longest row's fill (``Slab.prefix``), so an answer token scores three
+    parts per layer (prompt, slab, answer) whatever ``P`` is and however
+    long each path is.  When the rows' fills differ, ``hidden`` marks the
+    slots at or past each row's own fill among the shared parts' score
+    columns, and ``attend`` gives them no weight; fills do not change
+    while a stage runs, so the mask is built here once.  When they are
+    equal (always so under first finish), ``hidden`` is None.
 
     The other segments' lengths are checked here against the layout: the
     prompt holds ``l_x`` slots and the longest path the reasoning length.
-    The layout does not hold each path's own length, so a path shorter
-    than the longest is not checked here; ``assemble_summary_view``, which
-    the engine runs before the answer stage, checks every path exactly.
+    A shorter path is read to its own fill, which the plan takes from the
+    cache.
 
     The owners' segments and thought indices are resolved here too, and a
     pass names the owners it writes by their positions in ``owners``
@@ -541,12 +550,17 @@ class StagePlan:
         self.every = list(range(len(names)))  # the positions of all owners, in order
         self.slab = self.slab_rows = None  # bound at the first write
         sources, slab = list(others), cache.paths
+        self.hidden = None  # shared score columns past a path's own fill
         if slab is not None and path_key(0) in sources:
             rows = [path_key(i) for i in range(slab.k.shape[1])]
             at = sources.index(rows[0])
             span = slice(at, at + len(rows))
-            if sources[span] == rows and len(set(fills[span])) == 1:
-                sources[span], fills[span] = [slab], [fills[at]]
+            if sources[span] == rows:
+                own, longest = np.array(fills[span]), max(fills[span])
+                if own.min() < longest:  # row i's columns [own[i], longest)
+                    tails = np.arange(longest) >= own[:, None]
+                    self.hidden = np.concatenate([np.zeros(sum(fills[:at]), bool), tails.ravel()])
+                sources[span], fills[span] = [slab], [longest]
         sources = [(source, fill) for source, fill in zip(sources, fills) if fill]
         self.shared = []
         for li in range(cache.n_layers):
@@ -705,7 +719,7 @@ def forward_paths(
         # the rows' own segments up to and including the staged slot, one
         # [n, index+1] part scored row by row (a duplicated row shares it)
         own_k, own_v = writes.keys(li, index + 1), writes.values(li, index + 1)
-        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k)
+        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, hidden=plan.hidden)
 
     tokens = list(tokens) * (width // n)
     x = _decode_rows(weights, table, tokens, js * (width // n), position, attention)
@@ -784,7 +798,7 @@ def forward_causal(
         keys, values = plan.shared[li]
         # the segment's own row through the block's last staged slot
         own_k, own_v = writes.keys(li, index + hi)[0], writes.values(li, index + hi)[0]
-        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, causal=True)
+        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, True, plan.hidden)
 
     first_kept = n - keep
     kept = []

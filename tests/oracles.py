@@ -11,10 +11,12 @@ is the baseline's answer loop as it was when every token drew through its
 own generator.  The decoder's reference forms are the forward pass as it
 was before its projections were fused and its rotation went through
 interleaved tables: three separate q, k and v products, the even/odd
-float64 rotation, and reasoning attention over three parts (shared
-segments, the rows' committed slots, the new slot).  The rotary algebra's
-reference forms are a dense R_t matrix, one key/value pair's thought fold
-and rotation, and the score split into its content and segment terms.
+float64 rotation, reasoning attention over three parts (shared
+segments, the rows' committed slots, the new slot), and the answer's
+read of paths of unequal length as one part per path.  The rotary
+algebra's reference forms are a dense R_t matrix, one key/value pair's
+thought fold and rotation, and the score split into its content and
+segment terms.
 """
 
 import numbers
@@ -324,6 +326,25 @@ def reference_reprefill_answer(weights, zero_table, vocab, session, sampler) -> 
         if token in (vocab.summary_close, vocab.eos):
             break
     return answer
+
+
+def reference_answer_parts(cache, num_paths):
+    """Each layer's (key parts, value parts) over the prompt and every path
+    as an answer slot read them before the path slab became one masked
+    part: equally long paths as one ``Slab.prefix`` part, paths of unequal
+    length as one part each, read to its own fill.  An empty segment is no
+    part.  It has the shape of ``StagePlan.shared``, so it can stand in for
+    it under ``hidden = None``."""
+    fills = [cache.length(path_key(i)) for i in range(num_paths)]
+    shared = []
+    for li in range(cache.n_layers):
+        reads = [cache.gather(PROMPT, li)]
+        if len(set(fills)) > 1:
+            reads += [cache.gather(path_key(i), li) for i, fill in enumerate(fills) if fill]
+        elif fills[0]:
+            reads.append(cache.paths.prefix(li, fills[0]))
+        shared.append(([k for k, _ in reads], [v for _, v in reads]))
+    return shared
 
 
 def reference_projections(u, layer):

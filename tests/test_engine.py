@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -793,12 +795,14 @@ class TestSummarization:
 
 
 def spy_attend(monkeypatch):
-    """Records (query rows, key parts, value parts) of every attend call."""
+    """Records (query rows, key parts, value parts, hidden) of every attend call."""
     calls = []
     attend = model.attend
+    signature = inspect.signature(attend)
 
     def spy(q, keys, values, *args, **kwargs):
-        calls.append((q.shape[0], list(keys), list(values)))
+        bound = signature.bind(q, keys, values, *args, **kwargs)
+        calls.append((q.shape[0], list(keys), list(values), bound.arguments.get("hidden")))
         return attend(q, keys, values, *args, **kwargs)
 
     monkeypatch.setattr(model, "attend", spy)
@@ -810,11 +814,32 @@ def key_slots(part):
     return int(np.prod(part.shape[:-2]))
 
 
+def tail_columns(l_x, lengths):
+    """The score columns of slab slots at or past each row's fill, when the
+    slab is read up to the longest row after an ``l_x``-slot prompt."""
+    longest = max(lengths)
+    return {
+        l_x + row * longest + t
+        for row, length in enumerate(lengths)
+        for t in range(length, longest)
+    }
+
+
+def spread_finish(num_paths, horizon, stop_every=None):
+    """EOS steps spread over [2, horizon]; every ``stop_every``-th path
+    never emits EOS."""
+    return [
+        None if stop_every and i % stop_every == 0 else 2 + (3 * i) % (horizon - 1)
+        for i in range(num_paths)
+    ]
+
+
 class TestAnswerPass:
-    """Each answer token is one one-row causal pass.  It reads the path
-    slab in place and only up to each row's fill: equally long rows as
-    one part (three parts per layer: prompt, slab, answer), rows of
-    unequal length as one part each."""
+    """Each answer token is one one-row causal pass over three parts per
+    layer under every termination strategy: the prompt, the path slab
+    read in place up to the longest row's fill, and the answer.  When the
+    rows are unequally long the plan's ``hidden`` mask scores each row's
+    slots at or past its own fill -inf, so they get no weight."""
 
     def reasoned(self, weights, table, vocab, strategy, finish_steps):
         session = make_session(weights, table, vocab, num_paths=len(finish_steps),
@@ -828,6 +853,8 @@ class TestAnswerPass:
         (Termination.FIRST_FINISH, [None, None, None]),  # full rows
         (Termination.HALF_FINISH, [3, 9, 6, None]),
         (Termination.LAST_FINISH, [4, 9, 6]),
+        (Termination.HALF_FINISH, spread_finish(16, 12, stop_every=3)),
+        (Termination.LAST_FINISH, spread_finish(16, 12)),  # one row at capacity: a flat part
     ])
     def test_answer_reads_the_slab_and_nothing_past_it(
         self, small_weights, small_table, vocab, monkeypatch, strategy, finish_steps
@@ -841,12 +868,17 @@ class TestAnswerPass:
         run_summarization(session, GREEDY, 6)
         slab = session.cache.paths
         assert calls
-        for _, keys, values in calls:
-            path_keys, path_values = keys[1:-1], values[1:-1]  # between prompt and answer
-            assert len(path_keys) == (1 if equal else len(lengths))
-            for k, v in zip(path_keys, path_values):
-                assert np.shares_memory(k, slab.k) and np.shares_memory(v, slab.v)
-            assert sum(key_slots(k) for k in path_keys) == sum(lengths)
+        for _, keys, values, hidden in calls:
+            assert len(keys) == len(values) == 3  # prompt, slab, answer
+            k, v = keys[1], values[1]
+            assert np.shares_memory(k, slab.k) and np.shares_memory(v, slab.v)
+            assert key_slots(k) == len(lengths) * max(lengths)
+            if equal:
+                assert hidden is None
+                continue
+            assert hidden.shape == (session.l_x + key_slots(k),)
+            assert hidden.sum() == sum(max(lengths) - length for length in lengths)
+            assert set(np.flatnonzero(hidden).tolist()) == tail_columns(session.l_x, lengths)
 
         # slab slots past each row's fill hold large finite values: not read
         poisoned = self.reasoned(small_weights, small_table, vocab, strategy, finish_steps)
@@ -858,7 +890,7 @@ class TestAnswerPass:
         for got, want in zip(poisoned.answer_logits, session.answer_logits):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("strategy", [Termination.FIRST_FINISH, Termination.LAST_FINISH])
+    @pytest.mark.parametrize("strategy", list(Termination))
     @pytest.mark.parametrize("num_paths", [1, 4, 16])
     def test_pass_structure(
         self, small_weights, small_table, vocab, monkeypatch, num_paths, strategy
@@ -883,11 +915,12 @@ class TestAnswerPass:
         reasoning = calls[prefill_calls:]
         assert len(reasoning) == layers * len(active)
         slab = session.cache.paths
-        for call, (rows, keys, values) in enumerate(reasoning):
+        for call, (rows, keys, values, hidden) in enumerate(reasoning):
             assert rows == max(active[call // layers], 2)
             # two parts: the prompt, then the rows' own slots through the
             # staged new slot, read in place unless a frozen row splits them
             assert len(keys) == len(values) == 2
+            assert hidden is None
             own_k, own_v = keys[-1], values[-1]
             assert own_k.shape[:2] == (active[call // layers], index[call // layers] + 1)
             shared = np.shares_memory(own_k, slab.k) and np.shares_memory(own_v, slab.v)
@@ -897,10 +930,13 @@ class TestAnswerPass:
         del calls[:]
         run_summarization(session, GREEDY, 5)
         assert len(calls) == layers * len(session.answer_tokens)
-        equal = len({len(p.tokens) for p in session.paths}) == 1
+        lengths = [len(p.tokens) for p in session.paths]
+        equal = len(set(lengths)) == 1
         assert equal == (strategy is Termination.FIRST_FINISH or num_paths == 1)
-        parts = 3 if equal else num_paths + 2
-        assert all(rows == 1 and len(keys) == parts for rows, keys, _ in calls)
+        tails = sum(max(lengths) - length for length in lengths)
+        for rows, keys, _, hidden in calls:
+            assert rows == 1 and len(keys) == 3
+            assert (hidden is None) if equal else (hidden.sum() == tails)
 
 
 class TestStagePlans:

@@ -46,7 +46,7 @@ from parcot.positional import (
     zero_thought_table,
 )
 
-from oracles import causal_mask, dense_logits
+from oracles import causal_mask, dense_logits, reference_answer_parts
 
 
 def reasoning_layout(l_x, labels, l_max=16):
@@ -469,6 +469,85 @@ class TestStalePlan:
         StagePlan(cache, self.summary_layout(2, reasoning_len=3), [ANSWER])
         with pytest.raises(LifecycleError, match="path:0 holds 2 slots, layout says 3"):
             assemble_summary_view(cache, LayoutPlan(2, (3, 3), 0, SUMMARIZATION))
+
+
+def path_fills(kind, num_paths, capacity, rng):
+    """Drawn path lengths of one kind, each in [1, capacity]."""
+    if kind == "equal full":
+        return [capacity] * num_paths
+    if kind == "equal short":
+        return [int(rng.integers(1, capacity))] * num_paths
+    fills = rng.integers(1, capacity, num_paths).tolist()
+    if kind == "one at capacity":
+        fills[int(rng.integers(num_paths))] = capacity
+    return fills
+
+
+def answer_cache(cfg, l_x, fills, capacity, seed):
+    """A cache holding a drawn ``l_x``-slot prompt and path slots of the
+    given fills on a ``capacity``-slot slab, with answer storage; the same
+    seed gives the same slots."""
+    rng = np.random.default_rng(seed)
+    cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+    cache.reserve(PROMPT, l_x)
+    cache.reserve_paths(len(fills), capacity)
+    cache.reserve(ANSWER, 8)
+    shape = (cfg.n_layers, cfg.n_heads, cfg.d_k)
+    for segment, n in [(PROMPT, l_x)] + [(path_key(i), n) for i, n in enumerate(fills)]:
+        for _ in range(n):
+            k, v = rng.standard_normal((2, *shape)).astype(np.float32)
+            cache.append(segment, k, v)
+    return cache
+
+
+class TestAnswerRead:
+    """An answer slot reads the path slab as one part up to the longest
+    path, whatever the paths' lengths, and the plan's ``hidden`` mask
+    scores each path's slots past its own fill -inf.  Its logits match the
+    earlier read (``reference_answer_parts``: one part per path, each to
+    its own fill, when the lengths differ) within 1e-6 of the largest
+    logit, and have its bits when the paths are equally long."""
+
+    @pytest.mark.parametrize("kind", ["equal full", "equal short", "uneven", "one at capacity"])
+    @pytest.mark.parametrize("num_paths", [1, 2, 4, 8, 16])
+    def test_one_masked_part_matches_per_path_parts(
+        self, small_weights, small_table, num_paths, kind
+    ):
+        cfg = small_weights.config
+        rng = np.random.default_rng([num_paths, len(kind)])
+        for draw in range(3):
+            capacity = int(rng.integers(3, 41))
+            fills = path_fills(kind, num_paths, capacity, rng)
+            l_x, longest = int(rng.integers(1, 6)), max(fills)
+            layout = DecodeLayout(
+                stage=SUMMARIZATION,
+                assignment=PositionAssignment(
+                    SHARED, l_x=l_x, l_max=capacity, num_paths=num_paths, reasoning_len=longest
+                ),
+                thought_labels=tuple(range(1, num_paths + 1)),
+            )
+            logits = []
+            for reference in (False, True):
+                cache = answer_cache(cfg, l_x, fills, capacity, seed=[num_paths, draw])
+                plan = StagePlan(cache, layout, [ANSWER])
+                if reference:
+                    plan.shared, plan.hidden = reference_answer_parts(cache, num_paths), None
+                elif len(set(fills)) == 1:
+                    assert plan.hidden is None
+                else:
+                    assert plan.hidden.sum() == sum(longest - fill for fill in fills)
+                # a causal block of three answer rows, then one row at a time
+                rows = [forward_causal(small_weights, small_table, plan, [7, 8, 9], 0, keep=3)]
+                for index, token in enumerate([10, 11], 3):
+                    rows.append(forward_causal(small_weights, small_table, plan, [token], index))
+                logits.append(np.concatenate(rows))
+            got, want = logits
+            if len(set(fills)) == 1:
+                assert np.array_equal(got, want), (capacity, fills)
+            else:
+                # a slot's score rounds differently in a grouped product than
+                # in its own path's part: a few float32 ulps of the logits
+                assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)), (capacity, fills)
 
 
 class TestPrefill:

@@ -2,9 +2,10 @@
 draw rule, each against a per-draw reference.
 
 Every draw of a session is ``sample_token(logits, sampler, draw_rng(seed,
-stream, step))``: the engine takes the uniform from ``pcg.uniforms`` when a
-chunk of steps is large enough, and samples all of a reasoning step's rows
-in one ``sample_tokens`` call.  Neither may change a single token.
+stream, step))``: the engine takes the uniform from ``pcg.uniforms`` a
+chunk of steps at a time whenever the seed fits 64 bits, and samples all
+of a reasoning step's rows in one ``sample_tokens`` call.  Neither may
+change a single token.
 """
 
 import numpy as np
@@ -16,7 +17,6 @@ from parcot import engine
 from parcot.engine import (
     ANSWER_STREAM,
     UNIFORM_CHUNK,
-    UNIFORM_CROSSOVER,
     GenerationBudget,
     SamplerConfig,
     Termination,
@@ -298,8 +298,7 @@ class TestEngineDraws:
         assert kernel_calls, "no session filled a uniform chunk"
         for seed, labels, steps in kernel_calls:
             assert seed < 2**64
-            assert len(labels) * len(steps) >= UNIFORM_CROSSOVER
-            assert len(steps) <= UNIFORM_CHUNK
+            assert 1 <= len(steps) <= UNIFORM_CHUNK
 
     def test_sampler_seed_changes_nothing(self, vocab):
         # the CLI writes sampler.seed beside the top-level seed; stored
@@ -337,8 +336,8 @@ def count_kernel_calls(monkeypatch) -> list:
 
 class TestAnswerDraws:
     """An answer draws on its one stream by the reasoning stage's chunk rule:
-    a cap below a full chunk draws per token, a full chunk takes the kernel,
-    and a cap past a chunk edge draws its tail per token again."""
+    every chunk of ``UNIFORM_CHUNK`` steps, cut at the cap, takes one kernel
+    call when the seed fits 64 bits, and a larger seed draws per token."""
 
     @pytest.mark.parametrize("cap", [7, 15, 16, 17, 33])
     def test_every_answer_token_is_the_per_draw_reference(
@@ -363,9 +362,14 @@ class TestAnswerDraws:
                 )
             reached_cap += len(answer) == cap
         assert reached_cap, "no answer ran to its cap"
-        answer_calls = [steps for _, streams, steps in calls if streams == [ANSWER_STREAM]]
-        assert bool(answer_calls) == (cap >= UNIFORM_CROSSOVER)
-        assert all(len(steps) == UNIFORM_CHUNK for steps in answer_calls)
+        answer_calls = [
+            (seed, steps) for seed, streams, steps in calls if streams == [ANSWER_STREAM]
+        ]
+        assert answer_calls
+        assert all(seed < 2**64 for seed, _ in answer_calls)
+        for _, steps in answer_calls:
+            assert steps == list(range(steps[0], min(steps[0] + UNIFORM_CHUNK, cap + 1)))
+            assert steps[0] % UNIFORM_CHUNK == 1  # chunks start at steps 1, 17, 33, ...
 
 
 class TestRowsJoiningMidChunk:
@@ -393,7 +397,9 @@ class TestRowsJoiningMidChunk:
                 GenerationBudget(40, 4), Termination.LAST_FINISH, think_labels=labels,
                 seed=seed, record_logits=True, forced=forced,
             )
-            assert all(streams == labels for _, streams, _ in calls)
+            # the answer's own chunk is on its one stream; the rest cover every path
+            assert all(streams in (labels, [ANSWER_STREAM]) for _, streams, _ in calls)
+            reasoning = [steps for _, streams, steps in calls if streams == labels]
             joined_mid_chunk = 0
             for path in session.paths:
                 script = forced.get(path.index, [])
@@ -406,5 +412,5 @@ class TestRowsJoiningMidChunk:
                 joined = len(script) + 1
                 if script and len(body) >= joined:
                     # the step it joined at lies inside a chunk planned before it
-                    joined_mid_chunk += any(steps[0] < joined <= steps[-1] for *_, steps in calls)
+                    joined_mid_chunk += any(steps[0] < joined <= steps[-1] for steps in reasoning)
             assert joined_mid_chunk
