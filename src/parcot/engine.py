@@ -63,7 +63,6 @@ from .errors import ConfigError, DataError, LifecycleError, SamplingError
 from .kvcache import PagedKVCache, SummaryContextView, assemble_summary_view
 from .masking import REASONING, SUMMARIZATION, LayoutPlan
 from .model import (
-    DecodeLayout,
     ModelWeights,
     StagePlan,
     check_position,
@@ -203,6 +202,11 @@ class GenerationSession:
             raise ConfigError(
                 f"thought table has {table.p_max} path rows, vocab allows {vocab.p_max}"
             )
+        if table.vectors.shape[1:] != (cfg.n_layers, cfg.n_heads, cfg.d_k):
+            raise ConfigError(
+                f"thought table rows have shape {table.vectors.shape[1:]}, the model needs"
+                f" (n_layers, n_heads, d_k) = {(cfg.n_layers, cfg.n_heads, cfg.d_k)}"
+            )
         if not is_token_int(seed) or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         if not prompt_tokens:
@@ -248,14 +252,7 @@ class GenerationSession:
             self.prompt_logits = prompt_from.prompt_logits
         else:
             prompt = self.cache.reserve(PROMPT, len(self.prompt_tokens))
-            prompt_layout = DecodeLayout(
-                stage=REASONING,
-                assignment=PositionAssignment(SHARED, l_x=len(self.prompt_tokens), l_max=0),
-                thought_labels=tuple(think_labels),
-            )
-            self.prompt_logits = prefill(
-                weights, table, self.cache, prompt_layout, self.prompt_tokens
-            )
+            self.prompt_logits = prefill(weights, table, self.cache, self.prompt_tokens)
             # read-only from here on, so a session given this one as
             # ``prompt_from`` reads exactly what this one reads
             prompt.slab.seal()
@@ -264,33 +261,6 @@ class GenerationSession:
     @property
     def l_x(self) -> int:
         return len(self.prompt_tokens)
-
-    def reasoning_layout(self, budget: GenerationBudget) -> DecodeLayout:
-        return DecodeLayout(
-            stage=REASONING,
-            assignment=PositionAssignment(
-                SHARED,
-                l_x=self.l_x,
-                l_max=budget.max_path_tokens + 2,  # opener + body + closer
-                num_paths=self.num_paths,
-            ),
-            thought_labels=tuple(self.think_labels),
-        )
-
-    def summary_layout(self) -> DecodeLayout:
-        if self.reasoning_len is None:
-            raise LifecycleError("summarization layout requires a finished reasoning stage")
-        return DecodeLayout(
-            stage=SUMMARIZATION,
-            assignment=PositionAssignment(
-                SHARED,
-                l_x=self.l_x,
-                l_max=self.budget.max_path_tokens + 2,
-                num_paths=self.num_paths,
-                reasoning_len=self.reasoning_len,
-            ),
-            thought_labels=tuple(self.think_labels),
-        )
 
     def layout_plan(self) -> LayoutPlan:
         """Serialized slot layout of the session's current contents."""
@@ -518,13 +488,15 @@ def run_reasoning(
                 f" paths 0..{session.num_paths - 1} with a budget of {budget.max_path_tokens}"
             )
         check_token_ids(script, session.weights.config.vocab_size)
-    layout = session.reasoning_layout(budget)
-    last = layout.positions(path_key(0), 0, budget.max_path_tokens + 2)[-1]
-    check_position(session.weights.config, last, "reasoning")
-    plan = StagePlan(session.cache, layout, [path_key(p.index) for p in session.paths])
+    slots = budget.max_path_tokens + 2  # opener + body + closer
+    assignment = PositionAssignment(SHARED, l_x=session.l_x, l_max=slots)
+    positions = assignment.positions(path_key(0), 0, slots)
+    check_position(session.weights.config, positions[-1], "reasoning")
+    owners = [path_key(p.index) for p in session.paths]
+    plan = StagePlan(session.cache, REASONING, owners, session.think_labels, positions)
     session.budget = budget
     session.strategy = strategy
-    session.cache.reserve_paths(session.num_paths, budget.max_path_tokens + 2)
+    session.cache.reserve_paths(session.num_paths, slots)
     eos = session.vocab.eos
     threshold = strategy.threshold(session.num_paths)
 
@@ -595,13 +567,16 @@ def run_summarization(
         raise LifecycleError("summarization already ran for this session")
     max_answer_tokens = _token_cap(max_answer_tokens, 0, "answer")
     vocab = session.vocab
-    layout = session.summary_layout()
-    last = layout.positions(ANSWER, 0, max_answer_tokens + 1)[-1]  # SUMMARY_OPEN first
-    check_position(session.weights.config, last, "answer")
+    slots = max_answer_tokens + 1  # SUMMARY_OPEN first
+    assignment = PositionAssignment(
+        SHARED, l_x=session.l_x, l_max=0, reasoning_len=session.reasoning_len
+    )
+    positions = assignment.positions(ANSWER, 0, slots)
+    check_position(session.weights.config, positions[-1], "answer")
     # the record and the re-prefill baseline read the cap the answer ran with
     session.budget = replace(session.budget, max_answer_tokens=max_answer_tokens)
-    plan = StagePlan(session.cache, layout, [ANSWER])
-    session.cache.reserve(ANSWER, max_answer_tokens + 1)
+    plan = StagePlan(session.cache, SUMMARIZATION, [ANSWER], [0], positions)
+    session.cache.reserve(ANSWER, slots)
 
     def feed(token: int) -> np.ndarray:
         index = len(session.answer_tokens)

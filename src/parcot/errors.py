@@ -18,7 +18,7 @@ class PositionOverflowError(EngineError):
 
 
 class CacheConsistencyError(EngineError):
-    """KV cache contents do not match what the decode layout expects."""
+    """KV cache contents do not match what a stage plan expects."""
 
 
 class LifecycleError(EngineError):

@@ -39,10 +39,8 @@ from .engine import (
 )
 from .errors import ConfigError, DataError, LifecycleError
 from .kvcache import PagedKVCache
+from .masking import FLAT, SUMMARIZATION
 from .model import (
-    FLAT,
-    SUMMARIZATION,
-    DecodeLayout,
     ModelConfig,
     StagePlan,
     forward_causal,
@@ -354,17 +352,18 @@ def run_termination_comparison(
 # re-prefill baseline
 # ---------------------------------------------------------------------------
 
-def _flat_feed(weights, table, layout, tokens, keep=1):
+def _flat_feed(weights, table, positions, tokens, keep=1):
     """Feed ``tokens`` to a fresh flattened cache in causal chunks.
 
     One ``forward_causal`` pass over the single FLAT segment, reserved for
-    every position the layout lists.  Returns the segment's plan, for the
-    passes that extend it, and the last ``keep`` rows' logits.
+    every slot of ``positions``, which lists each slot's position.
+    Returns the segment's plan, for the passes that extend it, and the
+    last ``keep`` rows' logits.
     """
     cfg = weights.config
     cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
-    cache.reserve(FLAT_SEGMENT, len(layout.flat_positions))
-    plan = StagePlan(cache, layout, [FLAT_SEGMENT])
+    cache.reserve(FLAT_SEGMENT, len(positions))
+    plan = StagePlan(cache, FLAT, [FLAT_SEGMENT], [0], positions)
     logits = forward_causal(weights, table, plan, tokens, 0, keep)
     return plan, logits
 
@@ -423,10 +422,9 @@ def run_reprefill_baseline(
     # teacher-forced pass: the answer tokens are known, so they run in the
     # same causal pass as the context; compare per-step logits
     if session.record_logits and session.answer_logits:
-        layout = DecodeLayout(stage=FLAT, flat_positions=teacher)
         answer = session.answer_tokens
         _, logits = _flat_feed(
-            bundle.weights, zero, layout, flat_tokens + answer, keep=len(answer)
+            bundle.weights, zero, teacher, flat_tokens + answer, keep=len(answer)
         )
         record["logit_divergence"] = float(
             np.max(np.abs(logits - np.stack(session.answer_logits)))
@@ -435,9 +433,8 @@ def run_reprefill_baseline(
     # independent answer decode over a fresh flattened prefill, by the
     # engine's answer loop
     vocab = bundle.vocab
-    layout = DecodeLayout(stage=FLAT, flat_positions=own)
     fed = flat_tokens + [vocab.summary_open]
-    plan, logits = _flat_feed(bundle.weights, zero, layout, fed)
+    plan, logits = _flat_feed(bundle.weights, zero, own, fed)
 
     def feed(token: int) -> np.ndarray:
         fed.append(token)

@@ -1,15 +1,15 @@
 """Minimal decoder-only transformer: batched decode steps, chunked prefill.
 
 Pre-norm blocks, no biases, SiLU feed-forward, RMS normalization, full
-multi-head attention.  The forward pass takes an externally supplied
-decode layout that fixes each slot's absolute position, thought index,
-and the ordered set of cache segments it may attend over, which the one
-visibility rule ``masking.visible_segments`` gives; attention is
-computed only over those segments, scaled by 1/sqrt(d_k).
+multi-head attention.  A forward pass runs under a stage plan
+(``StagePlan``) that holds its slots' absolute positions and thought
+indices, as given, and the ordered set of cache segments they may attend
+over, which the one visibility rule ``masking.visible_segments`` gives;
+attention is computed only over those segments, scaled by 1/sqrt(d_k).
 
 All parameters, cache entries, and activations are 32-bit floats.
 Attention for a slot is reduced in a fixed order: visible segments in
-layout order, then its own segment's slots in write order up to and
+the rule's order, then its own segment's slots in write order up to and
 including itself.  Two passes run their rows through the layers as one
 block (``_decode_rows``), so each weight matrix is read once per block.
 A layer computes q, k and v as one product with its fused ``w_qkv``
@@ -39,11 +39,11 @@ ones for a single position):
   or head runs for it there.  Every slot and logit keeps its bits.
 
 Both passes run under a ``StagePlan``, built once when a stage starts
-(``prefill`` and ``forward_step`` build one for their single pass).  It
-holds each layer's attention parts over the other visible segments, the
-owners' segments, thought indices and storage, and the outcome of every
-length and batch check, so a pass checks its token ids, stages its new
-slots, attends over the plan's parts and its own slots, and commits.  An
+(``prefill`` builds one for its single pass).  It holds each layer's
+attention parts over the other visible segments, the owners' segments,
+thought indices, positions and storage, and the outcome of every length
+and batch check, so a pass checks its token ids, stages its new slots,
+attends over the plan's parts and its own slots, and commits.  An
 answer slot sees every path, and its parts are three per layer under
 every termination strategy: the prompt, the path slab as one view up to
 the longest path's fill, and the answer itself.  When the paths' lengths
@@ -91,15 +91,13 @@ from .errors import (
     PositionOverflowError,
 )
 from .kvcache import PagedKVCache, Rows, SlotAddress, reserved_slab, row_index
-# stage strings and the visibility rule live in masking; stages re-exported
-from .masking import FLAT, REASONING, SUMMARIZATION, visible_segments  # noqa: F401
+from .masking import REASONING, visible_segments
 from .positional import (
-    ANSWER,
     PROMPT,
+    SHARED,
     PositionAssignment,
     Rope,
     ThoughtEmbeddingTable,
-    path_index,
     path_key,
     rope_for,
 )
@@ -438,81 +436,39 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False, hidden=N
     return out
 
 
-@dataclass(eq=False)
-class DecodeLayout:
-    """Resolves a segment's slots to positions, thought index and visible segments.
-
-    Positions come from ``assignment`` (``PositionAssignment.positions``),
-    one segment range at a time.  Stage "flat" (the re-prefill baseline)
-    is one causal segment whose positions are listed per slot in
-    ``flat_positions`` (any int sequence, held as an int64 array).  The
-    visible segments are ``masking.visible_segments`` for ``stage``.
-    """
-
-    stage: str
-    assignment: PositionAssignment | None = None
-    thought_labels: tuple[int, ...] = ()
-    flat_positions: np.ndarray = ()
-
-    def __post_init__(self):
-        self.flat_positions = np.asarray(self.flat_positions, dtype=np.int64)
-
-    def base(self, segment: str) -> int | None:
-        """The segment's position offset; None for stage "flat", whose
-        positions are listed per slot."""
-        return None if self.stage == FLAT else self.assignment.base(segment)
-
-    def positions(self, segment: str, start: int, n: int) -> np.ndarray:
-        """Positions of the segment's slots start..start+n-1, [n] int64."""
-        if self.stage != FLAT:
-            return self.assignment.positions(segment, start, n)
-        if not 0 <= start <= start + n <= len(self.flat_positions):
-            raise LayoutError(
-                f"flat layout lists {len(self.flat_positions)} positions,"
-                f" slots {start}..{start + n - 1} asked for"
-            )
-        return self.flat_positions[start : start + n]
-
-    def thought_index(self, segment: str) -> int:
-        if self.stage == FLAT or segment in (PROMPT, ANSWER):
-            return 0
-        i = path_index(segment)
-        if not 0 <= i < len(self.thought_labels):
-            raise LayoutError(f"{segment!r} is not one of the layout's paths")
-        return self.thought_labels[i]
-
-    def visible_segments(self, segment: str) -> tuple[str, ...]:
-        return visible_segments(self.stage, segment, len(self.thought_labels))
-
-
 class StagePlan:
     """What every pass of one stage shares, resolved once for the stage.
 
     ``owners`` are the segments the stage writes, each named once: the
     prompt, the answer, the re-prefill baseline's one flat segment, or the
-    reasoning paths, which must share one position base and their other
-    visible segments.  Those other segments are complete when the stage
-    starts and no pass of the stage writes them, so each layer's keys and
-    values over them are taken here once, as views of the cache's storage:
-    ``shared[li]`` holds layer ``li``'s key parts and value parts, in the
-    rule's order.  A segment is one part (``PagedKVCache.gather``) and an
-    empty one none.  When the segments hold every row of the path slab in
-    row order, the rows are one part instead, read in place up to the
-    longest row's fill (``Slab.prefix``), so an answer token scores three
-    parts per layer (prompt, slab, answer) whatever ``P`` is and however
-    long each path is.  When the rows' fills differ, ``hidden`` marks the
-    slots at or past each row's own fill among the shared parts' score
-    columns, and ``attend`` gives them no weight; fills do not change
-    while a stage runs, so the mask is built here once.  When they are
-    equal (always so under first finish), ``hidden`` is None.
+    reasoning paths.  ``thoughts`` holds each owner's thought index, and
+    ``positions`` the int64 positions of the owners' slots 0..n-1, which
+    they share: ``PositionAssignment.positions`` under the shared scheme,
+    or the baseline's flattened list.  A pass that asks for a slot past
+    them raises ``LayoutError`` before it stages anything.
 
-    The other segments' lengths are checked here against the layout: the
-    prompt holds ``l_x`` slots and the longest path the reasoning length.
-    A shorter path is read to its own fill, which the plan takes from the
-    cache.
+    The owners must see the same other segments, ``masking.visible_segments``
+    for ``stage`` with the path slab's rows as the paths.  Those segments
+    are complete when the stage starts and no pass of the stage writes
+    them, so each layer's keys and values over them are taken here once,
+    as views of the cache's storage: ``shared[li]`` holds layer ``li``'s
+    key parts and value parts, in the rule's order.  A segment is one part
+    (``PagedKVCache.gather``) and an empty one none.  When the segments
+    hold every row of the path slab in row order, the rows are one part
+    instead, read in place up to the longest row's fill (``Slab.prefix``),
+    so an answer token scores three parts per layer (prompt, slab, answer)
+    whatever ``P`` is and however long each path is.  When the rows' fills
+    differ, ``hidden`` marks the slots at or past each row's own fill among
+    the shared parts' score columns, and ``attend`` gives them no weight;
+    fills do not change while a stage runs, so the mask is built here once.
+    When they are equal (always so under first finish), ``hidden`` is None.
 
-    The owners' segments and thought indices are resolved here too, and a
-    pass names the owners it writes by their positions in ``owners``
+    Under the shared scheme an owner's slot 0 sits right after the prompt
+    and the longest path it sees, so a plan that sees other segments checks
+    its first position against their fills.  A shorter path is read to its
+    own fill, which the plan takes from the cache.
+
+    A pass names the owners it writes by their positions in ``owners``
     (``rows``).  The engine reserves a stage's storage only after building
     its plan, once every check has passed, and a reserved segment keeps
     its identity, so the plan binds the owners' storage (reserved, on one
@@ -521,38 +477,37 @@ class StagePlan:
     fill against the slot it extends, and the room left.
     """
 
-    def __init__(self, cache: PagedKVCache, layout: DecodeLayout, owners):
+    def __init__(self, cache: PagedKVCache, stage: str, owners, thoughts, positions):
         names = tuple(owners)
-        if not names or len(set(names)) != len(names):
-            raise CacheConsistencyError(f"a plan needs distinct owner segments, got {names}")
-        others = layout.visible_segments(names[0])[:-1]  # the rule lists a slot's own segment last
+        if not names or len(set(names)) != len(names) or len(thoughts) != len(names):
+            raise CacheConsistencyError(
+                f"a plan needs distinct owner segments and one thought index each,"
+                f" got {names} and {list(thoughts)}"
+            )
+        slab = cache.paths
+        num_paths = 0 if slab is None else slab.k.shape[1]
+        others = visible_segments(stage, names[0], num_paths)[:-1]  # a slot's own segment is last
         for owner in names[1:]:
-            if layout.base(owner) != layout.base(names[0]):
-                raise CacheConsistencyError("batched slots must share one position")
-            if layout.visible_segments(owner) != (*others, owner):
+            if visible_segments(stage, owner, num_paths) != (*others, owner):
                 raise CacheConsistencyError("batched slots must share their visible segments")
+        self.positions = np.asarray(positions, dtype=np.int64)
         fills = [cache.length(seg) for seg in others]
         if others:
-            have, assignment = dict(zip(others, fills)), layout.assignment
-            prompt = have.pop(PROMPT)
-            if prompt != assignment.l_x:
+            seen = dict(zip(others, fills))
+            end = seen.pop(PROMPT) + max(seen.values(), default=0)
+            if self.positions[0] != end + 1:
                 raise CacheConsistencyError(
-                    f"visible segment 'prompt' holds {prompt} slots, expected {assignment.l_x}"
+                    f"slot 0 of {names[0]!r} sits at position {self.positions[0]}, but the"
+                    f" prompt and longest path it sees end at position {end}"
                 )
-            if have and max(have.values()) != assignment.reasoning_len:
-                raise CacheConsistencyError(
-                    f"the longest visible path holds {max(have.values())} slots,"
-                    f" expected {assignment.reasoning_len}"
-                )
-        self.layout = layout
         self.owners = [cache.table(name) for name in names]
-        self.thoughts = [layout.thought_index(name) for name in names]
+        self.thoughts = list(thoughts)
         self.every = list(range(len(names)))  # the positions of all owners, in order
         self.slab = self.slab_rows = None  # bound at the first write
-        sources, slab = list(others), cache.paths
+        sources = list(others)
         self.hidden = None  # shared score columns past a path's own fill
-        if slab is not None and path_key(0) in sources:
-            rows = [path_key(i) for i in range(slab.k.shape[1])]
+        if num_paths and path_key(0) in sources:
+            rows = [path_key(i) for i in range(num_paths)]
             at = sources.index(rows[0])
             span = slice(at, at + len(rows))
             if sources[span] == rows:
@@ -569,6 +524,15 @@ class StagePlan:
                 for source, fill in sources
             ]
             self.shared.append(([k for k, _ in parts], [v for _, v in parts]))
+
+    def slot_positions(self, index: int, n: int) -> np.ndarray:
+        """Positions of the owners' slots index..index+n-1, [n] int64."""
+        if not 0 <= index <= index + n <= len(self.positions):
+            raise LayoutError(
+                f"the plan lists {len(self.positions)} positions,"
+                f" slots {index}..{index + n - 1} asked for"
+            )
+        return self.positions[index : index + n]
 
     def rows(self, at: list[int], index: int, n: int) -> tuple[Rows, list[int]]:
         """Write handle for ``n`` new slots of the owners at positions
@@ -688,10 +652,8 @@ def forward_paths(
 
     Row r feeds ``tokens[r]`` to slot ``index`` of the plan's owner at
     position ``rows[r]``; every row's owner holds ``index`` slots.  The
-    rows go through the layers as one block (``_decode_rows``).  The
-    owners share one position and one visible set apart from their own
-    segment; the active paths of a reasoning step under the shared
-    position scheme do.  Each row attends over the plan's shared parts
+    rows go through the layers as one block (``_decode_rows``), at the
+    plan's position for slot ``index``.  Each row attends over the plan's shared parts
     (one product for all rows), then its own segment's slots up to and
     including its new one, staged there first (one product over the rows
     of the cache's path slab).  The new slots are staged layer by layer
@@ -704,7 +666,7 @@ def forward_paths(
         raise DataError(f"need one token per row, got {len(tokens)} for {n} rows")
     check_token_ids(tokens, cfg.vocab_size)
     writes, js = plan.rows(rows, index, 1)
-    position = int(plan.layout.positions(writes.segments[0].owner, index, 1)[0])
+    position = int(plan.slot_positions(index, 1)[0])
     check_position(cfg, position, writes.segments[0].owner)
     # BLAS sends a one-row product to a matrix-vector kernel that rounds
     # differently from the matrix-matrix kernel a block of rows uses, so a
@@ -731,20 +693,22 @@ def forward_paths(
 def forward_step(
     weights: ModelWeights,
     table: ThoughtEmbeddingTable,
-    cache: PagedKVCache,
-    layout: DecodeLayout,
+    plan: StagePlan,
     token: int,
     slot: SlotAddress,
 ) -> np.ndarray:
-    """Decode one token at ``slot``: returns next-token logits.
+    """Decode one token at ``slot``, a slot of one of the plan's owners:
+    returns next-token logits.
 
-    The one-row case of ``forward_paths``, under a plan built for this
-    pass: attends over the layout's visible segments (stored slots first,
-    this slot last), staging the slot's augmented k/v stacks in its
-    segment and committing them after the logits.
+    The one-row case of ``forward_paths``: attends over the plan's visible
+    segments (stored slots first, this slot last), staging the slot's
+    augmented k/v stacks in its segment and committing them after the
+    logits.
     """
-    plan = StagePlan(cache, layout, [slot.segment])
-    return forward_paths(weights, table, plan, [token], [0], slot.index)[0]
+    names = [seg.owner for seg in plan.owners]
+    if slot.segment not in names:
+        raise CacheConsistencyError(f"a plan for {names} cannot write {slot.segment!r}")
+    return forward_paths(weights, table, plan, [token], [names.index(slot.segment)], slot.index)[0]
 
 
 def forward_causal(
@@ -786,9 +750,8 @@ def forward_causal(
         )
     check_token_ids(tokens, cfg.vocab_size)
     writes, (j,) = plan.rows([0], index, n)
-    owner = writes.segments[0].owner
-    positions = plan.layout.positions(owner, index, n)
-    check_position(cfg, int(positions.max()), owner)
+    positions = plan.slot_positions(index, n)
+    check_position(cfg, int(positions.max()), writes.segments[0].owner)
 
     def stage(li, k, v):
         writes.stage(li, lo, k[None], v[None])
@@ -819,17 +782,21 @@ def prefill(
     weights: ModelWeights,
     table: ThoughtEmbeddingTable,
     cache: PagedKVCache,
-    layout: DecodeLayout,
     tokens,
 ) -> np.ndarray:
-    """Feed the prompt tokens in causal chunks; returns the last slot's logits.
+    """Feed the prompt tokens to the slots after the prompt's written ones,
+    in causal chunks; returns the last slot's logits.
 
     One ``forward_causal`` call over the prompt segment, under a plan
-    built for it: the prompt runs in blocks of ``CAUSAL_CHUNK`` rows, not
+    built for it (thought index 0, the shared scheme's prompt positions):
+    the prompt runs in blocks of ``CAUSAL_CHUNK`` rows, not
     one forward pass per token, and a prefill that raises writes no prompt
     slot.  Only the block holding the last slot runs the whole last layer
     and the head; a block with no kept row stops at the last layer once
     its k/v are staged.
     """
-    plan = StagePlan(cache, layout, [PROMPT])
-    return forward_causal(weights, table, plan, list(tokens), cache.length(PROMPT))[0]
+    tokens, start = list(tokens), cache.length(PROMPT)
+    end = start + len(tokens)
+    positions = PositionAssignment(SHARED, l_x=end, l_max=0).positions(PROMPT, 0, end)
+    plan = StagePlan(cache, REASONING, [PROMPT], [0], positions)
+    return forward_causal(weights, table, plan, tokens, start)[0]

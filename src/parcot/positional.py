@@ -186,6 +186,8 @@ def load_thought_table(path: str) -> ThoughtEmbeddingTable:
         blob = fh.read()
     if blob[:4] != THOUGHT_MAGIC:
         raise ConfigError(f"bad thought-table magic in {path!r}")
+    if len(blob) < 20:
+        raise ConfigError(f"thought-table file {path!r} is shorter than its 20-byte header")
     rows, n_layers, n_heads, d_k = struct.unpack("<4I", blob[4:20])
     expected = 20 + rows * n_layers * n_heads * d_k * 4
     if len(blob) != expected:

@@ -28,7 +28,8 @@ from parcot.engine import ANSWER_STREAM, draw_rng
 from parcot.errors import ConfigError, FormatError, LayoutError, SamplingError
 from parcot.kvcache import PagedKVCache
 from parcot.masking import REASONING, AttentionMask, LayoutPlan
-from parcot.model import FLAT, NORM_EPS, DecodeLayout, StagePlan, attend, forward_causal
+from parcot.masking import FLAT
+from parcot.model import NORM_EPS, StagePlan, attend, forward_causal
 from parcot.positional import ANSWER, PROMPT, SHARED, PositionAssignment, Rope, path_key
 from parcot.tokenizer import encode
 
@@ -314,7 +315,7 @@ def reference_reprefill_answer(weights, zero_table, vocab, session, sampler) -> 
     positions += [base + t for t in range(1, cap + 2)]
     cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
     cache.reserve("seq", len(positions))
-    plan = StagePlan(cache, DecodeLayout(stage=FLAT, flat_positions=tuple(positions)), ["seq"])
+    plan = StagePlan(cache, FLAT, ["seq"], [0], positions)
     answer = [vocab.summary_open]
     logits = forward_causal(weights, zero_table, plan, tokens + answer, 0)[0]
     for step in range(1, cap + 1):

@@ -36,7 +36,7 @@ from parcot.masking import (
     build_reasoning_mask,
     build_summary_mask,
 )
-from parcot.model import ModelConfig, forward_step, init_weights, prefill
+from parcot.model import ModelConfig, StagePlan, forward_step, init_weights, prefill
 from parcot.positional import (
     ANSWER,
     FLATTENED,
@@ -142,19 +142,29 @@ def test_criterion_02_zero_reprefill_equivalence(small_weights, small_table, voc
             cache.reserve(PROMPT, len(prompt))
             cache.reserve_paths(num_paths, budget.max_path_tokens + 2)
             cache.reserve(ANSWER, len(session.answer_tokens))
-            replay = session.reasoning_layout(budget)
-            prefill(small_weights, small_table, cache, replay, prompt)
+            prefill(small_weights, small_table, cache, prompt)
+            l_max = budget.max_path_tokens + 2
+            shared = PositionAssignment(
+                SHARED, l_x=len(prompt), l_max=l_max, reasoning_len=session.reasoning_len
+            )
+            owners = [path_key(i) for i in range(num_paths)]
+            replay = StagePlan(
+                cache, REASONING, owners, session.think_labels,
+                shared.positions(path_key(0), 0, l_max),
+            )
             for path in session.paths:
                 for t0, token in enumerate(path.tokens):
                     forward_step(
-                        small_weights, small_table, cache, replay, token,
+                        small_weights, small_table, replay, token,
                         SlotAddress(path_key(path.index), t0),
                     )
-            summary_layout = session.summary_layout()
+            answer = StagePlan(
+                cache, SUMMARIZATION, [ANSWER], [0],
+                shared.positions(ANSWER, 0, len(session.answer_tokens)),
+            )
             for k, token in enumerate(session.answer_tokens):
                 logits = forward_step(
-                    small_weights, small_table, cache, summary_layout, token,
-                    SlotAddress(ANSWER, k),
+                    small_weights, small_table, answer, token, SlotAddress(ANSWER, k)
                 )
                 diff = float(np.max(np.abs(logits - session.answer_logits[k])))
                 assert diff <= 1e-5, (trial, k, diff)

@@ -351,6 +351,26 @@ class TestWeightFiles:
         assert code == 0
         assert run_cli(["verify", "--dir", out]) == 0
 
+    @pytest.mark.parametrize("dims", [(2, 4, 8), (1, 4, 16)], ids=["d_k-8", "one-layer"])
+    def test_thought_table_that_does_not_fit_the_model(self, tmp_path, capsys, dims):
+        from parcot.positional import init_thought_table, save_thought_table
+
+        # the default model has 2 layers, 4 heads and d_k 16
+        tpath = str(tmp_path / "table.ptt")
+        save_thought_table(init_thought_table(16, *dims, seed=1), tpath)
+        out = str(tmp_path / "gen")
+        code = run_cli(
+            [
+                "generate", "--prompt", "y", "--paths", "2", "--budget", "3",
+                "--max-answer", "2", "--greedy", "--thought-emb", tpath, "--out", out,
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: thought table rows have shape {dims}, the model needs"
+        )
+        assert not os.path.exists(out)
+
 
 class TestDatagen:
     def test_end_to_end(self, tmp_path):

@@ -374,6 +374,19 @@ class TestTerminationSemantics:
         with pytest.raises(ConfigError):
             make_session(small_weights, small_table, vocab, num_paths=vocab.p_max + 1)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["layers", "heads", "d_k"])
+    def test_thought_table_must_fit_the_model(self, small_weights, vocab, monkeypatch, axis):
+        cfg = small_weights.config
+        dims = [cfg.n_layers, cfg.n_heads, cfg.d_k]
+        dims[axis] += 1
+        table = init_thought_table(vocab.p_max, *dims, seed=6)
+        allocated = []
+        monkeypatch.setattr(engine, "PagedKVCache", lambda *args: allocated.append(args))
+        with pytest.raises(ConfigError) as raised:
+            make_session(small_weights, table, vocab)
+        assert str(raised.value).startswith(f"thought table rows have shape {tuple(dims)}")
+        assert allocated == []
+
     def test_stage_cannot_rerun(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab)
         run_reasoning(session, GREEDY, GenerationBudget(2))

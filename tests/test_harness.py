@@ -28,7 +28,8 @@ from parcot.harness import (
     write_experiment,
 )
 from parcot.kvcache import PagedKVCache, SlotAddress
-from parcot.model import FLAT, DecodeLayout, ModelConfig, forward_step, init_weights
+from parcot.masking import FLAT
+from parcot.model import ModelConfig, StagePlan, forward_step, init_weights
 from parcot.positional import init_thought_table, zero_thought_table
 from parcot.tokenizer import Vocab, encode
 
@@ -291,17 +292,17 @@ def per_token_reprefill(bundle, session, sampler):
         tokens += path.tokens
         positions += [session.l_x + i * l_max + t for t in range(1, len(path.tokens) + 1)]
     base = session.l_x + (session.num_paths - 1) * l_max + session.reasoning_len
-    answer_positions = [base + t for t in range(1, session.budget.max_answer_tokens + 2)]
-    layout = DecodeLayout(stage=FLAT, flat_positions=tuple(positions + answer_positions))
+    positions += [base + t for t in range(1, session.budget.max_answer_tokens + 2)]
 
     def feed(fed):
         cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
-        cache.reserve("seq", len(layout.flat_positions))
+        cache.reserve("seq", len(positions))
+        plan = StagePlan(cache, FLAT, ["seq"], [0], positions)
         logits = [
-            forward_step(bundle.weights, zero, cache, layout, token, SlotAddress("seq", t))
+            forward_step(bundle.weights, zero, plan, token, SlotAddress("seq", t))
             for t, token in enumerate(fed)
         ]
-        return cache, logits
+        return plan, logits
 
     _, logits = feed(tokens + session.answer_tokens)
     divergence = max(
@@ -310,14 +311,13 @@ def per_token_reprefill(bundle, session, sampler):
     )
     vocab = bundle.vocab
     answer = [vocab.summary_open]
-    cache, logits = feed(tokens + answer)
+    plan, logits = feed(tokens + answer)
     logits = logits[-1]
     for step in range(1, session.budget.max_answer_tokens + 1):
         token = sample_token(logits, sampler, draw_rng(session.seed, ANSWER_STREAM, step))
         answer.append(token)
         logits = forward_step(
-            bundle.weights, zero, cache, layout, token,
-            SlotAddress("seq", len(tokens) + step),
+            bundle.weights, zero, plan, token, SlotAddress("seq", len(tokens) + step)
         )
         if token in (vocab.summary_close, vocab.eos):
             break

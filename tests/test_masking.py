@@ -13,7 +13,6 @@ from parcot.masking import (
     build_summary_mask,
     visible_segments,
 )
-from parcot.model import DecodeLayout
 from parcot.positional import ANSWER, PROMPT, path_key
 
 from oracles import brute_reasoning_mask, brute_summary_mask
@@ -165,16 +164,15 @@ class TestOneRule:
         def seen(mask, t):
             return tuple(keys[c] for c in sorted({codes[j] for j in mask.visible_set(t)}))
 
-        labels = (4, 5, 6)
         for i in range(plan.num_paths):
-            layout = DecodeLayout(stage=REASONING, thought_labels=labels)
             last = plan.path_slots(i)[-1]
-            assert seen(build_reasoning_mask(plan, i), last) == layout.visible_segments(
-                path_key(i)
+            assert seen(build_reasoning_mask(plan, i), last) == visible_segments(
+                REASONING, path_key(i), plan.num_paths
             )
-        layout = DecodeLayout(stage=SUMMARIZATION, thought_labels=labels)
         summary = build_summary_mask(replace(plan, stage=SUMMARIZATION))
-        assert seen(summary, plan.answer_slots()[0]) == layout.visible_segments(ANSWER)
+        assert seen(summary, plan.answer_slots()[0]) == visible_segments(
+            SUMMARIZATION, ANSWER, plan.num_paths
+        )
 
 
     @pytest.mark.parametrize("num_paths", [1, 2, 5, 16])

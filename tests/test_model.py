@@ -18,12 +18,9 @@ from parcot.errors import (
     PositionOverflowError,
 )
 from parcot.kvcache import PagedKVCache, SlotAddress, assemble_summary_view
-from parcot.masking import SUMMARIZATION, LayoutPlan
+from parcot.masking import FLAT, REASONING, SUMMARIZATION, LayoutPlan
 from parcot.model import (
     CAUSAL_CHUNK,
-    FLAT,
-    REASONING,
-    DecodeLayout,
     ModelConfig,
     StagePlan,
     attend,
@@ -37,11 +34,11 @@ from parcot.model import (
 )
 from parcot.positional import (
     ANSWER,
-    FLATTENED,
     PROMPT,
     SHARED,
     PositionAssignment,
     init_thought_table,
+    path_index,
     path_key,
     zero_thought_table,
 )
@@ -49,14 +46,27 @@ from parcot.positional import (
 from oracles import causal_mask, dense_logits, reference_answer_parts
 
 
-def reasoning_layout(l_x, labels, l_max=16):
-    return DecodeLayout(
-        stage=REASONING,
-        assignment=PositionAssignment(
-            SHARED, l_x=l_x, l_max=l_max, num_paths=max(len(labels), 1)
-        ),
-        thought_labels=tuple(labels),
+def shared_plan(cache, owners, l_x, labels=(1,), l_max=16):
+    """A reasoning-stage plan for ``owners`` (the prompt, or paths) as the
+    engine builds one: shared-scheme positions for the prompt's ``l_x``
+    slots or a path's ``l_max``, thought index 0 for the prompt and
+    ``labels[i]`` for path i."""
+    positions = PositionAssignment(SHARED, l_x=l_x, l_max=l_max).positions(
+        owners[0], 0, l_x if owners[0] == PROMPT else l_max
     )
+    thoughts = [0 if seg == PROMPT else labels[path_index(seg)] for seg in owners]
+    return StagePlan(cache, REASONING, owners, thoughts, positions)
+
+
+def summary_plan(cache, l_x, reasoning_len, slots=4):
+    """The answer's plan after a reasoning stage of ``reasoning_len`` slots."""
+    assignment = PositionAssignment(SHARED, l_x=l_x, l_max=0, reasoning_len=reasoning_len)
+    return StagePlan(cache, SUMMARIZATION, [ANSWER], [0], assignment.positions(ANSWER, 0, slots))
+
+
+def flat_plan(cache, positions):
+    """The re-prefill baseline's plan: one "seq" segment at listed positions."""
+    return StagePlan(cache, FLAT, ["seq"], [0], positions)
 
 
 def fresh_cache(cfg, slots=1024):
@@ -157,14 +167,12 @@ class TestForwardStep:
     def test_matches_dense_oracle_on_prompt(self, small_weights, small_table):
         cfg = small_weights.config
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=6, labels=(1,))
+        plan = shared_plan(cache, [PROMPT], l_x=6)
         tokens = [3, 99, 20, 7, 250, 31]
         got = []
         for t, token in enumerate(tokens):
             got.append(
-                forward_step(
-                    small_weights, small_table, cache, layout, token, SlotAddress(PROMPT, t)
-                )
+                forward_step(small_weights, small_table, plan, token, SlotAddress(PROMPT, t))
             )
         want = dense_logits(
             small_weights,
@@ -181,51 +189,47 @@ class TestForwardStep:
         cfg = small_weights.config
         zero = zero_thought_table(vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k)
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=2, labels=(1, 2))
-        prefill(small_weights, zero, cache, layout, [10, 11])
+        prefill(small_weights, zero, cache, [10, 11])
+        plans = [shared_plan(cache, [path_key(i)], l_x=2, labels=(1, 2)) for i in range(2)]
         stream = [vocab.think_open(1), 42, 7, 99]
         for t, token in enumerate(stream):
-            a = forward_step(
-                small_weights, zero, cache, layout, token, SlotAddress(path_key(0), t)
-            )
-            b = forward_step(
-                small_weights, zero, cache, layout, token, SlotAddress(path_key(1), t)
+            a, b = (
+                forward_step(small_weights, zero, plan, token, SlotAddress(path_key(i), t))
+                for i, plan in enumerate(plans)
             )
             assert np.array_equal(a, b)
 
     def test_perturbing_visible_entry_changes_logits(self, small_weights, small_table):
         cfg = small_weights.config
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=3, labels=(1,))
-        prefill(small_weights, small_table, cache, layout, [5, 6, 7])
+        prefill(small_weights, small_table, cache, [5, 6, 7])
         probe = copy.deepcopy(cache)
+        slot = SlotAddress(path_key(0), 0)
         base = forward_step(
-            small_weights, small_table, cache, layout, 42, SlotAddress(path_key(0), 0)
+            small_weights, small_table, shared_plan(cache, [path_key(0)], l_x=3), 42, slot
         )
         probe.tables[PROMPT].slab.k[0, 0, 1] += 0.25
         changed = forward_step(
-            small_weights, small_table, probe, layout, 42, SlotAddress(path_key(0), 0)
+            small_weights, small_table, shared_plan(probe, [path_key(0)], l_x=3), 42, slot
         )
         assert np.max(np.abs(base - changed)) > 1e-7
 
     def test_perturbing_masked_entry_leaves_logits_alone(self, small_weights, small_table):
         cfg = small_weights.config
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=2, labels=(1, 2))
-        prefill(small_weights, small_table, cache, layout, [5, 6])
+        prefill(small_weights, small_table, cache, [5, 6])
+        other = shared_plan(cache, [path_key(1)], l_x=2, labels=(1, 2))
         for t, token in enumerate([260, 33, 44]):
-            forward_step(
-                small_weights, small_table, cache, layout, token,
-                SlotAddress(path_key(1), t),
-            )
+            forward_step(small_weights, small_table, other, token, SlotAddress(path_key(1), t))
         probe = copy.deepcopy(cache)
+        slot = SlotAddress(path_key(0), 0)
         base = forward_step(
-            small_weights, small_table, cache, layout, 42, SlotAddress(path_key(0), 0)
+            small_weights, small_table, shared_plan(cache, [path_key(0)], l_x=2), 42, slot
         )
         probe.tables[path_key(1)].slab.k[:, 0, :3] += 5.0
         probe.tables[path_key(1)].slab.v[:, 0, :3] += 5.0
         unchanged = forward_step(
-            small_weights, small_table, probe, layout, 42, SlotAddress(path_key(0), 0)
+            small_weights, small_table, shared_plan(probe, [path_key(0)], l_x=2), 42, slot
         )
         assert np.array_equal(base, unchanged)
 
@@ -236,109 +240,85 @@ class TestForwardStep:
         )
         weights = init_weights(cfg, seed=1)
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=3, labels=(1,))
         with pytest.raises(PositionOverflowError, match="prompt would reach position 3"):
-            prefill(weights, small_table, cache, layout, [1, 2, 3])
+            prefill(weights, small_table, cache, [1, 2, 3])
         # every position is checked before the first slot is written
         assert cache.length(PROMPT) == 0
         # a decode step checks its own position: path slot 0 sits at 3
-        layout = reasoning_layout(l_x=2, labels=(1,))
-        prefill(weights, small_table, cache, layout, [1, 2])
+        prefill(weights, small_table, cache, [1, 2])
+        plan = shared_plan(cache, [path_key(0)], l_x=2)
         with pytest.raises(PositionOverflowError, match="path:0 would reach position 3"):
-            forward_step(weights, small_table, cache, layout, 9, SlotAddress(path_key(0), 0))
+            forward_step(weights, small_table, plan, 9, SlotAddress(path_key(0), 0))
         assert cache.length(path_key(0)) == 0
         assert not cache.tables[path_key(0)].slab.k.any()
 
     def test_slot_must_extend_segment(self, small_weights, small_table):
         cfg = small_weights.config
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=2, labels=(1,))
-        prefill(small_weights, small_table, cache, layout, [1, 2])
+        prefill(small_weights, small_table, cache, [1, 2])
+        plan = shared_plan(cache, [path_key(0)], l_x=2)
         with pytest.raises(CacheConsistencyError):
-            forward_step(
-                small_weights, small_table, cache, layout, 9, SlotAddress(path_key(0), 1)
-            )
+            forward_step(small_weights, small_table, plan, 9, SlotAddress(path_key(0), 1))
 
     def test_missing_visible_entries_detected(self, small_weights, small_table):
         cfg = small_weights.config
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=4, labels=(1,))
-        prefill(small_weights, small_table, cache, layout, [1, 2])  # two short
+        prefill(small_weights, small_table, cache, [1, 2])  # two short
         with pytest.raises(CacheConsistencyError):
             forward_step(
-                small_weights, small_table, cache, layout, 9, SlotAddress(path_key(0), 0)
+                small_weights, small_table, shared_plan(cache, [path_key(0)], l_x=4), 9,
+                SlotAddress(path_key(0), 0),
             )
 
     def test_token_range_checked(self, small_weights, small_table):
         cfg = small_weights.config
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=1, labels=(1,))
+        plan = shared_plan(cache, [PROMPT], l_x=1)
         with pytest.raises(DataError):
-            forward_step(
-                small_weights, small_table, cache, layout, cfg.vocab_size,
-                SlotAddress(PROMPT, 0),
-            )
+            forward_step(small_weights, small_table, plan, cfg.vocab_size, SlotAddress(PROMPT, 0))
 
     @pytest.mark.parametrize("bad", [3.5, True, "7", None])
     def test_non_integer_ids_raise_data_error(self, small_weights, small_table, bad):
         cfg = small_weights.config
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=3, labels=(1,))
         with pytest.raises(DataError, match="at offset 1 is not an integer"):
-            prefill(small_weights, small_table, cache, layout, [5, bad, 6])
+            prefill(small_weights, small_table, cache, [5, bad, 6])
         assert cache.length(PROMPT) == 0
 
 
 class TestBatchChecks:
-    """A stage plan derives its owners' position and shared segments once;
-    owners that do not share them raise when the plan is built, before any
-    write."""
+    """A stage plan derives its owners' shared segments once; owners that
+    do not share them raise when the plan is built, before any write."""
 
-    def prefilled(self, weights, table, layout, num_paths=3):
+    def prefilled(self, weights, table, num_paths=3):
         cfg = weights.config
         cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
         cache.reserve(PROMPT, 2)
-        prefill(weights, table, cache, layout, [5, 6])
+        prefill(weights, table, cache, [5, 6])
         cache.reserve_paths(num_paths, 8)
         return cache
 
-    def test_flattened_rows_do_not_share_a_position(self, small_weights, small_table):
-        layout = DecodeLayout(
-            stage=REASONING,
-            assignment=PositionAssignment(FLATTENED, l_x=2, l_max=8, num_paths=3),
-            thought_labels=(1, 2, 3),
-        )
-        cache = self.prefilled(small_weights, small_table, layout)
-        for rows in ([0, 1, 2], [0, 2], [1, 2]):
-            with pytest.raises(CacheConsistencyError, match="share one position"):
-                StagePlan(cache, layout, [path_key(i) for i in rows])
-        assert [cache.length(path_key(i)) for i in range(3)] == [0, 0, 0]
-        # one flattened row alone is a batch
-        plan = StagePlan(cache, layout, [path_key(2)])
-        forward_paths(small_weights, small_table, plan, [40], [0], 0)
-
     def test_prompt_and_path_rows_do_not_batch(self, small_weights, small_table):
-        layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
-        cache = self.prefilled(small_weights, small_table, layout)
-        with pytest.raises(CacheConsistencyError):
-            StagePlan(cache, layout, [path_key(0), PROMPT])
+        cache = self.prefilled(small_weights, small_table)
+        positions = PositionAssignment(SHARED, l_x=2, l_max=8).positions(path_key(0), 0, 8)
+        with pytest.raises(CacheConsistencyError, match="share their visible segments"):
+            StagePlan(cache, REASONING, [path_key(0), PROMPT], [1, 0], positions)
 
     def test_rows_must_extend_their_segments(self, small_weights, small_table):
-        layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
-        cache = self.prefilled(small_weights, small_table, layout)
-        plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
+        cache = self.prefilled(small_weights, small_table)
+        plan = shared_plan(cache, [path_key(0), path_key(1)], l_x=2, labels=(1, 2, 3))
         with pytest.raises(CacheConsistencyError, match="does not extend"):
             forward_paths(small_weights, small_table, plan, [40, 41], [0, 1], 1)
 
     def test_shared_rows_equal_their_single_row_passes(self, small_weights, small_table):
-        layout = reasoning_layout(l_x=2, labels=(1, 2, 3))
-        batched = self.prefilled(small_weights, small_table, layout)
-        alone = self.prefilled(small_weights, small_table, layout)
-        plan = StagePlan(batched, layout, [path_key(i) for i in range(3)])
+        owners, labels = [path_key(i) for i in range(3)], (1, 2, 3)
+        batched = self.prefilled(small_weights, small_table)
+        alone = self.prefilled(small_weights, small_table)
+        plan = shared_plan(batched, owners, l_x=2, labels=labels)
         block = forward_paths(small_weights, small_table, plan, [40, 41, 42], [0, 1, 2], 0)
+        plan = shared_plan(alone, owners, l_x=2, labels=labels)
         for i in range(3):
-            slot = SlotAddress(path_key(i), 0)
-            row = forward_step(small_weights, small_table, alone, layout, 40 + i, slot)
+            row = forward_step(small_weights, small_table, plan, 40 + i, SlotAddress(owners[i], 0))
             assert np.array_equal(block[i], row)
 
 
@@ -350,39 +330,31 @@ class TestStalePlan:
         """A cache holding an ``l_x``-slot prompt and ``path_slots`` slots
         of each of two paths, with answer storage reserved."""
         cfg = weights.config
-        layout = reasoning_layout(l_x=l_x, labels=(1, 2))
         cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
         cache.reserve(PROMPT, l_x)
-        prefill(weights, table, cache, layout, list(range(5, 5 + l_x)))
+        prefill(weights, table, cache, list(range(5, 5 + l_x)))
         cache.reserve_paths(2, 8)
         cache.reserve(ANSWER, 4)
-        plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
+        plan = shared_plan(cache, [path_key(0), path_key(1)], l_x=l_x, labels=(1, 2))
         for t in range(path_slots):
             forward_paths(weights, table, plan, [40, 41], [0, 1], t)
-        return cache, layout
-
-    @staticmethod
-    def summary_layout(l_x, reasoning_len):
-        return DecodeLayout(
-            stage=SUMMARIZATION,
-            assignment=PositionAssignment(
-                SHARED, l_x=l_x, l_max=8, num_paths=2, reasoning_len=reasoning_len
-            ),
-            thought_labels=(1, 2),
-        )
+        return cache
 
     def test_segment_the_plan_does_not_own(self, small_weights, small_table):
-        cache, layout = self.reasoned(small_weights, small_table)
-        plan = StagePlan(cache, layout, [path_key(0)])
+        cache = self.reasoned(small_weights, small_table)
+        plan = shared_plan(cache, [path_key(0)], l_x=2)
         for rows in ([1], [0, 1]):
             with pytest.raises(CacheConsistencyError, match=r"cannot write its rows \["):
                 forward_paths(small_weights, small_table, plan, [40] * len(rows), rows, 0)
+        with pytest.raises(CacheConsistencyError, match="cannot write 'path:1'"):
+            forward_step(small_weights, small_table, plan, 40, SlotAddress(path_key(1), 0))
         assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
         assert not cache.paths.k.any()
 
     @pytest.mark.parametrize("fault, match", [
         ("never reserved", "never reserved"),
         ("owner named twice", "distinct owner segments"),
+        ("thought missing", "one thought index each"),
         ("row named twice", r"cannot write its rows \[1, 1\]"),
         ("not an owner", r"cannot write its rows \[2\]"),
         ("two slabs", "share one slab"),
@@ -391,16 +363,18 @@ class TestStalePlan:
         ("full", "full at their reserved 2 slots"),
     ])
     def test_write_checks_raise_before_staging(self, small_weights, small_table, fault, match):
-        """The plan checks its owners when it is built (distinct) and when
-        it binds their storage at the first write (reserved, one slab); a
-        pass checks the rows it names and the write handle the fill and
-        the room.  Each raises before a slot is staged."""
+        """The plan checks its owners when it is built (distinct, one
+        thought index each) and when it binds their storage at the first
+        write (reserved, one slab); a pass checks the rows it names and the
+        write handle the fill and the room.  Each raises before a slot is
+        staged."""
         cfg = small_weights.config
-        layout = reasoning_layout(l_x=2, labels=(1, 2))
         cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
         cache.reserve(PROMPT, 2)
-        prefill(small_weights, small_table, cache, layout, [5, 6])
+        prefill(small_weights, small_table, cache, [5, 6])
         owners, rows, index = [path_key(0), path_key(1)], [0, 1], 0
+        thoughts = [1, 2]
+        positions = PositionAssignment(SHARED, l_x=2, l_max=8).positions(path_key(0), 0, 8)
         if fault == "two slabs":
             cache.reserve(path_key(0), 2)
             cache.reserve(path_key(1), 2)
@@ -408,40 +382,49 @@ class TestStalePlan:
             cache.reserve_paths(2, 2)
         if fault == "owner named twice":
             owners = [path_key(0), path_key(0)]
+        elif fault == "thought missing":
+            thoughts = [1]
         elif fault == "row named twice":
             rows = [1, 1]
         elif fault == "not an owner":
             rows = [2]
         elif fault == "unequal lengths":
-            forward_paths(small_weights, small_table, StagePlan(cache, layout, owners), [40], [0], 0)
+            plan = StagePlan(cache, REASONING, owners, thoughts, positions)
+            forward_paths(small_weights, small_table, plan, [40], [0], 0)
         elif fault == "does not extend":
             index = 1
         elif fault == "full":
-            plan = StagePlan(cache, layout, owners)
+            plan = StagePlan(cache, REASONING, owners, thoughts, positions)
             for t in range(2):
                 forward_paths(small_weights, small_table, plan, [40, 41], rows, t)
             index = 2
         lengths = [cache.length(segment) for segment in owners]
         held = [cache.table(segment).slab.k.copy() for segment in owners]
         with pytest.raises(CacheConsistencyError, match=match):
-            plan = StagePlan(cache, layout, owners)
+            plan = StagePlan(cache, REASONING, owners, thoughts, positions)
             forward_paths(small_weights, small_table, plan, [40] * len(rows), rows, index)
         assert [cache.length(segment) for segment in owners] == lengths
         for segment, k in zip(owners, held):
             assert np.array_equal(cache.table(segment).slab.k, k)
 
     def test_path_outside_the_layout(self, small_weights, small_table):
-        cache, layout = self.reasoned(small_weights, small_table)
+        """A path the slab does not hold has no storage: a plan that owns it
+        raises at its first write, before anything is staged."""
+        cache = self.reasoned(small_weights, small_table)
+        positions = shared_plan(cache, [path_key(0)], l_x=2).positions
         for segment in (path_key(2), "path:-1"):
-            with pytest.raises(LayoutError, match="not one of the layout's paths"):
-                StagePlan(cache, layout, [segment])
+            plan = StagePlan(cache, REASONING, [segment], [3], positions)
+            with pytest.raises(CacheConsistencyError, match="never reserved"):
+                forward_paths(small_weights, small_table, plan, [40], [0], 0)
+        assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
+        assert not cache.paths.k.any()
 
     def test_reasoning_plan_for_an_answer_slot(self, small_weights, small_table):
         # a pass names only the plan's own owners, so the answer cannot be
         # reached through a reasoning plan; the answer's causal pass under
         # one raises before staging
-        cache, layout = self.reasoned(small_weights, small_table, path_slots=2)
-        plan = StagePlan(cache, layout, [path_key(0), path_key(1)])
+        cache = self.reasoned(small_weights, small_table, path_slots=2)
+        plan = shared_plan(cache, [path_key(0), path_key(1)], l_x=2, labels=(1, 2))
         held = cache.paths.k.copy()
         with pytest.raises(CacheConsistencyError, match="writes one segment, the plan owns 2"):
             forward_causal(small_weights, small_table, plan, [40], 2)
@@ -451,22 +434,28 @@ class TestStalePlan:
         assert not cache.tables[ANSWER].slab.k.any()
 
     def test_plan_built_before_its_shared_segments_are_complete(self, small_weights, small_table):
-        cache, _ = self.reasoned(small_weights, small_table, l_x=2)
-        with pytest.raises(CacheConsistencyError, match="'prompt' holds 2 slots, expected 4"):
-            StagePlan(cache, reasoning_layout(l_x=4, labels=(1, 2)), [path_key(0)])
-        cache, _ = self.reasoned(small_weights, small_table, path_slots=2)
-        with pytest.raises(CacheConsistencyError, match="longest visible path holds 2 slots"):
-            StagePlan(cache, self.summary_layout(2, reasoning_len=3), [ANSWER])
-        StagePlan(cache, self.summary_layout(2, reasoning_len=2), [ANSWER])  # complete now
+        """An owner's slot 0 sits right after the prompt and the longest
+        path it sees: the plan checks its first position against their
+        fills."""
+        cache = self.reasoned(small_weights, small_table, l_x=2)
+        with pytest.raises(
+            CacheConsistencyError, match="sits at position 5, but the prompt and longest path"
+            " it sees end at position 2",
+        ):
+            shared_plan(cache, [path_key(0)], l_x=4)
+        cache = self.reasoned(small_weights, small_table, path_slots=2)
+        with pytest.raises(CacheConsistencyError, match="position 6, .* end at position 4"):
+            summary_plan(cache, 2, reasoning_len=3)
+        summary_plan(cache, 2, reasoning_len=2)  # complete now
 
     def test_short_path_is_the_summary_views_check(self, small_weights, small_table):
-        """The layout knows the longest path only: a path short of its own
+        """The plan checks the longest path only: a path short of its own
         length passes the plan, and ``assemble_summary_view`` (which the
         engine runs before the answer stage) rejects it."""
-        cache, layout = self.reasoned(small_weights, small_table, path_slots=2)
-        plan = StagePlan(cache, layout, [path_key(1)])
+        cache = self.reasoned(small_weights, small_table, path_slots=2)
+        plan = shared_plan(cache, [path_key(1)], l_x=2, labels=(1, 2))
         forward_paths(small_weights, small_table, plan, [42], [0], 2)
-        StagePlan(cache, self.summary_layout(2, reasoning_len=3), [ANSWER])
+        summary_plan(cache, 2, reasoning_len=3)
         with pytest.raises(LifecycleError, match="path:0 holds 2 slots, layout says 3"):
             assemble_summary_view(cache, LayoutPlan(2, (3, 3), 0, SUMMARIZATION))
 
@@ -519,17 +508,10 @@ class TestAnswerRead:
             capacity = int(rng.integers(3, 41))
             fills = path_fills(kind, num_paths, capacity, rng)
             l_x, longest = int(rng.integers(1, 6)), max(fills)
-            layout = DecodeLayout(
-                stage=SUMMARIZATION,
-                assignment=PositionAssignment(
-                    SHARED, l_x=l_x, l_max=capacity, num_paths=num_paths, reasoning_len=longest
-                ),
-                thought_labels=tuple(range(1, num_paths + 1)),
-            )
             logits = []
             for reference in (False, True):
                 cache = answer_cache(cfg, l_x, fills, capacity, seed=[num_paths, draw])
-                plan = StagePlan(cache, layout, [ANSWER])
+                plan = summary_plan(cache, l_x, longest, slots=8)
                 if reference:
                     plan.shared, plan.hidden = reference_answer_parts(cache, num_paths), None
                 elif len(set(fills)) == 1:
@@ -554,23 +536,17 @@ class TestPrefill:
     def test_equivalent_to_iterated_steps(self, small_weights, small_table):
         cfg = small_weights.config
         tokens = [9, 8, 7, 6]
-        layout = reasoning_layout(l_x=5, labels=(1,))
 
         cache_a = fresh_cache(cfg)
-        last_a = prefill(small_weights, small_table, cache_a, layout, tokens)
-        next_a = forward_step(
-            small_weights, small_table, cache_a, layout, 55, SlotAddress(PROMPT, 4)
-        )
+        last_a = prefill(small_weights, small_table, cache_a, tokens)
+        plan = shared_plan(cache_a, [PROMPT], l_x=5)
+        next_a = forward_step(small_weights, small_table, plan, 55, SlotAddress(PROMPT, 4))
 
-        cache_b = fresh_cache(cfg)
+        plan = shared_plan(fresh_cache(cfg), [PROMPT], l_x=5)
         last_b = None
         for t, token in enumerate(tokens):
-            last_b = forward_step(
-                small_weights, small_table, cache_b, layout, token, SlotAddress(PROMPT, t)
-            )
-        next_b = forward_step(
-            small_weights, small_table, cache_b, layout, 55, SlotAddress(PROMPT, 4)
-        )
+            last_b = forward_step(small_weights, small_table, plan, token, SlotAddress(PROMPT, t))
+        next_b = forward_step(small_weights, small_table, plan, 55, SlotAddress(PROMPT, 4))
         assert np.max(np.abs(last_a - last_b)) <= 1e-5
         assert np.max(np.abs(next_a - next_b)) <= 1e-5
 
@@ -594,40 +570,31 @@ class TestPrefill:
         cfg = small_weights.config
         rng = np.random.default_rng(seed)
         tokens = [int(t) for t in rng.integers(0, 256, size=length)]
-        before = []  # slots both caches hold first, fed one step at a time
+        caches = [fresh_cache(cfg), fresh_cache(cfg)]
         if kind == "prompt":
             segment = PROMPT
-            layout = reasoning_layout(l_x=length, labels=(1,))
-            next_slot = SlotAddress(path_key(0), 0)
+            plans = [shared_plan(cache, [PROMPT], l_x=length) for cache in caches]
         elif kind == "flat":
             segment = "seq"
-            gaps = rng.integers(1, 4, size=length + 1)
-            layout = DecodeLayout(stage=FLAT, flat_positions=tuple(np.cumsum(gaps).tolist()))
-            next_slot = SlotAddress(segment, length)
+            positions = np.cumsum(rng.integers(1, 4, size=length + 1))
+            plans = [flat_plan(cache, positions) for cache in caches]
         else:
             segment = path_key(0)
-            layout = reasoning_layout(l_x=5, labels=(1,), l_max=length + 1)
-            before = [(PROMPT, int(t)) for t in rng.integers(0, 256, size=5)]
-            next_slot = SlotAddress(segment, length)
-
-        caches = [fresh_cache(cfg), fresh_cache(cfg)]
-        for cache in caches:
-            for t, (seg, token) in enumerate(before):
-                forward_step(
-                    small_weights, small_table, cache, layout, token, SlotAddress(seg, t)
-                )
+            before = [int(t) for t in rng.integers(0, 256, size=5)]
+            for cache in caches:  # a prompt both caches hold first, fed one step at a time
+                plan = shared_plan(cache, [PROMPT], l_x=5)
+                for t, token in enumerate(before):
+                    forward_step(small_weights, small_table, plan, token, SlotAddress(PROMPT, t))
+            plans = [
+                shared_plan(cache, [segment], l_x=5, l_max=length + 1) for cache in caches
+            ]
         blocked, stepped = caches
         if kind == "prompt":
-            got = prefill(small_weights, small_table, blocked, layout, tokens)[None]
+            got = prefill(small_weights, small_table, blocked, tokens)[None]
         else:
-            got = forward_causal(
-                small_weights, small_table, StagePlan(blocked, layout, [segment]), tokens, 0,
-                keep=length,
-            )
+            got = forward_causal(small_weights, small_table, plans[0], tokens, 0, keep=length)
         want = np.stack([
-            forward_step(
-                small_weights, small_table, stepped, layout, token, SlotAddress(segment, t)
-            )
+            forward_step(small_weights, small_table, plans[1], token, SlotAddress(segment, t))
             for t, token in enumerate(tokens)
         ])[-len(got):]
         assert np.max(np.abs(got - want)) <= 1e-5
@@ -635,9 +602,12 @@ class TestPrefill:
         for li in range(cfg.n_layers):  # same positions and thought rows, so the same k/v
             for got_kv, want_kv in zip(blocked.gather(segment, li), stepped.gather(segment, li)):
                 assert np.max(np.abs(got_kv - want_kv)) <= 1e-5
+        if kind == "prompt":  # the next slot is the first path slot
+            segment, length = path_key(0), 0
+            plans = [shared_plan(cache, [segment], l_x=len(tokens)) for cache in caches]
         after = [
-            forward_step(small_weights, small_table, cache, layout, 42, next_slot)
-            for cache in caches
+            forward_step(small_weights, small_table, plan, 42, SlotAddress(segment, length))
+            for plan in plans
         ]
         assert np.max(np.abs(after[0] - after[1])) <= 1e-5
 
@@ -656,11 +626,10 @@ class TestPrefill:
             error = PositionOverflowError
         cache = fresh_cache(cfg)
         cache.reserve(PROMPT, 3 + n)
-        layout = reasoning_layout(l_x=3 + n, labels=(1,))
-        prefill(weights, small_table, cache, layout, [1, 2, 3])
+        prefill(weights, small_table, cache, [1, 2, 3])
         held = cache.tables[PROMPT].content_hash()
         with pytest.raises(error):
-            prefill(weights, small_table, cache, layout, tokens)
+            prefill(weights, small_table, cache, tokens)
         assert cache.length(PROMPT) == 3
         assert cache.tables[PROMPT].content_hash() == held
 
@@ -670,14 +639,13 @@ class TestPrefill:
         table = init_thought_table(vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k, seed=2)
         l_x = 768
         tokens = [int(t) for t in np.random.default_rng(3).integers(0, 256, size=l_x)]
-        layout = reasoning_layout(l_x=l_x, labels=(1,))
-        prefill(weights, table, fresh_cache(cfg), layout, tokens[:CAUSAL_CHUNK])
+        prefill(weights, table, fresh_cache(cfg), tokens[:CAUSAL_CHUNK])
         cache = fresh_cache(cfg)
         cache.reserve(PROMPT, l_x)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            prefill(weights, table, cache, layout, tokens)
+            prefill(weights, table, cache, tokens)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -685,34 +653,51 @@ class TestPrefill:
         # one [n_heads, l_x, l_x] score matrix would be 9.4 MB
         assert peak <= 3 * cfg.n_heads * CAUSAL_CHUNK * l_x * 4, peak
 
-    def test_short_flat_layout_raises_before_staging(self, small_weights, small_table):
+    @pytest.mark.parametrize("kind", ["path", "answer", "flat"])
+    def test_slots_past_the_plans_positions_raise_before_staging(
+        self, small_weights, small_table, kind
+    ):
+        """Every plan lists its owners' positions, and a pass that asks for
+        a slot past them raises before it stages anything.  Each plan here
+        lists 3 positions; its owners have room for 5 slots."""
         cfg = small_weights.config
-        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        cache = answer_cache(cfg, 2, [1, 1], 5, seed=4)  # each path holds one slot
         cache.reserve("seq", 5)
-        layout = DecodeLayout(stage=FLAT, flat_positions=(1, 2, 3))
-        with pytest.raises(LayoutError, match="flat layout lists 3 positions"):
-            forward_causal(
-                small_weights, small_table, StagePlan(cache, layout, ["seq"]), [5, 6, 7, 8], 0
-            )
-        assert cache.length("seq") == 0
-        assert not cache.tables["seq"].slab.k.any()
-        assert layout.positions("seq", 1, 2).tolist() == [2, 3]
+        if kind == "path":
+            owner = path_key(0)
+            plan = shared_plan(cache, [owner, path_key(1)], l_x=2, labels=(1, 2), l_max=3)
+        elif kind == "answer":
+            owner, plan = ANSWER, summary_plan(cache, 2, reasoning_len=1, slots=3)
+        else:
+            owner, plan = "seq", flat_plan(cache, [1, 2, 4])
+
+        def write(index):
+            if kind == "path":
+                forward_paths(small_weights, small_table, plan, [5, 6], [0, 1], index)
+            else:
+                forward_causal(small_weights, small_table, plan, [5], index)
+
+        for index in range(cache.length(owner), 3):
+            write(index)
+        held = cache.table(owner).slab.k.copy()
+        with pytest.raises(LayoutError, match="the plan lists 3 positions, slots 3..3 asked for"):
+            write(3)
+        assert cache.length(owner) == 3
+        assert np.array_equal(cache.table(owner).slab.k, held)
 
     def test_empty_prefill_errors_without_cache_change(self, small_weights, small_table):
         cfg = small_weights.config
         cache = fresh_cache(cfg)
-        layout = reasoning_layout(l_x=3, labels=(1,))
         with pytest.raises(DataError):
-            prefill(small_weights, small_table, cache, layout, [])
+            prefill(small_weights, small_table, cache, [])
         assert cache.length(PROMPT) == 0
 
     def test_prefill_twice_identical_cache(self, small_weights, small_table):
         cfg = small_weights.config
-        layout = reasoning_layout(l_x=3, labels=(1,))
         caches = []
         for _ in range(2):
             cache = fresh_cache(cfg)
-            prefill(small_weights, small_table, cache, layout, [4, 5, 6])
+            prefill(small_weights, small_table, cache, [4, 5, 6])
             caches.append(cache)
         a, b = caches
         structure = [
@@ -761,18 +746,19 @@ def causal_state(weights, table, kind, tokens, keep):
     cache = fresh_cache(cfg, slots=max(n, 8))
     if kind == "prefill":
         segment = PROMPT
-        logits = prefill(weights, table, cache, reasoning_layout(l_x=n, labels=(1,)), tokens)[None]
+        logits = prefill(weights, table, cache, tokens)[None]
     else:
         if kind == "prompt":
-            segment, layout = PROMPT, reasoning_layout(l_x=n, labels=(1,))
+            segment, plan = PROMPT, shared_plan(cache, [PROMPT], l_x=n)
         elif kind == "flat":
             segment = "seq"
             gaps = np.random.default_rng(n).integers(1, 4, size=n)
-            layout = DecodeLayout(stage=FLAT, flat_positions=tuple(np.cumsum(gaps).tolist()))
+            plan = flat_plan(cache, np.cumsum(gaps))
         else:
-            segment, layout = path_key(0), reasoning_layout(l_x=5, labels=(2,), l_max=n + 1)
-            prefill(weights, table, cache, layout, [3, 1, 4, 1, 5])
-        logits = forward_causal(weights, table, StagePlan(cache, layout, [segment]), tokens, 0, keep)
+            segment = path_key(0)
+            prefill(weights, table, cache, [3, 1, 4, 1, 5])
+            plan = shared_plan(cache, [segment], l_x=5, labels=(2,), l_max=n + 1)
+        logits = forward_causal(weights, table, plan, tokens, 0, keep)
     assert cache.length(segment) == n
     return logits, cache.tables[segment].content_hash()
 

@@ -302,6 +302,13 @@ class TestThoughtTable:
         with pytest.raises(ConfigError):
             load_thought_table(str(path))
 
+    @pytest.mark.parametrize("size", [4, 12, 19])
+    def test_file_shorter_than_its_header_rejected(self, tmp_path, size):
+        path = tmp_path / "table.ptt"
+        path.write_bytes((b"PTT1" + b"\1" * 16)[:size])
+        with pytest.raises(ConfigError, match="shorter than its 20-byte header"):
+            load_thought_table(str(path))
+
     def test_truncated_file_rejected(self, tmp_path):
         table = init_thought_table(2, 1, 1, 4, seed=8)
         path = tmp_path / "table.ptt"

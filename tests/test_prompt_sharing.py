@@ -160,12 +160,8 @@ def test_only_a_full_sealed_segment_is_shared(small_weights, small_table, vocab)
 
     donor = GenerationSession(small_weights, small_table, vocab, PROMPT_TOKENS, 1)
     unsealed = cache()
-    layout = engine.DecodeLayout(
-        stage=engine.REASONING,
-        assignment=engine.PositionAssignment(engine.SHARED, l_x=3, l_max=0),
-    )
     unsealed.reserve(PROMPT, 3)
-    engine.prefill(small_weights, small_table, unsealed, layout, [5, 6, 7])
+    engine.prefill(small_weights, small_table, unsealed, [5, 6, 7])
     partial = cache()
     partial.reserve(PROMPT, 4)
     partial.append(PROMPT, *unsealed.tables[PROMPT].read(0))

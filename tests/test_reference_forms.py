@@ -18,7 +18,7 @@ from parcot import engine, model
 from parcot.engine import GenerationBudget, SamplerConfig, Termination, run_reasoning
 from parcot.kvcache import PagedKVCache
 from parcot.model import init_weights, load_weights, save_weights
-from parcot.positional import PROMPT, SHARED, PositionAssignment, Rope, rope_for
+from parcot.positional import PROMPT, Rope, rope_for
 
 from oracles import (
     reference_decode_rows,
@@ -140,12 +140,7 @@ def prompt_state(weights, table, tokens):
     cfg = weights.config
     cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
     cache.reserve(PROMPT, len(tokens))
-    layout = model.DecodeLayout(
-        stage=model.REASONING,
-        assignment=PositionAssignment(SHARED, l_x=len(tokens), l_max=0),
-        thought_labels=(1,),
-    )
-    logits = model.prefill(weights, table, cache, layout, tokens)
+    logits = model.prefill(weights, table, cache, tokens)
     return logits, cache.tables[PROMPT].content_hash()
 
 
