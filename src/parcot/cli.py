@@ -172,7 +172,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except EngineError as exc:
+    # OSError: a file it cannot read or write; JSONDecodeError: malformed JSON
+    except (EngineError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,9 +93,12 @@ def load_profile(path: str | None = None) -> dict:
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    profile = json.loads(text)
-    if profile.get("format") != PROFILE_FORMAT:
-        raise ConfigError(f"unsupported profile format {profile.get('format')!r}")
+    try:
+        profile = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"profile {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(profile, dict) or profile.get("format") != PROFILE_FORMAT:
+        raise ConfigError(f"profile {path!r} is not a {PROFILE_FORMAT} profile")
     return profile
 
 

@@ -26,7 +26,7 @@ leaves tokens and cache in step.
 The summarization stage reuses the reasoning-phase KV storage directly
 (no re-prefill): the engine inserts SUMMARY_OPEN and decodes the answer
 against the prompt, every path, and the answer prefix, one token per
-one-row causal pass (``model.forward_causal``).
+one-slot pass (``model.forward``).
 
 Sampling draws are keyed (session seed, stream, step), where the stream
 is the path's think label (or ANSWER_STREAM, 0, for the answer), so any
@@ -67,8 +67,7 @@ from .model import (
     StagePlan,
     check_position,
     check_token_ids,
-    forward_causal,
-    forward_paths,
+    forward,
     forward_step,  # noqa: F401  perfbench/instrument.py wraps it by this name
     prefill,
 )
@@ -447,7 +446,7 @@ def _feed_paths(session: GenerationSession, plan: StagePlan, paths, tokens) -> n
     """One batched forward pass feeding tokens[r] to paths[r]; [n, vocab] logits.
     A path's index is its position among the reasoning plan's owners."""
     rows, index = [p.index for p in paths], len(paths[0].tokens)
-    logits = forward_paths(session.weights, session.table, plan, tokens, rows, index)
+    logits = forward(session.weights, session.table, plan, tokens, rows, index)
     for path, token, row in zip(paths, tokens, logits):
         path.tokens.append(int(token))
         if session.record_logits:
@@ -507,7 +506,7 @@ def run_reasoning(
     completed = 0
     for step in range(1, budget.max_path_tokens + 1):
         # greedy rows take the block's argmax in one call (lowest id on ties,
-        # as sample_token); forward_paths has rejected non-finite logits
+        # as sample_token); forward has rejected non-finite logits
         greedy = logits.argmax(axis=1).tolist() if sampler.greedy else None
         chosen = []
         drawn = []  # rows that sample, all in one sample_tokens call
@@ -580,7 +579,7 @@ def run_summarization(
 
     def feed(token: int) -> np.ndarray:
         index = len(session.answer_tokens)
-        logits = forward_causal(session.weights, session.table, plan, [int(token)], index)[0]
+        logits = forward(session.weights, session.table, plan, [int(token)], [0], index)[0]
         session.answer_tokens.append(int(token))
         if session.record_logits:
             session.answer_logits.append(logits)

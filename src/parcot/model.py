@@ -1,4 +1,4 @@
-"""Minimal decoder-only transformer: batched decode steps, chunked prefill.
+"""Minimal decoder-only transformer: one forward pass for every stage.
 
 Pre-norm blocks, no biases, SiLU feed-forward, RMS normalization, full
 multi-head attention.  A forward pass runs under a stage plan
@@ -10,55 +10,59 @@ attention is computed only over those segments, scaled by 1/sqrt(d_k).
 All parameters, cache entries, and activations are 32-bit floats.
 Attention for a slot is reduced in a fixed order: visible segments in
 the rule's order, then its own segment's slots in write order up to and
-including itself.  Two passes run their rows through the layers as one
-block (``_decode_rows``), so each weight matrix is read once per block.
-A layer computes q, k and v as one product with its fused ``w_qkv``
-(bit-identical to three products), adds the rows' thought embeddings
-(looked up once per pass) to k and v, and rotates q and k in one
-``Rope.rotate`` call (tables built once per pass, or the rope's cached
-ones for a single position):
+including itself.
 
-* ``forward_paths`` decodes one new slot for each active path of a
-  reasoning step, and rows never mix.  Its attention has two parts per
-  layer: the shared segments, and the rows' own slab rows read through
-  the new slot staged there, scored row by row.  A one-row pass
-  (``forward_step``) runs as two identical rows so that it uses the same
-  BLAS kernels as a batch; with OpenBLAS a path's logits are then
-  bit-identical to its single-path replay (the tested bound is 1e-5).
-  Only reasoning needs that duplicated row; nothing else decodes
-  through it.
-* ``forward_causal`` feeds tokens to consecutive slots of one segment in
-  causal blocks of ``CAUSAL_CHUNK`` rows with per-row positions: tokens
-  known in advance (the prompt, the re-prefill baseline's flattened
-  sequence), and each answer token (the engine's, and the re-prefill
-  baseline's own) as a one-row block.  Its logits match one
-  ``forward_step`` per slot within float32 rounding.  Only the last
-  ``keep`` rows' logits are returned, and later slots read a row only
-  through its k/v, so a block with no kept row stops at the last layer
-  once its k/v are staged: no attention, output projection, feed-forward
-  or head runs for it there.  Every slot and logit keeps its bits.
+``forward`` is the one pass.  It feeds m new slots to each of n owners,
+the segments the plan lets it write: a reasoning step is n paths x 1
+slot; the prompt, each answer token and the re-prefill baseline's
+flattened sequence are 1 owner x m slots.  The slots run in blocks of up
+to ``CAUSAL_CHUNK`` per owner, and a block's rows go through the layers
+together (``_decode_rows``), so each weight matrix is read once per
+block.  A layer computes q, k and v as one product with its fused
+``w_qkv``, adds the rows' thought embeddings (looked up once per pass) to
+k and v, and rotates q and k in one ``Rope.rotate`` call (tables built
+once per pass, or the rope's cached ones for a single position).  The
+fused product has the bits of three products under OpenBLAS's SkylakeX
+and Prescott kernels, not under its Haswell kernels (which Zen CPUs also
+run), where a few prompt logits move by float32 rounding.
 
-Both passes run under a ``StagePlan``, built once when a stage starts
-(``prefill`` builds one for its single pass).  It holds each layer's
-attention parts over the other visible segments, the owners' segments,
-thought indices, positions and storage, and the outcome of every length
-and batch check, so a pass checks its token ids, stages its new slots,
-attends over the plan's parts and its own slots, and commits.  An
-answer slot sees every path, and its parts are three per layer under
-every termination strategy: the prompt, the path slab as one view up to
-the longest path's fill, and the answer itself.  When the paths' lengths
-differ, the plan's one mask (``StagePlan.hidden``) scores each path's
-unwritten tail -inf, so no slot past a path's end gets any weight.
+Each row attends over the plan's shared parts, then over its own segment
+up to and including its own new slot, staged there first: one part
+[n, length] read in place, scored owner by owner, in which a row of a
+block does not see the block's later slots.  Only each owner's last
+``keep`` slots' logits are returned, and later slots read a slot only
+through its k/v, so a block with none of them stops at the last layer
+once its k/v are staged: no attention, output projection, feed-forward
+or head runs for it there.  Every slot and logit keeps its bits.
 
-Both passes write the cache the same way.  A pass names the owners it
-writes by their positions among the plan's owners, plus the one slot
-index they all extend, and takes its write handle from the plan
-(``StagePlan.rows``, a ``kvcache.Rows``) before the first layer; the
-handle checks the owners' common fill and their room.  The pass stages
-each layer's new k/v straight into the reserved storage past the
-committed slots, and commits the slots only after the logits are
-computed.  Staged slots are invisible to every other reader, so a pass
-that raises leaves the cache at the length it had.
+BLAS sends a one-row product to a matrix-vector kernel that rounds
+differently from the matrix-matrix kernel a block of rows uses, so a
+pass of one slot under a plan of reasoning paths runs it as two
+identical rows, through every product and the head.  With OpenBLAS a
+row then gets the same bits at any block height, so a path's logits
+equal its single-path replay's (the tested bound is 1e-5) and a greedy
+replay cannot flip.  Only reasoning needs the duplicated row.
+
+A stage's plan is built once when the stage starts (``prefill`` builds
+one for its single pass).  It holds each layer's attention parts over
+the other visible segments, the owners' segments, thought indices,
+positions and storage, and the outcome of every length and batch check,
+so a pass checks its token ids, stages its new slots, attends over the
+plan's parts and its own slots, and commits.  An answer slot sees every
+path, and its parts are three per layer under every termination
+strategy: the prompt, the path slab as one view up to the longest path's
+fill, and the answer itself.  When the paths' lengths differ, the plan's
+one mask (``StagePlan.hidden``) scores each path's unwritten tail -inf,
+so no slot past a path's end gets any weight.
+
+A pass names the owners it writes by their positions among the plan's
+owners, plus the one slot index they all extend, and takes its write
+handle from the plan (``StagePlan.rows``, a ``kvcache.Rows``) before the
+first layer; the handle checks the owners' common fill and their room.
+The pass stages each layer's new k/v straight into the reserved storage
+past the committed slots, and commits the slots only after the logits
+are computed.  Staged slots are invisible to every other reader, so a
+pass that raises leaves the cache at the length it had.
 
 ``attend`` starts its output from the first part's product, the softmax
 runs in place on the scores, and the score scale and the causal triangle
@@ -98,6 +102,7 @@ from .positional import (
     PositionAssignment,
     Rope,
     ThoughtEmbeddingTable,
+    is_path,
     path_key,
     rope_for,
 )
@@ -372,8 +377,8 @@ def _score_scale(d_k: int) -> np.ndarray:
 
 @lru_cache(maxsize=CAUSAL_CHUNK)
 def _later(n: int) -> np.ndarray:
-    """[n, 1, n], read-only: row r's entry c is True when slot c comes after r."""
-    later = np.triu(np.ones((n, n), dtype=bool), 1)[:, None, :]
+    """[n, n], read-only: row r's entry c is True when slot c comes after r."""
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
     later.flags.writeable = False
     return later
 
@@ -383,36 +388,46 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False, hidden=N
 
     q: [n, n_heads, d_k].  ``keys`` and ``values`` list the parts of the
     visible set in order.  A part of shape [m, n_heads, d_k] is seen by
-    every row and scored for all rows in one product; a part of shape
-    [n, m, n_heads, d_k] gives row r its own [m] entries, and one of
-    shape [n, g, m, n_heads, d_k] its own g groups of [m] entries, group
-    by group (a leading axis of 1 is shared by every row; the path slab,
-    read in place, is such a part).  With ``causal`` the last part ends
-    with the rows' own slots in row order, and row r does not see the
-    n-1-r slots after its own.  The score columns are the parts' slots in
-    order, a grouped part's group by group; ``hidden``, a boolean [c] (a
-    plan's ``hidden``), hides column j < c from every row where it is
-    set.  A hidden or later slot scores -inf, so its weight is 0.  One
-    softmax runs over all parts' scores and the values are summed part by
-    part, so no part is copied or concatenated.  Returns [n, n_heads,
-    d_k].  A single-entry visible set reduces to that entry's value row
-    exactly (softmax over one element is 1).
+    every row and scored for all rows in one product.  A part of shape
+    [o, m, n_heads, d_k] holds o owners' own [m] entries, and the rows are
+    the owners' s = n/o rows each, owner by owner (one owner shared by a
+    duplicated row has o = 1).  With ``causal`` an owner's s rows are
+    scored against its entries as one [s, d_k] @ [d_k, m] product, else
+    each row is scored alone, so a row's bits do not depend on how many
+    rows share its owner.  A part of shape [n, g, m, n_heads, d_k] gives
+    row r its own g groups of [m] entries, group by group (a leading axis
+    of 1 is shared by every row; the path slab, read in place, is such a
+    part).  With ``causal`` the last part
+    is the owners' segments, ending with their rows' own slots in row
+    order, and an owner's row j does not see its s-1-j slots after its
+    own.  The score columns are the parts' slots in order, a grouped
+    part's group by group; ``hidden``, a boolean [c] (a plan's
+    ``hidden``), hides column j < c from every row where it is set.  A
+    hidden or later slot scores -inf, so its weight is 0.  One softmax
+    runs over all parts' scores and the values are summed part by part,
+    so no part is copied or concatenated.  Returns [n, n_heads, d_k].  A
+    single-entry visible set reduces to that entry's value row exactly
+    (softmax over one element is 1).
     """
+    n, heads = q.shape[:2]
     q_heads = q.transpose(1, 0, 2)  # [H, n, d_k]
-    scores = []
+    scores = []  # [H, n, m] each
     for k in keys:
-        if k.ndim == 3:  # [H, n, d_k] @ [H, d_k, m] -> [n, H, m]
-            scores.append((q_heads @ k.transpose(1, 2, 0)).transpose(1, 0, 2))
-        elif k.ndim == 4:  # [n, H, m, d_k] @ [n, H, d_k, 1] -> [n, H, m]
-            scores.append((k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0])
-        else:  # [n, g, H, m, d_k] @ [n, 1, H, d_k, 1] -> [n, H, g·m]
+        if k.ndim == 3:  # [H, n, d_k] @ [H, d_k, m]
+            scores.append(q_heads @ k.transpose(1, 2, 0))
+        elif k.ndim == 4:  # [H, n/g, g, d_k] @ [H, o, d_k, m]
+            g = n // len(k) if causal else 1
+            own = q_heads.reshape(heads, -1, g, d_k) @ k.transpose(2, 0, 3, 1)
+            scores.append(own.reshape(heads, n, -1))
+        else:  # [n, g, H, m, d_k] @ [n, 1, H, d_k, 1] -> [n, g, H, m]
             grouped = (k.transpose(0, 1, 3, 2, 4) @ q[:, None, ..., None])[..., 0]
-            scores.append(grouped.transpose(0, 2, 1, 3).reshape(q.shape[0], q.shape[1], -1))
+            scores.append(grouped.transpose(2, 0, 1, 3).reshape(heads, n, -1))
     scores = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=-1)
     scores /= _score_scale(d_k)  # a new array either way
-    n = q.shape[0]
-    if causal and n > 1:  # one row sees its whole part: no triangle to build
-        np.copyto(scores[..., scores.shape[-1] - n :], -np.inf, where=_later(n))
+    if causal:  # [H, o, s, s]: an owner's rows against its last s slots
+        s = n // len(keys[-1])
+        rows = scores.reshape(heads, -1, s, scores.shape[-1])
+        np.copyto(rows[..., -s:], -np.inf, where=_later(s))
     if hidden is not None:
         np.copyto(scores[..., : hidden.size], -np.inf, where=hidden)
     weights = softmax(scores)
@@ -420,20 +435,22 @@ def attend(q: np.ndarray, keys, values, d_k: int, causal: bool = False, hidden=N
     start = 0
     for v in values:
         m = v.shape[-3] * (v.shape[1] if v.ndim == 5 else 1)
-        w = weights[..., start : start + m]  # [n, H, m]
-        if v.ndim == 3:  # [H, n, m] @ [H, m, d_k] -> [n, H, d_k]
-            part = (w.transpose(1, 0, 2) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
-        elif v.ndim == 4:  # [n, H, 1, m] @ [n, H, m, d_k] -> [n, H, d_k]
-            part = (w[:, :, None, :] @ v.transpose(0, 2, 1, 3))[:, :, 0]
+        w = weights[..., start : start + m]  # [H, n, m]
+        if v.ndim == 3:  # [H, n, m] @ [H, m, d_k]
+            part = w @ v.transpose(1, 0, 2)
+        elif v.ndim == 4:  # [H, n/g, g, m] @ [H, o, m, d_k]
+            g = n // len(v) if causal else 1
+            part = (w.reshape(heads, -1, g, m) @ v.transpose(2, 0, 1, 3)).reshape(heads, n, d_k)
         else:  # [n, g, H, 1, m] @ [n, g, H, m, d_k] -> [n, H, d_k], summed over g
-            w = w.reshape(*w.shape[:2], v.shape[1], -1).transpose(0, 2, 1, 3)
+            w = w.reshape(heads, n, v.shape[1], -1).transpose(1, 2, 0, 3)
             part = (w[..., None, :] @ v.transpose(0, 1, 3, 2, 4))[..., 0, :].sum(axis=1)
+            part = part.transpose(1, 0, 2)
         if out is None:
             out = part
         else:
             out += part
         start += m
-    return out
+    return out.transpose(1, 0, 2)
 
 
 class StagePlan:
@@ -444,8 +461,9 @@ class StagePlan:
     reasoning paths.  ``thoughts`` holds each owner's thought index, and
     ``positions`` the int64 positions of the owners' slots 0..n-1, which
     they share: ``PositionAssignment.positions`` under the shared scheme,
-    or the baseline's flattened list.  A pass that asks for a slot past
-    them raises ``LayoutError`` before it stages anything.
+    or the baseline's flattened list.  They must increase, so a pass's
+    last slot sits at its largest position.  A pass that asks for a slot
+    past them raises ``LayoutError`` before it stages anything.
 
     The owners must see the same other segments, ``masking.visible_segments``
     for ``stage`` with the path slab's rows as the paths.  Those segments
@@ -491,6 +509,8 @@ class StagePlan:
             if visible_segments(stage, owner, num_paths) != (*others, owner):
                 raise CacheConsistencyError("batched slots must share their visible segments")
         self.positions = np.asarray(positions, dtype=np.int64)
+        if (np.diff(self.positions) <= 0).any():
+            raise LayoutError(f"the positions of {names[0]!r} do not increase")
         fills = [cache.length(seg) for seg in others]
         if others:
             seen = dict(zip(others, fills))
@@ -502,6 +522,8 @@ class StagePlan:
                 )
         self.owners = [cache.table(name) for name in names]
         self.thoughts = list(thoughts)
+        # rows a pass of one slot runs as: two for reasoning paths (``forward``)
+        self.lone_rows = 2 if is_path(names[0]) else 1
         self.every = list(range(len(names)))  # the positions of all owners, in order
         self.slab = self.slab_rows = None  # bound at the first write
         sources = list(others)
@@ -585,11 +607,11 @@ def _decode_rows(
     n = len(tokens)
     heads, d_k = cfg.n_heads, cfg.d_k
     rope = cfg.rope()
-    # Every layer rotates at the same positions.  One position (a one-row
-    # block's too) reads the rope's cached tables; per-row tables are
-    # built here, once for all layers.
+    # Every layer rotates at the same positions.  One position for every
+    # row reads the rope's cached tables; per-row tables are built here,
+    # once for all layers.
     if np.ndim(positions):
-        positions = positions[0] if len(positions) == 1 else rope.tables(positions)
+        positions = rope.tables(positions)
     # Thought rows, looked up once: [n_layers, n_heads, d_k] for one
     # index, else [n_layers, n, 1, n_heads, d_k], to add to k and v.
     thought = table.vectors[thoughts]
@@ -640,54 +662,82 @@ def check_position(cfg: ModelConfig, last: int, what: str) -> None:
         )
 
 
-def forward_paths(
+def forward(
     weights: ModelWeights,
     table: ThoughtEmbeddingTable,
     plan: StagePlan,
     tokens,
     rows: list[int],
     index: int,
+    keep: int = 1,
 ) -> np.ndarray:
-    """Decode one token at each of ``n`` slots in one pass: [n, vocab] logits.
+    """Feed m = len(tokens) / len(rows) new slots, from ``index`` on, to
+    each of the n plan owners at positions ``rows``, which hold ``index``
+    slots each; returns the logits of each owner's last ``keep`` slots,
+    [n·keep, vocab], owner by owner.
 
-    Row r feeds ``tokens[r]`` to slot ``index`` of the plan's owner at
-    position ``rows[r]``; every row's owner holds ``index`` slots.  The
-    rows go through the layers as one block (``_decode_rows``), at the
-    plan's position for slot ``index``.  Each row attends over the plan's shared parts
-    (one product for all rows), then its own segment's slots up to and
-    including its new one, staged there first (one product over the rows
-    of the cache's path slab).  The new slots are staged layer by layer
-    and committed after the logits, so a call that raises leaves the
-    cache as it was.
+    ``tokens`` holds each owner's m tokens in turn.  The slots run in
+    blocks of up to ``CAUSAL_CHUNK`` per owner, a block's rows through the
+    layers as one (``_decode_rows``) at the plan's positions.  A block
+    stages its k/v in the owners' reserved storage, and each row attends
+    over the plan's shared parts and over its own segment up to and
+    including itself, one part read in place, so the scores never exceed
+    [n·CAUSAL_CHUNK, n_heads, length].  A block with no kept slot stops
+    at the last layer once its k/v are staged, since nothing reads its
+    last-layer output; the slots and the returned logits have the bits of
+    a pass that runs every layer for every row.  Every token id, position
+    and the owners' fill and room are checked before anything is staged,
+    and the slots are committed only after the last block, so a call that
+    raises leaves the cache as it was.
     """
     cfg = weights.config
     n = len(rows)
-    if n < 1 or len(tokens) != n:
-        raise DataError(f"need one token per row, got {len(tokens)} for {n} rows")
+    m = len(tokens) // n if n else 0
+    if m < 1 or n * m != len(tokens) or not 1 <= keep <= m:
+        raise DataError(f"cannot feed {len(tokens)} tokens to {n} owners, keeping {keep} each")
     check_token_ids(tokens, cfg.vocab_size)
-    writes, js = plan.rows(rows, index, 1)
-    position = int(plan.slot_positions(index, 1)[0])
-    check_position(cfg, position, writes.segments[0].owner)
-    # BLAS sends a one-row product to a matrix-vector kernel that rounds
-    # differently from the matrix-matrix kernel a block of rows uses, so a
-    # single row runs as two identical rows.  With OpenBLAS that kernel
-    # gives each row the same bits at any block height, so a path's logits
-    # equal its single-path replay's and a greedy replay cannot flip.
-    width = max(n, 2)
+    writes, thoughts = plan.rows(rows, index, m)
+    positions = plan.slot_positions(index, m)
+    check_position(cfg, int(positions[-1]), writes.segments[0].owner)
+    copies = plan.lone_rows if n * m == 1 else 1  # see the module docstring
+
+    def stage(li, k, v):
+        if h == 1:  # [n, 1, H, d_k]; a lone slot's copy is not staged
+            writes.stage(li, lo, k[:n, None], v[:n, None])
+        else:
+            shape = (n, h, *k.shape[1:])
+            writes.stage(li, lo, k.reshape(shape), v.reshape(shape))
 
     def attention(li, q, k, v):
-        writes.stage(li, 0, k[:n, None], v[:n, None])
+        stage(li, k, v)
         keys, values = plan.shared[li]
-        # the rows' own segments up to and including the staged slot, one
-        # [n, index+1] part scored row by row (a duplicated row shares it)
-        own_k, own_v = writes.keys(li, index + 1), writes.values(li, index + 1)
-        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, hidden=plan.hidden)
+        # the owners' own segments through the block's last staged slot
+        own_k, own_v = writes.keys(li, index + hi), writes.values(li, index + hi)
+        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, h > 1, plan.hidden)
 
-    tokens = list(tokens) * (width // n)
-    x = _decode_rows(weights, table, tokens, js * (width // n), position, attention)
-    logits = _head(weights, x)[:n]
+    first_kept = m - keep
+    kept = []
+    for lo in range(0, m, CAUSAL_CHUNK):
+        hi = min(lo + CAUSAL_CHUNK, m)
+        h = hi - lo
+        # each row's token, thought index and position, owner by owner
+        if h == 1:  # one slot of each owner
+            ids, js, at = list(tokens[lo::m]) * copies, thoughts, positions[lo]
+        else:
+            ids = [t for first in range(lo, n * m, m) for t in tokens[first : first + h]]
+            js, at = np.repeat(thoughts, h), np.tile(positions[lo:hi], n)
+        # a block with no kept slot is read only through its k/v
+        write_only = stage if hi <= first_kept else None
+        x = _decode_rows(weights, table, ids, js[0] if n == 1 else js, at, attention, write_only)
+        if write_only is None:
+            if lo < first_kept:  # the block's kept slots of each owner
+                x = x.reshape(n, h, -1)[:, first_kept - lo :].reshape(-1, x.shape[-1])
+            kept.append(_head(weights, x))
     writes.commit()
-    return logits
+    if len(kept) > 1:  # each owner's kept slots, block after block
+        blocks = [block.reshape(n, -1, block.shape[-1]) for block in kept]
+        kept = [np.concatenate(blocks, axis=1).reshape(n * keep, -1)]
+    return kept[0][: n * keep]  # a lone slot's second row goes
 
 
 def forward_step(
@@ -698,84 +748,11 @@ def forward_step(
     slot: SlotAddress,
 ) -> np.ndarray:
     """Decode one token at ``slot``, a slot of one of the plan's owners:
-    returns next-token logits.
-
-    The one-row case of ``forward_paths``: attends over the plan's visible
-    segments (stored slots first, this slot last), staging the slot's
-    augmented k/v stacks in its segment and committing them after the
-    logits.
-    """
+    returns next-token logits.  One ``forward`` of one slot."""
     names = [seg.owner for seg in plan.owners]
     if slot.segment not in names:
         raise CacheConsistencyError(f"a plan for {names} cannot write {slot.segment!r}")
-    return forward_paths(weights, table, plan, [token], [names.index(slot.segment)], slot.index)[0]
-
-
-def forward_causal(
-    weights: ModelWeights,
-    table: ThoughtEmbeddingTable,
-    plan: StagePlan,
-    tokens,
-    index: int,
-    keep: int = 1,
-) -> np.ndarray:
-    """Feed tokens known in advance to the new slots from ``index`` on, in
-    the plan's one owner segment, which holds ``index`` slots; returns the
-    last ``keep`` rows' logits, [keep, vocab].
-
-    The rows run in causal blocks of ``CAUSAL_CHUNK``.  A block's k/v are
-    staged in the segment's reserved storage, and its rows attend over
-    the plan's shared parts and over their own segment up to and
-    including themselves, in one masked product against a view of that
-    storage, so the scores never exceed [CAUSAL_CHUNK, n_heads, length].
-    A block with no kept row (all its rows before ``n - keep``) stops at
-    the last layer once its k/v are staged, since nothing reads its
-    last-layer output: that layer's attention, output projection and
-    feed-forward, and the head, run only for blocks that hold a kept row.
-    The slots and the returned logits have the bits of a pass that runs
-    every layer for every row.
-    Every token id, position and the segment's room are checked before
-    anything is staged, and the slots are committed only after the last
-    block, so a call that raises leaves the segment at the length it had.
-    """
-    cfg = weights.config
-    n = len(tokens)
-    if n < 1:
-        raise DataError("a causal block of no tokens yields no logits")
-    if not 1 <= keep <= n:
-        raise DataError(f"cannot keep {keep} rows of {n}")
-    if len(plan.owners) != 1:
-        raise CacheConsistencyError(
-            f"a causal pass writes one segment, the plan owns {len(plan.owners)}"
-        )
-    check_token_ids(tokens, cfg.vocab_size)
-    writes, (j,) = plan.rows([0], index, n)
-    positions = plan.slot_positions(index, n)
-    check_position(cfg, int(positions.max()), writes.segments[0].owner)
-
-    def stage(li, k, v):
-        writes.stage(li, lo, k[None], v[None])
-
-    def attention(li, q, k, v):
-        stage(li, k, v)
-        keys, values = plan.shared[li]
-        # the segment's own row through the block's last staged slot
-        own_k, own_v = writes.keys(li, index + hi)[0], writes.values(li, index + hi)[0]
-        return attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, True, plan.hidden)
-
-    first_kept = n - keep
-    kept = []
-    for lo in range(0, n, CAUSAL_CHUNK):
-        hi = min(lo + CAUSAL_CHUNK, n)
-        # a block with no kept row is read only through its k/v
-        write_only = stage if hi <= first_kept else None
-        x = _decode_rows(
-            weights, table, tokens[lo:hi], j, positions[lo:hi], attention, write_only
-        )
-        if write_only is None:
-            kept.append(_head(weights, x[max(first_kept - lo, 0) :]))
-    writes.commit()
-    return kept[0] if len(kept) == 1 else np.concatenate(kept)
+    return forward(weights, table, plan, [token], [names.index(slot.segment)], slot.index)[0]
 
 
 def prefill(
@@ -787,16 +764,16 @@ def prefill(
     """Feed the prompt tokens to the slots after the prompt's written ones,
     in causal chunks; returns the last slot's logits.
 
-    One ``forward_causal`` call over the prompt segment, under a plan
-    built for it (thought index 0, the shared scheme's prompt positions):
-    the prompt runs in blocks of ``CAUSAL_CHUNK`` rows, not
-    one forward pass per token, and a prefill that raises writes no prompt
-    slot.  Only the block holding the last slot runs the whole last layer
-    and the head; a block with no kept row stops at the last layer once
-    its k/v are staged.
+    One ``forward`` over the prompt segment, under a plan built for it
+    (thought index 0, the shared scheme's prompt positions): the prompt
+    runs in blocks of ``CAUSAL_CHUNK`` rows, not one forward pass per
+    token, and a prefill that raises writes no prompt slot.  Only the
+    block holding the last slot runs the whole last layer and the head; a
+    block with no kept row stops at the last layer once its k/v are
+    staged.
     """
     tokens, start = list(tokens), cache.length(PROMPT)
     end = start + len(tokens)
     positions = PositionAssignment(SHARED, l_x=end, l_max=0).positions(PROMPT, 0, end)
     plan = StagePlan(cache, REASONING, [PROMPT], [0], positions)
-    return forward_causal(weights, table, plan, tokens, start)[0]
+    return forward(weights, table, plan, tokens, [0], start)[0]

@@ -12,8 +12,10 @@ own generator.  The decoder's reference forms are the forward pass as it
 was before its projections were fused and its rotation went through
 interleaved tables: three separate q, k and v products, the even/odd
 float64 rotation, reasoning attention over three parts (shared
-segments, the rows' committed slots, the new slot), and the answer's
-read of paths of unequal length as one part per path.  The rotary
+segments, the rows' committed slots, the new slot), the answer's read of
+paths of unequal length as one part per path, and the two passes (with
+their attention) that fed reasoning steps and causal blocks before one
+pass served every stage.  The rotary
 algebra's reference forms are a dense R_t matrix, one key/value pair's
 thought fold and rotation, and the score split into its content and
 segment terms.
@@ -29,7 +31,8 @@ from parcot.errors import ConfigError, FormatError, LayoutError, SamplingError
 from parcot.kvcache import PagedKVCache
 from parcot.masking import REASONING, AttentionMask, LayoutPlan
 from parcot.masking import FLAT
-from parcot.model import NORM_EPS, StagePlan, attend, forward_causal
+from parcot import model
+from parcot.model import NORM_EPS, StagePlan, attend, forward
 from parcot.positional import ANSWER, PROMPT, SHARED, PositionAssignment, Rope, path_key
 from parcot.tokenizer import encode
 
@@ -317,13 +320,13 @@ def reference_reprefill_answer(weights, zero_table, vocab, session, sampler) -> 
     cache.reserve("seq", len(positions))
     plan = StagePlan(cache, FLAT, ["seq"], [0], positions)
     answer = [vocab.summary_open]
-    logits = forward_causal(weights, zero_table, plan, tokens + answer, 0)[0]
+    logits = forward(weights, zero_table, plan, tokens + answer, [0], 0)[0]
     for step in range(1, cap + 1):
         token = reference_sample_token(
             logits, sampler, draw_rng(session.seed, ANSWER_STREAM, step)
         )
         answer.append(token)
-        logits = forward_causal(weights, zero_table, plan, [token], len(tokens) + step)[0]
+        logits = forward(weights, zero_table, plan, [token], [0], len(tokens) + step)[0]
         if token in (vocab.summary_close, vocab.eos):
             break
     return answer
@@ -417,6 +420,109 @@ def reference_reasoning_attention(q, k, v, shared_keys, shared_values, own_keys,
     keys.append(k[:, None])
     values.append(v[:, None])
     return attend(q, keys, values, d_k)
+
+
+def reference_attend(q, keys, values, d_k, causal=False, hidden=None):
+    """``model.attend`` as it was when a causal pass read its own segment
+    as a 3-dim part seen by every row and a reasoning pass as a 4-dim part
+    scored row by row, one matrix-vector product per row."""
+    q_heads = q.transpose(1, 0, 2)  # [H, n, d_k]
+    scores = []
+    for k in keys:
+        if k.ndim == 3:  # [H, n, d_k] @ [H, d_k, m] -> [n, H, m]
+            scores.append((q_heads @ k.transpose(1, 2, 0)).transpose(1, 0, 2))
+        elif k.ndim == 4:  # [n, H, m, d_k] @ [n, H, d_k, 1] -> [n, H, m]
+            scores.append((k.transpose(0, 2, 1, 3) @ q[..., None])[..., 0])
+        else:  # [n, g, H, m, d_k] @ [n, 1, H, d_k, 1] -> [n, H, g·m]
+            grouped = (k.transpose(0, 1, 3, 2, 4) @ q[:, None, ..., None])[..., 0]
+            scores.append(grouped.transpose(0, 2, 1, 3).reshape(q.shape[0], q.shape[1], -1))
+    scores = scores[0] if len(scores) == 1 else np.concatenate(scores, axis=-1)
+    scores /= model._score_scale(d_k)
+    n = q.shape[0]
+    if causal and n > 1:
+        np.copyto(scores[..., scores.shape[-1] - n :], -np.inf, where=model._later(n)[:, None])
+    if hidden is not None:
+        np.copyto(scores[..., : hidden.size], -np.inf, where=hidden)
+    weights = model.softmax(scores)
+    out = None
+    start = 0
+    for v in values:
+        m = v.shape[-3] * (v.shape[1] if v.ndim == 5 else 1)
+        w = weights[..., start : start + m]  # [n, H, m]
+        if v.ndim == 3:  # [H, n, m] @ [H, m, d_k] -> [n, H, d_k]
+            part = (w.transpose(1, 0, 2) @ v.transpose(1, 0, 2)).transpose(1, 0, 2)
+        elif v.ndim == 4:  # [n, H, 1, m] @ [n, H, m, d_k] -> [n, H, d_k]
+            part = (w[:, :, None, :] @ v.transpose(0, 2, 1, 3))[:, :, 0]
+        else:  # [n, g, H, 1, m] @ [n, g, H, m, d_k] -> [n, H, d_k], summed over g
+            w = w.reshape(*w.shape[:2], v.shape[1], -1).transpose(0, 2, 1, 3)
+            part = (w[..., None, :] @ v.transpose(0, 1, 3, 2, 4))[..., 0, :].sum(axis=1)
+        if out is None:
+            out = part
+        else:
+            out += part
+        start += m
+    return out
+
+
+def reference_forward_paths(weights, table, plan, tokens, rows, index):
+    """The reasoning pass as it was before one pass served every stage: one
+    new slot for each of n rows, a lone row run as two identical rows, the
+    rows' own segments one 4-dim part scored row by row."""
+    cfg = weights.config
+    n = len(rows)
+    model.check_token_ids(tokens, cfg.vocab_size)
+    writes, js = plan.rows(rows, index, 1)
+    position = int(plan.slot_positions(index, 1)[0])
+    model.check_position(cfg, position, writes.segments[0].owner)
+    width = max(n, 2)
+
+    def attention(li, q, k, v):
+        writes.stage(li, 0, k[:n, None], v[:n, None])
+        keys, values = plan.shared[li]
+        own_k, own_v = writes.keys(li, index + 1), writes.values(li, index + 1)
+        return reference_attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, hidden=plan.hidden)
+
+    tokens = list(tokens) * (width // n)
+    x = model._decode_rows(weights, table, tokens, js * (width // n), position, attention)
+    logits = model._head(weights, x)[:n]
+    writes.commit()
+    return logits
+
+
+def reference_forward_causal(weights, table, plan, tokens, index, keep=1):
+    """The causal pass as it was before one pass served every stage:
+    tokens fed to the plan's one owner in blocks of ``CAUSAL_CHUNK``, the
+    segment one 3-dim part seen by every row of a block under the causal
+    triangle; a block with no kept row stops at the last layer once its
+    k/v are staged."""
+    cfg = weights.config
+    n = len(tokens)
+    model.check_token_ids(tokens, cfg.vocab_size)
+    writes, (j,) = plan.rows([0], index, n)
+    positions = plan.slot_positions(index, n)
+    model.check_position(cfg, int(positions.max()), writes.segments[0].owner)
+
+    def stage(li, k, v):
+        writes.stage(li, lo, k[None], v[None])
+
+    def attention(li, q, k, v):
+        stage(li, k, v)
+        keys, values = plan.shared[li]
+        own_k, own_v = writes.keys(li, index + hi)[0], writes.values(li, index + hi)[0]
+        return reference_attend(q, [*keys, own_k], [*values, own_v], cfg.d_k, True, plan.hidden)
+
+    first_kept = n - keep
+    kept = []
+    for lo in range(0, n, model.CAUSAL_CHUNK):
+        hi = min(lo + model.CAUSAL_CHUNK, n)
+        write_only = stage if hi <= first_kept else None
+        x = model._decode_rows(
+            weights, table, tokens[lo:hi], j, positions[lo:hi], attention, write_only
+        )
+        if write_only is None:
+            kept.append(model._head(weights, x[max(first_kept - lo, 0) :]))
+    writes.commit()
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
 def rope_matrix(rope, t: int) -> np.ndarray:

@@ -200,8 +200,8 @@ class TestVerifyRoundTrips:
 
 
 # each session command at a tiny size: (command, arguments, the sha256 of
-# each output file).  A re-prefill record's logit_divergence depends on the
-# BLAS kernels, so its records.csv is left out.
+# each output file).  A re-prefill record's logit_divergence keeps the 4
+# significant digits that every BLAS kernel agrees on.
 PINNED_OUTPUTS = {
     "costmodel": ("costmodel", [
         "--paths-list", "1", "4", "16", "--lengths", "1024", "4096",
@@ -238,12 +238,14 @@ PINNED_OUTPUTS = {
         "--prompt", "q", "--paths", "2", "--budget", "6", "--greedy",
     ], {
         "config.json": "16710de512b4e4f364caa1dfc75453f71130d46144003d06cac92aaa84d2effb",
+        "records.csv": "6bcfe2da4f8459309ca3764bdfeced1970530d00c25b688e110d3d4071609b7b",
         "transcripts.jsonl": "e1dc0da618e7afdc3fd1bb4904688b96bacdf64bb7ff774801214b0f6cb389c8",
     }),
     "reprefill-sampled": ("reprefill", [
         "--prompt", "q and r", "--paths", "3", "--budget", "8", "--max-answer", "6", "--seed", "6",
     ], {
         "config.json": "3a580b1b0aafb73514749c2e8f13a7572478be563ff7ac69a880401bf5001b8e",
+        "records.csv": "d22778fa080c62aa21d5dc83de56555206752a04dcf59f9e3b3c4dfcd3113fc0",
         "transcripts.jsonl": "2a9ac2bdfbd123cbef7b494d17ad8ecaef6fd3b5899786c91c473eee99215004",
     }),
     "sweep-first": ("sweep", [
@@ -458,6 +460,54 @@ class TestDatagen:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestUnreadableFiles:
+    """A file the CLI cannot read, or a profile that is not JSON, ends in
+    ``error: ...`` and exit 1, not a traceback; ``verify`` lists a missing
+    output file as a problem."""
+
+    @pytest.mark.parametrize("case", [
+        "weights-missing", "weights-directory", "thought-emb-missing",
+        "thought-emb-directory", "profile-missing", "profile-malformed",
+        "traces-missing", "datagen-input-missing", "verify-dir-missing",
+    ])
+    def test_error_not_traceback(self, tmp_path, capsys, case):
+        missing, directory = str(tmp_path / "absent"), str(tmp_path)
+        out = ["--out", str(tmp_path / "out")]
+        generate = ["generate", "--prompt", "x", "--paths", "1", "--budget", "2", *out]
+        malformed = tmp_path / "profile.json"
+        malformed.write_text('{"format": ')
+        argv = {
+            "weights-missing": [*generate, "--weights", missing],
+            "weights-directory": [*generate, "--weights", directory],
+            "thought-emb-missing": [*generate, "--thought-emb", missing],
+            "thought-emb-directory": [*generate, "--thought-emb", directory],
+            "profile-missing": ["costmodel", "--profile", missing, *out],
+            "profile-malformed": ["costmodel", "--profile", str(malformed), *out],
+            "traces-missing": ["prefix", "--traces", missing, "--target-token", "70", *out],
+            "datagen-input-missing": ["datagen", "--input", missing,
+                                      "--output", str(tmp_path / "o.jsonl")],
+            "verify-dir-missing": ["verify", "--dir", missing],
+        }[case]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if case == "profile-malformed":
+            assert "is not valid JSON" in err
+        else:
+            assert "absent" in err or directory in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("file", ["records.csv", "transcripts.jsonl"])
+    def test_verify_lists_a_missing_output_file(self, tmp_path, capsys, file):
+        out = tmp_path / "gen"
+        run_cli(["generate", "--prompt", "x", "--paths", "1", "--budget", "2", "--greedy",
+                 "--out", str(out)])
+        (out / file).unlink()
+        capsys.readouterr()
+        assert run_cli(["verify", "--dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"verify: {file} is missing\n"
 
 
 class TestParser:

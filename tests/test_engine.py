@@ -259,12 +259,12 @@ class TestBlockGreedy:
         """Greedy steps take one argmax over the [n, vocab] block; with every
         row tied between two ids, each path takes the lower one, as
         sample_token would."""
-        forward_paths = engine.forward_paths
+        forward = engine.forward
         rng = np.random.default_rng(3)
         seen = []
 
         def tied(*args):
-            logits = forward_paths(*args)
+            logits = forward(*args)
             out = np.zeros_like(logits)
             for row in out:
                 a, b = rng.choice(np.arange(32, 127), size=2, replace=False)
@@ -272,7 +272,7 @@ class TestBlockGreedy:
             seen.append(out)
             return out
 
-        monkeypatch.setattr(engine, "forward_paths", tied)
+        monkeypatch.setattr(engine, "forward", tied)
         draws = []
         monkeypatch.setattr(engine, "sample_token", lambda *args: draws.append(args))
         session = make_session(small_weights, small_table, vocab, num_paths=5)
@@ -345,13 +345,13 @@ class TestTerminationSemantics:
         strategy, finish_steps, budget, closed, causes, lengths,
     ):
         passes = []
-        real = engine.forward_paths
+        real = engine.forward
 
         def spy(weights, table, plan, tokens, rows, index):
             passes.append((list(tokens), list(rows)))
             return real(weights, table, plan, tokens, rows, index)
 
-        monkeypatch.setattr(engine, "forward_paths", spy)
+        monkeypatch.setattr(engine, "forward", spy)
         session = make_session(small_weights, small_table, vocab, num_paths=len(finish_steps))
         forced = forced_schedule(vocab, finish_steps, horizon=budget)
         run_reasoning(session, GREEDY, GenerationBudget(budget), strategy, forced)
@@ -529,7 +529,7 @@ class TestFailureAtomicity:
     def test_failed_step_appends_no_token(self, small_weights, small_table, vocab, monkeypatch):
         session = make_session(small_weights, small_table, vocab, num_paths=3)
         forced = {i: [70, 71, 72] for i in range(3)}
-        forward_paths, passes = engine.forward_paths, []
+        forward, passes = engine.forward, []
 
         def refuse(*args):
             raise DataError("injected failure")
@@ -538,9 +538,9 @@ class TestFailureAtomicity:
             passes.append(args)
             if len(passes) == 4:  # the openers, then body steps 1-3: fail once staged
                 monkeypatch.setattr(model, "_head", refuse)
-            return forward_paths(*args)
+            return forward(*args)
 
-        monkeypatch.setattr(engine, "forward_paths", third_fails)
+        monkeypatch.setattr(engine, "forward", third_fails)
         with pytest.raises(DataError, match="injected"):
             run_reasoning(session, GREEDY, GenerationBudget(5), forced=forced)
         self.assert_in_step(session)
@@ -910,15 +910,15 @@ class TestAnswerPass:
     ):
         calls = spy_attend(monkeypatch)
         active, index, in_place = [], [], []
-        forward_paths = engine.forward_paths
+        forward = engine.forward
 
         def counting(weights, table, plan, tokens, rows, at):
             active.append(len(rows))
             index.append(at)
             in_place.append(rows == list(range(rows[0], rows[0] + len(rows))))
-            return forward_paths(weights, table, plan, tokens, rows, at)
+            return forward(weights, table, plan, tokens, rows, at)
 
-        monkeypatch.setattr(engine, "forward_paths", counting)
+        monkeypatch.setattr(engine, "forward", counting)
         session = make_session(small_weights, small_table, vocab, num_paths=num_paths, seed=7)
         prefill_calls = len(calls)
         finish = [3 + (i % 5) for i in range(num_paths)]
@@ -1020,8 +1020,7 @@ class TestStagePlans:
         monkeypatch.setattr(engine.PagedKVCache, "table", counted_table)
         monkeypatch.setattr(engine.PagedKVCache, "__init__", spied_cache)
         monkeypatch.setattr(kvcache.SlotAddress, "__init__", counted_address)
-        for name in ("forward_paths", "forward_causal"):
-            monkeypatch.setattr(engine, name, passing(getattr(engine, name)))
+        monkeypatch.setattr(engine, "forward", passing(engine.forward))
         forced = forced_schedule(vocab, [3 + i % 4 for i in range(num_paths)], horizon=8)
         donor = None
         for _ in range(2):
@@ -1033,7 +1032,7 @@ class TestStagePlans:
             run_reasoning(session, GREEDY, GenerationBudget(8, 6), strategy, forced)
             run_summarization(session, GREEDY, 6)
             assert len(builds) == (2 if donor else 3)
-            assert passes.count("forward_paths") > 2 and passes.count("forward_causal") > 2
+            assert passes.count("forward") > 4
             donor, builds[:], passes[:] = session, [], []
         assert lookups == []
         assert addresses == []

@@ -24,8 +24,7 @@ from parcot.model import (
     ModelConfig,
     StagePlan,
     attend,
-    forward_causal,
-    forward_paths,
+    forward,
     forward_step,
     init_weights,
     load_weights,
@@ -151,7 +150,7 @@ class TestAttend:
         q = rng.standard_normal((rows, heads, d_k)).astype(np.float32)
         shared = rng.standard_normal((2, 7, heads, d_k)).astype(np.float32)
         slab = rng.standard_normal((2, 3, 5, heads, d_k)).astype(np.float32)
-        own = rng.standard_normal((2, rows, heads, d_k)).astype(np.float32)
+        own = rng.standard_normal((2, 1, rows, heads, d_k)).astype(np.float32)
         grouped = slab[:, None, :, :4]  # 4 of each row's 5 slots: a strided view
         assert np.shares_memory(grouped, slab)
         got = attend(
@@ -308,18 +307,70 @@ class TestBatchChecks:
         cache = self.prefilled(small_weights, small_table)
         plan = shared_plan(cache, [path_key(0), path_key(1)], l_x=2, labels=(1, 2, 3))
         with pytest.raises(CacheConsistencyError, match="does not extend"):
-            forward_paths(small_weights, small_table, plan, [40, 41], [0, 1], 1)
+            forward(small_weights, small_table, plan, [40, 41], [0, 1], 1)
 
     def test_shared_rows_equal_their_single_row_passes(self, small_weights, small_table):
         owners, labels = [path_key(i) for i in range(3)], (1, 2, 3)
         batched = self.prefilled(small_weights, small_table)
         alone = self.prefilled(small_weights, small_table)
         plan = shared_plan(batched, owners, l_x=2, labels=labels)
-        block = forward_paths(small_weights, small_table, plan, [40, 41, 42], [0, 1, 2], 0)
+        block = forward(small_weights, small_table, plan, [40, 41, 42], [0, 1, 2], 0)
         plan = shared_plan(alone, owners, l_x=2, labels=labels)
         for i in range(3):
             row = forward_step(small_weights, small_table, plan, 40 + i, SlotAddress(owners[i], 0))
             assert np.array_equal(block[i], row)
+
+
+class TestOwnersTimesSlots:
+    """One pass feeds m slots to each of n owners.  Each owner's slots and
+    logits match a pass of its own within float32 rounding (a block of
+    several owners' rows rounds like any other block height), and the
+    logits come back owner by owner."""
+
+    @pytest.mark.parametrize("m, keep", [(3, 3), (40, 1), (40, 35), (70, 70)])
+    def test_matches_one_owner_at_a_time(self, vocab, m, keep):
+        weights, table = gained_model(2, vocab)
+        cfg = weights.config
+        tokens = np.random.default_rng(m).integers(0, 256, size=(3, m)).tolist()
+        caches, logits = [], []
+        for together in (True, False):
+            cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+            cache.reserve(PROMPT, 5)
+            prefill(weights, table, cache, [3, 1, 4, 1, 5])
+            cache.reserve_paths(3, m)
+            plan = shared_plan(cache, [path_key(i) for i in range(3)], l_x=5,
+                               labels=(1, 2, 3), l_max=m)
+            if together:
+                flat = [t for owner in tokens for t in owner]
+                logits.append(forward(weights, table, plan, flat, [0, 1, 2], 0, keep))
+            else:
+                logits.append(np.concatenate([
+                    forward(weights, table, plan, tokens[r], [r], 0, keep) for r in range(3)
+                ]))
+            caches.append(cache)
+        got, want = logits
+        assert got.shape == (3 * keep, cfg.vocab_size)
+        assert np.max(np.abs(got - want)) <= 1e-5
+        for a, b in ((caches[0].paths.k, caches[1].paths.k), (caches[0].paths.v, caches[1].paths.v)):
+            assert np.max(np.abs(a - b)) <= 1e-5
+        assert [caches[0].length(path_key(i)) for i in range(3)] == [m] * 3
+
+    @pytest.mark.parametrize("tokens, keep, match", [
+        ([], 1, "cannot feed 0 tokens to 2 owners, keeping 1 each"),
+        ([5, 6, 7], 1, "cannot feed 3 tokens to 2 owners"),
+        ([5, 6, 7, 8], 3, "cannot feed 4 tokens to 2 owners, keeping 3 each"),
+        ([5, 6, 7, 8], 0, "cannot feed 4 tokens to 2 owners, keeping 0 each"),
+    ])
+    def test_token_count_and_keep_checked_before_staging(
+        self, small_weights, small_table, tokens, keep, match
+    ):
+        cache = fresh_cache(small_weights.config)
+        prefill(small_weights, small_table, cache, [5, 6])
+        cache.reserve_paths(2, 4)
+        plan = shared_plan(cache, [path_key(0), path_key(1)], l_x=2, labels=(1, 2), l_max=4)
+        with pytest.raises(DataError, match=match):
+            forward(small_weights, small_table, plan, tokens, [0, 1], 0, keep)
+        assert not cache.paths.k.any()
 
 
 class TestStalePlan:
@@ -337,7 +388,7 @@ class TestStalePlan:
         cache.reserve(ANSWER, 4)
         plan = shared_plan(cache, [path_key(0), path_key(1)], l_x=l_x, labels=(1, 2))
         for t in range(path_slots):
-            forward_paths(weights, table, plan, [40, 41], [0, 1], t)
+            forward(weights, table, plan, [40, 41], [0, 1], t)
         return cache
 
     def test_segment_the_plan_does_not_own(self, small_weights, small_table):
@@ -345,7 +396,7 @@ class TestStalePlan:
         plan = shared_plan(cache, [path_key(0)], l_x=2)
         for rows in ([1], [0, 1]):
             with pytest.raises(CacheConsistencyError, match=r"cannot write its rows \["):
-                forward_paths(small_weights, small_table, plan, [40] * len(rows), rows, 0)
+                forward(small_weights, small_table, plan, [40] * len(rows), rows, 0)
         with pytest.raises(CacheConsistencyError, match="cannot write 'path:1'"):
             forward_step(small_weights, small_table, plan, 40, SlotAddress(path_key(1), 0))
         assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
@@ -390,22 +441,31 @@ class TestStalePlan:
             rows = [2]
         elif fault == "unequal lengths":
             plan = StagePlan(cache, REASONING, owners, thoughts, positions)
-            forward_paths(small_weights, small_table, plan, [40], [0], 0)
+            forward(small_weights, small_table, plan, [40], [0], 0)
         elif fault == "does not extend":
             index = 1
         elif fault == "full":
             plan = StagePlan(cache, REASONING, owners, thoughts, positions)
             for t in range(2):
-                forward_paths(small_weights, small_table, plan, [40, 41], rows, t)
+                forward(small_weights, small_table, plan, [40, 41], rows, t)
             index = 2
         lengths = [cache.length(segment) for segment in owners]
         held = [cache.table(segment).slab.k.copy() for segment in owners]
         with pytest.raises(CacheConsistencyError, match=match):
             plan = StagePlan(cache, REASONING, owners, thoughts, positions)
-            forward_paths(small_weights, small_table, plan, [40] * len(rows), rows, index)
+            forward(small_weights, small_table, plan, [40] * len(rows), rows, index)
         assert [cache.length(segment) for segment in owners] == lengths
         for segment, k in zip(owners, held):
             assert np.array_equal(cache.table(segment).slab.k, k)
+
+    @pytest.mark.parametrize("positions", [[1, 2, 2, 3], [1, 3, 2]])
+    def test_positions_must_increase(self, positions):
+        """A pass checks only its last slot's position against the model's
+        limit, so a plan refuses positions that do not increase."""
+        cache = PagedKVCache(2, 2, 16)
+        cache.reserve("seq", 4)
+        with pytest.raises(LayoutError, match="the positions of 'seq' do not increase"):
+            flat_plan(cache, positions)
 
     def test_path_outside_the_layout(self, small_weights, small_table):
         """A path the slab does not hold has no storage: a plan that owns it
@@ -415,19 +475,19 @@ class TestStalePlan:
         for segment in (path_key(2), "path:-1"):
             plan = StagePlan(cache, REASONING, [segment], [3], positions)
             with pytest.raises(CacheConsistencyError, match="never reserved"):
-                forward_paths(small_weights, small_table, plan, [40], [0], 0)
+                forward(small_weights, small_table, plan, [40], [0], 0)
         assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
         assert not cache.paths.k.any()
 
     def test_reasoning_plan_for_an_answer_slot(self, small_weights, small_table):
         # a pass names only the plan's own owners, so the answer cannot be
-        # reached through a reasoning plan; the answer's causal pass under
-        # one raises before staging
+        # reached through a reasoning plan; an answer slot asked of one
+        # raises before staging
         cache = self.reasoned(small_weights, small_table, path_slots=2)
         plan = shared_plan(cache, [path_key(0), path_key(1)], l_x=2, labels=(1, 2))
         held = cache.paths.k.copy()
-        with pytest.raises(CacheConsistencyError, match="writes one segment, the plan owns 2"):
-            forward_causal(small_weights, small_table, plan, [40], 2)
+        with pytest.raises(CacheConsistencyError, match="cannot write 'answer'"):
+            forward_step(small_weights, small_table, plan, 40, SlotAddress(ANSWER, 0))
         assert [cache.length(path_key(i)) for i in range(2)] == [2, 2]
         assert np.array_equal(cache.paths.k, held)
         assert cache.length(ANSWER) == 0
@@ -454,7 +514,7 @@ class TestStalePlan:
         engine runs before the answer stage) rejects it."""
         cache = self.reasoned(small_weights, small_table, path_slots=2)
         plan = shared_plan(cache, [path_key(1)], l_x=2, labels=(1, 2))
-        forward_paths(small_weights, small_table, plan, [42], [0], 2)
+        forward(small_weights, small_table, plan, [42], [0], 2)
         summary_plan(cache, 2, reasoning_len=3)
         with pytest.raises(LifecycleError, match="path:0 holds 2 slots, layout says 3"):
             assemble_summary_view(cache, LayoutPlan(2, (3, 3), 0, SUMMARIZATION))
@@ -519,9 +579,9 @@ class TestAnswerRead:
                 else:
                     assert plan.hidden.sum() == sum(longest - fill for fill in fills)
                 # a causal block of three answer rows, then one row at a time
-                rows = [forward_causal(small_weights, small_table, plan, [7, 8, 9], 0, keep=3)]
+                rows = [forward(small_weights, small_table, plan, [7, 8, 9], [0], 0, keep=3)]
                 for index, token in enumerate([10, 11], 3):
-                    rows.append(forward_causal(small_weights, small_table, plan, [token], index))
+                    rows.append(forward(small_weights, small_table, plan, [token], [0], index))
                 logits.append(np.concatenate(rows))
             got, want = logits
             if len(set(fills)) == 1:
@@ -592,7 +652,7 @@ class TestPrefill:
         if kind == "prompt":
             got = prefill(small_weights, small_table, blocked, tokens)[None]
         else:
-            got = forward_causal(small_weights, small_table, plans[0], tokens, 0, keep=length)
+            got = forward(small_weights, small_table, plans[0], tokens, [0], 0, keep=length)
         want = np.stack([
             forward_step(small_weights, small_table, plans[1], token, SlotAddress(segment, t))
             for t, token in enumerate(tokens)
@@ -673,9 +733,9 @@ class TestPrefill:
 
         def write(index):
             if kind == "path":
-                forward_paths(small_weights, small_table, plan, [5, 6], [0, 1], index)
+                forward(small_weights, small_table, plan, [5, 6], [0, 1], index)
             else:
-                forward_causal(small_weights, small_table, plan, [5], index)
+                forward(small_weights, small_table, plan, [5], [0], index)
 
         for index in range(cache.length(owner), 3):
             write(index)
@@ -758,7 +818,7 @@ def causal_state(weights, table, kind, tokens, keep):
             segment = path_key(0)
             prefill(weights, table, cache, [3, 1, 4, 1, 5])
             plan = shared_plan(cache, [segment], l_x=5, labels=(2,), l_max=n + 1)
-        logits = forward_causal(weights, table, plan, tokens, 0, keep)
+        logits = forward(weights, table, plan, tokens, [0], 0, keep)
     assert cache.length(segment) == n
     return logits, cache.tables[segment].content_hash()
 

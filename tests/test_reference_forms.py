@@ -8,6 +8,7 @@ rounding only, and stays within float32 noise of the three-part form.
 """
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -17,11 +18,22 @@ from hypothesis import strategies as st
 from parcot import engine, model
 from parcot.engine import GenerationBudget, SamplerConfig, Termination, run_reasoning
 from parcot.kvcache import PagedKVCache
+from parcot.masking import FLAT, REASONING, SUMMARIZATION
 from parcot.model import init_weights, load_weights, save_weights
-from parcot.positional import PROMPT, Rope, rope_for
+from parcot.positional import (
+    ANSWER,
+    PROMPT,
+    SHARED,
+    PositionAssignment,
+    Rope,
+    path_key,
+    rope_for,
+)
 
 from oracles import (
     reference_decode_rows,
+    reference_forward_causal,
+    reference_forward_paths,
     reference_projections,
     reference_reasoning_attention,
     reference_rotate,
@@ -183,11 +195,13 @@ class TestReasoningAttention:
         d_k = small_weights.config.d_k
         checked = []
         attend = model.attend
+        signature = inspect.signature(attend)
 
         def compare(q, keys, values, *args, **kwargs):
             out = attend(q, keys, values, *args, **kwargs)
             own_k, own_v = keys[-1], values[-1]
-            if own_k.ndim == 4 and not kwargs.get("causal"):  # a reasoning pass
+            causal = signature.bind(q, keys, values, *args, **kwargs).arguments.get("causal")
+            if own_k.ndim == 4 and not causal:  # a reasoning pass
                 rows = q.shape[0]
                 new_k = np.broadcast_to(own_k[:, -1], (rows, *own_k.shape[2:]))
                 new_v = np.broadcast_to(own_v[:, -1], (rows, *own_v.shape[2:]))
@@ -205,3 +219,152 @@ class TestReasoningAttention:
         )
         run_reasoning(session, GREEDY, GenerationBudget(10), strategy)
         assert checked and min(checked) == 1 and max(checked) > 2
+
+
+def slab_bytes(cache):
+    """Every reserved storage array of the cache, in a fixed order."""
+    slabs = {id(seg.slab): seg.slab for _, seg in sorted(cache.tables.items())}
+    return [array for slab in slabs.values() for array in (slab.k, slab.v)]
+
+
+def assert_same_state(got, want):
+    """Logits (lists of arrays) and every slab byte of two caches are equal."""
+    (got_logits, got_cache), (want_logits, want_cache) = got, want
+    assert len(got_logits) == len(want_logits)
+    for a, b in zip(got_logits, want_logits):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    for a, b in zip(slab_bytes(got_cache), slab_bytes(want_cache)):
+        assert np.array_equal(a, b)
+
+
+class TestOnePassEqualsTwoPasses:
+    """``model.forward`` has the bits of the two passes it replaced
+    (``reference_forward_paths`` for reasoning steps,
+    ``reference_forward_causal`` for causal blocks): every logit and every
+    slab byte, on the machine that runs the test."""
+
+    def paths_state(self, weights, table, num_paths, schedule, reference):
+        """A prompt, then reasoning passes over ``num_paths`` paths; each
+        schedule entry names the rows one pass feeds."""
+        cfg = weights.config
+        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        cache.reserve(PROMPT, 5)
+        model.prefill(weights, table, cache, [3, 1, 4, 1, 5])
+        cache.reserve_paths(num_paths, len(schedule) + 1)
+        owners = [path_key(i) for i in range(num_paths)]
+        positions = PositionAssignment(SHARED, l_x=5, l_max=len(schedule) + 1).positions(
+            owners[0], 0, len(schedule) + 1
+        )
+        plan = model.StagePlan(cache, REASONING, owners, list(range(1, num_paths + 1)), positions)
+        rng = np.random.default_rng([num_paths, len(schedule)])
+        logits = []
+        for rows in schedule:
+            index = cache.length(owners[rows[0]])
+            tokens = rng.integers(0, 256, size=len(rows)).tolist()
+            if reference:
+                logits.append(reference_forward_paths(weights, table, plan, tokens, rows, index))
+            else:
+                logits.append(model.forward(weights, table, plan, tokens, rows, index))
+        return logits, cache
+
+    @pytest.mark.parametrize("num_paths", [1, 2, 16])
+    def test_reasoning_steps(self, gained_weights, small_table, num_paths):
+        schedule = [list(range(num_paths))] * 6
+        got, want = (
+            self.paths_state(gained_weights, small_table, num_paths, schedule, reference)
+            for reference in (False, True)
+        )
+        assert_same_state(got, want)
+
+    def test_lone_row_of_a_multi_owner_plan(self, gained_weights, small_table):
+        """Rows of a three-path plan fed alone and in subsets, as half and
+        last finish feed the paths still open."""
+        schedule = [[0, 1, 2], [1], [0, 2], [0], [2], [1], [0, 1, 2]]
+        got, want = (
+            self.paths_state(gained_weights, small_table, 3, schedule, reference)
+            for reference in (False, True)
+        )
+        assert_same_state(got, want)
+
+    def causal_state(self, weights, table, plan_of, owner, passes, reference):
+        """Causal passes (tokens, keep) over one owner from slot 0 on."""
+        cfg = weights.config
+        cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+        plan = plan_of(cache)
+        logits = []
+        for tokens, keep in passes:
+            index = cache.length(owner)
+            if reference:
+                logits.append(reference_forward_causal(weights, table, plan, tokens, index, keep))
+            else:
+                logits.append(model.forward(weights, table, plan, tokens, [0], index, keep))
+        return logits, cache
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("keep", ["one", "all"])
+    def test_causal_blocks(self, gained_weights, small_table, length, keep):
+        """A prompt of ``length`` slots in one pass, then one slot more."""
+        tokens = np.random.default_rng(length).integers(0, 256, size=length + 1).tolist()
+        keep = 1 if keep == "one" else length
+
+        def prompt_plan(cache):
+            cache.reserve(PROMPT, length + 1)
+            positions = PositionAssignment(SHARED, l_x=length + 1, l_max=0).positions(
+                PROMPT, 0, length + 1
+            )
+            return model.StagePlan(cache, REASONING, [PROMPT], [0], positions)
+
+        passes = [(tokens[:length], keep), (tokens[length:], 1)]
+        got, want = (
+            self.causal_state(gained_weights, small_table, prompt_plan, PROMPT, passes, reference)
+            for reference in (False, True)
+        )
+        assert_same_state(got, want)
+
+    @pytest.mark.parametrize("fills", [[6, 6, 6, 6], [9, 2, 6, 9, 1], [4]])
+    def test_answers(self, gained_weights, small_table, fills):
+        """Answer slots over a slab of equal or uneven paths: a causal block
+        of three, then one slot at a time."""
+        cfg = gained_weights.config
+        l_x, longest = 3, max(fills)
+
+        def answer_plan(cache):
+            rng = np.random.default_rng(len(fills))
+            cache.reserve(PROMPT, l_x)
+            cache.reserve_paths(len(fills), longest + 1)
+            cache.reserve(ANSWER, 6)
+            shape = (cfg.n_layers, cfg.n_heads, cfg.d_k)
+            for segment, n in [(PROMPT, l_x)] + [(path_key(i), n) for i, n in enumerate(fills)]:
+                for _ in range(n):
+                    cache.append(segment, *rng.standard_normal((2, *shape)).astype(np.float32))
+            assignment = PositionAssignment(SHARED, l_x=l_x, l_max=0, reasoning_len=longest)
+            positions = assignment.positions(ANSWER, 0, 6)
+            plan = model.StagePlan(cache, SUMMARIZATION, [ANSWER], [0], positions)
+            assert (plan.hidden is None) == (len(set(fills)) == 1)
+            return plan
+
+        passes = [([7, 8, 9], 3), ([10], 1), ([11], 1), ([12], 1)]
+        got, want = (
+            self.causal_state(gained_weights, small_table, answer_plan, ANSWER, passes, reference)
+            for reference in (False, True)
+        )
+        assert_same_state(got, want)
+
+    def test_flat_baseline(self, gained_weights, small_table):
+        """The re-prefill baseline's plan: one FLAT segment at gapped
+        positions, a teacher-forced pass keeping every answer row, then
+        one slot at a time."""
+        positions = np.cumsum(np.random.default_rng(4).integers(1, 4, size=80))
+        tokens = np.random.default_rng(5).integers(0, 256, size=80).tolist()
+
+        def flat_plan(cache):
+            cache.reserve("seq", len(positions))
+            return model.StagePlan(cache, FLAT, ["seq"], [0], positions)
+
+        passes = [(tokens[:70], 37), (tokens[70:71], 1), (tokens[71:72], 1)]
+        got, want = (
+            self.causal_state(gained_weights, small_table, flat_plan, "seq", passes, reference)
+            for reference in (False, True)
+        )
+        assert_same_state(got, want)
