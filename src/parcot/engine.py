@@ -1,27 +1,26 @@
 """Two-stage generation: synchronized parallel reasoning, then summarization.
 
 The reasoning stage drives all paths from one decode loop.  Step s feeds
-each open path its s-th body token; a path completes when that token is
-EOS.  One rule ends paths under every termination strategy: after each
-step's pass the paths that emitted EOS are counted, and once the count
-reaches the strategy's threshold (``Termination.threshold``) or the step
-reaches the body budget B, every open path, those that just emitted EOS
-included, receives its THINK_CLOSE token in one closer pass.  Otherwise
-only the paths that emitted EOS are closed; they write no further cache
-entries while the others continue.  A path that emitted EOS finishes with
-cause ``eos``, any other with ``strategy_stop`` or ``budget``.  Under
-first_finish the threshold is one, so all paths end on the same step with
-identical written lengths; under half/last_finish paths closed earlier
-are shorter, and the reasoning length used for answer positions is the
-maximum written length.
+each open path its s-th body token.  One rule ends and closes paths under
+every termination strategy.  A path ends when its token is EOS (cause
+``eos``), or when the stage stops: once the paths that emitted EOS reach
+the strategy's threshold (``Termination.threshold``) or the step reaches
+the body budget B, every path still open ends with cause
+``strategy_stop`` or ``budget``.  A path that ends takes its THINK_CLOSE
+in the stage's next pass, beside the open paths' next tokens, and writes
+nothing after it.  The pass after the stop feeds closers only and takes
+no draw.  Under first_finish the threshold is one, so all paths end on
+the same step with identical written lengths; under half/last_finish
+paths that ended earlier are shorter, and the reasoning length L_r used
+for answer positions is the maximum written length.
 
-Each reasoning step (the openers, every body step and each round of
-closers) decodes all the paths it feeds in one batched forward pass over
-the cache's path slab.  Every stage checks before it writes anything that
-its last position fits the model, and builds one plan
-(``model.StagePlan``) that every pass of the stage runs under.  A token
-joins a path only after its forward pass succeeds, so a failed call
-leaves tokens and cache in step.
+A reasoning stage thus makes exactly L_r passes: the openers, one per
+body step and the pass after the stop, each decoding all the paths it
+feeds as one batched forward pass over the cache's path slab.  Every
+stage checks before it writes anything that its last position fits the
+model, and builds one plan (``model.StagePlan``) that every pass of the
+stage runs under.  A token joins a path only after its forward pass
+succeeds, so a failed call leaves tokens and cache in step.
 
 The summarization stage reuses the reasoning-phase KV storage directly
 (no re-prefill): the engine inserts SUMMARY_OPEN and decodes the answer
@@ -442,25 +441,6 @@ def decode_answer(
     return answer
 
 
-def _feed_paths(session: GenerationSession, plan: StagePlan, paths, tokens) -> np.ndarray:
-    """One batched forward pass feeding tokens[r] to paths[r]; [n, vocab] logits.
-    A path's index is its position among the reasoning plan's owners."""
-    rows, index = [p.index for p in paths], len(paths[0].tokens)
-    logits = forward(session.weights, session.table, plan, tokens, rows, index)
-    for path, token, row in zip(paths, tokens, logits):
-        path.tokens.append(int(token))
-        if session.record_logits:
-            path.step_logits.append(row)
-    return logits
-
-
-def _close_paths(session, plan, paths: list[PathState], causes: list[str]) -> None:
-    closers = [session.vocab.think_close(p.think_label) for p in paths]
-    _feed_paths(session, plan, paths, closers)
-    for path, cause in zip(paths, causes):
-        path.finish_cause = cause
-
-
 def run_reasoning(
     session: GenerationSession,
     sampler: SamplerConfig,
@@ -496,15 +476,45 @@ def run_reasoning(
     session.budget = budget
     session.strategy = strategy
     session.cache.reserve_paths(session.num_paths, slots)
-    eos = session.vocab.eos
+    eos, close = session.vocab.eos, session.vocab.think_close
     threshold = strategy.threshold(session.num_paths)
 
-    active = list(session.paths)
-    openers = [session.vocab.think_open(p.think_label) for p in active]
-    logits = _feed_paths(session, plan, active, openers)  # row r belongs to active[r]
+    active = list(session.paths)  # the open paths, in path order
+    ended = []  # paths that have ended: the next pass feeds their closers
+    chosen = [session.vocab.think_open(label) for label in session.think_labels]
     draws = _StageUniforms(session.seed, session.think_labels, budget.max_path_tokens)
     completed = 0
-    for step in range(1, budget.max_path_tokens + 1):
+    # pass s feeds body token s (the openers at 0) to each open path and its
+    # closer to each path that ended on step s - 1; the pass after the stop
+    # feeds closers only and is the last
+    for step in range(budget.max_path_tokens + 2):
+        fed, tokens = active, chosen
+        if ended:  # every path not yet closed, in path order
+            fed = sorted(active + ended, key=lambda p: p.index)
+            body = iter(chosen)
+            tokens = [close(p.think_label) if p.finish_cause else next(body) for p in fed]
+        # a path's index is its row among the plan's owners
+        logits = forward(session.weights, session.table, plan, tokens, [p.index for p in fed], step)
+        # a token joins its path only once the pass has succeeded
+        for path, token, row in zip(fed, tokens, logits):
+            path.tokens.append(int(token))
+            if session.record_logits:
+                path.step_logits.append(row)
+        if not active:
+            break
+        ended = [p for p, token in zip(active, chosen) if token == eos]
+        completed += len(ended)
+        if completed >= threshold or step == budget.max_path_tokens:
+            ended = active  # the stop ends every open path
+        stop = "strategy_stop" if completed >= threshold else "budget"
+        for path in ended:  # its own EOS, or else the stop
+            path.finish_cause = "eos" if path.tokens[-1] == eos else stop
+        if ended or len(fed) > len(active):  # drop the rows that ended or closed
+            rows = [r for r, p in enumerate(fed) if p.finish_cause is None]
+            active = [fed[r] for r in rows]
+            logits = logits[rows]
+
+        # the next pass's body tokens: row r of the logits is active[r]'s;
         # greedy rows take the block's argmax in one call (lowest id on ties,
         # as sample_token); forward has rejected non-finite logits
         greedy = logits.argmax(axis=1).tolist() if sampler.greedy else None
@@ -512,8 +522,8 @@ def run_reasoning(
         drawn = []  # rows that sample, all in one sample_tokens call
         for r, path in enumerate(active):
             script = forced.get(path.index)
-            if script is not None and step <= len(script):
-                chosen.append(int(script[step - 1]))
+            if script is not None and step < len(script):
+                chosen.append(int(script[step]))
             elif greedy is not None:
                 chosen.append(greedy[r])
             else:
@@ -522,23 +532,9 @@ def run_reasoning(
         if drawn:
             block = logits if len(drawn) == len(active) else logits[drawn]
             rows = [active[r].index for r in drawn]  # path i draws on stream row i
-            picks = sample_tokens(block, sampler, draws.take(step, rows))
+            picks = sample_tokens(block, sampler, draws.take(step + 1, rows))
             for r, token in zip(drawn, picks.tolist()):
                 chosen[r] = token
-        logits = _feed_paths(session, plan, active, chosen)
-        ended = [token == eos for token in chosen]
-        completed += sum(ended)
-        if completed >= threshold or step == budget.max_path_tokens:
-            stop = "strategy_stop" if completed >= threshold else "budget"
-            _close_paths(session, plan, active, ["eos" if e else stop for e in ended])
-            break
-        if any(ended):
-            # close the paths that emitted EOS; the rest keep decoding
-            done = [p for p, e in zip(active, ended) if e]
-            _close_paths(session, plan, done, ["eos"] * len(done))
-            keep = [r for r, e in enumerate(ended) if not e]
-            active = [active[r] for r in keep]
-            logits = logits[keep]
 
     session.reasoning_len = max(len(p.tokens) for p in session.paths)
     if strategy is Termination.FIRST_FINISH:

@@ -496,13 +496,32 @@ def bundle_from_config(config: dict) -> ModelBundle:
     return ModelBundle(weights=weights, table=table, vocab=vocab)
 
 
+class _Keys(dict):
+    """A JSON object of a run's config, in which reading a key it lacks
+    raises ConfigError naming the key."""
+
+    def __missing__(self, key):
+        raise ConfigError(f"{key!r} is missing from the run's config")
+
+
+def _keys(value, what: str) -> _Keys:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, got a {type(value).__name__}")
+    return _Keys(value)
+
+
 def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
     """Dispatch an experiment from a pure-JSON config (used by verify).
 
-    The CLI writes a ``sampler.seed`` equal to the top-level ``seed``; no
+    An unknown name, a config that is not an object, or a key it reads
+    and lacks raises ConfigError before anything runs or is built.  The
+    CLI writes a ``sampler.seed`` equal to the top-level ``seed``; no
     draw reads it (draws are keyed by session seeds), so it is dropped here
     and configs that carry it load and hash as written.
     """
+    if name not in ("costmodel", "sweep", "prefix", "terminate", "reprefill", "generate"):
+        raise ConfigError(f"unknown experiment {name!r}")
+    config = _keys(config, "the config")
     sampler = SamplerConfig(**{k: v for k, v in config.get("sampler", {}).items() if k != "seed"})
     seed = config.get("seed", 0)
     if name == "costmodel":
@@ -559,25 +578,23 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
         return [record], [
             {"key": ["reprefill", config["paths"]], "record": session_record(session)}
         ]
-    if name == "generate":
-        session = run_session(
-            bundle.weights,
-            bundle.table,
-            bundle.vocab,
-            config["prompt"],
-            config["paths"],
-            sampler,
-            GenerationBudget(config["budget"], config.get("max_answer_tokens", 32)),
-            strategy=Termination(config.get("strategy", "first_finish")),
-            seed=seed,
-        )
-        rec = {
-            "paths": config["paths"],
-            "L_r": session.reasoning_len,
-            "answer_tokens": len(session.answer_tokens),
-        }
-        return [rec], [{"key": ["generate"], "record": session_record(session)}]
-    raise DataError(f"unknown experiment {name!r}")
+    session = run_session(  # generate
+        bundle.weights,
+        bundle.table,
+        bundle.vocab,
+        config["prompt"],
+        config["paths"],
+        sampler,
+        GenerationBudget(config["budget"], config.get("max_answer_tokens", 32)),
+        strategy=Termination(config.get("strategy", "first_finish")),
+        seed=seed,
+    )
+    rec = {
+        "paths": config["paths"],
+        "L_r": session.reasoning_len,
+        "answer_tokens": len(session.answer_tokens),
+    }
+    return [rec], [{"key": ["generate"], "record": session_record(session)}]
 
 
 def records_csv_text(name: str, config: dict, records: list[dict]) -> str:
@@ -617,7 +634,7 @@ def verify_experiment_dir(out_dir: str) -> list[str]:
     missing output file."""
     problems: list[str] = []
     with open(os.path.join(out_dir, "config.json"), encoding="utf-8") as fh:
-        stored = json.load(fh)
+        stored = _keys(json.load(fh), "config.json")
     name, config = stored["experiment"], stored["config"]
     records, transcripts = run_experiment(name, config)
     chash = config_hash({"experiment": name, "config": config})

@@ -471,12 +471,13 @@ class StagePlan:
     them, so each layer's keys and values over them are taken here once,
     as views of the cache's storage: ``shared[li]`` holds layer ``li``'s
     key parts and value parts, in the rule's order.  A segment is one part
-    (``PagedKVCache.gather``) and an empty one none.  When the segments
-    hold every row of the path slab in row order, the rows are one part
-    instead, read in place up to the longest row's fill (``Slab.prefix``),
-    so an answer token scores three parts per layer (prompt, slab, answer)
-    whatever ``P`` is and however long each path is.  When the rows' fills
-    differ, ``hidden`` marks the slots at or past each row's own fill among
+    (``PagedKVCache.gather``) and an empty one none.  The one stage that
+    sees paths, the answer, sees every row of the path slab in row order
+    (``path:0..P-1`` right after the prompt), and reads them as one part,
+    with no per-path alternative: in place up to the longest row's fill
+    (``Slab.prefix``), so an answer token scores three parts per layer
+    (prompt, slab, answer) whatever ``P`` is and however long each path
+    is.  When the rows' fills differ, ``hidden`` marks the slots at or past each row's own fill among
     the shared parts' score columns, and ``attend`` gives them no weight;
     fills do not change while a stage runs, so the mask is built here once.
     When they are equal (always so under first finish), ``hidden`` is None.
@@ -504,17 +505,17 @@ class StagePlan:
             )
         slab = cache.paths
         num_paths = 0 if slab is None else slab.k.shape[1]
-        others = visible_segments(stage, names[0], num_paths)[:-1]  # a slot's own segment is last
+        # the other segments a slot sees: none, or the prompt and then any paths
+        sources = visible_segments(stage, names[0], num_paths)[:-1]
         for owner in names[1:]:
-            if visible_segments(stage, owner, num_paths) != (*others, owner):
+            if visible_segments(stage, owner, num_paths) != (*sources, owner):
                 raise CacheConsistencyError("batched slots must share their visible segments")
         self.positions = np.asarray(positions, dtype=np.int64)
         if (np.diff(self.positions) <= 0).any():
             raise LayoutError(f"the positions of {names[0]!r} do not increase")
-        fills = [cache.length(seg) for seg in others]
-        if others:
-            seen = dict(zip(others, fills))
-            end = seen.pop(PROMPT) + max(seen.values(), default=0)
+        fills = [cache.length(seg) for seg in sources]
+        if sources:
+            end = fills[0] + max(fills[1:], default=0)
             if self.positions[0] != end + 1:
                 raise CacheConsistencyError(
                     f"slot 0 of {names[0]!r} sits at position {self.positions[0]}, but the"
@@ -526,18 +527,13 @@ class StagePlan:
         self.lone_rows = 2 if is_path(names[0]) else 1
         self.every = list(range(len(names)))  # the positions of all owners, in order
         self.slab = self.slab_rows = None  # bound at the first write
-        sources = list(others)
         self.hidden = None  # shared score columns past a path's own fill
-        if num_paths and path_key(0) in sources:
-            rows = [path_key(i) for i in range(num_paths)]
-            at = sources.index(rows[0])
-            span = slice(at, at + len(rows))
-            if sources[span] == rows:
-                own, longest = np.array(fills[span]), max(fills[span])
-                if own.min() < longest:  # row i's columns [own[i], longest)
-                    tails = np.arange(longest) >= own[:, None]
-                    self.hidden = np.concatenate([np.zeros(sum(fills[:at]), bool), tails.ravel()])
-                sources[span], fills[span] = [slab], [longest]
+        if path_key(0) in sources:  # the answer's: the prompt, then every slab row
+            own, longest = np.array(fills[1:]), max(fills[1:])
+            if own.min() < longest:  # row i's columns [own[i], longest)
+                tails = np.arange(longest) >= own[:, None]
+                self.hidden = np.concatenate([np.zeros(fills[0], bool), tails.ravel()])
+            sources, fills = [PROMPT, slab], [fills[0], longest]
         sources = [(source, fill) for source, fill in zip(sources, fills) if fill]
         self.shared = []
         for li in range(cache.n_layers):

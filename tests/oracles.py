@@ -131,6 +131,41 @@ def brute_summary_mask(l_x, path_lengths, answer_length):
     return mask
 
 
+def serialized_view(session):
+    """A session's serialized sequence for ``dense_logits``: tokens,
+    positions and thought rows slot by slot, and the combined dense mask."""
+    l_x = session.l_x
+    tokens = list(session.prompt_tokens)
+    positions = list(range(1, l_x + 1))
+    thoughts = [0] * l_x
+    for path in session.paths:
+        for t0, token in enumerate(path.tokens):
+            tokens.append(token)
+            positions.append(l_x + t0 + 1)
+            thoughts.append(path.think_label)
+    for t0, token in enumerate(session.answer_tokens):
+        tokens.append(token)
+        positions.append(l_x + session.reasoning_len + t0 + 1)
+        thoughts.append(0)
+
+    lengths = tuple(len(p.tokens) for p in session.paths)
+    answer_len = len(session.answer_tokens)
+    total = l_x + sum(lengths) + answer_len
+    visible = np.zeros((total, total), dtype=bool)
+    summary = brute_summary_mask(l_x, lengths, answer_len)
+    visible[:l_x] = causal_mask(total)[:l_x]
+    start = l_x
+    for i, length in enumerate(lengths):
+        rows = range(start, start + length)
+        reasoning = brute_reasoning_mask(l_x, lengths, answer_len, i)
+        for t in rows:
+            visible[t] = reasoning[t]
+        start += length
+    for t in range(start, total):
+        visible[t] = summary[t]
+    return tokens, positions, thoughts, visible
+
+
 def greedy_dense_decode(weights, table, vocab, prompt, think_label, body_budget):
     """Greedy single-path decode by full recomputation at every step.
 

@@ -49,7 +49,13 @@ from parcot.positional import (
 )
 from parcot.tokenizer import encode
 
-from oracles import brute_reasoning_mask, brute_summary_mask, rope_matrix
+from oracles import (
+    brute_reasoning_mask,
+    brute_summary_mask,
+    dense_logits,
+    rope_matrix,
+    serialized_view,
+)
 
 GREEDY = SamplerConfig(greedy=True)
 
@@ -98,76 +104,113 @@ def test_criterion_01_path_isolation(vocab):
 
 def test_criterion_02_zero_reprefill_equivalence(small_weights, small_table, vocab):
     with criterion(2, "zero-re-prefill: view logits == recompute within 1e-5, storage reused"):
-        cfg = small_weights.config
         rng = np.random.default_rng(200)
         for trial in range(20):
             num_paths = int(rng.integers(2, 4))
             body_budget = int(rng.integers(4, 8))
             prompt = [int(t) for t in rng.integers(0, 256, size=int(rng.integers(2, 6)))]
-            sampler = SamplerConfig(temperature=0.9)
-            session = GenerationSession(
-                small_weights, small_table, vocab, prompt, num_paths,
-                seed=300 + trial, record_logits=True,
+            _zero_reprefill_trial(
+                small_weights, small_table, vocab, prompt, num_paths, 300 + trial,
+                GenerationBudget(body_budget, 4), Termination.FIRST_FINISH, None,
             )
-            budget = GenerationBudget(body_budget, 4)
-            run_reasoning(session, sampler, budget, Termination.FIRST_FINISH)
-            reasoning_storage = {PROMPT: session.cache.tables[PROMPT].slab}
-            context = [PROMPT] + [path_key(i) for i in range(num_paths)]
-            for seg in context[1:]:
-                reasoning_storage[seg] = session.cache.paths
-            hashes = {seg: session.cache.tables[seg].content_hash() for seg in context}
-            path_fill = {
-                path_key(i): session.cache.length(path_key(i))
-                for i in range(num_paths)
-            }
-            run_summarization(session, sampler, 4)
+        # half and last finish, under scripts that end paths on different
+        # steps: the answer reads paths of unequal length, whose closers
+        # rode the other paths' passes
+        rng = np.random.default_rng(201)
+        uneven = 0
+        for trial in range(16):
+            strategy = (Termination.HALF_FINISH, Termination.LAST_FINISH)[trial % 2]
+            num_paths = int(rng.integers(2, 5))
+            body_budget = int(rng.integers(4, 9))
+            prompt = [int(t) for t in rng.integers(0, 256, size=int(rng.integers(2, 6)))]
+            forced = {}
+            for i in range(num_paths):
+                # a body of filler bytes up to step `at`: EOS there, or
+                # sampling from there on
+                at = int(rng.integers(1, body_budget + 1))
+                forced[i] = [int(t) for t in rng.integers(0, 256, size=at)]
+                if rng.random() < 0.7:
+                    forced[i][-1] = vocab.eos
+            lengths = _zero_reprefill_trial(
+                small_weights, small_table, vocab, prompt, num_paths, 400 + trial,
+                GenerationBudget(body_budget, 4), strategy, forced,
+            )
+            uneven += len(set(lengths)) > 1
+        assert uneven > 0
 
-            # zero-copy: the view's prompt/path entries are the reasoning
-            # storage itself, and nothing in it changed during summarization
-            assert session.summary_view.segments() == context + [ANSWER]
-            for seg, entry in session.summary_view.entries:
-                if seg == ANSWER:
-                    continue
-                storage = reasoning_storage[seg]
-                assert entry is session.cache.tables[seg] and entry.slab is storage
-                for layer in range(cfg.n_layers):
-                    assert np.shares_memory(entry.keys(layer), storage.k)
-                    assert np.shares_memory(entry.values(layer), storage.v)
-                assert entry.content_hash() == hashes[seg]
-            for seg, want in path_fill.items():
-                assert session.cache.length(seg) == want
 
-            # full recompute: fresh cache, same tokens/positions/thought rows
-            cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
-            cache.reserve(PROMPT, len(prompt))
-            cache.reserve_paths(num_paths, budget.max_path_tokens + 2)
-            cache.reserve(ANSWER, len(session.answer_tokens))
-            prefill(small_weights, small_table, cache, prompt)
-            l_max = budget.max_path_tokens + 2
-            shared = PositionAssignment(
-                SHARED, l_x=len(prompt), l_max=l_max, reasoning_len=session.reasoning_len
+def _zero_reprefill_trial(weights, table, vocab, prompt, num_paths, seed, budget, strategy, forced):
+    """One session's answer over the reused caches against a recompute of
+    every slot in a fresh cache, each path replayed one token at a time at
+    its own length; returns the written path lengths."""
+    cfg = weights.config
+    sampler = SamplerConfig(temperature=0.9)
+    session = GenerationSession(
+        weights, table, vocab, prompt, num_paths, seed=seed, record_logits=True,
+    )
+    run_reasoning(session, sampler, budget, strategy, forced)
+    reasoning_storage = {PROMPT: session.cache.tables[PROMPT].slab}
+    context = [PROMPT] + [path_key(i) for i in range(num_paths)]
+    for seg in context[1:]:
+        reasoning_storage[seg] = session.cache.paths
+    hashes = {seg: session.cache.tables[seg].content_hash() for seg in context}
+    path_fill = {
+        path_key(i): session.cache.length(path_key(i))
+        for i in range(num_paths)
+    }
+    run_summarization(session, sampler, budget.max_answer_tokens)
+
+    # zero-copy: the view's prompt/path entries are the reasoning
+    # storage itself, and nothing in it changed during summarization
+    assert session.summary_view.segments() == context + [ANSWER]
+    for seg, entry in session.summary_view.entries:
+        if seg == ANSWER:
+            continue
+        storage = reasoning_storage[seg]
+        assert entry is session.cache.tables[seg] and entry.slab is storage
+        for layer in range(cfg.n_layers):
+            assert np.shares_memory(entry.keys(layer), storage.k)
+            assert np.shares_memory(entry.values(layer), storage.v)
+        assert entry.content_hash() == hashes[seg]
+    for seg, want in path_fill.items():
+        assert session.cache.length(seg) == want
+
+    # full recompute: fresh cache, same tokens/positions/thought rows
+    cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+    cache.reserve(PROMPT, len(prompt))
+    cache.reserve_paths(num_paths, budget.max_path_tokens + 2)
+    cache.reserve(ANSWER, len(session.answer_tokens))
+    prefill(weights, table, cache, prompt)
+    l_max = budget.max_path_tokens + 2
+    shared = PositionAssignment(
+        SHARED, l_x=len(prompt), l_max=l_max, reasoning_len=session.reasoning_len
+    )
+    owners = [path_key(i) for i in range(num_paths)]
+    replay = StagePlan(
+        cache, REASONING, owners, session.think_labels,
+        shared.positions(path_key(0), 0, l_max),
+    )
+    for path in session.paths:
+        for t0, token in enumerate(path.tokens):
+            forward_step(
+                weights, table, replay, token, SlotAddress(path_key(path.index), t0),
             )
-            owners = [path_key(i) for i in range(num_paths)]
-            replay = StagePlan(
-                cache, REASONING, owners, session.think_labels,
-                shared.positions(path_key(0), 0, l_max),
-            )
-            for path in session.paths:
-                for t0, token in enumerate(path.tokens):
-                    forward_step(
-                        small_weights, small_table, replay, token,
-                        SlotAddress(path_key(path.index), t0),
-                    )
-            answer = StagePlan(
-                cache, SUMMARIZATION, [ANSWER], [0],
-                shared.positions(ANSWER, 0, len(session.answer_tokens)),
-            )
-            for k, token in enumerate(session.answer_tokens):
-                logits = forward_step(
-                    small_weights, small_table, answer, token, SlotAddress(ANSWER, k)
-                )
-                diff = float(np.max(np.abs(logits - session.answer_logits[k])))
-                assert diff <= 1e-5, (trial, k, diff)
+    answer = StagePlan(
+        cache, SUMMARIZATION, [ANSWER], [0],
+        shared.positions(ANSWER, 0, len(session.answer_tokens)),
+    )
+    for k, token in enumerate(session.answer_tokens):
+        logits = forward_step(weights, table, answer, token, SlotAddress(ANSWER, k))
+        diff = float(np.max(np.abs(logits - session.answer_logits[k])))
+        assert diff <= 1e-5, (seed, k, diff)
+    # and against a float64 pass over the serialized sequence under the dense
+    # mask, which reads each path to its own length with no cache at all
+    tokens, positions, thoughts, visible = serialized_view(session)
+    full = dense_logits(weights, table, tokens, positions, thoughts, visible)
+    answer_rows = full[len(tokens) - len(session.answer_tokens):]
+    diff = float(np.max(np.abs(answer_rows - np.array(session.answer_logits))))
+    assert diff <= 1e-5, (seed, diff)
+    return [len(p.tokens) for p in session.paths]
 
 
 def test_criterion_03_rope_and_score_algebra():

@@ -499,6 +499,21 @@ class TestUnreadableFiles:
             assert "absent" in err or directory in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stored, named", [
+        ({"config": {}}, "'experiment' is missing"),
+        ([1], "config.json must be an object, got a list"),
+        # the name is checked before the config builds any model
+        ({"experiment": "nope", "config": {}}, "unknown experiment 'nope'"),
+        ({"experiment": "generate", "config": []}, "config must be an object, got a list"),
+        ({"experiment": "generate", "config": {"prompt": [1]}}, "'model' is missing"),
+    ], ids=["no-experiment", "array", "unknown-experiment", "config-array", "no-model"])
+    def test_verify_names_a_malformed_config(self, tmp_path, capsys, stored, named):
+        (tmp_path / "config.json").write_text(json.dumps(stored))
+        assert run_cli(["verify", "--dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert named in err
+
     @pytest.mark.parametrize("file", ["records.csv", "transcripts.jsonl"])
     def test_verify_lists_a_missing_output_file(self, tmp_path, capsys, file):
         out = tmp_path / "gen"

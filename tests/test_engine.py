@@ -34,12 +34,11 @@ from parcot.positional import ANSWER, PROMPT, init_thought_table, path_key
 from parcot.tokenizer import encode
 
 from oracles import (
-    brute_reasoning_mask,
-    brute_summary_mask,
     causal_mask,
     dense_logits,
     greedy_dense_decode,
     reference_sample_token,
+    serialized_view,
 )
 
 GREEDY = SamplerConfig(greedy=True)
@@ -63,38 +62,17 @@ def forced_schedule(vocab, finish_steps, horizon):
     return forced
 
 
-def serialized_view(session):
-    """Tokens/positions/thought rows plus the combined dense mask."""
-    l_x = session.l_x
-    tokens = list(session.prompt_tokens)
-    positions = list(range(1, l_x + 1))
-    thoughts = [0] * l_x
-    for path in session.paths:
-        for t0, token in enumerate(path.tokens):
-            tokens.append(token)
-            positions.append(l_x + t0 + 1)
-            thoughts.append(path.think_label)
-    for t0, token in enumerate(session.answer_tokens):
-        tokens.append(token)
-        positions.append(l_x + session.reasoning_len + t0 + 1)
-        thoughts.append(0)
+def spy_passes(monkeypatch) -> list:
+    """Record each ``engine.forward`` call's (tokens, rows) from here on."""
+    passes = []
+    real = engine.forward
 
-    lengths = tuple(len(p.tokens) for p in session.paths)
-    answer_len = len(session.answer_tokens)
-    total = l_x + sum(lengths) + answer_len
-    visible = np.zeros((total, total), dtype=bool)
-    summary = brute_summary_mask(l_x, lengths, answer_len)
-    visible[:l_x] = causal_mask(total)[:l_x]
-    start = l_x
-    for i, length in enumerate(lengths):
-        rows = range(start, start + length)
-        reasoning = brute_reasoning_mask(l_x, lengths, answer_len, i)
-        for t in rows:
-            visible[t] = reasoning[t]
-        start += length
-    for t in range(start, total):
-        visible[t] = summary[t]
-    return tokens, positions, thoughts, visible
+    def spy(weights, table, plan, tokens, rows, index):
+        passes.append((list(tokens), list(rows)))
+        return real(weights, table, plan, tokens, rows, index)
+
+    monkeypatch.setattr(engine, "forward", spy)
+    return passes
 
 
 class TestSamplerConfig:
@@ -332,36 +310,76 @@ class TestTerminationSemantics:
         assert {len(p.tokens) for p in session.paths} == {8}  # opener + 6 + closer
         assert all(p.body_length() == 6 for p in session.paths)
 
-    @pytest.mark.parametrize("strategy, finish_steps, budget, closed, causes, lengths", [
-        # half of 4: paths 2 and 3 end on step 5 while path 1 is still open
-        (Termination.HALF_FINISH, [3, 9, 5, 5], 12, [[0], [1, 2, 3]],
+    @pytest.mark.parametrize("strategy, finish_steps, budget, rides, closed, causes, lengths", [
+        # half of 4: path 0 ends on step 3 and closes in the step-4 pass;
+        # paths 2 and 3 end on step 5 while path 1 is still open
+        (Termination.HALF_FINISH, [3, 9, 5, 5], 12, 4, [1, 2, 3],
          ["eos", "strategy_stop", "eos", "eos"], [5, 7, 7, 7]),
-        # the budget stops the stage on the step path 1 emits EOS
-        (Termination.LAST_FINISH, [2, 6, None], 6, [[0], [1, 2]],
+        # path 0 closes in the step-3 pass; the budget stops the stage on
+        # the step path 1 emits EOS
+        (Termination.LAST_FINISH, [2, 6, None], 6, 3, [1, 2],
          ["eos", "eos", "budget"], [4, 8, 8]),
     ])
     def test_stopping_step_closes_every_open_path_in_one_pass(
         self, small_weights, small_table, vocab, monkeypatch,
-        strategy, finish_steps, budget, closed, causes, lengths,
+        strategy, finish_steps, budget, rides, closed, causes, lengths,
     ):
-        passes = []
-        real = engine.forward
-
-        def spy(weights, table, plan, tokens, rows, index):
-            passes.append((list(tokens), list(rows)))
-            return real(weights, table, plan, tokens, rows, index)
-
-        monkeypatch.setattr(engine, "forward", spy)
+        passes = spy_passes(monkeypatch)
         session = make_session(small_weights, small_table, vocab, num_paths=len(finish_steps))
         forced = forced_schedule(vocab, finish_steps, horizon=budget)
         run_reasoning(session, GREEDY, GenerationBudget(budget), strategy, forced)
-        closer_passes = [
-            rows for tokens, rows in passes
-            if tokens == [vocab.think_close(session.paths[r].think_label) for r in rows]
-        ]
-        assert closer_passes == closed
+        close = [vocab.think_close(p.think_label) for p in session.paths]
+        # path 0's closer rides the pass of the other paths' body tokens
+        assert passes[rides] == (
+            [close[0]] + [forced[i][rides - 1] for i in range(1, len(finish_steps))],
+            list(range(len(finish_steps))),
+        )
+        closer_only = [rows for tokens, rows in passes if tokens == [close[r] for r in rows]]
+        assert closer_only == [closed]
+        assert passes[-1] == ([close[r] for r in closed], closed)
         assert [p.finish_cause for p in session.paths] == causes
         assert [len(p.tokens) for p in session.paths] == lengths
+
+    @pytest.mark.parametrize("strategy", list(Termination))
+    def test_a_reasoning_stage_is_reasoning_len_passes(
+        self, small_weights, small_table, vocab, monkeypatch, strategy
+    ):
+        sampler = SamplerConfig(temperature=3.0)
+        budget = GenerationBudget(24)
+        uneven = 0
+        for num_paths in (1, 2, 4, 16):
+            runs = [(sampler, seed, None) for seed in range(4)]
+            # forced: path i ends at step 2 + 3i (past the budget: never)
+            steps = [2 + 3 * i if 2 + 3 * i <= 24 else None for i in range(num_paths)]
+            runs.append((GREEDY, 0, forced_schedule(vocab, steps, horizon=24)))
+            for run_sampler, seed, forced in runs:
+                passes = spy_passes(monkeypatch)
+                session = make_session(
+                    small_weights, small_table, vocab, num_paths=num_paths, seed=seed
+                )
+                run_reasoning(session, run_sampler, budget, strategy, forced)
+                assert len(passes) == session.reasoning_len
+                fed = {p.index: [] for p in session.paths}
+                for tokens, rows in passes:
+                    for token, row in zip(tokens, rows):
+                        fed[row].append(token)
+                for path in session.paths:
+                    # every token fed once, in order; the closer in the pass
+                    # after the path's end: its EOS or the stop
+                    assert fed[path.index] == path.tokens
+                    body = path.tokens[1:-1]
+                    assert path.tokens[-1] == vocab.think_close(path.think_label)
+                    assert vocab.eos not in body[:-1]
+                    if path.finish_cause == "eos":
+                        assert body[-1] == vocab.eos
+                    else:  # fed in every pass of the stage
+                        assert body[-1] != vocab.eos
+                        assert len(path.tokens) == session.reasoning_len
+                uneven += len({len(p.tokens) for p in session.paths}) > 1
+        if strategy is Termination.FIRST_FINISH:
+            assert uneven == 0
+        else:
+            assert uneven > 0
 
     def test_paths_open_with_their_think_token(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab, num_paths=2)
