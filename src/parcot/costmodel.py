@@ -15,10 +15,9 @@ import json
 import math
 from dataclasses import dataclass, fields
 from importlib import resources
-from numbers import Real
 
 from .errors import ConfigError
-from .tokenizer import is_token_int
+from .tokenizer import is_real, is_token_int
 
 PROFILE_FORMAT = "ptprofile-1"
 DEFAULT_PROFILE_NAME = "decoder_1p5b_hbm.json"
@@ -44,12 +43,7 @@ class CostModelParams:
                 if not is_token_int(value) or value < 1:
                     raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
                 object.__setattr__(self, f.name, int(value))
-            elif (
-                not isinstance(value, Real)
-                or isinstance(value, bool)
-                or not math.isfinite(value)
-                or value <= 0
-            ):
+            elif not (is_real(value) and math.isfinite(value) and value > 0):
                 raise ConfigError(f"{f.name} must be finite and positive, got {value!r}")
 
 

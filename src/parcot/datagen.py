@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, FormatError, LayoutError
-from .masking import REASONING, AttentionMask, LayoutPlan
+from .masking import AttentionMask, LayoutPlan
 # perfbench/instrument.py wraps these two by name in this module's namespace
 from .masking import build_reasoning_mask, build_summary_mask  # noqa: F401
 from .positional import ANSWER, PROMPT, SHARED, PositionAssignment, path_key
@@ -336,12 +336,7 @@ def training_layout(
     tokens[at:] = spans.ids[start - 1 : end + 1]
     loss[at + 1 :] = 1
 
-    plan = LayoutPlan(
-        l_x=l_x,
-        path_lengths=(l_seg,) * num_paths,
-        answer_length=answer_len,
-        stage=REASONING,
-    )
+    plan = LayoutPlan(l_x=l_x, path_lengths=(l_seg,) * num_paths, answer_length=answer_len)
     assignment = PositionAssignment(
         SHARED, l_x=l_x, l_max=l_seg, num_paths=num_paths, reasoning_len=l_seg
     )

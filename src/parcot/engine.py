@@ -60,7 +60,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, LifecycleError, SamplingError
 from .kvcache import PagedKVCache, SummaryContextView, assemble_summary_view
-from .masking import REASONING, SUMMARIZATION, LayoutPlan
+from .masking import LayoutPlan
 from .model import (
     ModelWeights,
     StagePlan,
@@ -79,9 +79,13 @@ from .positional import (
     ThoughtEmbeddingTable,
     path_key,
 )
-from .tokenizer import Vocab, is_token_int
+from .tokenizer import Vocab, check_seed, is_real, is_token_int
 
 ANSWER_STREAM = 0  # think labels start at 1, so stream 0 is free
+
+# a session's lifecycle: it reasons, then summarizes
+REASONING = "reasoning"
+SUMMARIZATION = "summarization"
 
 # A sampled stage takes its uniforms UNIFORM_CHUNK steps at a time from one
 # ``uniforms`` call over all its streams, however few draws that covers.
@@ -106,6 +110,11 @@ class SamplerConfig:
     greedy: bool = False
 
     def __post_init__(self):
+        for name in ("temperature", "top_p"):
+            if not is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        if not isinstance(self.greedy, bool):
+            raise ConfigError(f"greedy must be true or false, got {self.greedy!r}")
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ConfigError(f"temperature must be finite and positive, got {self.temperature}")
         if not 0 < self.top_p <= 1:
@@ -140,6 +149,10 @@ class Termination(str, Enum):
     FIRST_FINISH = "first_finish"
     HALF_FINISH = "half_finish"
     LAST_FINISH = "last_finish"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"unknown termination strategy {value!r}")
 
     def threshold(self, num_paths: int) -> int:
         if self is Termination.FIRST_FINISH:
@@ -205,8 +218,7 @@ class GenerationSession:
                 f"thought table rows have shape {table.vectors.shape[1:]}, the model needs"
                 f" (n_layers, n_heads, d_k) = {(cfg.n_layers, cfg.n_heads, cfg.d_k)}"
             )
-        if not is_token_int(seed) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+        seed = check_seed(seed)
         if not prompt_tokens:
             raise DataError("prompt must contain at least one token")
         check_token_ids(prompt_tokens, cfg.vocab_size)
@@ -230,7 +242,7 @@ class GenerationSession:
         self.prompt_tokens = prompt_tokens
         self.num_paths = num_paths
         self.think_labels = think_labels
-        self.seed = int(seed)
+        self.seed = seed
         self.record_logits = record_logits
         self.stage = REASONING
         self.answer_done = False
@@ -266,7 +278,6 @@ class GenerationSession:
             l_x=self.l_x,
             path_lengths=tuple(len(p.tokens) for p in self.paths),
             answer_length=len(self.answer_tokens),
-            stage=SUMMARIZATION,
         )
 
 
@@ -472,7 +483,7 @@ def run_reasoning(
     positions = assignment.positions(path_key(0), 0, slots)
     check_position(session.weights.config, positions[-1], "reasoning")
     owners = [path_key(p.index) for p in session.paths]
-    plan = StagePlan(session.cache, REASONING, owners, session.think_labels, positions)
+    plan = StagePlan(session.cache, owners, session.think_labels, positions)
     session.budget = budget
     session.strategy = strategy
     session.cache.reserve_paths(session.num_paths, slots)
@@ -570,7 +581,7 @@ def run_summarization(
     check_position(session.weights.config, positions[-1], "answer")
     # the record and the re-prefill baseline read the cap the answer ran with
     session.budget = replace(session.budget, max_answer_tokens=max_answer_tokens)
-    plan = StagePlan(session.cache, SUMMARIZATION, [ANSWER], [0], positions)
+    plan = StagePlan(session.cache, [ANSWER], [0], positions)
     session.cache.reserve(ANSWER, slots)
 
     def feed(token: int) -> np.ndarray:

@@ -12,6 +12,7 @@ every later one's ``prompt_from``.
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -39,7 +40,6 @@ from .engine import (
 )
 from .errors import ConfigError, DataError, LifecycleError
 from .kvcache import PagedKVCache
-from .masking import FLAT, SUMMARIZATION
 from .model import (
     ModelConfig,
     StagePlan,
@@ -61,8 +61,6 @@ from .positional import (
 from .tokenizer import Vocab, is_token_int
 
 DEFAULT_PREFIX_GRID = (0, 100, 200, 400, 800, 1600)
-
-FLAT_SEGMENT = "seq"
 
 
 @dataclass
@@ -355,15 +353,17 @@ def run_termination_comparison(
 def _flat_feed(weights, table, positions, tokens, keep=1):
     """Feed ``tokens`` to a fresh flattened cache in causal chunks.
 
-    One ``forward`` pass of 1 owner x len(tokens) slots: the single FLAT
-    segment, reserved for every slot of ``positions``, which lists each
-    slot's position.  Returns the segment's plan, for the passes that
-    extend it, and the last ``keep`` slots' logits.
+    The flattened sequence is a causal prefill at flattened positions, so
+    it is decoded as the prompt segment of a cache of its own: one
+    ``forward`` pass of 1 owner x len(tokens) slots, the prompt reserved
+    for every slot of ``positions``, which lists each slot's position.
+    Returns the prompt's plan, for the passes that extend it, and the last
+    ``keep`` slots' logits.
     """
     cfg = weights.config
     cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
-    cache.reserve(FLAT_SEGMENT, len(positions))
-    plan = StagePlan(cache, FLAT, [FLAT_SEGMENT], [0], positions)
+    cache.reserve(PROMPT, len(positions))
+    plan = StagePlan(cache, [PROMPT], [0], positions)
     logits = forward(weights, table, plan, tokens, [0], 0, keep)
     return plan, logits
 
@@ -383,7 +383,7 @@ def run_reprefill_baseline(
     own-answer decode may fill its whole answer budget), and
     ``max_position_used`` is the largest of those positions.
     """
-    if session.stage != SUMMARIZATION or not session.answer_done:
+    if not session.answer_done:  # set only once summarization has run
         raise LifecycleError("re-prefill baseline needs a completed session")
     cfg = bundle.weights.config
     l_x = session.l_x
@@ -478,15 +478,14 @@ def run_cost_model(
 # ---------------------------------------------------------------------------
 
 def bundle_from_config(config: dict) -> ModelBundle:
-    vocab = Vocab(**config.get("vocab", {}))
-    if config.get("weights_file"):
+    vocab = _build(Vocab, config.get("vocab", {}), "vocab")
+    if _path(config, "weights_file"):
         weights = load_weights(config["weights_file"])
     else:
-        weights = init_weights(
-            ModelConfig(**config["model"]), config.get("model_seed", 0)
-        )
+        model = _build(ModelConfig, config["model"], "model")
+        weights = init_weights(model, config.get("model_seed", 0))
     cfg = weights.config
-    if config.get("thought_table_file"):
+    if _path(config, "thought_table_file"):
         table = load_thought_table(config["thought_table_file"])
     else:
         table = init_thought_table(
@@ -510,31 +509,57 @@ def _keys(value, what: str) -> _Keys:
     return _Keys(value)
 
 
+def _build(cls, value, key: str, drop=()):
+    """``cls`` from the config's object at ``key``, less the keys in
+    ``drop``; a key that ``cls`` does not take, or lacks, raises
+    ConfigError naming ``key``."""
+    value = {k: v for k, v in _keys(value, repr(key)).items() if k not in drop}
+    try:
+        inspect.signature(cls).bind(**value)
+    except TypeError as exc:
+        raise ConfigError(f"{key!r}: {exc}") from None
+    return cls(**value)
+
+
+def _list(config: _Keys, key: str) -> list:
+    if not isinstance(config[key], list):
+        raise ConfigError(f"{key!r} must be a list, got {config[key]!r}")
+    return config[key]
+
+
+def _path(config: _Keys, key: str) -> str | None:
+    """A file path or null: ``open`` would take an integer as a descriptor."""
+    if not isinstance(config.get(key), (str, type(None))):
+        raise ConfigError(f"{key!r} must be a file path or null, got {config[key]!r}")
+    return config.get(key)
+
+
 def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
     """Dispatch an experiment from a pure-JSON config (used by verify).
 
     An unknown name, a config that is not an object, or a key it reads
-    and lacks raises ConfigError before anything runs or is built.  The
-    CLI writes a ``sampler.seed`` equal to the top-level ``seed``; no
-    draw reads it (draws are keyed by session seeds), so it is dropped here
-    and configs that carry it load and hash as written.
+    and lacks or cannot use raises ConfigError naming it, before anything
+    runs or is built.  The CLI writes a ``sampler.seed`` equal to the
+    top-level ``seed``; no draw reads it (draws are keyed by session
+    seeds), so it is dropped here and configs that carry it load and hash
+    as written.
     """
     if name not in ("costmodel", "sweep", "prefix", "terminate", "reprefill", "generate"):
         raise ConfigError(f"unknown experiment {name!r}")
     config = _keys(config, "the config")
-    sampler = SamplerConfig(**{k: v for k, v in config.get("sampler", {}).items() if k != "seed"})
+    sampler = _build(SamplerConfig, config.get("sampler", {}), "sampler", drop=("seed",))
     seed = config.get("seed", 0)
     if name == "costmodel":
-        profile = load_profile(config.get("profile_file"))
-        records = run_cost_model(profile, config["paths"], config["lengths"])
+        profile = load_profile(_path(config, "profile_file"))
+        records = run_cost_model(profile, _list(config, "paths"), _list(config, "lengths"))
         return records, []
     bundle = bundle_from_config(config)
     if name == "sweep":
         return run_budget_sweep(
             bundle,
-            config["prompts"],
-            config["budgets"],
-            config["paths"],
+            _list(config, "prompts"),
+            _list(config, "budgets"),
+            _list(config, "paths"),
             sampler,
             strategy=Termination(config.get("strategy", "first_finish")),
             allocation=config.get("allocation", "total-budget-split"),
@@ -544,7 +569,7 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
     if name == "prefix":
         return run_prefix_recovery(
             bundle,
-            config["traces"],
+            _list(config, "traces"),
             GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
             sampler,
             config["target_token"],
@@ -555,7 +580,7 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
     if name == "terminate":
         return run_termination_comparison(
             bundle,
-            config["prompts"],
+            _list(config, "prompts"),
             config.get("strategies", [t.value for t in Termination]),
             sampler,
             GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
@@ -567,7 +592,7 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
             bundle.weights,
             bundle.table,
             bundle.vocab,
-            config["prompt"],
+            _list(config, "prompt"),
             config["paths"],
             sampler,
             GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
@@ -582,7 +607,7 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
         bundle.weights,
         bundle.table,
         bundle.vocab,
-        config["prompt"],
+        _list(config, "prompt"),
         config["paths"],
         sampler,
         GenerationBudget(config["budget"], config.get("max_answer_tokens", 32)),

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheConsistencyError, LifecycleError
-from .masking import SUMMARIZATION, LayoutPlan, visible_segments
+from .masking import LayoutPlan, visible_segments
 from .positional import ANSWER, PROMPT, path_key
 
 @dataclass(frozen=True)
@@ -302,9 +302,7 @@ class SummaryContextView:
 def assemble_summary_view(cache: PagedKVCache, layout: LayoutPlan) -> SummaryContextView:
     """Zero-copy summarization context: the segments an answer slot sees
     (``masking.visible_segments``): prompt, every path, then answer."""
-    if layout.stage != SUMMARIZATION:
-        raise LifecycleError("summary view requires a summarization-stage layout")
-    segments = visible_segments(SUMMARIZATION, ANSWER, layout.num_paths)
+    segments = visible_segments(ANSWER, layout.num_paths)
     for seg, expected in zip(segments, (layout.l_x, *layout.path_lengths)):
         if cache.length(seg) != expected:
             error = CacheConsistencyError if seg == PROMPT else LifecycleError

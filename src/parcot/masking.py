@@ -1,19 +1,21 @@
-"""Two-phase attention visibility: one rule over serialized slot layouts.
+"""Two-phase attention visibility: one rule, keyed by a slot's segment.
 
-``visible_segments`` is the rule.  Reasoning: a prompt slot sees the
-prompt, a path slot the prompt and its own path.  Summarization: an
-answer slot sees the prompt, every path and the answer prefix.  Flat (the
-re-prefill baseline): a slot sees its one segment.  The decoder asks it
+``visible_segments`` is the rule, and a slot's segment alone decides it.
+Reasoning: a prompt slot sees the prompt, a slot of path i the prompt
+and path i.  Summarization: an answer slot sees the prompt, every path in
+index order and the answer prefix.  The re-prefill baseline's flattened
+sequence is the prompt of a cache of its own.  The decoder asks the rule
 once per stage, when the stage's plan is built (``model.StagePlan``).
 
 A serialized layout numbers slots 0..total-1: prompt, each path in index
 order, then the answer.  Query t sees slot j iff j <= t (generation
 order, self-inclusive; rotary positions play no role) and the rule lets
-t's owner segment see j's segment.  ``AttentionMask`` holds this in O(N)
-memory (slot segment codes, row owner codes, the rule as a (P+2)x(P+2)
-table built once per P) and builds the dense N x N matrix only on request.  Path i owns
-every row of its reasoning mask, the answer every row of the summary
-mask, and each row of a training layout is owned by its own segment.
+t's owner segment see j's segment.  Nothing here needs the paths to be
+equally long.  ``AttentionMask`` holds this in O(N) memory (slot segment
+codes, row owner codes, the rule as a (P+2)x(P+2) table built once per
+P) and builds the dense N x N matrix only on request.  Path i owns every
+row of its reasoning mask, the answer every row of the summary mask, and
+each row of a training layout is owned by its own segment.
 """
 
 from dataclasses import dataclass
@@ -21,43 +23,31 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import LayoutError, LifecycleError
+from .errors import LayoutError
 from .positional import ANSWER, PROMPT, is_path, path_key
 
-REASONING = "reasoning"
-SUMMARIZATION = "summarization"
-FLAT = "flat"
 
-
-def visible_segments(stage: str, segment: str, num_paths: int) -> tuple[str, ...]:
-    """Segments a slot of ``segment`` attends over in ``stage``, in layout order."""
-    if stage == FLAT:
-        return (segment,)
-    if stage == REASONING:
-        if segment == PROMPT:
-            return (PROMPT,)
-        if is_path(segment):
-            return (PROMPT, segment)
-        raise LifecycleError("answer slots cannot be decoded during reasoning")
-    if stage == SUMMARIZATION:
-        if segment == ANSWER:
-            return (PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER)
-        raise LifecycleError("only answer slots are decoded during summarization")
-    raise LifecycleError(f"unknown stage {stage!r}")
+def visible_segments(segment: str, num_paths: int) -> tuple[str, ...]:
+    """Segments a slot of ``segment`` attends over, in layout order."""
+    if segment == PROMPT:
+        return (PROMPT,)
+    if is_path(segment):
+        return (PROMPT, segment)
+    if segment == ANSWER:
+        return (PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER)
+    raise LayoutError(f"{segment!r} is not the prompt, a path or the answer")
 
 
 @dataclass(frozen=True)
 class LayoutPlan:
-    """Prompt/path/answer index ranges for one serialized sequence."""
+    """Prompt/path/answer index ranges for one serialized sequence; the
+    paths may be of any lengths."""
 
     l_x: int
     path_lengths: tuple[int, ...]
     answer_length: int
-    stage: str
 
     def __post_init__(self):
-        if self.stage not in (REASONING, SUMMARIZATION):
-            raise LayoutError(f"unknown stage {self.stage!r}")
         if self.l_x < 1:
             raise LayoutError("prompt must contain at least one slot")
         if not self.path_lengths:
@@ -66,8 +56,6 @@ class LayoutPlan:
             raise LayoutError("every path needs at least one slot")
         if self.answer_length < 0:
             raise LayoutError("answer length must be non-negative")
-        if self.stage == REASONING and len(set(self.path_lengths)) != 1:
-            raise LayoutError("reasoning-stage layouts require equal path lengths")
 
     @property
     def num_paths(self) -> int:
@@ -99,15 +87,11 @@ class LayoutPlan:
 @lru_cache(maxsize=64)
 def allowed_table(num_paths: int) -> np.ndarray:
     """The rule as a read-only [P+2, P+2] table: allowed[a, b] when segment
-    code a sees code b.  The prompt and paths follow the reasoning rule;
-    the answer's summarization list is every segment.  It depends on P
-    alone, so it is built once per P and shared."""
-    keys = visible_segments(SUMMARIZATION, ANSWER, num_paths)
-    stages = [REASONING] * (num_paths + 1) + [SUMMARIZATION]
-    table = np.array(
-        [[seen in visible_segments(st, k, num_paths) for seen in keys]
-         for st, k in zip(stages, keys)]
-    )
+    code a sees code b.  The answer sees every segment, so its list is the
+    codes' order.  It depends on P alone, so it is built once per P and
+    shared."""
+    keys = visible_segments(ANSWER, num_paths)
+    table = np.array([[seen in visible_segments(k, num_paths) for seen in keys] for k in keys])
     table.flags.writeable = False
     return table
 
@@ -146,8 +130,6 @@ class AttentionMask:
 
 def build_reasoning_mask(layout: LayoutPlan, path: int) -> AttentionMask:
     """Mask decoded against during path ``path``'s reasoning phase."""
-    if layout.stage != REASONING:
-        raise LayoutError("reasoning mask requires a reasoning-stage layout")
     if not 0 <= path < layout.num_paths:
         raise IndexError(f"path {path} out of range [0, {layout.num_paths})")
     return AttentionMask(layout, 1 + path)
@@ -155,8 +137,6 @@ def build_reasoning_mask(layout: LayoutPlan, path: int) -> AttentionMask:
 
 def build_summary_mask(layout: LayoutPlan) -> AttentionMask:
     """Mask decoded against while generating the answer."""
-    if layout.stage != SUMMARIZATION:
-        raise LayoutError("summary mask requires a summarization-stage layout")
     if layout.answer_length < 1:
         raise LayoutError("summary mask requires a non-empty answer range")
     return AttentionMask(layout, layout.num_paths + 1)

@@ -4,8 +4,9 @@ Pre-norm blocks, no biases, SiLU feed-forward, RMS normalization, full
 multi-head attention.  A forward pass runs under a stage plan
 (``StagePlan``) that holds its slots' absolute positions and thought
 indices, as given, and the ordered set of cache segments they may attend
-over, which the one visibility rule ``masking.visible_segments`` gives;
-attention is computed only over those segments, scaled by 1/sqrt(d_k).
+over, which the one visibility rule ``masking.visible_segments`` gives
+for their segment; attention is computed only over those segments,
+scaled by 1/sqrt(d_k).
 
 All parameters, cache entries, and activations are 32-bit floats.
 Attention for a slot is reduced in a fixed order: visible segments in
@@ -80,7 +81,6 @@ Weight file format ("PTW1", little-endian):
 """
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -95,7 +95,7 @@ from .errors import (
     PositionOverflowError,
 )
 from .kvcache import PagedKVCache, Rows, SlotAddress, reserved_slab, row_index
-from .masking import REASONING, visible_segments
+from .masking import visible_segments
 from .positional import (
     PROMPT,
     SHARED,
@@ -106,7 +106,7 @@ from .positional import (
     path_key,
     rope_for,
 )
-from .tokenizer import is_token_int
+from .tokenizer import check_seed, is_real, is_token_int
 
 WEIGHT_MAGIC = b"PTW1"
 
@@ -151,8 +151,7 @@ class ModelConfig:
         if self.vocab_size < 1:
             raise ConfigError("vocab_size must be positive")
         base = self.rope_base
-        if (isinstance(base, (bool, np.bool_)) or not isinstance(base, numbers.Real)
-                or not (math.isfinite(base) and base > 0)):
+        if not (is_real(base) and math.isfinite(base) and base > 0):
             raise ConfigError(f"rope_base must be a finite positive real, got {base!r}")
         if self.max_position < 1:
             raise ConfigError("max_position must be positive")
@@ -277,7 +276,7 @@ class ModelWeights:
 
 def init_weights(config: ModelConfig, seed: int) -> ModelWeights:
     """Zero-mean gaussian matrices at scale 1/sqrt(d_model); unit norm gains."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, "model_seed"))
     scale = config.d_model**-0.5
 
     def make(shape):
@@ -457,19 +456,20 @@ class StagePlan:
     """What every pass of one stage shares, resolved once for the stage.
 
     ``owners`` are the segments the stage writes, each named once: the
-    prompt, the answer, the re-prefill baseline's one flat segment, or the
-    reasoning paths.  ``thoughts`` holds each owner's thought index, and
-    ``positions`` the int64 positions of the owners' slots 0..n-1, which
-    they share: ``PositionAssignment.positions`` under the shared scheme,
-    or the baseline's flattened list.  They must increase, so a pass's
-    last slot sits at its largest position.  A pass that asks for a slot
-    past them raises ``LayoutError`` before it stages anything.
+    prompt, the answer, or the reasoning paths.  The re-prefill baseline's
+    flattened sequence is a prompt too, in a cache of its own.
+    ``thoughts`` holds each owner's thought index, and ``positions`` the
+    int64 positions of the owners' slots 0..n-1, which they share:
+    ``PositionAssignment.positions`` under the shared scheme, or the
+    baseline's flattened list.  They must increase, so a pass's last slot
+    sits at its largest position.  A pass that asks for a slot past them
+    raises ``LayoutError`` before it stages anything.
 
-    The owners must see the same other segments, ``masking.visible_segments``
-    for ``stage`` with the path slab's rows as the paths.  Those segments
-    are complete when the stage starts and no pass of the stage writes
-    them, so each layer's keys and values over them are taken here once,
-    as views of the cache's storage: ``shared[li]`` holds layer ``li``'s
+    The owners must see the same other segments, which their segment alone
+    decides (``masking.visible_segments``, with the path slab's rows as
+    the paths).  Those segments are complete when the stage starts and no
+    pass of the stage writes them, so each layer's keys and values over
+    them are taken here once, as views of the cache's storage: ``shared[li]`` holds layer ``li``'s
     key parts and value parts, in the rule's order.  A segment is one part
     (``PagedKVCache.gather``) and an empty one none.  The one stage that
     sees paths, the answer, sees every row of the path slab in row order
@@ -496,7 +496,7 @@ class StagePlan:
     fill against the slot it extends, and the room left.
     """
 
-    def __init__(self, cache: PagedKVCache, stage: str, owners, thoughts, positions):
+    def __init__(self, cache: PagedKVCache, owners, thoughts, positions):
         names = tuple(owners)
         if not names or len(set(names)) != len(names) or len(thoughts) != len(names):
             raise CacheConsistencyError(
@@ -506,9 +506,9 @@ class StagePlan:
         slab = cache.paths
         num_paths = 0 if slab is None else slab.k.shape[1]
         # the other segments a slot sees: none, or the prompt and then any paths
-        sources = visible_segments(stage, names[0], num_paths)[:-1]
+        sources = visible_segments(names[0], num_paths)[:-1]
         for owner in names[1:]:
-            if visible_segments(stage, owner, num_paths) != (*sources, owner):
+            if visible_segments(owner, num_paths) != (*sources, owner):
                 raise CacheConsistencyError("batched slots must share their visible segments")
         self.positions = np.asarray(positions, dtype=np.int64)
         if (np.diff(self.positions) <= 0).any():
@@ -771,5 +771,5 @@ def prefill(
     tokens, start = list(tokens), cache.length(PROMPT)
     end = start + len(tokens)
     positions = PositionAssignment(SHARED, l_x=end, l_max=0).positions(PROMPT, 0, end)
-    plan = StagePlan(cache, REASONING, [PROMPT], [0], positions)
+    plan = StagePlan(cache, [PROMPT], [0], positions)
     return forward(weights, table, plan, tokens, [0], start)[0]

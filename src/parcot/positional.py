@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, LayoutError
+from .tokenizer import check_seed
 
 PROMPT = "prompt"
 ANSWER = "answer"
@@ -159,7 +160,7 @@ class ThoughtEmbeddingTable:
 def init_thought_table(
     p_max: int, n_layers: int, n_heads: int, d_k: int, seed: int, scale: float = 0.02
 ) -> ThoughtEmbeddingTable:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, "table_seed"))
     per_row = rng.standard_normal((p_max + 1, n_heads, d_k)).astype(np.float32) * scale
     tiled = np.repeat(per_row[:, None, :, :], n_layers, axis=1)
     return ThoughtEmbeddingTable(tiled)

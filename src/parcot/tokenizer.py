@@ -15,6 +15,7 @@ Each control id has one canonical surface form: ``<think i>`` and
 ``<think 01>`` or a label above p_max, stays bytes.
 """
 
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -121,9 +122,21 @@ class Vocab:
 
 
 def is_token_int(token) -> bool:
-    """A token id (or a session seed) must be a Python or numpy integer; a
-    bool is not one."""
+    """A token id (or a seed) must be a Python or numpy integer; a bool is
+    not one."""
     return isinstance(token, (int, np.integer)) and not isinstance(token, (bool, np.bool_))
+
+
+def is_real(value) -> bool:
+    """A Python or numpy real number; a bool is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_seed(seed, name: str = "seed") -> int:
+    """A seed is a non-negative integer (``is_token_int``), returned as ``int``."""
+    if not is_token_int(seed) or seed < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def encode(text: str, vocab: Vocab, markup: bool = False) -> list[int]:

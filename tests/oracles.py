@@ -29,8 +29,7 @@ from parcot.datagen import ParsedSample, TrainingLayout
 from parcot.engine import ANSWER_STREAM, draw_rng
 from parcot.errors import ConfigError, FormatError, LayoutError, SamplingError
 from parcot.kvcache import PagedKVCache
-from parcot.masking import REASONING, AttentionMask, LayoutPlan
-from parcot.masking import FLAT
+from parcot.masking import AttentionMask, LayoutPlan
 from parcot import model
 from parcot.model import NORM_EPS, StagePlan, attend, forward
 from parcot.positional import ANSWER, PROMPT, SHARED, PositionAssignment, Rope, path_key
@@ -283,9 +282,7 @@ def reference_training_layout(sample, vocab, max_context) -> TrainingLayout:
         raise LayoutError(f"serialized length {len(tokens)} exceeds context limit {max_context}")
 
     num_paths = len(parsed.paths)
-    plan = LayoutPlan(
-        l_x=l_x, path_lengths=(l_seg,) * num_paths, answer_length=answer_len, stage=REASONING
-    )
+    plan = LayoutPlan(l_x=l_x, path_lengths=(l_seg,) * num_paths, answer_length=answer_len)
     assignment = PositionAssignment(
         SHARED, l_x=l_x, l_max=l_seg, num_paths=num_paths, reasoning_len=l_seg
     )
@@ -352,8 +349,8 @@ def reference_reprefill_answer(weights, zero_table, vocab, session, sampler) -> 
     base = l_x + (session.num_paths - 1) * l_max + session.reasoning_len
     positions += [base + t for t in range(1, cap + 2)]
     cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
-    cache.reserve("seq", len(positions))
-    plan = StagePlan(cache, FLAT, ["seq"], [0], positions)
+    cache.reserve(PROMPT, len(positions))
+    plan = StagePlan(cache, [PROMPT], [0], positions)
     answer = [vocab.summary_open]
     logits = forward(weights, zero_table, plan, tokens + answer, [0], 0)[0]
     for step in range(1, cap + 1):

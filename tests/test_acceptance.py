@@ -29,13 +29,7 @@ from parcot.engine import (
 )
 from parcot.harness import run_experiment, transcripts_text, verify_experiment_dir, write_experiment
 from parcot.kvcache import PagedKVCache, SlotAddress
-from parcot.masking import (
-    REASONING,
-    SUMMARIZATION,
-    LayoutPlan,
-    build_reasoning_mask,
-    build_summary_mask,
-)
+from parcot.masking import LayoutPlan, build_reasoning_mask, build_summary_mask
 from parcot.model import ModelConfig, StagePlan, forward_step, init_weights, prefill
 from parcot.positional import (
     ANSWER,
@@ -187,8 +181,7 @@ def _zero_reprefill_trial(weights, table, vocab, prompt, num_paths, seed, budget
     )
     owners = [path_key(i) for i in range(num_paths)]
     replay = StagePlan(
-        cache, REASONING, owners, session.think_labels,
-        shared.positions(path_key(0), 0, l_max),
+        cache, owners, session.think_labels, shared.positions(path_key(0), 0, l_max)
     )
     for path in session.paths:
         for t0, token in enumerate(path.tokens):
@@ -196,8 +189,7 @@ def _zero_reprefill_trial(weights, table, vocab, prompt, num_paths, seed, budget
                 weights, table, replay, token, SlotAddress(path_key(path.index), t0),
             )
     answer = StagePlan(
-        cache, SUMMARIZATION, [ANSWER], [0],
-        shared.positions(ANSWER, 0, len(session.answer_tokens)),
+        cache, [ANSWER], [0], shared.positions(ANSWER, 0, len(session.answer_tokens))
     )
     for k, token in enumerate(session.answer_tokens):
         logits = forward_step(weights, table, answer, token, SlotAddress(ANSWER, k))
@@ -244,15 +236,14 @@ def test_criterion_04_mask_oracle_exhaustive():
                         total = l_x + sum(lengths) + answer_len
                         if total > 24:
                             continue
-                        plan_r = LayoutPlan(l_x, lengths, answer_len, REASONING)
+                        plan = LayoutPlan(l_x, lengths, answer_len)
                         for i in range(num_paths):
-                            built = build_reasoning_mask(plan_r, i).visible
+                            built = build_reasoning_mask(plan, i).visible
                             brute = brute_reasoning_mask(l_x, lengths, answer_len, i)
                             assert np.array_equal(built, brute)
                             reasoning_checked += 1
                         if answer_len >= 1:
-                            plan_s = LayoutPlan(l_x, lengths, answer_len, SUMMARIZATION)
-                            built = build_summary_mask(plan_s).visible
+                            built = build_summary_mask(plan).visible
                             brute = brute_summary_mask(l_x, lengths, answer_len)
                             assert np.array_equal(built, brute)
                             summary_checked += 1

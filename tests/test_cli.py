@@ -7,13 +7,18 @@ from pathlib import Path
 
 import pytest
 
-from parcot.cli import build_parser, main
+from parcot.cli import TOY_MODEL, build_parser, main
 from parcot.costmodel import load_profile
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 TRACE = {"prompt": [104, 105], "body": [70, 71, 72, 73]}
+
+# the smallest configs of each kind that reach the key a case breaks
+GENERATE = {"prompt": [1], "paths": 1, "budget": 2, "model": TOY_MODEL}
+SWEEP = {"prompts": [[1]], "budgets": [2], "paths": [1], "model": TOY_MODEL}
+COSTMODEL = {"paths": [1], "lengths": [8]}
 
 
 def run_cli(args):
@@ -506,13 +511,72 @@ class TestUnreadableFiles:
         ({"experiment": "nope", "config": {}}, "unknown experiment 'nope'"),
         ({"experiment": "generate", "config": []}, "config must be an object, got a list"),
         ({"experiment": "generate", "config": {"prompt": [1]}}, "'model' is missing"),
-    ], ids=["no-experiment", "array", "unknown-experiment", "config-array", "no-model"])
+        ({"experiment": "generate", "config": {**GENERATE, "model": 3}},
+         "'model' must be an object, got a int"),
+        ({"experiment": "generate", "config": {**GENERATE, "vocab": 5}},
+         "'vocab' must be an object, got a int"),
+        ({"experiment": "generate", "config": {**GENERATE, "sampler": []}},
+         "'sampler' must be an object, got a list"),
+        ({"experiment": "generate", "config": {**GENERATE, "model": {**TOY_MODEL, "depth": 2}}},
+         "'model': got an unexpected keyword argument 'depth'"),
+        ({"experiment": "generate", "config": {**GENERATE, "model": {"d_model": 64}}},
+         "'model': missing a required argument: 'n_layers'"),
+        ({"experiment": "generate", "config": {**GENERATE, "vocab": {"size": 300}}},
+         "'vocab': got an unexpected keyword argument 'size'"),
+        ({"experiment": "generate", "config": {**GENERATE, "sampler": {"temp": 1.0}}},
+         "'sampler': got an unexpected keyword argument 'temp'"),
+        ({"experiment": "generate", "config": {**GENERATE, "strategy": "bogus"}},
+         "unknown termination strategy 'bogus'"),
+        ({"experiment": "sweep", "config": {**SWEEP, "budgets": 5}},
+         "'budgets' must be a list, got 5"),
+        ({"experiment": "sweep", "config": {**SWEEP, "prompts": 5}},
+         "'prompts' must be a list, got 5"),
+        ({"experiment": "costmodel", "config": {**COSTMODEL, "lengths": 5}},
+         "'lengths' must be a list, got 5"),
+        ({"experiment": "sweep", "config": {**SWEEP, "paths": "2"}},
+         "'paths' must be a list, got '2'"),
+        ({"experiment": "generate", "config": {**GENERATE, "prompt": 5}},
+         "'prompt' must be a list, got 5"),
+        ({"experiment": "generate", "config": {**GENERATE, "model_seed": "x"}},
+         "model_seed must be a non-negative integer, got 'x'"),
+        ({"experiment": "generate", "config": {**GENERATE, "table_seed": -1}},
+         "table_seed must be a non-negative integer, got -1"),
+        ({"experiment": "generate", "config": {**GENERATE, "sampler": {"greedy": "no"}}},
+         "greedy must be true or false, got 'no'"),
+    ], ids=[
+        "no-experiment", "array", "unknown-experiment", "config-array", "no-model",
+        "model-int", "vocab-int", "sampler-array", "model-unknown-key", "model-missing-key",
+        "vocab-unknown-key", "sampler-unknown-key", "strategy-bogus", "budgets-int",
+        "prompts-int", "lengths-int", "paths-str", "prompt-int", "model-seed-str",
+        "table-seed-negative", "greedy-str",
+    ])
     def test_verify_names_a_malformed_config(self, tmp_path, capsys, stored, named):
         (tmp_path / "config.json").write_text(json.dumps(stored))
         assert run_cli(["verify", "--dir", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert named in err
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("generate", "weights_file"), ("generate", "thought_table_file"),
+        ("costmodel", "profile_file"),
+    ])
+    def test_verify_refuses_a_path_that_is_not_a_string(self, tmp_path, capsys, experiment, key):
+        """``open`` takes an integer as a file descriptor: the descriptor
+        is neither read nor closed."""
+        base = GENERATE if experiment == "generate" else COSTMODEL
+        held = tmp_path / "held"
+        held.write_bytes(b"PTW1" + bytes(64))
+        fd = os.open(held, os.O_RDONLY)
+        try:
+            stored = {"experiment": experiment, "config": {**base, key: fd}}
+            (tmp_path / "config.json").write_text(json.dumps(stored))
+            assert run_cli(["verify", "--dir", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {key!r} must be a file path or null, got {fd}\n"
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0  # still open, nothing read
+        finally:
+            os.close(fd)
 
     @pytest.mark.parametrize("file", ["records.csv", "transcripts.jsonl"])
     def test_verify_lists_a_missing_output_file(self, tmp_path, capsys, file):

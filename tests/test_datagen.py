@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from parcot.datagen import (
     write_training_records,
 )
 from parcot.errors import DataError, FormatError, LayoutError
-from parcot.masking import REASONING, SUMMARIZATION, build_reasoning_mask, build_summary_mask
+from parcot.masking import build_reasoning_mask, build_summary_mask
 from parcot.tokenizer import Vocab, decode, encode
 
 
@@ -544,8 +543,7 @@ class TestTrainingLayout:
         sample = build_sample(problem(2), vocab, p_hat=2, seed=7)
         tl = training_layout(sample, vocab)
         plan = tl.layout
-        assert plan.stage == REASONING
-        summary = build_summary_mask(replace(plan, stage=SUMMARIZATION))
+        summary = build_summary_mask(plan)
         for i in range(plan.num_paths):
             reasoning = build_reasoning_mask(plan, i)
             for t in plan.path_slots(i):

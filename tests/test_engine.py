@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ class TestSamplerConfig:
             SamplerConfig(top_p=0.0)
         with pytest.raises(ConfigError):
             SamplerConfig(top_p=1.5)
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("temperature", "x", "temperature must be a real number, got 'x'"),
+        ("temperature", True, "temperature must be a real number, got True"),
+        ("top_p", "0.5", "top_p must be a real number, got '0.5'"),
+        ("top_p", None, "top_p must be a real number, got None"),
+        ("greedy", "no", "greedy must be true or false, got 'no'"),
+        ("greedy", 0, "greedy must be true or false, got 0"),
+    ])
+    def test_field_types(self, field, value, named):
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            SamplerConfig(**{field: value})
+
+    def test_numpy_reals_are_reals(self):
+        sampler = SamplerConfig(temperature=np.float32(0.5), top_p=np.float64(0.9))
+        assert (sampler.temperature, sampler.top_p) == (0.5, 0.9)
 
 
 class TestSampleToken:
@@ -404,6 +421,16 @@ class TestTerminationSemantics:
             make_session(small_weights, table, vocab)
         assert str(raised.value).startswith(f"thought table rows have shape {tuple(dims)}")
         assert allocated == []
+
+    @pytest.mark.parametrize("strategy", ["bogus", "first", 3])
+    def test_unknown_strategy_rejected_before_any_write(
+        self, small_weights, small_table, vocab, strategy
+    ):
+        session = make_session(small_weights, small_table, vocab)
+        with pytest.raises(ConfigError, match=f"unknown termination strategy {strategy!r}"):
+            run_reasoning(session, GREEDY, GenerationBudget(2), strategy)
+        assert session.cache.paths is None and not any(p.tokens for p in session.paths)
+        run_reasoning(session, GREEDY, GenerationBudget(2), "half_finish")
 
     def test_stage_cannot_rerun(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab)

@@ -28,9 +28,8 @@ from parcot.harness import (
     write_experiment,
 )
 from parcot.kvcache import PagedKVCache, SlotAddress
-from parcot.masking import FLAT
 from parcot.model import ModelConfig, StagePlan, forward_step, init_weights
-from parcot.positional import init_thought_table, zero_thought_table
+from parcot.positional import PROMPT, init_thought_table, zero_thought_table
 from parcot.tokenizer import Vocab, encode
 
 from oracles import causal_mask, dense_logits, reference_reprefill_answer
@@ -296,10 +295,10 @@ def per_token_reprefill(bundle, session, sampler):
 
     def feed(fed):
         cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
-        cache.reserve("seq", len(positions))
-        plan = StagePlan(cache, FLAT, ["seq"], [0], positions)
+        cache.reserve(PROMPT, len(positions))
+        plan = StagePlan(cache, [PROMPT], [0], positions)
         logits = [
-            forward_step(bundle.weights, zero, plan, token, SlotAddress("seq", t))
+            forward_step(bundle.weights, zero, plan, token, SlotAddress(PROMPT, t))
             for t, token in enumerate(fed)
         ]
         return plan, logits
@@ -317,7 +316,7 @@ def per_token_reprefill(bundle, session, sampler):
         token = sample_token(logits, sampler, draw_rng(session.seed, ANSWER_STREAM, step))
         answer.append(token)
         logits = forward_step(
-            bundle.weights, zero, plan, token, SlotAddress("seq", len(tokens) + step)
+            bundle.weights, zero, plan, token, SlotAddress(PROMPT, len(tokens) + step)
         )
         if token in (vocab.summary_close, vocab.eos):
             break

@@ -3,7 +3,7 @@ import pytest
 
 from parcot.errors import CacheConsistencyError, LifecycleError
 from parcot.kvcache import PagedKVCache, Rows, assemble_summary_view, reserved_slab, row_index
-from parcot.masking import REASONING, SUMMARIZATION, LayoutPlan
+from parcot.masking import LayoutPlan
 from parcot.positional import ANSWER, PROMPT, path_key
 
 RNG = np.random.default_rng(99)
@@ -238,7 +238,7 @@ class TestSummaryView:
     def test_single_path_view_is_the_sequential_cache(self):
         cache = make_cache()
         fill_session_like(cache, l_x=2, path_lengths=(3,))
-        layout = LayoutPlan(2, (3,), 0, SUMMARIZATION)
+        layout = LayoutPlan(2, (3,), 0)
         view = assemble_summary_view(cache, layout)
         assert view.segments() == [PROMPT, path_key(0), ANSWER]
         assert view.entries[0][1] is cache.tables[PROMPT]
@@ -247,7 +247,7 @@ class TestSummaryView:
     def test_slot_count(self):
         cache = make_cache()
         fill_session_like(cache, l_x=2, path_lengths=(5, 5, 5))
-        layout = LayoutPlan(2, (5, 5, 5), 0, SUMMARIZATION)
+        layout = LayoutPlan(2, (5, 5, 5), 0)
         view = assemble_summary_view(cache, layout)
         assert view.total_slots() == 2 + 3 * 5
 
@@ -256,7 +256,7 @@ class TestSummaryView:
         fill_session_like(cache, l_x=3, path_lengths=(4, 4))
         slab = cache.paths
         prompt_storage = cache.tables[PROMPT].slab
-        layout = LayoutPlan(3, (4, 4), 0, SUMMARIZATION)
+        layout = LayoutPlan(3, (4, 4), 0)
         view = assemble_summary_view(cache, layout)
         for seg, held in view.entries[:-1]:
             storage = prompt_storage if seg == PROMPT else slab
@@ -275,14 +275,8 @@ class TestSummaryView:
         for seg, digest in hashes.items():
             assert cache.tables[seg].content_hash() == digest
 
-    def test_requires_summarization_stage(self):
-        cache = make_cache()
-        fill_session_like(cache, l_x=2, path_lengths=(2, 2))
-        with pytest.raises(LifecycleError):
-            assemble_summary_view(cache, LayoutPlan(2, (2, 2), 0, REASONING))
-
     def test_rejects_length_mismatch(self):
         cache = make_cache()
         fill_session_like(cache, l_x=2, path_lengths=(2, 2))
         with pytest.raises(LifecycleError):
-            assemble_summary_view(cache, LayoutPlan(2, (2, 3), 0, SUMMARIZATION))
+            assemble_summary_view(cache, LayoutPlan(2, (2, 3), 0))

@@ -18,7 +18,7 @@ from parcot.errors import (
     PositionOverflowError,
 )
 from parcot.kvcache import PagedKVCache, SlotAddress, assemble_summary_view
-from parcot.masking import FLAT, REASONING, SUMMARIZATION, LayoutPlan
+from parcot.masking import LayoutPlan
 from parcot.model import (
     CAUSAL_CHUNK,
     ModelConfig,
@@ -46,7 +46,7 @@ from oracles import causal_mask, dense_logits, reference_answer_parts
 
 
 def shared_plan(cache, owners, l_x, labels=(1,), l_max=16):
-    """A reasoning-stage plan for ``owners`` (the prompt, or paths) as the
+    """A plan for ``owners`` (the prompt, or paths) as the
     engine builds one: shared-scheme positions for the prompt's ``l_x``
     slots or a path's ``l_max``, thought index 0 for the prompt and
     ``labels[i]`` for path i."""
@@ -54,24 +54,25 @@ def shared_plan(cache, owners, l_x, labels=(1,), l_max=16):
         owners[0], 0, l_x if owners[0] == PROMPT else l_max
     )
     thoughts = [0 if seg == PROMPT else labels[path_index(seg)] for seg in owners]
-    return StagePlan(cache, REASONING, owners, thoughts, positions)
+    return StagePlan(cache, owners, thoughts, positions)
 
 
 def summary_plan(cache, l_x, reasoning_len, slots=4):
     """The answer's plan after a reasoning stage of ``reasoning_len`` slots."""
     assignment = PositionAssignment(SHARED, l_x=l_x, l_max=0, reasoning_len=reasoning_len)
-    return StagePlan(cache, SUMMARIZATION, [ANSWER], [0], assignment.positions(ANSWER, 0, slots))
+    return StagePlan(cache, [ANSWER], [0], assignment.positions(ANSWER, 0, slots))
 
 
 def flat_plan(cache, positions):
-    """The re-prefill baseline's plan: one "seq" segment at listed positions."""
-    return StagePlan(cache, FLAT, ["seq"], [0], positions)
+    """The re-prefill baseline's plan: the prompt of a cache of its own
+    (``cache``, whose prompt is reserved and empty) at listed positions."""
+    return StagePlan(cache, [PROMPT], [0], positions)
 
 
 def fresh_cache(cfg, slots=1024):
     """A cache with storage reserved for every segment these tests write."""
     cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
-    for segment in (PROMPT, path_key(0), path_key(1), "seq"):
+    for segment in (PROMPT, path_key(0), path_key(1)):
         cache.reserve(segment, slots)
     return cache
 
@@ -301,7 +302,13 @@ class TestBatchChecks:
         cache = self.prefilled(small_weights, small_table)
         positions = PositionAssignment(SHARED, l_x=2, l_max=8).positions(path_key(0), 0, 8)
         with pytest.raises(CacheConsistencyError, match="share their visible segments"):
-            StagePlan(cache, REASONING, [path_key(0), PROMPT], [1, 0], positions)
+            StagePlan(cache, [path_key(0), PROMPT], [1, 0], positions)
+
+    def test_owner_without_a_rule(self, small_weights, small_table):
+        cache = self.prefilled(small_weights, small_table)
+        cache.reserve("seq", 4)
+        with pytest.raises(LayoutError, match="'seq' is not the prompt, a path or the answer"):
+            StagePlan(cache, ["seq"], [0], [1, 2, 3, 4])
 
     def test_rows_must_extend_their_segments(self, small_weights, small_table):
         cache = self.prefilled(small_weights, small_table)
@@ -440,19 +447,19 @@ class TestStalePlan:
         elif fault == "not an owner":
             rows = [2]
         elif fault == "unequal lengths":
-            plan = StagePlan(cache, REASONING, owners, thoughts, positions)
+            plan = StagePlan(cache, owners, thoughts, positions)
             forward(small_weights, small_table, plan, [40], [0], 0)
         elif fault == "does not extend":
             index = 1
         elif fault == "full":
-            plan = StagePlan(cache, REASONING, owners, thoughts, positions)
+            plan = StagePlan(cache, owners, thoughts, positions)
             for t in range(2):
                 forward(small_weights, small_table, plan, [40, 41], rows, t)
             index = 2
         lengths = [cache.length(segment) for segment in owners]
         held = [cache.table(segment).slab.k.copy() for segment in owners]
         with pytest.raises(CacheConsistencyError, match=match):
-            plan = StagePlan(cache, REASONING, owners, thoughts, positions)
+            plan = StagePlan(cache, owners, thoughts, positions)
             forward(small_weights, small_table, plan, [40] * len(rows), rows, index)
         assert [cache.length(segment) for segment in owners] == lengths
         for segment, k in zip(owners, held):
@@ -463,8 +470,8 @@ class TestStalePlan:
         """A pass checks only its last slot's position against the model's
         limit, so a plan refuses positions that do not increase."""
         cache = PagedKVCache(2, 2, 16)
-        cache.reserve("seq", 4)
-        with pytest.raises(LayoutError, match="the positions of 'seq' do not increase"):
+        cache.reserve(PROMPT, 4)
+        with pytest.raises(LayoutError, match="the positions of 'prompt' do not increase"):
             flat_plan(cache, positions)
 
     def test_path_outside_the_layout(self, small_weights, small_table):
@@ -473,7 +480,7 @@ class TestStalePlan:
         cache = self.reasoned(small_weights, small_table)
         positions = shared_plan(cache, [path_key(0)], l_x=2).positions
         for segment in (path_key(2), "path:-1"):
-            plan = StagePlan(cache, REASONING, [segment], [3], positions)
+            plan = StagePlan(cache, [segment], [3], positions)
             with pytest.raises(CacheConsistencyError, match="never reserved"):
                 forward(small_weights, small_table, plan, [40], [0], 0)
         assert [cache.length(path_key(i)) for i in range(2)] == [0, 0]
@@ -517,7 +524,7 @@ class TestStalePlan:
         forward(small_weights, small_table, plan, [42], [0], 2)
         summary_plan(cache, 2, reasoning_len=3)
         with pytest.raises(LifecycleError, match="path:0 holds 2 slots, layout says 3"):
-            assemble_summary_view(cache, LayoutPlan(2, (3, 3), 0, SUMMARIZATION))
+            assemble_summary_view(cache, LayoutPlan(2, (3, 3), 0))
 
 
 def path_fills(kind, num_paths, capacity, rng):
@@ -635,7 +642,7 @@ class TestPrefill:
             segment = PROMPT
             plans = [shared_plan(cache, [PROMPT], l_x=length) for cache in caches]
         elif kind == "flat":
-            segment = "seq"
+            segment = PROMPT
             positions = np.cumsum(rng.integers(1, 4, size=length + 1))
             plans = [flat_plan(cache, positions) for cache in caches]
         else:
@@ -722,14 +729,15 @@ class TestPrefill:
         lists 3 positions; its owners have room for 5 slots."""
         cfg = small_weights.config
         cache = answer_cache(cfg, 2, [1, 1], 5, seed=4)  # each path holds one slot
-        cache.reserve("seq", 5)
         if kind == "path":
             owner = path_key(0)
             plan = shared_plan(cache, [owner, path_key(1)], l_x=2, labels=(1, 2), l_max=3)
         elif kind == "answer":
             owner, plan = ANSWER, summary_plan(cache, 2, reasoning_len=1, slots=3)
-        else:
-            owner, plan = "seq", flat_plan(cache, [1, 2, 4])
+        else:  # a cache of its own
+            cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+            cache.reserve(PROMPT, 5)
+            owner, plan = PROMPT, flat_plan(cache, [1, 2, 4])
 
         def write(index):
             if kind == "path":
@@ -799,7 +807,7 @@ def run_every_layer(patch):
 
 def causal_state(weights, table, kind, tokens, keep):
     """Logits and segment hash of one causal pass: a prefill (keep 1), a
-    pass over the prompt, over a flat segment with gapped positions, or
+    pass over the prompt, over a flattened prompt with gapped positions, or
     over a path that also sees a 5-slot prompt."""
     cfg = weights.config
     n = len(tokens)
@@ -811,7 +819,7 @@ def causal_state(weights, table, kind, tokens, keep):
         if kind == "prompt":
             segment, plan = PROMPT, shared_plan(cache, [PROMPT], l_x=n)
         elif kind == "flat":
-            segment = "seq"
+            segment = PROMPT
             gaps = np.random.default_rng(n).integers(1, 4, size=n)
             plan = flat_plan(cache, np.cumsum(gaps))
         else:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from parcot import engine, model
 from parcot.engine import GenerationBudget, SamplerConfig, Termination, run_reasoning
 from parcot.kvcache import PagedKVCache
-from parcot.masking import FLAT, REASONING, SUMMARIZATION
 from parcot.model import init_weights, load_weights, save_weights
 from parcot.positional import (
     ANSWER,
@@ -256,7 +255,7 @@ class TestOnePassEqualsTwoPasses:
         positions = PositionAssignment(SHARED, l_x=5, l_max=len(schedule) + 1).positions(
             owners[0], 0, len(schedule) + 1
         )
-        plan = model.StagePlan(cache, REASONING, owners, list(range(1, num_paths + 1)), positions)
+        plan = model.StagePlan(cache, owners, list(range(1, num_paths + 1)), positions)
         rng = np.random.default_rng([num_paths, len(schedule)])
         logits = []
         for rows in schedule:
@@ -313,7 +312,7 @@ class TestOnePassEqualsTwoPasses:
             positions = PositionAssignment(SHARED, l_x=length + 1, l_max=0).positions(
                 PROMPT, 0, length + 1
             )
-            return model.StagePlan(cache, REASONING, [PROMPT], [0], positions)
+            return model.StagePlan(cache, [PROMPT], [0], positions)
 
         passes = [(tokens[:length], keep), (tokens[length:], 1)]
         got, want = (
@@ -340,7 +339,7 @@ class TestOnePassEqualsTwoPasses:
                     cache.append(segment, *rng.standard_normal((2, *shape)).astype(np.float32))
             assignment = PositionAssignment(SHARED, l_x=l_x, l_max=0, reasoning_len=longest)
             positions = assignment.positions(ANSWER, 0, 6)
-            plan = model.StagePlan(cache, SUMMARIZATION, [ANSWER], [0], positions)
+            plan = model.StagePlan(cache, [ANSWER], [0], positions)
             assert (plan.hidden is None) == (len(set(fills)) == 1)
             return plan
 
@@ -352,19 +351,19 @@ class TestOnePassEqualsTwoPasses:
         assert_same_state(got, want)
 
     def test_flat_baseline(self, gained_weights, small_table):
-        """The re-prefill baseline's plan: one FLAT segment at gapped
-        positions, a teacher-forced pass keeping every answer row, then
-        one slot at a time."""
+        """The re-prefill baseline's plan: the prompt of a cache of its own
+        at gapped positions, a teacher-forced pass keeping every answer
+        row, then one slot at a time."""
         positions = np.cumsum(np.random.default_rng(4).integers(1, 4, size=80))
         tokens = np.random.default_rng(5).integers(0, 256, size=80).tolist()
 
         def flat_plan(cache):
-            cache.reserve("seq", len(positions))
-            return model.StagePlan(cache, FLAT, ["seq"], [0], positions)
+            cache.reserve(PROMPT, len(positions))
+            return model.StagePlan(cache, [PROMPT], [0], positions)
 
         passes = [(tokens[:70], 37), (tokens[70:71], 1), (tokens[71:72], 1)]
         got, want = (
-            self.causal_state(gained_weights, small_table, flat_plan, "seq", passes, reference)
+            self.causal_state(gained_weights, small_table, flat_plan, PROMPT, passes, reference)
             for reference in (False, True)
         )
         assert_same_state(got, want)
