@@ -5,6 +5,12 @@ terminate, reprefill, costmodel, datagen, verify).  Each run writes
 config.json, records.csv, and transcripts.jsonl under --out; verify
 re-runs a directory from its stored config and exits nonzero on any
 mismatch or invariant violation.
+
+An option's dest is its config key.  A run's config holds each option its
+subcommand declares, as parsed, except that a prompt becomes its raw-byte
+ids, a strategy alias its full name and the traces file its traces; a
+session subcommand's model and sampler options are laid out by
+``_base_config``.
 """
 
 import argparse
@@ -57,7 +63,7 @@ _SESSION_OPTIONS = {
     "--paths": dict(type=int, default=4, help="parallel path count P"),
     "--budget": dict(type=int, default=32, help="body tokens per path B"),
     "--termination": dict(choices=sorted(TERMINATION_ALIASES), default="first",
-                          help="first|half|last"),
+                          dest="strategy", help="first|half|last"),
 }
 
 
@@ -65,7 +71,8 @@ def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
     """The model, sampler and output options, plus the named _SESSION_OPTIONS."""
     for option in options:
         parser.add_argument(option, **_SESSION_OPTIONS[option])
-    parser.add_argument("--max-answer", type=int, default=16, help="answer token cap")
+    parser.add_argument("--max-answer", type=int, default=16, dest="max_answer_tokens",
+                        metavar="MAX_ANSWER", help="answer token cap")
     parser.add_argument("--temperature", type=float, default=0.7)
     parser.add_argument("--top-p", type=float, default=1.0)
     parser.add_argument("--greedy", action="store_true")
@@ -78,32 +85,61 @@ def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
     parser.add_argument("--out", metavar="DIR", default="out")
 
 
-def _base_config(args) -> dict:
+def _base_config(options: dict) -> dict:
+    """The model and sampler config of a session subcommand, popped off its
+    parsed ``options``."""
+    seed = options.pop("seed")
     return {
         "model": TOY_MODEL,
-        "model_seed": args.model_seed,
-        "table_seed": args.table_seed,
-        "weights_file": args.weights,
-        "thought_table_file": args.thought_emb,
-        "vocab": {"base_size": 256, "p_max": args.p_max},
+        "model_seed": options.pop("model_seed"),
+        "table_seed": options.pop("table_seed"),
+        "weights_file": options.pop("weights"),
+        "thought_table_file": options.pop("thought_emb"),
+        "vocab": {"base_size": 256, "p_max": options.pop("p_max")},
         "sampler": {
-            "temperature": args.temperature,
-            "top_p": args.top_p,
-            "seed": args.seed,
-            "greedy": args.greedy,
+            "temperature": options.pop("temperature"),
+            "top_p": options.pop("top_p"),
+            "seed": seed,
+            "greedy": options.pop("greedy"),
         },
-        "seed": args.seed,
+        "seed": seed,
     }
 
 
-def _encode_prompts(texts, vocab: Vocab) -> list[list[int]]:
-    return [encode(text, vocab, markup=False) for text in texts]
+def _encode(text: str) -> list[int]:
+    return encode(text, Vocab(), markup=False)  # raw bytes: no control id is read
 
 
-def _run_and_write(name: str, config: dict, out_dir: str) -> None:
-    records, transcripts = run_experiment(name, config)
-    write_experiment(out_dir, name, config, records, transcripts)
-    print(f"{name}: wrote {len(records)} records to {out_dir}")
+def _read_traces(path: str) -> list:
+    traces = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    traces.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+    return traces
+
+
+# the options not stored as parsed, each with its conversion
+_CONVERT = {
+    "prompt": _encode,
+    "prompts": lambda texts: [_encode(text) for text in texts],
+    "strategy": lambda name: TERMINATION_ALIASES[name],
+    "strategies": lambda names: [TERMINATION_ALIASES[name] for name in names],
+    "traces": _read_traces,
+}
+
+
+def _run_config(args) -> dict:
+    """The config of a run-directory subcommand: each option under its
+    dest, which is its config key."""
+    options = {key: value for key, value in vars(args).items() if key not in ("command", "out")}
+    config = {} if args.command == "costmodel" else _base_config(options)
+    for key, value in options.items():
+        config[key] = _CONVERT[key](value) if key in _CONVERT else value
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="budget sweep with majority baselines")
     _add_common(p_sweep, "--termination")
     p_sweep.add_argument("--budgets", type=int, nargs="+", default=[8, 16, 32])
-    p_sweep.add_argument("--paths-list", type=int, nargs="+", default=[1, 2, 4])
+    p_sweep.add_argument("--paths-list", type=int, nargs="+", default=[1, 2, 4], dest="paths",
+                         metavar="PATHS_LIST")
     p_sweep.add_argument(
         "--allocation",
         choices=["total-budget-split", "per-path-budget"],
@@ -149,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_re.add_argument("--prompt", required=True)
 
     p_cost = sub.add_parser("costmodel", help="roofline latency table")
-    p_cost.add_argument("--profile", default=None, help="profile JSON (default packaged)")
-    p_cost.add_argument("--paths-list", type=int, nargs="+", default=[1, 2, 4, 8, 16])
+    p_cost.add_argument("--profile", default=None, dest="profile_file", metavar="PROFILE",
+                        help="profile JSON (default packaged)")
+    p_cost.add_argument("--paths-list", type=int, nargs="+", default=[1, 2, 4, 8, 16],
+                        dest="paths", metavar="PATHS_LIST")
     p_cost.add_argument("--lengths", type=int, nargs="+", default=[1024, 4096, 16384])
     p_cost.add_argument("--out", metavar="DIR", default="out")
 
@@ -179,24 +218,6 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
-    if args.command == "costmodel":
-        profile = load_profile(args.profile)
-        config = {
-            "profile_file": args.profile,
-            "paths": args.paths_list,
-            "lengths": args.lengths,
-        }
-        records, transcripts = run_experiment("costmodel", config)
-        write_experiment(args.out, "costmodel", config, records, transcripts)
-        print(f"profile: {profile.get('name')}")
-        for rec in records:
-            print(
-                f"P={rec['paths']:>3} L={rec['tokens_per_path']:>6} "
-                f"step={rec['step_time_s'] * 1e3:8.3f} ms "
-                f"ratio_vs_P1={rec['step_ratio_vs_p1']:5.2f}"
-            )
-        return 0
-
     if args.command == "datagen":
         from .datagen import DEFAULT_ANSWER_TEMPLATE, dataset_manifest
 
@@ -226,89 +247,24 @@ def _dispatch(args) -> int:
         print(f"verify: {args.dir} reproduces exactly")
         return 0
 
-    # session-based experiments share the model/sampler config
-    config = _base_config(args)
-    vocab = Vocab(base_size=256, p_max=args.p_max)
-
+    config = _run_config(args)
+    records, transcripts = run_experiment(args.command, config)
+    write_experiment(args.out, args.command, config, records, transcripts)
     if args.command == "generate":
-        config.update(
-            {
-                "prompt": encode(args.prompt, vocab, markup=False),
-                "paths": args.paths,
-                "budget": args.budget,
-                "max_answer_tokens": args.max_answer,
-                "strategy": TERMINATION_ALIASES[args.termination],
-            }
-        )
-        records, transcripts = run_experiment("generate", config)
-        write_experiment(args.out, "generate", config, records, transcripts)
-        record = transcripts[0]["record"]
+        answer = transcripts[0]["record"]["answer"]
         print(canonical_json(records[0]))
-        print("answer:", decode(record["answer"], vocab, errors="replace"))
-        return 0
-
-    if args.command == "sweep":
-        config.update(
-            {
-                "prompts": _encode_prompts(args.prompts, vocab),
-                "budgets": args.budgets,
-                "paths": args.paths_list,
-                "allocation": args.allocation,
-                "strategy": TERMINATION_ALIASES[args.termination],
-                "max_answer_tokens": args.max_answer,
-            }
-        )
-        _run_and_write("sweep", config, args.out)
-        return 0
-
-    if args.command == "prefix":
-        traces = []
-        with open(args.traces, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    try:
-                        traces.append(json.loads(line))
-                    except json.JSONDecodeError as exc:
-                        raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
-        config.update(
-            {
-                "traces": traces,
-                "budget": args.budget,
-                "max_answer_tokens": args.max_answer,
-                "prefix_lengths": args.prefix_lengths,
-                "samples": args.samples,
-                "target_token": args.target_token,
-            }
-        )
-        _run_and_write("prefix", config, args.out)
-        return 0
-
-    if args.command == "terminate":
-        config.update(
-            {
-                "prompts": _encode_prompts(args.prompts, vocab),
-                "strategies": [TERMINATION_ALIASES[s] for s in args.strategies],
-                "budget": args.budget,
-                "paths": args.paths,
-                "max_answer_tokens": args.max_answer,
-            }
-        )
-        _run_and_write("terminate", config, args.out)
-        return 0
-
-    if args.command == "reprefill":
-        config.update(
-            {
-                "prompt": encode(args.prompt, vocab, markup=False),
-                "paths": args.paths,
-                "budget": args.budget,
-                "max_answer_tokens": args.max_answer,
-            }
-        )
-        _run_and_write("reprefill", config, args.out)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command}")
+        print("answer:", decode(answer, Vocab(**config["vocab"]), errors="replace"))
+    elif args.command == "costmodel":
+        print(f"profile: {load_profile(args.profile_file).get('name')}")
+        for rec in records:
+            print(
+                f"P={rec['paths']:>3} L={rec['tokens_per_path']:>6} "
+                f"step={rec['step_time_s'] * 1e3:8.3f} ms "
+                f"ratio_vs_P1={rec['step_ratio_vs_p1']:5.2f}"
+            )
+    else:
+        print(f"{args.command}: wrote {len(records)} records to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

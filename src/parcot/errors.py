@@ -47,4 +47,5 @@ class DataError(EngineError):
 
 
 class VocabError(EngineError):
-    """Unknown token id or inconsistent vocab manifest."""
+    """A token id outside the vocab, a think label out of range, or bytes
+    that are not valid UTF-8."""

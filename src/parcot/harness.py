@@ -58,7 +58,7 @@ from .positional import (
     path_key,
     zero_thought_table,
 )
-from .tokenizer import Vocab, is_token_int
+from .tokenizer import Vocab, check_seed, is_token_int
 
 DEFAULT_PREFIX_GRID = (0, 100, 200, 400, 800, 1600)
 
@@ -521,10 +521,19 @@ def _build(cls, value, key: str, drop=()):
     return cls(**value)
 
 
-def _list(config: _Keys, key: str) -> list:
-    if not isinstance(config[key], list):
-        raise ConfigError(f"{key!r} must be a list, got {config[key]!r}")
-    return config[key]
+# what a config list's elements must be, by name
+_ELEMENTS = {"integers": is_token_int, "lists": lambda value: isinstance(value, list)}
+
+
+def _list(config: _Keys, key: str, of: str | None = None, default=None) -> list:
+    """The list at ``key``, or ``default`` (when given) if the key is
+    absent; ``of`` names what each element must be (an _ELEMENTS key)."""
+    value = config[key] if default is None else config.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list, got {value!r}")
+    if of and not all(map(_ELEMENTS[of], value)):
+        raise ConfigError(f"{key!r} must be a list of {of}, got {value!r}")
+    return value
 
 
 def _path(config: _Keys, key: str) -> str | None:
@@ -547,19 +556,19 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
     if name not in ("costmodel", "sweep", "prefix", "terminate", "reprefill", "generate"):
         raise ConfigError(f"unknown experiment {name!r}")
     config = _keys(config, "the config")
-    sampler = _build(SamplerConfig, config.get("sampler", {}), "sampler", drop=("seed",))
-    seed = config.get("seed", 0)
     if name == "costmodel":
         profile = load_profile(_path(config, "profile_file"))
         records = run_cost_model(profile, _list(config, "paths"), _list(config, "lengths"))
         return records, []
+    sampler = _build(SamplerConfig, config.get("sampler", {}), "sampler", drop=("seed",))
+    seed = check_seed(config.get("seed", 0))
     bundle = bundle_from_config(config)
     if name == "sweep":
         return run_budget_sweep(
             bundle,
-            _list(config, "prompts"),
-            _list(config, "budgets"),
-            _list(config, "paths"),
+            _list(config, "prompts", of="lists"),
+            _list(config, "budgets", of="integers"),
+            _list(config, "paths", of="integers"),
             sampler,
             strategy=Termination(config.get("strategy", "first_finish")),
             allocation=config.get("allocation", "total-budget-split"),
@@ -573,15 +582,15 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
             GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
             sampler,
             config["target_token"],
-            prefix_lengths=tuple(config.get("prefix_lengths", DEFAULT_PREFIX_GRID)),
+            prefix_lengths=_list(config, "prefix_lengths", default=list(DEFAULT_PREFIX_GRID)),
             samples=config.get("samples", 16),
             seed=seed,
         )
     if name == "terminate":
         return run_termination_comparison(
             bundle,
-            _list(config, "prompts"),
-            config.get("strategies", [t.value for t in Termination]),
+            _list(config, "prompts", of="lists"),
+            _list(config, "strategies", default=[t.value for t in Termination]),
             sampler,
             GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
             num_paths=config.get("paths", 4),

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from parcot import harness
 from parcot.cli import TOY_MODEL, build_parser, main
 from parcot.costmodel import load_profile
 
@@ -18,6 +19,8 @@ TRACE = {"prompt": [104, 105], "body": [70, 71, 72, 73]}
 # the smallest configs of each kind that reach the key a case breaks
 GENERATE = {"prompt": [1], "paths": 1, "budget": 2, "model": TOY_MODEL}
 SWEEP = {"prompts": [[1]], "budgets": [2], "paths": [1], "model": TOY_MODEL}
+TERMINATE = {"prompts": [[1]], "budget": 2, "model": TOY_MODEL}
+PREFIX = {"traces": [TRACE], "budget": 2, "target_token": 70, "model": TOY_MODEL}
 COSTMODEL = {"paths": [1], "lengths": [8]}
 
 
@@ -83,13 +86,22 @@ class TestGenerateAndVerify:
 
 
     def test_negative_seed_fails_before_any_output(self, tmp_path, capsys):
-        out = tmp_path / "gen"
-        code = run_cli(["generate", "--prompt", "hello", "--seed", "-1", "--out", str(out)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "error: seed must be a non-negative integer" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
+        traces = tmp_path / "traces.jsonl"
+        traces.write_text(json.dumps(TRACE) + "\n")
+        for argv in (
+            ["generate", "--prompt", "hello"],
+            ["sweep", "--prompt", "hello", "--budgets", "4", "--paths-list", "1"],
+            ["terminate", "--prompt", "hello", "--budget", "4"],
+            ["prefix", "--traces", str(traces), "--target-token", "70",
+             "--prefix-lengths", "0", "2", "--budget", "6"],
+        ):
+            out = tmp_path / argv[0]
+            code = run_cli([*argv, "--seed", "-1", "--out", str(out)])
+            assert code == 1
+            captured = capsys.readouterr()
+            assert "error: seed must be a non-negative integer" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
 
 class TestSweep:
@@ -205,7 +217,8 @@ class TestVerifyRoundTrips:
 
 
 # each session command at a tiny size: (command, arguments, the sha256 of
-# each output file).  A re-prefill record's logit_divergence keeps the 4
+# each output file and of stdout, with its --out directory read as
+# "<out>").  A re-prefill record's logit_divergence keeps the 4
 # significant digits that every BLAS kernel agrees on.
 PINNED_OUTPUTS = {
     "costmodel": ("costmodel", [
@@ -214,6 +227,7 @@ PINNED_OUTPUTS = {
         "config.json": "a78aa6d8922aca5ee371c503df4a289321b8be138f0a8243947d64a9b55c0e52",
         "records.csv": "42ce4edb07f9b50b026d80acc472ba45e9de0b76ba4644b1edfb5f157779bfd1",
         "transcripts.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "stdout": "cfe5b0e5ab94ad5ee7b11f236a2786e1391bdb7a282adbeaeb86af0e48cafa21",
     }),
     "generate-greedy": ("generate", [
         "--prompt", "add two and two", "--paths", "3", "--budget", "6", "--max-answer", "4",
@@ -222,6 +236,7 @@ PINNED_OUTPUTS = {
         "config.json": "4b1f589ee3d19a57f72ded4042d7696a5de00972a297dd198a6382c0dd1c7059",
         "records.csv": "aeb5c2b816cb56f7abfe96ff991521f703bcbaa94bcafdd4009ed4fd0278b795",
         "transcripts.jsonl": "406722a2fd98511255580879ff14bee46382085e6a25c1a4ef518256c6a39bf9",
+        "stdout": "5e5d5ab74f56642e7e86bff9d36ab657e6dc5af902c19ef481235a5d5a2b31fd",
     }),
     "generate-top-p": ("generate", [
         "--prompt", "add two and two", "--paths", "3", "--budget", "6", "--max-answer", "4",
@@ -230,6 +245,7 @@ PINNED_OUTPUTS = {
         "config.json": "4a9e5c8a63595f4570ac60e28a875873b4567bd0bb6b8798ee379b846f682d83",
         "records.csv": "9351403636c42f6b8ccd58cc6c9fcc96e00994f756d946e112a2491d8a31e9ed",
         "transcripts.jsonl": "e07620279fd811fdb135ed88f05003dfcaedebadaaacc356e277811d5f37c4c3",
+        "stdout": "697a95c1f88a3224eb52f41126d4c7a2a141c76f2fde9f50400dfbbc1854c1ce",
     }),
     "prefix": ("prefix", [
         "--prefix-lengths", "0", "2", "--samples", "2", "--target-token", "70", "--budget", "6",
@@ -238,6 +254,7 @@ PINNED_OUTPUTS = {
         "config.json": "b03d759684dafc619940b5480342ccff5c1be84d2c991236402587f0cad9b43d",
         "records.csv": "551ad2ae1d9549c06eb94bda37bc2270f5f11caf5ac5fba1e3b28f2ef341ee3e",
         "transcripts.jsonl": "e487e87f044596863cbed6597ba379e6726dd71e51d8aef1a64d7584e60deeee",
+        "stdout": "71fec077c6033e4baf515f9252f4fc74da754477ea1e4c110a3ff89d57d751b0",
     }),
     "reprefill-greedy": ("reprefill", [
         "--prompt", "q", "--paths", "2", "--budget", "6", "--greedy",
@@ -245,6 +262,7 @@ PINNED_OUTPUTS = {
         "config.json": "16710de512b4e4f364caa1dfc75453f71130d46144003d06cac92aaa84d2effb",
         "records.csv": "6bcfe2da4f8459309ca3764bdfeced1970530d00c25b688e110d3d4071609b7b",
         "transcripts.jsonl": "e1dc0da618e7afdc3fd1bb4904688b96bacdf64bb7ff774801214b0f6cb389c8",
+        "stdout": "907b40190bb6b65383ee30f1b5c2be075bc50db046bd1efdadcc1dc4cfe515cb",
     }),
     "reprefill-sampled": ("reprefill", [
         "--prompt", "q and r", "--paths", "3", "--budget", "8", "--max-answer", "6", "--seed", "6",
@@ -252,6 +270,7 @@ PINNED_OUTPUTS = {
         "config.json": "3a580b1b0aafb73514749c2e8f13a7572478be563ff7ac69a880401bf5001b8e",
         "records.csv": "d22778fa080c62aa21d5dc83de56555206752a04dcf59f9e3b3c4dfcd3113fc0",
         "transcripts.jsonl": "2a9ac2bdfbd123cbef7b494d17ad8ecaef6fd3b5899786c91c473eee99215004",
+        "stdout": "907b40190bb6b65383ee30f1b5c2be075bc50db046bd1efdadcc1dc4cfe515cb",
     }),
     "sweep-first": ("sweep", [
         "--prompt", "p one", "--prompt", "q", "--budgets", "12", "--paths-list", "1", "2",
@@ -260,6 +279,7 @@ PINNED_OUTPUTS = {
         "config.json": "e1c367c3dfa27d1181d372bbfed16ea3f402fdf2fb2c2aa243534c7826359019",
         "records.csv": "a553faf6b5e7b75e6185acb9f11f34be289b498e09e7f26626bc2b8ba22a1a2e",
         "transcripts.jsonl": "663bb431bda2466809272ec0516a9ce8ce64ed8db1dbd494ebfd1e3a89380ea9",
+        "stdout": "6b85013ff6f3a8a396321580be2b424f60c50a4aa585b69b2f59f588ec7fb8d8",
     }),
     "sweep-half": ("sweep", [
         "--prompt", "p one", "--budgets", "12", "--paths-list", "3", "--max-answer", "3",
@@ -269,6 +289,7 @@ PINNED_OUTPUTS = {
         "config.json": "7766a7b9e38f1cbd103ef399ff0bb3a2c2e97885e8f5879dda88766070a35e06",
         "records.csv": "dd9c20bd11a6d5a47f8b2f99ec63ed4be61edeb82d1827743dba3ca3e2bf1074",
         "transcripts.jsonl": "6fee220f866f1af3dbe733c01a38e5a3c89026d244a6a38ff965b8f0ecf9fc03",
+        "stdout": "3d388911d7ecdcd736d6cdf4d9348b3e4461b0b12a02c4f6a1e4937c0cfd3d6e",
     }),
     "sweep-last": ("sweep", [
         "--prompt", "p one", "--budgets", "12", "--paths-list", "3", "--max-answer", "3",
@@ -277,6 +298,7 @@ PINNED_OUTPUTS = {
         "config.json": "764b54e08d5902e0b1a9efa2d3a23a3d2d60cf363c013cafe344c2fd2f967815",
         "records.csv": "610b87b53d035f5d6bd2a64cb52ffd2d682a5aa109fdcb5be4136db1720f035b",
         "transcripts.jsonl": "726511db7e18b0f549cc5ecd4f4293bb15cf39869b4f224b067147af44dd8fee",
+        "stdout": "3d388911d7ecdcd736d6cdf4d9348b3e4461b0b12a02c4f6a1e4937c0cfd3d6e",
     }),
     "terminate": ("terminate", [
         "--prompt", "alpha", "--prompt", "beta", "--paths", "3", "--budget", "8", "--max-answer",
@@ -285,6 +307,7 @@ PINNED_OUTPUTS = {
         "config.json": "8fc2e5e9782d99a14f197731d9a371cd55f525c9b0bbf4af2b1a9405e5ac9240",
         "records.csv": "e8c5d7c5522b461168aad1733bc5cd0802243af911b0d253d4c1171c059b9b91",
         "transcripts.jsonl": "cb4bfde54562869181c884cbad219d3705f761dc838cb2af59845872bee284d5",
+        "stdout": "46f5573b0448595e51120bcd04abde43438169858527e423b868910f7a2338fe",
     }),
 }
 
@@ -299,7 +322,45 @@ class TestSessionOutputs:
             args = ["--traces", str(traces), *args]
         out = tmp_path / name
         assert run_cli([name, *args, "--out", str(out)]) == 0
-        assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests} == digests
+        printed = capsys.readouterr().out.replace(str(out), "<out>").encode()
+        outputs = {f: printed if f == "stdout" else (out / f).read_bytes() for f in digests}
+        assert {f: hashlib.sha256(data).hexdigest() for f, data in outputs.items()} == digests
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("name, args", [
+        ("generate", ["--prompt", "x", "--budget", "2"]),
+        ("sweep", ["--prompt", "x", "--budgets", "4", "--paths-list", "1"]),
+        ("prefix", ["--target-token", "70", "--prefix-lengths", "0", "--samples", "1",
+                    "--budget", "4"]),
+        ("terminate", ["--prompt", "x", "--budget", "2"]),
+        ("reprefill", ["--prompt", "x", "--budget", "2"]),
+        ("costmodel", []),
+    ])
+    def test_every_written_key_is_read(self, tmp_path, monkeypatch, name, args):
+        """``run_experiment`` reads every top-level key the subcommand
+        writes, and no other: a key written under the wrong name would
+        otherwise run with its default and still verify."""
+        reads = []  # (the object read, the key)
+
+        class Logged(harness._Keys):
+            def __getitem__(self, key):
+                reads.append((self, key))
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                reads.append((self, key))
+                return super().get(key, default)
+
+        monkeypatch.setattr(harness, "_Keys", Logged)
+        if name == "prefix":
+            traces = tmp_path / "traces.jsonl"
+            traces.write_text(json.dumps(TRACE) + "\n")
+            args = ["--traces", str(traces), *args]
+        out = tmp_path / name
+        assert run_cli([name, *args, "--out", str(out)]) == 0
+        written = json.loads((out / "config.json").read_text())["config"]
+        assert {key for read, key in reads if read == written} == set(written)
 
 
 class TestCostModel:
@@ -543,12 +604,26 @@ class TestUnreadableFiles:
          "table_seed must be a non-negative integer, got -1"),
         ({"experiment": "generate", "config": {**GENERATE, "sampler": {"greedy": "no"}}},
          "greedy must be true or false, got 'no'"),
+        # each list is checked before the total-budget split compares its elements
+        ({"experiment": "sweep", "config": {**SWEEP, "paths": ["2"]}},
+         "'paths' must be a list of integers, got ['2']"),
+        ({"experiment": "sweep", "config": {**SWEEP, "budgets": ["x"]}},
+         "'budgets' must be a list of integers, got ['x']"),
+        ({"experiment": "sweep", "config": {**SWEEP, "prompts": [5]}},
+         "'prompts' must be a list of lists, got [5]"),
+        ({"experiment": "terminate", "config": {**TERMINATE, "strategies": 5}},
+         "'strategies' must be a list, got 5"),
+        ({"experiment": "prefix", "config": {**PREFIX, "prefix_lengths": 3}},
+         "'prefix_lengths' must be a list, got 3"),
+        ({"experiment": "sweep", "config": {**SWEEP, "seed": "1"}},
+         "seed must be a non-negative integer, got '1'"),
     ], ids=[
         "no-experiment", "array", "unknown-experiment", "config-array", "no-model",
         "model-int", "vocab-int", "sampler-array", "model-unknown-key", "model-missing-key",
         "vocab-unknown-key", "sampler-unknown-key", "strategy-bogus", "budgets-int",
         "prompts-int", "lengths-int", "paths-str", "prompt-int", "model-seed-str",
-        "table-seed-negative", "greedy-str",
+        "table-seed-negative", "greedy-str", "paths-str-element", "budgets-str-element",
+        "prompts-int-element", "strategies-int", "prefix-lengths-int", "seed-str",
     ])
     def test_verify_names_a_malformed_config(self, tmp_path, capsys, stored, named):
         (tmp_path / "config.json").write_text(json.dumps(stored))
