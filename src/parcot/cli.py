@@ -170,8 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_prefix = sub.add_parser("prefix", help="continue decoding from trace prefixes")
     _add_common(p_prefix, "--budget")
     p_prefix.add_argument("--traces", required=True, help="JSONL of {prompt, body} id lists")
-    p_prefix.add_argument("--prefix-lengths", type=int, nargs="+",
-                          default=list(DEFAULT_PREFIX_GRID))
+    p_prefix.add_argument("--prefix-lengths", type=int, nargs="+", default=None,
+                          help="default: the lengths of %s below --budget"
+                          % " ".join(map(str, DEFAULT_PREFIX_GRID)))
     p_prefix.add_argument("--samples", type=int, default=16)
     p_prefix.add_argument("--target-token", type=int, required=True)
 

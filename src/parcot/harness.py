@@ -218,7 +218,7 @@ def run_prefix_recovery(
     budget: GenerationBudget,
     sampler: SamplerConfig,
     target_token: int,
-    prefix_lengths=DEFAULT_PREFIX_GRID,
+    prefix_lengths=None,
     samples: int = 16,
     seed: int = 0,
 ) -> tuple[list[dict], list[dict]]:
@@ -228,8 +228,11 @@ def run_prefix_recovery(
     failed run.  For each prefix length n, the first n body tokens are
     injected as the path's leading tokens and decoding continues normally;
     a sample "recovers" when ``target_token`` shows up among the freshly
-    sampled tokens.
+    sampled tokens.  ``prefix_lengths`` None takes the lengths of
+    ``DEFAULT_PREFIX_GRID`` that leave the path some budget.
     """
+    if prefix_lengths is None:
+        prefix_lengths = [n for n in DEFAULT_PREFIX_GRID if n < budget.max_path_tokens]
     if not is_token_int(samples) or samples < 1:
         raise DataError(f"samples must be an integer of at least 1, got {samples!r}")
     vocab_size = bundle.weights.config.vocab_size
@@ -576,13 +579,14 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
             seed=seed,
         )
     if name == "prefix":
+        lengths = config.get("prefix_lengths")  # None: the default grid below the budget
         return run_prefix_recovery(
             bundle,
             _list(config, "traces"),
             GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
             sampler,
             config["target_token"],
-            prefix_lengths=_list(config, "prefix_lengths", default=list(DEFAULT_PREFIX_GRID)),
+            prefix_lengths=None if lengths is None else _list(config, "prefix_lengths"),
             samples=config.get("samples", 16),
             seed=seed,
         )

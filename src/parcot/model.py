@@ -19,13 +19,11 @@ slot; the prompt, each answer token and the re-prefill baseline's
 flattened sequence are 1 owner x m slots.  The slots run in blocks of up
 to ``CAUSAL_CHUNK`` per owner, and a block's rows go through the layers
 together (``_decode_rows``), so each weight matrix is read once per
-block.  A layer computes q, k and v as one product with its fused
-``w_qkv``, adds the rows' thought embeddings (looked up once per pass) to
-k and v, and rotates q and k in one ``Rope.rotate`` call (tables built
-once per pass, or the rope's cached ones for a single position).  The
-fused product has the bits of three products under OpenBLAS's SkylakeX
-and Prescott kernels, not under its Haswell kernels (which Zen CPUs also
-run), where a few prompt logits move by float32 rounding.
+block.  A layer computes q, k and v as one broadcast product of the rows
+with its [3, d_model, d_model] ``w_qkv`` stack, adds the rows' thought
+embeddings (looked up once per pass) to k and v, and rotates q and k in
+one ``Rope.rotate`` call (tables built once per pass, or the rope's
+cached ones for a single position).
 
 Each row attends over the plan's shared parts, then over its own segment
 up to and including its own new slot, staged there first: one part
@@ -36,13 +34,21 @@ through its k/v, so a block with none of them stops at the last layer
 once its k/v are staged: no attention, output projection, feed-forward
 or head runs for it there.  Every slot and logit keeps its bits.
 
-BLAS sends a one-row product to a matrix-vector kernel that rounds
-differently from the matrix-matrix kernel a block of rows uses, so a
-pass of one slot under a plan of reasoning paths runs it as two
-identical rows, through every product and the head.  With OpenBLAS a
-row then gets the same bits at any block height, so a path's logits
-equal its single-path replay's (the tested bound is 1e-5) and a greedy
-replay cannot flip.  Only reasoning needs the duplicated row.
+The arithmetic contract, which the bit-identity tests check with
+single-threaded OpenBLAS under the kernel it selects and under its
+Haswell (which Zen CPUs run), SkylakeX and Sandybridge kernels, and also
+with numpy's AVX-512 dispatch off and with BLAS threads unpinned:
+  - the stack's product runs one BLAS product per matrix, so q, k and v
+    have the bits of three separate products;
+  - BLAS sends a one-row product to a matrix-vector kernel that rounds
+    differently from the matrix-matrix kernel a block of rows uses, so a
+    pass of one slot under a plan of reasoning paths runs it as two
+    identical rows, through every product and the head.  A row then gets
+    the same bits at any block height, so a path's logits equal its
+    single-path replay's (the tested bound is 1e-5) and a greedy replay
+    cannot flip.  Only reasoning needs the duplicated row.
+Left open: under OpenBLAS's Prescott kernel a lone row run as two
+duplicated rows does not get the bits it gets inside a larger batch.
 
 A stage's plan is built once when the stage starts (``prefill`` builds
 one for its single pass).  It holds each layer's attention parts over
@@ -75,9 +81,9 @@ Weight file format ("PTW1", little-endian):
   vocab_size, rope_base, max_position), then float32 tensors row-major,
   each named and shaped as ``tensor_shapes(config)`` lists them in file
   order: the embedding, each layer's tensors, the final norm and the
-  head.  ``w_q``, ``w_k`` and ``w_v`` are written as three matrices and
-  loaded into one ``w_qkv``.  Both loaders build their weights with
-  ``ModelWeights.from_tensors``.
+  head.  ``w_q``, ``w_k`` and ``w_v`` are written as three matrices, in
+  the order of the ``w_qkv`` stack they are loaded into.  Both loaders
+  build their weights with ``ModelWeights.from_tensors``.
 """
 
 import math
@@ -168,8 +174,9 @@ _HEADER_END = len(WEIGHT_MAGIC) + _HEADER.size
 @dataclass
 class LayerWeights:
     """One block's tensors.  The query, key and value projections are the
-    column blocks of one [d_model, 3·d_model] matrix, so one product gives
-    all three; ``w_q``, ``w_k`` and ``w_v`` are views of those blocks."""
+    rows of one [3, d_model, d_model] stack, in PTW1 order, so one product
+    gives all three; ``w_q``, ``w_k`` and ``w_v`` are its rows, C-contiguous
+    views."""
 
     attn_norm: np.ndarray
     w_qkv: np.ndarray
@@ -180,23 +187,19 @@ class LayerWeights:
 
     @classmethod
     def from_projections(cls, attn_norm, w_q, w_k, w_v, w_o, ffn_norm, w_ff1, w_ff2):
-        return cls(attn_norm, np.concatenate([w_q, w_k, w_v], axis=1), w_o, ffn_norm, w_ff1, w_ff2)
-
-    def _block(self, i: int) -> np.ndarray:
-        d = self.w_qkv.shape[0]
-        return self.w_qkv[:, i * d : (i + 1) * d]
+        return cls(attn_norm, np.stack([w_q, w_k, w_v]), w_o, ffn_norm, w_ff1, w_ff2)
 
     @property
     def w_q(self) -> np.ndarray:
-        return self._block(0)
+        return self.w_qkv[0]
 
     @property
     def w_k(self) -> np.ndarray:
-        return self._block(1)
+        return self.w_qkv[1]
 
     @property
     def w_v(self) -> np.ndarray:
-        return self._block(2)
+        return self.w_qkv[2]
 
 
 def _file_tensors(config: ModelConfig):
@@ -255,13 +258,10 @@ class ModelWeights:
         if len(self.layers) != cfg.n_layers:
             raise ConfigError(f"expected {cfg.n_layers} layers, got {len(self.layers)}")
         for li, lw in enumerate(self.layers):
-            # the table checks w_q, w_k and w_v, views of w_qkv that cover
-            # all of it only if it is three square blocks wide
-            qkv = lw.w_qkv
-            if qkv.ndim != 2 or qkv.shape[1] != 3 * qkv.shape[0]:
-                raise ConfigError(
-                    f"layer{li}.w_qkv has shape {qkv.shape}, not three square blocks"
-                )
+            # the table checks w_q, w_k and w_v, rows of w_qkv that cover
+            # all of it only if it stacks three of them
+            if lw.w_qkv.ndim != 3 or len(lw.w_qkv) != 3:
+                raise ConfigError(f"layer{li}.w_qkv has shape {lw.w_qkv.shape}, not a stack of three")
         for (name, shape), tensor in zip(tensor_shapes(cfg), self.tensors()):
             if tensor.shape != shape:
                 raise ConfigError(f"{name} has shape {tensor.shape}, expected {shape}")
@@ -605,25 +605,26 @@ def _decode_rows(
     rope = cfg.rope()
     # Every layer rotates at the same positions.  One position for every
     # row reads the rope's cached tables; per-row tables are built here,
-    # once for all layers.
+    # once for all layers, as [n, 1, d_k] to broadcast over [..., n, H, d_k].
     if np.ndim(positions):
-        positions = rope.tables(positions)
+        positions = tuple(part[:, None] for part in rope.tables(positions))
     # Thought rows, looked up once: [n_layers, n_heads, d_k] for one
-    # index, else [n_layers, n, 1, n_heads, d_k], to add to k and v.
+    # index, else [n_layers, n, n_heads, d_k], to add to k and v.
     thought = table.vectors[thoughts]
     if thought.ndim == 4:
-        thought = thought[:, :, None].swapaxes(0, 1)
+        thought = thought.swapaxes(0, 1)
     x = weights.embedding[tokens]  # a copy, updated in place
     last = cfg.n_layers - 1
     for li, lw in enumerate(weights.layers):
-        qkv = (rms_norm(x, lw.attn_norm) @ lw.w_qkv).reshape(n, 3, heads, d_k)
-        qkv[:, 1:] += thought[li]  # into k and v
+        # one broadcast product: [n, d] @ [3, d, d], a product per matrix
+        qkv = (rms_norm(x, lw.attn_norm) @ lw.w_qkv).reshape(3, n, heads, d_k)
+        qkv[1:] += thought[li]  # into k and v
         if li == last and stage_last is not None:
             # rotation is elementwise, so k rotated alone has the same bits
-            stage_last(li, rope.rotate(qkv[:, 1], positions), qkv[:, 2])
+            stage_last(li, rope.rotate(qkv[1], positions), qkv[2])
             return None
-        qk = rope.rotate(qkv[:, :2], positions)
-        attn = attention(li, qk[:, 0], qk[:, 1], qkv[:, 2])
+        qk = rope.rotate(qkv[:2], positions)
+        attn = attention(li, qk[0], qk[1], qkv[2])
         x += attn.reshape(n, cfg.d_model) @ lw.w_o
         x += silu(rms_norm(x, lw.ffn_norm) @ lw.w_ff1) @ lw.w_ff2
     return x

@@ -88,7 +88,10 @@ class Rope:
         ``t`` is one position for every vector, an [n] array giving row i
         of ``v`` (shape [n, ..., d_k]) its own position, or the tables of
         either from ``tables``, built once for many calls.  Row i then
-        gets the same bits as ``rotate(v[i], t[i])``.
+        gets the same bits as ``rotate(v[i], t[i])``.  Tables with more
+        than two axes broadcast against ``v`` as they are: [n, 1, d_k]
+        tables give row i of every [n, h, d_k] block of ``v`` its own
+        position.
         """
         v = np.asarray(v)
         if v.shape[-1] != self.d_k:

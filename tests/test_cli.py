@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -151,6 +152,20 @@ class TestPrefix:
         assert code == 0
         text = Path(out, "records.csv").read_text()
         assert "success_rate" in text
+
+    def test_runs_at_its_defaults(self, tmp_path, capsys):
+        """The default grid keeps the lengths that leave the default budget
+        some room, so only the required options are needed."""
+        traces = tmp_path / "traces.jsonl"
+        traces.write_text(json.dumps(TRACE) + "\n")
+        out = tmp_path / "prefix"
+        assert run_cli(["prefix", "--traces", str(traces), "--target-token", "70",
+                        "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["config"]["prefix_lengths"] is None
+        with open(out / "records.csv", newline="") as fh:
+            assert [row["prefix_length"] for row in csv.DictReader(fh)] == ["0"]
+        assert run_cli(["verify", "--dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("trace_text, flags, message", [
         (None, ["--samples", "0"], "samples must be an integer of at least 1, got 0"),

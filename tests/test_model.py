@@ -922,11 +922,15 @@ class TestValidate:
             weights.validate()
 
     def test_fused_projection_with_extra_columns(self, weights):
+        """A stack of four matrices, or the three as one [d, 3d] matrix of
+        column blocks, is not the [3, d, d] projection stack."""
         layer = weights.layers[1]
-        d = weights.config.d_model
-        layer.w_qkv = np.concatenate([layer.w_qkv, np.zeros((d, 1), np.float32)], axis=1)
-        with pytest.raises(ConfigError, match=rf"layer1\.w_qkv has shape \({d}, {3 * d + 1}\)"):
-            weights.validate()
+        stacked = layer.w_qkv
+        for malformed in (np.concatenate([stacked, stacked[:1]]), np.concatenate(stacked, axis=1)):
+            layer.w_qkv = malformed
+            shape = ", ".join(map(str, malformed.shape))
+            with pytest.raises(ConfigError, match=rf"layer1\.w_qkv has shape \({shape}\)"):
+                weights.validate()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry(self, weights, bad):

@@ -63,6 +63,17 @@ class TestRope:
         with pytest.raises(ConfigError):
             rope.rotate(v, t[:39])
 
+    def test_broadcast_tables_rotate_each_block_per_row(self, rope):
+        """[n, 1, d_k] tables give row i of every [n, h, d_k] block the
+        bits of its own scalar rotation."""
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((2, 40, 3, 16)).astype(np.float32)
+        t = rng.integers(0, 4096, size=40)
+        rotated = rope.rotate(v, tuple(part[:, None] for part in rope.tables(t)))
+        for block in range(2):
+            for i in range(40):
+                assert np.array_equal(rotated[block, i], rope.rotate(v[block, i], int(t[i])))
+
     def test_odd_dimension_rejected(self):
         with pytest.raises(ConfigError):
             Rope(d_k=15, base=10000.0)

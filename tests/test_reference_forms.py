@@ -1,8 +1,9 @@
 """The lean forward pass against its reference forms (tests/oracles.py).
 
-The fused q/k/v product and the interleaved-table rotation must give the
-same bits as three products and the even/odd rotation, so prompt logits
-and the prompt's cache slots do not move.  Reasoning attention reads the
+The q/k/v product (one broadcast product over the [3, d, d] stack) and
+the interleaved-table rotation must give the same bits as three products
+and the even/odd rotation, so prompt logits and the prompt's cache slots
+do not move.  Reasoning attention reads the
 rows' own slots through the staged new slot as one part; that changes
 rounding only, and stays within float32 noise of the three-part form.
 """
@@ -62,17 +63,18 @@ class TestFusedProjection:
         d = toy_config.d_model
         for layer in weights.layers:
             u = scaled(rng, (n, d), scale)
-            fused = u @ layer.w_qkv
-            for got, want in zip(np.split(fused, 3, axis=1), reference_projections(u, layer)):
+            stacked = u @ layer.w_qkv  # [3, n, d]
+            for got, want in zip(stacked, reference_projections(u, layer), strict=True):
                 assert np.array_equal(got, want)
 
     def test_projections_are_views_of_the_fused_matrix(self, small_weights):
         d = small_weights.config.d_model
         for layer in small_weights.layers:
-            assert layer.w_qkv.shape == (d, 3 * d)
+            assert layer.w_qkv.shape == (3, d, d)
             for i, block in enumerate((layer.w_q, layer.w_k, layer.w_v)):
                 assert block.base is layer.w_qkv
-                assert np.array_equal(block, layer.w_qkv[:, i * d : (i + 1) * d])
+                assert block.flags.c_contiguous
+                assert np.array_equal(block, layer.w_qkv[i])
 
     def test_layer_attributes_are_the_file_tensors(self, toy_config):
         """Every attribute of a layer is a tensor, and their bytes add up to
