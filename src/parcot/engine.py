@@ -35,9 +35,11 @@ softmax, the nucleus, and that uniform searched in the nucleus's
 cumulative distribution (``sample_tokens``): the arithmetic that
 ``Generator.choice`` performs once it has validated its probabilities,
 written out so that draws (and ``verify``) do not rest on numpy's
-``choice`` internals.  Both stages take their uniforms by one rule: from
-the kernel ``pcg.uniforms``, which computes the same doubles for a chunk
-of steps at once (``draw_rng`` for a seed past 64 bits).  A sampled
+``choice`` internals.  Both stages take their uniforms by one rule: a
+sampled stage's first draw computes, by one call of the kernel
+``pcg.uniforms`` (the same doubles, for any seed), the table of every
+stream of the stage from that step to the stage's last (B for reasoning,
+the cap for the answer), and every later draw indexes it.  A sampled
 reasoning step samples all its drawn rows in one ``sample_tokens``
 call; the answer, reused cache or re-prefill baseline alike, is decoded by
 one loop (``decode_answer``).  Greedy decoding draws nothing: each token
@@ -62,6 +64,7 @@ from .errors import ConfigError, DataError, LifecycleError, SamplingError
 from .kvcache import PagedKVCache, SummaryContextView, assemble_summary_view
 from .masking import LayoutPlan
 from .model import (
+    ModelConfig,
     ModelWeights,
     StagePlan,
     check_position,
@@ -86,15 +89,6 @@ ANSWER_STREAM = 0  # think labels start at 1, so stream 0 is free
 # a session's lifecycle: it reasons, then summarizes
 REASONING = "reasoning"
 SUMMARIZATION = "summarization"
-
-# A sampled stage takes its uniforms UNIFORM_CHUNK steps at a time from one
-# ``uniforms`` call over all its streams, however few draws that covers.
-# Measured on a 2-CPU Xeon (numpy 2.4, min of 7 x 200 calls): an 8-draw
-# call (a sampled answer capped at 8 tokens) costs ~95 us, those draws one
-# ``draw_rng(...).random()`` each ~131 us; a 1- to 4-draw call loses
-# 43-72 us, which the ``sweep`` workload does not resolve.  Every sampled
-# stage thus takes its draws by one rule.
-UNIFORM_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -205,10 +199,7 @@ class GenerationSession:
             raise ConfigError("need at least one path")
         if num_paths > vocab.p_max:
             raise ConfigError(f"P={num_paths} exceeds P_max={vocab.p_max}")
-        if cfg.vocab_size < vocab.size:
-            raise ConfigError(
-                f"model vocab {cfg.vocab_size} cannot hold tokenizer vocab {vocab.size}"
-            )
+        check_vocab(cfg, vocab)
         if table.p_max < vocab.p_max:
             raise ConfigError(
                 f"thought table has {table.p_max} path rows, vocab allows {vocab.p_max}"
@@ -281,6 +272,12 @@ class GenerationSession:
         )
 
 
+def check_vocab(cfg: ModelConfig, vocab: Vocab) -> None:
+    """The model's vocab must hold every id of the tokenizer's."""
+    if cfg.vocab_size < vocab.size:
+        raise ConfigError(f"model vocab {cfg.vocab_size} cannot hold tokenizer vocab {vocab.size}")
+
+
 def _check_donor(donor: GenerationSession, weights, table, prompt_tokens) -> None:
     """A session can reuse ``donor``'s prefilled prompt only when it would
     have computed the same one: same weights, thought table and tokens.
@@ -299,7 +296,7 @@ def draw_rng(seed: int, stream: int, step: int) -> np.random.Generator:
 
     The reference for every draw's uniform: ``draw_rng(seed, stream,
     step).random()``.  ``_StageUniforms`` takes the same doubles from the
-    vectorized kernel ``uniforms`` for any seed below 2**64."""
+    vectorized kernel ``uniforms``."""
     return np.random.default_rng((seed, stream, step))
 
 
@@ -400,31 +397,24 @@ class _StageUniforms:
     """A stage's uniforms, keyed (session seed, stream, step).
 
     ``streams`` holds one stream per row: the paths' think labels in path
-    order, or ``[ANSWER_STREAM]``.  When step ``s`` draws past the planned
-    steps, the next ``UNIFORM_CHUNK`` (up to ``last_step``) are planned for
-    every stream by one ``uniforms`` call; a seed of 2**64 or more, which
-    the kernel does not take, draws one ``draw_rng`` per draw.  Either way
-    the double is ``draw_rng(seed, stream, step).random()``.
+    order, or ``[ANSWER_STREAM]``.  The stage's first draw, at step ``s``,
+    computes the table of every stream over steps ``s .. last_step`` by
+    one ``uniforms`` call; every draw then indexes it.  Entry (row, step)
+    is ``draw_rng(seed, streams[row], step).random()``.
     """
 
     def __init__(self, seed: int, streams: list[int], last_step: int):
         self.seed = seed
         self.streams = streams
         self.last_step = last_step
-        self.kernel = seed < 1 << 64
-        self.first = self.end = 0  # steps [first, end) are planned
-        self.table = None  # [streams, end - first] uniforms, or None per draw
+        self.first = None  # the step of the table's first column
+        self.table = None  # [streams, last_step + 1 - first] uniforms
 
     def take(self, step: int, rows: list[int]) -> np.ndarray:
         """The uniforms of step ``step`` for the streams at ``rows``."""
-        if step >= self.end:
-            self.first = step
-            self.end = min(step + UNIFORM_CHUNK, self.last_step + 1)
-            self.table = None
-            if self.kernel:
-                self.table = uniforms(self.seed, self.streams, range(step, self.end))
         if self.table is None:
-            return np.array([draw_rng(self.seed, self.streams[r], step).random() for r in rows])
+            self.first = step
+            self.table = uniforms(self.seed, self.streams, range(step, self.last_step + 1))
         return self.table[rows, step - self.first]
 
 

@@ -32,6 +32,7 @@ from .engine import (
     SamplerConfig,
     Termination,
     canonical_json,
+    check_vocab,
     decode_answer,
     majority_vote,
     run_reasoning,
@@ -488,6 +489,7 @@ def bundle_from_config(config: dict) -> ModelBundle:
         model = _build(ModelConfig, config["model"], "model")
         weights = init_weights(model, config.get("model_seed", 0))
     cfg = weights.config
+    check_vocab(cfg, vocab)  # before the table, whose size grows with the vocab's P_max
     if _path(config, "thought_table_file"):
         table = load_thought_table(config["thought_table_file"])
     else:

@@ -9,10 +9,11 @@ costs ~15 µs of Python-level setup; here every step is a fixed-width
 integer operation over all keys at once, reproduced bit for bit from
 numpy's ``bit_generator.pyx`` (``SeedSequence``) and ``pcg64.h``.
 
-Keys are limited to what the engine draws with: a seed in [0, 2**64)
-(one or two words) and streams and steps in [0, 2**32) (one word each),
-so a key is 3 or 4 words and fits the pool; the pool's missing words mix
-in as zeros, as numpy does.
+A key is the seed's 32-bit words (low first; a zero seed is one word),
+then the stream, then the step: any non-negative seed, with streams and
+steps in [0, 2**32) (one word each).  As in numpy's ``mix_entropy``, the
+key's first four words fill the pool (a shorter key's missing words mix
+in as zeros), and each later word is mixed into every pool word.
 """
 
 import operator
@@ -32,9 +33,10 @@ def _powers(init: int, mult: int, n: int) -> np.ndarray:
 
 # SeedSequence hashes the k-th word it mixes by xoring it with INIT * MULT**k
 # and multiplying it by INIT * MULT**(k + 1); the constants never depend on
-# the data.  Mixing the 4-word pool takes 4 + 4 * 3 hashes, drawing the
-# state 8 more from the second constant pair.
-_HASH_MIX = _powers(0x43B0D7E5, 0x931E8875, 16)
+# the data.  Mixing a key of w >= 4 words (padded to 4) into the 4-word pool
+# takes 4 + 4 * 3 + 4 * (w - 4) = 4 * w hashes, drawing the state 8 more
+# from the second constant pair.
+_HASH_MIX = (0x43B0D7E5, 0x931E8875)
 _HASH_STATE = _powers(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L, _MIX_R = _U32(0xCA01F9DD), _U32(0x4973F715)
 
@@ -69,36 +71,43 @@ def _hash(words: np.ndarray, consts: np.ndarray, first: int, count: int) -> np.n
     return out
 
 
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ out >> _S16
+
+
 def uniforms(seed: int, streams, steps) -> np.ndarray:
     """``[len(streams), len(steps)]`` array whose entry (i, j) equals
     ``np.random.default_rng((seed, streams[i], steps[j])).random()``."""
     seed = operator.index(seed)
     streams = [operator.index(v) for v in streams]
     steps = [operator.index(v) for v in steps]
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} is outside [0, 2**64)")
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
     if not all(0 <= v < 1 << 32 for v in streams + steps):
         raise ValueError("streams and steps must lie in [0, 2**32)")
     rows, cols = len(streams), len(steps)
     n = rows * cols
 
-    # the key's words: the seed's (low first, a zero seed is one word),
-    # the stream, the step, then zeros up to the 4-word pool
-    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    # the key's words: the seed's, the stream, the step, then zeros up to
+    # the 4-word pool
+    seed_words = [seed >> b & 0xFFFFFFFF for b in range(0, max(seed.bit_length(), 1), 32)]
     at = len(seed_words)
-    pool = np.zeros((4, rows, cols), dtype=_U32)
-    pool[:at] = np.array(seed_words, dtype=_U32)[:, None, None]
-    pool[at] = np.array(streams, dtype=_U32)[:, None]
-    pool[at + 1] = steps
-    pool = _hash(pool.reshape(4, n), _HASH_MIX, 0, 4)
-    k = 4
+    key = np.zeros((max(at + 2, 4), rows, cols), dtype=_U32)
+    key[:at] = np.array(seed_words, dtype=_U32)[:, None, None]
+    key[at] = np.array(streams, dtype=_U32)[:, None]
+    key[at + 1] = steps
+    key = key.reshape(len(key), n)
+    hashes = _powers(*_HASH_MIX, 4 * len(key))
+    pool = _hash(key[:4], hashes, 0, 4)
+    # each pool word into the other three, then each later key word into
+    # all four, one hash per destination word
     for src in range(4):
         dst = [d for d in range(4) if d != src]
-        mixed = pool[dst] * _MIX_L
-        mixed -= _hash(pool[src], _HASH_MIX, k, 3) * _MIX_R
-        mixed ^= mixed >> _S16
-        pool[dst] = mixed
-        k += 3
+        pool[dst] = _mix(pool[dst], _hash(pool[src], hashes, 4 + 3 * src, 3))
+    for i, word in enumerate(key[4:]):
+        pool = _mix(pool, _hash(word, hashes, 16 + 4 * i, 4))
 
     # generate_state(4, uint64): 8 words cycling the pool, read as four
     # little-endian uint64 words (initstate high, low, initseq high, low)

@@ -104,6 +104,17 @@ class TestGenerateAndVerify:
             assert captured.out == ""
             assert not out.exists()
 
+    def test_vocab_past_the_model_fails_before_the_thought_table(self, tmp_path, capsys):
+        # a table of 10**8 path rows would need ~48 GiB; the vocab check
+        # must refuse the run before anything draws it
+        out = tmp_path / "gen"
+        code = run_cli(["generate", "--prompt", "x", "--p-max", "100000000", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: model vocab 292 cannot hold tokenizer vocab")
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSweep:
     def test_sweep_writes_records(self, tmp_path):

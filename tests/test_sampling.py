@@ -2,10 +2,10 @@
 draw rule, each against a per-draw reference.
 
 Every draw of a session is ``sample_token(logits, sampler, draw_rng(seed,
-stream, step))``: the engine takes the uniform from ``pcg.uniforms`` a
-chunk of steps at a time whenever the seed fits 64 bits, and samples all
-of a reasoning step's rows in one ``sample_tokens`` call.  Neither may
-change a single token.
+stream, step))``: the engine takes each sampled stage's uniforms from one
+``pcg.uniforms`` table, for any seed, and samples all of a reasoning
+step's rows in one ``sample_tokens`` call.  Neither may change a single
+token.
 """
 
 import numpy as np
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from parcot import engine
 from parcot.engine import (
     ANSWER_STREAM,
-    UNIFORM_CHUNK,
     GenerationBudget,
     SamplerConfig,
     Termination,
@@ -41,6 +40,12 @@ class TestUniformKernel:
         seeds += [int(s) for s in rng.integers(0, 2**32, 12)]
         seeds += [int(s) for s in rng.integers(2**32, 2**63, 12, dtype=np.int64)]
         seeds += [2**63 - 1 - int(d) for d in rng.integers(0, 2**20, 8)]
+        # seeds of 3 to 7 words: the key's words past the 4-word pool are
+        # mixed into it
+        seeds += [2**64, 2**64 + 3, 2**96, 2**128 - 1, 2**160 + 1, 2**192, 2**200 + 7, 2**224 - 1]
+        wide = np.random.default_rng(20261020)
+        seeds += [int(wide.integers(1, 2**62)) << int(wide.integers(64, 161)) for _ in range(8)]
+        assert {max(1, -(-seed.bit_length() // 32)) for seed in seeds} == set(range(1, 8))
         streams = list(range(vocab.p_max + 1))
         checked = 0
         for seed in seeds:
@@ -50,7 +55,8 @@ class TestUniformKernel:
             assert got.shape == (len(streams), len(steps))
             for i, stream in enumerate(streams):
                 for j, step in enumerate(steps):
-                    assert got[i, j] == draw_rng(seed, stream, step).random(), (seed, stream, step)
+                    want = np.random.default_rng((seed, stream, step)).random()
+                    assert got[i, j] == want, (seed, stream, step)
                     checked += 1
         assert checked >= 10_000
 
@@ -60,7 +66,7 @@ class TestUniformKernel:
 
     @pytest.mark.parametrize(
         "seed, streams, steps",
-        [(-1, [1], [1]), (2**64, [1], [1]), (0, [-1], [1]), (0, [1], [2**32])],
+        [(-1, [1], [1]), (0, [2**32], [1]), (0, [-1], [1]), (0, [1], [2**32])],
     )
     def test_keys_outside_the_words_are_rejected(self, seed, streams, steps):
         with pytest.raises(ValueError):
@@ -239,8 +245,7 @@ STRATEGIES = list(Termination)
 def session_cases():
     """Sampled sessions over P 1..16, all strategies, some paths scripted
     for their first steps (so scripted rows turn into sampled ones mid-stage),
-    budgets above and below a uniform chunk, seeds of one and two words and
-    one too large for the kernel."""
+    budgets of 3 to 40 and seeds of one, two and three words."""
     rng = np.random.default_rng(77)
     seeds = [0, 12, 2**32 + 5, 2**63 - 11, 2**64 + 3]
     for case in range(30):
@@ -257,21 +262,48 @@ def session_cases():
         yield num_paths, budget, STRATEGIES[case % 3], seeds[case % len(seeds)], forced, sampler
 
 
+def count_kernel_calls(monkeypatch) -> list:
+    """Record (seed, streams, steps) of every engine ``uniforms`` call."""
+    calls = []
+    kernel = engine.uniforms
+
+    def counted(seed, streams, steps):
+        calls.append((seed, list(streams), list(steps)))
+        return kernel(seed, streams, steps)
+
+    monkeypatch.setattr(engine, "uniforms", counted)
+    return calls
+
+
+def stage_tables(session, forced) -> list:
+    """The ``uniforms`` calls the one-table rule makes for a sampled session:
+    one per stage that draws, over every stream of the stage, from the
+    stage's first draw to its last step (B, or the answer's cap)."""
+    scripted = {p.index: len(forced.get(p.index, [])) for p in session.paths}
+    # body token s of a path is drawn when s is past its script
+    first = min(
+        (scripted[p.index] + 1 for p in session.paths if len(p.tokens) - 2 > scripted[p.index]),
+        default=None,
+    )
+    tables = []
+    if first is not None:
+        steps = list(range(first, session.budget.max_path_tokens + 1))
+        tables.append((session.seed, session.think_labels, steps))
+    if len(session.answer_tokens) > 1:  # a token after SUMMARY_OPEN
+        steps = list(range(1, session.budget.max_answer_tokens + 1))
+        tables.append((session.seed, [ANSWER_STREAM], steps))
+    return tables
+
+
 class TestEngineDraws:
     def test_every_draw_is_the_per_draw_reference(
         self, small_weights, small_table, vocab, monkeypatch
     ):
-        kernel_calls = []
-        kernel = engine.uniforms
-
-        def counted(*args):
-            kernel_calls.append(args)
-            return kernel(*args)
-
-        monkeypatch.setattr(engine, "uniforms", counted)
+        calls = count_kernel_calls(monkeypatch)
         prompt = encode("count the ways", vocab, markup=False)
         drawn = 0
         for num_paths, budget, strategy, seed, forced, sampler in session_cases():
+            calls.clear()
             session = run_session(
                 small_weights, small_table, vocab, prompt, num_paths, sampler,
                 GenerationBudget(budget, 6), strategy, seed=seed, record_logits=True,
@@ -294,11 +326,37 @@ class TestEngineDraws:
             for s, token in enumerate(session.answer_tokens[1:], 1):
                 rng = draw_rng(seed, ANSWER_STREAM, s)
                 assert token == sample_token(session.answer_logits[s - 1], sampler, rng)
+            assert calls == stage_tables(session, forced), (num_paths, strategy, seed)
         assert drawn > 1000
-        assert kernel_calls, "no session filled a uniform chunk"
-        for seed, labels, steps in kernel_calls:
-            assert seed < 2**64
-            assert 1 <= len(steps) <= UNIFORM_CHUNK
+
+    @pytest.mark.parametrize("seed", [7, 2**64 + 3, 2**200 + 7], ids=["1w", "3w", "7w"])
+    @pytest.mark.parametrize(
+        "script_lengths", [{}, {0: 5, 1: 9, 2: 30}], ids=["unscripted", "scripted"]
+    )
+    def test_each_sampled_stage_takes_one_table(
+        self, small_weights, small_table, vocab, monkeypatch, seed, script_lengths
+    ):
+        calls = count_kernel_calls(monkeypatch)
+        rng = np.random.default_rng(seed % 2**32)
+        forced = {i: [int(t) for t in rng.integers(65, 90, n)] for i, n in script_lengths.items()}
+        sampler = SamplerConfig(temperature=0.9, top_p=0.95)
+        session = run_session(
+            small_weights, small_table, vocab, encode("one table", vocab, markup=False), 3,
+            sampler, GenerationBudget(40, 24), Termination.LAST_FINISH, seed=seed,
+            record_logits=True, forced=forced,
+        )
+        first = min(script_lengths.values(), default=0) + 1
+        assert calls == [
+            (seed, session.think_labels, list(range(first, 41))),
+            (seed, [ANSWER_STREAM], list(range(1, 25))),
+        ]
+        # both stages drew past one 16-step chunk of their first draw
+        assert max(len(p.tokens) - 2 for p in session.paths) >= first + 16
+        assert len(session.answer_tokens) - 1 > 16
+        for path in session.paths:
+            for s in range(len(forced.get(path.index, [])) + 1, len(path.tokens) - 1):
+                rng = draw_rng(seed, path.think_label, s)
+                assert path.tokens[s] == sample_token(path.step_logits[s - 1], sampler, rng)
 
     def test_sampler_seed_changes_nothing(self, vocab):
         # the CLI writes sampler.seed beside the top-level seed; stored
@@ -321,23 +379,10 @@ class TestEngineDraws:
             SamplerConfig(temperature=1.1, seed=0)
 
 
-def count_kernel_calls(monkeypatch) -> list:
-    """Record (seed, streams, steps) of every engine ``uniforms`` call."""
-    calls = []
-    kernel = engine.uniforms
-
-    def counted(seed, streams, steps):
-        calls.append((seed, list(streams), list(steps)))
-        return kernel(seed, streams, steps)
-
-    monkeypatch.setattr(engine, "uniforms", counted)
-    return calls
-
-
 class TestAnswerDraws:
-    """An answer draws on its one stream by the reasoning stage's chunk rule:
-    every chunk of ``UNIFORM_CHUNK`` steps, cut at the cap, takes one kernel
-    call when the seed fits 64 bits, and a larger seed draws per token."""
+    """An answer draws on its one stream by the reasoning stage's rule: its
+    first draw, at step 1, computes one table of steps 1 .. cap, whatever
+    the seed and however early the answer stops."""
 
     @pytest.mark.parametrize("cap", [7, 15, 16, 17, 33])
     def test_every_answer_token_is_the_per_draw_reference(
@@ -347,7 +392,8 @@ class TestAnswerDraws:
         sampler = SamplerConfig(temperature=1.2, top_p=0.95)
         prompt = encode("answer me", vocab, markup=False)
         reached_cap = 0
-        for seed in (0, 9, 2**40 + 1, 2**64 + 3):
+        for seed in (0, 9, 2**40 + 1, 2**64 + 3, 2**200 + 7):
+            calls.clear()
             session = run_session(
                 small_weights, small_table, vocab, prompt, 2, sampler,
                 GenerationBudget(3, cap), seed=seed, record_logits=True,
@@ -361,26 +407,21 @@ class TestAnswerDraws:
                     logits, sampler, draw_rng(seed, ANSWER_STREAM, s)
                 )
             reached_cap += len(answer) == cap
+            answer_calls = [call for call in calls if call[1] == [ANSWER_STREAM]]
+            assert answer_calls == [(seed, [ANSWER_STREAM], list(range(1, cap + 1)))]
         assert reached_cap, "no answer ran to its cap"
-        answer_calls = [
-            (seed, steps) for seed, streams, steps in calls if streams == [ANSWER_STREAM]
-        ]
-        assert answer_calls
-        assert all(seed < 2**64 for seed, _ in answer_calls)
-        for _, steps in answer_calls:
-            assert steps == list(range(steps[0], min(steps[0] + UNIFORM_CHUNK, cap + 1)))
-            assert steps[0] % UNIFORM_CHUNK == 1  # chunks start at steps 1, 17, 33, ...
 
 
 class TestRowsJoiningMidChunk:
-    """Scripted paths that end inside a planned chunk start drawing there:
-    each takes its uniform from the chunk planned for every stream of the
-    stage, and it is still the per-draw reference."""
+    """Scripted paths that end after the stage's first draw start drawing
+    inside its table (the stage's one chunk of uniforms, computed for every
+    stream at that first draw), and each draw is still the per-draw
+    reference."""
 
     @pytest.mark.parametrize("labels, script_lengths", [
         ([7, 2, 11, 5], {0: 3, 1: 7, 2: 10}),  # path 3 draws from step 1
-        ([9, 4], {0: 5, 1: 9}),  # the first chunk starts at step 6
-        ([3, 8, 1, 6], {0: 20, 1: 4, 3: 27}),  # joins inside the second chunk
+        ([9, 4], {0: 5, 1: 9}),  # the table starts at step 6
+        ([3, 8, 1, 6], {0: 20, 1: 4, 3: 27}),  # joins 16 or more steps in
     ])
     def test_every_draw_is_the_per_draw_reference(
         self, small_weights, small_table, vocab, monkeypatch, labels, script_lengths
@@ -390,17 +431,17 @@ class TestRowsJoiningMidChunk:
         forced = {i: [int(t) for t in rng.integers(65, 90, n)] for i, n in script_lengths.items()}
         sampler = SamplerConfig(temperature=1.1, top_p=0.9)
         prompt = encode("join late", vocab, markup=False)
-        for seed in (4, 2**33 + 7):
+        for seed in (4, 2**33 + 7, 2**64 + 3):
             calls.clear()
             session = run_session(
                 small_weights, small_table, vocab, prompt, len(labels), sampler,
                 GenerationBudget(40, 4), Termination.LAST_FINISH, think_labels=labels,
                 seed=seed, record_logits=True, forced=forced,
             )
-            # the answer's own chunk is on its one stream; the rest cover every path
-            assert all(streams in (labels, [ANSWER_STREAM]) for _, streams, _ in calls)
-            reasoning = [steps for _, streams, steps in calls if streams == labels]
-            joined_mid_chunk = 0
+            # one table over every path, then the answer's on its one stream
+            assert calls == stage_tables(session, forced)
+            table_steps = calls[0][2]
+            joined_mid_table = 0
             for path in session.paths:
                 script = forced.get(path.index, [])
                 body = path.tokens[1:-1]
@@ -411,6 +452,6 @@ class TestRowsJoiningMidChunk:
                     assert body[s - 1] == sample_token(logits, sampler, draw_rng(*rng_key))
                 joined = len(script) + 1
                 if script and len(body) >= joined:
-                    # the step it joined at lies inside a chunk planned before it
-                    joined_mid_chunk += any(steps[0] < joined <= steps[-1] for steps in reasoning)
-            assert joined_mid_chunk
+                    # the step it joined at lies inside the table computed before it
+                    joined_mid_table += table_steps[0] < joined <= table_steps[-1]
+            assert joined_mid_table
