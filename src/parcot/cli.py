@@ -9,8 +9,10 @@ mismatch or invariant violation.
 An option's dest is its config key.  A run's config holds each option its
 subcommand declares, as parsed, except that a prompt becomes its raw-byte
 ids, a strategy alias its full name and the traces file its traces; a
-session subcommand's model and sampler options are laid out by
-``_base_config``.
+session subcommand's ``--p-max`` and sampler options are laid out as its
+``vocab`` and ``sampler`` objects, beside the fixed ``model``, by
+``_base_config``.  ``harness.run_experiment`` reads such a config whole,
+so argparse is the one place a default is written.
 """
 
 import argparse
@@ -79,30 +81,24 @@ def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--model-seed", type=int, default=1)
     parser.add_argument("--table-seed", type=int, default=2)
-    parser.add_argument("--weights", metavar="FILE", default=None)
-    parser.add_argument("--thought-emb", metavar="FILE", default=None)
+    parser.add_argument("--weights", metavar="FILE", default=None, dest="weights_file")
+    parser.add_argument("--thought-emb", metavar="FILE", default=None, dest="thought_table_file")
     parser.add_argument("--p-max", type=int, default=16)
     parser.add_argument("--out", metavar="DIR", default="out")
 
 
 def _base_config(options: dict) -> dict:
-    """The model and sampler config of a session subcommand, popped off its
-    parsed ``options``."""
-    seed = options.pop("seed")
+    """The model, vocab and sampler objects of a session subcommand's
+    config, their options popped off its parsed ``options``."""
     return {
         "model": TOY_MODEL,
-        "model_seed": options.pop("model_seed"),
-        "table_seed": options.pop("table_seed"),
-        "weights_file": options.pop("weights"),
-        "thought_table_file": options.pop("thought_emb"),
         "vocab": {"base_size": 256, "p_max": options.pop("p_max")},
         "sampler": {
             "temperature": options.pop("temperature"),
             "top_p": options.pop("top_p"),
-            "seed": seed,
+            "seed": options["seed"],
             "greedy": options.pop("greedy"),
         },
-        "seed": seed,
     }
 
 

@@ -17,7 +17,7 @@ for answer positions is the maximum written length.
 A reasoning stage thus makes exactly L_r passes: the openers, one per
 body step and the pass after the stop, each decoding all the paths it
 feeds as one batched forward pass over the cache's path slab.  Every
-stage checks before it writes anything that its last position fits the
+stage checks before it builds anything that its last position fits the
 model, and builds one plan (``model.StagePlan``) that every pass of the
 stage runs under.  A token joins a path only after its forward pass
 succeeds, so a failed call leaves tokens and cache in step.
@@ -470,8 +470,8 @@ def run_reasoning(
         check_token_ids(script, session.weights.config.vocab_size)
     slots = budget.max_path_tokens + 2  # opener + body + closer
     assignment = PositionAssignment(SHARED, l_x=session.l_x, l_max=slots)
+    check_position(session.weights.config, assignment.base(path_key(0)) + slots, "reasoning")
     positions = assignment.positions(path_key(0), 0, slots)
-    check_position(session.weights.config, positions[-1], "reasoning")
     owners = [path_key(p.index) for p in session.paths]
     plan = StagePlan(session.cache, owners, session.think_labels, positions)
     session.budget = budget
@@ -567,8 +567,8 @@ def run_summarization(
     assignment = PositionAssignment(
         SHARED, l_x=session.l_x, l_max=0, reasoning_len=session.reasoning_len
     )
+    check_position(session.weights.config, assignment.base(ANSWER) + slots, "answer")
     positions = assignment.positions(ANSWER, 0, slots)
-    check_position(session.weights.config, positions[-1], "answer")
     # the record and the re-prefill baseline read the cap the answer ran with
     session.budget = replace(session.budget, max_answer_tokens=max_answer_tokens)
     plan = StagePlan(session.cache, [ANSWER], [0], positions)

@@ -4,10 +4,14 @@ termination comparisons, the re-prefill baseline, and the cost model.
 Every experiment is a pure function of (config, seed): per-session seeds
 are derived by hashing the experiment key, records carry the config hash,
 and ``verify_experiment_dir`` re-runs an experiment from its stored
-config and byte-compares the regenerated outputs.  Each experiment
-checks its whole grid before its first session runs.  Within one call,
-the sessions on one prompt prefill it once: the first session on it is
-every later one's ``prompt_from``.
+config and byte-compares the regenerated outputs.  A stored config is
+read whole: it holds every key its CLI subcommand writes, a key it lacks
+is an error, and no key takes a default here (the CLI's argparse options
+are the one place a default is written); only the two file keys,
+``weights_file`` and ``thought_table_file``, may be absent.  Each
+experiment checks its whole grid before its first session runs.  Within
+one call, the sessions on one prompt prefill it once: the first session
+on it is every later one's ``prompt_from``.
 """
 
 import csv
@@ -482,58 +486,69 @@ def run_cost_model(
 # ---------------------------------------------------------------------------
 
 def bundle_from_config(config: dict) -> ModelBundle:
-    vocab = _build(Vocab, config.get("vocab", {}), "vocab")
-    if _path(config, "weights_file"):
-        weights = load_weights(config["weights_file"])
+    """The model bundle a run's config describes, read by the whole-config
+    rule of ``run_experiment``: ``vocab``, then the weights of
+    ``weights_file`` or of ``model`` drawn with ``model_seed``, then the
+    thought table of ``thought_table_file`` or drawn with ``table_seed``.
+    A file key that is absent or null names no file."""
+    config = _keys(config, "the config")
+    vocab = _build(Vocab, config["vocab"], "vocab")
+    if weights_file := _path(config.get("weights_file"), "weights_file"):
+        weights = load_weights(weights_file)
     else:
         model = _build(ModelConfig, config["model"], "model")
-        weights = init_weights(model, config.get("model_seed", 0))
+        weights = init_weights(model, config["model_seed"])
     cfg = weights.config
     check_vocab(cfg, vocab)  # before the table, whose size grows with the vocab's P_max
-    if _path(config, "thought_table_file"):
-        table = load_thought_table(config["thought_table_file"])
+    if table_file := _path(config.get("thought_table_file"), "thought_table_file"):
+        table = load_thought_table(table_file)
     else:
         table = init_thought_table(
-            vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k,
-            config.get("table_seed", 0),
+            vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k, config["table_seed"]
         )
     return ModelBundle(weights=weights, table=table, vocab=vocab)
 
 
 class _Keys(dict):
-    """A JSON object of a run's config, in which reading a key it lacks
-    raises ConfigError naming the key."""
+    """A JSON object of a run's config, named ``what``, in which reading a
+    key it lacks raises ConfigError naming the key and ``what``."""
+
+    def __init__(self, value: dict, what: str):
+        super().__init__(value)
+        self.what = what
 
     def __missing__(self, key):
-        raise ConfigError(f"{key!r} is missing from the run's config")
+        raise ConfigError(f"{key!r} is missing from {self.what}")
 
 
 def _keys(value, what: str) -> _Keys:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be an object, got a {type(value).__name__}")
-    return _Keys(value)
+    return _Keys(value, what)
 
 
 def _build(cls, value, key: str, drop=()):
-    """``cls`` from the config's object at ``key``, less the keys in
-    ``drop``; a key that ``cls`` does not take, or lacks, raises
-    ConfigError naming ``key``."""
-    value = {k: v for k, v in _keys(value, repr(key)).items() if k not in drop}
-    try:
-        inspect.signature(cls).bind(**value)
-    except TypeError as exc:
-        raise ConfigError(f"{key!r}: {exc}") from None
-    return cls(**value)
+    """``cls`` from the config's object at ``key``, which holds every
+    argument of ``cls`` and each key in ``drop`` (read, then left out), and
+    nothing else; a key it lacks, or one ``cls`` does not take, raises
+    ConfigError naming it."""
+    value = _keys(value, repr(key))
+    fields = [*inspect.signature(cls).parameters, *drop]
+    for name in value:
+        if name not in fields:
+            raise ConfigError(f"{key!r}: got an unexpected keyword argument {name!r}")
+    args = {name: value[name] for name in fields}
+    return cls(**{name: arg for name, arg in args.items() if name not in drop})
 
 
 # what a config list's elements must be, by name
 _ELEMENTS = {"integers": is_token_int, "lists": lambda value: isinstance(value, list)}
 
 
-def _list(config: _Keys, key: str, of: str | None = None, default=None) -> list:
-    """The list at ``key``, or ``default`` (when given) if the key is
-    absent; ``of`` names what each element must be (an _ELEMENTS key)."""
-    value = config[key] if default is None else config.get(key, default)
+def _list(config: _Keys, key: str, of: str | None = None) -> list:
+    """The list at ``key``; ``of`` names what each element must be (an
+    _ELEMENTS key)."""
+    value = config[key]
     if not isinstance(value, list):
         raise ConfigError(f"{key!r} must be a list, got {value!r}")
     if of and not all(map(_ELEMENTS[of], value)):
@@ -541,33 +556,42 @@ def _list(config: _Keys, key: str, of: str | None = None, default=None) -> list:
     return value
 
 
-def _path(config: _Keys, key: str) -> str | None:
-    """A file path or null: ``open`` would take an integer as a descriptor."""
-    if not isinstance(config.get(key), (str, type(None))):
-        raise ConfigError(f"{key!r} must be a file path or null, got {config[key]!r}")
-    return config.get(key)
+def _path(value, key: str) -> str | None:
+    """The file path or null at ``key``: ``open`` would take an integer as
+    a descriptor."""
+    if not isinstance(value, (str, type(None))):
+        raise ConfigError(f"{key!r} must be a file path or null, got {value!r}")
+    return value
 
 
 def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
     """Dispatch an experiment from a pure-JSON config (used by verify).
 
-    An unknown name, a config that is not an object, or a key it reads
-    and lacks or cannot use raises ConfigError naming it, before anything
-    runs or is built.  The CLI writes a ``sampler.seed`` equal to the
-    top-level ``seed``; no draw reads it (draws are keyed by session
-    seeds), so it is dropped here and configs that carry it load and hash
-    as written.
+    The config is read whole: it holds every key its subcommand writes
+    (``cli._run_config``), and every field of its ``model``, ``vocab`` and
+    ``sampler`` objects, and no key takes a default here, so a stored run
+    re-runs as exactly the experiment the CLI ran.  Only ``weights_file``
+    and ``thought_table_file`` may be absent, which names no file; the
+    model and its seed are read only when no weights file is named, and
+    the table seed only when no table file is.  An unknown name, a config
+    that is not an object, or a key it reads and lacks or cannot use
+    raises ConfigError naming it, before any session runs.  The CLI writes
+    a ``sampler.seed`` equal to the top-level ``seed``; no draw reads it
+    (draws are keyed by session seeds), so it is dropped once read, and
+    configs that carry any value of it run the same sessions and hash as
+    written.
     """
     if name not in ("costmodel", "sweep", "prefix", "terminate", "reprefill", "generate"):
         raise ConfigError(f"unknown experiment {name!r}")
     config = _keys(config, "the config")
     if name == "costmodel":
-        profile = load_profile(_path(config, "profile_file"))
+        profile = load_profile(_path(config["profile_file"], "profile_file"))
         records = run_cost_model(profile, _list(config, "paths"), _list(config, "lengths"))
         return records, []
-    sampler = _build(SamplerConfig, config.get("sampler", {}), "sampler", drop=("seed",))
-    seed = check_seed(config.get("seed", 0))
+    sampler = _build(SamplerConfig, config["sampler"], "sampler", drop=("seed",))
+    seed = check_seed(config["seed"])
     bundle = bundle_from_config(config)
+    max_answer_tokens = config["max_answer_tokens"]
     if name == "sweep":
         return run_budget_sweep(
             bundle,
@@ -575,66 +599,58 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
             _list(config, "budgets", of="integers"),
             _list(config, "paths", of="integers"),
             sampler,
-            strategy=Termination(config.get("strategy", "first_finish")),
-            allocation=config.get("allocation", "total-budget-split"),
-            max_answer_tokens=config.get("max_answer_tokens", 8),
+            strategy=Termination(config["strategy"]),
+            allocation=config["allocation"],
+            max_answer_tokens=max_answer_tokens,
             seed=seed,
         )
+    budget = GenerationBudget(config["budget"], max_answer_tokens)
     if name == "prefix":
-        lengths = config.get("prefix_lengths")  # None: the default grid below the budget
+        lengths = config["prefix_lengths"]  # null: the default grid below the budget
         return run_prefix_recovery(
             bundle,
             _list(config, "traces"),
-            GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
+            budget,
             sampler,
             config["target_token"],
             prefix_lengths=None if lengths is None else _list(config, "prefix_lengths"),
-            samples=config.get("samples", 16),
+            samples=config["samples"],
             seed=seed,
         )
     if name == "terminate":
         return run_termination_comparison(
             bundle,
             _list(config, "prompts", of="lists"),
-            _list(config, "strategies", default=[t.value for t in Termination]),
+            _list(config, "strategies"),
             sampler,
-            GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
-            num_paths=config.get("paths", 4),
+            budget,
+            num_paths=config["paths"],
             seed=seed,
         )
-    if name == "reprefill":
-        session = run_session(
-            bundle.weights,
-            bundle.table,
-            bundle.vocab,
-            _list(config, "prompt"),
-            config["paths"],
-            sampler,
-            GenerationBudget(config["budget"], config.get("max_answer_tokens", 8)),
-            seed=seed,
-            record_logits=True,
-        )
-        record = run_reprefill_baseline(bundle, session, sampler)
-        return [record], [
-            {"key": ["reprefill", config["paths"]], "record": session_record(session)}
-        ]
-    session = run_session(  # generate
+    # generate and reprefill: one session; reprefill writes no strategy and
+    # runs first finish
+    session = run_session(
         bundle.weights,
         bundle.table,
         bundle.vocab,
         _list(config, "prompt"),
         config["paths"],
         sampler,
-        GenerationBudget(config["budget"], config.get("max_answer_tokens", 32)),
-        strategy=Termination(config.get("strategy", "first_finish")),
+        budget,
+        Termination(config["strategy"] if name == "generate" else "first_finish"),
         seed=seed,
+        record_logits=name == "reprefill",
     )
-    rec = {
-        "paths": config["paths"],
-        "L_r": session.reasoning_len,
-        "answer_tokens": len(session.answer_tokens),
-    }
-    return [rec], [{"key": ["generate"], "record": session_record(session)}]
+    if name == "reprefill":
+        record, key = run_reprefill_baseline(bundle, session, sampler), [name, config["paths"]]
+    else:
+        record = {
+            "paths": config["paths"],
+            "L_r": session.reasoning_len,
+            "answer_tokens": len(session.answer_tokens),
+        }
+        key = [name]
+    return [record], [{"key": key, "record": session_record(session)}]
 
 
 def records_csv_text(name: str, config: dict, records: list[dict]) -> str:

@@ -123,11 +123,18 @@ NORM_EPS = 1e-6
 # scores stay at [CAUSAL_CHUNK, n_heads, length] however long the sequence is.
 CAUSAL_CHUNK = 32
 
+# The most parameter bytes (float32, as PTW1 stores them) a model may have.
+# ``ModelConfig`` checks it arithmetically, so a model of any size is
+# refused before a tensor is listed, drawn or read; 1 GiB admits a
+# bandwidth-bound roofline model of a few hundred MB.
+MAX_MODEL_BYTES = 2**30
+
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Every size is an integer (``is_token_int``, so not a bool), stored as
-    ``int``; ``rope_base`` is a finite positive real, kept as given."""
+    ``int``; ``rope_base`` is a finite positive real, kept as given.  The
+    parameters take at most ``MAX_MODEL_BYTES`` (``parameter_bytes``)."""
 
     n_layers: int
     d_model: int
@@ -161,6 +168,11 @@ class ModelConfig:
             raise ConfigError(f"rope_base must be a finite positive real, got {base!r}")
         if self.max_position < 1:
             raise ConfigError("max_position must be positive")
+        size = parameter_bytes(self)
+        if size > MAX_MODEL_BYTES:
+            raise ConfigError(
+                f"model has {size} parameter bytes, above the cap of {MAX_MODEL_BYTES}"
+            )
 
     def rope(self) -> Rope:
         return rope_for(self.d_k, self.rope_base)
@@ -202,9 +214,9 @@ class LayerWeights:
         return self.w_qkv[2]
 
 
-def _file_tensors(config: ModelConfig):
-    """(layer index or None, field, shape) of every PTW1 tensor in file
-    order; a layer's fields are the arguments of ``from_projections``."""
+def _tensor_table(config: ModelConfig) -> tuple[dict, dict, dict]:
+    """PTW1's tensor shapes by field: those before the layers, one layer's
+    (the arguments of ``from_projections``) and those after them."""
     d, f, v = config.d_model, config.d_ff, config.vocab_size
     layer = {
         "attn_norm": (d,),
@@ -216,12 +228,26 @@ def _file_tensors(config: ModelConfig):
         "w_ff1": (d, f),
         "w_ff2": (f, d),
     }
-    yield None, "embedding", (v, d)
+    return {"embedding": (v, d)}, layer, {"final_norm": (d,), "head": (d, v)}
+
+
+def _file_tensors(config: ModelConfig):
+    """(layer index or None, field, shape) of every PTW1 tensor in file
+    order."""
+    leading, layer, trailing = _tensor_table(config)
+    yield from ((None, field, shape) for field, shape in leading.items())
     for li in range(config.n_layers):
-        for field, shape in layer.items():
-            yield li, field, shape
-    yield None, "final_norm", (d,)
-    yield None, "head", (d, v)
+        yield from ((li, field, shape) for field, shape in layer.items())
+    yield from ((None, field, shape) for field, shape in trailing.items())
+
+
+def parameter_bytes(config: ModelConfig) -> int:
+    """PTW1's parameter bytes for ``config``: one layer's times
+    ``n_layers``, plus the tensors around the layers."""
+    leading, layer, trailing = (
+        sum(math.prod(shape) for shape in table.values()) for table in _tensor_table(config)
+    )
+    return 4 * (leading + config.n_layers * layer + trailing)
 
 
 def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:

@@ -415,16 +415,18 @@ def test_criterion_10_experiment_determinism(tmp_path):
         config = {
             "model": {
                 "n_layers": 2, "d_model": 32, "n_heads": 2, "d_k": 16,
-                "d_ff": 64, "vocab_size": 292,
+                "d_ff": 64, "vocab_size": 292, "rope_base": 10000.0, "max_position": 4096,
             },
             "model_seed": 3,
             "table_seed": 4,
             "vocab": {"base_size": 256, "p_max": 16},
-            "sampler": {"temperature": 0.8, "seed": 17},
+            "sampler": {"temperature": 0.8, "top_p": 1.0, "greedy": False, "seed": 17},
             "seed": 17,
             "prompts": [[104, 105, 106]],
             "budgets": [5],
             "paths": [2],
+            "strategy": "first_finish",
+            "allocation": "total-budget-split",
             "max_answer_tokens": 3,
         }
         first = run_experiment("sweep", config)

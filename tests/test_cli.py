@@ -3,7 +3,13 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shlex
+import struct
+import subprocess
+import sys
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,18 +17,31 @@ import pytest
 from parcot import harness
 from parcot.cli import TOY_MODEL, build_parser, main
 from parcot.costmodel import load_profile
+from parcot.errors import ConfigError, PositionOverflowError
+from parcot.model import MAX_MODEL_BYTES, ModelConfig, load_weights
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 TRACE = {"prompt": [104, 105], "body": [70, 71, 72, 73]}
 
-# the smallest configs of each kind that reach the key a case breaks
-GENERATE = {"prompt": [1], "paths": 1, "budget": 2, "model": TOY_MODEL}
-SWEEP = {"prompts": [[1]], "budgets": [2], "paths": [1], "model": TOY_MODEL}
-TERMINATE = {"prompts": [[1]], "budget": 2, "model": TOY_MODEL}
-PREFIX = {"traces": [TRACE], "budget": 2, "target_token": 70, "model": TOY_MODEL}
-COSTMODEL = {"paths": [1], "lengths": [8]}
+# whole configs of each kind, in which a case breaks one key
+SESSION = {
+    "model": TOY_MODEL, "model_seed": 0, "table_seed": 0,
+    "weights_file": None, "thought_table_file": None,
+    "vocab": {"base_size": 256, "p_max": 16},
+    "sampler": {"temperature": 1.0, "top_p": 1.0, "greedy": False, "seed": 0},
+    "seed": 0,
+}
+GENERATE = {**SESSION, "prompt": [1], "paths": 1, "budget": 2, "strategy": "first_finish",
+            "max_answer_tokens": 32}
+SWEEP = {**SESSION, "prompts": [[1]], "budgets": [2], "paths": [1], "strategy": "first_finish",
+         "allocation": "total-budget-split", "max_answer_tokens": 8}
+TERMINATE = {**SESSION, "prompts": [[1]], "budget": 2, "paths": 4, "max_answer_tokens": 8,
+             "strategies": ["first_finish", "half_finish", "last_finish"]}
+PREFIX = {**SESSION, "traces": [TRACE], "budget": 2, "target_token": 70, "prefix_lengths": None,
+          "samples": 16, "max_answer_tokens": 8}
+COSTMODEL = {"paths": [1], "lengths": [8], "profile_file": None}
 
 
 def run_cli(args):
@@ -353,20 +372,36 @@ class TestSessionOutputs:
         assert {f: hashlib.sha256(data).hexdigest() for f, data in outputs.items()} == digests
 
 
+# a small run of each run-directory subcommand
+RUNS = [
+    ("generate", ["--prompt", "x", "--budget", "2"]),
+    ("sweep", ["--prompt", "x", "--budgets", "4", "--paths-list", "1"]),
+    ("prefix", ["--target-token", "70", "--prefix-lengths", "0", "--samples", "1",
+                "--budget", "4"]),
+    ("terminate", ["--prompt", "x", "--budget", "2"]),
+    ("reprefill", ["--prompt", "x", "--budget", "2"]),
+    ("costmodel", []),
+]
+
+# the keys a run's config may lack: absent, each names no file
+FILE_KEYS = ("weights_file", "thought_table_file")
+
+
 class TestRunConfig:
-    @pytest.mark.parametrize("name, args", [
-        ("generate", ["--prompt", "x", "--budget", "2"]),
-        ("sweep", ["--prompt", "x", "--budgets", "4", "--paths-list", "1"]),
-        ("prefix", ["--target-token", "70", "--prefix-lengths", "0", "--samples", "1",
-                    "--budget", "4"]),
-        ("terminate", ["--prompt", "x", "--budget", "2"]),
-        ("reprefill", ["--prompt", "x", "--budget", "2"]),
-        ("costmodel", []),
-    ])
+    def run(self, tmp_path, name, args) -> Path:
+        if name == "prefix":
+            traces = tmp_path / "traces.jsonl"
+            traces.write_text(json.dumps(TRACE) + "\n")
+            args = ["--traces", str(traces), *args]
+        out = tmp_path / name
+        assert run_cli([name, *args, "--out", str(out)]) == 0
+        return out
+
+    @pytest.mark.parametrize("name, args", RUNS)
     def test_every_written_key_is_read(self, tmp_path, monkeypatch, name, args):
         """``run_experiment`` reads every top-level key the subcommand
         writes, and no other: a key written under the wrong name would
-        otherwise run with its default and still verify."""
+        otherwise be refused as missing, or run unread and still verify."""
         reads = []  # (the object read, the key)
 
         class Logged(harness._Keys):
@@ -379,14 +414,100 @@ class TestRunConfig:
                 return super().get(key, default)
 
         monkeypatch.setattr(harness, "_Keys", Logged)
-        if name == "prefix":
-            traces = tmp_path / "traces.jsonl"
-            traces.write_text(json.dumps(TRACE) + "\n")
-            args = ["--traces", str(traces), *args]
-        out = tmp_path / name
-        assert run_cli([name, *args, "--out", str(out)]) == 0
+        out = self.run(tmp_path, name, args)
         written = json.loads((out / "config.json").read_text())["config"]
         assert {key for read, key in reads if read == written} == set(written)
+
+    @pytest.mark.parametrize("name, args", RUNS)
+    def test_verify_names_each_missing_key(self, tmp_path, capsys, name, args):
+        """A stored config lacking any key its subcommand writes, or any
+        field of its model, vocab or sampler object, is refused naming the
+        key: no key takes a default that could re-run another experiment."""
+        out = self.run(tmp_path, name, args)
+        stored = json.loads((out / "config.json").read_text())
+        config = stored["config"]
+        cases = [(config, key, "the config") for key in config if key not in FILE_KEYS]
+        cases += [
+            (config[obj], key, repr(obj))
+            for obj in ("model", "vocab", "sampler") if obj in config for key in config[obj]
+        ]
+        capsys.readouterr()
+        for where, key, named in cases:
+            value = where.pop(key)
+            (out / "config.json").write_text(json.dumps(stored))
+            assert run_cli(["verify", "--dir", str(out)]) == 1, key
+            assert capsys.readouterr().err == f"error: {key!r} is missing from {named}\n"
+            where[key] = value
+        (out / "config.json").write_text(json.dumps(stored))
+        assert run_cli(["verify", "--dir", str(out)]) == 0
+
+
+def limit_address_space():
+    """512 MiB of address space, for the child process it runs in: about
+    four times what the interpreter and parcot take, and too little for a
+    positions array of 10**8 int64 (763 MiB) beside them."""
+    resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+
+def run_bounded(args):
+    """``parcot args`` in a child process whose address space is limited
+    (in the child only), with a timeout; returns the finished process."""
+    src = Path(harness.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from parcot.cli import main; sys.exit(main())",
+         *args],
+        env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_address_space, capture_output=True, text=True, timeout=60,
+    )
+
+
+class TestSizesRefusedBeforeBuilding:
+    """A size past what the model admits is refused before anything of that
+    size is built."""
+
+    @pytest.mark.parametrize("flag", ["--budget", "--max-answer"])
+    def test_cli_refuses_a_position_past_the_model(self, tmp_path, flag):
+        out = tmp_path / "gen"
+        done = run_bounded(["generate", "--prompt", "hello", flag, "100000000",
+                            "--out", str(out)])
+        assert done.returncode == 1, done.stderr
+        assert re.fullmatch(
+            r"error: (reasoning|answer) would reach position \d+, beyond max_position 4096\n",
+            done.stderr,
+        ), done.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["budget", "max_answer_tokens"])
+    def test_run_experiment_refuses_a_position_past_the_model(self, key):
+        with pytest.raises(PositionOverflowError, match="beyond max_position 4096"):
+            harness.run_experiment("generate", {**GENERATE, key: 10**12})
+
+    @pytest.mark.parametrize("field", ["d_ff", "n_layers"])
+    def test_model_size_is_bounded_before_building(self, field):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=rf"above the cap of {MAX_MODEL_BYTES}$"):
+            ModelConfig(**{**TOY_MODEL, field: 10**12})
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("field", ["d_ff", "n_layers"])
+    def test_verify_refuses_an_oversized_model(self, tmp_path, field):
+        stored = {"experiment": "generate",
+                  "config": {**GENERATE, "model": {**TOY_MODEL, field: 10**12}}}
+        (tmp_path / "config.json").write_text(json.dumps(stored))
+        done = run_bounded(["verify", "--dir", str(tmp_path)])
+        assert done.returncode == 1, done.stderr
+        assert re.fullmatch(
+            rf"error: model has \d+ parameter bytes, above the cap of {MAX_MODEL_BYTES}\n",
+            done.stderr,
+        ), done.stderr
+
+    def test_weight_file_header_is_bounded_before_reading(self, tmp_path):
+        header = {**TOY_MODEL, "d_ff": 2**32 - 1}
+        path = tmp_path / "huge.ptw"
+        values = [int(header[field.name]) for field in fields(ModelConfig)]
+        path.write_bytes(b"PTW1" + struct.pack(f"<{len(values)}I", *values))
+        with pytest.raises(ConfigError, match="parameter bytes, above the cap"):
+            load_weights(str(path))
 
 
 class TestCostModel:
@@ -597,7 +718,9 @@ class TestUnreadableFiles:
         # the name is checked before the config builds any model
         ({"experiment": "nope", "config": {}}, "unknown experiment 'nope'"),
         ({"experiment": "generate", "config": []}, "config must be an object, got a list"),
-        ({"experiment": "generate", "config": {"prompt": [1]}}, "'model' is missing"),
+        ({"experiment": "generate",
+          "config": {key: value for key, value in GENERATE.items() if key != "model"}},
+         "'model' is missing from the config"),
         ({"experiment": "generate", "config": {**GENERATE, "model": 3}},
          "'model' must be an object, got a int"),
         ({"experiment": "generate", "config": {**GENERATE, "vocab": 5}},
@@ -607,7 +730,7 @@ class TestUnreadableFiles:
         ({"experiment": "generate", "config": {**GENERATE, "model": {**TOY_MODEL, "depth": 2}}},
          "'model': got an unexpected keyword argument 'depth'"),
         ({"experiment": "generate", "config": {**GENERATE, "model": {"d_model": 64}}},
-         "'model': missing a required argument: 'n_layers'"),
+         "'n_layers' is missing from 'model'"),
         ({"experiment": "generate", "config": {**GENERATE, "vocab": {"size": 300}}},
          "'vocab': got an unexpected keyword argument 'size'"),
         ({"experiment": "generate", "config": {**GENERATE, "sampler": {"temp": 1.0}}},
@@ -628,7 +751,8 @@ class TestUnreadableFiles:
          "model_seed must be a non-negative integer, got 'x'"),
         ({"experiment": "generate", "config": {**GENERATE, "table_seed": -1}},
          "table_seed must be a non-negative integer, got -1"),
-        ({"experiment": "generate", "config": {**GENERATE, "sampler": {"greedy": "no"}}},
+        ({"experiment": "generate",
+          "config": {**GENERATE, "sampler": {**SESSION["sampler"], "greedy": "no"}}},
          "greedy must be true or false, got 'no'"),
         # each list is checked before the total-budget split compares its elements
         ({"experiment": "sweep", "config": {**SWEEP, "paths": ["2"]}},

@@ -446,16 +446,18 @@ class TestVerification:
         return {
             "model": {
                 "n_layers": 2, "d_model": 32, "n_heads": 2, "d_k": 16,
-                "d_ff": 64, "vocab_size": 292,
+                "d_ff": 64, "vocab_size": 292, "rope_base": 10000.0, "max_position": 4096,
             },
             "model_seed": 3,
             "table_seed": 4,
             "vocab": {"base_size": 256, "p_max": 16},
-            "sampler": {"temperature": 0.9, "seed": 5},
+            "sampler": {"temperature": 0.9, "top_p": 1.0, "greedy": False, "seed": 5},
             "seed": 1,
             "prompts": [prompt],
             "budgets": [4],
             "paths": [2],
+            "strategy": "first_finish",
+            "allocation": "total-budget-split",
             "max_answer_tokens": 3,
         }
 

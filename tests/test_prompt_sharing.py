@@ -230,12 +230,12 @@ def experiment_configs():
     base = {
         "model": {
             "n_layers": 2, "d_model": 32, "n_heads": 2, "d_k": 16, "d_ff": 64,
-            "vocab_size": 292,
+            "vocab_size": 292, "rope_base": 10000.0, "max_position": 4096,
         },
         "model_seed": 3,
         "table_seed": 4,
         "vocab": {"base_size": 256, "p_max": 16},
-        "sampler": {"temperature": 0.9, "top_p": 0.8, "seed": 5},
+        "sampler": {"temperature": 0.9, "top_p": 0.8, "greedy": False, "seed": 5},
         "seed": 2,
         "max_answer_tokens": 3,
     }
@@ -243,7 +243,7 @@ def experiment_configs():
     return {
         "sweep": (
             dict(base, prompts=prompts, budgets=[4, 6], paths=[1, 3],
-                 strategy="half_finish"),
+                 strategy="half_finish", allocation="total-budget-split"),
             2,
         ),
         "prefix": (
@@ -251,7 +251,11 @@ def experiment_configs():
                  budget=6, prefix_lengths=[0, 2], samples=3, target_token=70),
             2,
         ),
-        "terminate": (dict(base, prompts=prompts, budget=5, paths=3), 2),
+        "terminate": (
+            dict(base, prompts=prompts, budget=5, paths=3,
+                 strategies=["first_finish", "half_finish", "last_finish"]),
+            2,
+        ),
     }
 
 
