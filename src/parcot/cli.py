@@ -10,14 +10,16 @@ An option's dest is its config key.  A run's config holds each option its
 subcommand declares, as parsed, except that a prompt becomes its raw-byte
 ids, a strategy alias its full name and the traces file its traces; a
 session subcommand's ``--p-max`` and sampler options are laid out as its
-``vocab`` and ``sampler`` objects, beside the fixed ``model``, by
-``_base_config``.  ``harness.run_experiment`` reads such a config whole,
-so argparse is the one place a default is written.
+``vocab`` and ``sampler`` objects, beside the ``model`` that runs (the
+``--weights`` file's, else the fixed toy model), by ``_base_config``.
+``harness.run_experiment`` reads such a config whole, so argparse is the
+one place a default is written.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import partial
 
 from .costmodel import load_profile
@@ -36,6 +38,7 @@ from .harness import (
     verify_experiment_dir,
     write_experiment,
 )
+from .model import weights_config
 from .tokenizer import Vocab, decode, encode
 
 TOY_MODEL = {
@@ -89,9 +92,12 @@ def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
 
 def _base_config(options: dict) -> dict:
     """The model, vocab and sampler objects of a session subcommand's
-    config, their options popped off its parsed ``options``."""
+    config, their options popped off its parsed ``options``.  The model is
+    the one that runs: the weights file's, read from its header, or else
+    TOY_MODEL, drawn with ``model_seed``."""
+    weights_file = options["weights_file"]
     return {
-        "model": TOY_MODEL,
+        "model": asdict(weights_config(weights_file)) if weights_file else TOY_MODEL,
         "vocab": {"base_size": 256, "p_max": options.pop("p_max")},
         "sampler": {
             "temperature": options.pop("temperature"),

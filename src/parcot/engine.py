@@ -25,7 +25,13 @@ succeeds, so a failed call leaves tokens and cache in step.
 The summarization stage reuses the reasoning-phase KV storage directly
 (no re-prefill): the engine inserts SUMMARY_OPEN and decodes the answer
 against the prompt, every path, and the answer prefix, one token per
-one-slot pass (``model.forward``).
+one-slot pass (``model.forward``).  A session's budget is written once,
+by ``run_reasoning``: the answer cap is that budget's
+``max_answer_tokens``, and the session record and the re-prefill
+baseline read the same one.  A session's ``stage`` advances REASONING ->
+SUMMARIZATION -> DONE: ``run_reasoning`` runs only at the first,
+``run_summarization`` only at the second, and the re-prefill baseline
+(``harness.run_reprefill_baseline``) only at DONE.
 
 Sampling draws are keyed (session seed, stream, step), where the stream
 is the path's think label (or ANSWER_STREAM, 0, for the answer), so any
@@ -55,7 +61,7 @@ read-only once prefilled, so no session can change what another reads.
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -86,9 +92,10 @@ from .tokenizer import Vocab, check_seed, is_real, is_token_int
 
 ANSWER_STREAM = 0  # think labels start at 1, so stream 0 is free
 
-# a session's lifecycle: it reasons, then summarizes
+# a session's lifecycle: it reasons, then summarizes, then is done
 REASONING = "reasoning"
 SUMMARIZATION = "summarization"
+DONE = "done"
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,6 @@ class GenerationSession:
         self.seed = seed
         self.record_logits = record_logits
         self.stage = REASONING
-        self.answer_done = False
         self.paths = [
             PathState(index=i, think_label=think_labels[i]) for i in range(num_paths)
         ]
@@ -547,30 +553,24 @@ def run_reasoning(
     return session
 
 
-def run_summarization(
-    session: GenerationSession, sampler: SamplerConfig, max_answer_tokens: int
-) -> list[int]:
+def run_summarization(session: GenerationSession, sampler: SamplerConfig) -> list[int]:
     """Decode the answer over the reused caches; returns the sampled tokens.
 
-    The engine inserts SUMMARY_OPEN itself.  Decoding stops after
-    ``max_answer_tokens`` samples or once SUMMARY_CLOSE or EOS is sampled
-    (the terminator is recorded and fed like any other token).  The cap
-    becomes the session's ``budget.max_answer_tokens``.
+    The engine inserts SUMMARY_OPEN itself.  Decoding stops after the
+    session budget's ``max_answer_tokens`` samples (the budget
+    ``run_reasoning`` stored) or once SUMMARY_CLOSE or EOS is sampled (the
+    terminator is recorded and fed like any other token).  The session
+    then reaches its last stage, DONE.
     """
     if session.stage != SUMMARIZATION:
-        raise LifecycleError("summarization requires a finished reasoning stage")
-    if session.answer_done:
-        raise LifecycleError("summarization already ran for this session")
-    max_answer_tokens = _token_cap(max_answer_tokens, 0, "answer")
-    vocab = session.vocab
-    slots = max_answer_tokens + 1  # SUMMARY_OPEN first
+        raise LifecycleError(f"summarization runs at the summarization stage, not {session.stage}")
+    vocab, cap = session.vocab, session.budget.max_answer_tokens
+    slots = cap + 1  # SUMMARY_OPEN first
     assignment = PositionAssignment(
         SHARED, l_x=session.l_x, l_max=0, reasoning_len=session.reasoning_len
     )
     check_position(session.weights.config, assignment.base(ANSWER) + slots, "answer")
     positions = assignment.positions(ANSWER, 0, slots)
-    # the record and the re-prefill baseline read the cap the answer ran with
-    session.budget = replace(session.budget, max_answer_tokens=max_answer_tokens)
     plan = StagePlan(session.cache, [ANSWER], [0], positions)
     session.cache.reserve(ANSWER, slots)
 
@@ -583,8 +583,8 @@ def run_summarization(
         return logits
 
     logits = feed(vocab.summary_open)
-    sampled = decode_answer(logits, feed, session.seed, sampler, vocab, max_answer_tokens)
-    session.answer_done = True
+    sampled = decode_answer(logits, feed, session.seed, sampler, vocab, cap)
+    session.stage = DONE
     return sampled
 
 
@@ -615,7 +615,7 @@ def run_session(
         prompt_from=prompt_from,
     )
     run_reasoning(session, sampler, budget, strategy, forced=forced)
-    run_summarization(session, sampler, budget.max_answer_tokens)
+    run_summarization(session, sampler)
     return session
 
 

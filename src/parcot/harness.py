@@ -8,8 +8,10 @@ config and byte-compares the regenerated outputs.  A stored config is
 read whole: it holds every key its CLI subcommand writes, a key it lacks
 is an error, and no key takes a default here (the CLI's argparse options
 are the one place a default is written); only the two file keys,
-``weights_file`` and ``thought_table_file``, may be absent.  Each
-experiment checks its whole grid before its first session runs.  Within
+``weights_file`` and ``thought_table_file``, may be absent.  Every key
+is read and checked before any weights are drawn or loaded, and a
+weights file must hold the config's ``model``.  Each experiment checks
+its whole grid before its first session runs.  Within
 one call, the sessions on one prompt prefill it once: the first session
 on it is every later one's ``prompt_from``.
 """
@@ -20,7 +22,7 @@ import inspect
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .costmodel import (
     predict_step_time,
 )
 from .engine import (
+    DONE,
     GenerationBudget,
     GenerationSession,
     SamplerConfig,
@@ -391,7 +394,7 @@ def run_reprefill_baseline(
     own-answer decode may fill its whole answer budget), and
     ``max_position_used`` is the largest of those positions.
     """
-    if not session.answer_done:  # set only once summarization has run
+    if session.stage != DONE:
         raise LifecycleError("re-prefill baseline needs a completed session")
     cfg = bundle.weights.config
     l_x = session.l_x
@@ -487,25 +490,35 @@ def run_cost_model(
 
 def bundle_from_config(config: dict) -> ModelBundle:
     """The model bundle a run's config describes, read by the whole-config
-    rule of ``run_experiment``: ``vocab``, then the weights of
-    ``weights_file`` or of ``model`` drawn with ``model_seed``, then the
-    thought table of ``thought_table_file`` or drawn with ``table_seed``.
-    A file key that is absent or null names no file."""
+    rule of ``run_experiment``: ``vocab`` and ``model``, then the weights of
+    ``weights_file``, which must hold that model, or of ``model`` drawn
+    with ``model_seed``, then the thought table of ``thought_table_file``
+    or drawn with ``table_seed``.  Every key is read and checked before
+    anything is drawn or loaded.  A file key that is absent or null names
+    no file."""
     config = _keys(config, "the config")
     vocab = _build(Vocab, config["vocab"], "vocab")
-    if weights_file := _path(config.get("weights_file"), "weights_file"):
+    model = _build(ModelConfig, config["model"], "model")
+    check_vocab(model, vocab)  # before the table, whose size grows with the vocab's P_max
+    weights_file = _path(config.get("weights_file"), "weights_file")
+    table_file = _path(config.get("thought_table_file"), "thought_table_file")
+    model_seed = None if weights_file else check_seed(config["model_seed"], "model_seed")
+    table_seed = None if table_file else check_seed(config["table_seed"], "table_seed")
+    if weights_file:
         weights = load_weights(weights_file)
+        for f in fields(model):  # the file's own model is the one that runs
+            ours, theirs = getattr(model, f.name), getattr(weights.config, f.name)
+            if ours != theirs:
+                raise ConfigError(
+                    f"'model' has {f.name} {ours!r}, but weights file {weights_file!r}"
+                    f" holds {theirs!r}"
+                )
     else:
-        model = _build(ModelConfig, config["model"], "model")
-        weights = init_weights(model, config["model_seed"])
-    cfg = weights.config
-    check_vocab(cfg, vocab)  # before the table, whose size grows with the vocab's P_max
-    if table_file := _path(config.get("thought_table_file"), "thought_table_file"):
+        weights = init_weights(model, model_seed)
+    if table_file:
         table = load_thought_table(table_file)
     else:
-        table = init_thought_table(
-            vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k, config["table_seed"]
-        )
+        table = init_thought_table(vocab.p_max, model.n_layers, model.n_heads, model.d_k, table_seed)
     return ModelBundle(weights=weights, table=table, vocab=vocab)
 
 
@@ -572,10 +585,12 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
     ``sampler`` objects, and no key takes a default here, so a stored run
     re-runs as exactly the experiment the CLI ran.  Only ``weights_file``
     and ``thought_table_file`` may be absent, which names no file; the
-    model and its seed are read only when no weights file is named, and
-    the table seed only when no table file is.  An unknown name, a config
-    that is not an object, or a key it reads and lacks or cannot use
-    raises ConfigError naming it, before any session runs.  The CLI writes
+    model's seed is read only when no weights file is named (a named file
+    must hold the config's ``model``), and the table seed only when no
+    table file is.  An unknown name, a config that is not an object, or a
+    key it reads and lacks or cannot use raises ConfigError naming it:
+    the experiment's own keys before the model is built, and every key
+    before any session runs.  The CLI writes
     a ``sampler.seed`` equal to the top-level ``seed``; no draw reads it
     (draws are keyed by session seeds), so it is dropped once read, and
     configs that carry any value of it run the same sessions and hash as
@@ -590,62 +605,60 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
         return records, []
     sampler = _build(SamplerConfig, config["sampler"], "sampler", drop=("seed",))
     seed = check_seed(config["seed"])
-    bundle = bundle_from_config(config)
-    max_answer_tokens = config["max_answer_tokens"]
+    # every key the experiment reads is read and checked before the model is built
     if name == "sweep":
-        return run_budget_sweep(
-            bundle,
-            _list(config, "prompts", of="lists"),
-            _list(config, "budgets", of="integers"),
-            _list(config, "paths", of="integers"),
-            sampler,
+        grid = dict(
+            prompts=_list(config, "prompts", of="lists"),
+            budgets=_list(config, "budgets", of="integers"),
+            paths_list=_list(config, "paths", of="integers"),
             strategy=Termination(config["strategy"]),
             allocation=config["allocation"],
-            max_answer_tokens=max_answer_tokens,
-            seed=seed,
+            # checked as each cell's budget checks it
+            max_answer_tokens=GenerationBudget(1, config["max_answer_tokens"]).max_answer_tokens,
         )
-    budget = GenerationBudget(config["budget"], max_answer_tokens)
+        return run_budget_sweep(bundle_from_config(config), sampler=sampler, seed=seed, **grid)
+    budget = GenerationBudget(config["budget"], config["max_answer_tokens"])
     if name == "prefix":
         lengths = config["prefix_lengths"]  # null: the default grid below the budget
-        return run_prefix_recovery(
-            bundle,
-            _list(config, "traces"),
-            budget,
-            sampler,
-            config["target_token"],
+        study = dict(
+            traces=_list(config, "traces"),
+            target_token=config["target_token"],
             prefix_lengths=None if lengths is None else _list(config, "prefix_lengths"),
             samples=config["samples"],
-            seed=seed,
         )
+        return run_prefix_recovery(
+            bundle_from_config(config), budget=budget, sampler=sampler, seed=seed, **study
+        )
+    num_paths = config["paths"]
     if name == "terminate":
+        prompts = _list(config, "prompts", of="lists")
+        strategies = [Termination(strategy) for strategy in _list(config, "strategies")]
         return run_termination_comparison(
-            bundle,
-            _list(config, "prompts", of="lists"),
-            _list(config, "strategies"),
-            sampler,
-            budget,
-            num_paths=config["paths"],
-            seed=seed,
+            bundle_from_config(config), prompts, strategies, sampler, budget,
+            num_paths=num_paths, seed=seed,
         )
     # generate and reprefill: one session; reprefill writes no strategy and
     # runs first finish
+    prompt = _list(config, "prompt")
+    strategy = Termination(config["strategy"] if name == "generate" else "first_finish")
+    bundle = bundle_from_config(config)
     session = run_session(
         bundle.weights,
         bundle.table,
         bundle.vocab,
-        _list(config, "prompt"),
-        config["paths"],
+        prompt,
+        num_paths,
         sampler,
         budget,
-        Termination(config["strategy"] if name == "generate" else "first_finish"),
+        strategy,
         seed=seed,
         record_logits=name == "reprefill",
     )
     if name == "reprefill":
-        record, key = run_reprefill_baseline(bundle, session, sampler), [name, config["paths"]]
+        record, key = run_reprefill_baseline(bundle, session, sampler), [name, num_paths]
     else:
         record = {
-            "paths": config["paths"],
+            "paths": num_paths,
             "L_r": session.reasoning_len,
             "answer_tokens": len(session.answer_tokens),
         }

@@ -83,7 +83,9 @@ Weight file format ("PTW1", little-endian):
   order: the embedding, each layer's tensors, the final norm and the
   head.  ``w_q``, ``w_k`` and ``w_v`` are written as three matrices, in
   the order of the ``w_qkv`` stack they are loaded into.  Both loaders
-  build their weights with ``ModelWeights.from_tensors``.
+  build their weights with ``ModelWeights.from_tensors``.  One header
+  reader gives a file's ``ModelConfig`` to ``load_weights`` and to
+  ``weights_config``, which reads the header alone.
 """
 
 import math
@@ -329,23 +331,35 @@ def save_weights(weights: ModelWeights, path: str) -> None:
             fh.write(np.ascontiguousarray(tensor, dtype="<f4").tobytes(order="C"))
 
 
+def _read_header(fh, path: str) -> ModelConfig:
+    """The model of the PTW1 file open as ``fh``, from its magic and header;
+    ``fh`` is left at the file's first tensor."""
+    head = fh.read(_HEADER_END)
+    if head[:4] != WEIGHT_MAGIC:
+        raise ConfigError(f"bad weight-file magic in {path!r}")
+    if len(head) < _HEADER_END:
+        raise ConfigError(f"weight file {path!r} is shorter than its {_HEADER_END}-byte header")
+    values = _HEADER.unpack(head[len(WEIGHT_MAGIC) :])
+    # each field takes its declared type, so rope_base comes back a float
+    return ModelConfig(**{f.name: f.type(v) for f, v in zip(fields(ModelConfig), values)})
+
+
+def weights_config(path: str) -> ModelConfig:
+    """The model a PTW1 file holds, read from its header alone."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
 def load_weights(path: str) -> ModelWeights:
     with open(path, "rb") as fh:
+        config = _read_header(fh, path)
         blob = fh.read()
-    if blob[:4] != WEIGHT_MAGIC:
-        raise ConfigError(f"bad weight-file magic in {path!r}")
-    if len(blob) < _HEADER_END:
-        raise ConfigError(f"weight file {path!r} is shorter than its {_HEADER_END}-byte header")
-    values = _HEADER.unpack(blob[len(WEIGHT_MAGIC) : _HEADER_END])
-    # each field takes its declared type, so rope_base comes back a float
-    config = ModelConfig(**{f.name: f.type(v) for f, v in zip(fields(ModelConfig), values)})
     shapes = [shape for _, shape in tensor_shapes(config)]
     sizes = [math.prod(shape) for shape in shapes]
-    expected = _HEADER_END + 4 * sum(sizes)
-    if len(blob) != expected:
-        raise ConfigError(f"weight file length {len(blob)} != expected {expected}")
-    flat = np.frombuffer(blob, dtype="<f4", offset=_HEADER_END)
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    length, expected = _HEADER_END + len(blob), _HEADER_END + 4 * sum(sizes)
+    if length != expected:
+        raise ConfigError(f"weight file length {length} != expected {expected}")
+    parts = np.split(np.frombuffer(blob, dtype="<f4"), np.cumsum(sizes)[:-1])
     return ModelWeights.from_tensors(
         config, [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]
     )

@@ -152,7 +152,7 @@ def _zero_reprefill_trial(weights, table, vocab, prompt, num_paths, seed, budget
         path_key(i): session.cache.length(path_key(i))
         for i in range(num_paths)
     }
-    run_summarization(session, sampler, budget.max_answer_tokens)
+    run_summarization(session, sampler)
 
     # zero-copy: the view's prompt/path entries are the reasoning
     # storage itself, and nothing in it changed during summarization

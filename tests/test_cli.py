@@ -442,6 +442,60 @@ class TestRunConfig:
         assert run_cli(["verify", "--dir", str(out)]) == 0
 
 
+# the keys ``bundle_from_config`` reads; run_experiment reads every other
+BUNDLE_KEYS = ("model", "vocab", "model_seed", "table_seed", *FILE_KEYS)
+REPREFILL = {key: value for key, value in GENERATE.items() if key != "strategy"}
+EXPERIMENTS = {"generate": GENERATE, "reprefill": REPREFILL, "sweep": SWEEP,
+               "terminate": TERMINATE, "prefix": PREFIX}
+
+# one value per case that the key's own check refuses, and its message
+BROKEN = [
+    ("generate", "budget", 0, "path budget must be an integer of at least 1, got 0"),
+    ("generate", "max_answer_tokens", -1, "answer budget must be an integer of at least 0"),
+    ("generate", "prompt", 5, "'prompt' must be a list, got 5"),
+    ("generate", "strategy", "bogus", "unknown termination strategy 'bogus'"),
+    ("reprefill", "budget", "2", "path budget must be an integer of at least 1, got '2'"),
+    ("sweep", "prompts", [5], r"'prompts' must be a list of lists, got \[5\]"),
+    ("sweep", "budgets", 5, "'budgets' must be a list, got 5"),
+    ("sweep", "paths", ["2"], "'paths' must be a list of integers"),
+    ("sweep", "strategy", "bogus", "unknown termination strategy 'bogus'"),
+    ("sweep", "max_answer_tokens", 2.5, "answer budget must be an integer of at least 0"),
+    ("terminate", "strategies", ["bogus"], "unknown termination strategy 'bogus'"),
+    ("terminate", "prompts", 5, "'prompts' must be a list, got 5"),
+    ("terminate", "max_answer_tokens", None, "answer budget must be an integer"),
+    ("prefix", "traces", 5, "'traces' must be a list, got 5"),
+    ("prefix", "prefix_lengths", 3, "'prefix_lengths' must be a list, got 3"),
+    ("prefix", "budget", True, "path budget must be an integer of at least 1"),
+]
+
+
+class TestKeysReadBeforeTheModel:
+    """``run_experiment`` reads and checks every key of its experiment
+    before ``bundle_from_config`` draws or loads any weights."""
+
+    @pytest.fixture(autouse=True)
+    def no_model(self, monkeypatch):
+        def refuse(config):
+            raise AssertionError("the model was built before every key was read")
+
+        monkeypatch.setattr(harness, "bundle_from_config", refuse)
+
+    @pytest.mark.parametrize("name, key", [
+        (name, key) for name, config in EXPERIMENTS.items()
+        for key in config if key not in BUNDLE_KEYS
+    ])
+    def test_a_missing_key(self, name, key):
+        config = {k: v for k, v in EXPERIMENTS[name].items() if k != key}
+        with pytest.raises(ConfigError, match=f"^{key!r} is missing from the config$"):
+            harness.run_experiment(name, config)
+
+    @pytest.mark.parametrize("name, key, value, message", BROKEN,
+                             ids=[f"{name}-{key}" for name, key, *_ in BROKEN])
+    def test_a_broken_key(self, name, key, value, message):
+        with pytest.raises(ConfigError, match=message):
+            harness.run_experiment(name, {**EXPERIMENTS[name], key: value})
+
+
 def limit_address_space():
     """512 MiB of address space, for the child process it runs in: about
     four times what the interpreter and parcot take, and too little for a
@@ -547,24 +601,53 @@ class TestTerminationAliases:
 
 
 class TestWeightFiles:
-    def test_generate_from_saved_weights(self, tmp_path, small_weights, small_table):
+    @staticmethod
+    def generate_from_files(tmp_path, weights, table) -> Path:
+        """A generate run on ``weights`` and ``table`` saved to files;
+        returns its run directory."""
         from parcot.model import save_weights
         from parcot.positional import save_thought_table
 
         wpath = str(tmp_path / "model.ptw")
         tpath = str(tmp_path / "table.ptt")
-        save_weights(small_weights, wpath)
-        save_thought_table(small_table, tpath)
-        out = str(tmp_path / "gen")
+        save_weights(weights, wpath)
+        save_thought_table(table, tpath)
+        out = tmp_path / "gen"
         code = run_cli(
             [
                 "generate", "--prompt", "y", "--paths", "2", "--budget", "3",
                 "--max-answer", "2", "--greedy", "--weights", wpath,
-                "--thought-emb", tpath, "--out", out,
+                "--thought-emb", tpath, "--out", str(out),
             ]
         )
         assert code == 0
-        assert run_cli(["verify", "--dir", out]) == 0
+        return out
+
+    def test_generate_from_saved_weights(self, tmp_path, small_weights, small_table):
+        out = self.generate_from_files(tmp_path, small_weights, small_table)
+        # the stored model is the file's (d_model 32), not the toy model
+        model = json.loads((out / "config.json").read_text())["config"]["model"]
+        assert model["d_model"] == 32
+        assert model == {f.name: getattr(small_weights.config, f.name)
+                         for f in fields(ModelConfig)}
+        assert run_cli(["verify", "--dir", str(out)]) == 0
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"d_model": 64, "n_heads": 4}, "d_model"),
+        ({"d_ff": 128}, "d_ff"),
+        ({"rope_base": 500.0}, "rope_base"),
+    ], ids=["d_model", "d_ff", "rope_base"])
+    def test_verify_refuses_a_model_the_file_does_not_hold(
+        self, tmp_path, small_weights, small_table, capsys, edit, field
+    ):
+        out = self.generate_from_files(tmp_path, small_weights, small_table)
+        stored = json.loads((out / "config.json").read_text())
+        stored["config"]["model"].update(edit)
+        (out / "config.json").write_text(json.dumps(stored))
+        capsys.readouterr()
+        assert run_cli(["verify", "--dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: 'model' has {field} ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("dims", [(2, 4, 8), (1, 4, 16)], ids=["d_k-8", "one-layer"])
     def test_thought_table_that_does_not_fit_the_model(self, tmp_path, capsys, dims):

@@ -488,13 +488,13 @@ class TestUniformLength:
 class TestCacheDiscipline:
     def test_no_path_writes_after_transition(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab, num_paths=2, seed=4)
-        run_reasoning(session, GREEDY, GenerationBudget(5))
+        run_reasoning(session, GREEDY, GenerationBudget(5, 6))
         hashes = {
             path_key(i): session.cache.tables[path_key(i)].content_hash()
             for i in range(2)
         }
         prompt_hash = session.cache.tables["prompt"].content_hash()
-        run_summarization(session, GREEDY, 6)
+        run_summarization(session, GREEDY)
         for seg, digest in hashes.items():
             assert session.cache.tables[seg].content_hash() == digest
         assert session.cache.tables["prompt"].content_hash() == prompt_hash
@@ -563,13 +563,16 @@ class TestFailureAtomicity:
         weights, table = short_model
         session = GenerationSession(weights, table, vocab, list(range(65, 73)), 2)
         forced = forced_schedule(vocab, [None, None], horizon=8)
-        run_reasoning(session, GREEDY, GenerationBudget(8), forced=forced)
+        run_reasoning(session, GREEDY, GenerationBudget(8, 30), forced=forced)
+        before = self.session_state(session)
         with pytest.raises(PositionOverflowError):  # 8 + 10 + 1 + 30 > 40
-            run_summarization(session, GREEDY, 30)
+            run_summarization(session, GREEDY)
         self.assert_in_step(session)
         assert session.answer_tokens == []
-        run_summarization(session, GREEDY, 4)
-        self.assert_in_step(session)
+        assert self.session_state(session) == before
+        with pytest.raises(PositionOverflowError):  # refused the same way again
+            run_summarization(session, GREEDY)
+        assert self.session_state(session) == before
 
     def test_failed_step_appends_no_token(self, small_weights, small_table, vocab, monkeypatch):
         session = make_session(small_weights, small_table, vocab, num_paths=3)
@@ -648,16 +651,18 @@ class TestFailureAtomicity:
 
     @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.bool_(True), "3", None, -1])
     def test_bad_answer_cap_refused_before_any_write(self, small_weights, small_table, vocab, bad):
+        # the answer cap is the session budget's, refused when the budget is
+        # built, so a session never holds one
         session = make_session(small_weights, small_table, vocab, num_paths=2)
-        run_reasoning(session, GREEDY, GenerationBudget(3, 5))
-        before = (session.budget, session.stage, session.cache.length(ANSWER))
+        before = self.session_state(session)
         with pytest.raises(ConfigError, match="answer budget must be an integer of at least 0"):
-            run_summarization(session, GREEDY, bad)
-        assert (session.budget, session.stage, session.cache.length(ANSWER)) == before
-        assert session.answer_tokens == []
-        run_summarization(session, GREEDY, np.int64(2))  # the session is still usable
+            run_reasoning(session, GREEDY, GenerationBudget(3, bad))
+        assert self.session_state(session) == before
+        run_reasoning(session, GREEDY, GenerationBudget(3, np.int64(2)))  # still usable
+        run_summarization(session, GREEDY)
         assert type(session.budget.max_answer_tokens) is int
         assert session.budget.max_answer_tokens == 2
+        assert 2 <= len(session.answer_tokens) <= 3  # SUMMARY_OPEN and at most 2 samples
 
     def test_numpy_seed_stored_as_int(self, small_weights, small_table, vocab):
         sampler = SamplerConfig(temperature=0.9)
@@ -828,28 +833,30 @@ class TestSummarization:
 
     def test_zero_answer_budget(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab, num_paths=2, seed=1)
-        run_reasoning(session, GREEDY, GenerationBudget(3))
-        sampled = run_summarization(session, GREEDY, 0)
+        run_reasoning(session, GREEDY, GenerationBudget(3, 0))
+        sampled = run_summarization(session, GREEDY)
         assert sampled == []
         assert session.answer_tokens == [vocab.summary_open]
 
     def test_requires_reasoning_first(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab)
         with pytest.raises(LifecycleError):
-            run_summarization(session, GREEDY, 4)
+            run_summarization(session, GREEDY)
 
     def test_cannot_rerun(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab, seed=3)
-        run_reasoning(session, GREEDY, GenerationBudget(3))
-        run_summarization(session, GREEDY, 2)
+        run_reasoning(session, GREEDY, GenerationBudget(3, 2))
+        run_summarization(session, GREEDY)
         with pytest.raises(LifecycleError):
-            run_summarization(session, GREEDY, 2)
+            run_summarization(session, GREEDY)
 
     def test_stage_transition_happens_once(self, small_weights, small_table, vocab):
         session = make_session(small_weights, small_table, vocab, seed=5)
         assert session.stage == "reasoning"
-        run_reasoning(session, GREEDY, GenerationBudget(3))
+        run_reasoning(session, GREEDY, GenerationBudget(3, 2))
         assert session.stage == "summarization"
+        run_summarization(session, GREEDY)
+        assert session.stage == "done"
 
 
 def spy_attend(monkeypatch):
@@ -903,7 +910,7 @@ class TestAnswerPass:
         session = make_session(weights, table, vocab, num_paths=len(finish_steps),
                                seed=3, record_logits=True)
         forced = forced_schedule(vocab, finish_steps, horizon=12)
-        run_reasoning(session, GREEDY, GenerationBudget(12), strategy, forced)
+        run_reasoning(session, GREEDY, GenerationBudget(12, 6), strategy, forced)
         return session
 
     @pytest.mark.parametrize("strategy, finish_steps", [
@@ -923,7 +930,7 @@ class TestAnswerPass:
         assert equal == (strategy is Termination.FIRST_FINISH)
 
         calls = spy_attend(monkeypatch)
-        run_summarization(session, GREEDY, 6)
+        run_summarization(session, GREEDY)
         slab = session.cache.paths
         assert calls
         for _, keys, values, hidden in calls:
@@ -943,7 +950,7 @@ class TestAnswerPass:
         for row, length in enumerate(lengths):
             poisoned.cache.paths.k[:, row, length:] = 1e4
             poisoned.cache.paths.v[:, row, length:] = -1e4
-        run_summarization(poisoned, GREEDY, 6)
+        run_summarization(poisoned, GREEDY)
         assert poisoned.answer_tokens == session.answer_tokens
         for got, want in zip(poisoned.answer_logits, session.answer_logits):
             assert np.array_equal(got, want)
@@ -968,7 +975,7 @@ class TestAnswerPass:
         prefill_calls = len(calls)
         finish = [3 + (i % 5) for i in range(num_paths)]
         forced = forced_schedule(vocab, finish, horizon=8)
-        run_reasoning(session, GREEDY, GenerationBudget(8), strategy, forced)
+        run_reasoning(session, GREEDY, GenerationBudget(8, 5), strategy, forced)
         layers = small_weights.config.n_layers
         reasoning = calls[prefill_calls:]
         assert len(reasoning) == layers * len(active)
@@ -986,7 +993,7 @@ class TestAnswerPass:
         assert any(in_place)
 
         del calls[:]
-        run_summarization(session, GREEDY, 5)
+        run_summarization(session, GREEDY)
         assert len(calls) == layers * len(session.answer_tokens)
         lengths = [len(p.tokens) for p in session.paths]
         equal = len(set(lengths)) == 1
@@ -1075,7 +1082,7 @@ class TestStagePlans:
             assert len(builds) == (0 if donor else 1)
             assert isinstance(session.cache.tables, Tables)
             run_reasoning(session, GREEDY, GenerationBudget(8, 6), strategy, forced)
-            run_summarization(session, GREEDY, 6)
+            run_summarization(session, GREEDY)
             assert len(builds) == (2 if donor else 3)
             assert passes.count("forward") > 4
             donor, builds[:], passes[:] = session, [], []

@@ -369,14 +369,14 @@ class TestReprefillBaseline:
         assert record["own_answer"] == session.answer_tokens
 
     def test_answer_cap_is_the_one_the_answer_ran_with(self, small_weights, vocab, prompt):
-        # the reasoning budget's answer cap (64) is not the one summarization
-        # gets (3); the record and the baseline's own answer must use 3
+        # the answer runs with the session budget's cap (3), not the default
+        # (64); the record and the baseline's own answer must use 3
         cfg = small_weights.config
         zero = zero_thought_table(vocab.p_max, cfg.n_layers, cfg.n_heads, cfg.d_k)
         greedy = SamplerConfig(greedy=True)
         session = GenerationSession(small_weights, zero, vocab, prompt, 1, seed=3)
-        run_reasoning(session, greedy, GenerationBudget(6))
-        run_summarization(session, greedy, 3)
+        run_reasoning(session, greedy, GenerationBudget(6, 3))
+        run_summarization(session, greedy)
         assert len(session.answer_tokens) == 4  # SUMMARY_OPEN and 3 samples
         assert session.budget == GenerationBudget(6, 3)
         assert session_record(session)["config"]["budget"]["max_answer_tokens"] == 3

@@ -81,7 +81,7 @@ def decode(weights, table, vocab, case, prompt_from=None):
     run_reasoning(
         session, case["sampler"], GenerationBudget(case["budget"], 4), case["strategy"], forced
     )
-    run_summarization(session, case["sampler"], 4)
+    run_summarization(session, case["sampler"])
     return session
 
 

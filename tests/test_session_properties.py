@@ -64,7 +64,7 @@ def reasoned(weights, table, vocab, case, sampler, forced):
         seed=case["seed"], record_logits=True,
     )
     run_reasoning(
-        session, sampler, GenerationBudget(case["budget"]), case["strategy"], forced
+        session, sampler, GenerationBudget(case["budget"], 3), case["strategy"], forced
     )
     return session
 
@@ -99,14 +99,14 @@ def test_lockstep_paths_replay_alone(small_weights, small_table, vocab, case):
     # nothing in the prompt or path storage changes after the transition
     context = [PROMPT] + [path_key(p.index) for p in session.paths]
     hashes = {seg: session.cache.tables[seg].content_hash() for seg in context}
-    run_summarization(session, sampler, 3)
+    run_summarization(session, sampler)
     cache_matches_tokens(session)
     for seg, digest in hashes.items():
         assert session.cache.tables[seg].content_hash() == digest
 
     # same seed, same bytes
     again = reasoned(small_weights, small_table, vocab, case, sampler, forced)
-    run_summarization(again, sampler, 3)
+    run_summarization(again, sampler)
     assert canonical_json(session_record(again)).encode() == canonical_json(
         session_record(session)
     ).encode()
