@@ -199,13 +199,7 @@ class GenerationSession:
         prompt_from: "GenerationSession | None" = None,
     ):
         cfg = weights.config
-        if not is_token_int(num_paths):
-            raise ConfigError(f"num_paths must be an integer, got {num_paths!r}")
-        num_paths = int(num_paths)
-        if num_paths < 1:
-            raise ConfigError("need at least one path")
-        if num_paths > vocab.p_max:
-            raise ConfigError(f"P={num_paths} exceeds P_max={vocab.p_max}")
+        num_paths = check_num_paths(num_paths, vocab)
         check_vocab(cfg, vocab)
         if table.p_max < vocab.p_max:
             raise ConfigError(
@@ -217,11 +211,7 @@ class GenerationSession:
                 f" (n_layers, n_heads, d_k) = {(cfg.n_layers, cfg.n_heads, cfg.d_k)}"
             )
         seed = check_seed(seed)
-        if not prompt_tokens:
-            raise DataError("prompt must contain at least one token")
-        check_token_ids(prompt_tokens, cfg.vocab_size)
-        prompt_tokens = [int(t) for t in prompt_tokens]
-        check_position(cfg, len(prompt_tokens), "prompt")
+        prompt_tokens = check_prompt(cfg, prompt_tokens)
         if think_labels is None:
             think_labels = range(1, num_paths + 1)
         if len(think_labels) != num_paths:
@@ -276,6 +266,44 @@ class GenerationSession:
             path_lengths=tuple(len(p.tokens) for p in self.paths),
             answer_length=len(self.answer_tokens),
         )
+
+
+def check_num_paths(num_paths, vocab: Vocab) -> int:
+    """A session's path count as ``int``: an integer from 1 to the vocab's
+    ``p_max``."""
+    if not is_token_int(num_paths):
+        raise ConfigError(f"num_paths must be an integer, got {num_paths!r}")
+    num_paths = int(num_paths)
+    if num_paths < 1:
+        raise ConfigError("need at least one path")
+    if num_paths > vocab.p_max:
+        raise ConfigError(f"P={num_paths} exceeds P_max={vocab.p_max}")
+    return num_paths
+
+
+def check_prompt(cfg: ModelConfig, prompt_tokens) -> list[int]:
+    """A session's prompt as ``int`` ids: at least one token, every id in
+    the model's vocab, and its last position within ``max_position``."""
+    if not prompt_tokens:
+        raise DataError("prompt must contain at least one token")
+    check_token_ids(prompt_tokens, cfg.vocab_size)
+    prompt_tokens = [int(t) for t in prompt_tokens]
+    check_position(cfg, len(prompt_tokens), "prompt")
+    return prompt_tokens
+
+
+def check_forced(
+    forced: dict[int, list[int]], num_paths: int, budget: GenerationBudget, vocab_size: int
+) -> None:
+    """Each forced script must be keyed by a path index below ``num_paths``,
+    fit the body budget and hold ids of a vocab of ``vocab_size``."""
+    for index, script in forced.items():
+        if index not in range(num_paths) or len(script) > budget.max_path_tokens:
+            raise DataError(
+                f"forced script for path {index!r} ({len(script)} tokens) does not fit"
+                f" paths 0..{num_paths - 1} with a budget of {budget.max_path_tokens}"
+            )
+        check_token_ids(script, vocab_size)
 
 
 def check_vocab(cfg: ModelConfig, vocab: Vocab) -> None:
@@ -467,13 +495,7 @@ def run_reasoning(
         raise LifecycleError("reasoning stage already consumed")
     strategy = Termination(strategy)
     forced = forced or {}
-    for index, script in forced.items():
-        if index not in range(session.num_paths) or len(script) > budget.max_path_tokens:
-            raise DataError(
-                f"forced script for path {index!r} ({len(script)} tokens) does not fit"
-                f" paths 0..{session.num_paths - 1} with a budget of {budget.max_path_tokens}"
-            )
-        check_token_ids(script, session.weights.config.vocab_size)
+    check_forced(forced, session.num_paths, budget, session.weights.config.vocab_size)
     slots = budget.max_path_tokens + 2  # opener + body + closer
     assignment = PositionAssignment(SHARED, l_x=session.l_x, l_max=slots)
     check_position(session.weights.config, assignment.base(path_key(0)) + slots, "reasoning")

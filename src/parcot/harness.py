@@ -11,9 +11,18 @@ are the one place a default is written); only the two file keys,
 ``weights_file`` and ``thought_table_file``, may be absent.  Every key
 is read and checked before any weights are drawn or loaded, and a
 weights file must hold the config's ``model``.  Each experiment checks
-its whole grid before its first session runs.  Within
-one call, the sessions on one prompt prefill it once: the first session
-on it is every later one's ``prompt_from``.
+its whole grid before its first session runs: every budget, every path
+count, every prompt and every forced prefix, by the checks the session
+itself would apply (``engine.check_num_paths``, ``check_prompt``,
+``check_forced``).
+
+Every experiment runs its sessions through one runner (``_Runner``),
+which holds two rules.  Prompt sharing: within one call, the first
+session on a prompt prefills it, and every later session on the same
+tokens, whichever prompt or trace of the grid names them, is given that
+session as ``prompt_from``.  Transcripts: as each session ends, the
+runner appends ``{"key": key, "record": session_record(session)}`` to the
+call's transcript list, so transcripts are in the order sessions ran.
 """
 
 import csv
@@ -39,6 +48,9 @@ from .engine import (
     SamplerConfig,
     Termination,
     canonical_json,
+    check_forced,
+    check_num_paths,
+    check_prompt,
     check_vocab,
     decode_answer,
     majority_vote,
@@ -96,6 +108,45 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()
 
 
+class _Runner:
+    """Runs one experiment call's sessions on ``bundle`` with ``sampler``
+    by the prompt-sharing and transcript rules of the module docstring.
+    Every prompt the call will run is checked when the runner is built,
+    before its first session."""
+
+    def __init__(self, bundle: ModelBundle, sampler: SamplerConfig, prompts):
+        for prompt in prompts:
+            check_prompt(bundle.weights.config, prompt)
+        self.bundle = bundle
+        self.sampler = sampler
+        self.donors: dict[tuple, GenerationSession] = {}
+        self.transcripts: list[dict] = []
+
+    def session(self, key, prompt, num_paths, budget, strategy, seed, record_logits=False):
+        """A full session: reasoning under ``strategy``, then the answer."""
+        weights, table, vocab = self.bundle.weights, self.bundle.table, self.bundle.vocab
+        session = run_session(
+            weights, table, vocab, prompt, num_paths, self.sampler, budget, strategy,
+            seed=seed, record_logits=record_logits, prompt_from=self.donors.get(tuple(prompt)),
+        )
+        return self._ended(key, session)
+
+    def reasoning(self, key, prompt, budget, forced, seed):
+        """A one-path session that reasons to its first finish, its leading
+        body tokens ``forced``, and answers nothing."""
+        weights, table, vocab = self.bundle.weights, self.bundle.table, self.bundle.vocab
+        session = GenerationSession(
+            weights, table, vocab, prompt, 1, seed=seed, prompt_from=self.donors.get(tuple(prompt))
+        )
+        run_reasoning(session, self.sampler, budget, Termination.FIRST_FINISH, forced={0: forced})
+        return self._ended(key, session)
+
+    def _ended(self, key, session: GenerationSession) -> GenerationSession:
+        self.donors.setdefault(tuple(session.prompt_tokens), session)
+        self.transcripts.append({"key": key, "record": session_record(session)})
+        return session
+
+
 # ---------------------------------------------------------------------------
 # budget sweep
 # ---------------------------------------------------------------------------
@@ -127,77 +178,43 @@ def run_budget_sweep(
         raise ConfigError(f"sweeps run serially; workers must be 1, got {workers}")
     if allocation not in ("total-budget-split", "per-path-budget"):
         raise DataError(f"unknown allocation policy {allocation!r}")
-    if allocation == "total-budget-split":
-        for budget_tokens in budgets:
-            for num_paths in paths_list:
-                if budget_tokens < num_paths:
-                    raise DataError(
-                        f"budget {budget_tokens} cannot be split across {num_paths} samples"
-                    )
-    records: list[dict] = []
-    transcripts: list[dict] = []
-    # every session on prompt pi reuses the first one's prefill
-    prefilled: dict[int, GenerationSession] = {}
-
-    def one_cell(budget_tokens: int, num_paths: int, pi: int, prompt: list[int]):
-        sess_seed = derive_seed(seed, "sweep", budget_tokens, num_paths, pi)
-        session = run_session(
-            bundle.weights,
-            bundle.table,
-            bundle.vocab,
-            prompt,
-            num_paths,
-            sampler,
-            GenerationBudget(budget_tokens, max_answer_tokens),
-            strategy,
-            seed=sess_seed,
-            prompt_from=prefilled.get(pi),
-        )
-        prefilled.setdefault(pi, session)
-        records.append(_sweep_record("parallel", budget_tokens, num_paths, pi, [session]))
-        transcripts.append(
-            {"key": ["sweep", "parallel", budget_tokens, num_paths, pi],
-             "record": session_record(session)}
-        )
-
-        if allocation == "total-budget-split":
-            per_sample = budget_tokens // num_paths
-        else:
-            per_sample = budget_tokens
-        maj_sessions = []
-        for s in range(num_paths):
-            maj_seed = derive_seed(seed, "sweep-maj", budget_tokens, num_paths, pi, s)
-            maj_sessions.append(
-                run_session(
-                    bundle.weights,
-                    bundle.table,
-                    bundle.vocab,
-                    prompt,
-                    1,
-                    sampler,
-                    GenerationBudget(per_sample, max_answer_tokens),
-                    Termination.FIRST_FINISH,
-                    seed=maj_seed,
-                    prompt_from=prefilled[pi],
-                )
-            )
-        rec = _sweep_record("majority", budget_tokens, num_paths, pi, maj_sessions)
-        rec["per_sample_budget"] = per_sample
-        rec["majority_answer_len"] = len(
-            majority_vote([tuple(s.answer_tokens) for s in maj_sessions])
-        )
-        records.append(rec)
-        for s, ms in enumerate(maj_sessions):
-            transcripts.append(
-                {"key": ["sweep", "majority", budget_tokens, num_paths, pi, s],
-                 "record": session_record(ms)}
-            )
-
+    split = allocation == "total-budget-split"
+    cells = []  # (B, P, the parallel session's budget, each majority sample's)
     for budget_tokens in budgets:
         for num_paths in paths_list:
-            for pi, prompt in enumerate(prompts):
-                one_cell(budget_tokens, num_paths, pi, prompt)
-    return records, transcripts
+            if split and budget_tokens < num_paths:
+                raise DataError(
+                    f"budget {budget_tokens} cannot be split across {num_paths} samples"
+                )
+            budget = GenerationBudget(budget_tokens, max_answer_tokens)
+            check_num_paths(num_paths, bundle.vocab)
+            per_sample = budget_tokens // num_paths if split else budget_tokens
+            sample = GenerationBudget(per_sample, max_answer_tokens)
+            cells.append((budget_tokens, num_paths, budget, sample))
+    runner = _Runner(bundle, sampler, prompts)
+    records: list[dict] = []
+    for budget_tokens, num_paths, budget, sample in cells:
+        for pi, prompt in enumerate(prompts):
+            cell = [budget_tokens, num_paths, pi]
+            session = runner.session(
+                ["sweep", "parallel", *cell], prompt, num_paths, budget, strategy,
+                derive_seed(seed, "sweep", *cell),
+            )
+            records.append(_sweep_record("parallel", *cell, [session]))
+            votes = [
+                runner.session(
+                    ["sweep", "majority", *cell, s], prompt, 1, sample, Termination.FIRST_FINISH,
+                    derive_seed(seed, "sweep-maj", *cell, s),
+                )
+                for s in range(num_paths)
+            ]
+            rec = _sweep_record("majority", *cell, votes)
+            rec["per_sample_budget"] = sample.max_path_tokens
+            rec["majority_answer_len"] = len(
+                majority_vote([tuple(s.answer_tokens) for s in votes])
+            )
+            records.append(rec)
+    return records, runner.transcripts
 
 
 def _sweep_record(mode, budget_tokens, num_paths, prompt_index, sessions) -> dict:
@@ -262,40 +279,18 @@ def run_prefix_recovery(
                 raise DataError(
                     f"prefix {n} leaves no budget (B={budget.max_path_tokens})"
                 )
+            check_forced({0: trace["body"][:n]}, 1, budget, vocab_size)
+    runner = _Runner(bundle, sampler, [trace["prompt"] for trace in traces])
     records: list[dict] = []
-    transcripts: list[dict] = []
     for ti, trace in enumerate(traces):
-        prompt = trace["prompt"]
-        body = trace["body"]
-        prefilled = None  # the trace's first session; the rest reuse its prefill
         for n in prefix_lengths:
             successes = 0
             for s in range(samples):
-                sess_seed = derive_seed(seed, "prefix", ti, n, s)
-                session = GenerationSession(
-                    bundle.weights,
-                    bundle.table,
-                    bundle.vocab,
-                    prompt,
-                    1,
-                    think_labels=[1],
-                    seed=sess_seed,
-                    prompt_from=prefilled,
+                session = runner.reasoning(
+                    ["prefix", ti, n, s], trace["prompt"], budget, trace["body"][:n],
+                    derive_seed(seed, "prefix", ti, n, s),
                 )
-                prefilled = prefilled or session
-                run_reasoning(
-                    session,
-                    sampler,
-                    budget,
-                    Termination.FIRST_FINISH,
-                    forced={0: list(body[:n])},
-                )
-                continuation = session.paths[0].tokens[1 + n :]
-                if target_token in continuation:
-                    successes += 1
-                transcripts.append(
-                    {"key": ["prefix", ti, n, s], "record": session_record(session)}
-                )
+                successes += target_token in session.paths[0].tokens[1 + n :]
             records.append(
                 {
                     "trace": ti,
@@ -304,7 +299,7 @@ def run_prefix_recovery(
                     "success_rate": successes / samples,
                 }
             )
-    return records, transcripts
+    return records, runner.transcripts
 
 
 # ---------------------------------------------------------------------------
@@ -321,26 +316,15 @@ def run_termination_comparison(
     seed: int = 0,
 ) -> tuple[list[dict], list[dict]]:
     """Identical seeds across strategies; records lengths and token totals."""
+    strategies = [Termination(strategy) for strategy in strategies]
+    runner = _Runner(bundle, sampler, prompts)
     records: list[dict] = []
-    transcripts: list[dict] = []
     for pi, prompt in enumerate(prompts):
         sess_seed = derive_seed(seed, "terminate", pi)  # shared across strategies
-        prefilled = None  # the prompt's first session; the rest reuse its prefill
         for strategy in strategies:
-            strategy = Termination(strategy)
-            session = run_session(
-                bundle.weights,
-                bundle.table,
-                bundle.vocab,
-                prompt,
-                num_paths,
-                sampler,
-                budget,
-                strategy,
-                seed=sess_seed,
-                prompt_from=prefilled,
+            session = runner.session(
+                ["terminate", strategy.value, pi], prompt, num_paths, budget, strategy, sess_seed
             )
-            prefilled = prefilled or session
             records.append(
                 {
                     "strategy": strategy.value,
@@ -351,10 +335,7 @@ def run_termination_comparison(
                     "answer_tokens": len(session.answer_tokens),
                 }
             )
-            transcripts.append(
-                {"key": ["terminate", strategy.value, pi], "record": session_record(session)}
-            )
-    return records, transcripts
+    return records, runner.transcripts
 
 
 # ---------------------------------------------------------------------------
@@ -642,28 +623,20 @@ def run_experiment(name: str, config: dict) -> tuple[list[dict], list[dict]]:
     prompt = _list(config, "prompt")
     strategy = Termination(config["strategy"] if name == "generate" else "first_finish")
     bundle = bundle_from_config(config)
-    session = run_session(
-        bundle.weights,
-        bundle.table,
-        bundle.vocab,
-        prompt,
-        num_paths,
-        sampler,
-        budget,
-        strategy,
-        seed=seed,
-        record_logits=name == "reprefill",
+    runner = _Runner(bundle, sampler, [prompt])
+    key = [name, num_paths] if name == "reprefill" else [name]
+    session = runner.session(
+        key, prompt, num_paths, budget, strategy, seed, record_logits=name == "reprefill"
     )
     if name == "reprefill":
-        record, key = run_reprefill_baseline(bundle, session, sampler), [name, num_paths]
+        record = run_reprefill_baseline(bundle, session, sampler)
     else:
         record = {
             "paths": num_paths,
             "L_r": session.reasoning_len,
             "answer_tokens": len(session.answer_tokens),
         }
-        key = [name]
-    return [record], [{"key": key, "record": session_record(session)}]
+    return [record], runner.transcripts
 
 
 def records_csv_text(name: str, config: dict, records: list[dict]) -> str:
