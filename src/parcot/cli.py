@@ -39,7 +39,7 @@ from .harness import (
     write_experiment,
 )
 from .model import weights_config
-from .tokenizer import Vocab, decode, encode
+from .tokenizer import Vocab, decode, encode, read_text
 
 TOY_MODEL = {
     "n_layers": 2,
@@ -109,18 +109,20 @@ def _base_config(options: dict) -> dict:
 
 
 def _encode(text: str) -> list[int]:
-    return encode(text, Vocab(), markup=False)  # raw bytes: no control id is read
+    try:
+        return encode(text, Vocab(), markup=False)  # raw bytes: no control id is read
+    except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8
+        raise DataError(f"--prompt is not UTF-8 text (character {exc.start})") from exc
 
 
 def _read_traces(path: str) -> list:
     traces = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    traces.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip():
+            try:
+                traces.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
     return traces
 
 

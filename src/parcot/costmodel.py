@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 
 from .errors import ConfigError
-from .tokenizer import is_real, is_token_int
+from .tokenizer import is_real, is_token_int, read_text
 
 PROFILE_FORMAT = "ptprofile-1"
 DEFAULT_PROFILE_NAME = "decoder_1p5b_hbm.json"
@@ -85,8 +85,7 @@ def load_profile(path: str | None = None) -> dict:
             resources.files("parcot.profiles").joinpath(DEFAULT_PROFILE_NAME).read_text()
         )
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
     try:
         profile = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -33,7 +33,7 @@ from .masking import AttentionMask, LayoutPlan
 # perfbench/instrument.py wraps these two by name in this module's namespace
 from .masking import build_reasoning_mask, build_summary_mask  # noqa: F401
 from .positional import ANSWER, PROMPT, SHARED, PositionAssignment, path_key
-from .tokenizer import Vocab, encode, is_token_int, sample_think_tokens
+from .tokenizer import Vocab, encode, is_token_int, read_text, sample_think_tokens
 
 SCHEMA_FORMAT = "ptsft-1"
 MAX_CONTEXT_TOKENS = 28672
@@ -64,6 +64,13 @@ class RawProblem:
         for i, path in enumerate(self.paths):
             if not isinstance(path, str):
                 raise DataError(f"problem path {i} must be a string, got {type(path).__name__}")
+        texts = {"query": self.query, "answer": self.answer}
+        texts.update((f"path {i}", path) for i, path in enumerate(self.paths))
+        for name, text in texts.items():
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:  # a lone surrogate, such as "\udcff"
+                raise DataError(f"problem {name} is not UTF-8 text") from exc
 
 
 @dataclass(frozen=True)
@@ -375,17 +382,16 @@ def problem_from_record(record: dict) -> RawProblem:
 
 def read_problems(path: str) -> list[RawProblem]:
     problems = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                problems.append(problem_from_record(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
-            except DataError as exc:
-                raise DataError(f"line {line_no}: {exc}") from exc
+    for line_no, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            problems.append(problem_from_record(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"line {line_no}: invalid JSON: {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"line {line_no}: {exc}") from exc
     return problems
 
 

@@ -1,18 +1,20 @@
 """Two-stage generation: synchronized parallel reasoning, then summarization.
 
-The reasoning stage drives all paths from one decode loop.  Step s feeds
-each open path its s-th body token.  One rule ends and closes paths under
-every termination strategy.  A path ends when its token is EOS (cause
-``eos``), or when the stage stops: once the paths that emitted EOS reach
-the strategy's threshold (``Termination.threshold``) or the step reaches
-the body budget B, every path still open ends with cause
-``strategy_stop`` or ``budget``.  A path that ends takes its THINK_CLOSE
-in the stage's next pass, beside the open paths' next tokens, and writes
-nothing after it.  The pass after the stop feeds closers only and takes
-no draw.  Under first_finish the threshold is one, so all paths end on
-the same step with identical written lengths; under half/last_finish
-paths that ended earlier are shorter, and the reasoning length L_r used
-for answer positions is the maximum written length.
+The reasoning stage drives all paths from one decode loop, whose one piece
+of state maps each path index to the token that path's next pass feeds:
+its opener, its body tokens (scripted or chosen), then the THINK_CLOSE it
+takes in the pass after it ends.  Pass s feeds exactly the paths that hold
+a token, in path order, and a path that has taken its closer holds none.
+One rule ends paths under every termination strategy.  A path ends when
+its token is EOS (cause ``eos``), or when the stage stops: once the paths
+that emitted EOS reach the strategy's threshold (``Termination.threshold``)
+or the step reaches the body budget B, every path still open ends with
+cause ``strategy_stop`` or ``budget``.  A path writes nothing after its
+closer.  The pass after the stop feeds closers only and takes no draw.
+Under first_finish the threshold is one, so all paths end on the same
+step with identical written lengths; under half/last_finish paths that
+ended earlier are shorter, and the reasoning length L_r used for answer
+positions is the maximum written length.
 
 A reasoning stage thus makes exactly L_r passes: the openers, one per
 body step and the pass after the stop, each decoding all the paths it
@@ -41,15 +43,16 @@ softmax, the nucleus, and that uniform searched in the nucleus's
 cumulative distribution (``sample_tokens``): the arithmetic that
 ``Generator.choice`` performs once it has validated its probabilities,
 written out so that draws (and ``verify``) do not rest on numpy's
-``choice`` internals.  Both stages take their uniforms by one rule: a
-sampled stage's first draw computes, by one call of the kernel
-``pcg.uniforms`` (the same doubles, for any seed), the table of every
-stream of the stage from that step to the stage's last (B for reasoning,
-the cap for the answer), and every later draw indexes it.  A sampled
-reasoning step samples all its drawn rows in one ``sample_tokens``
-call; the answer, reused cache or re-prefill baseline alike, is decoded by
-one loop (``decode_answer``).  Greedy decoding draws nothing: each token
-is its row's argmax.
+``choice`` internals.  Both stages pick tokens by one rule (``_choose``):
+greedy takes each row's argmax and draws nothing; otherwise one
+``sample_tokens`` call draws every row of the block, a reasoning step's
+unscripted open paths or the answer's one row.  Both stages also take
+their uniforms by one rule: a sampled stage's first draw computes, by one
+call of the kernel ``pcg.uniforms`` (the same doubles, for any seed), the
+table of every stream of the stage from that step to the stage's last (B
+for reasoning, the cap for the answer), and every later draw indexes it.
+The answer, reused cache or re-prefill baseline alike, is decoded by one
+loop (``decode_answer``).
 
 A session given ``prompt_from``, an earlier session on the same weights,
 thought table and prompt, prefills nothing: its cache reads the earlier
@@ -259,14 +262,6 @@ class GenerationSession:
     def l_x(self) -> int:
         return len(self.prompt_tokens)
 
-    def layout_plan(self) -> LayoutPlan:
-        """Serialized slot layout of the session's current contents."""
-        return LayoutPlan(
-            l_x=self.l_x,
-            path_lengths=tuple(len(p.tokens) for p in self.paths),
-            answer_length=len(self.answer_tokens),
-        )
-
 
 def check_num_paths(num_paths, vocab: Vocab) -> int:
     """A session's path count as ``int``: an integer from 1 to the vocab's
@@ -284,7 +279,7 @@ def check_num_paths(num_paths, vocab: Vocab) -> int:
 def check_prompt(cfg: ModelConfig, prompt_tokens) -> list[int]:
     """A session's prompt as ``int`` ids: at least one token, every id in
     the model's vocab, and its last position within ``max_position``."""
-    if not prompt_tokens:
+    if len(prompt_tokens) == 0:  # a numpy array has no truth value
         raise DataError("prompt must contain at least one token")
     check_token_ids(prompt_tokens, cfg.vocab_size)
     prompt_tokens = [int(t) for t in prompt_tokens]
@@ -452,23 +447,32 @@ class _StageUniforms:
         return self.table[rows, step - self.first]
 
 
+def _choose(block: np.ndarray, sampler: SamplerConfig, draws, step: int, rows) -> list[int]:
+    """The token rule of both stages: the tokens of a ``[n, vocab]`` block
+    at ``step``.  Greedy takes each row's argmax (lowest id on ties; a
+    forward pass has rejected non-finite logits) and draws nothing;
+    otherwise one ``sample_tokens`` call draws row r with the uniform of
+    the stage's stream at ``rows[r]``."""
+    if sampler.greedy:
+        return block.argmax(axis=1).tolist()
+    return sample_tokens(block, sampler, draws.take(step, rows)).tolist()
+
+
 def decode_answer(
     logits: np.ndarray, feed, seed: int, sampler: SamplerConfig, vocab: Vocab, cap: int
 ) -> list[int]:
     """The answer rule; returns the tokens taken from ``logits`` onward.
 
-    Step s (1-based) takes the argmax when greedy, else ``sample_token``
-    with the uniform keyed (seed, ANSWER_STREAM, s), and feeds the token
-    through ``feed(token) -> logits``.  Decoding stops after ``cap`` tokens,
-    or once SUMMARY_CLOSE or EOS has been fed.
+    Step s (1-based) takes its token by the token rule that reasoning
+    uses (``_choose``, on ``logits`` as a one-row block: the argmax when
+    greedy, else the draw with the uniform keyed (seed, ANSWER_STREAM, s)),
+    and feeds it through ``feed(token) -> logits``.  Decoding stops after
+    ``cap`` tokens, or once SUMMARY_CLOSE or EOS has been fed.
     """
     draws = _StageUniforms(seed, [ANSWER_STREAM], cap)
     answer: list[int] = []
     for step in range(1, cap + 1):
-        if sampler.greedy:  # a forward pass has rejected non-finite logits
-            token = int(np.argmax(logits))
-        else:
-            token = sample_token(logits, sampler, draws.take(step, [0]))
+        token = _choose(logits[None], sampler, draws, step, [0])[0]
         answer.append(token)
         logits = feed(token)
         if token in (vocab.summary_close, vocab.eos):
@@ -507,71 +511,47 @@ def run_reasoning(
     session.cache.reserve_paths(session.num_paths, slots)
     eos, close = session.vocab.eos, session.vocab.think_close
     threshold = strategy.threshold(session.num_paths)
-
-    active = list(session.paths)  # the open paths, in path order
-    ended = []  # paths that have ended: the next pass feeds their closers
-    chosen = [session.vocab.think_open(label) for label in session.think_labels]
     draws = _StageUniforms(session.seed, session.think_labels, budget.max_path_tokens)
-    completed = 0
-    # pass s feeds body token s (the openers at 0) to each open path and its
-    # closer to each path that ended on step s - 1; the pass after the stop
-    # feeds closers only and is the last
-    for step in range(budget.max_path_tokens + 2):
-        fed, tokens = active, chosen
-        if ended:  # every path not yet closed, in path order
-            fed = sorted(active + ended, key=lambda p: p.index)
-            body = iter(chosen)
-            tokens = [close(p.think_label) if p.finish_cause else next(body) for p in fed]
+    # the token each path's next pass feeds, in path order: its opener, its
+    # body tokens, then the closer it takes in the pass after it ends
+    feed = {p.index: session.vocab.think_open(p.think_label) for p in session.paths}
+    completed = step = 0
+    while feed:  # pass s feeds body token s (the openers at 0)
         # a path's index is its row among the plan's owners
-        logits = forward(session.weights, session.table, plan, tokens, [p.index for p in fed], step)
+        rows, tokens = list(feed), list(feed.values())
+        completed += tokens.count(eos)
+        stop = completed >= threshold or step == budget.max_path_tokens
+        cause = "strategy_stop" if completed >= threshold else "budget"
+        logits = forward(session.weights, session.table, plan, tokens, rows, step)
+        feed, drawn = {}, []
         # a token joins its path only once the pass has succeeded
-        for path, token, row in zip(fed, tokens, logits):
-            path.tokens.append(int(token))
+        for r, (i, token) in enumerate(zip(rows, tokens)):
+            path = session.paths[i]
+            path.tokens.append(token)
             if session.record_logits:
-                path.step_logits.append(row)
-        if not active:
-            break
-        ended = [p for p, token in zip(active, chosen) if token == eos]
-        completed += len(ended)
-        if completed >= threshold or step == budget.max_path_tokens:
-            ended = active  # the stop ends every open path
-        stop = "strategy_stop" if completed >= threshold else "budget"
-        for path in ended:  # its own EOS, or else the stop
-            path.finish_cause = "eos" if path.tokens[-1] == eos else stop
-        if ended or len(fed) > len(active):  # drop the rows that ended or closed
-            rows = [r for r, p in enumerate(fed) if p.finish_cause is None]
-            active = [fed[r] for r in rows]
-            logits = logits[rows]
-
-        # the next pass's body tokens: row r of the logits is active[r]'s;
-        # greedy rows take the block's argmax in one call (lowest id on ties,
-        # as sample_token); forward has rejected non-finite logits
-        greedy = logits.argmax(axis=1).tolist() if sampler.greedy else None
-        chosen = []
-        drawn = []  # rows that sample, all in one sample_tokens call
-        for r, path in enumerate(active):
-            script = forced.get(path.index)
-            if script is not None and step < len(script):
-                chosen.append(int(script[step]))
-            elif greedy is not None:
-                chosen.append(greedy[r])
+                path.step_logits.append(logits[r])
+            if path.finish_cause:  # that was its closer
+                continue
+            if token == eos or stop:  # its own EOS, or else the stop
+                path.finish_cause = "eos" if token == eos else cause
+                feed[i] = close(path.think_label)
+            elif step < len(forced.get(i, ())):
+                feed[i] = int(forced[i][step])
             else:
-                chosen.append(None)
+                feed[i] = None
                 drawn.append(r)
-        if drawn:
-            block = logits if len(drawn) == len(active) else logits[drawn]
-            rows = [active[r].index for r in drawn]  # path i draws on stream row i
-            picks = sample_tokens(block, sampler, draws.take(step + 1, rows))
-            for r, token in zip(drawn, picks.tolist()):
-                chosen[r] = token
+        if drawn:  # path i draws on stream row i
+            block = logits if len(drawn) == len(rows) else logits[drawn]
+            indices = [rows[r] for r in drawn]
+            feed.update(zip(indices, _choose(block, sampler, draws, step + 1, indices)))
+        step += 1
 
-    session.reasoning_len = max(len(p.tokens) for p in session.paths)
-    if strategy is Termination.FIRST_FINISH:
-        lengths = {len(p.tokens) for p in session.paths}
-        if len(lengths) != 1:
-            raise LifecycleError(f"first_finish produced unequal path lengths {lengths}")
+    lengths = tuple(len(p.tokens) for p in session.paths)
+    session.reasoning_len = max(lengths)
+    if strategy is Termination.FIRST_FINISH and len(set(lengths)) != 1:
+        raise LifecycleError(f"first_finish produced unequal path lengths {set(lengths)}")
     session.stage = SUMMARIZATION
-    session.summary_view = assemble_summary_view(session.cache, session.layout_plan())
+    session.summary_view = assemble_summary_view(session.cache, LayoutPlan(session.l_x, lengths, 0))
     return session
 
 

@@ -78,7 +78,7 @@ from .positional import (
     path_key,
     zero_thought_table,
 )
-from .tokenizer import Vocab, check_seed, is_token_int
+from .tokenizer import Vocab, check_seed, is_token_int, read_text
 
 DEFAULT_PREFIX_GRID = (0, 100, 200, 400, 800, 1600)
 
@@ -290,7 +290,9 @@ def run_prefix_recovery(
                     ["prefix", ti, n, s], trace["prompt"], budget, trace["body"][:n],
                     derive_seed(seed, "prefix", ti, n, s),
                 )
-                successes += target_token in session.paths[0].tokens[1 + n :]
+                # the sampled tokens: not the opener, the forced prefix or
+                # the closer the engine appends
+                successes += target_token in session.paths[0].tokens[1 + n : -1]
             records.append(
                 {
                     "trace": ti,
@@ -663,38 +665,41 @@ def write_experiment(
     out_dir: str, name: str, config: dict, records: list[dict], transcripts: list[dict]
 ) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump({"experiment": name, "config": config}, fh, sort_keys=True, indent=2)
-    with open(os.path.join(out_dir, "records.csv"), "w", encoding="utf-8") as fh:
-        fh.write(records_csv_text(name, config, records))
-    with open(os.path.join(out_dir, "transcripts.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(transcripts_text(transcripts))
+    texts = {
+        "config.json": json.dumps({"experiment": name, "config": config}, sort_keys=True, indent=2),
+        "records.csv": records_csv_text(name, config, records),
+        "transcripts.jsonl": transcripts_text(transcripts),
+    }
+    for file, text in texts.items():
+        # "\n" line endings on every platform: ``verify`` compares bytes
+        with open(os.path.join(out_dir, file), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def verify_experiment_dir(out_dir: str) -> list[str]:
     """Re-run from the stored config; report any byte-level mismatch or
-    missing output file."""
+    missing output file.  The stored files are read as bytes and the fresh
+    text is encoded as UTF-8, so line endings and undecodable bytes count."""
     problems: list[str] = []
-    with open(os.path.join(out_dir, "config.json"), encoding="utf-8") as fh:
-        stored = _keys(json.load(fh), "config.json")
+    stored = _keys(json.loads(read_text(os.path.join(out_dir, "config.json"))), "config.json")
     name, config = stored["experiment"], stored["config"]
     records, transcripts = run_experiment(name, config)
-    chash = config_hash({"experiment": name, "config": config})
+    chash = config_hash({"experiment": name, "config": config}).encode()
     expected = {
         "records.csv": records_csv_text(name, config, records),
         "transcripts.jsonl": transcripts_text(transcripts),
     }
     for file, text in expected.items():
         try:
-            with open(os.path.join(out_dir, file), encoding="utf-8") as fh:
-                stored_text = fh.read()
+            with open(os.path.join(out_dir, file), "rb") as fh:
+                stored_bytes = fh.read()
         except FileNotFoundError:
             problems.append(f"{file} is missing")
             continue
-        if stored_text != text:
+        if stored_bytes != text.encode("utf-8"):
             problems.append(f"{file} does not match a fresh re-run")
         if file == "records.csv" and any(
-            line and not line.endswith(chash) for line in stored_text.splitlines()[1:]
+            line and not line.endswith(chash) for line in stored_bytes.splitlines()[1:]
         ):
             problems.append("records.csv carries a stale config hash")
     return problems

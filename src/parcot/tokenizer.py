@@ -161,6 +161,22 @@ def encode(text: str, vocab: Vocab, markup: bool = False) -> list[int]:
     return out
 
 
+def read_text(path: str) -> str:
+    """A UTF-8 text file's text, its line endings read as text mode reads
+    them (``\\r\\n`` and ``\\r`` become ``\\n``).  A file that is not
+    UTF-8 raises DataError naming the file and the line of its first bad
+    byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
+        raise DataError(f"{path}: line {line} is not UTF-8 ({exc.reason})") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def decode(ids, vocab: Vocab, errors: str = "strict") -> str:
     """Text for ``ids``; control tokens render as their surface forms.
 

@@ -76,6 +76,23 @@ class TestGenerateAndVerify:
         path.write_text(path.read_text().replace('"seed":', '"sead":', 1))
         assert run_cli(["verify", "--dir", str(out)]) == 1
 
+    @pytest.mark.parametrize("file, edit", [
+        ("records.csv", lambda data: data.replace(b"\n", b"\r\n")),
+        ("transcripts.jsonl", lambda data: data.replace(b"\n", b"\r")),
+        ("records.csv", lambda data: data + b"\xff"),
+    ], ids=["crlf", "cr", "not-utf8"])
+    def test_verify_compares_bytes(self, tmp_path, capsys, file, edit):
+        """Line endings and undecodable bytes are a difference, not a crash."""
+        out = tmp_path / "gen"
+        run_cli(["generate", "--prompt", "x", "--paths", "2", "--budget", "3",
+                 "--max-answer", "2", "--greedy", "--out", str(out)])
+        path = out / file
+        path.write_bytes(edit(path.read_bytes()))
+        capsys.readouterr()
+        assert run_cli(["verify", "--dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"verify: {file} does not match a fresh re-run\n"), err
+
     @pytest.mark.parametrize("edit, message", [
         (('"n_layers": 2', '"n_layers": 2.5'), "n_layers must be an integer, got 2.5"),
         (('"rope_base": 10000.0', '"rope_base": NaN'), "rope_base must be a finite positive"),
@@ -895,6 +912,67 @@ class TestUnreadableFiles:
         capsys.readouterr()
         assert run_cli(["verify", "--dir", str(out)]) == 1
         assert capsys.readouterr().err == f"verify: {file} is missing\n"
+
+
+class TestNotUtf8:
+    """Text that is not UTF-8 (a prompt, a text file, or a datagen string
+    holding a lone surrogate) ends in one ``error:`` line naming the option
+    or the file, and the line of a file read line by line; nothing is
+    written."""
+
+    BAD_ARG = os.fsdecode(b"a\xff")  # how the interpreter reads that argv byte
+
+    @pytest.mark.parametrize("case", [
+        "generate-prompt", "sweep-prompt", "terminate-prompt", "reprefill-prompt",
+        "prefix-traces", "datagen-input", "costmodel-profile", "verify-config",
+        "datagen-query", "datagen-answer", "datagen-path",
+    ])
+    def test_error_not_traceback(self, tmp_path, capsys, case):
+        out = ["--out", str(tmp_path / "out")]
+        session = ["--budget", "2", "--max-answer", "2", *out]
+        bad = tmp_path / "bad"
+        good_problem = {"format": "ptsft-1", "query": "q", "answer": "a", "paths": ["x"]}
+        good_line = json.dumps(good_problem).encode() + b"\n"
+        datagen = ["datagen", "--input", str(bad), "--output", str(tmp_path / "o.jsonl"),
+                   "--p-hat", "1"]
+        argv, named = {
+            "generate-prompt": (["generate", "--prompt", self.BAD_ARG, *session], "--prompt"),
+            "sweep-prompt": (["sweep", "--prompt", "x", "--prompt", self.BAD_ARG,
+                              "--budgets", "2", *out], "--prompt"),
+            "terminate-prompt": (["terminate", "--prompt", self.BAD_ARG, *session], "--prompt"),
+            "reprefill-prompt": (["reprefill", "--prompt", self.BAD_ARG, *session], "--prompt"),
+            "prefix-traces": (["prefix", "--traces", str(bad), "--target-token", "70",
+                               "--prefix-lengths", "0", *session], f"{bad}: line 2"),
+            "datagen-input": (datagen, f"{bad}: line 3"),  # after a blank CRLF line
+            "costmodel-profile": (["costmodel", "--profile", str(bad), *out], f"{bad}: line 1"),
+            "verify-config": (["verify", "--dir", str(tmp_path)], "config.json: line 1"),
+            "datagen-query": (datagen, "line 2: problem query is not UTF-8"),
+            "datagen-answer": (datagen, "line 2: problem answer is not UTF-8"),
+            "datagen-path": (datagen, "line 2: problem path 1 is not UTF-8"),
+        }[case]
+        if case == "prefix-traces":
+            bad.write_bytes(json.dumps(TRACE).encode() + b"\n" + b'{"prompt": [1], "\xff"}\n')
+        elif case == "datagen-input":
+            bad.write_bytes(good_line + b"\r\n" + good_line.replace(b'"q"', b'"\xff"'))
+        elif case == "costmodel-profile":
+            bad.write_bytes(b'{"format": "\xff"}')
+        elif case == "verify-config":
+            (tmp_path / "config.json").write_bytes(b'{"experiment": "\xff"}')
+        elif case.startswith("datagen-"):
+            field = case.removeprefix("datagen-")
+            problem = dict(good_problem, paths=["x", "y"])
+            if field == "path":
+                problem["paths"] = ["y", "\udcff"]
+            else:
+                problem[field] = "\udcff"
+            bad.write_bytes(good_line + json.dumps(problem).encode() + b"\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert named in captured.err
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestParser:

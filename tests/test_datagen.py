@@ -666,6 +666,10 @@ class TestJsonl:
         ({"paths": ["x", 7]}, "problem path 1 must be a string, got int"),
         ({"query": 5}, "problem query must be a string, got int"),
         ({"answer": None}, "problem answer must be a string, got NoneType"),
+        # valid JSON escapes of a lone surrogate, which UTF-8 cannot encode
+        ({"query": "\udcff"}, "problem query is not UTF-8 text"),
+        ({"answer": "a\udcff"}, "problem answer is not UTF-8 text"),
+        ({"paths": ["x", "\udcff"]}, "problem path 1 is not UTF-8 text"),
     ])
     def test_malformed_record_rejected_naming_its_line(self, tmp_path, record, message):
         if isinstance(record, dict):

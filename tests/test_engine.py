@@ -762,6 +762,20 @@ class TestFailureAtomicity:
         with pytest.raises(DataError, match="at offset 2 outside vocab"):
             GenerationSession(small_weights, small_table, vocab, [65, 66, -1], 1)
 
+    def test_numpy_array_prompt_accepted(self, small_weights, small_table, vocab):
+        """A prompt's emptiness is its length: a numpy array has no truth
+        value."""
+        records = [
+            canonical_json(session_record(run_session(
+                small_weights, small_table, vocab, prompt, 2, SamplerConfig(temperature=0.9),
+                GenerationBudget(4, 2), seed=3,
+            )))
+            for prompt in (np.array([104, 105]), [104, 105])
+        ]
+        assert records[0] == records[1]
+        with pytest.raises(DataError, match="prompt must contain at least one token"):
+            GenerationSession(small_weights, small_table, vocab, np.array([], dtype=np.int64), 1)
+
     def test_greedy_decoding_draws_no_generator(self, small_weights, small_table, vocab, monkeypatch):
         def refuse(*args):
             raise AssertionError("greedy decoding drew a uniform or ran the sampler")

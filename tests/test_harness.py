@@ -187,6 +187,28 @@ class TestPrefixRecovery:
                     hits += 70 in continuation
             assert rec["success_rate"] == hits / rec["samples"]
 
+    @pytest.mark.parametrize("target", ["think_close", "eos"])
+    def test_success_counts_sampled_tokens_only(self, bundle, prompt, vocab, target):
+        """The closer the engine appends to every path is not sampled, so it
+        is no success; a sampled EOS is."""
+        target_token = vocab.think_close(1) if target == "think_close" else vocab.eos
+        trace = {"prompt": prompt, "body": [70, 71, 72, 73]}
+        sampler = SamplerConfig(temperature=3.0)  # hot enough that some samples end on EOS
+        records, transcripts = run_prefix_recovery(
+            bundle, [trace], GenerationBudget(24, 1), sampler, target_token=target_token,
+            prefix_lengths=(0, 2), samples=6, seed=2,
+        )
+        for rec in records:
+            n = rec["prefix_length"]
+            sampled = [
+                t["record"]["paths"][0]["tokens"][1 + n : -1]
+                for t in transcripts if t["key"][:3] == ["prefix", 0, n]
+            ]
+            assert len(sampled) == rec["samples"]
+            assert rec["success_rate"] == sum(target_token in s for s in sampled) / len(sampled)
+        if target == "eos":
+            assert any(rec["success_rate"] for rec in records)
+
     def test_prefix_longer_than_trace_rejected(self, bundle, prompt):
         trace = {"prompt": prompt, "body": [70]}
         with pytest.raises(DataError):
