@@ -47,6 +47,10 @@ class CostModelParams:
                 raise ConfigError(f"{f.name} must be finite and positive, got {value!r}")
 
 
+# the profile keys params_from_profile reads: every figure of the model
+PROFILE_FIGURES = tuple(f.name for f in fields(CostModelParams) if f.type is float)
+
+
 def memory_time(params: CostModelParams) -> float:
     moved = (
         params.bytes_per_weight_pass
@@ -79,7 +83,10 @@ def predict_decode_time(params: CostModelParams) -> float:
 
 
 def load_profile(path: str | None = None) -> dict:
-    """Hardware/model byte and flop figures; default is the packaged profile."""
+    """Hardware/model byte and flop figures; default is the packaged profile.
+
+    Every key of ``PROFILE_FIGURES`` must be there and be a JSON number (a
+    bool or a string is none); ``CostModelParams`` then checks its value."""
     if path is None:
         text = (
             resources.files("parcot.profiles").joinpath(DEFAULT_PROFILE_NAME).read_text()
@@ -92,16 +99,14 @@ def load_profile(path: str | None = None) -> dict:
         raise ConfigError(f"profile {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(profile, dict) or profile.get("format") != PROFILE_FORMAT:
         raise ConfigError(f"profile {path!r} is not a {PROFILE_FORMAT} profile")
+    for key in PROFILE_FIGURES:
+        if key not in profile:
+            raise ConfigError(f"profile {path!r} lacks {key!r}")
+        if not is_real(profile[key]):
+            raise ConfigError(f"profile {path!r}: {key} must be a number, got {profile[key]!r}")
     return profile
 
 
 def params_from_profile(profile: dict, paths: int, tokens_per_path: int) -> CostModelParams:
-    return CostModelParams(
-        bytes_per_weight_pass=float(profile["bytes_per_weight_pass"]),
-        kv_bytes_per_token_per_slot=float(profile["kv_bytes_per_token_per_slot"]),
-        flops_per_token=float(profile["flops_per_token"]),
-        memory_bandwidth=float(profile["memory_bandwidth"]),
-        compute_throughput=float(profile["compute_throughput"]),
-        paths=paths,
-        tokens_per_path=tokens_per_path,
-    )
+    figures = {key: float(profile[key]) for key in PROFILE_FIGURES}
+    return CostModelParams(**figures, paths=paths, tokens_per_path=tokens_per_path)

@@ -15,12 +15,13 @@ A sample is serialized once, straight into one int64 array (each body's
 UTF-8 bytes between its control ids), and parsed once: the parser finds
 the control tokens with one array comparison and walks only their
 positions.  ``build_sample`` keeps that parse, and ``training_layout``
-lays the record out from it, copying the path and answer spans of the
-array into place rather than converting or parsing the tokens again.
+lays the record out from it: the prompt's byte ids, then that array as it
+is, each path at its real length (no PAD), rather than converting or
+parsing the tokens again.
 
 Input records are JSONL lines {"format": "ptsft-1", "query", "answer",
 "paths": [...]}; emitted training records are JSONL lines
-{"format": "ptsft-1", "tokens", "loss_mask", "segments", "P", "seed"}.
+{"format": "ptsft-2", "tokens", "loss_mask", "segments", "P", "seed"}.
 """
 
 import json
@@ -35,7 +36,8 @@ from .masking import build_reasoning_mask, build_summary_mask  # noqa: F401
 from .positional import ANSWER, PROMPT, SHARED, PositionAssignment, path_key
 from .tokenizer import Vocab, encode, is_token_int, read_text, sample_think_tokens
 
-SCHEMA_FORMAT = "ptsft-1"
+SCHEMA_FORMAT = "ptsft-1"  # input problem records
+RECORD_FORMAT = "ptsft-2"  # emitted training records and their manifest
 MAX_CONTEXT_TOKENS = 28672
 DEFAULT_PATH_COUNTS = (2, 4, 6)
 DEFAULT_ANSWER_TEMPLATE = "Based on the parallel reasoning above, the final answer is: {answer}"
@@ -302,57 +304,51 @@ def training_layout(
 ) -> TrainingLayout:
     """Serialized training sequence with its mask, positions, and loss mask.
 
-    Path segments are padded with PAD to the longest segment so slots line
-    up with synchronized decoding; pads carry no loss.  Each path segment
-    and the answer segment is its ``[opener ... closer]`` span of the
-    sample's serialized ids, copied into a PAD-filled array; the loss mask
-    is set span by span.  Each row follows its own segment's visibility
+    The record is the prompt's byte ids followed by the sample's own ids,
+    unchanged: path i's segment is its ``[opener ... closer]`` span at its
+    real length, and the answer segment follows the last closer.  No slot
+    is padded, so ``max_context`` counts real slots.  The loss mask is 1
+    everywhere except the prompt and each segment's opener, which the
+    engine writes itself.  Each row follows its own segment's visibility
     rule: path rows that path's reasoning mask, answer rows the
-    summarization mask, so answer rows see the PAD slots of shorter paths
-    and path rows never see another path's slots or pads.  Positions
-    follow the shared scheme (the t-th token of every path gets the same
-    position); like the thought indices, they are built one segment range
-    at a time (``PositionAssignment.positions``).
+    summarization mask, so answer rows see every path's slots and path
+    rows never see another path's.  Positions follow the shared scheme:
+    path i's t-th slot sits at l_x + t, and the answer comes after the
+    longest path, where ``engine.run_summarization`` puts it; like the
+    thought indices, they are built one segment range at a time
+    (``PositionAssignment.positions``).
     """
     spans = _sample_spans(sample.tokens, vocab)
-    prompt_ids = encode(sample.query, vocab, markup=False)
+    prompt_ids = np.asarray(encode(sample.query, vocab, markup=False), dtype=np.int64)
     l_x = len(prompt_ids)
-    num_paths = len(spans.labels)
-    l_seg = max(end - start for start, end in spans.bodies) + 2
-    answer_len = spans.answer[1] - spans.answer[0] + 2
-    total = l_x + num_paths * l_seg + answer_len
+    total = l_x + len(spans.ids)
     if total > max_context:
         raise LayoutError(
             f"serialized length {total} exceeds context limit {max_context}"
         )
 
-    # a span [start - 1, end] holds the opener, the body and the closer;
-    # the opener carries no loss, the body and the closer do
-    tokens = np.full(total, vocab.pad, dtype=np.int64)
-    loss = np.zeros(total, dtype=np.int64)
-    tokens[:l_x] = prompt_ids
-    segments: list[dict] = [{"kind": "prompt", "start": 0, "length": l_x}]
-    at = l_x
-    for label, (start, end) in zip(spans.labels, spans.bodies):
-        segments.append({"kind": "path", "label": label, "start": at, "length": l_seg})
-        tokens[at : at + end - start + 2] = spans.ids[start - 1 : end + 1]
-        loss[at + 1 : at + end - start + 2] = 1
-        at += l_seg
-    segments.append({"kind": "answer", "start": at, "length": answer_len})
-    start, end = spans.answer
-    tokens[at:] = spans.ids[start - 1 : end + 1]
-    loss[at + 1 :] = 1
+    # a segment is its span [start - 1, end] of the ids: opener, body, closer
+    ranges = (*spans.bodies, spans.answer)
+    starts = [l_x + start - 1 for start, _ in ranges]
+    lengths = (l_x, *(end - start + 2 for start, end in ranges))
+    segments = [{"kind": "prompt", "start": 0, "length": l_x}]
+    segments += [
+        {"kind": "path", "label": label, "start": at, "length": n}
+        for label, at, n in zip(spans.labels, starts, lengths[1:])
+    ]
+    segments.append({"kind": "answer", "start": starts[-1], "length": lengths[-1]})
+    loss = np.ones(total, dtype=np.int64)
+    loss[:l_x] = 0
+    loss[starts] = 0  # each opener
 
-    plan = LayoutPlan(l_x=l_x, path_lengths=(l_seg,) * num_paths, answer_length=answer_len)
-    assignment = PositionAssignment(
-        SHARED, l_x=l_x, l_max=l_seg, num_paths=num_paths, reasoning_len=l_seg
-    )
-    keys = (PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER)
-    lengths = (l_x, *plan.path_lengths, answer_len)
+    plan = LayoutPlan(l_x=l_x, path_lengths=lengths[1:-1], answer_length=lengths[-1])
+    l_max = max(plan.path_lengths)
+    assignment = PositionAssignment(SHARED, l_x=l_x, l_max=l_max, reasoning_len=l_max)
+    keys = (PROMPT, *(path_key(i) for i in range(plan.num_paths)), ANSWER)
     thoughts = [0, *spans.labels, 0]  # one per segment
 
     return TrainingLayout(
-        tokens=tokens,
+        tokens=np.concatenate([prompt_ids, spans.ids]),
         positions=np.concatenate(
             [assignment.positions(seg, 0, n) for seg, n in zip(keys, lengths)]
         ),
@@ -397,7 +393,7 @@ def read_problems(path: str) -> list[RawProblem]:
 
 def training_record(sample: SFTSample, layout: TrainingLayout) -> dict:
     return {
-        "format": SCHEMA_FORMAT,
+        "format": RECORD_FORMAT,
         "tokens": layout.tokens.tolist(),
         "loss_mask": layout.loss_mask.tolist(),
         "segments": list(layout.segments),
@@ -413,7 +409,7 @@ def dataset_manifest(sample_count: int, seed: int, vocab: Vocab) -> dict:
     paths are expected to come from; this pipeline only consumes them.
     """
     return {
-        "format": SCHEMA_FORMAT,
+        "format": RECORD_FORMAT,
         "samples": sample_count,
         "seed": seed,
         "p_max": vocab.p_max,

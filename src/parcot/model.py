@@ -89,6 +89,7 @@ Weight file format ("PTW1", little-endian):
 """
 
 import math
+import os
 import struct
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -351,14 +352,16 @@ def weights_config(path: str) -> ModelConfig:
 
 
 def load_weights(path: str) -> ModelWeights:
+    """The weights of a PTW1 file; its size is checked against the length
+    its header implies before any tensor byte is read."""
     with open(path, "rb") as fh:
         config = _read_header(fh, path)
-        blob = fh.read()
-    shapes = [shape for _, shape in tensor_shapes(config)]
-    sizes = [math.prod(shape) for shape in shapes]
-    length, expected = _HEADER_END + len(blob), _HEADER_END + 4 * sum(sizes)
-    if length != expected:
-        raise ConfigError(f"weight file length {length} != expected {expected}")
+        shapes = [shape for _, shape in tensor_shapes(config)]
+        sizes = [math.prod(shape) for shape in shapes]
+        length, expected = os.fstat(fh.fileno()).st_size, _HEADER_END + 4 * sum(sizes)
+        if length != expected:
+            raise ConfigError(f"weight file length {length} != expected {expected}")
+        blob = fh.read(expected - _HEADER_END)
     parts = np.split(np.frombuffer(blob, dtype="<f4"), np.cumsum(sizes)[:-1])
     return ModelWeights.from_tensors(
         config, [part.reshape(shape).copy() for part, shape in zip(parts, shapes)]

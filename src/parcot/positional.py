@@ -13,6 +13,7 @@ whole range of a segment's slots as one array; every caller asks for
 ranges.
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -186,19 +187,21 @@ def save_thought_table(table: ThoughtEmbeddingTable, path: str) -> None:
 
 
 def load_thought_table(path: str) -> ThoughtEmbeddingTable:
+    """The table of a PTT1 file; its size is checked against the length its
+    header implies before any vector byte is read."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != THOUGHT_MAGIC:
-        raise ConfigError(f"bad thought-table magic in {path!r}")
-    if len(blob) < 20:
-        raise ConfigError(f"thought-table file {path!r} is shorter than its 20-byte header")
-    rows, n_layers, n_heads, d_k = struct.unpack("<4I", blob[4:20])
-    expected = 20 + rows * n_layers * n_heads * d_k * 4
-    if len(blob) != expected:
-        raise ConfigError(
-            f"thought-table file length {len(blob)} != expected {expected}"
-        )
-    vectors = np.frombuffer(blob[20:], dtype="<f4").reshape(rows, n_layers, n_heads, d_k)
+        head = fh.read(20)
+        if head[:4] != THOUGHT_MAGIC:
+            raise ConfigError(f"bad thought-table magic in {path!r}")
+        if len(head) < 20:
+            raise ConfigError(f"thought-table file {path!r} is shorter than its 20-byte header")
+        rows, n_layers, n_heads, d_k = struct.unpack("<4I", head[4:])
+        length = os.fstat(fh.fileno()).st_size
+        expected = 20 + rows * n_layers * n_heads * d_k * 4
+        if length != expected:
+            raise ConfigError(f"thought-table file length {length} != expected {expected}")
+        blob = fh.read(expected - 20)
+    vectors = np.frombuffer(blob, dtype="<f4").reshape(rows, n_layers, n_heads, d_k)
     return ThoughtEmbeddingTable(vectors.copy())
 
 
@@ -215,8 +218,9 @@ class PositionAssignment:
         path i, t -> l_x + i * l_max + t
         answer t -> l_x + (num_paths - 1) * l_max + reasoning_len + t
 
-    ``reasoning_len`` is the uniform per-path written length at the stage
-    switch; it is only required once answer positions are needed.
+    ``reasoning_len`` is the longest path's written length at the stage
+    switch, so the answer follows every path however long each is; it is
+    only required once answer positions are needed.
     """
 
     scheme: str

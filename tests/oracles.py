@@ -32,7 +32,7 @@ from parcot.kvcache import PagedKVCache
 from parcot.masking import AttentionMask, LayoutPlan
 from parcot import model
 from parcot.model import NORM_EPS, StagePlan, attend, forward
-from parcot.positional import ANSWER, PROMPT, SHARED, PositionAssignment, Rope, path_key
+from parcot.positional import PROMPT, Rope, path_key
 from parcot.tokenizer import encode
 
 
@@ -259,42 +259,44 @@ def reference_parse_sample(tokens, vocab) -> ParsedSample:
 
 
 def reference_training_layout(sample, vocab, max_context) -> TrainingLayout:
-    """datagen.training_layout with tokens and loss built token by token."""
+    """datagen.training_layout with tokens, loss, positions and thought
+    indices built token by token: each path at its real length, its t-th
+    slot at l_x + t, and the answer after the longest path."""
     parsed = reference_parse_sample(sample.tokens, vocab)
     prompt_ids = encode(sample.query, vocab, markup=False)
     l_x = len(prompt_ids)
-    l_seg = max(len(body) + 2 for _, body in parsed.paths)
+    l_max = max(len(body) + 2 for _, body in parsed.paths)
 
     tokens = list(prompt_ids)
     loss = [0] * l_x
+    positions = list(range(1, l_x + 1))
+    thoughts = [0] * l_x
     segments = [{"kind": "prompt", "start": 0, "length": l_x}]
     for label, body in parsed.paths:
-        segments.append({"kind": "path", "label": label, "start": len(tokens), "length": l_seg})
-        pad_count = l_seg - len(body) - 2
+        n = len(body) + 2
+        segments.append({"kind": "path", "label": label, "start": len(tokens), "length": n})
         tokens.extend([vocab.think_open(label), *body, vocab.think_close(label)])
-        tokens.extend([vocab.pad] * pad_count)
-        loss.extend([0] + [1] * len(body) + [1] + [0] * pad_count)
+        loss.extend([0] + [1] * (n - 1))
+        positions.extend(l_x + t for t in range(1, n + 1))
+        thoughts.extend([label] * n)
     answer_len = len(parsed.answer) + 2
     segments.append({"kind": "answer", "start": len(tokens), "length": answer_len})
     tokens.extend([vocab.summary_open, *parsed.answer, vocab.summary_close])
-    loss.extend([0] + [1] * len(parsed.answer) + [1])
+    loss.extend([0] + [1] * (answer_len - 1))
+    positions.extend(l_x + l_max + t for t in range(1, answer_len + 1))
+    thoughts.extend([0] * answer_len)
     if len(tokens) > max_context:
         raise LayoutError(f"serialized length {len(tokens)} exceeds context limit {max_context}")
 
-    num_paths = len(parsed.paths)
-    plan = LayoutPlan(l_x=l_x, path_lengths=(l_seg,) * num_paths, answer_length=answer_len)
-    assignment = PositionAssignment(
-        SHARED, l_x=l_x, l_max=l_seg, num_paths=num_paths, reasoning_len=l_seg
+    plan = LayoutPlan(
+        l_x=l_x,
+        path_lengths=tuple(len(body) + 2 for _, body in parsed.paths),
+        answer_length=answer_len,
     )
-    keys = (PROMPT, *(path_key(i) for i in range(num_paths)), ANSWER)
-    lengths = (l_x, *plan.path_lengths, answer_len)
-    thoughts = [0, *(label for label, _ in parsed.paths), 0]
     return TrainingLayout(
         tokens=np.asarray(tokens, dtype=np.int64),
-        positions=np.concatenate(
-            [assignment.positions(seg, 0, n) for seg, n in zip(keys, lengths)]
-        ),
-        thought_indices=np.repeat(np.array(thoughts, dtype=np.int64), lengths),
+        positions=np.asarray(positions, dtype=np.int64),
+        thought_indices=np.asarray(thoughts, dtype=np.int64),
         loss_mask=np.asarray(loss, dtype=np.int64),
         segments=tuple(segments),
         layout=plan,

@@ -572,6 +572,30 @@ class TestSizesRefusedBeforeBuilding:
             done.stderr,
         ), done.stderr
 
+    @pytest.mark.parametrize("flag", ["--weights", "--thought-emb"])
+    def test_an_oversized_file_is_refused_before_reading(
+        self, tmp_path, small_weights, small_table, flag
+    ):
+        from parcot.model import save_weights
+        from parcot.positional import save_thought_table
+
+        path = tmp_path / "file"
+        if flag == "--weights":
+            save_weights(small_weights, str(path))
+        else:
+            save_thought_table(small_table, str(path))
+        expected = path.stat().st_size
+        # a valid file extended to 2 GiB: truncate leaves it sparse, so no
+        # byte is written, and reading it whole would pass the child's limit
+        os.truncate(path, 2**31)
+        out = tmp_path / "gen"
+        done = run_bounded(["generate", "--prompt", "y", "--paths", "2", "--budget", "3",
+                            "--max-answer", "2", flag, str(path), "--out", str(out)])
+        kind = "weight file" if flag == "--weights" else "thought-table file"
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == f"error: {kind} length {2**31} != expected {expected}\n"
+        assert not out.exists()
+
     def test_weight_file_header_is_bounded_before_reading(self, tmp_path):
         header = {**TOY_MODEL, "d_ff": 2**32 - 1}
         path = tmp_path / "huge.ptw"
@@ -600,6 +624,29 @@ class TestCostModel:
         assert run_cli(["costmodel", "--profile", str(path), "--out", out]) == 1
         assert "error: memory_bandwidth must be finite and positive" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(out, "records.csv"))
+
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("bytes_per_weight_pass", None, " lacks 'bytes_per_weight_pass'"),
+        ("memory_bandwidth", None, " lacks 'memory_bandwidth'"),
+        ("flops_per_token", "abc", ": flops_per_token must be a number, got 'abc'"),
+        ("flops_per_token", "1e12", ": flops_per_token must be a number, got '1e12'"),
+        ("memory_bandwidth", True, ": memory_bandwidth must be a number, got True"),
+        ("compute_throughput", [1], ": compute_throughput must be a number, got [1]"),
+        ("kv_bytes_per_token_per_slot", {},
+         ": kv_bytes_per_token_per_slot must be a number, got {}"),
+    ])
+    def test_malformed_profile_is_an_error(self, tmp_path, capsys, key, value, named):
+        # None drops the key; a JSON null is checked like any other non-number
+        profile = {k: v for k, v in load_profile().items() if not (k == key and value is None)}
+        if value is not None:
+            profile[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(profile))
+        out = tmp_path / "cost"
+        assert run_cli(["costmodel", "--profile", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: profile {str(path)!r}{named}\n"
+        assert not out.exists()
 
 
 class TestTerminationAliases:
@@ -712,7 +759,7 @@ class TestDatagen:
         )
         assert code == 0
         lines = [json.loads(l) for l in out.read_text().splitlines() if l.strip()]
-        assert len(lines) == 2 and all(r["format"] == "ptsft-1" for r in lines)
+        assert len(lines) == 2 and all(r["format"] == "ptsft-2" for r in lines)
         manifest = json.loads((tmp_path / "train.jsonl.manifest.json").read_text())
         assert manifest["teacher"] == {"temperature": 0.8, "paths_per_problem": 6}
         assert manifest["samples"] == 2
@@ -736,10 +783,10 @@ class TestDatagen:
             for path in (out, Path(f"{out}.manifest.json")):
                 digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
         # records then manifest, per run; the manifest does not read --p-hat
-        manifest = "41cf5a4f1750f9547900863276aaa01a329d2bb784b3eca29c141ee2b17c2b99"
+        manifest = "2ab6f90e4929adf77cb306adfc04be35a56a7b8b75cf80e655152d4a86118f3c"
         assert digests == [
-            "73caf637d5c8c551fe89678b278832bb8a894f7d000edaa5db794cfac1a104ab", manifest,
-            "65acd28574aaa3970fe4f73f5eb112a252e299031c6c11cffecf89a8fdb4754a", manifest,
+            "a40e4141a1cc8c5769611b80b93a7ac6a50d311b7604533228bb274b295f7c1f", manifest,
+            "5fe65f7f6ce831d977f40b0070ed2320c1cc8b9b938582e24c6b90189de95a56", manifest,
         ]
 
     @pytest.mark.parametrize("line, message", [

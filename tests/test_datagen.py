@@ -460,12 +460,15 @@ class TestIdsOutsideTheVocabulary:
 
 
 def cap_sample(vocab, p_hat, seed):
-    """A sample of P̂ uneven paths whose layout fills the context cap exactly."""
+    """A sample of P̂ uneven paths whose layout fills the context cap exactly:
+    10 prompt slots, each path at its real length plus its opener and
+    closer, and 10 + 2 answer slots; the first path takes what the others
+    leave, so it is the longest."""
     rng = np.random.default_rng(seed)
-    answer_len = 10
-    l_x = 10 + (MAX_CONTEXT_TOKENS - 10 - (answer_len + 2)) % p_hat
-    l_seg = (MAX_CONTEXT_TOKENS - l_x - (answer_len + 2)) // p_hat
-    lengths = [l_seg - 2] + [int(rng.integers(0, l_seg - 1)) for _ in range(p_hat - 1)]
+    l_x = answer_len = 10
+    body_slots = MAX_CONTEXT_TOKENS - l_x - (answer_len + 2) - 2 * p_hat
+    lengths = [int(rng.integers(0, body_slots // p_hat)) for _ in range(p_hat - 1)]
+    lengths.insert(0, body_slots - sum(lengths))
     prob = RawProblem(
         query="q" * l_x, answer="a" * answer_len, paths=tuple("x" * n for n in lengths)
     )
@@ -558,7 +561,8 @@ class TestTrainingLayout:
         assert np.array_equal(tl.mask.visible, np.tril(np.ones((n, n), dtype=bool)))
 
     def test_positions_follow_shared_scheme(self, vocab):
-        sample = build_sample(problem(3), vocab, p_hat=2, seed=2)
+        uneven = RawProblem(query="q", answer="a", paths=("short", "a much longer path"))
+        sample = build_sample(uneven, vocab, p_hat=2, seed=2)
         tl = training_layout(sample, vocab)
         plan = tl.layout
         l_x = plan.l_x
@@ -569,39 +573,62 @@ class TestTrainingLayout:
                 l_x + t + 1 for t in range(len(slots))
             ]
         answer = list(plan.answer_slots())
-        seg_len = plan.path_lengths[0]
+        longest = max(plan.path_lengths)
+        assert len(set(plan.path_lengths)) == 2  # the answer follows the longest path
         assert tl.positions[answer].tolist() == [
-            l_x + seg_len + t + 1 for t in range(len(answer))
+            l_x + longest + t + 1 for t in range(len(answer))
         ]
 
-    def test_padding_and_loss_mask(self, vocab):
+    @given(raw_problems(), st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_a_record_is_its_prompt_plus_its_sample(self, vocab, case, seed, templated):
+        prob, p_hat = case
+        template = DEFAULT_ANSWER_TEMPLATE if templated else None
+        sample = build_sample(prob, vocab, p_hat=p_hat, seed=seed, template=template)
+        prompt = encode(sample.query, vocab, markup=False)
+        if len(prompt) + len(sample.tokens) > MAX_CONTEXT_TOKENS:  # the cap counts real slots
+            with pytest.raises(LayoutError):
+                training_layout(sample, vocab)
+            return
+        tl = training_layout(sample, vocab)
+        assert tl.tokens.tolist() == prompt + list(sample.tokens)
+        at = 0  # the segments tile the tokens in order
+        for segment in tl.segments:
+            assert segment["start"] == at and segment["length"] >= 1
+            at += segment["length"]
+        assert at == len(tl.tokens)
+        no_loss = set(range(len(prompt))) | {segment["start"] for segment in tl.segments}
+        assert set(np.flatnonzero(tl.loss_mask == 0).tolist()) == no_loss
+        assert set(tl.loss_mask.tolist()) <= {0, 1}
+
+    def test_real_lengths_and_loss_mask(self, vocab):
         uneven = RawProblem(query="q", answer="a", paths=("short", "a much longer path"))
         sample = build_sample(uneven, vocab, p_hat=2, seed=4)
         tl = training_layout(sample, vocab)
         plan = tl.layout
-        assert len(set(plan.path_lengths)) == 1
-        pad_slots = [t for t in range(len(tl.tokens)) if tl.tokens[t] == vocab.pad]
-        assert pad_slots, "expected the short path to be padded"
-        assert all(tl.loss_mask[t] == 0 for t in pad_slots)
+        bodies = [len(body) for _, body in parse_sample(sample.tokens, vocab).paths]
+        assert plan.path_lengths == tuple(n + 2 for n in bodies)
+        assert len(set(plan.path_lengths)) == 2
+        assert vocab.pad not in tl.tokens.tolist()
         assert all(tl.loss_mask[t] == 0 for t in plan.prompt_slots())
         for i in range(plan.num_paths):
             slots = list(plan.path_slots(i))
             assert tl.loss_mask[slots[0]] == 0  # opener carries no loss
+            assert all(tl.loss_mask[t] == 1 for t in slots[1:])  # body and closer do
         answer = list(plan.answer_slots())
         assert tl.loss_mask[answer[0]] == 0  # engine inserts the summary opener
         assert tl.loss_mask[answer[-1]] == 1  # the closer is predicted
 
-    def test_pad_visibility(self, vocab):
-        # answer rows see the PAD slots of shorter paths, as the summary
-        # mask does; path rows never see another path's slots or pads
+    def test_uneven_path_visibility(self, vocab):
+        # answer rows see every slot of every path, however long, as the
+        # summary mask does; path rows never see another path's slots
         uneven = RawProblem(query="q", answer="a", paths=("short", "a much longer path"))
         tl = training_layout(build_sample(uneven, vocab, p_hat=2, seed=4), vocab)
         plan = tl.layout
-        pads = {t for t in range(len(tl.tokens)) if tl.tokens[t] == vocab.pad}
         all_paths = set(range(plan.l_x, plan.answer_slots().start))
-        assert pads and pads <= all_paths
+        assert len(all_paths) == sum(plan.path_lengths)
         for t in plan.answer_slots():
-            assert pads <= set(tl.mask.visible_set(t))
+            assert all_paths <= set(tl.mask.visible_set(t))
         visible = tl.mask.visible
         for i in range(plan.num_paths):
             others = all_paths - set(plan.path_slots(i))
@@ -610,10 +637,10 @@ class TestTrainingLayout:
                 assert not visible[t, sorted(others)].any()
 
     def test_layout_at_the_context_cap_is_bounded(self, vocab):
-        # 10 prompt + 2 * (14323 + 2) + (10 + 2) = 28,672 slots: the cap, with
-        # the shorter path padded.  A dense N x N boolean mask alone would be
-        # 822 MB here.
-        prob = RawProblem(query="q" * 10, answer="a" * 10, paths=("x" * 14323, "y" * 9))
+        # 10 prompt + (28637 + 2) + (9 + 2) + (10 + 2) = 28,672 slots: the
+        # cap, over two paths of uneven length.  A dense N x N boolean mask
+        # alone would be 822 MB here.
+        prob = RawProblem(query="q" * 10, answer="a" * 10, paths=("x" * 28637, "y" * 9))
         sample = build_sample(prob, vocab, p_hat=2, seed=0, template=None)
         tracemalloc.start()
         try:
@@ -709,7 +736,7 @@ class TestJsonl:
         out_path = tmp_path / "train.jsonl"
         write_training_records(records, str(out_path))
         lines = [json.loads(l) for l in out_path.read_text().splitlines() if l.strip()]
-        assert all(rec["format"] == "ptsft-1" for rec in lines)
+        assert all(rec["format"] == "ptsft-2" for rec in lines)
         assert all(
             len(rec["tokens"]) == len(rec["loss_mask"]) for rec in lines
         )

@@ -10,9 +10,10 @@ every answer logit must match the engine's within 1e-5.
 Path bodies are scripted with byte tokens (EOS at a scripted step, or
 none) so that the serialized sample parses; the answer is decoded
 greedily and compared up to its first token the SFT grammar rejects
-inside a summary.  Under half and last finish, datagen pads shorter paths
-with PAD slots that answer rows see and the engine does not have, so
-there answer rows are compared only when no path is padded.
+inside a summary.  Under half and last finish the paths end at different
+lengths; datagen lays each out at its real length and puts the answer
+after the longest, as the engine does, so answer rows are compared under
+every strategy.
 """
 
 import numpy as np
@@ -122,13 +123,13 @@ def test_first_finish_layout_reproduces_engine_logits(
     strategy=st.sampled_from([Termination.HALF_FINISH, Termination.LAST_FINISH]),
 )
 @settings(max_examples=20, deadline=None)
-def test_uneven_paths_layout_reproduces_path_logits(
+def test_uneven_paths_layout_reproduces_engine_logits(
     small_weights, small_table, vocab, num_paths, budget, seed, strategy
 ):
     session, layout, dense, kept = session_and_layout(
         small_weights, small_table, vocab, num_paths, budget, seed, strategy
     )
+    assert layout.layout.path_lengths == tuple(len(path.tokens) for path in session.paths)
     assert max(layout.layout.path_lengths) == session.reasoning_len
     assert path_gap(session, layout, dense) <= 1e-5
-    if len({len(path.tokens) for path in session.paths}) == 1:  # no PAD slots
-        assert answer_gap(session, layout, dense, kept) <= 1e-5
+    assert answer_gap(session, layout, dense, kept) <= 1e-5
