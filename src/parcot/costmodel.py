@@ -86,7 +86,8 @@ def load_profile(path: str | None = None) -> dict:
     """Hardware/model byte and flop figures; default is the packaged profile.
 
     Every key of ``PROFILE_FIGURES`` must be there and be a JSON number (a
-    bool or a string is none); ``CostModelParams`` then checks its value."""
+    bool or a string is none) that a float can hold; ``CostModelParams``
+    then checks its value."""
     if path is None:
         text = (
             resources.files("parcot.profiles").joinpath(DEFAULT_PROFILE_NAME).read_text()
@@ -104,6 +105,10 @@ def load_profile(path: str | None = None) -> dict:
             raise ConfigError(f"profile {path!r} lacks {key!r}")
         if not is_real(profile[key]):
             raise ConfigError(f"profile {path!r}: {key} must be a number, got {profile[key]!r}")
+        try:
+            float(profile[key])
+        except OverflowError:  # an integer past the float range
+            raise ConfigError(f"profile {path!r}: {key} is too large for a float") from None
     return profile
 
 

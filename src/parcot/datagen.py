@@ -356,7 +356,7 @@ def training_layout(
         loss_mask=loss,
         segments=tuple(segments),
         layout=plan,
-        mask=AttentionMask(plan, plan.segment_codes()),
+        mask=AttentionMask(plan),
     )
 
 

@@ -56,9 +56,10 @@ loop (``decode_answer``).
 
 A session given ``prompt_from``, an earlier session on the same weights,
 thought table and prompt, prefills nothing: its cache reads the earlier
-session's prompt slots in place (``PagedKVCache.share``) and it reuses
-that session's prompt logits.  A prompt's storage and logits are
-read-only once prefilled, so no session can change what another reads.
+session's prompt slots in place (``PagedKVCache.share``).  A prompt's
+storage is read-only once prefilled, so no session can change what
+another reads.  Later stages read the prompt only through its k/v, so a
+prefill keeps no logits.
 """
 
 import json
@@ -249,14 +250,12 @@ class GenerationSession:
         self.cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
         if prompt_from is not None:
             self.cache.share(prompt_from.cache.tables[PROMPT])
-            self.prompt_logits = prompt_from.prompt_logits
         else:
             prompt = self.cache.reserve(PROMPT, len(self.prompt_tokens))
-            self.prompt_logits = prefill(weights, table, self.cache, self.prompt_tokens)
+            prefill(weights, table, self.cache, self.prompt_tokens)
             # read-only from here on, so a session given this one as
             # ``prompt_from`` reads exactly what this one reads
             prompt.slab.seal()
-            self.prompt_logits.flags.writeable = False
 
     @property
     def l_x(self) -> int:

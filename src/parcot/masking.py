@@ -101,12 +101,13 @@ class AttentionMask:
 
     Row t sees slot j iff j <= t and ``allowed[owner[t], segment[j]]``,
     with ``segment`` the layout's slot codes and ``owner`` one code for
-    every row or one per row.
+    every row or one per row; by default each row is owned by its own
+    slot's segment, as in a training layout.
     """
 
-    def __init__(self, layout: LayoutPlan, owner):
+    def __init__(self, layout: LayoutPlan, owner=None):
         self.segment = layout.segment_codes()
-        self.owner = np.broadcast_to(owner, self.segment.shape)
+        self.owner = self.segment if owner is None else np.broadcast_to(owner, self.segment.shape)
         self.allowed = allowed_table(layout.num_paths)
 
     @property

@@ -29,10 +29,11 @@ Each row attends over the plan's shared parts, then over its own segment
 up to and including its own new slot, staged there first: one part
 [n, length] read in place, scored owner by owner, in which a row of a
 block does not see the block's later slots.  Only each owner's last
-``keep`` slots' logits are returned, and later slots read a slot only
-through its k/v, so a block with none of them stops at the last layer
-once its k/v are staged: no attention, output projection, feed-forward
-or head runs for it there.  Every slot and logit keeps its bits.
+``keep`` slots' logits are returned (none at ``keep`` 0, as a prefill
+asks), and later slots read a slot only through its k/v, so a block with
+none of them stops at the last layer once its k/v are staged: no
+attention, output projection, feed-forward or head runs for it there.
+Every slot and logit keeps its bits.
 
 The arithmetic contract, which the bit-identity tests check with
 single-threaded OpenBLAS under the kernel it selects and under its
@@ -710,11 +711,12 @@ def forward(
     rows: list[int],
     index: int,
     keep: int = 1,
-) -> np.ndarray:
+) -> np.ndarray | None:
     """Feed m = len(tokens) / len(rows) new slots, from ``index`` on, to
     each of the n plan owners at positions ``rows``, which hold ``index``
     slots each; returns the logits of each owner's last ``keep`` slots,
-    [n·keep, vocab], owner by owner.
+    [n·keep, vocab], owner by owner, or None when ``keep`` is 0.  ``keep``
+    runs from 0 to m.
 
     ``tokens`` holds each owner's m tokens in turn.  The slots run in
     blocks of up to ``CAUSAL_CHUNK`` per owner, a block's rows through the
@@ -733,7 +735,7 @@ def forward(
     cfg = weights.config
     n = len(rows)
     m = len(tokens) // n if n else 0
-    if m < 1 or n * m != len(tokens) or not 1 <= keep <= m:
+    if m < 1 or n * m != len(tokens) or not 0 <= keep <= m:
         raise DataError(f"cannot feed {len(tokens)} tokens to {n} owners, keeping {keep} each")
     check_token_ids(tokens, cfg.vocab_size)
     writes, thoughts = plan.rows(rows, index, m)
@@ -742,11 +744,9 @@ def forward(
     copies = plan.lone_rows if n * m == 1 else 1  # see the module docstring
 
     def stage(li, k, v):
-        if h == 1:  # [n, 1, H, d_k]; a lone slot's copy is not staged
-            writes.stage(li, lo, k[:n, None], v[:n, None])
-        else:
-            shape = (n, h, *k.shape[1:])
-            writes.stage(li, lo, k.reshape(shape), v.reshape(shape))
+        # the block's first n·h rows as [n, h, H, d_k]: a lone slot's copy is not staged
+        shape = (n, h, *k.shape[1:])
+        writes.stage(li, lo, k[: n * h].reshape(shape), v[: n * h].reshape(shape))
 
     def attention(li, q, k, v):
         stage(li, k, v)
@@ -777,7 +777,7 @@ def forward(
     if len(kept) > 1:  # each owner's kept slots, block after block
         blocks = [block.reshape(n, -1, block.shape[-1]) for block in kept]
         kept = [np.concatenate(blocks, axis=1).reshape(n * keep, -1)]
-    return kept[0][: n * keep]  # a lone slot's second row goes
+    return kept[0][: n * keep] if kept else None  # a lone slot's second row goes
 
 
 def forward_step(
@@ -800,20 +800,20 @@ def prefill(
     table: ThoughtEmbeddingTable,
     cache: PagedKVCache,
     tokens,
-) -> np.ndarray:
+) -> None:
     """Feed the prompt tokens to the slots after the prompt's written ones,
-    in causal chunks; returns the last slot's logits.
+    in causal chunks; returns nothing.
 
-    One ``forward`` over the prompt segment, under a plan built for it
-    (thought index 0, the shared scheme's prompt positions): the prompt
-    runs in blocks of ``CAUSAL_CHUNK`` rows, not one forward pass per
-    token, and a prefill that raises writes no prompt slot.  Only the
-    block holding the last slot runs the whole last layer and the head; a
-    block with no kept row stops at the last layer once its k/v are
-    staged.
+    One ``forward`` over the prompt segment that keeps no logits, under a
+    plan built for it (thought index 0, the shared scheme's prompt
+    positions): the prompt runs in blocks of ``CAUSAL_CHUNK`` rows, not
+    one forward pass per token, and a prefill that raises writes no prompt
+    slot.  Later stages read the prompt only through its k/v, so every
+    block stops at the last layer once its k/v are staged: no attention,
+    output projection, feed-forward or head runs there.
     """
     tokens, start = list(tokens), cache.length(PROMPT)
     end = start + len(tokens)
     positions = PositionAssignment(SHARED, l_x=end, l_max=0).positions(PROMPT, 0, end)
     plan = StagePlan(cache, [PROMPT], [0], positions)
-    return forward(weights, table, plan, tokens, [0], start)[0]
+    forward(weights, table, plan, tokens, [0], start, keep=0)

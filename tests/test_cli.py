@@ -635,6 +635,8 @@ class TestCostModel:
         ("compute_throughput", [1], ": compute_throughput must be a number, got [1]"),
         ("kv_bytes_per_token_per_slot", {},
          ": kv_bytes_per_token_per_slot must be a number, got {}"),
+        pytest.param("memory_bandwidth", 10**400, ": memory_bandwidth is too large for a float",
+                     id="memory_bandwidth-400-digits"),
     ])
     def test_malformed_profile_is_an_error(self, tmp_path, capsys, key, value, named):
         # None drops the key; a JSON null is checked like any other non-number

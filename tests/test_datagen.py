@@ -22,7 +22,7 @@ from parcot.datagen import (
     write_training_records,
 )
 from parcot.errors import DataError, FormatError, LayoutError
-from parcot.masking import build_reasoning_mask, build_summary_mask
+from parcot.masking import LayoutPlan, build_reasoning_mask, build_summary_mask
 from parcot.tokenizer import Vocab, decode, encode
 
 
@@ -542,6 +542,15 @@ class TestLayoutOracle:
 
 
 class TestTrainingLayout:
+    def test_segment_codes_built_once_per_layout(self, vocab, monkeypatch):
+        calls, codes = [], LayoutPlan.segment_codes
+        monkeypatch.setattr(LayoutPlan, "segment_codes", lambda plan: calls.append(1) or codes(plan))
+        for p_hat in (1, 4):
+            calls.clear()
+            tl = training_layout(build_sample(problem(p_hat), vocab, p_hat=p_hat, seed=3), vocab)
+            assert calls == [1]
+            assert np.array_equal(tl.mask.owner, tl.mask.segment)
+
     def test_masks_match_masking_module(self, vocab):
         sample = build_sample(problem(2), vocab, p_hat=2, seed=7)
         tl = training_layout(sample, vocab)

@@ -683,7 +683,6 @@ class TestFailureAtomicity:
             session.num_paths, list(session.think_labels),
             [(p.think_label, list(p.tokens), p.finish_cause) for p in session.paths],
             session.stage, session.budget, session.strategy, session.reasoning_len,
-            session.prompt_logits.tobytes(),
             [(seg, t.slab.capacity, t.filled, t.row)
              for seg, t in sorted(session.cache.tables.items())],
             session.cache.tables[PROMPT].content_hash(),

@@ -366,7 +366,7 @@ class TestOwnersTimesSlots:
         ([], 1, "cannot feed 0 tokens to 2 owners, keeping 1 each"),
         ([5, 6, 7], 1, "cannot feed 3 tokens to 2 owners"),
         ([5, 6, 7, 8], 3, "cannot feed 4 tokens to 2 owners, keeping 3 each"),
-        ([5, 6, 7, 8], 0, "cannot feed 4 tokens to 2 owners, keeping 0 each"),
+        ([5, 6, 7, 8], -1, "cannot feed 4 tokens to 2 owners, keeping -1 each"),
     ])
     def test_token_count_and_keep_checked_before_staging(
         self, small_weights, small_table, tokens, keep, match
@@ -605,16 +605,18 @@ class TestPrefill:
         tokens = [9, 8, 7, 6]
 
         cache_a = fresh_cache(cfg)
-        last_a = prefill(small_weights, small_table, cache_a, tokens)
+        assert prefill(small_weights, small_table, cache_a, tokens) is None
         plan = shared_plan(cache_a, [PROMPT], l_x=5)
         next_a = forward_step(small_weights, small_table, plan, 55, SlotAddress(PROMPT, 4))
 
-        plan = shared_plan(fresh_cache(cfg), [PROMPT], l_x=5)
-        last_b = None
+        cache_b = fresh_cache(cfg)
+        plan = shared_plan(cache_b, [PROMPT], l_x=5)
         for t, token in enumerate(tokens):
-            last_b = forward_step(small_weights, small_table, plan, token, SlotAddress(PROMPT, t))
+            forward_step(small_weights, small_table, plan, token, SlotAddress(PROMPT, t))
         next_b = forward_step(small_weights, small_table, plan, 55, SlotAddress(PROMPT, 4))
-        assert np.max(np.abs(last_a - last_b)) <= 1e-5
+        for li in range(cfg.n_layers):  # the prompt's k/v, then the slot after it
+            for got, want in zip(cache_a.gather(PROMPT, li), cache_b.gather(PROMPT, li)):
+                assert np.max(np.abs(got - want)) <= 1e-5
         assert np.max(np.abs(next_a - next_b)) <= 1e-5
 
     @pytest.mark.parametrize(
@@ -630,10 +632,10 @@ class TestPrefill:
     def test_causal_blocks_match_iterated_steps(
         self, small_weights, small_table, kind, length, seed
     ):
-        """Blocked prefill (prompt, thought row 0), a flattened sequence
-        with gapped positions, and a path block that also sees the prompt
-        all match one forward_step per slot, then decode the next slot
-        alike."""
+        """Blocked prefill (prompt, thought row 0, no logits kept), a
+        flattened sequence with gapped positions, and a path block that
+        also sees the prompt all stage the k/v of one forward_step per slot
+        and match its logits, then decode the next slot alike."""
         cfg = small_weights.config
         rng = np.random.default_rng(seed)
         tokens = [int(t) for t in rng.integers(0, 256, size=length)]
@@ -657,14 +659,15 @@ class TestPrefill:
             ]
         blocked, stepped = caches
         if kind == "prompt":
-            got = prefill(small_weights, small_table, blocked, tokens)[None]
+            got = prefill(small_weights, small_table, blocked, tokens)
         else:
             got = forward(small_weights, small_table, plans[0], tokens, [0], 0, keep=length)
         want = np.stack([
             forward_step(small_weights, small_table, plans[1], token, SlotAddress(segment, t))
             for t, token in enumerate(tokens)
-        ])[-len(got):]
-        assert np.max(np.abs(got - want)) <= 1e-5
+        ])
+        if got is not None:
+            assert np.max(np.abs(got - want)) <= 1e-5
         assert blocked.length(segment) == stepped.length(segment) == length
         for li in range(cfg.n_layers):  # same positions and thought rows, so the same k/v
             for got_kv, want_kv in zip(blocked.gather(segment, li), stepped.gather(segment, li)):
@@ -806,15 +809,15 @@ def run_every_layer(patch):
 
 
 def causal_state(weights, table, kind, tokens, keep):
-    """Logits and segment hash of one causal pass: a prefill (keep 1), a
-    pass over the prompt, over a flattened prompt with gapped positions, or
-    over a path that also sees a 5-slot prompt."""
+    """Logits and segment hash of one causal pass: a prefill (keep 0, so
+    no logits), a pass over the prompt, over a flattened prompt with
+    gapped positions, or over a path that also sees a 5-slot prompt."""
     cfg = weights.config
     n = len(tokens)
     cache = fresh_cache(cfg, slots=max(n, 8))
     if kind == "prefill":
         segment = PROMPT
-        logits = prefill(weights, table, cache, tokens)[None]
+        logits = prefill(weights, table, cache, tokens)
     else:
         if kind == "prompt":
             segment, plan = PROMPT, shared_plan(cache, [PROMPT], l_x=n)
@@ -840,15 +843,19 @@ LENGTH_KEEP = list(dict.fromkeys(
 class TestWriteOnlyLastLayer:
     """A causal block with no kept row stops at the last layer once its k/v
     are staged.  Its slots and the returned logits keep the bits of a pass
-    that runs every layer for every row."""
+    that runs every layer for every row.  A prefill keeps no logits, so
+    its prompt slots are all it leaves."""
 
     def assert_identical(self, monkeypatch, weights, table, kind, tokens, keep):
         got = causal_state(weights, table, kind, tokens, keep)
         with monkeypatch.context() as patch:
             run_every_layer(patch)
             want = causal_state(weights, table, kind, tokens, keep)
-        assert got[0].shape == (keep, weights.config.vocab_size)
-        assert np.array_equal(got[0], want[0])
+        if keep:
+            assert got[0].shape == (keep, weights.config.vocab_size)
+            assert np.array_equal(got[0], want[0])
+        else:
+            assert got[0] is None and want[0] is None
         assert got[1] == want[1]
 
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
@@ -859,7 +866,7 @@ class TestWriteOnlyLastLayer:
         self.assert_identical(monkeypatch, weights, table, "prompt", tokens, keep)
 
     @pytest.mark.parametrize("kind, length, keep", [
-        *(("prefill", n, 1) for n in (33, 65, 97, 800)),
+        *(("prefill", n, 0) for n in (1, 33, 65, 97, 800)),
         *((kind, n, keep) for kind in ("flat", "path")
           for n, keep in ((33, 1), (65, 2), (97, 33), (800, 1), (65, 65))),
     ])
@@ -871,7 +878,8 @@ class TestWriteOnlyLastLayer:
     @pytest.mark.parametrize("n_layers", [1, 2, 3])
     @pytest.mark.parametrize("length, keep", LENGTH_KEEP)
     def test_attend_calls(self, vocab, monkeypatch, n_layers, length, keep):
-        """(L-1)·⌈n/32⌉ attend calls, plus one per block holding a kept row."""
+        """(L-1)·⌈n/32⌉ attend calls, plus one per block holding a kept
+        row; a prefill keeps none."""
         weights, table = gained_model(n_layers, vocab)
         calls = []
         attend = model.attend
@@ -886,8 +894,66 @@ class TestWriteOnlyLastLayer:
         kept_blocks = blocks - (length - keep) // CAUSAL_CHUNK
         assert len(calls) == (n_layers - 1) * blocks + kept_blocks
         calls.clear()
-        causal_state(weights, table, "prefill", [7] * length, 1)
-        assert len(calls) == (n_layers - 1) * blocks + 1
+        causal_state(weights, table, "prefill", [7] * length, 0)
+        assert len(calls) == (n_layers - 1) * blocks
+
+
+def cache_state(cache):
+    """Each segment's fill and content hash, by name."""
+    return {seg: (t.filled, t.content_hash()) for seg, t in sorted(cache.tables.items())}
+
+
+class TestKeepNone:
+    """A pass that keeps no logits (``keep`` 0) returns None and leaves the
+    cache byte for byte as a pass that keeps its last slot's logits."""
+
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 97])
+    def test_prefill(self, vocab, length):
+        weights, table = gained_model(2, vocab)
+        tokens = np.random.default_rng(length).integers(0, 256, size=length).tolist()
+        states = []
+        for keep in (0, 1):
+            cache = fresh_cache(weights.config, slots=length)
+            plan = shared_plan(cache, [PROMPT], l_x=length)
+            logits = forward(weights, table, plan, tokens, [0], 0, keep)
+            assert (logits is None) == (keep == 0)
+            states.append(cache_state(cache))
+        assert states[0] == states[1]
+        assert states[0][PROMPT][0] == length
+        cache = fresh_cache(weights.config, slots=length)
+        assert prefill(weights, table, cache, tokens) is None
+        assert cache_state(cache) == states[0]
+
+    @pytest.mark.parametrize("num_paths", [1, 16])
+    def test_reasoning_pass(self, vocab, num_paths):
+        weights, table = gained_model(2, vocab)
+        owners = [path_key(i) for i in range(num_paths)]
+        labels = tuple(range(1, num_paths + 1))
+        tokens = np.random.default_rng(num_paths).integers(0, 256, size=num_paths).tolist()
+        cfg, states = weights.config, []
+        for keep in (0, 1):
+            cache = PagedKVCache(cfg.n_layers, cfg.n_heads, cfg.d_k)
+            cache.reserve(PROMPT, 5)
+            prefill(weights, table, cache, [3, 1, 4, 1, 5])
+            cache.reserve_paths(num_paths, 4)
+            plan = shared_plan(cache, owners, l_x=5, labels=labels, l_max=4)
+            logits = forward(weights, table, plan, tokens, list(range(num_paths)), 0, keep)
+            assert (logits is None) == (keep == 0)
+            states.append(cache_state(cache))
+        assert states[0] == states[1]
+        assert [states[0][seg][0] for seg in owners] == [1] * num_paths
+
+    def test_answer_pass(self, vocab):
+        weights, table = gained_model(2, vocab)
+        states = []
+        for keep in (0, 1):
+            cache = answer_cache(weights.config, 3, [2, 4, 1], 4, seed=5)
+            plan = summary_plan(cache, 3, reasoning_len=4)
+            logits = forward(weights, table, plan, [42], [0], 0, keep)
+            assert (logits is None) == (keep == 0)
+            states.append(cache_state(cache))
+        assert states[0] == states[1]
+        assert states[0][ANSWER][0] == 1
 
 
 class TestValidate:

@@ -110,8 +110,6 @@ def test_first_finish_layout_reproduces_engine_logits(
         small_weights, small_table, vocab, num_paths, budget, seed, Termination.FIRST_FINISH
     )
     assert layout.layout.path_lengths == (session.reasoning_len,) * num_paths
-    start = layout.layout.path_slots(0).start
-    assert np.max(np.abs(session.prompt_logits - dense[start - 1])) <= 1e-5
     assert path_gap(session, layout, dense) <= 1e-5
     assert answer_gap(session, layout, dense, kept) <= 1e-5
 
